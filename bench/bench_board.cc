@@ -171,7 +171,7 @@ skewRun(bool balanced, unsigned threads, sim::Tick duration,
     op.nCores = 8; // the balancer's engine core stays unmanaged
     op.groupSize = 4;
     op.queueDepth = 1024; // the hot shard must queue, not reject
-    host::BoardScheduler sched(b, op);
+    host::BoardScheduler sched(b, op, host::makeHashRouter());
 
     // Hot keys: the partitions co-homed on one DPU, so the step
     // lands a partition group on one shard (the rack bench's
@@ -481,7 +481,7 @@ main(int argc, char **argv)
     sbp.nDpus = 2;
     board::Board sb(sbp);
     host::OffloadParams op;
-    host::BoardScheduler bsched(sb, op, host::ShardRouting::Hash);
+    host::BoardScheduler bsched(sb, op, host::makeHashRouter());
 
     const unsigned n_jobs = smoke ? 16 : 48;
     const double rate = 4000;

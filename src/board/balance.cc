@@ -9,6 +9,52 @@
 namespace dpu::board {
 
 // ----------------------------------------------------------------
+// Knob validation
+// ----------------------------------------------------------------
+
+std::string
+checkBalance(const BalancePolicy &p)
+{
+    if (!p.window)
+        return "";
+    if (p.ewmaAlpha <= 0 || p.ewmaAlpha > 1)
+        return "the balancer EWMA alpha must sit in (0, 1] "
+               "(BalancePolicy.ewmaAlpha = " +
+               std::to_string(p.ewmaAlpha) + ")";
+    if (p.hotFactor < 1.0)
+        return "a hotFactor below 1 flags every node hot "
+               "(BalancePolicy.hotFactor = " +
+               std::to_string(p.hotFactor) + ")";
+    if (p.maxMigrationsPerWindow == 0)
+        return "an enabled balancer needs a migration budget "
+               "(BalancePolicy.maxMigrationsPerWindow = 0)";
+    return "";
+}
+
+std::string
+checkBalance(const BalanceParams &p)
+{
+    const BalancePolicy &policy = p;
+    std::string err = checkBalance(policy);
+    if (!err.empty() || !p.window)
+        return err;
+    if (p.keyPartitions == 0)
+        return "the board balancer needs at least one key partition "
+               "(BalanceParams.keyPartitions = 0)";
+    if (p.stagingBufBytes == 0 || p.stagingBufBytes > 2048)
+        return "the board balancer staging buffer must be 1..2048 "
+               "bytes (BalanceParams.stagingBufBytes = " +
+               std::to_string(p.stagingBufBytes) + ")";
+    if (p.stateBytesPerPartition == 0 ||
+        p.stateBytesPerPartition % 8 != 0)
+        return "board partition state bytes must be a positive "
+               "multiple of the 8-byte column width "
+               "(BalancePolicy.stateBytesPerPartition = " +
+               std::to_string(p.stateBytesPerPartition) + ")";
+    return "";
+}
+
+// ----------------------------------------------------------------
 // LoadTracker
 // ----------------------------------------------------------------
 
@@ -76,7 +122,7 @@ LoadTracker::totalLoad(unsigned partition) const
 std::vector<MigrationStep>
 planMigrations(const std::vector<double> &loads,
                std::vector<unsigned> &home, unsigned n_nodes,
-               const PlannerParams &p,
+               const BalancePolicy &p,
                const std::vector<bool> &frozen)
 {
     sim_assert(loads.size() == home.size(),
@@ -188,9 +234,7 @@ BoardBalancer::BoardBalancer(Board &brd_,
                              std::vector<unsigned> initial_home,
                              const BalanceParams &params)
     : brd(brd_), p(params),
-      engineCore(params.engineCore == ~0u
-                     ? brd_.dpu(0).nCores() - 1
-                     : params.engineCore),
+      engineCore(params.engineCoreOn(brd_.dpu(0).nCores())),
       track(unsigned(initial_home.size())),
       home(std::move(initial_home)),
       frozen(home.size(), false), inflight(home.size(), nullptr),
@@ -198,12 +242,8 @@ BoardBalancer::BoardBalancer(Board &brd_,
 {
     sim_assert(p.window > 0, "balancer built with window = 0");
     sim_assert(!home.empty(), "balancer needs key partitions");
-    sim_assert(p.stateBytesPerPartition > 0 &&
-                   p.stateBytesPerPartition % 8 == 0,
-               "partition state bytes must be a positive multiple "
-               "of the column width");
-    sim_assert(p.stagingBufBytes > 0 && p.stagingBufBytes <= 2048,
-               "staging buffer must be 1..2048 bytes");
+    const std::string err = checkBalance(p);
+    sim_assert(err.empty(), "%s", err.c_str());
     sim_assert(engineCore < brd.dpu(0).nCores(),
                "engine core %u off the chip", engineCore);
 
@@ -310,7 +350,7 @@ BoardBalancer::record(unsigned part)
     bool dropped = false;
     const sim::Tick at = brd.fabric().startBulk(
         m->from, m->to, p.deltaBytesPerRequest, dropped,
-        LinkTraffic::Migration);
+        sim::Traffic::Migration);
     if (dropped) {
         ++rep.deltaDropped; // deltas are best-effort, like PR-8
         return;
@@ -393,7 +433,7 @@ BoardBalancer::ship(Migration &m, unsigned chunk,
     bool dropped = false;
     const sim::Tick at = brd.fabric().startBulk(
         m.from, m.to, payload->size(), dropped,
-        LinkTraffic::Migration);
+        sim::Traffic::Migration);
     if (!dropped) {
         const mem::Addr ddr = m.plan.chunks[chunk].ddrAddr;
         const std::uint8_t width = m.plan.chunks[chunk].colWidth;
@@ -500,7 +540,7 @@ BoardBalancer::onWindowBoundary(sim::Tick boundary)
     // Plan on a scratch copy: the live map only flips at commit.
     std::vector<unsigned> scratch = home;
     const std::vector<MigrationStep> steps = planMigrations(
-        track.loads(), scratch, brd.nDpus(), p.planner(), frozen);
+        track.loads(), scratch, brd.nDpus(), p, frozen);
     for (const MigrationStep &s : steps) {
         Engines &se = engines[s.from];
         Engines &de = engines[s.to];

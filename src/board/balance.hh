@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dms/handoff_exec.hh"
@@ -59,18 +60,40 @@ namespace dpu::board {
 
 class Board;
 
-/** Knobs of the deterministic hot-shard planner (shared with the
- *  rack tier, which wraps it — see rack/balance.hh). */
-struct PlannerParams
+/**
+ * The balancer policy both tiers share: when to look, what counts as
+ * hot, how much may move per window, and what a move ships. The rack
+ * uses it as is (rack::PlacementParams::balance); the board extends
+ * it with its hand-off engine knobs (BalanceParams). Defaults leave
+ * balancing OFF (window = 0), so existing topologies and goldens are
+ * untouched.
+ */
+struct BalancePolicy
 {
-    /** A DPU is hot above hotFactor x mean DPU load (>= 1). */
+    /** Observation-window length in ticks; 0 disables balancing. */
+    sim::Tick window = 0;
+    /** EWMA weight of the newest window, in (0, 1]. */
+    double ewmaAlpha = 0.4;
+    /** A node (DPU or board) is hot above hotFactor x mean node
+     *  load (>= 1). */
     double hotFactor = 1.5;
     /** Migration budget per window boundary. */
     unsigned maxMigrationsPerWindow = 1;
     /** Partitions below this EWMA load never migrate (not worth
      *  the state transfer). */
     double minPartitionLoad = 4.0;
+    /** State a partition hand-off ships: the board moves exactly
+     *  this DDR range; the rack's modelled snapshot also grows by
+     *  deltaBytesPerRequest per request the partition absorbed. */
+    std::uint64_t stateBytesPerPartition = 64 * 1024;
+    /** Forwarding-epoch delta shipped per request absorbed at the
+     *  old home while its partition is in flight. */
+    std::uint64_t deltaBytesPerRequest = 256;
 };
+
+/** "" when @p p is usable or disabled (window = 0); otherwise one
+ *  sentence naming the offending field. */
+std::string checkBalance(const BalancePolicy &p);
 
 /** Windowed per-partition load: current-window counts + EWMA. */
 class LoadTracker
@@ -133,27 +156,15 @@ struct MigrationStep
 std::vector<MigrationStep>
 planMigrations(const std::vector<double> &loads,
                std::vector<unsigned> &home, unsigned n_nodes,
-               const PlannerParams &p,
+               const BalancePolicy &p,
                const std::vector<bool> &frozen = {});
 
-/** Board-balancer knobs. Defaults leave it OFF (window = 0) so
- *  existing topologies and goldens are untouched. */
-struct BalanceParams
+/** Board-balancer knobs: the shared policy plus the DMS hand-off
+ *  engines' layout. */
+struct BalanceParams : BalancePolicy
 {
-    /** Observation-window length in ticks; 0 disables balancing. */
-    sim::Tick window = 0;
-    /** EWMA weight of the newest window, in (0, 1]. */
-    double ewmaAlpha = 0.4;
-    /** A DPU is hot above hotFactor x mean DPU load (>= 1). */
-    double hotFactor = 1.5;
-    /** Migration budget per window boundary. */
-    unsigned maxMigrationsPerWindow = 1;
-    /** Partitions below this EWMA load never migrate. */
-    double minPartitionLoad = 4.0;
     /** Key partitions the board's requests hash into. */
     unsigned keyPartitions = 16;
-    /** DMS-owned state bytes per partition (the migrated range). */
-    std::uint64_t stateBytesPerPartition = 64 * 1024;
     /** DDR base of the per-partition state ranges (identical on
      *  every DPU; clear of the offload arenas). */
     mem::Addr stateBase = mem::Addr(192) << 20;
@@ -168,16 +179,17 @@ struct BalanceParams
      *  aborted at the next window boundary; its engine roles are
      *  poisoned (a wedged DMAC never completes). */
     sim::Tick migrationTimeout = sim::Tick(2'000'000'000); // 2 ms
-    /** Forwarding-epoch delta shipped per request absorbed at the
-     *  old home while its partition is in flight. */
-    std::uint64_t deltaBytesPerRequest = 256;
 
-    PlannerParams
-    planner() const
+    /** The engine core on a chip of @p n_cores cores. */
+    unsigned
+    engineCoreOn(unsigned n_cores) const
     {
-        return {hotFactor, maxMigrationsPerWindow, minPartitionLoad};
+        return engineCore == ~0u ? n_cores - 1 : engineCore;
     }
 };
+
+/** checkBalance() of the policy, then of the board-only fields. */
+std::string checkBalance(const BalanceParams &p);
 
 /**
  * The board-tier balancer: owns the tracker, the partition->DPU home

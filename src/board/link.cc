@@ -1,7 +1,5 @@
 #include "board/link.hh"
 
-#include <algorithm>
-
 #include "sim/domain.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
@@ -21,17 +19,27 @@ chPrefix(unsigned s, unsigned d)
 } // namespace
 
 LinkFabric::LinkFabric(unsigned n_dpus, const LinkParams &params)
-    : n(n_dpus), p(params), queues(n), chans(std::size_t(n) * n),
-      inbox(std::size_t(n) * n), handlers(n), unhandled(n),
+    : sim::ChannelSet(std::size_t(n_dpus) * n_dpus,
+                      params.hopLatency, params.gbPerSec,
+                      params.flitBytes),
+      n(n_dpus), p(params), queues(n), inbox(std::size_t(n) * n), handlers(n), unhandled(n),
       stats("link")
 {
     sim_assert(n >= 1, "a board fabric needs at least one DPU");
-    sim_assert(p.gbPerSec > 0, "link bandwidth must be positive");
     // Sends run in the source chip's execution domain; make sure the
     // cross-cutting planes are sized for it.
     sim::faultPlane().ensureDomains(n);
     sim::tracer().ensureDomains(n);
-    stats.addFlushHook([this] { foldStats(); });
+    stats.addFlushHook([this] {
+        foldStats(stats, [this](std::size_t i) {
+            return chPrefix(unsigned(i / n), unsigned(i % n));
+        });
+        std::uint64_t unh = 0;
+        for (unsigned d = 0; d < n; ++d)
+            unh += unhandled[d];
+        if (unh)
+            stats.counter("unhandledRpcs") = unh;
+    });
 }
 
 void
@@ -48,72 +56,11 @@ LinkFabric::onRpc(unsigned dst, RpcHandler handler)
     handlers[dst] = std::move(handler);
 }
 
-sim::Tick
-LinkFabric::serTicks(std::uint64_t bytes) const
-{
-    const double wire = double(std::max<std::uint64_t>(
-        bytes, p.flitBytes));
-    // ps per byte = 1000 / (GB/s); pure integer-in, integer-out so
-    // the timing is a reproducible function of (bytes, params).
-    return sim::Tick(wire * (1000.0 / p.gbPerSec) + 0.5);
-}
-
-sim::Tick
-LinkFabric::transit(unsigned src, unsigned dst, std::uint64_t bytes,
-                    bool &dropped, LinkTraffic cls)
-{
-    sim_assert(src < n && dst < n && src != dst,
-               "bad fabric route %u -> %u", src, dst);
-    sim_assert(queues[src], "DPU %u has no attached queue", src);
-    // The whole decision happens on the source chip: its clock, its
-    // channel row, its fault-domain stream. That keeps the outcome a
-    // pure function of the send, whatever thread runs it.
-    sim::DomainScope domain(src);
-    Channel &c = chan(src, dst);
-    const sim::Tick now = queues[src]->now();
-    const sim::Tick ser = serTicks(bytes);
-    const sim::Tick tx_start = std::max(now, c.nextFree);
-    const sim::Tick tx_done = tx_start + ser;
-    c.nextFree = tx_done;
-
-    sim::Tick extra = 0;
-    std::uint64_t mag = 0;
-    sim::FaultPlane &fp = sim::faultPlane();
-    const int unit = int(src * n + dst);
-    if (fp.active() &&
-        fp.fires(sim::FaultSite::LinkDelay, now, unit, &mag)) {
-        extra = mag ? sim::Tick(mag) : p.hopLatency;
-        ++c.delays;
-    }
-    dropped = fp.active() &&
-              fp.fires(sim::FaultSite::LinkDrop, now, unit, &mag);
-
-    // Account by fate, exclusively: a message is carried workload,
-    // dropped (either class; the wire time is burned regardless),
-    // or delivered migration traffic. The classes sum to the total
-    // offered to the wire.
-    if (dropped) {
-        ++c.drops;
-        c.dropBytes += bytes;
-        c.dropTicks += ser;
-    } else if (cls == LinkTraffic::Migration) {
-        ++c.migMsgs;
-        c.migBytes += bytes;
-        c.migTicks += ser;
-    } else {
-        ++c.msgs;
-        c.bytes += bytes;
-        c.busyTicks += ser;
-    }
-    return tx_done + p.hopLatency + extra;
-}
-
 void
 LinkFabric::sendRpc(unsigned src, unsigned dst, std::uint64_t payload)
 {
     bool dropped = false;
-    const sim::Tick arrive =
-        transit(src, dst, 8, dropped, LinkTraffic::Workload);
+    const sim::Tick arrive = startBulk(src, dst, 8, dropped);
     if (dropped)
         return; // lost in the fabric; sender-level recovery applies
     inbox[src * n + dst].push_back({arrive, payload, {}});
@@ -122,9 +69,18 @@ LinkFabric::sendRpc(unsigned src, unsigned dst, std::uint64_t payload)
 sim::Tick
 LinkFabric::startBulk(unsigned src, unsigned dst,
                       std::uint64_t bytes, bool &dropped,
-                      LinkTraffic cls)
+                      sim::Traffic cls)
 {
-    return transit(src, dst, bytes, dropped, cls);
+    sim_assert(src < n && dst < n && src != dst,
+               "bad fabric route %u -> %u", src, dst);
+    sim_assert(queues[src], "DPU %u has no attached queue", src);
+    // The whole decision happens on the source chip: its clock, its
+    // channel row, its fault-domain stream. That keeps the outcome a
+    // pure function of the send, whatever thread runs it.
+    sim::DomainScope domain(src);
+    return chans[src * n + dst].send(
+        queues[src]->now(), bytes, cls, sim::FaultSite::LinkDelay,
+        sim::FaultSite::LinkDrop, int(src * n + dst), dropped);
 }
 
 void
@@ -180,102 +136,6 @@ LinkFabric::inboundPending() const
     return total;
 }
 
-void
-LinkFabric::foldStats()
-{
-    std::uint64_t msgs = 0, bytes = 0, drops = 0, delays = 0;
-    std::uint64_t drop_bytes = 0, mig_msgs = 0, mig_bytes = 0;
-    for (unsigned s = 0; s < n; ++s) {
-        for (unsigned d = 0; d < n; ++d) {
-            const Channel &c = chan(s, d);
-            msgs += c.msgs;
-            bytes += c.bytes;
-            drops += c.drops;
-            delays += c.delays;
-            drop_bytes += c.dropBytes;
-            mig_msgs += c.migMsgs;
-            mig_bytes += c.migBytes;
-            if (c.msgs) {
-                const std::string ch = chPrefix(s, d);
-                stats.counter(ch + ".bytes") = c.bytes;
-                stats.counter(ch + ".busyTicks") = c.busyTicks;
-            }
-        }
-    }
-    // Cells appear exactly when the eager version would have created
-    // them, so stat snapshots keep their golden key sets.
-    if (msgs) {
-        stats.counter("msgs") = msgs;
-        stats.counter("bytes") = bytes;
-    }
-    if (drops) {
-        stats.counter("drops") = drops;
-        stats.counter("dropBytes") = drop_bytes;
-    }
-    if (delays)
-        stats.counter("delayed") = delays;
-    if (mig_msgs) {
-        stats.counter("migMsgs") = mig_msgs;
-        stats.counter("migBytes") = mig_bytes;
-    }
-    std::uint64_t unh = 0;
-    for (unsigned d = 0; d < n; ++d)
-        unh += unhandled[d];
-    if (unh)
-        stats.counter("unhandledRpcs") = unh;
-}
-
-std::uint64_t
-LinkFabric::bytesCarried() const
-{
-    std::uint64_t total = 0;
-    for (const Channel &c : chans)
-        total += c.bytes;
-    return total;
-}
-
-std::uint64_t
-LinkFabric::messages() const
-{
-    std::uint64_t total = 0;
-    for (const Channel &c : chans)
-        total += c.msgs;
-    return total;
-}
-
-std::uint64_t
-LinkFabric::droppedBytes() const
-{
-    std::uint64_t total = 0;
-    for (const Channel &c : chans)
-        total += c.dropBytes;
-    return total;
-}
-
-std::uint64_t
-LinkFabric::migrationBytes() const
-{
-    std::uint64_t total = 0;
-    for (const Channel &c : chans)
-        total += c.migBytes;
-    return total;
-}
-
-std::uint64_t
-LinkFabric::migrationMessages() const
-{
-    std::uint64_t total = 0;
-    for (const Channel &c : chans)
-        total += c.migMsgs;
-    return total;
-}
-
-std::uint64_t
-LinkFabric::offeredBytes() const
-{
-    return bytesCarried() + droppedBytes() + migrationBytes();
-}
-
 double
 LinkFabric::utilization(unsigned src, unsigned dst) const
 {
@@ -284,18 +144,18 @@ LinkFabric::utilization(unsigned src, unsigned dst) const
     const sim::EventQueue *q = queues[0];
     if (!q || q->now() == 0)
         return 0;
-    return double(chan(src, dst).busyTicks) / double(q->now());
+    return double(chans[src * n + dst]
+                      .totals()
+                      .of(sim::Traffic::Workload)
+                      .ticks) /
+           double(q->now());
 }
 
 double
 LinkFabric::peakUtilization() const
 {
-    double peak = 0;
-    for (unsigned s = 0; s < n; ++s)
-        for (unsigned d = 0; d < n; ++d)
-            if (s != d)
-                peak = std::max(peak, utilization(s, d));
-    return peak;
+    const sim::EventQueue *q = queues[0];
+    return q ? ChannelSet::peakUtilization(q->now()) : 0;
 }
 
 } // namespace dpu::board

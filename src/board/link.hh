@@ -5,15 +5,11 @@
  * A board carries N DPUs connected pairwise by full-duplex
  * serial links (think PCIe/Interlaken lanes off each chip's A9
  * complex). The fabric models each ordered (src, dst) pair as an
- * independent channel with a store-and-forward cost:
- *
- *   txStart  = max(now, channel.nextFree)
- *   txDone   = txStart + serialization(bytes)
- *   delivery = txDone + hopLatency [+ link.delay magnitude]
- *
- * so concurrent messages on one channel serialize while opposite
- * directions and disjoint pairs proceed in parallel. Two traffic
- * classes share the channels:
+ * independent sim::Channel — the store-and-forward wire the rack
+ * network uses too (sim/channel.hh has its timing and accounting
+ * law) — so concurrent messages on one channel serialize while
+ * opposite directions and disjoint pairs proceed in parallel. Two
+ * kinds of message share the channels:
  *
  *  - RPCs: pointer-sized control messages (ATE-style doorbells)
  *    delivered to a per-DPU handler;
@@ -46,12 +42,10 @@
  * stream (the fabric enters DomainScope(src) for the decision), so
  * they too are independent of thread interleaving.
  *
- * Everything lands in the "link" StatGroup: aggregate msgs / bytes /
- * drops / delays plus per-channel bytes and busy ticks, from which
- * utilization() derives per-channel and peak occupancy. The cells
- * are fed from per-channel shadows owned by the source thread and
- * folded in a flush hook, so parallel partitions never touch the
- * shared map.
+ * Everything lands in the "link" StatGroup under the channel key
+ * set, with per-channel cells named "ch<src>to<dst>". The channels
+ * are owned by the source thread and folded in a flush hook, so
+ * parallel partitions never touch the shared map.
  */
 
 #ifndef DPU_BOARD_LINK_HH
@@ -62,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 
@@ -78,22 +73,9 @@ struct LinkParams
     std::uint32_t flitBytes = 64;
 };
 
-/**
- * Bulk-transfer traffic class. Workload bytes are what the apps
- * moved; Migration bytes are the balancer's re-shard traffic
- * (state chunks + forwarding-epoch deltas). The split keeps
- * utilization/bytes JSON honest: re-sharding burns wire time on
- * the same channels but is accounted separately, mirroring the
- * rack tier's carried/dropped/migration counters.
- */
-enum class LinkTraffic : std::uint8_t
-{
-    Workload,
-    Migration,
-};
-
-/** The board's N x N channel matrix. */
-class LinkFabric
+/** The board's N x N channel matrix; channel src * n + dst is the
+ *  ordered (src, dst) link, owned by src's thread. */
+class LinkFabric : public sim::ChannelSet
 {
   public:
     /** Per-DPU RPC delivery hook: (source DPU, payload). */
@@ -123,14 +105,16 @@ class LinkFabric
 
     /**
      * Occupy the (src, dst) channel with @p bytes of payload and
-     * decide the message's fate now, against the source clock.
+     * decide the message's fate now, against the source clock, in
+     * the source's fault domain.
      * @return the delivery tick; @p dropped reports a link.drop
      * (wire time spent, payload lost — the caller owns retries).
-     * @p cls attributes the bytes: workload vs migration.
+     * @p cls attributes the bytes: workload vs the balancer's
+     * migration chunks and deltas.
      */
     sim::Tick startBulk(unsigned src, unsigned dst,
                         std::uint64_t bytes, bool &dropped,
-                        LinkTraffic cls = LinkTraffic::Workload);
+                        sim::Traffic cls = sim::Traffic::Workload);
 
     /**
      * Park @p fn in the (src, dst) mailbox for execution on DPU
@@ -158,42 +142,9 @@ class LinkFabric
     /** Busiest channel's utilization — the scaling bottleneck. */
     double peakUtilization() const;
 
-    /** Workload bytes that reached their destination. */
-    std::uint64_t bytesCarried() const;
-    /** Workload messages that reached their destination. */
-    std::uint64_t messages() const;
-    /** Bytes lost to link.drop (wire time was still burned). */
-    std::uint64_t droppedBytes() const;
-    /** Migration-class bytes delivered (re-shard traffic). */
-    std::uint64_t migrationBytes() const;
-    std::uint64_t migrationMessages() const;
-    /** Everything offered to the wire:
-     *  carried + dropped + migration. */
-    std::uint64_t offeredBytes() const;
-
     sim::StatGroup &statGroup() { return stats; }
 
   private:
-    /** One ordered (src, dst) channel; owned by src's thread. The
-     *  byte/msg/tick tallies are exclusive by message fate — every
-     *  message lands in exactly one of carried (bytes/msgs/
-     *  busyTicks), dropped, or migration — so the classes sum to
-     *  the offered total. */
-    struct Channel
-    {
-        sim::Tick nextFree = 0;
-        sim::Tick busyTicks = 0; ///< carried workload wire time
-        std::uint64_t bytes = 0; ///< carried workload bytes
-        std::uint64_t msgs = 0;  ///< carried workload messages
-        std::uint64_t drops = 0;
-        std::uint64_t delays = 0;
-        std::uint64_t dropBytes = 0;
-        sim::Tick dropTicks = 0;
-        std::uint64_t migMsgs = 0;
-        std::uint64_t migBytes = 0;
-        sim::Tick migTicks = 0;
-    };
-
     /** One parked delivery: an RPC payload or a bulk action. */
     struct Pending
     {
@@ -202,32 +153,9 @@ class LinkFabric
         std::function<void()> fn; ///< non-empty = bulk delivery
     };
 
-    Channel &chan(unsigned s, unsigned d) { return chans[s * n + d]; }
-    const Channel &
-    chan(unsigned s, unsigned d) const
-    {
-        return chans[s * n + d];
-    }
-
-    /** Wire ticks for @p bytes at the configured bandwidth. */
-    sim::Tick serTicks(std::uint64_t bytes) const;
-
-    /**
-     * Occupy the channel and decide the message's fate against the
-     * source clock, in the source's fault domain. @return the
-     * delivery tick; @p dropped reports a link.drop firing.
-     */
-    sim::Tick transit(unsigned src, unsigned dst,
-                      std::uint64_t bytes, bool &dropped,
-                      LinkTraffic cls);
-
-    /** Fold the channel shadows into the StatGroup cells. */
-    void foldStats();
-
     unsigned n;
     LinkParams p;
     std::vector<sim::EventQueue *> queues;
-    std::vector<Channel> chans;
     /** Epoch mailboxes, indexed src * n + dst. A mailbox is written
      *  by src's thread in the compute phase and read by dst's thread
      *  in the drain phase; the runner's barriers order the two. */

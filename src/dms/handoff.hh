@@ -2,7 +2,7 @@
  * @file
  * Partition-range hand-off staging plans.
  *
- * When the rack balancer re-homes a key partition (rack/balance.hh),
+ * When a balancer re-homes a key partition (board/balance.hh),
  * the owning DPU has to stage that partition's DMS-resident state
  * out of DDR so it can be shipped over the rack network. A hand-off
  * is planned as a chain of DdrToDmem descriptors: each chunk pulls

@@ -28,9 +28,7 @@ BoardScheduler::BoardScheduler(board::Board &b,
     const board::BalanceParams &bal = b.params().balance;
     parts = std::make_unique<PartitionRouter>(bal.keyPartitions, 1);
     if (bal.window > 0) {
-        const unsigned engine = bal.engineCore == ~0u
-                                    ? b.dpu(0).nCores() - 1
-                                    : bal.engineCore;
+        const unsigned engine = bal.engineCoreOn(b.dpu(0).nCores());
         sim_assert(per_dpu.nCores <= engine,
                    "the balancer's engine core %u must not be "
                    "managed by the offload scheduler (nCores %u)",
@@ -48,13 +46,6 @@ BoardScheduler::BoardScheduler(board::Board &b,
                 parts->reassign(part, to);
             });
     }
-}
-
-BoardScheduler::BoardScheduler(board::Board &b,
-                               OffloadParams per_dpu,
-                               ShardRouting routing)
-    : BoardScheduler(b, std::move(per_dpu), makeRouter(routing))
-{
 }
 
 unsigned

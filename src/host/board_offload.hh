@@ -60,10 +60,6 @@ class BoardScheduler
     BoardScheduler(board::Board &b, OffloadParams per_dpu,
                    std::unique_ptr<Router> router);
 
-    /** Legacy-enum convenience (PR-5 source compatibility). */
-    BoardScheduler(board::Board &b, OffloadParams per_dpu,
-                   ShardRouting routing = ShardRouting::Hash);
-
     unsigned nShards() const { return unsigned(shards.size()); }
     OffloadScheduler &shard(unsigned d) { return *shards[d]; }
     const OffloadScheduler &shard(unsigned d) const

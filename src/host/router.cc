@@ -353,16 +353,4 @@ makeReplicaGroupRouter(unsigned replication)
     return std::make_unique<ReplicaGroupRouter>(replication);
 }
 
-std::unique_ptr<Router>
-makeRouter(ShardRouting policy)
-{
-    switch (policy) {
-    case ShardRouting::RoundRobin:
-        return makeRoundRobinRouter();
-    case ShardRouting::Hash:
-        break;
-    }
-    return makeHashRouter();
-}
-
 } // namespace dpu::host

@@ -3,10 +3,10 @@
  * Pluggable request-routing policies shared by the board and rack
  * schedulers.
  *
- * PR 5 baked a two-value ShardRouting enum into BoardScheduler; the
- * rack tier needs more shapes (replica groups with ordered failover
- * candidates, weighted spreading over heterogeneous shards), so the
- * policy is now an interface. A Router maps a request onto one of
+ * The board and rack tiers need several routing shapes (hash,
+ * round-robin, replica groups with ordered failover candidates,
+ * weighted spreading over heterogeneous shards), so the policy is
+ * an interface. A Router maps a request onto one of
  * nShards targets — DPUs under BoardScheduler, boards under
  * rack::RackScheduler — and can enumerate an ordered candidate list
  * for policies that support failover.
@@ -17,9 +17,6 @@
  * fixed enqueue order yields a fixed assignment whatever thread
  * count the simulation later runs at. Policies never consult wall
  * clock, global RNGs, or the fault plane.
- *
- * The legacy ShardRouting enum survives as a factory shorthand
- * (makeRouter) so PR-5 call sites keep compiling.
  */
 
 #ifndef DPU_HOST_ROUTER_HH
@@ -48,13 +45,6 @@ struct RouteInfo
      */
     std::uint64_t key = 0;
     bool hasKey = false;
-};
-
-/** How requests pick their home shard (legacy factory tokens). */
-enum class ShardRouting
-{
-    Hash,       ///< pure function of (app, seed)
-    RoundRobin, ///< arrival-order striping
 };
 
 /** One routing policy instance. */
@@ -191,9 +181,6 @@ class PartitionRouter final : public Router
 /** A fresh all-default partition map (see PartitionRouter). */
 std::unique_ptr<PartitionRouter>
 makePartitionRouter(unsigned n_partitions, unsigned replication);
-
-/** Legacy-enum factory (source compatibility with PR 5). */
-std::unique_ptr<Router> makeRouter(ShardRouting policy);
 
 /** The stable placement hash every key policy shares: a pure
  *  function of (app, seed/key), identical to the PR-5 board mix. */

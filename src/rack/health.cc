@@ -198,7 +198,7 @@ HealthMonitor::sendProbes(sim::Tick at)
         ++probeCnt;
         bool dropped = false;
         const sim::Tick delivered = net.deliver(
-            b, prm.probeBytes, at, dropped, NetTraffic::Probe);
+            b, prm.probeBytes, at, dropped, sim::Traffic::Probe);
         if (!dropped && aliveAt(b, delivered)) {
             // The pong is a flit-sized message; the return hop's
             // latency dominates, so model it as one hopLatency.

@@ -17,7 +17,7 @@
  *
  *  - heartbeat probes: every `heartbeatPeriod` ticks the monitor
  *    sends one small probe per board over the RackNet. Probes are
- *    real traffic (NetTraffic::Probe): they burn wire time on the
+ *    real traffic (sim::Traffic::Probe): they burn wire time on the
  *    board's ingress pipe and are subject to rack.netDrop /
  *    rack.netDelay like any other message. A probe that reaches a
  *    live board acks one hop later; a probe that is dropped or

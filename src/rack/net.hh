@@ -13,18 +13,13 @@
  * static — every request's destination board and delivery tick are
  * decided at enqueue time, before any board simulates a single
  * event — so the network never needs to schedule into a board's
- * event-queue partitions. Each board has one ingress channel with
- * the same store-and-forward shape as the board links:
- *
- *   txStart  = max(arrival, channel.nextFree)
- *   txDone   = txStart + serialization(bytes)
- *   delivery = txDone + hopLatency [+ rack.netDelay magnitude]
- *
- * so a burst aimed at one board queues behind itself while other
- * boards' ingress pipes stay clear. Because delivery ticks are
- * computed in admission order in the host phase, the whole rack
- * schedule stays a pure function of the trace: bit-identical at
- * any --threads count.
+ * event-queue partitions. Each board has one ingress sim::Channel,
+ * the same store-and-forward wire as the board links (sim/channel.hh
+ * has the timing and accounting law), so a burst aimed at one board
+ * queues behind itself while other boards' ingress pipes stay clear.
+ * Because delivery ticks are computed in admission order in the host
+ * phase, the whole rack schedule stays a pure function of the trace:
+ * bit-identical at any --threads count.
  *
  * Faults ride the process-wide plane (sim/fault.hh), domain 0 —
  * admission runs in the host phase, in a fixed order, so the
@@ -33,25 +28,20 @@
  * replica), `rack.netDelay` adds `mag` ticks to one delivery. The
  * fault `unit` is the destination board.
  *
- * Everything lands in the "racknet" StatGroup: aggregate msgs /
- * bytes / drops / delays plus per-board ingress bytes and busy
- * ticks, from which utilization() derives occupancy. Accounting
- * follows the xfer_stat idiom — carried vs lost vs migration
- * traffic are tracked per channel: a dropped message burns wire
- * time (nextFree still advances, so later deliveries queue behind
- * it) but its bytes land in dropBytes, never in bytes /
- * busyTicks / bytesCarried(), so utilization and carried-byte
- * stats describe traffic that actually reached a board. Partition
- * hand-offs (rack/balance.hh) tag their transfers Migration and
- * are broken out as migBytes on top of the carried totals.
+ * Everything lands in the "racknet" StatGroup under the channel key
+ * set, with per-board cells named "board<b>". Partition hand-offs
+ * and forwarding deltas travel as sim::Traffic::Migration and
+ * heartbeats as sim::Traffic::Probe, so bytesCarried(), messages()
+ * and peakUtilization() (all from sim::ChannelSet) describe request
+ * traffic alone.
  */
 
 #ifndef DPU_RACK_NET_HH
 #define DPU_RACK_NET_HH
 
 #include <cstdint>
-#include <vector>
 
+#include "sim/channel.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -69,21 +59,14 @@ struct NetParams
     std::uint32_t flitBytes = 256;
 };
 
-/** What a rack message carries (xfer_stat-style breakdown). */
-enum class NetTraffic : std::uint8_t
-{
-    Request,   ///< front-end request payloads
-    Migration, ///< partition-state hand-offs (rack/balance.hh)
-    Probe,     ///< health-monitor heartbeats (rack/health.hh)
-};
-
-/** N per-board ingress channels behind one front-end. */
-class RackNet
+/** N per-board ingress channels behind one front-end; channel b
+ *  is board b's ingress pipe. */
+class RackNet : public sim::ChannelSet
 {
   public:
     RackNet(unsigned n_boards, const NetParams &params);
 
-    unsigned size() const { return n; }
+    unsigned size() const { return unsigned(chans.size()); }
     const NetParams &params() const { return p; }
 
     /**
@@ -99,7 +82,7 @@ class RackNet
      */
     sim::Tick deliver(unsigned dst, std::uint64_t bytes,
                       sim::Tick now, bool &dropped,
-                      NetTraffic cls = NetTraffic::Request);
+                      sim::Traffic cls = sim::Traffic::Workload);
 
     /**
      * Ticks the board @p dst ingress pipe is already committed
@@ -112,60 +95,13 @@ class RackNet
     /** Wire (serialization) ticks @p bytes would occupy. */
     sim::Tick wireTicks(std::uint64_t bytes) const
     {
-        return serTicks(bytes);
+        return chans[0].serTicks(bytes);
     }
-
-    /** Fraction of [0, end] the board @p dst ingress pipe spent
-     *  serializing traffic that was actually delivered. */
-    double utilization(unsigned dst, sim::Tick end) const;
-
-    /** Busiest ingress pipe's utilization over [0, end]. */
-    double peakUtilization(sim::Tick end) const;
-
-    /** Bytes delivered to boards (dropped payloads excluded). */
-    std::uint64_t bytesCarried() const;
-    /** Bytes lost to rack.netDrop (wire time burned, not carried). */
-    std::uint64_t droppedBytes() const;
-    /** Carried bytes that were partition-migration payload. */
-    std::uint64_t migrationBytes() const;
-    /** Carried bytes that were health-probe payload. */
-    std::uint64_t probeBytes() const;
-    /** Delivery attempts, dropped ones included. */
-    std::uint64_t messages() const;
-    std::uint64_t drops() const;
 
     sim::StatGroup &statGroup() { return stats; }
 
   private:
-    /** One board's ingress channel. */
-    struct Channel
-    {
-        sim::Tick nextFree = 0;
-        sim::Tick busyTicks = 0; ///< carried traffic only
-        std::uint64_t bytes = 0; ///< carried traffic only
-        std::uint64_t msgs = 0;
-        std::uint64_t drops = 0;
-        std::uint64_t delays = 0;
-        /** Wire time / payload burned by dropped messages. */
-        sim::Tick dropTicks = 0;
-        std::uint64_t dropBytes = 0;
-        /** Carried migration traffic (subset of bytes/msgs). */
-        std::uint64_t migBytes = 0;
-        std::uint64_t migMsgs = 0;
-        /** Carried heartbeat traffic (subset of bytes/msgs). */
-        std::uint64_t probeBytes = 0;
-        std::uint64_t probeMsgs = 0;
-    };
-
-    /** Wire ticks for @p bytes at the configured bandwidth. */
-    sim::Tick serTicks(std::uint64_t bytes) const;
-
-    /** Fold the channel tallies into the StatGroup cells. */
-    void foldStats();
-
-    unsigned n;
     NetParams p;
-    std::vector<Channel> chans;
     sim::StatGroup stats;
 };
 

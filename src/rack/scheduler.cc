@@ -55,17 +55,9 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
                    "got %f",
                    place.health.shedDeadlineFrac);
     }
-    if (place.balance.window) {
-        sim_assert(place.balance.ewmaAlpha > 0 &&
-                       place.balance.ewmaAlpha <= 1,
-                   "balance EWMA alpha must be in (0, 1], got %f",
-                   place.balance.ewmaAlpha);
-        sim_assert(place.balance.hotFactor >= 1.0,
-                   "balance hotFactor below 1 would flag every "
-                   "board hot (got %f)",
-                   place.balance.hotFactor);
-        nextRollAt = place.balance.window;
-    }
+    const std::string err = board::checkBalance(place.balance);
+    sim_assert(err.empty(), "%s", err.c_str());
+    nextRollAt = place.balance.window;
     const std::string prefix = per_dpu.statName;
     boardScheds.reserve(rack.nBoards());
     for (unsigned b = 0; b < rack.nBoards(); ++b) {
@@ -226,18 +218,18 @@ RackScheduler::commitReady(sim::Tick when)
 }
 
 void
-RackScheduler::startMigration(const MigrationStep &step,
+RackScheduler::startMigration(const board::MigrationStep &step,
                               sim::Tick when)
 {
     // State volume scales with the traffic the partition absorbed:
     // a fixed snapshot base plus per-request working set.
     const std::uint64_t bytes =
-        place.balance.stateBytesBase +
-        place.balance.stateBytesPerRequest *
+        place.balance.stateBytesPerPartition +
+        place.balance.deltaBytesPerRequest *
             tracker.totalLoad(step.partition);
     bool dropped = false;
     const sim::Tick ready = rack.net().deliver(
-        step.to, bytes, when, dropped, NetTraffic::Migration);
+        step.to, bytes, when, dropped, sim::Traffic::Migration);
     ++migStarted;
     if (dropped) {
         // The transfer died on the wire: abort, leave the partition
@@ -364,13 +356,13 @@ RackScheduler::pumpRepairs(sim::Tick when)
             continue;
         }
         const std::uint64_t bytes =
-            place.balance.stateBytesBase +
-            place.balance.stateBytesPerRequest *
+            place.balance.stateBytesPerPartition +
+            place.balance.deltaBytesPerRequest *
                 tracker.totalLoad(j.partition);
         bool dropped = false;
         const sim::Tick ready =
             rack.net().deliver(unsigned(target), bytes, when,
-                               dropped, NetTraffic::Migration);
+                               dropped, sim::Traffic::Migration);
         ++repairStarted;
         if (dropped) {
             // Wire time burned, copy lost: retried at the next
@@ -458,10 +450,11 @@ RackScheduler::advanceBalancer(sim::Tick when)
         std::vector<unsigned> home(place.keyPartitions);
         for (unsigned p2 = 0; p2 < place.keyPartitions; ++p2)
             home[p2] = partMap->homeOf(p2, rack.nBoards());
-        const std::vector<MigrationStep> plan = planMigrations(
-            tracker.loads(), home, rack.nBoards(), place.balance,
-            frozen);
-        for (const MigrationStep &s : plan) {
+        const std::vector<board::MigrationStep> plan =
+            board::planMigrations(tracker.loads(), home,
+                                  rack.nBoards(), place.balance,
+                                  frozen);
+        for (const board::MigrationStep &s : plan) {
             // An evicted board carries no load, so the planner
             // sees it as the coldest target — but shipping state
             // onto a board the detector distrusts would hand
@@ -572,9 +565,9 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
             ++m->forwardedReqs;
             bool deltaDropped = false;
             rack.net().deliver(m->step.to,
-                               place.balance.stateBytesPerRequest,
+                               place.balance.deltaBytesPerRequest,
                                sendAt, deltaDropped,
-                               NetTraffic::Migration);
+                               sim::Traffic::Migration);
         }
         boardScheds[b]->enqueueAt(delivered, std::move(req.job));
         return AdmitResult::Admitted;

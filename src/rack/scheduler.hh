@@ -39,8 +39,9 @@
  *
  *  4. Rebalancing (balance.window > 0) — every arrival first
  *     advances the balancer clock: partition loads roll into EWMAs
- *     at each window boundary, planMigrations() (rack/balance.hh)
- *     picks moves off hot boards, and each move ships its partition
+ *     at each window boundary, board::planMigrations()
+ *     (board/balance.hh, the planner both tiers share) picks moves
+ *     off hot boards, and each move ships its partition
  *     state to the new home over the RackNet as Migration traffic.
  *     The transfer's delivery tick opens a *forwarding epoch*: the
  *     partition map is left pointing at the source, arrivals keep
@@ -95,9 +96,9 @@
 #include <memory>
 #include <vector>
 
+#include "board/balance.hh"
 #include "host/board_offload.hh"
 #include "host/router.hh"
-#include "rack/balance.hh"
 #include "rack/health.hh"
 #include "rack/rack.hh"
 
@@ -114,8 +115,10 @@ struct PlacementParams
     sim::Tick admitWindow = 0;
     /** Requests admitted per board per window (with admitWindow). */
     unsigned admitPerWindow = 0;
-    /** Hot-shard balancer; balance.window = 0 keeps it off. */
-    BalanceParams balance{};
+    /** Hot-shard balancer; balance.window = 0 keeps it off. A
+     *  hand-off ships stateBytesPerPartition plus
+     *  deltaBytesPerRequest per request the partition absorbed. */
+    board::BalancePolicy balance{};
     /** Failure detection / repair / brown-out;
      *  health.heartbeatPeriod = 0 keeps it all off. */
     HealthParams health{};
@@ -273,7 +276,7 @@ class RackScheduler
     /** One migration inside its forwarding epoch. */
     struct InFlight
     {
-        MigrationStep step;
+        board::MigrationStep step;
         sim::Tick startedAt = 0;
         sim::Tick readyAt = 0; ///< transfer delivery tick
         std::uint64_t forwardedReqs = 0;
@@ -318,7 +321,8 @@ class RackScheduler
     /** Flip the map for transfers delivered by @p when. */
     void commitReady(sim::Tick when);
     /** Ship state for @p step at @p when; open an epoch. */
-    void startMigration(const MigrationStep &step, sim::Tick when);
+    void startMigration(const board::MigrationStep &step,
+                        sim::Tick when);
     /** The in-flight record for @p partition, or nullptr. */
     InFlight *inflightOf(unsigned partition);
 
@@ -336,7 +340,7 @@ class RackScheduler
     sim::Tick defaultDeadline = 0;
 
     // Balancer state (host phase only).
-    LoadTracker tracker;
+    board::LoadTracker tracker;
     std::vector<bool> frozen;      ///< partitions mid-migration
     std::vector<InFlight> inflight;
     sim::Tick nextRollAt = 0;      ///< next window boundary; 0 = off

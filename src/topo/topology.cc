@@ -81,7 +81,7 @@ ClusterTopology::replication(unsigned r)
 }
 
 ClusterTopology &
-ClusterTopology::balance(const rack::BalanceParams &p)
+ClusterTopology::balance(const board::BalancePolicy &p)
 {
     place_.balance = p;
     return *this;
@@ -165,43 +165,9 @@ ClusterTopology::validate() const
         if (link_.flitBytes == 0)
             return msg("the board link flit size must be positive "
                        "(LinkParams.flitBytes = 0)");
-        if (boardBal_.window) {
-            const board::BalanceParams &bal = boardBal_;
-            if (bal.ewmaAlpha <= 0 || bal.ewmaAlpha > 1)
-                return msg("the board balancer EWMA alpha must sit "
-                           "in (0, 1] (board BalanceParams."
-                           "ewmaAlpha = " +
-                           std::to_string(bal.ewmaAlpha) + ")");
-            if (bal.hotFactor < 1.0)
-                return msg("a board hotFactor below 1 flags every "
-                           "DPU hot (board BalanceParams."
-                           "hotFactor = " +
-                           std::to_string(bal.hotFactor) + ")");
-            if (bal.maxMigrationsPerWindow == 0)
-                return msg("an enabled board balancer needs a "
-                           "migration budget (board BalanceParams."
-                           "maxMigrationsPerWindow = 0)");
-            if (bal.keyPartitions == 0)
-                return msg("the board balancer needs at least one "
-                           "key partition (board BalanceParams."
-                           "keyPartitions = 0)");
-            if (bal.stagingBufBytes == 0 ||
-                bal.stagingBufBytes > 2048)
-                return msg("the board balancer staging buffer must "
-                           "be 1..2048 bytes (board BalanceParams."
-                           "stagingBufBytes = " +
-                           std::to_string(bal.stagingBufBytes) +
-                           ")");
-            if (bal.stateBytesPerPartition == 0 ||
-                bal.stateBytesPerPartition % 8 != 0)
-                return msg("partition state bytes must be a "
-                           "positive multiple of the 8-byte column "
-                           "width (board BalanceParams."
-                           "stateBytesPerPartition = " +
-                           std::to_string(
-                               bal.stateBytesPerPartition) +
-                           ")");
-        }
+        if (std::string err = board::checkBalance(boardBal_);
+            !err.empty())
+            return msg(err);
     }
 
     if (tier_ == Tier::Rack) {
@@ -231,21 +197,9 @@ ClusterTopology::validate() const
             (place_.admitPerWindow == 0))
             return msg("admission control needs both admitWindow "
                        "and admitPerWindow set (or neither)");
-        if (place_.balance.window) {
-            const rack::BalanceParams &bal = place_.balance;
-            if (bal.ewmaAlpha <= 0 || bal.ewmaAlpha > 1)
-                return msg("the balancer EWMA alpha must sit in "
-                           "(0, 1] (BalanceParams.ewmaAlpha = " +
-                           std::to_string(bal.ewmaAlpha) + ")");
-            if (bal.hotFactor < 1.0)
-                return msg("a hotFactor below 1 flags every board "
-                           "hot (BalanceParams.hotFactor = " +
-                           std::to_string(bal.hotFactor) + ")");
-            if (bal.maxMigrationsPerWindow == 0)
-                return msg("an enabled balancer needs a migration "
-                           "budget (BalanceParams."
-                           "maxMigrationsPerWindow = 0)");
-        }
+        if (std::string err = board::checkBalance(place_.balance);
+            !err.empty())
+            return msg(err);
         if (place_.health.heartbeatPeriod) {
             const rack::HealthParams &h = place_.health;
             if (h.ackTimeout == 0)

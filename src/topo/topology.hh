@@ -88,8 +88,8 @@ class ClusterTopology
     /** Boards per replica group (shorthand into placement). */
     ClusterTopology &replication(unsigned r);
 
-    /** Hot-shard balancer knobs (shorthand into placement). */
-    ClusterTopology &balance(const rack::BalanceParams &p);
+    /** Rack hot-shard balancer policy (shorthand into placement). */
+    ClusterTopology &balance(const board::BalancePolicy &p);
 
     /** Intra-board live re-sharding knobs (board/balance.hh); the
      *  default window = 0 keeps it off. Board and Rack tiers. */

@@ -4,17 +4,19 @@
  *
  * Three layers, mirroring the module's split:
  *
- *  - planner laws: board::planMigrations generalizes the PR-8 rack
- *    planner to any node tier — strict improvement, freeze and
- *    min-load guards, the per-window budget, lowest-index ties, and
- *    the no-double-move invariant;
+ *  - planner laws: LoadTracker windowing and one table over
+ *    board::planMigrations, the planner both the rack and the board
+ *    tier run under one BalancePolicy — strict improvement, freeze
+ *    and min-load guards, the per-window budget, lowest-index ties,
+ *    and the no-double-move invariant — plus the bad-knob table
+ *    through both tiers' topology validation;
  *
  *  - drain-then-switch probes: a live skewed run must commit real
  *    migrations (forwarding-epoch deltas observed, exactly one
  *    router flip per commit), land byte-identical partition images
  *    wherever a partition ends up homed, and keep the link fabric's
- *    fate-exclusive byte accounting (workload / dropped / migration
- *    sum to offered);
+ *    wire law (every send counted offered on entry lands in exactly
+ *    one of workload / migration / probe / dropped);
  *
  *  - failure + determinism walls: retransmit-exhausted migrations
  *    abort cleanly with every partition intact at its old home; a
@@ -26,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -35,6 +38,7 @@
 #include "board/balance.hh"
 #include "board/board.hh"
 #include "host/board_offload.hh"
+#include "sim/channel.hh"
 #include "sim/fault.hh"
 #include "sim/stats.hh"
 #include "sim/stats_registry.hh"
@@ -42,8 +46,8 @@
 #include "topo/topology.hh"
 
 using namespace dpu;
+using board::BalancePolicy;
 using board::MigrationStep;
-using board::PlannerParams;
 
 namespace {
 
@@ -113,7 +117,8 @@ struct Scenario
         host::OffloadParams op;
         op.nCores = 8; // engine core 31 stays unmanaged
         op.groupSize = 4;
-        sched = std::make_unique<host::BoardScheduler>(*brd, op);
+        sched = std::make_unique<host::BoardScheduler>(
+            *brd, op, host::makeHashRouter());
         hotDpu = sched->partitions().homeOf(0, kDpus);
         for (unsigned p = 0; p < kParts; ++p) {
             initialHome.push_back(
@@ -178,7 +183,8 @@ expectImagesIntact(Scenario &s)
 }
 
 /** EXPECTs the router and the balancer agree on every home, and the
- *  fabric's fate-exclusive byte classes sum to the offered total. */
+ *  fabric's fate classes sum to what was offered on entry, in
+ *  messages and in bytes. */
 void
 expectInvariants(Scenario &s)
 {
@@ -186,11 +192,16 @@ expectInvariants(Scenario &s)
         EXPECT_EQ(s.sched->partitions().homeOf(p, kDpus),
                   s.bal().homeOf(p))
             << "router/balancer home split on partition " << p;
-    board::LinkFabric &f = s.brd->fabric();
-    EXPECT_EQ(f.offeredBytes(), f.bytesCarried() +
-                                    f.droppedBytes() +
-                                    f.migrationBytes())
-        << "link byte classes must partition the offered total";
+    const sim::ChannelTotals t = s.brd->fabric().totals();
+    std::uint64_t msgs = t.dropped.msgs, bytes = t.dropped.bytes;
+    for (const sim::Tally &c : t.carried) {
+        msgs += c.msgs;
+        bytes += c.bytes;
+    }
+    EXPECT_EQ(t.offered.msgs, msgs)
+        << "link fate classes must partition the offered messages";
+    EXPECT_EQ(t.offered.bytes, bytes)
+        << "link fate classes must partition the offered bytes";
     const auto &rep = s.bal().report();
     EXPECT_EQ(rep.committed + rep.aborted, rep.planned);
 }
@@ -198,80 +209,126 @@ expectInvariants(Scenario &s)
 } // namespace
 
 // ----------------------------------------------------------------
-// Planner laws (pure, no board)
+// LoadTracker
 // ----------------------------------------------------------------
 
-TEST(BoardPlanner, BalancedLoadPlansNothing)
+TEST(LoadTracker, WindowCountsFoldIntoAPrimedEwma)
 {
-    const std::vector<double> loads{10, 10, 10, 10};
-    std::vector<unsigned> home{0, 1, 2, 3};
-    const auto plan =
-        board::planMigrations(loads, home, 4, PlannerParams{});
-    EXPECT_TRUE(plan.empty());
-    EXPECT_EQ(home, (std::vector<unsigned>{0, 1, 2, 3}));
+    board::LoadTracker t(3);
+    t.record(0);
+    t.record(0);
+    t.record(1);
+    EXPECT_EQ(t.windowLoad(0), 2u);
+    EXPECT_EQ(t.windowLoad(1), 1u);
+    EXPECT_DOUBLE_EQ(t.load(0), 0.0); // nothing rolled yet
+
+    // The first roll primes each EWMA with its raw window count,
+    // whatever alpha says — otherwise every tier would boot with a
+    // (1 - alpha) bias toward zero load.
+    t.roll(0.5);
+    EXPECT_DOUBLE_EQ(t.load(0), 2.0);
+    EXPECT_DOUBLE_EQ(t.load(1), 1.0);
+    EXPECT_DOUBLE_EQ(t.load(2), 0.0);
+    EXPECT_EQ(t.windowLoad(0), 0u); // window reset
+
+    for (int i = 0; i < 4; ++i)
+        t.record(0);
+    t.roll(0.5);
+    EXPECT_DOUBLE_EQ(t.load(0), 0.5 * 4 + 0.5 * 2);
+    EXPECT_DOUBLE_EQ(t.load(1), 0.5); // decays toward silence
+    EXPECT_EQ(t.totalLoad(0), 6u);    // lifetime, not windowed
+    EXPECT_EQ(t.rollsDone(), 2u);
 }
 
-TEST(BoardPlanner, HotNodeShedsHeaviestToColdest)
+// ----------------------------------------------------------------
+// Planner laws (pure, no tier)
+// ----------------------------------------------------------------
+
+namespace {
+
+BalancePolicy
+policy(double hot, unsigned budget, double min_load)
 {
-    // Node 0 owns three partitions and is far above the mean; the
-    // heaviest movable one goes to the coldest node (ties: lowest
-    // index), and the home map is updated in place.
-    const std::vector<double> loads{60, 40, 20, 5};
-    std::vector<unsigned> home{0, 0, 0, 1};
-    const auto plan =
-        board::planMigrations(loads, home, 3, PlannerParams{});
-    ASSERT_EQ(plan.size(), 1u);
-    EXPECT_EQ(plan[0].partition, 0u);
-    EXPECT_EQ(plan[0].from, 0u);
-    EXPECT_EQ(plan[0].to, 2u); // node 2 (load 0) colder than 1 (5)
-    EXPECT_DOUBLE_EQ(plan[0].load, 60.0);
-    EXPECT_EQ(home[0], 2u);
+    BalancePolicy p;
+    p.window = 1;
+    p.hotFactor = hot;
+    p.maxMigrationsPerWindow = budget;
+    p.minPartitionLoad = min_load;
+    return p;
 }
 
-TEST(BoardPlanner, StrictImprovementBlocksOscillation)
+/** One planner input and the exact plan it must produce. */
+struct PlanCase
 {
-    // Moving the only heavy partition would just relocate the hot
-    // spot (dest + load >= src), so the planner must refuse.
-    const std::vector<double> loads{50, 1};
-    std::vector<unsigned> home{0, 1};
-    PlannerParams p;
-    p.hotFactor = 1.1;
-    p.minPartitionLoad = 1.0;
-    const auto plan = board::planMigrations(loads, home, 2, p);
-    EXPECT_TRUE(plan.empty());
-}
+    const char *name;
+    std::vector<double> loads;
+    std::vector<unsigned> home;
+    unsigned nodes;
+    BalancePolicy policy;
+    std::vector<bool> frozen;
+    /** Expected steps as {partition, from, to}, in plan order. */
+    std::vector<std::array<unsigned, 3>> steps;
+};
 
-TEST(BoardPlanner, FrozenAndLightPartitionsNeverMove)
-{
-    const std::vector<double> loads{60, 3, 40};
-    std::vector<unsigned> home{0, 0, 0};
-    PlannerParams p;
-    p.minPartitionLoad = 4.0;
-    // Partition 0 (heaviest) is mid-migration: frozen. Partition 1
-    // is below minPartitionLoad. Only partition 2 may move.
-    const std::vector<bool> frozen{true, false, false};
-    const auto plan =
-        board::planMigrations(loads, home, 2, p, frozen);
-    ASSERT_EQ(plan.size(), 1u);
-    EXPECT_EQ(plan[0].partition, 2u);
-}
+} // namespace
 
-TEST(BoardPlanner, BudgetBoundsThePlanAndNoPartitionMovesTwice)
+TEST(BalancePlanner, PlanLawsHoldAcrossTheCaseTable)
 {
-    const std::vector<double> loads{30, 28, 26, 24, 1, 1};
-    std::vector<unsigned> home{0, 0, 0, 0, 1, 2};
-    PlannerParams p;
-    p.hotFactor = 1.0;
-    p.maxMigrationsPerWindow = 3;
-    p.minPartitionLoad = 1.0;
-    const auto plan = board::planMigrations(loads, home, 4, p);
-    EXPECT_LE(plan.size(), 3u);
-    ASSERT_GE(plan.size(), 2u);
-    std::vector<bool> seen(loads.size(), false);
-    for (const MigrationStep &s : plan) {
-        EXPECT_FALSE(seen[s.partition])
-            << "partition " << s.partition << " planned twice";
-        seen[s.partition] = true;
+    const BalancePolicy dflt = policy(1.5, 1, 4.0);
+    const std::vector<PlanCase> cases = {
+        {"balanced load plans nothing",
+         {10, 10, 10, 10}, {0, 1, 2, 3}, 4, dflt, {}, {}},
+        {"heaviest eligible goes to the coldest, lowest index",
+         {10, 30, 20, 1}, {0, 0, 0, 0}, 4, dflt, {}, {{1, 0, 1}}},
+        {"the coldest node wins over a warmer one",
+         {60, 40, 20, 5}, {0, 0, 0, 1}, 3, dflt, {}, {{0, 0, 2}}},
+        {"budget left but the third move is not a strict gain",
+         {10, 30, 20, 1}, {0, 0, 0, 0}, 4, policy(1.5, 3, 4.0), {},
+         {{1, 0, 1}, {2, 0, 2}}},
+        {"a single mega-partition never oscillates",
+         {100}, {0}, 4, policy(1.5, 4, 4.0), {}, {}},
+        {"moving the only heavy partition just relocates it",
+         {50, 1}, {0, 1}, 2, policy(1.1, 1, 1.0), {}, {}},
+        {"fewer than two nodes plans nothing",
+         {50}, {0}, 1, dflt, {}, {}},
+        {"a silent tier plans nothing",
+         {0, 0}, {0, 1}, 2, dflt, {}, {}},
+        {"frozen heavy and light partitions stay put",
+         {30, 3}, {0, 0}, 2, dflt, {true, false}, {}},
+        {"unfrozen, the heavy partition moves",
+         {30, 3}, {0, 0}, 2, dflt, {false, false}, {{0, 0, 1}}},
+        {"only the unfrozen heavy partition moves",
+         {60, 3, 40}, {0, 0, 0}, 2, dflt, {true, false, false},
+         {{2, 0, 1}}},
+        {"the budget bounds the plan, no partition moves twice",
+         {30, 28, 26, 24, 1, 1}, {0, 0, 0, 0, 1, 2}, 4,
+         policy(1.0, 3, 1.0), {},
+         {{0, 0, 3}, {1, 0, 1}, {2, 0, 2}}},
+    };
+
+    for (const PlanCase &c : cases) {
+        SCOPED_TRACE(c.name);
+        std::vector<unsigned> home = c.home;
+        const std::vector<MigrationStep> plan = board::planMigrations(
+            c.loads, home, c.nodes, c.policy, c.frozen);
+        ASSERT_EQ(plan.size(), c.steps.size());
+        EXPECT_LE(plan.size(), c.policy.maxMigrationsPerWindow);
+
+        // The plan applies in place, one move per partition.
+        std::vector<unsigned> want = c.home;
+        std::vector<bool> moved(c.loads.size(), false);
+        for (std::size_t i = 0; i < plan.size(); ++i) {
+            const MigrationStep &s = plan[i];
+            EXPECT_EQ(s.partition, c.steps[i][0]) << "step " << i;
+            EXPECT_EQ(s.from, c.steps[i][1]) << "step " << i;
+            EXPECT_EQ(s.to, c.steps[i][2]) << "step " << i;
+            EXPECT_DOUBLE_EQ(s.load, c.loads[s.partition]);
+            EXPECT_FALSE(moved[s.partition])
+                << "partition " << s.partition << " planned twice";
+            moved[s.partition] = true;
+            want[s.partition] = s.to;
+        }
+        EXPECT_EQ(home, want);
     }
 }
 
@@ -314,7 +371,10 @@ TEST(BoardBalance, SkewedRunCommitsMigrationsOffTheHotDpu)
     expectImagesIntact(s);
     expectInvariants(s);
     EXPECT_GE(s.brd->fabric().migrationBytes(), rep.stateBytes);
-    EXPECT_GE(s.brd->fabric().migrationMessages(),
+    EXPECT_GE(s.brd->fabric()
+                  .totals()
+                  .of(sim::Traffic::Migration)
+                  .msgs,
               rep.committed * (kStateBytes / 1024));
 
     // The workload itself was untouched by the re-sharding.
@@ -333,14 +393,15 @@ TEST(BoardBalance, StaticWindowZeroBoardMovesNothing)
     host::OffloadParams op;
     op.nCores = 8;
     op.groupSize = 4;
-    host::BoardScheduler sched(b, op);
+    host::BoardScheduler sched(b, op, host::makeHashRouter());
     EXPECT_FALSE(sched.balanced());
     for (unsigned i = 0; i < 64; ++i)
         sched.offer(sim::Tick(i) * 4'000'000, i % 7, quickJob());
     sched.run();
     EXPECT_EQ(sched.partitions().reassignedCount(), 0u);
     EXPECT_EQ(b.fabric().migrationBytes(), 0u);
-    EXPECT_EQ(b.fabric().migrationMessages(), 0u);
+    EXPECT_EQ(b.fabric().totals().of(sim::Traffic::Migration).msgs,
+              0u);
     EXPECT_EQ(sched.summary().completed, 64u);
 }
 
@@ -500,36 +561,63 @@ TEST(BoardBalance, TenMigratingRunsAcrossThreadCountsBitIdentical)
 
 TEST(BoardBalance, TopologyValidatesBalancerKnobs)
 {
-    auto bad = [](board::BalanceParams p) {
+    // The policy rows hold at both tiers (the rack through
+    // .balance(), the board through .boardBalance()); the
+    // hand-off engine rows exist on the board alone.
+    struct BadKnob
+    {
+        const char *field;
+        bool boardOnly;
+        void (*spoil)(board::BalanceParams &);
+    };
+    const BadKnob rows[] = {
+        {"ewmaAlpha", false,
+         [](board::BalanceParams &p) { p.ewmaAlpha = 0; }},
+        {"hotFactor", false,
+         [](board::BalanceParams &p) { p.hotFactor = 0.5; }},
+        {"maxMigrationsPerWindow", false,
+         [](board::BalanceParams &p) { p.maxMigrationsPerWindow = 0; }},
+        {"keyPartitions", true,
+         [](board::BalanceParams &p) { p.keyPartitions = 0; }},
+        {"stagingBufBytes", true,
+         [](board::BalanceParams &p) { p.stagingBufBytes = 4096; }},
+        // Not a multiple of the 8-byte column width.
+        {"stateBytesPerPartition", true,
+         [](board::BalanceParams &p) { p.stateBytesPerPartition = 100; }},
+    };
+    auto onBoard = [](const board::BalanceParams &p) {
         return topo::ClusterTopology::board(4)
             .boardBalance(p)
             .validate();
     };
+    auto onRack = [](const BalancePolicy &p) {
+        return topo::ClusterTopology::rack(2, 1).balance(p).validate();
+    };
+
     board::BalanceParams on;
     on.window = kWindow;
-    EXPECT_EQ(bad(on), "");
+    EXPECT_EQ(onBoard(on), "");
+    EXPECT_EQ(onRack(on), "");
 
-    board::BalanceParams alpha = on;
-    alpha.ewmaAlpha = 0;
-    EXPECT_NE(bad(alpha).find("ewmaAlpha"), std::string::npos);
+    for (const BadKnob &row : rows) {
+        SCOPED_TRACE(row.field);
+        board::BalanceParams bad = on;
+        row.spoil(bad);
+        const std::string err = onBoard(bad);
+        EXPECT_NE(err.find(row.field), std::string::npos) << err;
+        EXPECT_EQ(err, board::checkBalance(bad));
+        if (row.boardOnly) {
+            EXPECT_EQ(onRack(bad), "");
+        } else {
+            // One sentence for one bad knob, whichever tier has it.
+            EXPECT_EQ(onRack(bad), err);
+        }
 
-    board::BalanceParams hot = on;
-    hot.hotFactor = 0.5;
-    EXPECT_NE(bad(hot).find("hotFactor"), std::string::npos);
-
-    board::BalanceParams buf = on;
-    buf.stagingBufBytes = 4096;
-    EXPECT_NE(bad(buf).find("stagingBufBytes"), std::string::npos);
-
-    board::BalanceParams ragged = on;
-    ragged.stateBytesPerPartition = 100; // not a multiple of 8
-    EXPECT_NE(bad(ragged).find("stateBytesPerPartition"),
-              std::string::npos);
-
-    // window = 0 disables the balancer AND its validation.
-    board::BalanceParams off = alpha;
-    off.window = 0;
-    EXPECT_EQ(bad(off), "");
+        // window = 0 disables the balancer AND its validation.
+        bad.window = 0;
+        EXPECT_EQ(onBoard(bad), "");
+        EXPECT_EQ(onRack(bad), "");
+    }
 }
 
 TEST(BoardBalanceDeathTest, EngineCoreManagedBySchedulerDies)
@@ -539,5 +627,6 @@ TEST(BoardBalanceDeathTest, EngineCoreManagedBySchedulerDies)
     board::Board b(bp);
     host::OffloadParams op;
     op.nCores = 32; // claims every core, including the engine's
-    EXPECT_DEATH(host::BoardScheduler(b, op), "engine core");
+    EXPECT_DEATH(host::BoardScheduler(b, op, host::makeHashRouter()),
+                 "engine core");
 }

@@ -234,7 +234,7 @@ TEST(BoardScheduler, HashRoutingIsDeterministicAndSpread)
     bp.nDpus = 4;
     board::Board b(bp);
     host::BoardScheduler sched(b, host::OffloadParams{},
-                               host::ShardRouting::Hash);
+                               host::makeHashRouter());
 
     std::vector<unsigned> counts(4, 0);
     for (unsigned i = 0; i < 64; ++i) {
@@ -259,7 +259,7 @@ TEST(BoardScheduler, RoundRobinStripesArrivals)
     bp.nDpus = 2;
     board::Board b(bp);
     host::BoardScheduler sched(b, host::OffloadParams{},
-                               host::ShardRouting::RoundRobin);
+                               host::makeRoundRobinRouter());
     host::JobRequest req;
     req.app = "filter";
     EXPECT_EQ(sched.route(req), 0u);

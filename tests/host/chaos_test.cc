@@ -230,7 +230,7 @@ runBoardChaos(std::uint64_t seed, unsigned threads)
         p.groupSize = 4;
         p.maxAttempts = 2;
         p.defaultTimeout = sim::Tick(2e9);
-        BoardScheduler sched(b, p, ShardRouting::RoundRobin);
+        BoardScheduler sched(b, p, makeRoundRobinRouter());
 
         sim::Rng rng(seed ^ 0xc0ffee);
         sim::Tick t = 0;

@@ -4,8 +4,8 @@
  * (host/router.hh). These are the invariants the board and rack
  * schedulers lean on: hash purity and spread, replica-group
  * membership as a pure function of the key, exact round-robin
- * fairness, weighted share proportionality, and the legacy
- * ShardRouting enum staying a faithful factory.
+ * fairness, weighted share proportionality, and a pinned placement
+ * hash.
  */
 
 #include <gtest/gtest.h>
@@ -302,20 +302,8 @@ TEST(PartitionRouter, ReassignRehomesOnePartitionOnly)
 }
 
 // ----------------------------------------------------------------
-// Legacy enum factory + shared hash
+// Shared hash
 // ----------------------------------------------------------------
-
-TEST(RouterFactory, EnumTokensBuildTheMatchingPolicies)
-{
-    auto hash = host::makeRouter(host::ShardRouting::Hash);
-    auto rr = host::makeRouter(host::ShardRouting::RoundRobin);
-    auto refHash = host::makeHashRouter();
-    for (std::uint64_t s = 0; s < 128; ++s)
-        EXPECT_EQ(hash->route(seededReq(s), 4),
-                  refHash->route(seededReq(s), 4));
-    for (unsigned i = 0; i < 12; ++i)
-        EXPECT_EQ(rr->route(seededReq(i), 4), i % 4);
-}
 
 TEST(RouterHash, KeyAndSeedPathsAreBothStable)
 {

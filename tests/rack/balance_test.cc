@@ -1,12 +1,12 @@
 /**
  * @file
- * Balancer tests: LoadTracker windowing, the planMigrations
- * planning laws (hot detection, strict improvement, tie-breaks,
- * frozen partitions), and the RackScheduler's drain-then-switch
+ * Rack balancer tests: the RackScheduler's drain-then-switch
  * protocol end to end — the forwarding epoch, abort-on-drop with a
  * later-window retry, a board outage overlapping an active
  * migration with full request accounting, and a 10-run determinism
- * wall across --threads {1, 2, 4} while migrations are live.
+ * wall across --threads {1, 2, 4} while migrations are live — plus
+ * the constructor's knob check. The planner laws both tiers share
+ * live in tests/board/board_balance_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "board/balance.hh"
 #include "host/offload.hh"
-#include "rack/balance.hh"
 #include "rack/rack.hh"
 #include "rack/scheduler.hh"
 #include "rack/trace.hh"
@@ -109,7 +109,7 @@ runBalancedScenario(unsigned threads, const char *faults = nullptr,
     soc::SocParams sp = soc::dpu40nm();
     sp.ddrBytes = std::size_t(64) << 20;
 
-    rack::BalanceParams bal;
+    board::BalancePolicy bal;
     bal.window = 500 * kUs;
     bal.ewmaAlpha = 0.7;
     bal.hotFactor = 1.1;
@@ -158,125 +158,6 @@ runBalancedScenario(unsigned threads, const char *faults = nullptr,
 }
 
 } // namespace
-
-// ----------------------------------------------------------------
-// LoadTracker
-// ----------------------------------------------------------------
-
-TEST(LoadTracker, WindowCountsFoldIntoAPrimedEwma)
-{
-    rack::LoadTracker t(3);
-    t.record(0);
-    t.record(0);
-    t.record(1);
-    EXPECT_EQ(t.windowLoad(0), 2u);
-    EXPECT_EQ(t.windowLoad(1), 1u);
-    EXPECT_DOUBLE_EQ(t.load(0), 0.0); // nothing rolled yet
-
-    // The first roll primes each EWMA with its raw window count,
-    // whatever alpha says — otherwise every rack would boot with a
-    // (1 - alpha) bias toward zero load.
-    t.roll(0.5);
-    EXPECT_DOUBLE_EQ(t.load(0), 2.0);
-    EXPECT_DOUBLE_EQ(t.load(1), 1.0);
-    EXPECT_DOUBLE_EQ(t.load(2), 0.0);
-    EXPECT_EQ(t.windowLoad(0), 0u); // window reset
-
-    for (int i = 0; i < 4; ++i)
-        t.record(0);
-    t.roll(0.5);
-    EXPECT_DOUBLE_EQ(t.load(0), 0.5 * 4 + 0.5 * 2);
-    EXPECT_DOUBLE_EQ(t.load(1), 0.5); // decays toward silence
-    EXPECT_EQ(t.totalLoad(0), 6u);    // lifetime, not windowed
-    EXPECT_EQ(t.rollsDone(), 2u);
-}
-
-// ----------------------------------------------------------------
-// planMigrations laws
-// ----------------------------------------------------------------
-
-TEST(MigrationPlan, MovesTheHeaviestEligiblePartitionToTheColdest)
-{
-    // Partitions 0..3 all live on board 0; the rest of the rack is
-    // idle. Partition 3 sits below minPartitionLoad (default 4).
-    std::vector<double> loads = {10, 30, 20, 1};
-    std::vector<unsigned> home = {0, 0, 0, 0};
-    rack::BalanceParams p;
-    p.window = 1;
-    const auto plan = rack::planMigrations(loads, home, 4, p);
-    ASSERT_EQ(plan.size(), 1u);
-    EXPECT_EQ(plan[0].partition, 1u); // heaviest eligible
-    EXPECT_EQ(plan[0].from, 0u);
-    EXPECT_EQ(plan[0].to, 1u); // coldest; ties break low index
-    EXPECT_DOUBLE_EQ(plan[0].load, 30.0);
-    EXPECT_EQ(home[1], 1u); // the plan applies in place
-}
-
-TEST(MigrationPlan, BudgetAndStrictImprovementBoundThePlan)
-{
-    std::vector<double> loads = {10, 30, 20, 1};
-    std::vector<unsigned> home = {0, 0, 0, 0};
-    rack::BalanceParams p;
-    p.window = 1;
-    p.maxMigrationsPerWindow = 3;
-    const auto plan = rack::planMigrations(loads, home, 4, p);
-    // Two moves drain board 0 to {10, 1}; a third would have to
-    // move 30 off board 1 onto an empty board, which is not a
-    // strict improvement (30 -> 30), so the plan stops at two even
-    // with budget left.
-    ASSERT_EQ(plan.size(), 2u);
-    EXPECT_EQ(plan[0].partition, 1u);
-    EXPECT_EQ(plan[0].to, 1u);
-    EXPECT_EQ(plan[1].partition, 2u);
-    EXPECT_EQ(plan[1].to, 2u);
-    EXPECT_EQ(home[0], 0u);
-    EXPECT_EQ(home[3], 0u);
-}
-
-TEST(MigrationPlan, ASingleMegaPartitionNeverOscillates)
-{
-    // One partition carries everything: moving it just relocates
-    // the hot spot, so the strict-improvement guard keeps it put.
-    std::vector<double> loads = {100};
-    std::vector<unsigned> home = {0};
-    rack::BalanceParams p;
-    p.window = 1;
-    p.maxMigrationsPerWindow = 4;
-    EXPECT_TRUE(rack::planMigrations(loads, home, 4, p).empty());
-    EXPECT_EQ(home[0], 0u);
-}
-
-TEST(MigrationPlan, FrozenAndFeatherweightPartitionsStayPut)
-{
-    std::vector<double> loads = {30, 3};
-    std::vector<unsigned> home = {0, 0};
-    rack::BalanceParams p;
-    p.window = 1;
-    std::vector<bool> frozen = {true, false};
-    // Partition 0 is mid-migration (frozen) and partition 1 sits
-    // below minPartitionLoad: a hot board with nothing movable.
-    EXPECT_TRUE(
-        rack::planMigrations(loads, home, 2, p, frozen).empty());
-    frozen[0] = false;
-    const auto plan =
-        rack::planMigrations(loads, home, 2, p, frozen);
-    ASSERT_EQ(plan.size(), 1u);
-    EXPECT_EQ(plan[0].partition, 0u);
-    EXPECT_EQ(plan[0].to, 1u);
-}
-
-TEST(MigrationPlan, NeedsAtLeastTwoBoardsAndRealLoad)
-{
-    std::vector<double> loads = {50};
-    std::vector<unsigned> home = {0};
-    rack::BalanceParams p;
-    p.window = 1;
-    EXPECT_TRUE(rack::planMigrations(loads, home, 1, p).empty());
-    // And a silent rack plans nothing (mean load 0).
-    std::vector<double> idle = {0, 0};
-    std::vector<unsigned> home2 = {0, 1};
-    EXPECT_TRUE(rack::planMigrations(idle, home2, 2, p).empty());
-}
 
 // ----------------------------------------------------------------
 // The drain-then-switch protocol at the scheduler
@@ -355,7 +236,7 @@ TEST(RackBalance, MigrationDrainsAtTheSourceThenSwitches)
     EXPECT_EQ(c1, h1);
     // The hand-off payload rode the net as Migration traffic.
     EXPECT_GT(r.net().migrationBytes(),
-              place.balance.stateBytesBase);
+              place.balance.stateBytesPerPartition);
     sim::faultPlane().reset();
 }
 
@@ -481,4 +362,43 @@ TEST(RackBalance, TenRunDeterminismWallWithActiveMigrations)
             << "): " << diffs.size() << " stat(s) differ:\n"
             << sim::formatDiffs(diffs);
     }
+}
+
+// ----------------------------------------------------------------
+// Knob checks
+// ----------------------------------------------------------------
+
+namespace {
+
+/** @p s with every POSIX-regex metacharacter escaped. */
+std::string
+literal(const std::string &s)
+{
+    std::string out;
+    for (char c : s) {
+        if (std::string("\\^$.|?*+()[]{}").find(c) !=
+            std::string::npos)
+            out += '\\';
+        out += c;
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(RackBalanceDeathTest, ZeroBudgetDiesWithTheTopologySentence)
+{
+    // The scheduler checks the same policy the topology validates,
+    // so a hand-built placement cannot slip a zero budget past it.
+    sim::faultPlane().reset();
+    rack::PlacementParams place = balancedPlace();
+    place.balance.maxMigrationsPerWindow = 0;
+    const std::string err = board::checkBalance(place.balance);
+    ASSERT_NE(err.find("maxMigrationsPerWindow"), std::string::npos);
+    EXPECT_EQ(topo::ClusterTopology::rack(4, 1)
+                  .balance(place.balance)
+                  .validate(),
+              err);
+    rack::Rack r(smallRack());
+    EXPECT_DEATH(rack::RackScheduler(r, {}, place), literal(err));
 }

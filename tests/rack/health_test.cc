@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "board/balance.hh"
 #include "host/offload.hh"
 #include "rack/health.hh"
 #include "rack/rack.hh"
@@ -109,7 +110,7 @@ struct MonitoredRun
     rack::RackSummary sum;
     std::vector<rack::HealthTransition> transitions;
     std::vector<rack::BoardHealth> finalState;
-    std::uint64_t drops = 0;
+    sim::ChannelTotals net; ///< the RackNet's fate tallies
     std::uint64_t misses = 0;
     bool finished = false;
 };
@@ -139,7 +140,7 @@ runMonitoredScenario(
                     .threads(threads)
                     .health(hp);
     if (skew) {
-        rack::BalanceParams bal;
+        board::BalancePolicy bal;
         bal.window = 500 * kUs;
         bal.ewmaAlpha = 0.7;
         bal.hotFactor = 1.1;
@@ -178,7 +179,7 @@ runMonitoredScenario(
     out.transitions = sched.health().transitions();
     for (unsigned b = 0; b < r->nBoards(); ++b)
         out.finalState.push_back(sched.health().state(b));
-    out.drops = r->net().drops();
+    out.net = r->net().totals();
     out.misses = sched.health().missesSeen();
     if (inspect)
         inspect(sched);
@@ -188,6 +189,21 @@ runMonitoredScenario(
         out.snap.counters["sim.finalTick"] = r->now();
     }
     return out;
+}
+
+/** The RackNet's wire law: every send counted offered on entry
+ *  lands in exactly one of request / migration / probe / dropped,
+ *  in messages and in bytes. */
+void
+expectNetConserved(const sim::ChannelTotals &t)
+{
+    std::uint64_t msgs = t.dropped.msgs, bytes = t.dropped.bytes;
+    for (const sim::Tally &c : t.carried) {
+        msgs += c.msgs;
+        bytes += c.bytes;
+    }
+    EXPECT_EQ(t.offered.msgs, msgs);
+    EXPECT_EQ(t.offered.bytes, bytes);
 }
 
 /** The accounting identity every scenario must keep: one verdict
@@ -369,7 +385,7 @@ TEST(HealthIntegration, DropBurstsAloneNeverDeclareABoardDown)
     const auto run = runMonitoredScenario(1, "rack.netDrop@p=0.05",
                                           monitoredParams());
     ASSERT_FALSE(run.snap.counters.empty());
-    EXPECT_GT(run.drops, 0u) << "the burst never fired";
+    EXPECT_GT(run.net.dropped.msgs, 0u) << "the burst never fired";
     EXPECT_GT(run.misses, 0u) << "drops never reached the detector";
     for (const rack::HealthTransition &t : run.transitions)
         EXPECT_NE(t.to, rack::BoardHealth::Down)
@@ -565,15 +581,16 @@ TEST(RackAttribution, OutageFailoversStayFailovers)
 TEST(HealthChaos, CrashMidMigrationLeavesNoDoubleAssignment)
 {
     // Crash the skew target board right after the hot step, while
-    // balancer hand-offs are in flight: repair must abort the dead
-    // transfers, evict the board everywhere, and restore
-    // replication — with every partition owned exactly once and
-    // every request attributed exactly once.
+    // balancer hand-offs are in flight and a lossy fabric drops the
+    // odd send: repair must abort the dead transfers, evict the
+    // board everywhere, and restore replication — with every
+    // partition owned exactly once and every request attributed
+    // exactly once.
     unsigned hot = 0;
     coHomedKeys(1, rack::PlacementParams{}.keyPartitions, 4, &hot);
     const std::string spec =
         "rack.boardCrash@p=1,unit=" + std::to_string(hot) +
-        ",from=1200000000,max=1";
+        ",from=1200000000,max=1;rack.netDrop@p=0.01";
 
     const auto inspect = [hot](rack::RackScheduler &sched) {
         const unsigned parts = sched.placement().keyPartitions;
@@ -604,6 +621,16 @@ TEST(HealthChaos, CrashMidMigrationLeavesNoDoubleAssignment)
         << "crash + migration overlap lost or duplicated jobs";
     EXPECT_GE(a.sum.repairsStarted, 1u);
     EXPECT_GE(a.sum.repairsCommitted, 1u);
+
+    // Requests, hand-offs, heartbeats and drops all crossed the
+    // RackNet, and each send settled in exactly one fate class.
+    EXPECT_GT(a.net.of(sim::Traffic::Workload).msgs, 0u);
+    EXPECT_GT(a.net.of(sim::Traffic::Migration).msgs, 0u);
+    EXPECT_GT(a.net.of(sim::Traffic::Probe).msgs, 0u);
+    EXPECT_GT(a.net.dropped.msgs, 0u);
+    expectNetConserved(a.net);
+    EXPECT_EQ(a.sum.migrationBytes,
+              a.net.of(sim::Traffic::Migration).bytes);
 
     const auto b =
         runMonitoredScenario(2, spec.c_str(), monitoredParams(),

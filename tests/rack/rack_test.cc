@@ -302,7 +302,7 @@ TEST(RackNetFaults, DropsFailOverAndExhaustionIsNetLost)
     const rack::RackSummary sum = sched.summary();
     EXPECT_EQ(sum.netLost, 1u);
     EXPECT_EQ(sum.admitted, 0u);
-    EXPECT_EQ(r.net().drops(), 2u);
+    EXPECT_EQ(r.net().totals().dropped.msgs, 2u);
     sim::faultPlane().reset();
 }
 
@@ -323,10 +323,12 @@ TEST(RackNetFaults, DroppedBytesNeverCountAsCarried)
     EXPECT_EQ(sched.enqueueAt(0, std::move(req)),
               rack::AdmitResult::NetLost);
     // Both replica attempts burned wire time but carried nothing:
-    // the payload lands in droppedBytes, never in the carried /
-    // utilization accounting (the xfer_stat split).
-    EXPECT_EQ(r.net().messages(), 2u);
-    EXPECT_EQ(r.net().drops(), 2u);
+    // each send lands in exactly one fate class, so the payload is
+    // counted dropped and never in the carried / utilization
+    // accounting (the xfer_stat split).
+    EXPECT_EQ(r.net().totals().offered.msgs, 2u);
+    EXPECT_EQ(r.net().totals().dropped.msgs, 2u);
+    EXPECT_EQ(r.net().messages(), 0u);
     EXPECT_EQ(r.net().droppedBytes(), 2 * payload);
     EXPECT_EQ(r.net().bytesCarried(), 0u);
     EXPECT_EQ(r.net().migrationBytes(), 0u);
