@@ -23,7 +23,7 @@ dpu_add_bench(bench_ablation_16nm)
 dpu_add_bench(bench_serving)
 target_link_libraries(bench_serving PRIVATE dpu_host)
 dpu_add_bench(bench_board)
-target_link_libraries(bench_board PRIVATE dpu_host dpu_board)
+target_link_libraries(bench_board PRIVATE dpu_host dpu_board dpu_topo)
 dpu_add_bench(bench_rack)
 target_link_libraries(bench_rack PRIVATE dpu_host dpu_board dpu_rack dpu_topo)
 dpu_add_bench(bench_simperf)

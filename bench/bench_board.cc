@@ -21,7 +21,7 @@
  *     keyed stream on a 4-DPU board steps 90% of its traffic onto
  *     the partitions co-homed on one DPU a quarter of the way in.
  *     Static placement eats the hot spot; the board balancer
- *     (BoardParams::balance) re-homes partitions live over the
+ *     (the topology's boardBalance) re-homes partitions live over the
  *     real DMS descriptor + link-fabric path. Gates: >= 1.3x
  *     throughput recovery over static, at least one committed
  *     migration, and byte-identical migrated partition images.
@@ -44,6 +44,7 @@
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "topo/topology.hh"
 
 using namespace dpu;
 
@@ -61,10 +62,8 @@ board::ShardedSqlResult
 sqlRun(unsigned n_dpus, const board::ShardedSqlConfig &cfg)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = n_dpus;
-    board::Board b(bp);
-    return board::runShardedSql(b, cfg);
+    const auto b = topo::ClusterTopology::board(n_dpus).buildBoard();
+    return board::runShardedSql(*b, cfg);
 }
 
 double
@@ -91,16 +90,14 @@ ParallelPoint
 parallelRun(unsigned threads, const board::ShardedSqlConfig &cfg)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 4;
-    bp.threads = threads;
-    board::Board b(bp);
+    const auto b =
+        topo::ClusterTopology::board(4).threads(threads).buildBoard();
     ParallelPoint pt;
     pt.threads = threads;
     const double t0 = wallNow();
-    pt.res = board::runShardedSql(b, cfg);
+    pt.res = board::runShardedSql(*b, cfg);
     pt.wallSec = wallNow() - t0;
-    pt.epochs = b.runnerStats().epochs;
+    pt.epochs = b->runnerStats().epochs;
     return pt;
 }
 
@@ -155,18 +152,20 @@ skewRun(bool balanced, unsigned threads, sim::Tick duration,
 {
     sim::faultPlane().reset();
     const unsigned key_parts = 16;
-    board::BoardParams bp;
-    bp.nDpus = 4;
-    bp.threads = threads;
-    bp.balance.keyPartitions = key_parts;
+    board::BalanceParams bal;
+    bal.keyPartitions = key_parts;
     if (balanced) {
-        bp.balance.window = sim::Tick(250'000'000); // 0.25 ms
-        bp.balance.ewmaAlpha = 0.7;
-        bp.balance.hotFactor = 1.1;
-        bp.balance.maxMigrationsPerWindow = 2;
-        bp.balance.minPartitionLoad = 2.0;
+        bal.window = sim::Tick(250'000'000); // 0.25 ms
+        bal.ewmaAlpha = 0.7;
+        bal.hotFactor = 1.1;
+        bal.maxMigrationsPerWindow = 2;
+        bal.minPartitionLoad = 2.0;
     }
-    board::Board b(bp);
+    const auto brd = topo::ClusterTopology::board(4)
+                         .threads(threads)
+                         .boardBalance(bal)
+                         .buildBoard();
+    board::Board &b = *brd;
     host::OffloadParams op;
     op.nCores = 8; // the balancer's engine core stays unmanaged
     op.groupSize = 4;
@@ -386,10 +385,8 @@ main(int argc, char **argv)
     if (*faults) {
         sim::faultPlane().reset();
         sim::faultPlane().configure(faults, fault_seed);
-        board::BoardParams bp;
-        bp.nDpus = 2;
-        board::Board fb(bp);
-        faulted = board::runShardedSql(fb, scfg);
+        const auto fb = topo::ClusterTopology::board(2).buildBoard();
+        faulted = board::runShardedSql(*fb, scfg);
         sim::faultPlane().reset();
         ran_faulted = true;
         ok = ok && faulted.valid;
@@ -459,11 +456,9 @@ main(int argc, char **argv)
         hcfg.cardinality = 1 << 10;
     }
     sim::faultPlane().reset();
-    board::BoardParams hbp;
-    hbp.nDpus = 2;
-    board::Board hb(hbp);
+    const auto hb = topo::ClusterTopology::board(2).buildBoard();
     const board::DistHllResult hll =
-        board::runDistributedHll(hb, hcfg);
+        board::runDistributedHll(*hb, hcfg);
     ok = ok && hll.valid;
     bench::row("  estimate %.0f  true %llu  err %.2f%%  "
                "sketchExact %d  %.3g s",
@@ -477,9 +472,8 @@ main(int argc, char **argv)
     bench::header("board serving",
                   "hash-routed request mix (2 DPUs)");
     sim::faultPlane().reset();
-    board::BoardParams sbp;
-    sbp.nDpus = 2;
-    board::Board sb(sbp);
+    const auto sbrd = topo::ClusterTopology::board(2).buildBoard();
+    board::Board &sb = *sbrd;
     host::OffloadParams op;
     host::BoardScheduler bsched(sb, op, host::makeHashRouter());
 

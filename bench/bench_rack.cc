@@ -530,11 +530,11 @@ main(int argc, char **argv)
     const unsigned hot_board =
         rack::partitionHome(0, skew_boards);
     std::vector<std::uint64_t> hotKeys;
-    std::vector<char> seen(staticPlace.keyPartitions, 0);
+    std::vector<char> seen(rack::keyPartitions, 0);
     for (std::uint64_t k = 0; hotKeys.size() < 8 && k < 1 << 16;
          ++k) {
         const unsigned part =
-            rack::keyPartition(k, staticPlace.keyPartitions);
+            rack::keyPartition(k, rack::keyPartitions);
         if (seen[part] ||
             rack::partitionHome(part, skew_boards) != hot_board)
             continue;

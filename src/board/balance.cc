@@ -34,24 +34,13 @@ checkBalance(const BalancePolicy &p)
 std::string
 checkBalance(const BalanceParams &p)
 {
-    const BalancePolicy &policy = p;
-    std::string err = checkBalance(policy);
-    if (!err.empty() || !p.window)
-        return err;
+    // The board routes keyed offers through its partition table
+    // with the balancer off too.
     if (p.keyPartitions == 0)
-        return "the board balancer needs at least one key partition "
+        return "the board needs at least one key partition "
                "(BalanceParams.keyPartitions = 0)";
-    if (p.stagingBufBytes == 0 || p.stagingBufBytes > 2048)
-        return "the board balancer staging buffer must be 1..2048 "
-               "bytes (BalanceParams.stagingBufBytes = " +
-               std::to_string(p.stagingBufBytes) + ")";
-    if (p.stateBytesPerPartition == 0 ||
-        p.stateBytesPerPartition % 8 != 0)
-        return "board partition state bytes must be a positive "
-               "multiple of the 8-byte column width "
-               "(BalancePolicy.stateBytesPerPartition = " +
-               std::to_string(p.stateBytesPerPartition) + ")";
-    return "";
+    const BalancePolicy &policy = p;
+    return checkBalance(policy);
 }
 
 // ----------------------------------------------------------------
@@ -201,12 +190,12 @@ namespace {
 /** Engine-role layouts: disjoint channels, buffers, chain windows
  *  and events, so one DPU can source and land concurrently. */
 dms::HandoffExecParams
-srcRole(std::uint32_t buf_bytes)
+srcRole()
 {
     dms::HandoffExecParams r;
     r.channel = 0;
     r.bufBase = 0x5000;
-    r.bufBytes = std::uint16_t(buf_bytes);
+    r.bufBytes = std::uint16_t(stagingBufBytes);
     r.chainBase = 0x6000;
     r.chainBytes = 0x800;
     r.eventA = 16;
@@ -215,12 +204,12 @@ srcRole(std::uint32_t buf_bytes)
 }
 
 dms::HandoffExecParams
-dstRole(std::uint32_t buf_bytes)
+dstRole()
 {
     dms::HandoffExecParams r;
     r.channel = 1;
     r.bufBase = 0x4000;
-    r.bufBytes = std::uint16_t(buf_bytes);
+    r.bufBytes = std::uint16_t(stagingBufBytes);
     r.chainBase = 0x6800;
     r.chainBytes = 32; // two 16 B slots, ping/pong
     r.eventA = 18;
@@ -234,7 +223,7 @@ BoardBalancer::BoardBalancer(Board &brd_,
                              std::vector<unsigned> initial_home,
                              const BalanceParams &params)
     : brd(brd_), p(params),
-      engineCore(params.engineCoreOn(brd_.dpu(0).nCores())),
+      handoffCore(engineCoreOn(brd_.dpu(0).nCores())),
       track(unsigned(initial_home.size())),
       home(std::move(initial_home)),
       frozen(home.size(), false), inflight(home.size(), nullptr),
@@ -244,20 +233,18 @@ BoardBalancer::BoardBalancer(Board &brd_,
     sim_assert(!home.empty(), "balancer needs key partitions");
     const std::string err = checkBalance(p);
     sim_assert(err.empty(), "%s", err.c_str());
-    sim_assert(engineCore < brd.dpu(0).nCores(),
-               "engine core %u off the chip", engineCore);
 
     engines.resize(brd.nDpus());
     for (unsigned d = 0; d < brd.nDpus(); ++d) {
         soc::Soc &chip = brd.dpu(d);
         const unsigned local =
-            engineCore % chip.params().coresPerComplex;
-        dms::Dms &dms = chip.dmsFor(engineCore);
-        mem::Dmem &dmem = chip.core(engineCore).dmem();
+            handoffCore % chip.params().coresPerComplex;
+        dms::Dms &dms = chip.dmsFor(handoffCore);
+        mem::Dmem &dmem = chip.core(handoffCore).dmem();
         engines[d].exec = std::make_unique<dms::HandoffExec>(
-            dms, local, dmem, srcRole(p.stagingBufBytes));
+            dms, local, dmem, srcRole());
         engines[d].lander = std::make_unique<dms::HandoffLander>(
-            dms, local, dmem, dstRole(p.stagingBufBytes));
+            dms, local, dmem, dstRole());
     }
 
     for (unsigned part = 0; part < home.size(); ++part) {
@@ -280,7 +267,7 @@ BoardBalancer::statePattern(unsigned part, std::uint64_t i)
 mem::Addr
 BoardBalancer::stateAddr(unsigned part) const
 {
-    return p.stateBase + mem::Addr(part) * p.stateBytesPerPartition;
+    return stateBase + mem::Addr(part) * stateBytesPerPartition;
 }
 
 unsigned
@@ -293,7 +280,7 @@ BoardBalancer::homeOf(unsigned part) const
 void
 BoardBalancer::seedState(unsigned part, unsigned dpu)
 {
-    std::vector<std::uint8_t> img(p.stateBytesPerPartition);
+    std::vector<std::uint8_t> img(stateBytesPerPartition);
     for (std::uint64_t i = 0; i < img.size(); ++i)
         img[i] = statePattern(part, i);
     brd.dpu(dpu).memory().store().write(stateAddr(part), img.data(),
@@ -304,7 +291,7 @@ std::vector<std::uint8_t>
 BoardBalancer::stateImage(unsigned part) const
 {
     sim_assert(part < home.size(), "unknown partition %u", part);
-    std::vector<std::uint8_t> img(p.stateBytesPerPartition);
+    std::vector<std::uint8_t> img(stateBytesPerPartition);
     const_cast<Board &>(brd)
         .dpu(home[part])
         .memory()
@@ -346,10 +333,10 @@ BoardBalancer::record(unsigned part)
     // state stays current. Host-phase send — deterministic, and the
     // delivery tick is at least one hop into the next segment.
     ++rep.forwarded;
-    rep.deltaBytes += p.deltaBytesPerRequest;
+    rep.deltaBytes += deltaBytesPerRequest;
     bool dropped = false;
     const sim::Tick at = brd.fabric().startBulk(
-        m->from, m->to, p.deltaBytesPerRequest, dropped,
+        m->from, m->to, deltaBytesPerRequest, dropped,
         sim::Traffic::Migration);
     if (dropped) {
         ++rep.deltaDropped; // deltas are best-effort, like PR-8
@@ -368,8 +355,8 @@ BoardBalancer::launch(const MigrationStep &step, sim::Tick boundary)
     m.to = step.to;
     m.launchedAt = boundary;
     m.plan = dms::planRangeHandoff(stateAddr(m.part),
-                                   p.stateBytesPerPartition,
-                                   p.stagingBufBytes, 8);
+                                   stateBytesPerPartition,
+                                   stagingBufBytes, 8);
     m.chunks = unsigned(m.plan.chunks.size());
     m.gen = engines[m.to].lander->expect(m.chunks);
 
@@ -414,12 +401,11 @@ BoardBalancer::onChunkStaged(Migration &m, unsigned chunk,
     auto payload = std::make_shared<std::vector<std::uint8_t>>(
         hc.bytes());
     const dms::HandoffExecParams &role = exec.params();
-    brd.dpu(m.from).core(engineCore).dmem().read(
+    brd.dpu(m.from).core(handoffCore).dmem().read(
         role.bufBase + (chunk & 1) * role.bufBytes, payload->data(),
         payload->size());
     exec.release(chunk);
-    ship(m, chunk, std::move(payload),
-         1 + brd.params().dmaRetries);
+    ship(m, chunk, std::move(payload), 1 + dmaRetries);
 }
 
 void
@@ -494,7 +480,7 @@ BoardBalancer::harvest(sim::Tick boundary)
             continue;
         }
 
-        if (boundary >= m.launchedAt + p.migrationTimeout) {
+        if (boundary >= m.launchedAt + migrationTimeout) {
             // A wedged DMAC never completes its descriptor: the
             // staging chain (or the landing slot) is stuck for
             // good. Poison the involved engine roles so no later
@@ -547,8 +533,8 @@ BoardBalancer::onWindowBoundary(sim::Tick boundary)
         if (se.srcBusy || se.srcPoisoned || de.dstBusy ||
             de.dstPoisoned)
             continue; // engine role occupied; retry next window
-        if (brd.dpu(s.from).dmsFor(engineCore).dmac().hung() ||
-            brd.dpu(s.to).dmsFor(engineCore).dmac().hung())
+        if (brd.dpu(s.from).dmsFor(handoffCore).dmac().hung() ||
+            brd.dpu(s.to).dmsFor(handoffCore).dmac().hung())
             continue; // wedged DMAC cannot run a hand-off
         launch(s, boundary);
     }

@@ -60,13 +60,20 @@ namespace dpu::board {
 
 class Board;
 
+/** State a partition hand-off ships: the board moves exactly this
+ *  DDR range; the rack's modelled snapshot also grows by
+ *  deltaBytesPerRequest per request the partition absorbed. */
+constexpr std::uint64_t stateBytesPerPartition = 64 * 1024;
+/** Forwarding-epoch delta shipped per request absorbed at the old
+ *  home while its partition is in flight. */
+constexpr std::uint64_t deltaBytesPerRequest = 256;
+
 /**
  * The balancer policy both tiers share: when to look, what counts as
- * hot, how much may move per window, and what a move ships. The rack
- * uses it as is (rack::PlacementParams::balance); the board extends
- * it with its hand-off engine knobs (BalanceParams). Defaults leave
- * balancing OFF (window = 0), so existing topologies and goldens are
- * untouched.
+ * hot and how much may move per window. The rack uses it as is
+ * (rack::PlacementParams::balance); the board adds its key-partition
+ * count (BalanceParams). Defaults leave balancing OFF (window = 0),
+ * so existing topologies and goldens are untouched.
  */
 struct BalancePolicy
 {
@@ -82,13 +89,6 @@ struct BalancePolicy
     /** Partitions below this EWMA load never migrate (not worth
      *  the state transfer). */
     double minPartitionLoad = 4.0;
-    /** State a partition hand-off ships: the board moves exactly
-     *  this DDR range; the rack's modelled snapshot also grows by
-     *  deltaBytesPerRequest per request the partition absorbed. */
-    std::uint64_t stateBytesPerPartition = 64 * 1024;
-    /** Forwarding-epoch delta shipped per request absorbed at the
-     *  old home while its partition is in flight. */
-    std::uint64_t deltaBytesPerRequest = 256;
 };
 
 /** "" when @p p is usable or disabled (window = 0); otherwise one
@@ -159,36 +159,36 @@ planMigrations(const std::vector<double> &loads,
                const BalancePolicy &p,
                const std::vector<bool> &frozen = {});
 
-/** Board-balancer knobs: the shared policy plus the DMS hand-off
- *  engines' layout. */
+/** DDR base of the board's per-partition state ranges (identical
+ *  on every DPU; clear of the offload arenas). */
+constexpr mem::Addr stateBase = mem::Addr(192) << 20;
+/** Staging-chunk / DMEM-buffer bytes: the engine roles' ping-pong
+ *  buffer size. */
+constexpr std::uint32_t stagingBufBytes = 2048;
+/** A migration not fully landed this long after launch is aborted
+ *  at the next window boundary; its engine roles are poisoned (a
+ *  wedged DMAC never completes). */
+constexpr sim::Tick migrationTimeout = sim::Tick(2'000'000'000); // 2 ms
+
+/** The core driving the hand-off descriptor chains on a chip of
+ *  @p n_cores cores: the last one. The offload scheduler must not
+ *  manage it. */
+constexpr unsigned
+engineCoreOn(unsigned n_cores)
+{
+    return n_cores - 1;
+}
+
+/** Board-balancer knobs: the shared policy plus the key-partition
+ *  count. */
 struct BalanceParams : BalancePolicy
 {
     /** Key partitions the board's requests hash into. */
     unsigned keyPartitions = 16;
-    /** DDR base of the per-partition state ranges (identical on
-     *  every DPU; clear of the offload arenas). */
-    mem::Addr stateBase = mem::Addr(192) << 20;
-    /** Staging-chunk / DMEM-buffer bytes (<= 2048, the engine
-     *  roles' ping-pong buffer size). */
-    std::uint32_t stagingBufBytes = 2048;
-    /** Engine core driving the hand-off descriptor chains on each
-     *  DPU; ~0u picks the chip's last core. Must not be managed by
-     *  the offload scheduler. */
-    unsigned engineCore = ~0u;
-    /** A migration not fully landed this long after launch is
-     *  aborted at the next window boundary; its engine roles are
-     *  poisoned (a wedged DMAC never completes). */
-    sim::Tick migrationTimeout = sim::Tick(2'000'000'000); // 2 ms
-
-    /** The engine core on a chip of @p n_cores cores. */
-    unsigned
-    engineCoreOn(unsigned n_cores) const
-    {
-        return engineCore == ~0u ? n_cores - 1 : engineCore;
-    }
 };
 
-/** checkBalance() of the policy, then of the board-only fields. */
+/** keyPartitions (checked with the balancer off too), then
+ *  checkBalance() of the policy. */
 std::string checkBalance(const BalanceParams &p);
 
 /**
@@ -317,7 +317,8 @@ class BoardBalancer
 
     Board &brd;
     BalanceParams p;
-    unsigned engineCore;
+    /** engineCoreOn() of this board's chips. */
+    unsigned handoffCore;
     LoadTracker track;
     std::vector<unsigned> home; ///< partition -> DPU (routing truth)
     std::vector<bool> frozen;   ///< partition in flight

@@ -1,13 +1,11 @@
 #include "board/board.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace dpu::board {
 
 Board::Board(const BoardParams &params)
-    : p(params), link(p.nDpus, p.link)
+    : p(params), link(p.nDpus)
 {
     sim_assert(p.nDpus >= 1, "a board carries at least one DPU");
     queues.reserve(p.nDpus);
@@ -39,10 +37,8 @@ Board::Board(const BoardParams &params)
         qs.push_back(q.get());
     sim::ParallelParams pp;
     pp.threads = p.threads;
-    pp.lookahead = p.lookahead
-                       ? std::min(p.lookahead, p.link.hopLatency)
-                       : p.link.hopLatency;
-    pp.pinCores = p.pinCores;
+    // The largest window that keeps cross-chip delivery conservative.
+    pp.lookahead = linkHopLatency;
     runner = std::make_unique<sim::EpochRunner>(
         std::move(qs), pp, [this](unsigned d) { link.drainInbound(d); });
 }
@@ -106,7 +102,7 @@ Board::dma(unsigned src_dpu, mem::Addr src_addr, unsigned dst_dpu,
     dpus[src_dpu]->memory().store().read(src_addr, buf->data(),
                                          bytes);
     dmaAttempt(src_dpu, dst_dpu, dst_addr, std::move(buf),
-               std::move(done), 1 + p.dmaRetries);
+               std::move(done), 1 + dmaRetries);
 }
 
 void

@@ -10,7 +10,7 @@
  * OWN sim::EventQueue partition, and a sim::EpochRunner advances the
  * partitions in conservative epochs bounded by the LinkFabric's
  * store-and-forward latency — serially with threads=1 (the default),
- * or on a worker pool with BoardParams::threads > 1. Cross-chip
+ * or on a worker pool with more threads. Cross-chip
  * traffic (RPC doorbells, bulk DMA) moves only through the fabric's
  * epoch mailboxes, so the simulated schedule — every stat, trace
  * record and memory image — is bit-identical at any thread count
@@ -45,36 +45,39 @@
 #include "soc/host_a9.hh"
 #include "soc/soc.hh"
 
+namespace dpu::rack {
+class Rack;
+}
+namespace dpu::topo {
+class ClusterTopology;
+}
+
 namespace dpu::board {
 
+/** Bulk-transfer retransmissions before a DMA reports failure
+ *  (Board::dma and the balancer's migration chunks). */
+constexpr unsigned dmaRetries = 4;
+
+/** Board shape, filled in by topo::ClusterTopology. */
 struct BoardParams
 {
     unsigned nDpus = 2;
     soc::SocParams soc = soc::dpu40nm();
-    LinkParams link{};
-    /** Bulk-transfer retransmissions before dma() reports failure. */
-    unsigned dmaRetries = 4;
     /** Worker threads for the epoch runner (1 = serial epochs; the
      *  schedule is identical either way). */
     unsigned threads = 1;
-    /** Pin workers to cores (Linux only; best effort). */
-    bool pinCores = false;
-    /** Epoch lookahead in ticks; 0 picks the link hop latency, the
-     *  largest window that keeps cross-chip delivery conservative.
-     *  Values above the hop latency are clamped to it. */
-    sim::Tick lookahead = 0;
     /** Intra-board live re-sharding knobs (board/balance.hh). The
      *  default window = 0 disables the balancer entirely; the host
      *  BoardScheduler builds one when enabled. */
     BalanceParams balance{};
 };
 
-/** N DPUs on per-chip kernel partitions, connected by a LinkFabric. */
+/** N DPUs on per-chip kernel partitions, connected by a LinkFabric.
+ *  Built only by topo::ClusterTopology (and by a Rack for its
+ *  boards), which validates the shape first. */
 class Board
 {
   public:
-    explicit Board(const BoardParams &params);
-
     unsigned nDpus() const { return unsigned(dpus.size()); }
     const BoardParams &params() const { return p; }
 
@@ -111,7 +114,7 @@ class Board
      * @p dst_dpu's DDR at @p dst_addr over the fabric. The payload
      * is snapshotted now; the destination bytes appear at the
      * delivery tick. Dropped transfers are retransmitted up to
-     * params().dmaRetries times, then @p done (optional) reports
+     * dmaRetries times, then @p done (optional) reports
      * false. @p done runs on the SOURCE chip's partition at the
      * final delivery tick. Callable from the host phase or from
      * events on the source chip's partition.
@@ -121,6 +124,11 @@ class Board
              LinkFabric::BulkHandler done = {});
 
   private:
+    friend class rack::Rack;
+    friend class topo::ClusterTopology;
+
+    explicit Board(const BoardParams &params);
+
     void dmaAttempt(unsigned src_dpu, unsigned dst_dpu,
                     mem::Addr dst_addr,
                     std::shared_ptr<std::vector<std::uint8_t>> buf,

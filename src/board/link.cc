@@ -18,11 +18,11 @@ chPrefix(unsigned s, unsigned d)
 
 } // namespace
 
-LinkFabric::LinkFabric(unsigned n_dpus, const LinkParams &params)
-    : sim::ChannelSet(std::size_t(n_dpus) * n_dpus,
-                      params.hopLatency, params.gbPerSec,
-                      params.flitBytes),
-      n(n_dpus), p(params), queues(n), inbox(std::size_t(n) * n), handlers(n), unhandled(n),
+LinkFabric::LinkFabric(unsigned n_dpus)
+    : sim::ChannelSet(std::size_t(n_dpus) * n_dpus, linkHopLatency,
+                      linkGbPerSec, linkFlitBytes),
+      n(n_dpus), queues(n), inbox(std::size_t(n) * n), handlers(n),
+      unhandled(n),
       stats("link")
 {
     sim_assert(n >= 1, "a board fabric needs at least one DPU");

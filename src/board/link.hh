@@ -28,8 +28,8 @@
  * the runner calls drainInbound(dst) on the thread that owns dst,
  * which schedules every parked delivery into dst's queue in
  * deterministic (src, send order) sequence. Because the runner's
- * lookahead never exceeds hopLatency, a delivery tick is always at
- * or beyond the end of the epoch that produced it, so the receiving
+ * lookahead is linkHopLatency, a delivery tick is always at or
+ * beyond the end of the epoch that produced it, so the receiving
  * clock has never passed it. That makes the parallel schedule a
  * pure function of the simulated traffic: any thread count yields
  * bit-identical stats, traces and memory images.
@@ -62,16 +62,14 @@
 
 namespace dpu::board {
 
-/** Link timing knobs (defaults: a modest 12 GB/s board link). */
-struct LinkParams
-{
-    /** Propagation + SerDes + endpoint turnaround per message. */
-    sim::Tick hopLatency = sim::Tick(600'000); // 600 ns
-    /** Per-direction serialization bandwidth. */
-    double gbPerSec = 12.0;
-    /** Minimum wire occupancy per message (header flit). */
-    std::uint32_t flitBytes = 64;
-};
+// Link timing: a modest 12 GB/s board link.
+/** Propagation + SerDes + endpoint turnaround per message; also the
+ *  board's epoch lookahead. */
+constexpr sim::Tick linkHopLatency = sim::Tick(600'000); // 600 ns
+/** Per-direction serialization bandwidth. */
+constexpr double linkGbPerSec = 12.0;
+/** Minimum wire occupancy per message (header flit). */
+constexpr std::uint32_t linkFlitBytes = 64;
 
 /** The board's N x N channel matrix; channel src * n + dst is the
  *  ordered (src, dst) link, owned by src's thread. */
@@ -84,10 +82,9 @@ class LinkFabric : public sim::ChannelSet
     /** Bulk delivery hook: ok=false means the link dropped it. */
     using BulkHandler = std::function<void(bool ok)>;
 
-    LinkFabric(unsigned n_dpus, const LinkParams &params);
+    explicit LinkFabric(unsigned n_dpus);
 
     unsigned size() const { return n; }
-    const LinkParams &params() const { return p; }
 
     /** Bind DPU @p dpu's event-queue partition (host phase). */
     void attach(unsigned dpu, sim::EventQueue &q);
@@ -154,7 +151,6 @@ class LinkFabric : public sim::ChannelSet
     };
 
     unsigned n;
-    LinkParams p;
     std::vector<sim::EventQueue *> queues;
     /** Epoch mailboxes, indexed src * n + dst. A mailbox is written
      *  by src's thread in the compute phase and read by dst's thread

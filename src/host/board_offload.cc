@@ -28,7 +28,7 @@ BoardScheduler::BoardScheduler(board::Board &b,
     const board::BalanceParams &bal = b.params().balance;
     parts = std::make_unique<PartitionRouter>(bal.keyPartitions, 1);
     if (bal.window > 0) {
-        const unsigned engine = bal.engineCoreOn(b.dpu(0).nCores());
+        const unsigned engine = board::engineCoreOn(b.dpu(0).nCores());
         sim_assert(per_dpu.nCores <= engine,
                    "the balancer's engine core %u must not be "
                    "managed by the offload scheduler (nCores %u)",

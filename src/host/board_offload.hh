@@ -10,9 +10,7 @@
  *  - hash routing: a deterministic CRC mix of the request's app
  *    name and seed — the serving-tier "partition by key" path, so
  *    a request's home DPU is a pure function of the request;
- *  - round-robin: arrival-order striping, the load-balancing path;
- *  - weighted / replica-group: the rack-tier policies, usable here
- *    too for heterogeneous or replicated boards.
+ *  - round-robin: arrival-order striping, the load-balancing path.
  *
  * Routing is static for a request (decided at enqueue time, before
  * the segment that serves it runs): a request never migrates
@@ -22,14 +20,14 @@
  * locally; summary() aggregates the per-shard outcomes into one
  * board-wide ServingSummary with recomputed percentiles.
  *
- * Live re-sharding (BoardParams::balance.window > 0) layers the
- * board balancer on top: keyed requests enter through offer(),
- * which buffers them host-side; run() then drives the board in
- * window-sized segments, forwarding each window's offers to their
- * partition's CURRENT home DPU (the shards are held open between
- * segments), and calling the balancer at every boundary so it can
- * harvest, plan and launch migrations executed inside the next
- * segments. A commit flips exactly one partition in the
+ * Live re-sharding (the topology's boardBalance with window > 0)
+ * layers the board balancer on top: keyed requests enter through
+ * offer(), which buffers them host-side; run() then drives the
+ * board in window-sized segments, forwarding each window's offers
+ * to their partition's CURRENT home DPU (the shards are held open
+ * between segments), and calling the balancer at every boundary so
+ * it can harvest, plan and launch migrations executed inside the
+ * next segments. A commit flips exactly one partition in the
  * PartitionRouter — requests offered before the flip drain at the
  * old home (the forwarding epoch), requests after it route to the
  * new one. All host-phase, so any --threads count produces the
@@ -88,8 +86,8 @@ class BoardScheduler
     // Keyed serving + live re-sharding
     // ------------------------------------------------------------
 
-    /** @p key's partition: key mod BoardParams::balance
-     *  .keyPartitions. */
+    /** @p key's partition: key mod the board's
+     *  BalanceParams::keyPartitions. */
     unsigned partitionOf(std::uint64_t key) const;
 
     /**
@@ -141,7 +139,7 @@ class BoardScheduler
     /** Key-partition homes; built for every board so the static
      *  and balanced paths route identically. */
     std::unique_ptr<PartitionRouter> parts;
-    /** Live only when BoardParams::balance.window > 0. */
+    /** Live only when the board's balance.window > 0. */
     std::unique_ptr<board::BoardBalancer> balancer_;
     std::vector<Offer> offers;
     bool ran = false;

@@ -75,7 +75,7 @@ OffloadScheduler::OffloadScheduler(soc::Soc &soc_, soc::HostA9 &a9_,
 mem::Addr
 OffloadScheduler::arenaOf(unsigned group) const
 {
-    return p.arenaBase + std::uint64_t(group) * p.arenaBytesPerGroup;
+    return arenaBase + std::uint64_t(group) * arenaBytesPerGroup;
 }
 
 void
@@ -171,7 +171,7 @@ OffloadScheduler::submitNow(JobRequest req)
     pend.id = rec.id;
     pend.req = std::move(req);
     pend.deadline =
-        now + (pend.req.timeout ? pend.req.timeout : p.defaultTimeout);
+        now + (pend.req.timeout ? pend.req.timeout : defaultTimeout);
     pend.queueSpan = DPU_TRACE_NEXT_ID();
     DPU_TRACE_SPAN_BEGIN(sim::TraceCat::Soc, hostTid, "job.queued",
                          pend.queueSpan, now, "job", rec.id, nullptr,
@@ -189,7 +189,7 @@ OffloadScheduler::buildJob(const JobRequest &req, unsigned group)
     ctx.baseCore = groups[group].base;
     ctx.nLanes = groups[group].size;
     ctx.arena = arenaOf(group);
-    ctx.arenaBytes = p.arenaBytesPerGroup;
+    ctx.arenaBytes = arenaBytesPerGroup;
     ctx.seed = req.seed;
     if (req.makeJob)
         return req.makeJob(ctx);
@@ -276,7 +276,7 @@ OffloadScheduler::reapTimeouts(soc::HostA9 &host)
             pend.req = std::move(grp.req);
             pend.deadline = now + (pend.req.timeout
                                        ? pend.req.timeout
-                                       : p.defaultTimeout);
+                                       : defaultTimeout);
             pend.queueSpan = DPU_TRACE_NEXT_ID();
             DPU_TRACE_SPAN_BEGIN(sim::TraceCat::Soc, hostTid,
                                  "job.queued", pend.queueSpan, now,
@@ -318,7 +318,7 @@ OffloadScheduler::dispatchReady(soc::HostA9 &host)
         // Driver work: build the job, stage its inputs in the
         // group's arena, write the descriptors.
         apps::ServingJob job = buildJob(pend.req, g);
-        host.busyUs(p.dispatchOverheadUs);
+        host.busyUs(dispatchOverheadUs);
         job.stage();
 
         const sim::Tick now = host.now();
@@ -365,7 +365,7 @@ OffloadScheduler::handleAck(soc::HostA9 &host, std::uint64_t msg)
         return;
 
     // Last lane acked: the dispatch is over.
-    host.busyUs(p.completeOverheadUs);
+    host.busyUs(completeOverheadUs);
     const sim::Tick now = host.now();
     JobRecord &rec = records[grp.jobId - 1];
     if (grp.state == GroupState::Quarantined) {

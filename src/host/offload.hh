@@ -42,6 +42,17 @@
 
 namespace dpu::host {
 
+/** Deadline for requests that don't carry one (from enqueue). */
+constexpr sim::Tick defaultTimeout = sim::Tick(50e9); // 50 ms
+/** A9 time per dispatch (staging, descriptor writes). */
+constexpr double dispatchOverheadUs = 2.0;
+/** A9 time per completion (validation readback). */
+constexpr double completeOverheadUs = 1.0;
+/** DDR base of the per-group job arenas. */
+constexpr mem::Addr arenaBase = 1 << 20;
+/** Arena bytes per group (inputs + outputs + DMS prefetch slack). */
+constexpr std::uint64_t arenaBytesPerGroup = 6 << 20;
+
 /** Scheduler configuration. */
 struct OffloadParams
 {
@@ -51,17 +62,6 @@ struct OffloadParams
     unsigned groupSize = 4;
     /** Admission queue bound (backpressure beyond this). */
     std::size_t queueDepth = 64;
-    /** Deadline for requests that don't carry one (from enqueue). */
-    sim::Tick defaultTimeout = sim::Tick(50e9); // 50 ms
-    /** Driver time per dispatch (staging, descriptor writes). */
-    double dispatchOverheadUs = 2.0;
-    /** Driver time per completion (validation readback). */
-    double completeOverheadUs = 1.0;
-    /** DDR base of the per-group job arenas. */
-    mem::Addr arenaBase = 1 << 20;
-    /** Arena bytes per group (inputs + outputs + DMS prefetch
-     *  slack). */
-    std::uint64_t arenaBytesPerGroup = 6 << 20;
     /**
      * Dispatch attempts per job: a running job reaped at its
      * deadline is requeued (fresh deadline, healthy group) while
@@ -85,7 +85,7 @@ struct JobRequest
     std::string app;
     /** Per-request config; nullptr uses the app's defaults. */
     apps::ConfigHandle cfg;
-    /** Deadline relative to enqueue; 0 uses the params default. */
+    /** Deadline relative to enqueue; 0 uses defaultTimeout. */
     sim::Tick timeout = 0;
     /** Per-request seed (dataset variation across requests). */
     std::uint64_t seed = 0;

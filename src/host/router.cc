@@ -43,8 +43,6 @@ namespace {
 class HashRouter final : public Router
 {
   public:
-    const char *name() const override { return "hash"; }
-
     unsigned
     route(const RouteInfo &req, unsigned nShards) override
     {
@@ -55,8 +53,6 @@ class HashRouter final : public Router
 class RoundRobinRouter final : public Router
 {
   public:
-    const char *name() const override { return "rr"; }
-
     unsigned
     route(const RouteInfo &, unsigned nShards) override
     {
@@ -69,60 +65,6 @@ class RoundRobinRouter final : public Router
     unsigned next = 0;
 };
 
-class WeightedRouter final : public Router
-{
-  public:
-    explicit WeightedRouter(std::vector<double> w)
-        : weights(std::move(w))
-    {
-        for (double v : weights)
-            sim_assert(v >= 0.0,
-                       "weighted router: negative weight %g", v);
-    }
-
-    const char *name() const override { return "weighted"; }
-
-    unsigned
-    route(const RouteInfo &req, unsigned nShards) override
-    {
-        // A longer vector than the shard count means the weights
-        // were sized for a different topology; ignoring the tail
-        // would silently skew every listed shard's share.
-        sim_assert(weights.size() <= nShards,
-                   "weighted router: %zu weights for %u shards "
-                   "(surplus weights are a topology mismatch)",
-                   weights.size(), nShards);
-        double total = 0;
-        for (unsigned i = 0; i < nShards; ++i)
-            total += weightOf(i);
-        sim_assert(total > 0.0,
-                   "weighted router: all %u shards weigh zero",
-                   nShards);
-        // 32-bit hash mapped onto the cumulative weight line; the
-        // division is exact enough that a shard's share converges
-        // to weight/total, and the pick stays a pure function of
-        // the request.
-        const double u =
-            double(routeHash(req)) / 4294967296.0 * total;
-        double acc = 0;
-        for (unsigned i = 0; i < nShards; ++i) {
-            acc += weightOf(i);
-            if (u < acc)
-                return i;
-        }
-        return nShards - 1;
-    }
-
-  private:
-    double
-    weightOf(unsigned i) const
-    {
-        return i < weights.size() ? weights[i] : 1.0;
-    }
-
-    std::vector<double> weights;
-};
-
 class ReplicaGroupRouter final : public Router
 {
   public:
@@ -131,8 +73,6 @@ class ReplicaGroupRouter final : public Router
         sim_assert(r >= 1,
                    "replica-group router: replication must be >= 1");
     }
-
-    const char *name() const override { return "replica"; }
 
     unsigned
     route(const RouteInfo &req, unsigned nShards) override
@@ -246,24 +186,6 @@ PartitionRouter::setReplicas(unsigned partition,
     replicaSets[partition] = std::move(shards);
 }
 
-void
-PartitionRouter::clearReplicas(unsigned partition)
-{
-    sim_assert(partition < nParts,
-               "partition %u outside the map (%u partitions)",
-               partition, nParts);
-    replicaSets[partition].clear();
-}
-
-const std::vector<unsigned> &
-PartitionRouter::replicasOf(unsigned partition) const
-{
-    sim_assert(partition < nParts,
-               "partition %u outside the map (%u partitions)",
-               partition, nParts);
-    return replicaSets[partition];
-}
-
 bool
 PartitionRouter::reassigned(unsigned partition) const
 {
@@ -339,12 +261,6 @@ std::unique_ptr<Router>
 makeRoundRobinRouter()
 {
     return std::make_unique<RoundRobinRouter>();
-}
-
-std::unique_ptr<Router>
-makeWeightedRouter(std::vector<double> weights)
-{
-    return std::make_unique<WeightedRouter>(std::move(weights));
 }
 
 std::unique_ptr<Router>

@@ -4,9 +4,8 @@
  * schedulers.
  *
  * The board and rack tiers need several routing shapes (hash,
- * round-robin, replica groups with ordered failover candidates,
- * weighted spreading over heterogeneous shards), so the policy is
- * an interface. A Router maps a request onto one of
+ * round-robin, replica groups with ordered failover candidates), so
+ * the policy is an interface. A Router maps a request onto one of
  * nShards targets — DPUs under BoardScheduler, boards under
  * rack::RackScheduler — and can enumerate an ordered candidate list
  * for policies that support failover.
@@ -53,9 +52,6 @@ class Router
   public:
     virtual ~Router() = default;
 
-    /** Policy name for reports ("hash", "rr", ...). */
-    virtual const char *name() const = 0;
-
     /** The shard @p req lands on, in [0, nShards). May advance
      *  internal state (round-robin's cursor). */
     virtual unsigned route(const RouteInfo &req,
@@ -79,19 +75,6 @@ std::unique_ptr<Router> makeHashRouter();
 
 /** Arrival-order striping; fair by construction. */
 std::unique_ptr<Router> makeRoundRobinRouter();
-
-/**
- * Key-hash onto weighted buckets: shard i receives a share
- * proportional to weights[i]. The vector may be SHORTER than the
- * shard count — unlisted shards are padded with weight 1.0, so a
- * single {2.0} over three shards yields shares 2:1:1 — but it must
- * never be longer: surplus weights indicate the caller sized the
- * vector for a different topology, and route() asserts on them
- * instead of silently ignoring the tail. Pure function of the
- * request.
- */
-std::unique_ptr<Router>
-makeWeightedRouter(std::vector<double> weights);
 
 /**
  * Replica-group routing (the rack placement policy): the key hash
@@ -125,7 +108,6 @@ class PartitionRouter final : public Router
   public:
     PartitionRouter(unsigned n_partitions, unsigned replication);
 
-    const char *name() const override { return "partition"; }
     unsigned route(const RouteInfo &req, unsigned nShards) override;
     void candidates(const RouteInfo &req, unsigned nShards,
                     std::vector<unsigned> &out) override;
@@ -152,22 +134,13 @@ class PartitionRouter final : public Router
     /**
      * Repair hook: pin @p partition's full failover order to
      * @p shards (primary first; must be non-empty, deduplicated).
-     * Overrides the default hash-group candidate list until
-     * clearReplicas(); homeOf()/route() report shards[0]. The rack
-     * repair controller uses this to evict a dead board from a
-     * partition's replica set and to record the re-replicated
-     * copy's new location.
+     * Overrides the default hash-group candidate list from then on;
+     * homeOf()/route() report shards[0]. The rack repair controller
+     * uses this to evict a dead board from a partition's replica set
+     * and to record the re-replicated copy's new location.
      */
     void setReplicas(unsigned partition,
                      std::vector<unsigned> shards);
-
-    /** Drop @p partition's explicit replica set (hash group rules
-     *  again; any reassign() home override still applies). */
-    void clearReplicas(unsigned partition);
-
-    /** @p partition's explicit replica set (empty = default). */
-    const std::vector<unsigned> &
-    replicasOf(unsigned partition) const;
 
   private:
     unsigned nParts;

@@ -21,23 +21,37 @@ boardHealthName(BoardHealth s)
     return "?";
 }
 
+std::string
+checkHealth(const HealthParams &h)
+{
+    if (!h.heartbeatPeriod)
+        return "";
+    if (h.ackTimeout == 0)
+        return "an enabled health monitor needs a positive ack "
+               "timeout (HealthParams.ackTimeout = 0)";
+    if (h.suspectAfter == 0)
+        return "the detector needs at least one miss to suspect a "
+               "board (HealthParams.suspectAfter = 0)";
+    if (h.downAfter < h.suspectAfter)
+        return "downAfter " + std::to_string(h.downAfter) +
+               " below suspectAfter " +
+               std::to_string(h.suspectAfter) +
+               " would skip the Suspect state";
+    if (h.rejoinAfter == 0)
+        return "the detector needs at least one clean probe to "
+               "rejoin (HealthParams.rejoinAfter = 0)";
+    return "";
+}
+
 HealthMonitor::HealthMonitor(RackNet &net_, unsigned n_boards,
                              HealthParams p)
     : net(net_), prm(p), n(n_boards), boards(n_boards)
 {
     sim_assert(n >= 1, "health monitor needs at least one board");
+    const std::string err = checkHealth(prm);
+    sim_assert(err.empty(), "%s", err.c_str());
     if (!monitoring())
         return;
-    sim_assert(prm.ackTimeout > 0,
-               "health: ackTimeout must be positive");
-    sim_assert(prm.suspectAfter >= 1,
-               "health: suspectAfter must be >= 1");
-    sim_assert(prm.downAfter >= prm.suspectAfter,
-               "health: downAfter (%u) below suspectAfter (%u) "
-               "would skip the Suspect state",
-               prm.downAfter, prm.suspectAfter);
-    sim_assert(prm.rejoinAfter >= 1,
-               "health: rejoinAfter must be >= 1");
     nextProbeAt = prm.heartbeatPeriod;
     stats = std::make_unique<sim::StatGroup>("health");
     stats->addFlushHook([this] { foldStats(); });
@@ -198,11 +212,11 @@ HealthMonitor::sendProbes(sim::Tick at)
         ++probeCnt;
         bool dropped = false;
         const sim::Tick delivered = net.deliver(
-            b, prm.probeBytes, at, dropped, sim::Traffic::Probe);
+            b, probeBytes, at, dropped, sim::Traffic::Probe);
         if (!dropped && aliveAt(b, delivered)) {
             // The pong is a flit-sized message; the return hop's
-            // latency dominates, so model it as one hopLatency.
-            push(b, delivered + net.params().hopLatency, true);
+            // latency dominates, so model it as one hop.
+            push(b, delivered + netHopLatency, true);
         } else {
             push(b, at + prm.ackTimeout, false);
         }

@@ -64,6 +64,7 @@
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "rack/net.hh"
@@ -84,16 +85,24 @@ enum class BoardHealth : std::uint8_t
 /** Printable name of a verdict ("healthy", "suspect", ...). */
 const char *boardHealthName(BoardHealth s);
 
-/** Failure-detection / brown-out knobs. Defaults leave monitoring
- *  OFF (heartbeatPeriod = 0) so existing racks and goldens are
+/** Probe payload carried per board per heartbeat round. */
+constexpr std::uint64_t probeBytes = 128;
+/** Brown-out: admission-window occupancy fraction above which a
+ *  board counts as pressured even while Healthy. */
+constexpr double shedPressure = 0.9;
+/** Brown-out: shed when the predicted front-end delay exceeds this
+ *  fraction of the request's deadline. */
+constexpr double shedDeadlineFrac = 0.25;
+
+/** Failure-detection knobs. Defaults leave monitoring OFF
+ *  (heartbeatPeriod = 0) so existing racks and goldens are
  *  untouched; dead-board failover still works per-request via ack
- *  timeouts even when monitoring is off. */
+ *  timeouts even when monitoring is off. A Down verdict always
+ *  starts repair. */
 struct HealthParams
 {
     /** Probe cadence in ticks; 0 disables detection entirely. */
     sim::Tick heartbeatPeriod = 0;
-    /** Probe payload carried per board per round. */
-    std::uint64_t probeBytes = 128;
     /** No ack within this many ticks of a send = one miss. Also
      *  the failover penalty a dead/dropped attempt costs. */
     sim::Tick ackTimeout = sim::Tick(50'000'000); // 50 us
@@ -103,15 +112,11 @@ struct HealthParams
     unsigned downAfter = 4;
     /** Consecutive Probation acks before rejoining Healthy. */
     unsigned rejoinAfter = 3;
-    /** Promote/re-replicate partitions off Down boards. */
-    bool repair = true;
-    /** Brown-out: admission-window occupancy fraction above which
-     *  a board counts as pressured even while Healthy. */
-    double shedPressure = 0.9;
-    /** Brown-out: shed when the predicted front-end delay exceeds
-     *  this fraction of the request's deadline. */
-    double shedDeadlineFrac = 0.25;
 };
+
+/** "" when @p p is usable or disabled (heartbeatPeriod = 0);
+ *  otherwise one sentence naming the offending field. */
+std::string checkHealth(const HealthParams &p);
 
 /** One detector state change (tests measure detection latency and
  *  false positives against these). */

@@ -4,10 +4,10 @@
 
 namespace dpu::rack {
 
-RackNet::RackNet(unsigned n_boards, const NetParams &params)
-    : sim::ChannelSet(n_boards, params.hopLatency, params.gbPerSec,
-                      params.flitBytes),
-      p(params), stats("racknet")
+RackNet::RackNet(unsigned n_boards)
+    : sim::ChannelSet(n_boards, netHopLatency, netGbPerSec,
+                      netFlitBytes),
+      stats("racknet")
 {
     sim_assert(n_boards >= 1, "a rack network needs at least one board");
     stats.addFlushHook([this] {

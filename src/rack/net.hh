@@ -47,27 +47,23 @@
 
 namespace dpu::rack {
 
-/** Rack network knobs (defaults: a 4 GB/s ingress pipe per board
- *  behind ~5 us of fabric+stack latency). */
-struct NetParams
-{
-    /** Switch traversal + NIC + driver stack per message. */
-    sim::Tick hopLatency = sim::Tick(5'000'000); // 5 us
-    /** Per-board ingress serialization bandwidth. */
-    double gbPerSec = 4.0;
-    /** Minimum wire occupancy per message (header + RDMA setup). */
-    std::uint32_t flitBytes = 256;
-};
+// Rack network timing: a 4 GB/s ingress pipe per board behind
+// ~5 us of fabric + stack latency.
+/** Switch traversal + NIC + software stack per message. */
+constexpr sim::Tick netHopLatency = sim::Tick(5'000'000); // 5 us
+/** Per-board ingress serialization bandwidth. */
+constexpr double netGbPerSec = 4.0;
+/** Minimum wire occupancy per message (header + RDMA setup). */
+constexpr std::uint32_t netFlitBytes = 256;
 
 /** N per-board ingress channels behind one front-end; channel b
  *  is board b's ingress pipe. */
 class RackNet : public sim::ChannelSet
 {
   public:
-    RackNet(unsigned n_boards, const NetParams &params);
+    explicit RackNet(unsigned n_boards);
 
     unsigned size() const { return unsigned(chans.size()); }
-    const NetParams &params() const { return p; }
 
     /**
      * Carry @p bytes of @p cls traffic to board @p dst, arriving
@@ -101,7 +97,6 @@ class RackNet : public sim::ChannelSet
     sim::StatGroup &statGroup() { return stats; }
 
   private:
-    NetParams p;
     sim::StatGroup stats;
 };
 

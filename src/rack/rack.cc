@@ -7,12 +7,13 @@
 namespace dpu::rack {
 
 Rack::Rack(const RackParams &params)
-    : p(params), network(p.nBoards, p.net)
+    : p(params), network(p.nBoards)
 {
     sim_assert(p.nBoards >= 1, "a rack carries at least one board");
     boards.reserve(p.nBoards);
     for (unsigned b = 0; b < p.nBoards; ++b)
-        boards.push_back(std::make_unique<board::Board>(p.board));
+        boards.push_back(
+            std::unique_ptr<board::Board>(new board::Board(p.board)));
 }
 
 sim::Tick

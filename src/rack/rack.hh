@@ -38,29 +38,28 @@
 #include "board/board.hh"
 #include "rack/net.hh"
 
+namespace dpu::topo {
+class ClusterTopology;
+}
+
 namespace dpu::rack {
 
-/** Rack shape: N identical boards plus the inter-board network.
- *  Prefer building through topo::ClusterTopology, which validates
- *  the shape and fills this in. */
+/** Rack shape: N identical boards, filled in by
+ *  topo::ClusterTopology. */
 struct RackParams
 {
     unsigned nBoards = 2;
-    /** Per-board shape (chips, links, epoch-runner threads). */
+    /** Per-board shape (chips, epoch-runner threads). */
     board::BoardParams board{};
-    /** Inter-board network timing. */
-    NetParams net{};
 };
 
-/** N boards joined by a host-phase rack network. */
+/** N boards joined by a host-phase rack network. Built only by
+ *  topo::ClusterTopology, which validates the shape first. */
 class Rack
 {
   public:
-    explicit Rack(const RackParams &params);
-
     unsigned nBoards() const { return unsigned(boards.size()); }
     unsigned nDpus() const { return nBoards() * p.board.nDpus; }
-    const RackParams &params() const { return p; }
 
     board::Board &board(unsigned b) { return *boards[b]; }
     const board::Board &board(unsigned b) const
@@ -87,6 +86,10 @@ class Rack
     bool allFinished() const;
 
   private:
+    friend class topo::ClusterTopology;
+
+    explicit Rack(const RackParams &params);
+
     RackParams p;
     RackNet network;
     std::vector<std::unique_ptr<board::Board>> boards;

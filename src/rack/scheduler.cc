@@ -1,7 +1,5 @@
 #include "rack/scheduler.hh"
 
-#include <algorithm>
-
 #include "host/summary.hh"
 #include "sim/logging.hh"
 #include "util/crc32.hh"
@@ -29,34 +27,49 @@ partitionHome(unsigned partition, unsigned n_boards)
     return host::routeHash(info) % n_boards;
 }
 
+std::string
+checkPlacement(const PlacementParams &p, unsigned n_boards)
+{
+    if (p.replication == 0)
+        return "placement needs at least one replica "
+               "(PlacementParams.replication = 0)";
+    if (p.replication > n_boards)
+        return "replication " + std::to_string(p.replication) +
+               " exceeds the rack's " + std::to_string(n_boards) +
+               " board" + (n_boards == 1 ? "" : "s");
+    if ((p.admitWindow == 0) != (p.admitPerWindow == 0))
+        return "admission control needs both admitWindow and "
+               "admitPerWindow set (or neither)";
+    if (std::string err = board::checkBalance(p.balance); !err.empty())
+        return err;
+    return checkHealth(p.health);
+}
+
+namespace {
+
+/** @p p, once checkPlacement() passes (fatal otherwise). */
+const PlacementParams &
+checked(const PlacementParams &p, unsigned n_boards)
+{
+    const std::string err = checkPlacement(p, n_boards);
+    sim_assert(err.empty(), "%s", err.c_str());
+    return p;
+}
+
+} // namespace
+
 RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
                              PlacementParams place_)
-    : rack(r), place(place_),
-      partMap(host::makePartitionRouter(
-          place_.keyPartitions,
-          std::min(std::max(place_.replication, 1u), r.nBoards()))),
+    : rack(r), place(checked(place_, r.nBoards())),
+      partMap(host::makePartitionRouter(keyPartitions,
+                                        place.replication)),
       mon(std::make_unique<HealthMonitor>(r.net(), r.nBoards(),
-                                          place_.health)),
-      windows(r.nBoards()), tracker(place_.keyPartitions),
-      frozen(place_.keyPartitions, false),
+                                          place.health)),
+      windows(r.nBoards()), tracker(keyPartitions),
+      frozen(keyPartitions, false),
       outstandingRepairs(r.nBoards(), 0),
       boardAdmitted(r.nBoards(), 0), stats("rack")
 {
-    sim_assert(place.keyPartitions >= 1,
-               "placement needs at least one key partition");
-    defaultDeadline = per_dpu.defaultTimeout;
-    if (mon->monitoring()) {
-        sim_assert(place.health.shedPressure > 0 &&
-                       place.health.shedPressure <= 1,
-                   "health shedPressure must be in (0, 1], got %f",
-                   place.health.shedPressure);
-        sim_assert(place.health.shedDeadlineFrac > 0,
-                   "health shedDeadlineFrac must be positive, "
-                   "got %f",
-                   place.health.shedDeadlineFrac);
-    }
-    const std::string err = board::checkBalance(place.balance);
-    sim_assert(err.empty(), "%s", err.c_str());
     nextRollAt = place.balance.window;
     const std::string prefix = per_dpu.statName;
     boardScheds.reserve(rack.nBoards());
@@ -112,7 +125,7 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
 unsigned
 RackScheduler::partitionOf(std::uint64_t key) const
 {
-    return keyPartition(key, place.keyPartitions);
+    return keyPartition(key, keyPartitions);
 }
 
 unsigned
@@ -150,7 +163,7 @@ RackScheduler::partitionLoad(unsigned partition) const
 bool
 RackScheduler::admissionFull(unsigned b, sim::Tick now)
 {
-    if (!place.admitWindow || !place.admitPerWindow)
+    if (!place.admitWindow)
         return false;
     std::deque<sim::Tick> &w = windows[b];
     // The window is the half-open (now - admitWindow, now]: an
@@ -182,7 +195,7 @@ RackScheduler::commitReady(sim::Tick when)
             ++i;
             continue;
         }
-        if (m.repair) {
+        if (m.isRepair) {
             // The fresh copy is whole: append its board to the
             // partition's replica set (the primary is untouched —
             // this restores width, it does not re-home).
@@ -224,9 +237,8 @@ RackScheduler::startMigration(const board::MigrationStep &step,
     // State volume scales with the traffic the partition absorbed:
     // a fixed snapshot base plus per-request working set.
     const std::uint64_t bytes =
-        place.balance.stateBytesPerPartition +
-        place.balance.deltaBytesPerRequest *
-            tracker.totalLoad(step.partition);
+        board::stateBytesPerPartition +
+        board::deltaBytesPerRequest * tracker.totalLoad(step.partition);
     bool dropped = false;
     const sim::Tick ready = rack.net().deliver(
         step.to, bytes, when, dropped, sim::Traffic::Migration);
@@ -294,7 +306,7 @@ RackScheduler::repairBoard(unsigned b)
             continue;
         }
         frozen[m.step.partition] = false;
-        if (m.repair)
+        if (m.isRepair)
             owedRepairs.push_back(
                 {m.step.partition, m.attributed});
         else
@@ -306,7 +318,7 @@ RackScheduler::repairBoard(unsigned b)
     // 2. Evict b from every replica set it serves. The strongest
     // survivor is promoted to primary; the lost width is owed as a
     // re-replication shipped by pumpRepairs().
-    for (unsigned p2 = 0; p2 < place.keyPartitions; ++p2) {
+    for (unsigned p2 = 0; p2 < keyPartitions; ++p2) {
         std::vector<unsigned> set = currentReplicas(p2);
         bool member = false;
         for (unsigned s : set)
@@ -356,9 +368,8 @@ RackScheduler::pumpRepairs(sim::Tick when)
             continue;
         }
         const std::uint64_t bytes =
-            place.balance.stateBytesPerPartition +
-            place.balance.deltaBytesPerRequest *
-                tracker.totalLoad(j.partition);
+            board::stateBytesPerPartition +
+            board::deltaBytesPerRequest * tracker.totalLoad(j.partition);
         bool dropped = false;
         const sim::Tick ready =
             rack.net().deliver(unsigned(target), bytes, when,
@@ -376,7 +387,7 @@ RackScheduler::pumpRepairs(sim::Tick when)
         m.step.to = unsigned(target);
         m.startedAt = when;
         m.readyAt = ready;
-        m.repair = true;
+        m.isRepair = true;
         m.attributed = j.attributed;
         frozen[j.partition] = true;
         inflight.push_back(m);
@@ -390,7 +401,7 @@ RackScheduler::processTransitions()
     const std::vector<HealthTransition> &log = mon->transitions();
     for (; seenTransitions < log.size(); ++seenTransitions) {
         const HealthTransition &t = log[seenTransitions];
-        if (t.to == BoardHealth::Down && place.health.repair)
+        if (t.to == BoardHealth::Down)
             repairBoard(t.board);
     }
 }
@@ -417,10 +428,9 @@ RackScheduler::shouldShed(unsigned b, sim::Tick send_at,
         return false;
     const bool suspect = mon->suspectVerdict(b);
     bool pressured = suspect;
-    if (!pressured && place.admitWindow && place.admitPerWindow)
+    if (!pressured && place.admitWindow)
         pressured = double(windows[b].size()) >=
-                    place.health.shedPressure *
-                        double(place.admitPerWindow);
+                    shedPressure * double(place.admitPerWindow);
     if (!pressured)
         return false;
     // Predict the front-end delay from observable state: the
@@ -428,13 +438,11 @@ RackScheduler::shouldShed(unsigned b, sim::Tick send_at,
     // the hop, plus the ack-timeout stall a Suspect board risks.
     const sim::Tick predicted =
         rack.net().backlog(b, send_at) +
-        rack.net().wireTicks(req.bytes) +
-        rack.net().params().hopLatency +
+        rack.net().wireTicks(req.bytes) + netHopLatency +
         (suspect ? place.health.ackTimeout : 0);
     const sim::Tick deadline =
-        req.job.timeout ? req.job.timeout : defaultDeadline;
-    return double(predicted) >
-           double(deadline) * place.health.shedDeadlineFrac;
+        req.job.timeout ? req.job.timeout : host::defaultTimeout;
+    return double(predicted) > double(deadline) * shedDeadlineFrac;
 }
 
 void
@@ -447,8 +455,8 @@ RackScheduler::advanceBalancer(sim::Tick when)
         // planning, so the plan sees the freshest committed map.
         commitReady(boundary);
         tracker.roll(place.balance.ewmaAlpha);
-        std::vector<unsigned> home(place.keyPartitions);
-        for (unsigned p2 = 0; p2 < place.keyPartitions; ++p2)
+        std::vector<unsigned> home(keyPartitions);
+        for (unsigned p2 = 0; p2 < keyPartitions; ++p2)
             home[p2] = partMap->homeOf(p2, rack.nBoards());
         const std::vector<board::MigrationStep> plan =
             board::planMigrations(tracker.loads(), home,
@@ -540,9 +548,8 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
             penalty += place.health.ackTimeout;
             continue;
         }
-        mon->observeAck(
-            b, delivered + rack.net().params().hopLatency);
-        if (place.admitWindow && place.admitPerWindow)
+        mon->observeAck(b, delivered + netHopLatency);
+        if (place.admitWindow)
             windows[b].push_back(sendAt);
         ++admitted;
         ++boardAdmitted[b];
@@ -565,8 +572,8 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
             ++m->forwardedReqs;
             bool deltaDropped = false;
             rack.net().deliver(m->step.to,
-                               place.balance.deltaBytesPerRequest,
-                               sendAt, deltaDropped,
+                               board::deltaBytesPerRequest, sendAt,
+                               deltaDropped,
                                sim::Traffic::Migration);
         }
         boardScheds[b]->enqueueAt(delivered, std::move(req.job));

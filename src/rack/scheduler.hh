@@ -8,7 +8,7 @@
  * bit-deterministic (see rack/rack.hh):
  *
  *  1. Placement — the request's key hashes onto one of
- *     `keyPartitions` key-range partitions; the partition selects a
+ *     keyPartitions key-range partitions; the partition selects a
  *     board through a mutable host::PartitionRouter map whose
  *     default is bit-identical to the replica-group hash policy
  *     (host/router.hh), so a rack that never rebalances routes
@@ -94,6 +94,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "board/balance.hh"
@@ -104,25 +105,35 @@
 
 namespace dpu::rack {
 
+/** Key-range partitions the rack's key space hashes onto. */
+constexpr unsigned keyPartitions = 64;
+
 /** Placement / admission / rebalancing knobs. */
 struct PlacementParams
 {
-    /** Key-range partitions the key space hashes onto. */
-    unsigned keyPartitions = 64;
-    /** Boards per replica group (clamped to the board count). */
+    /** Boards per replica group (at most the board count). */
     unsigned replication = 2;
     /** Admission window length; 0 disables the front-end cap. */
     sim::Tick admitWindow = 0;
-    /** Requests admitted per board per window (with admitWindow). */
+    /** Requests admitted per board per window (set together with
+     *  admitWindow). */
     unsigned admitPerWindow = 0;
     /** Hot-shard balancer; balance.window = 0 keeps it off. A
-     *  hand-off ships stateBytesPerPartition plus
-     *  deltaBytesPerRequest per request the partition absorbed. */
+     *  hand-off ships board::stateBytesPerPartition plus
+     *  board::deltaBytesPerRequest per request the partition
+     *  absorbed. */
     board::BalancePolicy balance{};
     /** Failure detection / repair / brown-out;
      *  health.heartbeatPeriod = 0 keeps it all off. */
     HealthParams health{};
 };
+
+/** "" when @p p places keys on a rack of @p n_boards boards;
+ *  otherwise one sentence naming the offending field. Checks the
+ *  replica width, the admission pair, the balancer policy
+ *  (board::checkBalance) and the detector (checkHealth). */
+std::string checkPlacement(const PlacementParams &p,
+                           unsigned n_boards);
 
 /** One front-end request: a serving job plus its placement key. */
 struct RackRequest
@@ -195,7 +206,8 @@ class RackScheduler
     /**
      * @p per_dpu parameterizes every per-DPU scheduler; its
      * statName is extended to "<statName>.b<board>.dpu<d>".
-     * Board-internal routing is the hash policy.
+     * Board-internal routing is the hash policy. Fatal unless
+     * checkPlacement(@p place, r.nBoards()) passes.
      */
     RackScheduler(Rack &r, host::OffloadParams per_dpu,
                   PlacementParams place = {});
@@ -282,7 +294,7 @@ class RackScheduler
         std::uint64_t forwardedReqs = 0;
         /** Repair re-replication (append a replica on commit)
          *  rather than a balancer move (re-home on commit). */
-        bool repair = false;
+        bool isRepair = false;
         /** The Down board this repair is making whole again. */
         unsigned attributed = 0;
     };
@@ -336,8 +348,6 @@ class RackScheduler
     /** Per-board admitted-request times inside the current window. */
     std::vector<std::deque<sim::Tick>> windows;
     sim::Tick lastOffer = 0;
-    /** Fallback deadline for shed prediction (per-DPU default). */
-    sim::Tick defaultDeadline = 0;
 
     // Balancer state (host phase only).
     board::LoadTracker tracker;

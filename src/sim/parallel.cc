@@ -11,11 +11,6 @@
 #include "sim/domain.hh"
 #include "sim/logging.hh"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace dpu::sim {
 
 namespace {
@@ -35,18 +30,6 @@ class ActiveQueueScope
   private:
     const EventQueue *prev;
 };
-
-void
-pinThreadToCore([[maybe_unused]] unsigned core)
-{
-#if defined(__linux__)
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(core % std::max(1u, std::thread::hardware_concurrency()),
-            &set);
-    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#endif
-}
 
 } // namespace
 
@@ -69,8 +52,6 @@ EpochRunner::EpochRunner(std::vector<EventQueue *> queues_,
         pool.reserve(nWorkers - 1);
         for (unsigned w = 1; w < nWorkers; ++w)
             pool.emplace_back([this, w] { workerMain(w); });
-        if (p.pinCores)
-            pinThreadToCore(0); // the caller is worker 0
     }
 }
 
@@ -87,8 +68,6 @@ EpochRunner::~EpochRunner()
 void
 EpochRunner::workerMain(unsigned w)
 {
-    if (p.pinCores)
-        pinThreadToCore(w);
     for (;;) {
         barrier.arriveAndWait(); // A: window published (or stop)
         if (stopFlag.load(std::memory_order_acquire))

@@ -71,8 +71,6 @@ struct ParallelParams
     /** Free-run window; must not exceed the minimum cross-partition
      *  delivery latency. 0 = tick-lockstep. */
     Tick lookahead = 0;
-    /** Pin worker k to CPU k (Linux; ignored elsewhere). */
-    bool pinCores = false;
 };
 
 /** Epoch-barrier coordinator over a fixed set of partitions. */
@@ -82,7 +80,7 @@ class EpochRunner
     /**
      * @param queues  One partition per domain; domain d's events run
      *                under DomainScope(d).
-     * @param params  Thread count / lookahead / pinning.
+     * @param params  Thread count / lookahead.
      * @param drain   drain(dst): schedule domain dst's pending
      *                inbound messages into queues[dst]; called under
      *                DomainScope(dst), once per partition at the

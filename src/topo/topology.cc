@@ -53,37 +53,9 @@ ClusterTopology::chip(const soc::SocParams &p)
 }
 
 ClusterTopology &
-ClusterTopology::link(const board::LinkParams &p)
-{
-    link_ = p;
-    return *this;
-}
-
-ClusterTopology &
-ClusterTopology::network(const rack::NetParams &p)
-{
-    net_ = p;
-    return *this;
-}
-
-ClusterTopology &
 ClusterTopology::placement(const rack::PlacementParams &p)
 {
     place_ = p;
-    return *this;
-}
-
-ClusterTopology &
-ClusterTopology::replication(unsigned r)
-{
-    place_.replication = r;
-    return *this;
-}
-
-ClusterTopology &
-ClusterTopology::balance(const board::BalancePolicy &p)
-{
-    place_.balance = p;
     return *this;
 }
 
@@ -95,172 +67,67 @@ ClusterTopology::boardBalance(const board::BalanceParams &p)
 }
 
 ClusterTopology &
-ClusterTopology::health(const rack::HealthParams &p)
-{
-    place_.health = p;
-    return *this;
-}
-
-ClusterTopology &
 ClusterTopology::threads(unsigned n)
 {
     threads_ = n;
     return *this;
 }
 
-ClusterTopology &
-ClusterTopology::pinCores(bool pin)
-{
-    pinCores_ = pin;
-    return *this;
-}
-
-ClusterTopology &
-ClusterTopology::lookahead(sim::Tick ticks)
-{
-    lookahead_ = ticks;
-    return *this;
-}
-
-ClusterTopology &
-ClusterTopology::dmaRetries(unsigned n)
-{
-    dmaRetries_ = n;
-    return *this;
-}
-
 std::string
 ClusterTopology::validate() const
 {
-    auto msg = [](const std::string &s) { return s; };
-
     if (nDpus_ == 0)
-        return msg("a " + std::string(tierName(tier_)) +
-                   " needs at least one DPU per board "
-                   "(dpusPerBoard = 0)");
+        return "a " + std::string(tierName(tier_)) +
+               " needs at least one DPU per board "
+               "(dpusPerBoard = 0)";
     if (tier_ == Tier::Soc && nDpus_ != 1)
-        return msg("a soc is exactly one DPU; use "
-                   "ClusterTopology::board() for " +
-                   std::to_string(nDpus_) + " chips");
+        return "a soc is exactly one DPU; use "
+               "ClusterTopology::board() for " +
+               std::to_string(nDpus_) + " chips";
     if (tier_ == Tier::Rack && nBoards_ == 0)
-        return msg("a rack needs at least one board (nBoards = 0)");
+        return "a rack needs at least one board (nBoards = 0)";
 
     if (soc_.nCores() == 0)
-        return msg("the chip needs at least one core "
-                   "(nComplexes x coresPerComplex = 0)");
+        return "the chip needs at least one core "
+               "(nComplexes x coresPerComplex = 0)";
 
     if (threads_ == 0)
-        return msg("the epoch runner needs at least one worker "
-                   "thread (threads = 0)");
+        return "the epoch runner needs at least one worker "
+               "thread (threads = 0)";
 
-    if (tier_ != Tier::Soc) {
-        if (link_.gbPerSec <= 0)
-            return msg("the board link bandwidth must be positive "
-                       "(LinkParams.gbPerSec = " +
-                       std::to_string(link_.gbPerSec) + ")");
-        if (link_.hopLatency == 0)
-            return msg("the board link hop latency must be "
-                       "positive: a zero-latency link collapses "
-                       "the epoch runner's lookahead window");
-        if (link_.flitBytes == 0)
-            return msg("the board link flit size must be positive "
-                       "(LinkParams.flitBytes = 0)");
-        if (std::string err = board::checkBalance(boardBal_);
-            !err.empty())
-            return msg(err);
-    }
+    if (tier_ == Tier::Soc)
+        return "";
 
-    if (tier_ == Tier::Rack) {
-        if (net_.gbPerSec <= 0)
-            return msg("the rack network bandwidth must be "
-                       "positive (NetParams.gbPerSec = " +
-                       std::to_string(net_.gbPerSec) + ")");
-        if (net_.hopLatency == 0)
-            return msg("the rack network hop latency must be "
-                       "positive (NetParams.hopLatency = 0)");
-        if (net_.flitBytes == 0)
-            return msg("the rack network flit size must be "
-                       "positive (NetParams.flitBytes = 0)");
-        if (place_.keyPartitions == 0)
-            return msg("placement needs at least one key partition "
-                       "(PlacementParams.keyPartitions = 0)");
-        if (place_.replication == 0)
-            return msg("placement needs at least one replica "
-                       "(PlacementParams.replication = 0)");
-        if (place_.replication > nBoards_)
-            return msg("replication " +
-                       std::to_string(place_.replication) +
-                       " exceeds the rack's " +
-                       std::to_string(nBoards_) + " board" +
-                       (nBoards_ == 1 ? "" : "s"));
-        if ((place_.admitWindow == 0) !=
-            (place_.admitPerWindow == 0))
-            return msg("admission control needs both admitWindow "
-                       "and admitPerWindow set (or neither)");
-        if (std::string err = board::checkBalance(place_.balance);
-            !err.empty())
-            return msg(err);
-        if (place_.health.heartbeatPeriod) {
-            const rack::HealthParams &h = place_.health;
-            if (h.ackTimeout == 0)
-                return msg("an enabled health monitor needs a "
-                           "positive ack timeout "
-                           "(HealthParams.ackTimeout = 0)");
-            if (h.suspectAfter == 0)
-                return msg("the detector needs at least one miss "
-                           "to suspect a board "
-                           "(HealthParams.suspectAfter = 0)");
-            if (h.downAfter < h.suspectAfter)
-                return msg("downAfter " +
-                           std::to_string(h.downAfter) +
-                           " below suspectAfter " +
-                           std::to_string(h.suspectAfter) +
-                           " would skip the Suspect state");
-            if (h.rejoinAfter == 0)
-                return msg("the detector needs at least one clean "
-                           "probe to rejoin "
-                           "(HealthParams.rejoinAfter = 0)");
-            if (h.shedPressure <= 0 || h.shedPressure > 1)
-                return msg("shedPressure must sit in (0, 1] "
-                           "(HealthParams.shedPressure = " +
-                           std::to_string(h.shedPressure) + ")");
-            if (h.shedDeadlineFrac <= 0)
-                return msg("shedDeadlineFrac must be positive "
-                           "(HealthParams.shedDeadlineFrac = " +
-                           std::to_string(h.shedDeadlineFrac) +
-                           ")");
-        }
-    }
+    if (tier_ == Tier::Rack && boardBal_.window)
+        return "a rack balances through placement.balance, so "
+               "boardBalance must stay off on a rack "
+               "(BalanceParams.window = " +
+               std::to_string(boardBal_.window) + ")";
+    if (std::string err = board::checkBalance(boardBal_); !err.empty())
+        return err;
+    if (tier_ == Tier::Rack)
+        return rack::checkPlacement(place_, nBoards_);
 
+    const std::uint64_t stateEnd =
+        board::stateBase + std::uint64_t(boardBal_.keyPartitions) *
+                               board::stateBytesPerPartition;
+    if (boardBal_.window && stateEnd > soc_.ddrBytes)
+        return "the board balancer's state for keyPartitions " +
+               std::to_string(boardBal_.keyPartitions) +
+               " ends at byte " + std::to_string(stateEnd) +
+               ", past the chip's DDR (SocParams.ddrBytes = " +
+               std::to_string(soc_.ddrBytes) + ")";
     return "";
 }
 
 board::BoardParams
 ClusterTopology::boardParams() const
 {
-    sim_assert(tier_ != Tier::Soc,
-               "boardParams() on a soc topology; use socParams()");
     board::BoardParams p;
     p.nDpus = nDpus_;
     p.soc = soc_;
-    p.link = link_;
-    p.dmaRetries = dmaRetries_;
     p.threads = threads_;
-    p.pinCores = pinCores_;
-    p.lookahead = lookahead_;
     p.balance = boardBal_;
-    return p;
-}
-
-rack::RackParams
-ClusterTopology::rackParams() const
-{
-    sim_assert(tier_ == Tier::Rack,
-               "rackParams() on a %s topology", tierName(tier_));
-    rack::RackParams p;
-    p.nBoards = nBoards_;
-    p.board = boardParams();
-    p.net = net_;
     return p;
 }
 
@@ -285,14 +152,18 @@ std::unique_ptr<board::Board>
 ClusterTopology::buildBoard() const
 {
     require(Tier::Board);
-    return std::make_unique<board::Board>(boardParams());
+    return std::unique_ptr<board::Board>(
+        new board::Board(boardParams()));
 }
 
 std::unique_ptr<rack::Rack>
 ClusterTopology::buildRack() const
 {
     require(Tier::Rack);
-    return std::make_unique<rack::Rack>(rackParams());
+    rack::RackParams p;
+    p.nBoards = nBoards_;
+    p.board = boardParams();
+    return std::unique_ptr<rack::Rack>(new rack::Rack(p));
 }
 
 } // namespace dpu::topo

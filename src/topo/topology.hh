@@ -2,29 +2,27 @@
  * @file
  * The unified topology builder: one validated spec for every tier.
  *
- * Before this, each tier grew its own parameter struct and
- * constructor sprawl — SocParams for a chip, BoardParams (SocParams
- * + LinkParams + runner knobs) for a board, RackParams (BoardParams
- * + NetParams) for a rack — and a caller gluing tiers together had
- * to thread the right sub-struct into the right constructor with no
- * cross-field validation. topo::ClusterTopology collapses that into
- * one fluent builder:
+ * One fluent builder validates the shape of every tier and is the
+ * only way to construct a board::Board or a rack::Rack (their
+ * constructors are private to it):
  *
  *   auto soc  = topo::ClusterTopology::soc().chip(soc::dpu16nm());
  *   auto brd  = topo::ClusterTopology::board(4).threads(4);
- *   auto rack = topo::ClusterTopology::rack(8, 2)
- *                   .replication(2)
- *                   .network(myNet);
+ *   rack::PlacementParams pl;
+ *   pl.replication = 2;
+ *   auto rack = topo::ClusterTopology::rack(8, 2).placement(pl);
  *
  *   std::string err = rack.validate();   // "" when buildable
  *   auto r = rack.buildRack();           // fatal with err otherwise
  *
  * Every shape error is reported as a sentence naming the offending
  * field and tier, not an assert in some constructor three layers
- * down. The per-tier parameter structs survive as thin shims —
- * boardParams()/rackParams() project the spec onto them, and the
- * legacy construction paths (board::Board(BoardParams) etc.) keep
- * compiling for existing tests and benches.
+ * down. The settable dimensions are the ones workloads sweep: the
+ * chip, the board and rack sizes, epoch-runner threads, placement
+ * (replication, admission, the rack balancer policy, failure
+ * detection) and the board balancer policy. Link and network
+ * timing, DMA retries and the balancers' hand-off layout are
+ * constants next to the code that uses them.
  */
 
 #ifndef DPU_TOPO_TOPOLOGY_HH
@@ -76,40 +74,18 @@ class ClusterTopology
     /** Chip configuration (default soc::dpu40nm()). */
     ClusterTopology &chip(const soc::SocParams &p);
 
-    /** Intra-board link fabric timing. */
-    ClusterTopology &link(const board::LinkParams &p);
-
-    /** Inter-board rack network timing. */
-    ClusterTopology &network(const rack::NetParams &p);
-
-    /** Rack placement / admission knobs. */
+    /** Rack placement, admission, balancer policy and failure
+     *  detection (rack/scheduler.hh). Rack tier; pass the same
+     *  struct to the rack::RackScheduler. */
     ClusterTopology &placement(const rack::PlacementParams &p);
 
-    /** Boards per replica group (shorthand into placement). */
-    ClusterTopology &replication(unsigned r);
-
-    /** Rack hot-shard balancer policy (shorthand into placement). */
-    ClusterTopology &balance(const board::BalancePolicy &p);
-
     /** Intra-board live re-sharding knobs (board/balance.hh); the
-     *  default window = 0 keeps it off. Board and Rack tiers. */
+     *  default window = 0 keeps it off. Board tier only: a rack
+     *  balances through placement().balance. */
     ClusterTopology &boardBalance(const board::BalanceParams &p);
-
-    /** Failure-detection / repair / brown-out knobs (shorthand
-     *  into placement; heartbeatPeriod = 0 keeps it off). */
-    ClusterTopology &health(const rack::HealthParams &p);
 
     /** Epoch-runner worker threads per board. */
     ClusterTopology &threads(unsigned n);
-
-    /** Pin runner workers to cores (best effort). */
-    ClusterTopology &pinCores(bool pin);
-
-    /** Epoch lookahead override (0 = the link hop latency). */
-    ClusterTopology &lookahead(sim::Tick ticks);
-
-    /** Bulk-DMA retransmit budget on the board links. */
-    ClusterTopology &dmaRetries(unsigned n);
 
     // ------------------------------------------------------------
     // Inspection
@@ -131,20 +107,6 @@ class ClusterTopology
     std::string validate() const;
 
     // ------------------------------------------------------------
-    // Legacy parameter-struct projections (the shim layer)
-    // ------------------------------------------------------------
-
-    const soc::SocParams &socParams() const { return soc_; }
-
-    /** Board-tier projection; valid for Board and Rack tiers. */
-    board::BoardParams boardParams() const;
-
-    /** Rack-tier projection; valid for the Rack tier. */
-    rack::RackParams rackParams() const;
-
-    rack::PlacementParams placementParams() const { return place_; }
-
-    // ------------------------------------------------------------
     // Builders (fatal when validate() or the tier disagrees)
     // ------------------------------------------------------------
 
@@ -163,18 +125,16 @@ class ClusterTopology
     /** Fatal unless validate() passes and the tier is @p want. */
     void require(Tier want) const;
 
+    /** The shape of one board (Board and Rack tiers). */
+    board::BoardParams boardParams() const;
+
     Tier tier_;
     unsigned nBoards_ = 1;
     unsigned nDpus_ = 1;
     soc::SocParams soc_ = soc::dpu40nm();
-    board::LinkParams link_{};
-    rack::NetParams net_{};
     rack::PlacementParams place_{};
     board::BalanceParams boardBal_{};
     unsigned threads_ = 1;
-    bool pinCores_ = false;
-    sim::Tick lookahead_ = 0;
-    unsigned dmaRetries_ = 4;
 };
 
 } // namespace dpu::topo

@@ -64,7 +64,6 @@ struct PlaneGuard
 constexpr sim::Tick kWindow = 500'000'000;   // 0.5 ms
 constexpr unsigned kDpus = 4;
 constexpr unsigned kParts = 8;
-constexpr std::uint64_t kStateBytes = 4096;
 
 /** A trivial local job: lanes charge a few ALU ops and ack. No DMS
  *  and no cross-DPU traffic, so the link fabric carries ONLY the
@@ -82,22 +81,21 @@ quickJob()
     return req;
 }
 
-board::BoardParams
-balancedParams(unsigned threads)
+/** A 4-DPU board with the balancer live. */
+std::unique_ptr<board::Board>
+balancedBoard(unsigned threads)
 {
-    board::BoardParams bp;
-    bp.nDpus = kDpus;
-    bp.threads = threads;
-    bp.balance.window = kWindow;
-    bp.balance.ewmaAlpha = 0.7;
-    bp.balance.hotFactor = 1.1;
-    bp.balance.maxMigrationsPerWindow = 2;
-    bp.balance.minPartitionLoad = 2.0;
-    bp.balance.keyPartitions = kParts;
-    bp.balance.stateBytesPerPartition = kStateBytes;
-    bp.balance.stagingBufBytes = 1024; // 4 chunks per partition
-    bp.balance.migrationTimeout = 2 * kWindow;
-    return bp;
+    board::BalanceParams bal;
+    bal.window = kWindow;
+    bal.ewmaAlpha = 0.7;
+    bal.hotFactor = 1.1;
+    bal.maxMigrationsPerWindow = 2;
+    bal.minPartitionLoad = 2.0;
+    bal.keyPartitions = kParts;
+    return topo::ClusterTopology::board(kDpus)
+        .threads(threads)
+        .boardBalance(bal)
+        .buildBoard();
 }
 
 /** A balanced 4-DPU board with a skewed keyed offer stream: 90% of
@@ -112,8 +110,7 @@ struct Scenario
 
     explicit Scenario(unsigned threads)
     {
-        brd = std::make_unique<board::Board>(
-            balancedParams(threads));
+        brd = balancedBoard(threads);
         host::OffloadParams op;
         op.nCores = 8; // engine core 31 stays unmanaged
         op.groupSize = 4;
@@ -172,8 +169,9 @@ expectImagesIntact(Scenario &s)
 {
     for (unsigned part = 0; part < kParts; ++part) {
         const auto img = s.bal().stateImage(part);
-        ASSERT_EQ(img.size(), kStateBytes);
-        for (std::uint64_t i = 0; i < kStateBytes; ++i)
+        ASSERT_EQ(img.size(), board::stateBytesPerPartition);
+        for (std::uint64_t i = 0; i < board::stateBytesPerPartition;
+             ++i)
             ASSERT_EQ(img[i],
                       board::BoardBalancer::statePattern(part, i))
                 << "partition " << part << " byte " << i
@@ -375,7 +373,8 @@ TEST(BoardBalance, SkewedRunCommitsMigrationsOffTheHotDpu)
                   .totals()
                   .of(sim::Traffic::Migration)
                   .msgs,
-              rep.committed * (kStateBytes / 1024));
+              rep.committed * (board::stateBytesPerPartition /
+                               board::stagingBufBytes));
 
     // The workload itself was untouched by the re-sharding.
     const auto sum = s.sched->summary();
@@ -386,10 +385,10 @@ TEST(BoardBalance, SkewedRunCommitsMigrationsOffTheHotDpu)
 TEST(BoardBalance, StaticWindowZeroBoardMovesNothing)
 {
     PlaneGuard g;
-    board::BoardParams bp;
-    bp.nDpus = kDpus;
-    bp.threads = 2; // balance.window stays 0: static placement
-    board::Board b(bp);
+    // balance.window stays 0: static placement.
+    const auto brd =
+        topo::ClusterTopology::board(kDpus).threads(2).buildBoard();
+    board::Board &b = *brd;
     host::OffloadParams op;
     op.nCores = 8;
     op.groupSize = 4;
@@ -426,8 +425,7 @@ TEST(BoardBalance, ExhaustedRetransmitsAbortCleanlyAndKeepHomes)
     EXPECT_EQ(rep.timeoutAborts, 0u)
         << "a drained failure must abort cleanly, not time out";
     // The first chunk alone retries 1 + dmaRetries times.
-    EXPECT_GE(rep.chunkRetries,
-              std::uint64_t(1 + s.brd->params().dmaRetries));
+    EXPECT_GE(rep.chunkRetries, std::uint64_t(1 + board::dmaRetries));
     EXPECT_EQ(s.homes(), s.initialHome);
     EXPECT_EQ(s.sched->partitions().reassignedCount(), 0u);
 
@@ -562,8 +560,8 @@ TEST(BoardBalance, TenMigratingRunsAcrossThreadCountsBitIdentical)
 TEST(BoardBalance, TopologyValidatesBalancerKnobs)
 {
     // The policy rows hold at both tiers (the rack through
-    // .balance(), the board through .boardBalance()); the
-    // hand-off engine rows exist on the board alone.
+    // .placement(), the board through .boardBalance()); the
+    // keyPartitions row exists on the board alone.
     struct BadKnob
     {
         const char *field;
@@ -579,11 +577,6 @@ TEST(BoardBalance, TopologyValidatesBalancerKnobs)
          [](board::BalanceParams &p) { p.maxMigrationsPerWindow = 0; }},
         {"keyPartitions", true,
          [](board::BalanceParams &p) { p.keyPartitions = 0; }},
-        {"stagingBufBytes", true,
-         [](board::BalanceParams &p) { p.stagingBufBytes = 4096; }},
-        // Not a multiple of the 8-byte column width.
-        {"stateBytesPerPartition", true,
-         [](board::BalanceParams &p) { p.stateBytesPerPartition = 100; }},
     };
     auto onBoard = [](const board::BalanceParams &p) {
         return topo::ClusterTopology::board(4)
@@ -591,7 +584,9 @@ TEST(BoardBalance, TopologyValidatesBalancerKnobs)
             .validate();
     };
     auto onRack = [](const BalancePolicy &p) {
-        return topo::ClusterTopology::rack(2, 1).balance(p).validate();
+        rack::PlacementParams pl;
+        pl.balance = p;
+        return topo::ClusterTopology::rack(2, 1).placement(pl).validate();
     };
 
     board::BalanceParams on;
@@ -613,9 +608,10 @@ TEST(BoardBalance, TopologyValidatesBalancerKnobs)
             EXPECT_EQ(onRack(bad), err);
         }
 
-        // window = 0 disables the balancer AND its validation.
+        // window = 0 disables the balancer AND its policy rows;
+        // the board's partition table needs keyPartitions anyway.
         bad.window = 0;
-        EXPECT_EQ(onBoard(bad), "");
+        EXPECT_EQ(onBoard(bad), row.boardOnly ? err : "");
         EXPECT_EQ(onRack(bad), "");
     }
 }
@@ -623,10 +619,9 @@ TEST(BoardBalance, TopologyValidatesBalancerKnobs)
 TEST(BoardBalanceDeathTest, EngineCoreManagedBySchedulerDies)
 {
     PlaneGuard g;
-    board::BoardParams bp = balancedParams(1);
-    board::Board b(bp);
+    const auto brd = balancedBoard(1);
     host::OffloadParams op;
     op.nCores = 32; // claims every core, including the engine's
-    EXPECT_DEATH(host::BoardScheduler(b, op, host::makeHashRouter()),
+    EXPECT_DEATH(host::BoardScheduler(*brd, op, host::makeHashRouter()),
                  "engine core");
 }

@@ -22,6 +22,7 @@
 #include "sim/fault.hh"
 #include "sim/stats.hh"
 #include "sim/stats_registry.hh"
+#include "topo/topology.hh"
 
 using namespace dpu;
 
@@ -44,9 +45,8 @@ runBoardScenario(const char *faults = nullptr,
     if (faults)
         sim::faultPlane().configure(faults, fault_seed);
 
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    board::Board b(bp);
+    const auto brd = topo::ClusterTopology::board(2).buildBoard();
+    board::Board &b = *brd;
     board::ShardedSqlConfig cfg;
     cfg.rowsPerDpu = 4096;
     const board::ShardedSqlResult res = board::runShardedSql(b, cfg);
@@ -75,9 +75,8 @@ regenRequested()
 TEST(LinkFabric, RpcDeliveryAndChannelSerialization)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    board::Board b(bp);
+    const auto brd = topo::ClusterTopology::board(2).buildBoard();
+    board::Board &b = *brd;
 
     struct Arrival
     {
@@ -98,7 +97,7 @@ TEST(LinkFabric, RpcDeliveryAndChannelSerialization)
     EXPECT_EQ(got[0].payload, 0xabcdull);
     EXPECT_EQ(got[1].payload, 0xef01ull);
     // Both burned at least the hop latency...
-    EXPECT_GE(got[0].at, bp.link.hopLatency);
+    EXPECT_GE(got[0].at, board::linkHopLatency);
     // ...and the shared (0,1) channel serialized them: the second
     // message's wire time starts after the first finishes.
     EXPECT_GT(got[1].at, got[0].at);
@@ -110,9 +109,8 @@ TEST(LinkFabric, RpcDeliveryAndChannelSerialization)
 TEST(LinkFabric, BulkDmaCopiesBetweenDdrSpaces)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    board::Board b(bp);
+    const auto brd = topo::ClusterTopology::board(2).buildBoard();
+    board::Board &b = *brd;
 
     std::vector<std::uint8_t> pattern(4096);
     for (std::size_t i = 0; i < pattern.size(); ++i)
@@ -138,9 +136,8 @@ TEST(LinkFabric, DroppedBulkIsRetriedTransparently)
     // Exactly the first link message is lost; the Board's bounded
     // retransmit must deliver on the second attempt.
     sim::faultPlane().configure("link.drop@nth=1,max=1", 7);
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    board::Board b(bp);
+    const auto brd = topo::ClusterTopology::board(2).buildBoard();
+    board::Board &b = *brd;
 
     std::vector<std::uint8_t> pattern(512, 0x5a);
     b.dpu(0).memory().store().write(0x2000, pattern.data(),
@@ -162,10 +159,8 @@ TEST(LinkFabric, ExhaustedRetriesReportFailure)
 {
     sim::faultPlane().reset();
     sim::faultPlane().configure("link.drop@p=1", 7);
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    bp.dmaRetries = 2;
-    board::Board b(bp);
+    const auto brd = topo::ClusterTopology::board(2).buildBoard();
+    board::Board &b = *brd;
 
     b.dpu(0).memory().store().store<std::uint32_t>(0x2000, 17);
     bool called = false, ok = true;
@@ -178,6 +173,8 @@ TEST(LinkFabric, ExhaustedRetriesReportFailure)
 
     EXPECT_TRUE(called);
     EXPECT_FALSE(ok);
+    EXPECT_EQ(b.fabric().statGroup().get("bulkRetries"),
+              board::dmaRetries);
     EXPECT_EQ(b.fabric().statGroup().get("bulkFailed"), 1u);
 }
 
@@ -189,9 +186,8 @@ TEST(BoardApps, ShardedSqlValidAtEveryBoardSize)
 {
     for (unsigned n : {1u, 2u, 4u}) {
         sim::faultPlane().reset();
-        board::BoardParams bp;
-        bp.nDpus = n;
-        board::Board b(bp);
+        const auto brd = topo::ClusterTopology::board(n).buildBoard();
+        board::Board &b = *brd;
         board::ShardedSqlConfig cfg;
         cfg.rowsPerDpu = 4096;
         const auto res = board::runShardedSql(b, cfg);
@@ -210,9 +206,8 @@ TEST(BoardApps, ShardedSqlValidAtEveryBoardSize)
 TEST(BoardApps, DistributedHllMergesExactly)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    board::Board b(bp);
+    const auto brd = topo::ClusterTopology::board(2).buildBoard();
+    board::Board &b = *brd;
     board::DistHllConfig cfg;
     cfg.elementsPerDpu = 1 << 12;
     cfg.cardinality = 1 << 10;
@@ -230,9 +225,8 @@ TEST(BoardApps, DistributedHllMergesExactly)
 TEST(BoardScheduler, HashRoutingIsDeterministicAndSpread)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 4;
-    board::Board b(bp);
+    const auto brd = topo::ClusterTopology::board(4).buildBoard();
+    board::Board &b = *brd;
     host::BoardScheduler sched(b, host::OffloadParams{},
                                host::makeHashRouter());
 
@@ -255,9 +249,8 @@ TEST(BoardScheduler, HashRoutingIsDeterministicAndSpread)
 TEST(BoardScheduler, RoundRobinStripesArrivals)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    board::Board b(bp);
+    const auto brd = topo::ClusterTopology::board(2).buildBoard();
+    board::Board &b = *brd;
     host::BoardScheduler sched(b, host::OffloadParams{},
                                host::makeRoundRobinRouter());
     host::JobRequest req;

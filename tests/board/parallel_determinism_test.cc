@@ -26,6 +26,7 @@
 #include "sim/stats.hh"
 #include "sim/stats_registry.hh"
 #include "sim/trace.hh"
+#include "topo/topology.hh"
 
 using namespace dpu;
 
@@ -55,10 +56,10 @@ runMixedScenario(unsigned threads, const char *faults = nullptr,
         sim::faultPlane().configure(faults, fault_seed);
     sim::tracer().arm(std::size_t(1) << 14);
 
-    board::BoardParams bp;
-    bp.nDpus = 4;
-    bp.threads = threads;
-    board::Board b(bp);
+    const auto brd = topo::ClusterTopology::board(4)
+                         .threads(threads)
+                         .buildBoard();
+    board::Board &b = *brd;
 
     board::ShardedSqlConfig scfg;
     scfg.rowsPerDpu = 2048;
@@ -89,10 +90,10 @@ sim::StatsSnapshot
 runGoldenScenario(unsigned threads)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    bp.threads = threads;
-    board::Board b(bp);
+    const auto brd = topo::ClusterTopology::board(2)
+                         .threads(threads)
+                         .buildBoard();
+    board::Board &b = *brd;
     board::ShardedSqlConfig cfg;
     cfg.rowsPerDpu = 4096;
     const auto res = board::runShardedSql(b, cfg);
@@ -164,10 +165,10 @@ TEST(ParallelDeterminism, MemoryImagesMatchSerialAcrossThreads)
     // space must not depend on the thread count either.
     auto image = [](unsigned threads) {
         sim::faultPlane().reset();
-        board::BoardParams bp;
-        bp.nDpus = 4;
-        bp.threads = threads;
-        board::Board b(bp);
+        const auto brd = topo::ClusterTopology::board(4)
+                             .threads(threads)
+                             .buildBoard();
+        board::Board &b = *brd;
         // All-to-all pattern exchange, issued host-phase.
         std::vector<std::uint8_t> out;
         for (unsigned s = 0; s < 4; ++s) {

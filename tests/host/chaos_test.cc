@@ -31,6 +31,7 @@
 #include "sim/stats_registry.hh"
 #include "soc/host_a9.hh"
 #include "soc/soc.hh"
+#include "topo/topology.hh"
 
 using namespace dpu;
 using namespace dpu::host;
@@ -39,6 +40,8 @@ namespace {
 
 constexpr unsigned chaosSeeds = 24;
 constexpr unsigned chaosJobs = 18;
+/** Per-job deadline in the chaos walls: tight, so wedges reap. */
+constexpr sim::Tick chaosDeadline = sim::Tick(2e9); // 2 ms
 
 /** A request of one of three lane flavours. */
 JobRequest
@@ -115,15 +118,16 @@ runChaos(std::uint64_t seed)
         p.nCores = 16;
         p.groupSize = 4;
         p.maxAttempts = 2;
-        p.defaultTimeout = sim::Tick(2e9); // 2 ms
         OffloadScheduler sched(s, a9, p);
 
         sim::Rng rng(seed ^ 0xc0ffee);
         sim::Tick t = 0;
         for (unsigned i = 0; i < chaosJobs; ++i) {
             t += 50'000'000 + rng.below(200'000'000);
-            sched.enqueueAt(t, chaosJob(unsigned(rng.below(3)),
-                                        seed + i));
+            JobRequest req =
+                chaosJob(unsigned(rng.below(3)), seed + i);
+            req.timeout = chaosDeadline;
+            sched.enqueueAt(t, std::move(req));
         }
 
         sched.start();
@@ -221,23 +225,23 @@ runBoardChaos(std::uint64_t seed, unsigned threads)
 
     ChaosOutcome out;
     {
-        board::BoardParams bp;
-        bp.nDpus = 2;
-        bp.threads = threads;
-        board::Board b(bp);
+        const auto brd =
+            topo::ClusterTopology::board(2).threads(threads).buildBoard();
+        board::Board &b = *brd;
         OffloadParams p;
         p.nCores = 16;
         p.groupSize = 4;
         p.maxAttempts = 2;
-        p.defaultTimeout = sim::Tick(2e9);
         BoardScheduler sched(b, p, makeRoundRobinRouter());
 
         sim::Rng rng(seed ^ 0xc0ffee);
         sim::Tick t = 0;
         for (unsigned i = 0; i < chaosJobs; ++i) {
             t += 50'000'000 + rng.below(200'000'000);
-            sched.enqueueAt(t, chaosJob(unsigned(rng.below(3)),
-                                        seed + i));
+            JobRequest req =
+                chaosJob(unsigned(rng.below(3)), seed + i);
+            req.timeout = chaosDeadline;
+            sched.enqueueAt(t, std::move(req));
         }
 
         sched.start();

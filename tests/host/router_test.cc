@@ -4,8 +4,7 @@
  * (host/router.hh). These are the invariants the board and rack
  * schedulers lean on: hash purity and spread, replica-group
  * membership as a pure function of the key, exact round-robin
- * fairness, weighted share proportionality, and a pinned placement
- * hash.
+ * fairness, and a pinned placement hash.
  */
 
 #include <gtest/gtest.h>
@@ -126,45 +125,6 @@ TEST(RoundRobinRouter, CandidatesAdvanceTheCursorExactlyOnce)
 }
 
 // ----------------------------------------------------------------
-// Weighted policy
-// ----------------------------------------------------------------
-
-TEST(WeightedRouter, SharesTrackTheWeights)
-{
-    auto r = host::makeWeightedRouter({3.0, 1.0});
-    unsigned heavy = 0, light = 0;
-    const unsigned keys = 8192;
-    for (std::uint64_t k = 0; k < keys; ++k)
-        (r->route(keyedReq(k), 2) == 0 ? heavy : light)++;
-    EXPECT_EQ(heavy + light, keys);
-    const double share = double(heavy) / keys;
-    EXPECT_NEAR(share, 0.75, 0.03);
-}
-
-TEST(WeightedRouter, UnlistedShardsWeighOne)
-{
-    // weights {2} over 3 shards = shares 2:1:1.
-    auto r = host::makeWeightedRouter({2.0});
-    std::map<unsigned, unsigned> hist;
-    const unsigned keys = 8192;
-    for (std::uint64_t k = 0; k < keys; ++k)
-        ++hist[r->route(keyedReq(k), 3)];
-    ASSERT_EQ(hist.size(), 3u);
-    EXPECT_NEAR(double(hist[0]) / keys, 0.50, 0.03);
-    EXPECT_NEAR(double(hist[1]) / keys, 0.25, 0.03);
-    EXPECT_NEAR(double(hist[2]) / keys, 0.25, 0.03);
-}
-
-TEST(WeightedRouter, IsAPureFunctionOfTheRequest)
-{
-    auto a = host::makeWeightedRouter({1.0, 2.0, 4.0});
-    auto b = host::makeWeightedRouter({1.0, 2.0, 4.0});
-    for (std::uint64_t k = 0; k < 256; ++k)
-        EXPECT_EQ(a->route(keyedReq(k), 3),
-                  b->route(keyedReq(k), 3));
-}
-
-// ----------------------------------------------------------------
 // Replica-group policy (the rack placement law)
 // ----------------------------------------------------------------
 
@@ -215,16 +175,6 @@ TEST(ReplicaGroupRouter, GroupsWrapAndClampToTheShardCount)
     ASSERT_EQ(w.size(), 3u);
     for (unsigned i = 1; i < w.size(); ++i)
         EXPECT_EQ(w[i], (w[0] + i) % 3);
-}
-
-TEST(WeightedRouter, SurplusWeightsAreATopologyMismatch)
-{
-    // Shorter-than-nShards pads with 1.0 (law above); LONGER means
-    // the caller sized the vector for a different topology, which
-    // must fail loudly instead of silently dropping the tail.
-    auto r = host::makeWeightedRouter({1.0, 2.0, 4.0});
-    EXPECT_EQ(r->route(keyedReq(1), 3), r->route(keyedReq(1), 3));
-    EXPECT_DEATH(r->route(keyedReq(1), 2), "surplus");
 }
 
 // ----------------------------------------------------------------

@@ -4,9 +4,10 @@
  * protocol end to end — the forwarding epoch, abort-on-drop with a
  * later-window retry, a board outage overlapping an active
  * migration with full request accounting, and a 10-run determinism
- * wall across --threads {1, 2, 4} while migrations are live — plus
- * the constructor's knob check. The planner laws both tiers share
- * live in tests/board/board_balance_test.cc.
+ * wall across --threads {1, 2, 4} while migrations are live. The
+ * planner laws both tiers share live in
+ * tests/board/board_balance_test.cc, and the scheduler's placement
+ * check in tests/rack/topology_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -68,14 +69,12 @@ keyedRequest(sim::Tick at, std::uint64_t key, std::uint64_t seed)
 
 /** A 4-board rack with one DPU per board (protocol tests only —
  *  the boards never run). */
-rack::RackParams
+std::unique_ptr<rack::Rack>
 smallRack()
 {
-    rack::RackParams rp;
-    rp.nBoards = 4;
-    rp.board.nDpus = 1;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    return rp;
+    soc::SocParams sp = soc::dpu40nm();
+    sp.ddrBytes = std::size_t(16) << 20;
+    return topo::ClusterTopology::rack(4, 1).chip(sp).buildRack();
 }
 
 /** Balancer knobs the protocol tests share: 1 ms windows, raw
@@ -109,20 +108,19 @@ runBalancedScenario(unsigned threads, const char *faults = nullptr,
     soc::SocParams sp = soc::dpu40nm();
     sp.ddrBytes = std::size_t(64) << 20;
 
-    board::BalancePolicy bal;
-    bal.window = 500 * kUs;
-    bal.ewmaAlpha = 0.7;
-    bal.hotFactor = 1.1;
-    bal.maxMigrationsPerWindow = 2;
-    bal.minPartitionLoad = 2.0;
+    rack::PlacementParams pl;
+    pl.balance.window = 500 * kUs;
+    pl.balance.ewmaAlpha = 0.7;
+    pl.balance.hotFactor = 1.1;
+    pl.balance.maxMigrationsPerWindow = 2;
+    pl.balance.minPartitionLoad = 2.0;
 
-    auto spec = topo::ClusterTopology::rack(4, 1)
-                    .chip(sp)
-                    .threads(threads)
-                    .balance(bal);
-    auto r = spec.buildRack();
-    rack::RackScheduler sched(*r, host::OffloadParams{},
-                              spec.placementParams());
+    auto r = topo::ClusterTopology::rack(4, 1)
+                 .chip(sp)
+                 .threads(threads)
+                 .placement(pl)
+                 .buildRack();
+    rack::RackScheduler sched(*r, host::OffloadParams{}, pl);
 
     rack::TraceConfig tc;
     tc.ratePerSec = 30000;
@@ -132,8 +130,7 @@ runBalancedScenario(unsigned threads, const char *faults = nullptr,
     tc.seed = 33;
     tc.hotStepAtSec = 0.001;
     tc.hotStepFraction = 0.9;
-    tc.hotStepKeys = coHomedKeys(
-        3, spec.placementParams().keyPartitions, 4);
+    tc.hotStepKeys = coHomedKeys(3, rack::keyPartitions, 4);
 
     const std::vector<rack::TraceEvent> trace =
         rack::generateTrace(tc);
@@ -166,13 +163,14 @@ runBalancedScenario(unsigned threads, const char *faults = nullptr,
 TEST(RackBalance, MigrationDrainsAtTheSourceThenSwitches)
 {
     sim::faultPlane().reset();
-    rack::Rack r(smallRack());
+    const auto rk = smallRack();
+    rack::Rack &r = *rk;
     const rack::PlacementParams place = balancedPlace();
     rack::RackScheduler sched(r, {}, place);
 
     unsigned hot = 0;
     const auto keys =
-        coHomedKeys(2, place.keyPartitions, r.nBoards(), &hot);
+        coHomedKeys(2, rack::keyPartitions, r.nBoards(), &hot);
     ASSERT_EQ(keys.size(), 2u);
     const unsigned p0 = sched.partitionOf(keys[0]);
     const unsigned p1 = sched.partitionOf(keys[1]);
@@ -235,8 +233,7 @@ TEST(RackBalance, MigrationDrainsAtTheSourceThenSwitches)
     EXPECT_EQ(c0, h0);
     EXPECT_EQ(c1, h1);
     // The hand-off payload rode the net as Migration traffic.
-    EXPECT_GT(r.net().migrationBytes(),
-              place.balance.stateBytesPerPartition);
+    EXPECT_GT(r.net().migrationBytes(), board::stateBytesPerPartition);
     sim::faultPlane().reset();
 }
 
@@ -248,13 +245,14 @@ TEST(RackBalance, DroppedTransferAbortsAndRetriesNextWindow)
     // request delivery falls inside the window.
     sim::faultPlane().configure(
         "rack.netDrop@p=1,from=900000000,to=1100000000", 42);
-    rack::Rack r(smallRack());
+    const auto rk = smallRack();
+    rack::Rack &r = *rk;
     const rack::PlacementParams place = balancedPlace();
     rack::RackScheduler sched(r, {}, place);
 
     unsigned hot = 0;
     const auto keys =
-        coHomedKeys(2, place.keyPartitions, r.nBoards(), &hot);
+        coHomedKeys(2, rack::keyPartitions, r.nBoards(), &hot);
     ASSERT_EQ(keys.size(), 2u);
     const unsigned p0 = sched.partitionOf(keys[0]);
     const unsigned p1 = sched.partitionOf(keys[1]);
@@ -315,7 +313,7 @@ TEST(RackBalance, BoardOutageMidMigrationKeepsFullAccounting)
     // must reach exactly one board scheduler, and the whole
     // schedule must replay bit-identically under threads.
     unsigned hot = 0;
-    coHomedKeys(1, rack::PlacementParams{}.keyPartitions, 4, &hot);
+    coHomedKeys(1, rack::keyPartitions, 4, &hot);
     const std::string spec =
         "rack.boardDown@p=1,unit=" + std::to_string(hot) +
         ",from=1200000000,to=2500000000";
@@ -362,43 +360,4 @@ TEST(RackBalance, TenRunDeterminismWallWithActiveMigrations)
             << "): " << diffs.size() << " stat(s) differ:\n"
             << sim::formatDiffs(diffs);
     }
-}
-
-// ----------------------------------------------------------------
-// Knob checks
-// ----------------------------------------------------------------
-
-namespace {
-
-/** @p s with every POSIX-regex metacharacter escaped. */
-std::string
-literal(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (std::string("\\^$.|?*+()[]{}").find(c) !=
-            std::string::npos)
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
-
-TEST(RackBalanceDeathTest, ZeroBudgetDiesWithTheTopologySentence)
-{
-    // The scheduler checks the same policy the topology validates,
-    // so a hand-built placement cannot slip a zero budget past it.
-    sim::faultPlane().reset();
-    rack::PlacementParams place = balancedPlace();
-    place.balance.maxMigrationsPerWindow = 0;
-    const std::string err = board::checkBalance(place.balance);
-    ASSERT_NE(err.find("maxMigrationsPerWindow"), std::string::npos);
-    EXPECT_EQ(topo::ClusterTopology::rack(4, 1)
-                  .balance(place.balance)
-                  .validate(),
-              err);
-    rack::Rack r(smallRack());
-    EXPECT_DEATH(rack::RackScheduler(r, {}, place), literal(err));
 }

@@ -68,14 +68,12 @@ keyedRequest(sim::Tick at, std::uint64_t key, std::uint64_t seed)
 
 /** A 4-board rack with one DPU per board (protocol tests only —
  *  the boards never run). */
-rack::RackParams
+std::unique_ptr<rack::Rack>
 smallRack()
 {
-    rack::RackParams rp;
-    rp.nBoards = 4;
-    rp.board.nDpus = 1;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    return rp;
+    soc::SocParams sp = soc::dpu40nm();
+    sp.ddrBytes = std::size_t(16) << 20;
+    return topo::ClusterTopology::rack(4, 1).chip(sp).buildRack();
 }
 
 /** Detection knobs the integration tests share: 200 us heartbeat,
@@ -135,22 +133,21 @@ runMonitoredScenario(
     soc::SocParams sp = soc::dpu40nm();
     sp.ddrBytes = std::size_t(64) << 20;
 
-    auto spec = topo::ClusterTopology::rack(4, 1)
-                    .chip(sp)
-                    .threads(threads)
-                    .health(hp);
+    rack::PlacementParams pl;
+    pl.health = hp;
     if (skew) {
-        board::BalancePolicy bal;
-        bal.window = 500 * kUs;
-        bal.ewmaAlpha = 0.7;
-        bal.hotFactor = 1.1;
-        bal.maxMigrationsPerWindow = 2;
-        bal.minPartitionLoad = 2.0;
-        spec.balance(bal);
+        pl.balance.window = 500 * kUs;
+        pl.balance.ewmaAlpha = 0.7;
+        pl.balance.hotFactor = 1.1;
+        pl.balance.maxMigrationsPerWindow = 2;
+        pl.balance.minPartitionLoad = 2.0;
     }
-    auto r = spec.buildRack();
-    rack::RackScheduler sched(*r, host::OffloadParams{},
-                              spec.placementParams());
+    auto r = topo::ClusterTopology::rack(4, 1)
+                 .chip(sp)
+                 .threads(threads)
+                 .placement(pl)
+                 .buildRack();
+    rack::RackScheduler sched(*r, host::OffloadParams{}, pl);
 
     rack::TraceConfig tc;
     tc.ratePerSec = 25000;
@@ -161,8 +158,7 @@ runMonitoredScenario(
     if (skew) {
         tc.hotStepAtSec = 0.001;
         tc.hotStepFraction = 0.9;
-        tc.hotStepKeys = coHomedKeys(
-            3, spec.placementParams().keyPartitions, 4);
+        tc.hotStepKeys = coHomedKeys(3, rack::keyPartitions, 4);
     }
 
     const std::vector<rack::TraceEvent> trace =
@@ -225,7 +221,7 @@ expectFullAttribution(const rack::RackSummary &sum)
 TEST(HealthDetector, MissHysteresisWalksHealthySuspectDown)
 {
     sim::faultPlane().reset();
-    rack::RackNet net(4, rack::NetParams{});
+    rack::RackNet net(4);
     rack::HealthMonitor mon(net, 4, quietMonitor());
     ASSERT_TRUE(mon.monitoring());
 
@@ -261,7 +257,7 @@ TEST(HealthDetector, MissHysteresisWalksHealthySuspectDown)
 TEST(HealthDetector, AcksClearSuspectsAndWalkDownThroughProbation)
 {
     sim::faultPlane().reset();
-    rack::RackNet net(4, rack::NetParams{});
+    rack::RackNet net(4);
     rack::HealthMonitor mon(net, 4, quietMonitor());
 
     // Two misses suspect the board; one ack absolves it — misses
@@ -304,7 +300,7 @@ TEST(HealthDetector, ObservationsResolveInTickOrderNotPushOrder)
     sim::faultPlane().reset();
     rack::HealthParams hp = quietMonitor();
     hp.downAfter = 3;
-    rack::RackNet net(4, rack::NetParams{});
+    rack::RackNet net(4);
     rack::HealthMonitor mon(net, 4, hp);
 
     mon.observeMiss(0, 10);
@@ -439,7 +435,8 @@ TEST(HealthIntegration, TransientOutageRejoinsThroughProbation)
 TEST(BrownOut, SuspectReplicasShedOnlyDeadlineRiskyRequests)
 {
     sim::faultPlane().reset();
-    rack::Rack r(smallRack());
+    const auto rk = smallRack();
+    rack::Rack &r = *rk;
     rack::PlacementParams place;
     place.health = quietMonitor();
     rack::RackScheduler sched(r, {}, place);
@@ -485,7 +482,8 @@ TEST(BrownOut, SuspectReplicasShedOnlyDeadlineRiskyRequests)
 TEST(RackAdmissionWindow, DepthStaysEmptyWithTheCapDisabled)
 {
     sim::faultPlane().reset();
-    rack::Rack r(smallRack());
+    const auto rk = smallRack();
+    rack::Rack &r = *rk;
     rack::RackScheduler sched(r, {}, rack::PlacementParams{});
     for (unsigned i = 0; i < 300; ++i) {
         const sim::Tick t = sim::Tick(i + 1) * 10 * kUs;
@@ -501,7 +499,8 @@ TEST(RackAdmissionWindow, DepthStaysEmptyWithTheCapDisabled)
 TEST(RackAdmissionWindow, DepthIsBoundedByThePerWindowCap)
 {
     sim::faultPlane().reset();
-    rack::Rack r(smallRack());
+    const auto rk = smallRack();
+    rack::Rack &r = *rk;
     rack::PlacementParams place;
     place.admitWindow = kMs;
     place.admitPerWindow = 4;
@@ -523,7 +522,8 @@ TEST(RackAdmissionWindow, DepthIsBoundedByThePerWindowCap)
 TEST(RackAttribution, AdmissionReroutesAreNotFailovers)
 {
     sim::faultPlane().reset();
-    rack::Rack r(smallRack());
+    const auto rk = smallRack();
+    rack::Rack &r = *rk;
     rack::PlacementParams place;
     place.admitWindow = kMs;
     place.admitPerWindow = 1;
@@ -554,7 +554,8 @@ TEST(RackAttribution, AdmissionReroutesAreNotFailovers)
 TEST(RackAttribution, OutageFailoversStayFailovers)
 {
     sim::faultPlane().reset();
-    rack::Rack r(smallRack());
+    const auto rk = smallRack();
+    rack::Rack &r = *rk;
     rack::RackScheduler sched(r, {}, rack::PlacementParams{});
     const std::vector<unsigned> reps = sched.replicasOf(0);
     ASSERT_EQ(reps.size(), 2u);
@@ -587,14 +588,13 @@ TEST(HealthChaos, CrashMidMigrationLeavesNoDoubleAssignment)
     // partition owned exactly once and every request attributed
     // exactly once.
     unsigned hot = 0;
-    coHomedKeys(1, rack::PlacementParams{}.keyPartitions, 4, &hot);
+    coHomedKeys(1, rack::keyPartitions, 4, &hot);
     const std::string spec =
         "rack.boardCrash@p=1,unit=" + std::to_string(hot) +
         ",from=1200000000,max=1;rack.netDrop@p=0.01";
 
     const auto inspect = [hot](rack::RackScheduler &sched) {
-        const unsigned parts = sched.placement().keyPartitions;
-        for (unsigned p = 0; p < parts; ++p)
+        for (unsigned p = 0; p < rack::keyPartitions; ++p)
             EXPECT_LT(sched.homeOf(p), 4u);
         for (std::uint64_t key = 0; key < 2048; ++key) {
             const std::vector<unsigned> reps =

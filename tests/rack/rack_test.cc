@@ -87,6 +87,16 @@ runRackScenario(unsigned threads = 1, const char *faults = nullptr,
     return snap;
 }
 
+/** An @p n_boards x @p dpus rack on 16 MB chips (the protocol tests
+ *  never run it). */
+std::unique_ptr<rack::Rack>
+smallRack(unsigned n_boards, unsigned dpus)
+{
+    soc::SocParams sp = soc::dpu40nm();
+    sp.ddrBytes = std::size_t(16) << 20;
+    return topo::ClusterTopology::rack(n_boards, dpus).chip(sp).buildRack();
+}
+
 bool
 regenRequested()
 {
@@ -155,17 +165,10 @@ TEST(ArrivalTrace, ZipfConcentratesMassOnHotKeys)
 TEST(RackPlacement, ReplicaGroupIsPureAndIndependentOfDpuCount)
 {
     sim::faultPlane().reset();
-    rack::RackParams small;
-    small.nBoards = 4;
-    small.board.nDpus = 1;
-    small.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::RackParams big;
-    big.nBoards = 4;
-    big.board.nDpus = 2;
-    big.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack rs(small), rb(big);
-    rack::RackScheduler ss(rs, {}, {});
-    rack::RackScheduler sb(rb, {}, {});
+    const auto rs = smallRack(4, 1);
+    const auto rb = smallRack(4, 2);
+    rack::RackScheduler ss(*rs, {}, {});
+    rack::RackScheduler sb(*rb, {}, {});
     for (std::uint64_t k = 0; k < 256; ++k) {
         EXPECT_EQ(ss.partitionOf(k), sb.partitionOf(k));
         EXPECT_EQ(ss.primaryOf(k), sb.primaryOf(k));
@@ -185,10 +188,8 @@ TEST(RackPlacement, ReplicaGroupIsPureAndIndependentOfDpuCount)
 TEST(RackAdmission, WindowCapShedsExcessLoad)
 {
     sim::faultPlane().reset();
-    rack::RackParams rp;
-    rp.nBoards = 2;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack r(rp);
+    const auto rk = smallRack(2, 2);
+    rack::Rack &r = *rk;
     rack::PlacementParams place;
     place.replication = 2;
     place.admitWindow = sim::Tick(1'000'000'000); // 1 ms
@@ -222,10 +223,8 @@ TEST(RackFailover, BoardOutageRedirectsToTheReplica)
     // Board 0 is down for the whole run.
     sim::faultPlane().configure(
         "rack.boardDown@p=1,unit=0,to=100000000000", 42);
-    rack::RackParams rp;
-    rp.nBoards = 2;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack r(rp);
+    const auto rk = smallRack(2, 2);
+    rack::Rack &r = *rk;
     rack::PlacementParams place;
     place.replication = 2;
     rack::RackScheduler sched(r, {}, place);
@@ -256,10 +255,8 @@ TEST(RackFailover, ReplicationOneTurnsOutageIntoLoss)
     sim::faultPlane().reset();
     sim::faultPlane().configure(
         "rack.boardDown@p=1,unit=0,to=100000000000", 42);
-    rack::RackParams rp;
-    rp.nBoards = 2;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack r(rp);
+    const auto rk = smallRack(2, 2);
+    rack::Rack &r = *rk;
     rack::PlacementParams place;
     place.replication = 1;
     rack::RackScheduler sched(r, {}, place);
@@ -286,10 +283,8 @@ TEST(RackNetFaults, DropsFailOverAndExhaustionIsNetLost)
 {
     sim::faultPlane().reset();
     sim::faultPlane().configure("rack.netDrop@p=1", 42);
-    rack::RackParams rp;
-    rp.nBoards = 2;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack r(rp);
+    const auto rk = smallRack(2, 2);
+    rack::Rack &r = *rk;
     rack::PlacementParams place;
     place.replication = 2;
     rack::RackScheduler sched(r, {}, place);
@@ -310,10 +305,8 @@ TEST(RackNetFaults, DroppedBytesNeverCountAsCarried)
 {
     sim::faultPlane().reset();
     sim::faultPlane().configure("rack.netDrop@p=1", 42);
-    rack::RackParams rp;
-    rp.nBoards = 2;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack r(rp);
+    const auto rk = smallRack(2, 2);
+    rack::Rack &r = *rk;
     rack::PlacementParams place;
     place.replication = 2;
     rack::RackScheduler sched(r, {}, place);
@@ -351,10 +344,8 @@ TEST(RackAdmission, WindowBoundaryIsHalfOpen)
     // fix the front boundary was kept too, so a cap of 1 per 1000
     // ticks actually spanned 1001 ticks.
     sim::faultPlane().reset();
-    rack::RackParams rp;
-    rp.nBoards = 2;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack r(rp);
+    const auto rk = smallRack(2, 2);
+    rack::Rack &r = *rk;
     rack::PlacementParams place;
     place.replication = 1;
     place.admitWindow = 1000;
