@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "bench/report.hh"
+#include "board/balance.hh"
 #include "host/offload.hh"
 #include "rack/health.hh"
 #include "rack/rack.hh"
@@ -528,7 +529,7 @@ main(int argc, char **argv)
     // one ingress (moving a single partition could only relocate,
     // never spread, the hot spot).
     const unsigned hot_board =
-        rack::partitionHome(0, skew_boards);
+        board::hashHome(0, skew_boards);
     std::vector<std::uint64_t> hotKeys;
     std::vector<char> seen(rack::keyPartitions, 0);
     for (std::uint64_t k = 0; hotKeys.size() < 8 && k < 1 << 16;
@@ -536,7 +537,7 @@ main(int argc, char **argv)
         const unsigned part =
             rack::keyPartition(k, rack::keyPartitions);
         if (seen[part] ||
-            rack::partitionHome(part, skew_boards) != hot_board)
+            board::hashHome(part, skew_boards) != hot_board)
             continue;
         seen[part] = 1;
         hotKeys.push_back(k);

@@ -5,6 +5,7 @@
 #include "board/board.hh"
 #include "dms/handoff.hh"
 #include "sim/logging.hh"
+#include "util/crc32.hh"
 
 namespace dpu::board {
 
@@ -102,6 +103,136 @@ LoadTracker::totalLoad(unsigned partition) const
     sim_assert(partition < totals.size(),
                "load queried for unknown partition %u", partition);
     return totals[partition];
+}
+
+// ----------------------------------------------------------------
+// PartitionMap
+// ----------------------------------------------------------------
+
+unsigned
+hashHome(unsigned partition, unsigned n)
+{
+    return util::crc32Key(util::crc32Key(2166136261u ^ partition)) % n;
+}
+
+PartitionMap::PartitionMap(unsigned n_partitions, unsigned replication)
+    : nParts(n_partitions), repl(replication),
+      overrides(n_partitions, -1), replicaSets(n_partitions)
+{
+    sim_assert(n_partitions >= 1,
+               "partition map: needs at least one partition");
+    sim_assert(replication >= 1,
+               "partition map: replication must be >= 1");
+}
+
+unsigned
+PartitionMap::homeOf(unsigned partition, unsigned n) const
+{
+    sim_assert(partition < nParts,
+               "partition %u outside the map (%u partitions)",
+               partition, nParts);
+    const std::vector<unsigned> &rs = replicaSets[partition];
+    if (!rs.empty()) {
+        sim_assert(rs[0] < n,
+                   "partition %u replica set names node %u of %u",
+                   partition, rs[0], n);
+        return rs[0];
+    }
+    const std::int32_t o = overrides[partition];
+    if (o >= 0) {
+        sim_assert(unsigned(o) < n,
+                   "partition %u re-homed onto node %d of %u",
+                   partition, o, n);
+        return unsigned(o);
+    }
+    return hashHome(partition, n);
+}
+
+std::vector<unsigned>
+PartitionMap::homes(unsigned n) const
+{
+    std::vector<unsigned> out(nParts);
+    for (unsigned part = 0; part < nParts; ++part)
+        out[part] = homeOf(part, n);
+    return out;
+}
+
+std::vector<unsigned>
+PartitionMap::candidates(unsigned partition, unsigned n) const
+{
+    const unsigned primary = homeOf(partition, n);
+    const std::vector<unsigned> &rs = replicaSets[partition];
+    if (!rs.empty()) {
+        // Repair pinned this partition's failover order explicitly
+        // (dead boards evicted, re-replicated copies appended).
+        for (unsigned s : rs)
+            sim_assert(s < n,
+                       "partition %u replica set names node %u of %u",
+                       partition, s, n);
+        return rs;
+    }
+    // Failover falls back onto the hash group, so a re-homed
+    // partition keeps the same replica width: the new home plus
+    // the strongest prefix of its original group.
+    const unsigned g = hashHome(partition, n);
+    const unsigned r = repl < n ? repl : n;
+    std::vector<unsigned> out{primary};
+    for (unsigned i = 0; i < r && out.size() < r; ++i) {
+        const unsigned c = (g + i) % n;
+        if (c != primary)
+            out.push_back(c);
+    }
+    return out;
+}
+
+void
+PartitionMap::reassign(unsigned partition, unsigned node)
+{
+    sim_assert(partition < nParts,
+               "partition %u outside the map (%u partitions)",
+               partition, nParts);
+    overrides[partition] = std::int32_t(node);
+    std::vector<unsigned> &rs = replicaSets[partition];
+    if (!rs.empty()) {
+        rs.erase(std::remove(rs.begin(), rs.end(), node), rs.end());
+        rs.insert(rs.begin(), node);
+    }
+}
+
+bool
+PartitionMap::reassigned(unsigned partition) const
+{
+    sim_assert(partition < nParts,
+               "partition %u outside the map (%u partitions)",
+               partition, nParts);
+    return overrides[partition] >= 0;
+}
+
+unsigned
+PartitionMap::reassignedCount() const
+{
+    return unsigned(std::count_if(overrides.begin(), overrides.end(),
+                                  [](std::int32_t o) { return o >= 0; }));
+}
+
+void
+PartitionMap::setReplicas(unsigned partition,
+                          std::vector<unsigned> nodes)
+{
+    sim_assert(partition < nParts,
+               "partition %u outside the map (%u partitions)",
+               partition, nParts);
+    sim_assert(!nodes.empty(),
+               "partition %u: an explicit replica set needs at "
+               "least one node",
+               partition);
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        for (std::size_t j = i + 1; j < nodes.size(); ++j)
+            sim_assert(nodes[i] != nodes[j],
+                       "partition %u: node %u listed twice in its "
+                       "replica set",
+                       partition, nodes[i]);
+    replicaSets[partition] = std::move(nodes);
 }
 
 // ----------------------------------------------------------------
@@ -219,18 +350,14 @@ dstRole()
 
 } // namespace
 
-BoardBalancer::BoardBalancer(Board &brd_,
-                             std::vector<unsigned> initial_home,
+BoardBalancer::BoardBalancer(Board &brd_, PartitionMap &map_,
                              const BalanceParams &params)
-    : brd(brd_), p(params),
+    : brd(brd_), map(map_), p(params),
       handoffCore(engineCoreOn(brd_.dpu(0).nCores())),
-      track(unsigned(initial_home.size())),
-      home(std::move(initial_home)),
-      frozen(home.size(), false), inflight(home.size(), nullptr),
+      track(map_.nPartitions()), inflight(map_.nPartitions(), nullptr),
       stats("board.balance")
 {
     sim_assert(p.window > 0, "balancer built with window = 0");
-    sim_assert(!home.empty(), "balancer needs key partitions");
     const std::string err = checkBalance(p);
     sim_assert(err.empty(), "%s", err.c_str());
 
@@ -247,11 +374,8 @@ BoardBalancer::BoardBalancer(Board &brd_,
             dms, local, dmem, dstRole());
     }
 
-    for (unsigned part = 0; part < home.size(); ++part) {
-        sim_assert(home[part] < brd.nDpus(),
-                   "partition %u homed off the board", part);
-        seedState(part, home[part]);
-    }
+    for (unsigned part = 0; part < map.nPartitions(); ++part)
+        seedState(part, homeOf(part));
 
     stats.addFlushHook([this] { foldStats(); });
 }
@@ -273,8 +397,7 @@ BoardBalancer::stateAddr(unsigned part) const
 unsigned
 BoardBalancer::homeOf(unsigned part) const
 {
-    sim_assert(part < home.size(), "unknown partition %u", part);
-    return home[part];
+    return map.homeOf(part, brd.nDpus());
 }
 
 void
@@ -290,10 +413,9 @@ BoardBalancer::seedState(unsigned part, unsigned dpu)
 std::vector<std::uint8_t>
 BoardBalancer::stateImage(unsigned part) const
 {
-    sim_assert(part < home.size(), "unknown partition %u", part);
     std::vector<std::uint8_t> img(stateBytesPerPartition);
     const_cast<Board &>(brd)
-        .dpu(home[part])
+        .dpu(homeOf(part))
         .memory()
         .store()
         .read(stateAddr(part), img.data(), img.size());
@@ -307,16 +429,19 @@ BoardBalancer::srcPoisoned(unsigned dpu) const
 }
 
 bool
-BoardBalancer::dstPoisoned(unsigned dpu) const
+BoardBalancer::migrationsActive() const
 {
-    return engines[dpu].dstPoisoned;
+    for (const Migration *m : inflight)
+        if (m)
+            return true;
+    return false;
 }
 
 bool
-BoardBalancer::migrationsActive() const
+BoardBalancer::rolesBusy(unsigned from, unsigned to) const
 {
-    for (const auto &m : migrations)
-        if (m->state == MigState::Active)
+    for (const Migration *m : inflight)
+        if (m && (m->from == from || m->to == to))
             return true;
     return false;
 }
@@ -360,10 +485,7 @@ BoardBalancer::launch(const MigrationStep &step, sim::Tick boundary)
     m.chunks = unsigned(m.plan.chunks.size());
     m.gen = engines[m.to].lander->expect(m.chunks);
 
-    frozen[m.part] = true;
     inflight[m.part] = &m;
-    engines[m.from].srcBusy = true;
-    engines[m.to].dstBusy = true;
     ++rep.planned;
 
     // Execution starts inside the kernel, on the source partition.
@@ -453,27 +575,23 @@ BoardBalancer::harvest(sim::Tick boundary)
         stale += e.lander->staleDeliveries();
     rep.staleDeliveries = stale;
 
-    for (auto &owned : migrations) {
-        Migration &m = *owned;
-        if (m.state != MigState::Active)
+    // Partition order. Each settle touches only its own partition,
+    // its source's src role and its destination's dst role, and no
+    // two in-flight migrations share a role, so the order is free.
+    for (Migration *&slot : inflight) {
+        if (!slot)
             continue;
+        Migration &m = *slot;
         Engines &se = engines[m.from];
         Engines &de = engines[m.to];
         dms::HandoffLander &lander = *de.lander;
 
         if (!m.srcFailed && lander.landed() == m.chunks) {
             // Commit: every chunk landed in the destination DDR.
-            // Flip the single partition AFTER the hook (the router
-            // observes the old home while it runs, mirroring the
-            // PR-8 drain-then-switch order).
-            if (commitHook)
-                commitHook(m.part, m.from, m.to);
-            home[m.part] = m.to;
-            frozen[m.part] = false;
-            inflight[m.part] = nullptr;
-            se.srcBusy = false;
-            de.dstBusy = false;
-            m.state = MigState::Committed;
+            // Flip the single partition; offers forwarded from now
+            // on route to the new home.
+            map.reassign(m.part, m.to);
+            slot = nullptr;
             ++rep.committed;
             rep.chunkRetries += m.srcRetries;
             rep.stateBytes += m.plan.totalBytes();
@@ -488,9 +606,7 @@ BoardBalancer::harvest(sim::Tick boundary)
             lander.cancel();
             se.srcPoisoned = true;
             de.dstPoisoned = true;
-            frozen[m.part] = false;
-            inflight[m.part] = nullptr;
-            m.state = MigState::Aborted;
+            slot = nullptr;
             ++rep.aborted;
             ++rep.timeoutAborts;
             rep.chunkRetries += m.srcRetries;
@@ -503,14 +619,9 @@ BoardBalancer::harvest(sim::Tick boundary)
             // drained. The partition stays home; the planner may
             // retry it next window.
             lander.cancel();
-            frozen[m.part] = false;
-            inflight[m.part] = nullptr;
-            se.srcBusy = false;
-            de.dstBusy = false;
-            m.state = MigState::Aborted;
+            slot = nullptr;
             ++rep.aborted;
             rep.chunkRetries += m.srcRetries;
-            continue;
         }
     }
 }
@@ -523,15 +634,19 @@ BoardBalancer::onWindowBoundary(sim::Tick boundary)
     if (draining)
         return;
 
-    // Plan on a scratch copy: the live map only flips at commit.
-    std::vector<unsigned> scratch = home;
+    // Plan on a copy of the homes (the map only flips at commit);
+    // a partition in flight may not move again.
+    std::vector<unsigned> homes = map.homes(brd.nDpus());
+    std::vector<bool> frozen(inflight.size());
+    for (unsigned part = 0; part < inflight.size(); ++part)
+        frozen[part] = inflight[part] != nullptr;
     const std::vector<MigrationStep> steps = planMigrations(
-        track.loads(), scratch, brd.nDpus(), p, frozen);
+        track.loads(), homes, brd.nDpus(), p, frozen);
     for (const MigrationStep &s : steps) {
-        Engines &se = engines[s.from];
-        Engines &de = engines[s.to];
-        if (se.srcBusy || se.srcPoisoned || de.dstBusy ||
-            de.dstPoisoned)
+        // One hand-off per engine role: a launch earlier in this
+        // loop holds its roles too.
+        if (rolesBusy(s.from, s.to) || engines[s.from].srcPoisoned ||
+            engines[s.to].dstPoisoned)
             continue; // engine role occupied; retry next window
         if (brd.dpu(s.from).dmsFor(handoffCore).dmac().hung() ||
             brd.dpu(s.to).dmsFor(handoffCore).dmac().hung())

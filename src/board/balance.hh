@@ -46,7 +46,6 @@
 #define DPU_BOARD_BALANCE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -127,6 +126,76 @@ class LoadTracker
     unsigned rolls = 0;
 };
 
+/**
+ * @p partition's hash home on a tier of @p n nodes: where a map with
+ * no reassignments places it. FNV's offset basis CRC-folded with the
+ * partition index, bit-identical to host::routeHash with an empty
+ * app name and the partition as its seed. Pure function; lets
+ * workload generators find partitions that collide on one node.
+ */
+unsigned hashHome(unsigned partition, unsigned n);
+
+/**
+ * The partition -> node map of one tier (DPUs on a board, boards in
+ * a rack), and the only record of where each partition lives: every
+ * partition starts at its hashHome(), the balancer re-homes one
+ * partition per commit (reassign()), and the rack's repair pins a
+ * partition's full failover order (setReplicas()). Updated only in
+ * the host phase, in trace order, so every lookup is a pure function
+ * of the trace prefix whatever the thread count.
+ */
+class PartitionMap
+{
+  public:
+    PartitionMap(unsigned n_partitions, unsigned replication);
+
+    unsigned nPartitions() const { return nParts; }
+    unsigned replicationWidth() const { return repl; }
+
+    /** @p partition's current home on a tier of @p n nodes. */
+    unsigned homeOf(unsigned partition, unsigned n) const;
+
+    /** Every partition's current home, indexed by partition. */
+    std::vector<unsigned> homes(unsigned n) const;
+
+    /**
+     * @p partition's failover order, home first. A pinned replica
+     * set is returned as is; otherwise the home followed by the
+     * partition's hash group {g, g+1, ... mod n} minus the home,
+     * clamped to the replication width.
+     */
+    std::vector<unsigned> candidates(unsigned partition,
+                                     unsigned n) const;
+
+    /** Re-home @p partition onto @p node. A pinned replica set
+     *  gets @p node moved to its front, so routing and failover
+     *  order agree. */
+    void reassign(unsigned partition, unsigned node);
+
+    /** True when @p partition has been moved off its hash home. */
+    bool reassigned(unsigned partition) const;
+
+    /** Partitions currently living away from their hash home. */
+    unsigned reassignedCount() const;
+
+    /**
+     * Pin @p partition's full failover order to @p nodes (home
+     * first; non-empty, no duplicates). Overrides the hash group
+     * from then on; homeOf() reports nodes[0]. The rack's repair
+     * uses this to evict a dead board from a partition's replica
+     * set and to record a re-replicated copy's new location.
+     */
+    void setReplicas(unsigned partition, std::vector<unsigned> nodes);
+
+  private:
+    unsigned nParts;
+    unsigned repl;
+    /** Per-partition home override; -1 = the hash home. */
+    std::vector<std::int32_t> overrides;
+    /** Per-partition pinned failover order; empty = hash group. */
+    std::vector<std::vector<unsigned>> replicaSets;
+};
+
 /** One planned partition move. */
 struct MigrationStep
 {
@@ -141,9 +210,9 @@ struct MigrationStep
  * Plan up to maxMigrationsPerWindow moves off hot nodes.
  *
  * @p loads   per-partition EWMA loads (LoadTracker::loads()).
- * @p home    partition -> owning node, updated in place as steps
- *            are planned (so one call never plans two moves of the
- *            same partition).
+ * @p home    partition -> owning node (PartitionMap::homes()),
+ *            updated in place as steps are planned (so one call
+ *            never plans two moves of the same partition).
  * @p n_nodes node (DPU or board) count.
  * @p frozen  partitions that may not move (in-flight migrations);
  *            indexed by partition, may be empty.
@@ -192,19 +261,15 @@ struct BalanceParams : BalancePolicy
 std::string checkBalance(const BalanceParams &p);
 
 /**
- * The board-tier balancer: owns the tracker, the partition->DPU home
- * map, the per-DPU hand-off engines, and every in-flight migration.
- * Driven by host::BoardScheduler, which calls record() per routed
+ * The board-tier balancer: owns the tracker, the per-DPU hand-off
+ * engines, and every migration; re-homes partitions in the board's
+ * PartitionMap (owned by host::BoardScheduler) as they commit.
+ * Driven by the BoardScheduler, which calls record() per routed
  * request and onWindowBoundary() between runFor() segments.
  */
 class BoardBalancer
 {
   public:
-    /** Fired (host phase) when a migration commits, BEFORE the
-     *  partition's home map entry flips: (partition, from, to). */
-    using CommitHook =
-        std::function<void(unsigned part, unsigned from, unsigned to)>;
-
     /** Migration accounting (host-phase written). */
     struct Report
     {
@@ -220,10 +285,11 @@ class BoardBalancer
         std::uint64_t staleDeliveries = 0;
     };
 
-    /** Seeds each partition's state pattern into its initial home's
-     *  DDR and builds the per-DPU engine roles (host phase, before
-     *  the board runs). @p initial_home maps partition -> DPU. */
-    BoardBalancer(Board &brd, std::vector<unsigned> initial_home,
+    /** Seeds each partition's state pattern into the DDR of its
+     *  home in @p map and builds the per-DPU engine roles (host
+     *  phase, before the board runs). @p map outlives the
+     *  balancer. */
+    BoardBalancer(Board &brd, PartitionMap &map,
                   const BalanceParams &params);
     ~BoardBalancer();
 
@@ -246,13 +312,10 @@ class BoardBalancer
     /** True while any migration is staging/shipping/landing. */
     bool migrationsActive() const;
 
-    void onCommit(CommitHook hook) { commitHook = std::move(hook); }
-
     // ------------------------------------------------------------
     // Introspection
     // ------------------------------------------------------------
 
-    unsigned nPartitions() const { return unsigned(home.size()); }
     unsigned homeOf(unsigned part) const;
     mem::Addr stateAddr(unsigned part) const;
     /** The partition's state range, read from its CURRENT home. */
@@ -260,25 +323,16 @@ class BoardBalancer
     /** Expected byte @p i of partition @p part's state pattern. */
     static std::uint8_t statePattern(unsigned part, std::uint64_t i);
 
-    LoadTracker &tracker() { return track; }
     const Report &report() const { return rep; }
-    const BalanceParams &params() const { return p; }
-    /** Engine roles poisoned by timed-out migrations (diagnostics). */
+    /** Source roles poisoned by timed-out migrations
+     *  (diagnostics). */
     bool srcPoisoned(unsigned dpu) const;
-    bool dstPoisoned(unsigned dpu) const;
 
   private:
-    enum class MigState : std::uint8_t
-    {
-        Active,
-        Committed,
-        Aborted,
-    };
-
-    /** One live or finished migration. Host-phase fields are only
-     *  touched at window boundaries; srcFailed / srcRetries are
-     *  written by the source partition's thread and read host-phase
-     *  (the boundary's barrier orders the two). */
+    /** One migration. Host-phase fields are only touched at window
+     *  boundaries; srcFailed / srcRetries are written by the source
+     *  partition's thread and read host-phase (the boundary's
+     *  barrier orders the two). */
     struct Migration
     {
         unsigned part = 0;
@@ -288,24 +342,25 @@ class BoardBalancer
         unsigned gen = 0; ///< lander generation token
         dms::HandoffPlan plan;
         unsigned chunks = 0;
-        MigState state = MigState::Active;
         // --- source-thread written ---
         bool srcFailed = false;
         unsigned srcRetries = 0;
     };
 
-    /** Per-DPU hand-off engine roles on the engine core. */
+    /** Per-DPU hand-off engine roles on the engine core. A role is
+     *  busy while an in-flight migration holds it. */
     struct Engines
     {
         std::unique_ptr<dms::HandoffExec> exec;     ///< source role
         std::unique_ptr<dms::HandoffLander> lander; ///< dest role
-        bool srcBusy = false;
-        bool dstBusy = false;
         bool srcPoisoned = false;
         bool dstPoisoned = false;
     };
 
     void seedState(unsigned part, unsigned dpu);
+    /** True when an in-flight migration holds @p from's source role
+     *  or @p to's destination role. */
+    bool rolesBusy(unsigned from, unsigned to) const;
     void launch(const MigrationStep &step, sim::Tick boundary);
     void srcStart(Migration &m);
     void onChunkStaged(Migration &m, unsigned chunk, bool error);
@@ -316,18 +371,17 @@ class BoardBalancer
     void foldStats();
 
     Board &brd;
+    PartitionMap &map;
     BalanceParams p;
     /** engineCoreOn() of this board's chips. */
     unsigned handoffCore;
     LoadTracker track;
-    std::vector<unsigned> home; ///< partition -> DPU (routing truth)
-    std::vector<bool> frozen;   ///< partition in flight
     std::vector<Engines> engines;
     /** Owning store; stable addresses (events capture Migration&). */
     std::vector<std::unique_ptr<Migration>> migrations;
-    /** Active migration per partition, else nullptr. */
+    /** Active migration per partition, else nullptr: the only
+     *  record of what is moving. */
     std::vector<Migration *> inflight;
-    CommitHook commitHook;
     Report rep;
     bool draining = false;
     sim::StatGroup stats;

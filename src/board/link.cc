@@ -127,15 +127,6 @@ LinkFabric::drainInbound(unsigned dst)
     }
 }
 
-std::size_t
-LinkFabric::inboundPending() const
-{
-    std::size_t total = 0;
-    for (const auto &mb : inbox)
-        total += mb.size();
-    return total;
-}
-
 double
 LinkFabric::utilization(unsigned src, unsigned dst) const
 {

@@ -129,9 +129,6 @@ class LinkFabric : public sim::ChannelSet
      */
     void drainInbound(unsigned dst);
 
-    /** Parked deliveries across all mailboxes (diagnostics). */
-    std::size_t inboundPending() const;
-
     /** Fraction of simulated time the (src, dst) channel spent
      *  serializing (0 when the clock has not advanced). */
     double utilization(unsigned src, unsigned dst) const;

@@ -10,7 +10,8 @@ namespace dpu::host {
 BoardScheduler::BoardScheduler(board::Board &b,
                                OffloadParams per_dpu,
                                std::unique_ptr<Router> router_)
-    : brd(b), policy(std::move(router_))
+    : brd(b), policy(std::move(router_)),
+      parts(b.params().balance.keyPartitions, 1)
 {
     sim_assert(policy, "BoardScheduler needs a routing policy");
     const std::string prefix = per_dpu.statName;
@@ -22,29 +23,18 @@ BoardScheduler::BoardScheduler(board::Board &b,
             b.dpu(d), b.host(d), std::move(p)));
     }
 
-    // The key-partition table exists for every board (so the static
+    // The key-partition map exists for every board (so the static
     // and balanced paths route offers identically); the balancer
     // only when the topology turned it on.
     const board::BalanceParams &bal = b.params().balance;
-    parts = std::make_unique<PartitionRouter>(bal.keyPartitions, 1);
     if (bal.window > 0) {
         const unsigned engine = board::engineCoreOn(b.dpu(0).nCores());
         sim_assert(per_dpu.nCores <= engine,
                    "the balancer's engine core %u must not be "
                    "managed by the offload scheduler (nCores %u)",
                    engine, per_dpu.nCores);
-        std::vector<unsigned> home(bal.keyPartitions);
-        for (unsigned part = 0; part < bal.keyPartitions; ++part)
-            home[part] = parts->homeOf(part, nShards());
-        balancer_ = std::make_unique<board::BoardBalancer>(
-            b, std::move(home), bal);
-        // Drain-then-switch: the commit hook flips exactly one
-        // partition; every offer forwarded afterwards routes to
-        // the new home.
-        balancer_->onCommit(
-            [this](unsigned part, unsigned /*from*/, unsigned to) {
-                parts->reassign(part, to);
-            });
+        balancer_ =
+            std::make_unique<board::BoardBalancer>(b, parts, bal);
     }
 }
 
@@ -80,7 +70,7 @@ BoardScheduler::start()
 unsigned
 BoardScheduler::partitionOf(std::uint64_t key) const
 {
-    return unsigned(key % parts->nPartitions());
+    return unsigned(key % parts.nPartitions());
 }
 
 void
@@ -105,7 +95,7 @@ BoardScheduler::run()
         // Static placement: forward everything up front and run the
         // board to completion — the PR-5 path, byte for byte.
         for (Offer &o : offers)
-            shards[parts->homeOf(partitionOf(o.key), nShards())]
+            shards[parts.homeOf(partitionOf(o.key), nShards())]
                 ->enqueueAt(o.when, std::move(o.req));
         offers.clear();
         start();
@@ -116,10 +106,10 @@ BoardScheduler::run()
     // window's offers to their partitions' CURRENT homes (host
     // phase, clocks parked), runs the kernel to the boundary, then
     // lets the balancer harvest/plan/launch. Migrations execute
-    // inside subsequent segments; commits flip the router between
-    // them. Termination: once offers are exhausted the balancer is
-    // draining (no new plans) and every in-flight migration either
-    // commits, aborts, or hits its timeout bound.
+    // inside subsequent segments; commits flip the partition map
+    // between them. Termination: once offers are exhausted the
+    // balancer is draining (no new plans) and every in-flight
+    // migration either commits, aborts, or hits its timeout bound.
     const sim::Tick window = brd.params().balance.window;
     for (auto &s : shards)
         s->holdOpen();
@@ -133,7 +123,7 @@ BoardScheduler::run()
             Offer &o = offers[next++];
             const unsigned part = partitionOf(o.key);
             balancer_->record(part);
-            shards[parts->homeOf(part, nShards())]->enqueueAt(
+            shards[parts.homeOf(part, nShards())]->enqueueAt(
                 o.when, std::move(o.req));
         }
         for (auto &s : shards)

@@ -28,9 +28,9 @@
  * between segments), and calling the balancer at every boundary so
  * it can harvest, plan and launch migrations executed inside the
  * next segments. A commit flips exactly one partition in the
- * PartitionRouter — requests offered before the flip drain at the
- * old home (the forwarding epoch), requests after it route to the
- * new one. All host-phase, so any --threads count produces the
+ * board's PartitionMap — requests offered before the flip drain at
+ * the old home (the forwarding epoch), requests after it route to
+ * the new one. All host-phase, so any --threads count produces the
  * same board, bit for bit.
  */
 
@@ -40,6 +40,7 @@
 #include <memory>
 #include <vector>
 
+#include "board/balance.hh"
 #include "board/board.hh"
 #include "host/offload.hh"
 #include "host/router.hh"
@@ -57,6 +58,10 @@ class BoardScheduler
      */
     BoardScheduler(board::Board &b, OffloadParams per_dpu,
                    std::unique_ptr<Router> router);
+    /** The balancer holds a reference to the partition map, so a
+     *  scheduler stays where it was built. */
+    BoardScheduler(const BoardScheduler &) = delete;
+    BoardScheduler &operator=(const BoardScheduler &) = delete;
 
     unsigned nShards() const { return unsigned(shards.size()); }
     OffloadScheduler &shard(unsigned d) { return *shards[d]; }
@@ -64,9 +69,6 @@ class BoardScheduler
     {
         return *shards[d];
     }
-
-    /** The active routing policy. */
-    Router &router() { return *policy; }
 
     /** The shard @p req routes to (advances stateful policies such
      *  as round-robin). */
@@ -114,8 +116,9 @@ class BoardScheduler
     /** The balancer (null unless balanced()). */
     board::BoardBalancer *balancer() { return balancer_.get(); }
 
-    /** Key-partition routing table used by offer(). */
-    PartitionRouter &partitions() { return *parts; }
+    /** Key-partition -> DPU map used by offer(); the balancer
+     *  re-homes partitions in it as migrations commit. */
+    const board::PartitionMap &partitions() const { return parts; }
 
     /**
      * Board-wide aggregate (valid after the board has run):
@@ -138,7 +141,7 @@ class BoardScheduler
     std::vector<std::unique_ptr<OffloadScheduler>> shards;
     /** Key-partition homes; built for every board so the static
      *  and balanced paths route identically. */
-    std::unique_ptr<PartitionRouter> parts;
+    board::PartitionMap parts;
     /** Live only when the board's balance.window > 0. */
     std::unique_ptr<board::BoardBalancer> balancer_;
     std::vector<Offer> offers;

@@ -151,9 +151,6 @@ class HealthMonitor
      */
     bool aliveAt(unsigned b, sim::Tick t);
 
-    /** True while @p b's crash latch is set (state lost). */
-    bool crashed(unsigned b) const { return boards[b].crashedLatch; }
-
     /** Repair finished re-provisioning @p b: clear the crash
      *  latch so probes can bring it back through Probation. */
     void markRepaired(unsigned b);
@@ -202,11 +199,7 @@ class HealthMonitor
     }
 
     std::uint64_t probesSent() const { return probeCnt; }
-    std::uint64_t acksSeen() const { return ackCnt; }
     std::uint64_t missesSeen() const { return missCnt; }
-
-    /** The "health" stat group; nullptr while monitoring is off. */
-    sim::StatGroup *statGroup() { return stats.get(); }
 
   private:
     /** One pending ack/miss, resolved at its observation tick. */

@@ -94,8 +94,6 @@ class RackNet : public sim::ChannelSet
         return chans[0].serTicks(bytes);
     }
 
-    sim::StatGroup &statGroup() { return stats; }
-
   private:
     sim::StatGroup stats;
 };

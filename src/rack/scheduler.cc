@@ -1,5 +1,8 @@
 #include "rack/scheduler.hh"
 
+#include <algorithm>
+
+#include "host/router.hh"
 #include "host/summary.hh"
 #include "sim/logging.hh"
 #include "util/crc32.hh"
@@ -16,15 +19,6 @@ keyPartition(std::uint64_t key, unsigned key_partitions)
     std::uint32_t h = util::crc32Key(std::uint32_t(key));
     h = util::crc32Key(h ^ std::uint32_t(key >> 32));
     return h % key_partitions;
-}
-
-unsigned
-partitionHome(unsigned partition, unsigned n_boards)
-{
-    host::RouteInfo info;
-    info.key = partition;
-    info.hasKey = true;
-    return host::routeHash(info) % n_boards;
 }
 
 std::string
@@ -61,13 +55,10 @@ checked(const PlacementParams &p, unsigned n_boards)
 RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
                              PlacementParams place_)
     : rack(r), place(checked(place_, r.nBoards())),
-      partMap(host::makePartitionRouter(keyPartitions,
-                                        place.replication)),
+      partMap(keyPartitions, place.replication),
       mon(std::make_unique<HealthMonitor>(r.net(), r.nBoards(),
                                           place.health)),
       windows(r.nBoards()), tracker(keyPartitions),
-      frozen(keyPartitions, false),
-      outstandingRepairs(r.nBoards(), 0),
       boardAdmitted(r.nBoards(), 0), stats("rack")
 {
     nextRollAt = place.balance.window;
@@ -131,33 +122,19 @@ RackScheduler::partitionOf(std::uint64_t key) const
 unsigned
 RackScheduler::homeOf(unsigned partition) const
 {
-    return partMap->homeOf(partition, rack.nBoards());
+    return partMap.homeOf(partition, rack.nBoards());
 }
 
 unsigned
 RackScheduler::primaryOf(std::uint64_t key) const
 {
-    host::RouteInfo info;
-    info.key = partitionOf(key);
-    info.hasKey = true;
-    return partMap->route(info, rack.nBoards());
+    return homeOf(partitionOf(key));
 }
 
 std::vector<unsigned>
 RackScheduler::replicasOf(std::uint64_t key) const
 {
-    host::RouteInfo info;
-    info.key = partitionOf(key);
-    info.hasKey = true;
-    std::vector<unsigned> out;
-    partMap->candidates(info, rack.nBoards(), out);
-    return out;
-}
-
-double
-RackScheduler::partitionLoad(unsigned partition) const
-{
-    return tracker.load(partition);
+    return partMap.candidates(partitionOf(key), rack.nBoards());
 }
 
 bool
@@ -190,82 +167,64 @@ void
 RackScheduler::commitReady(sim::Tick when)
 {
     for (std::size_t i = 0; i < inflight.size();) {
-        InFlight &m = inflight[i];
-        if (m.readyAt > when) {
+        if (inflight[i].readyAt > when) {
             ++i;
             continue;
         }
+        const InFlight m = inflight[i];
+        inflight.erase(inflight.begin() +
+                       std::vector<InFlight>::difference_type(i));
         if (m.isRepair) {
             // The fresh copy is whole: append its board to the
             // partition's replica set (the primary is untouched —
             // this restores width, it does not re-home).
             std::vector<unsigned> set =
-                currentReplicas(m.step.partition);
-            bool already = false;
-            for (unsigned s : set)
-                already |= s == m.step.to;
-            if (!already) {
+                partMap.candidates(m.step.partition, rack.nBoards());
+            if (std::find(set.begin(), set.end(), m.step.to) ==
+                set.end()) {
                 set.push_back(m.step.to);
-                partMap->setReplicas(m.step.partition, set);
+                partMap.setReplicas(m.step.partition, std::move(set));
             }
-            frozen[m.step.partition] = false;
             ++repairCommitted;
-            sim_assert(outstandingRepairs[m.attributed] > 0,
-                       "repair committed for board %u with none "
-                       "outstanding",
-                       m.attributed);
-            if (--outstandingRepairs[m.attributed] == 0)
+            if (repairsOwed(m.attributed) == 0)
                 mon->markRepaired(m.attributed);
         } else {
             // Drain-then-switch: everything enqueued before this
             // tick went to (and will finish at) the old home;
             // everything after routes to the new one. No job is in
             // limbo.
-            partMap->reassign(m.step.partition, m.step.to);
-            frozen[m.step.partition] = false;
+            partMap.reassign(m.step.partition, m.step.to);
             ++migCommitted;
         }
-        inflight.erase(inflight.begin() +
-                       std::vector<InFlight>::difference_type(i));
     }
 }
 
-void
-RackScheduler::startMigration(const board::MigrationStep &step,
-                              sim::Tick when)
+bool
+RackScheduler::ship(InFlight m, sim::Tick when)
 {
     // State volume scales with the traffic the partition absorbed:
     // a fixed snapshot base plus per-request working set.
     const std::uint64_t bytes =
         board::stateBytesPerPartition +
-        board::deltaBytesPerRequest * tracker.totalLoad(step.partition);
+        board::deltaBytesPerRequest *
+            tracker.totalLoad(m.step.partition);
     bool dropped = false;
-    const sim::Tick ready = rack.net().deliver(
-        step.to, bytes, when, dropped, sim::Traffic::Migration);
-    ++migStarted;
-    if (dropped) {
-        // The transfer died on the wire: abort, leave the partition
-        // at its source. A later window may retry.
-        ++migAborted;
-        return;
-    }
-    InFlight m;
-    m.step = step;
-    m.startedAt = when;
-    m.readyAt = ready;
-    frozen[step.partition] = true;
-    inflight.push_back(m);
+    m.readyAt = rack.net().deliver(m.step.to, bytes, when, dropped,
+                                   sim::Traffic::Migration);
+    if (!dropped)
+        inflight.push_back(m);
+    return !dropped;
 }
 
-std::vector<unsigned>
-RackScheduler::currentReplicas(unsigned partition) const
+unsigned
+RackScheduler::repairsOwed(unsigned b) const
 {
-    host::RouteInfo info;
-    info.key = partition;
-    info.hasKey = true;
-    std::vector<unsigned> out;
-    partMap->candidates(info, rack.nBoards(), out);
-    return out;
+    unsigned n = 0;
+    for (const RepairJob &j : owedRepairs)
+        n += j.attributed == b;
+    for (const InFlight &m : inflight)
+        n += m.isRepair && m.attributed == b;
+    return n;
 }
 
 int
@@ -305,7 +264,6 @@ RackScheduler::repairBoard(unsigned b)
             ++i;
             continue;
         }
-        frozen[m.step.partition] = false;
         if (m.isRepair)
             owedRepairs.push_back(
                 {m.step.partition, m.attributed});
@@ -319,11 +277,9 @@ RackScheduler::repairBoard(unsigned b)
     // survivor is promoted to primary; the lost width is owed as a
     // re-replication shipped by pumpRepairs().
     for (unsigned p2 = 0; p2 < keyPartitions; ++p2) {
-        std::vector<unsigned> set = currentReplicas(p2);
-        bool member = false;
-        for (unsigned s : set)
-            member |= s == b;
-        if (!member)
+        const std::vector<unsigned> set =
+            partMap.candidates(p2, rack.nBoards());
+        if (std::find(set.begin(), set.end(), b) == set.end())
             continue;
         std::vector<unsigned> survivors;
         for (unsigned s : set)
@@ -338,18 +294,17 @@ RackScheduler::repairBoard(unsigned b)
                 continue; // whole rack dark; leave it routed at b
             survivors.push_back(unsigned(r));
         }
-        partMap->setReplicas(p2, survivors);
-        if (survivors.size() < partMap->replicationWidth()) {
-            bool owed = frozen[p2];
+        const bool narrowed = survivors.size() < partMap.replicationWidth();
+        partMap.setReplicas(p2, std::move(survivors));
+        if (narrowed) {
+            bool owed = inflightOf(p2) != nullptr;
             for (const RepairJob &j : owedRepairs)
                 owed |= j.partition == p2;
-            if (!owed) {
+            if (!owed)
                 owedRepairs.push_back({p2, b});
-                ++outstandingRepairs[b];
-            }
         }
     }
-    if (outstandingRepairs[b] == 0)
+    if (repairsOwed(b) == 0)
         mon->markRepaired(b);
 }
 
@@ -360,37 +315,25 @@ RackScheduler::pumpRepairs(sim::Tick when)
         return;
     std::vector<RepairJob> still;
     for (const RepairJob &j : owedRepairs) {
-        std::vector<unsigned> set = currentReplicas(j.partition);
+        const std::vector<unsigned> set =
+            partMap.candidates(j.partition, rack.nBoards());
         const int target = pickReplacement(set);
         if (target < 0) {
             // No healthy board free to hold the copy; keep owing.
             still.push_back(j);
             continue;
         }
-        const std::uint64_t bytes =
-            board::stateBytesPerPartition +
-            board::deltaBytesPerRequest * tracker.totalLoad(j.partition);
-        bool dropped = false;
-        const sim::Tick ready =
-            rack.net().deliver(unsigned(target), bytes, when,
-                               dropped, sim::Traffic::Migration);
-        ++repairStarted;
-        if (dropped) {
-            // Wire time burned, copy lost: retried at the next
-            // arrival (the obligation survives).
-            still.push_back(j);
-            continue;
-        }
         InFlight m;
         m.step.partition = j.partition;
-        m.step.from = set.empty() ? unsigned(target) : set[0];
+        m.step.from = set.front();
         m.step.to = unsigned(target);
-        m.startedAt = when;
-        m.readyAt = ready;
         m.isRepair = true;
         m.attributed = j.attributed;
-        frozen[j.partition] = true;
-        inflight.push_back(m);
+        ++repairStarted;
+        // A dropped copy burned its wire time: retried at the next
+        // arrival (the obligation survives).
+        if (!ship(m, when))
+            still.push_back(j);
     }
     owedRepairs = std::move(still);
 }
@@ -414,10 +357,6 @@ RackScheduler::advanceHealth(sim::Tick when)
     mon->advanceTo(when);
     processTransitions();
     pumpRepairs(when);
-    // With the balancer off nothing else drives commitReady, and
-    // repair transfers still need their drain-then-switch commit.
-    if (!place.balance.window)
-        commitReady(when);
 }
 
 bool
@@ -455,9 +394,10 @@ RackScheduler::advanceBalancer(sim::Tick when)
         // planning, so the plan sees the freshest committed map.
         commitReady(boundary);
         tracker.roll(place.balance.ewmaAlpha);
-        std::vector<unsigned> home(keyPartitions);
-        for (unsigned p2 = 0; p2 < keyPartitions; ++p2)
-            home[p2] = partMap->homeOf(p2, rack.nBoards());
+        std::vector<unsigned> home = partMap.homes(rack.nBoards());
+        std::vector<bool> frozen(keyPartitions, false);
+        for (const InFlight &m : inflight)
+            frozen[m.step.partition] = true;
         const std::vector<board::MigrationStep> plan =
             board::planMigrations(tracker.loads(), home,
                                   rack.nBoards(), place.balance,
@@ -471,10 +411,14 @@ RackScheduler::advanceBalancer(sim::Tick when)
             if (mon->monitoring() &&
                 mon->state(s.to) != BoardHealth::Healthy)
                 continue;
-            startMigration(s, boundary);
+            ++migStarted;
+            // A transfer that dies on the wire aborts: the
+            // partition stays at its source, and a later window may
+            // retry.
+            if (!ship({s}, boundary))
+                ++migAborted;
         }
     }
-    commitReady(when);
 }
 
 AdmitResult
@@ -494,12 +438,12 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
         // Offered demand, not admitted: rejects are load too.
         tracker.record(part);
     }
+    // Flip the map for every transfer (move or repair) delivered by
+    // now, so this request routes on the freshest committed map.
+    commitReady(when);
 
-    host::RouteInfo info;
-    info.key = part;
-    info.hasKey = true;
-    std::vector<unsigned> group;
-    partMap->candidates(info, rack.nBoards(), group);
+    const std::vector<unsigned> group =
+        partMap.candidates(part, rack.nBoards());
     bool sawFull = false, sawDrop = false, sawShed = false;
     // Why the previous candidates were skipped decides whether a
     // non-primary delivery counts as a failover (outage signals)
@@ -549,8 +493,14 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
             continue;
         }
         mon->observeAck(b, delivered + netHopLatency);
-        if (place.admitWindow)
-            windows[b].push_back(sendAt);
+        if (place.admitWindow) {
+            // A failover attempt enters at when + its ack-timeout
+            // penalty, so a later direct arrival may enter earlier:
+            // keep the window sorted so it ages out from the front.
+            std::deque<sim::Tick> &w = windows[b];
+            w.insert(std::upper_bound(w.begin(), w.end(), sendAt),
+                     sendAt);
+        }
         ++admitted;
         ++boardAdmitted[b];
         if (i > 0) {
@@ -569,7 +519,6 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
             // accounting (the commit re-sends nothing — state is
             // modeled, not materialized).
             ++forwardedCnt;
-            ++m->forwardedReqs;
             bool deltaDropped = false;
             rack.net().deliver(m->step.to,
                                board::deltaBytesPerRequest, sendAt,

@@ -9,8 +9,8 @@
  *
  *  1. Placement — the request's key hashes onto one of
  *     keyPartitions key-range partitions; the partition selects a
- *     board through a mutable host::PartitionRouter map whose
- *     default is bit-identical to the replica-group hash policy
+ *     board through a mutable board::PartitionMap whose default is
+ *     bit-identical to the replica-group hash policy
  *     (host/router.hh), so a rack that never rebalances routes
  *     exactly as before. The replication factor only widens the
  *     failover list.
@@ -62,7 +62,7 @@
  *     over: in-flight migrations touching the board abort, the
  *     board is evicted from every partition's replica set (the
  *     surviving replica is promoted to primary via an explicit
- *     PartitionRouter replica-set override), and the replication
+ *     PartitionMap replica-set override), and the replication
  *     factor is restored by shipping partition state to a fresh
  *     board as a Migration transfer under the same
  *     drain-then-switch rules — the partition is frozen against
@@ -99,7 +99,6 @@
 
 #include "board/balance.hh"
 #include "host/board_offload.hh"
-#include "host/router.hh"
 #include "rack/health.hh"
 #include "rack/rack.hh"
 
@@ -191,13 +190,9 @@ struct RackSummary
     double netPeakUtilization = 0;
 };
 
-/** The key-range partition @p key hashes onto (pure function). */
+/** The key-range partition @p key hashes onto (pure function). An
+ *  un-rebalanced rack homes it on board::hashHome(). */
 unsigned keyPartition(std::uint64_t key, unsigned key_partitions);
-
-/** Default (hash) home board of @p partition — where an
- *  un-rebalanced rack places it. Pure function; lets workload
- *  generators find partitions that collide on one board. */
-unsigned partitionHome(unsigned partition, unsigned n_boards);
 
 /** The rack front-end: placement, failover, admission, balance. */
 class RackScheduler
@@ -251,8 +246,6 @@ class RackScheduler
     RackSummary summary() const;
 
     // --- balancer observability (tests / benches) ---------------
-    /** Smoothed load of @p partition (EWMA over windows). */
-    double partitionLoad(unsigned partition) const;
     unsigned migrationsInFlight() const
     {
         return unsigned(inflight.size());
@@ -289,9 +282,7 @@ class RackScheduler
     struct InFlight
     {
         board::MigrationStep step;
-        sim::Tick startedAt = 0;
         sim::Tick readyAt = 0; ///< transfer delivery tick
-        std::uint64_t forwardedReqs = 0;
         /** Repair re-replication (append a replica on commit)
          *  rather than a balancer move (re-home on commit). */
         bool isRepair = false;
@@ -323,25 +314,29 @@ class RackScheduler
     void repairBoard(unsigned b);
     /** Try to ship every owed re-replication at @p when. */
     void pumpRepairs(sim::Tick when);
-    /** @p partition's live candidate list (detector-agnostic). */
-    std::vector<unsigned> currentReplicas(unsigned partition) const;
+    /** Re-replications still owed for Down board @p b: queued plus
+     *  shipping. */
+    unsigned repairsOwed(unsigned b) const;
     /** Least-loaded routable board outside @p exclude, or -1. */
     int pickReplacement(const std::vector<unsigned> &exclude) const;
 
-    /** Roll windows / plan / commit everything due by @p when. */
+    /** Roll windows, plan and ship moves at each boundary due by
+     *  @p when. */
     void advanceBalancer(sim::Tick when);
     /** Flip the map for transfers delivered by @p when. */
     void commitReady(sim::Tick when);
-    /** Ship state for @p step at @p when; open an epoch. */
-    void startMigration(const board::MigrationStep &step,
-                        sim::Tick when);
+    /** Ship @p m's partition state to m.step.to over the RackNet at
+     *  @p when and open its forwarding epoch. @return false when
+     *  the transfer dropped (nothing opens). */
+    bool ship(InFlight m, sim::Tick when);
     /** The in-flight record for @p partition, or nullptr. */
     InFlight *inflightOf(unsigned partition);
 
     Rack &rack;
     PlacementParams place;
-    /** Mutable partition -> board map (also the replica policy). */
-    std::unique_ptr<host::PartitionRouter> partMap;
+    /** Partition -> board map with its replica sets: the only
+     *  record of where each partition lives. */
+    board::PartitionMap partMap;
     std::vector<std::unique_ptr<host::BoardScheduler>> boardScheds;
     /** Failure detector + board fault model (host phase only). */
     std::unique_ptr<HealthMonitor> mon;
@@ -351,15 +346,13 @@ class RackScheduler
 
     // Balancer state (host phase only).
     board::LoadTracker tracker;
-    std::vector<bool> frozen;      ///< partitions mid-migration
+    /** Moves and repairs in their forwarding epoch, in start order:
+     *  the only record of what is moving. */
     std::vector<InFlight> inflight;
     sim::Tick nextRollAt = 0;      ///< next window boundary; 0 = off
 
     // Repair state (host phase only).
     std::vector<RepairJob> owedRepairs; ///< queued / retrying
-    /** Repairs still owed per Down board; the crash latch clears
-     *  when a board's count returns to zero. */
-    std::vector<unsigned> outstandingRepairs;
     std::size_t seenTransitions = 0; ///< detector log cursor
 
     // Front-end tallies (host phase only), folded into the "rack"

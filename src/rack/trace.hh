@@ -68,7 +68,7 @@ struct TraceConfig
     double hotStepFraction = 0;
     /** The keys post-step traffic concentrates on — typically
      *  chosen so their partitions collide on one board (see
-     *  rack::partitionHome). Empty disables the step. */
+     *  board::hashHome). Empty disables the step. */
     std::vector<std::uint64_t> hotStepKeys;
 };
 

@@ -1,10 +1,12 @@
 /**
  * @file
  * Routing-law property tests for the pluggable Router policies
- * (host/router.hh). These are the invariants the board and rack
- * schedulers lean on: hash purity and spread, replica-group
- * membership as a pure function of the key, exact round-robin
- * fairness, and a pinned placement hash.
+ * (host/router.hh) and the partition map both tiers route keyed
+ * requests through (board/balance.hh). These are the invariants the
+ * board and rack schedulers lean on: hash purity and spread,
+ * replica-group membership as a pure function of the request, exact
+ * round-robin fairness, hash homes equal to the replica-group
+ * routing, and a stable placement hash.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <set>
 #include <vector>
 
+#include "board/balance.hh"
 #include "host/router.hh"
 #include "sim/rng.hh"
 
@@ -21,16 +24,6 @@ using host::RouteInfo;
 using host::Router;
 
 namespace {
-
-RouteInfo
-keyedReq(std::uint64_t key)
-{
-    RouteInfo r;
-    r.app = "serve";
-    r.key = key;
-    r.hasKey = true;
-    return r;
-}
 
 RouteInfo
 seededReq(std::uint64_t seed)
@@ -52,14 +45,14 @@ TEST(HashRouter, IsAPureFunctionOfTheRequest)
     auto a = host::makeHashRouter();
     auto b = host::makeHashRouter();
     for (std::uint64_t k = 0; k < 512; ++k) {
-        const unsigned s = a->route(keyedReq(k), 7);
+        const unsigned s = a->route(seededReq(k), 7);
         ASSERT_LT(s, 7u);
         // Same request, same instance, interleaved with other
         // requests: still the same shard (no hidden state).
-        EXPECT_EQ(a->route(keyedReq(k), 7), s);
+        EXPECT_EQ(a->route(seededReq(k), 7), s);
         // And a fresh instance agrees: the policy has no per-
         // instance identity.
-        EXPECT_EQ(b->route(keyedReq(k), 7), s);
+        EXPECT_EQ(b->route(seededReq(k), 7), s);
     }
 }
 
@@ -69,7 +62,7 @@ TEST(HashRouter, SpreadsKeysAcrossAllShards)
     std::map<unsigned, unsigned> hist;
     const unsigned n = 8, keys = 4096;
     for (std::uint64_t k = 0; k < keys; ++k)
-        ++hist[r->route(keyedReq(k), n)];
+        ++hist[r->route(seededReq(k), n)];
     ASSERT_EQ(hist.size(), n);
     for (const auto &[shard, cnt] : hist) {
         // Crude balance bound: every shard within 2x of fair share.
@@ -130,7 +123,8 @@ TEST(RoundRobinRouter, CandidatesAdvanceTheCursorExactlyOnce)
 
 TEST(ReplicaGroupRouter, MembershipIsAPureFunctionOfTheKey)
 {
-    // The group a key lands in depends only on (key, nShards) —
+    // The group a request lands in depends only on (request,
+    // nShards) —
     // replication only widens the candidate list. This is what
     // lets a rack raise replication without migrating data.
     auto r1 = host::makeReplicaGroupRouter(1);
@@ -138,7 +132,7 @@ TEST(ReplicaGroupRouter, MembershipIsAPureFunctionOfTheKey)
     auto r3 = host::makeReplicaGroupRouter(3);
     const unsigned n = 8;
     for (std::uint64_t k = 0; k < 512; ++k) {
-        const RouteInfo req = keyedReq(k);
+        const RouteInfo req = seededReq(k);
         const unsigned primary = r1->route(req, n);
         EXPECT_EQ(r2->route(req, n), primary);
         EXPECT_EQ(r3->route(req, n), primary);
@@ -166,86 +160,82 @@ TEST(ReplicaGroupRouter, GroupsWrapAndClampToTheShardCount)
     auto r = host::makeReplicaGroupRouter(4);
     // replication 4 over 2 shards: candidate list clamps to 2.
     std::vector<unsigned> c;
-    r->candidates(keyedReq(3), 2, c);
+    r->candidates(seededReq(3), 2, c);
     ASSERT_EQ(c.size(), 2u);
     EXPECT_NE(c[0], c[1]);
     // And over 3 shards the group wraps modulo nShards.
     std::vector<unsigned> w;
-    r->candidates(keyedReq(3), 3, w);
+    r->candidates(seededReq(3), 3, w);
     ASSERT_EQ(w.size(), 3u);
     for (unsigned i = 1; i < w.size(); ++i)
         EXPECT_EQ(w[i], (w[0] + i) % 3);
 }
 
 // ----------------------------------------------------------------
-// Partition-mapped replica policy (the rack balancer's map)
+// The partition map both tiers route keyed requests through
 // ----------------------------------------------------------------
 
 namespace {
 
-/** The rack scheduler's routing slice: a bare partition index
- *  (empty app), exactly what PartitionRouter::defaultHomeOf
- *  rebuilds internally. */
+/** A bare partition index as a routing slice (empty app, the
+ *  partition as the seed): what board::hashHome() mixes. */
 RouteInfo
 partReq(unsigned partition)
 {
     RouteInfo r;
-    r.key = partition;
-    r.hasKey = true;
+    r.seed = partition;
     return r;
 }
 
 } // namespace
 
-TEST(PartitionRouter, DefaultMapMatchesReplicaGroupRouting)
+TEST(PartitionMap, DefaultMapMatchesReplicaGroupRouting)
 {
     // A map with no reassignments must be bit-identical to the
-    // replica-group policy over the same partition keys — this is
-    // what keeps static racks on their golden snapshots.
+    // replica-group policy over the same partitions — this is what
+    // keeps static racks on their golden snapshots.
     const unsigned parts = 64;
-    auto pm = host::makePartitionRouter(parts, 2);
+    const board::PartitionMap pm(parts, 2);
     auto rg = host::makeReplicaGroupRouter(2);
     for (unsigned n : {4u, 8u}) {
         for (unsigned p = 0; p < parts; ++p) {
-            EXPECT_EQ(pm->route(partReq(p), n),
-                      rg->route(partReq(p), n));
-            EXPECT_EQ(pm->homeOf(p, n), pm->defaultHomeOf(p, n));
-            std::vector<unsigned> a, b;
-            pm->candidates(partReq(p), n, a);
+            EXPECT_EQ(pm.homeOf(p, n), rg->route(partReq(p), n));
+            EXPECT_EQ(pm.homeOf(p, n), board::hashHome(p, n));
+            std::vector<unsigned> b;
             rg->candidates(partReq(p), n, b);
-            EXPECT_EQ(a, b) << "partition " << p << ", " << n
-                            << " shards";
+            EXPECT_EQ(pm.candidates(p, n), b)
+                << "partition " << p << ", " << n << " shards";
         }
+        EXPECT_EQ(pm.homes(n).size(), parts);
     }
-    EXPECT_EQ(pm->reassignedCount(), 0u);
+    EXPECT_EQ(pm.reassignedCount(), 0u);
 }
 
-TEST(PartitionRouter, ReassignRehomesOnePartitionOnly)
+TEST(PartitionMap, ReassignRehomesOnePartitionOnly)
 {
     const unsigned parts = 16, n = 4;
-    auto pm = host::makePartitionRouter(parts, 2);
+    board::PartitionMap pm(parts, 2);
     const unsigned victim = 5;
-    const unsigned oldHome = pm->homeOf(victim, n);
+    const unsigned oldHome = pm.homeOf(victim, n);
     const unsigned newHome = (oldHome + 2) % n;
-    pm->reassign(victim, newHome);
+    pm.reassign(victim, newHome);
 
-    EXPECT_TRUE(pm->reassigned(victim));
-    EXPECT_EQ(pm->reassignedCount(), 1u);
-    EXPECT_EQ(pm->homeOf(victim, n), newHome);
-    EXPECT_EQ(pm->route(partReq(victim), n), newHome);
+    EXPECT_TRUE(pm.reassigned(victim));
+    EXPECT_EQ(pm.reassignedCount(), 1u);
+    EXPECT_EQ(pm.homeOf(victim, n), newHome);
+    EXPECT_EQ(pm.homes(n)[victim], newHome);
     // The hash home is remembered underneath the override.
-    EXPECT_EQ(pm->defaultHomeOf(victim, n), oldHome);
+    EXPECT_EQ(board::hashHome(victim, n), oldHome);
     // Every other partition still routes by hash.
     for (unsigned p = 0; p < parts; ++p) {
         if (p == victim)
             continue;
-        EXPECT_EQ(pm->homeOf(p, n), pm->defaultHomeOf(p, n));
-        EXPECT_FALSE(pm->reassigned(p));
+        EXPECT_EQ(pm.homeOf(p, n), board::hashHome(p, n));
+        EXPECT_FALSE(pm.reassigned(p));
     }
     // Failover order after the move: the new home leads, and the
     // candidate list keeps its width and stays duplicate-free.
-    std::vector<unsigned> c;
-    pm->candidates(partReq(victim), n, c);
+    const std::vector<unsigned> c = pm.candidates(victim, n);
     ASSERT_EQ(c.size(), 2u);
     EXPECT_EQ(c[0], newHome);
     EXPECT_NE(c[1], c[0]);
@@ -255,17 +245,14 @@ TEST(PartitionRouter, ReassignRehomesOnePartitionOnly)
 // Shared hash
 // ----------------------------------------------------------------
 
-TEST(RouterHash, KeyAndSeedPathsAreBothStable)
+TEST(RouterHash, SeedPathIsStable)
 {
-    // routeHash is the one placement mix every key policy shares:
-    // pin a few values so an accidental reformulation (which would
-    // silently migrate every key in every golden) shows up here
-    // first, not in a golden diff three layers up.
-    const std::uint32_t hk = host::routeHash(keyedReq(0xdeadbeef));
+    // routeHash is the one placement mix every hash policy shares:
+    // an accidental reformulation (which would silently migrate
+    // every request in every golden) must show up here first, not
+    // in a golden diff three layers up.
     const std::uint32_t hs =
         host::routeHash(seededReq(0xdeadbeef));
-    // An explicit key must hash exactly like the legacy seed mix.
-    EXPECT_EQ(hk, hs);
-    EXPECT_EQ(host::routeHash(keyedReq(0xdeadbeef)), hk);
-    EXPECT_NE(host::routeHash(keyedReq(0xdeadbef0)), hk);
+    EXPECT_EQ(host::routeHash(seededReq(0xdeadbeef)), hs);
+    EXPECT_NE(host::routeHash(seededReq(0xdeadbef0)), hs);
 }

@@ -37,20 +37,20 @@ constexpr sim::Tick kMs = 1'000'000'000;
  * Keys with pairwise-distinct partitions all homed on one board —
  * the adversarial skew shape: a hot step onto these keys piles
  * whole partitions onto a single board. Pure function of the
- * placement constants (rack::keyPartition / rack::partitionHome).
+ * placement constants (rack::keyPartition / board::hashHome).
  */
 std::vector<std::uint64_t>
 coHomedKeys(unsigned want, unsigned parts, unsigned boards,
             unsigned *hot_out = nullptr)
 {
     const unsigned hot =
-        rack::partitionHome(rack::keyPartition(0, parts), boards);
+        board::hashHome(rack::keyPartition(0, parts), boards);
     std::vector<std::uint64_t> keys;
     std::set<unsigned> seen;
     for (std::uint64_t k = 0; k < 65536 && keys.size() < want;
          ++k) {
         const unsigned p = rack::keyPartition(k, parts);
-        if (rack::partitionHome(p, boards) != hot || seen.count(p))
+        if (board::hashHome(p, boards) != hot || seen.count(p))
             continue;
         seen.insert(p);
         keys.push_back(k);

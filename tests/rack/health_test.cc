@@ -43,13 +43,13 @@ coHomedKeys(unsigned want, unsigned parts, unsigned boards,
             unsigned *hot_out = nullptr)
 {
     const unsigned hot =
-        rack::partitionHome(rack::keyPartition(0, parts), boards);
+        board::hashHome(rack::keyPartition(0, parts), boards);
     std::vector<std::uint64_t> keys;
     std::set<unsigned> seen;
     for (std::uint64_t k = 0; k < 65536 && keys.size() < want;
          ++k) {
         const unsigned p = rack::keyPartition(k, parts);
-        if (rack::partitionHome(p, boards) != hot || seen.count(p))
+        if (board::hashHome(p, boards) != hot || seen.count(p))
             continue;
         seen.insert(p);
         keys.push_back(k);

@@ -367,6 +367,54 @@ TEST(RackAdmission, WindowBoundaryIsHalfOpen)
     EXPECT_EQ(sum.rejected, 1u);
 }
 
+TEST(RackAdmission, OutOfOrderFailoverSendsAgeOutOnTime)
+{
+    // A failover attempt enters its board's window at when + the
+    // ack-timeout penalty, so a later direct arrival can enter the
+    // same window at an earlier tick. Both must still age out on
+    // time: the window cannot assume admissions arrive in order.
+    sim::faultPlane().reset();
+    sim::faultPlane().configure(
+        "rack.boardDown@p=1,unit=0,to=100000000000", 42);
+    const auto rk = smallRack(2, 2);
+    rack::PlacementParams place;
+    place.replication = 2;
+    place.admitWindow = sim::Tick(100'000'000); // 100 us
+    place.admitPerWindow = 2;
+    rack::RackScheduler sched(*rk, {}, place);
+    const sim::Tick us = 1'000'000;
+    ASSERT_EQ(place.health.ackTimeout, 50 * us);
+
+    auto keyOn = [&](unsigned primary) {
+        std::uint64_t k = 0;
+        while (sched.primaryOf(k) != primary)
+            ++k;
+        return k;
+    };
+    auto offer = [&](sim::Tick at, std::uint64_t key) {
+        unsigned board = 99;
+        const rack::AdmitResult res = sched.enqueueAt(
+            at, rack::makeRequest({at, key, 0, at + 1},
+                                  rack::servingMix()),
+            &board);
+        EXPECT_TRUE(res != rack::AdmitResult::Admitted || board == 1)
+            << "board 0 is down";
+        return res;
+    };
+    // A: primary board 0 is down, so it fails over and enters
+    // board 1's window at 50 us. B: straight to board 1 at 10 us.
+    EXPECT_EQ(offer(0, keyOn(0)), rack::AdmitResult::Admitted);
+    EXPECT_EQ(offer(10 * us, keyOn(1)), rack::AdmitResult::Admitted);
+    // C at 115 us: the window (15 us, 115 us] holds A alone.
+    EXPECT_EQ(offer(115 * us, keyOn(1)), rack::AdmitResult::Admitted);
+    EXPECT_EQ(sched.admitWindowDepth(1), 2u);
+    const rack::RackSummary sum = sched.summary();
+    EXPECT_EQ(sum.admitted, 3u);
+    EXPECT_EQ(sum.rejected, 0u);
+    EXPECT_EQ(sum.failovers, 1u);
+    sim::faultPlane().reset();
+}
+
 // ----------------------------------------------------------------
 // End-to-end serving through the rack
 // ----------------------------------------------------------------
