@@ -377,7 +377,15 @@ BoardBalancer::BoardBalancer(Board &brd_, PartitionMap &map_,
     for (unsigned part = 0; part < map.nPartitions(); ++part)
         seedState(part, homeOf(part));
 
-    stats.addFlushHook([this] { foldStats(); });
+    // Landers count stale chunks in the kernel phase; fold their
+    // totals in at each read.
+    stats.addFlushHook([this] {
+        std::uint64_t stale = 0;
+        for (const Engines &e : engines)
+            stale += e.lander->staleDeliveries();
+        if (stale)
+            stats.counter("staleDeliveries") = stale;
+    });
 }
 
 BoardBalancer::~BoardBalancer() = default;
@@ -457,14 +465,14 @@ BoardBalancer::record(unsigned part)
     // has not flipped); ship its delta to the new home so the moved
     // state stays current. Host-phase send — deterministic, and the
     // delivery tick is at least one hop into the next segment.
-    ++rep.forwarded;
-    rep.deltaBytes += deltaBytesPerRequest;
+    ++stats.counter("forwarded");
+    stats.counter("deltaBytes") += deltaBytesPerRequest;
     bool dropped = false;
     const sim::Tick at = brd.fabric().startBulk(
         m->from, m->to, deltaBytesPerRequest, dropped,
         sim::Traffic::Migration);
     if (dropped) {
-        ++rep.deltaDropped; // deltas are best-effort, like PR-8
+        ++stats.counter("deltaDropped"); // deltas are best-effort
         return;
     }
     brd.fabric().postDelivery(m->from, m->to, at, [] {});
@@ -486,7 +494,12 @@ BoardBalancer::launch(const MigrationStep &step, sim::Tick boundary)
     m.gen = engines[m.to].lander->expect(m.chunks);
 
     inflight[m.part] = &m;
-    ++rep.planned;
+    ++stats.counter("planned");
+    // The outcome cells report from the first launch on, zero or
+    // not.
+    stats.counter("committed");
+    stats.counter("aborted");
+    stats.counter("stateBytes");
 
     // Execution starts inside the kernel, on the source partition.
     brd.eventQueue(m.from).schedule(
@@ -570,11 +583,6 @@ BoardBalancer::ship(Migration &m, unsigned chunk,
 void
 BoardBalancer::harvest(sim::Tick boundary)
 {
-    std::uint64_t stale = 0;
-    for (const Engines &e : engines)
-        stale += e.lander->staleDeliveries();
-    rep.staleDeliveries = stale;
-
     // Partition order. Each settle touches only its own partition,
     // its source's src role and its destination's dst role, and no
     // two in-flight migrations share a role, so the order is free.
@@ -591,14 +599,9 @@ BoardBalancer::harvest(sim::Tick boundary)
             // Flip the single partition; offers forwarded from now
             // on route to the new home.
             map.reassign(m.part, m.to);
-            slot = nullptr;
-            ++rep.committed;
-            rep.chunkRetries += m.srcRetries;
-            rep.stateBytes += m.plan.totalBytes();
-            continue;
-        }
-
-        if (boundary >= m.launchedAt + migrationTimeout) {
+            ++stats.counter("committed");
+            stats.counter("stateBytes") += m.plan.totalBytes();
+        } else if (boundary >= m.launchedAt + migrationTimeout) {
             // A wedged DMAC never completes its descriptor: the
             // staging chain (or the landing slot) is stuck for
             // good. Poison the involved engine roles so no later
@@ -606,23 +609,22 @@ BoardBalancer::harvest(sim::Tick boundary)
             lander.cancel();
             se.srcPoisoned = true;
             de.dstPoisoned = true;
-            slot = nullptr;
-            ++rep.aborted;
-            ++rep.timeoutAborts;
-            rep.chunkRetries += m.srcRetries;
-            continue;
-        }
-
-        if (m.srcFailed && !se.exec->active() && !lander.busy()) {
+            ++stats.counter("aborted");
+            ++stats.counter("timeoutAborts");
+        } else if (m.srcFailed && !se.exec->active() &&
+                   !lander.busy()) {
             // Clean abort: retransmits exhausted (or a descError
             // poisoned the staging chain) and both engines have
             // drained. The partition stays home; the planner may
             // retry it next window.
             lander.cancel();
-            slot = nullptr;
-            ++rep.aborted;
-            rep.chunkRetries += m.srcRetries;
+            ++stats.counter("aborted");
+        } else {
+            continue; // still staging, shipping or landing
         }
+        if (m.srcRetries)
+            stats.counter("chunkRetries") += m.srcRetries;
+        slot = nullptr;
     }
 }
 
@@ -655,31 +657,20 @@ BoardBalancer::onWindowBoundary(sim::Tick boundary)
     }
 }
 
-void
-BoardBalancer::foldStats()
+BoardBalancer::Report
+BoardBalancer::report() const
 {
-    std::uint64_t stale = 0;
-    for (const Engines &e : engines)
-        stale += e.lander->staleDeliveries();
-    rep.staleDeliveries = stale;
-    if (rep.planned) {
-        stats.counter("planned") = rep.planned;
-        stats.counter("committed") = rep.committed;
-        stats.counter("aborted") = rep.aborted;
-        stats.counter("stateBytes") = rep.stateBytes;
-    }
-    if (rep.timeoutAborts)
-        stats.counter("timeoutAborts") = rep.timeoutAborts;
-    if (rep.chunkRetries)
-        stats.counter("chunkRetries") = rep.chunkRetries;
-    if (rep.forwarded) {
-        stats.counter("forwarded") = rep.forwarded;
-        stats.counter("deltaBytes") = rep.deltaBytes;
-    }
-    if (rep.deltaDropped)
-        stats.counter("deltaDropped") = rep.deltaDropped;
-    if (rep.staleDeliveries)
-        stats.counter("staleDeliveries") = rep.staleDeliveries;
+    Report r;
+    r.planned = stats.get("planned");
+    r.committed = stats.get("committed");
+    r.aborted = stats.get("aborted");
+    r.timeoutAborts = stats.get("timeoutAborts");
+    r.chunkRetries = stats.get("chunkRetries");
+    r.forwarded = stats.get("forwarded");
+    r.deltaBytes = stats.get("deltaBytes");
+    r.deltaDropped = stats.get("deltaDropped");
+    r.stateBytes = stats.get("stateBytes");
+    return r;
 }
 
 } // namespace dpu::board

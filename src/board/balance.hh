@@ -270,7 +270,8 @@ std::string checkBalance(const BalanceParams &p);
 class BoardBalancer
 {
   public:
-    /** Migration accounting (host-phase written). */
+    /** Migration accounting: a fold of the "board.balance"
+     *  cells. */
     struct Report
     {
         std::uint64_t planned = 0;   ///< migrations launched
@@ -282,7 +283,6 @@ class BoardBalancer
         std::uint64_t deltaBytes = 0;
         std::uint64_t deltaDropped = 0; ///< delta msgs lost on wire
         std::uint64_t stateBytes = 0;   ///< committed state moved
-        std::uint64_t staleDeliveries = 0;
     };
 
     /** Seeds each partition's state pattern into the DDR of its
@@ -323,7 +323,8 @@ class BoardBalancer
     /** Expected byte @p i of partition @p part's state pattern. */
     static std::uint8_t statePattern(unsigned part, std::uint64_t i);
 
-    const Report &report() const { return rep; }
+    /** The accounting so far, read from the stat cells. */
+    Report report() const;
     /** Source roles poisoned by timed-out migrations
      *  (diagnostics). */
     bool srcPoisoned(unsigned dpu) const;
@@ -368,7 +369,6 @@ class BoardBalancer
               std::shared_ptr<std::vector<std::uint8_t>> payload,
               unsigned attempts);
     void harvest(sim::Tick boundary);
-    void foldStats();
 
     Board &brd;
     PartitionMap &map;
@@ -382,8 +382,9 @@ class BoardBalancer
     /** Active migration per partition, else nullptr: the only
      *  record of what is moving. */
     std::vector<Migration *> inflight;
-    Report rep;
     bool draining = false;
+    /** Host-phase counts, incremented where each event happens;
+     *  staleDeliveries folds the landers' own counts in. */
     sim::StatGroup stats;
 };
 

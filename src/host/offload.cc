@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "host/summary.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -35,18 +36,6 @@ ackMsg(std::uint64_t dispatch_id, unsigned group, unsigned lane)
 /** Trace track ids on TraceCat::Soc. */
 constexpr std::uint32_t hostTid = 0x500;
 constexpr std::uint32_t groupTid = 0x510;
-
-/** Nearest-rank percentile of an ascending-sorted sample. */
-double
-percentile(const std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0;
-    std::size_t rank = std::size_t(q * double(sorted.size()) + 0.5);
-    if (rank > 0)
-        --rank;
-    return sorted[std::min(rank, sorted.size() - 1)];
-}
 
 } // namespace
 
@@ -389,7 +378,6 @@ OffloadScheduler::handleAck(soc::HostA9 &host, std::uint64_t msg)
     ++stats.counter("completed");
     if (!rec.valid)
         ++stats.counter("validationFailed");
-    latenciesUs.push_back(rec.latencyUs());
     DPU_TRACE_SPAN_END(sim::TraceCat::Soc, groupTid + g, "job.run",
                        grp.runSpan, now);
     grp.state = GroupState::Free;
@@ -474,6 +462,12 @@ OffloadScheduler::finalize(soc::HostA9 &host)
         s.wedgedGroups += grp.state == GroupState::Quarantined;
     stats.counter("wedgedGroups") = s.wedgedGroups;
 
+    // Percentiles, mean, max and throughput over this shard's job
+    // records: the fold the board and rack summaries use.
+    SummaryFold fold;
+    fold.add(s, records);
+    s = fold.finish();
+
     // Availability: fraction of group-ticks not spent quarantined.
     // Closed quarantines accumulated downtime at reclaim; groups
     // still quarantined now have been down since their reap.
@@ -487,27 +481,6 @@ OffloadScheduler::finalize(soc::HostA9 &host)
                       (double(host.now()) * double(groups.size()));
     stats.scalar("availability") = s.availability;
 
-    std::sort(latenciesUs.begin(), latenciesUs.end());
-    s.p50Us = percentile(latenciesUs, 0.50);
-    s.p95Us = percentile(latenciesUs, 0.95);
-    s.p99Us = percentile(latenciesUs, 0.99);
-    if (!latenciesUs.empty()) {
-        double sum = 0;
-        for (double l : latenciesUs)
-            sum += l;
-        s.meanUs = sum / double(latenciesUs.size());
-        s.maxUs = latenciesUs.back();
-    }
-
-    sim::Tick first = noTick, last = 0;
-    for (const JobRecord &rec : records) {
-        first = std::min(first, rec.enqueuedAt);
-        last = std::max(last, rec.finishedAt);
-    }
-    if (s.completed > 0 && last > first)
-        s.throughputJobsPerSec =
-            double(s.completed) / (double(last - first) * 1e-12);
-
     stats.scalar("p50LatencyUs") = s.p50Us;
     stats.scalar("p95LatencyUs") = s.p95Us;
     stats.scalar("p99LatencyUs") = s.p99Us;
@@ -515,7 +488,6 @@ OffloadScheduler::finalize(soc::HostA9 &host)
     stats.scalar("maxLatencyUs") = s.maxUs;
     stats.scalar("throughputJobsPerSec") = s.throughputJobsPerSec;
     finalSummary = s;
-    (void)host;
 }
 
 } // namespace dpu::host

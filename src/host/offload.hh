@@ -21,9 +21,11 @@
  *    time is reaped — counted as a timeout, reported, its group
  *    quarantined until (and unless) the late acks arrive — so a
  *    wedged kernel costs its group, never the simulation;
- *  - per-request latency percentiles and throughput land in the
- *    "sched" StatGroup, and each job emits enqueue/dispatch/run
- *    lifecycle spans through the tracer (TraceCat::Soc).
+ *  - per-request latency percentiles and throughput, folded by
+ *    host::SummaryFold (host/summary.hh) like the board and rack
+ *    summaries, land in the "sched" StatGroup, and each job emits
+ *    enqueue/dispatch/run lifecycle spans through the tracer
+ *    (TraceCat::Soc).
  */
 
 #ifndef DPU_HOST_OFFLOAD_HH
@@ -279,7 +281,6 @@ class OffloadScheduler
     std::deque<Pending> queue;
     std::vector<Group> groups;
     std::vector<JobRecord> records;
-    std::vector<double> latenciesUs; ///< completed jobs only
     std::function<void(const JobRecord &)> completeHook;
     ServingSummary finalSummary;
     std::uint64_t nextJobId = 1;

@@ -1,6 +1,7 @@
 #include "host/summary.hh"
 
 #include <algorithm>
+#include <cmath>
 
 namespace dpu::host {
 
@@ -9,7 +10,10 @@ percentileOf(const std::vector<double> &sorted, double q)
 {
     if (sorted.empty())
         return 0;
-    std::size_t rank = std::size_t(q * double(sorted.size()) + 0.5);
+    // Nearest rank: the smallest sample with at least q of the
+    // sample at or below it, rank ceil(q * n) counted from 1.
+    std::size_t rank =
+        std::size_t(std::ceil(q * double(sorted.size())));
     if (rank > 0)
         --rank;
     return sorted[std::min(rank, sorted.size() - 1)];

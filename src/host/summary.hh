@@ -2,21 +2,22 @@
  * @file
  * Shared serving-summary aggregation.
  *
- * BoardScheduler and rack::RackScheduler both fold N per-shard
- * ServingSummary parts into one aggregate, and both used to carry
- * private near-copies of the same loop — with the same two
- * accounting bugs: availability was an unweighted mean over shards
- * (an idle replica's perfect 1.0 diluted a struggling hot shard's
- * outage 1:1 regardless of traffic) and the `last > first` window
- * guard reported zero throughput whenever every completion landed
- * on a single tick. SummaryFold is the one implementation:
+ * Three users fold job records into one ServingSummary:
+ * OffloadScheduler over one shard's jobs, and BoardScheduler and
+ * rack::RackScheduler over N per-shard parts. The board and rack
+ * used to carry private near-copies of the same loop — with the
+ * same two accounting bugs: availability was an unweighted mean over
+ * shards (an idle replica's perfect 1.0 diluted a struggling hot
+ * shard's outage 1:1 regardless of traffic) and the `last > first`
+ * window guard reported zero throughput whenever every completion
+ * landed on a single tick. SummaryFold is the one implementation:
  *
  *  - counts are summed;
  *  - availability is weighted by each part's submitted jobs, so a
  *    shard that served nothing cannot vote (zero traffic anywhere
  *    falls back to the unweighted mean);
- *  - latency percentiles are recomputed nearest-rank over every
- *    completed job across all parts;
+ *  - latency percentiles are recomputed nearest-rank, rank
+ *    ⌈q·n⌉ of the n completed jobs across all parts;
  *  - throughput spans first-enqueue..last-finish, clamped to one
  *    tick so a degenerate single-tick run reports its completions
  *    instead of zero.
@@ -31,7 +32,8 @@
 
 namespace dpu::host {
 
-/** Nearest-rank percentile of an ascending-sorted sample. */
+/** Nearest-rank percentile of an ascending-sorted sample: the
+ *  ⌈q·n⌉-th smallest of its n values (the smallest for q = 0). */
 double percentileOf(const std::vector<double> &sorted, double q);
 
 /** Accumulates per-shard summaries; finish() yields the fold. */

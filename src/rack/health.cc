@@ -54,24 +54,6 @@ HealthMonitor::HealthMonitor(RackNet &net_, unsigned n_boards,
         return;
     nextProbeAt = prm.heartbeatPeriod;
     stats = std::make_unique<sim::StatGroup>("health");
-    stats->addFlushHook([this] { foldStats(); });
-}
-
-void
-HealthMonitor::foldStats()
-{
-    if (probeCnt)
-        stats->counter("probes") = probeCnt;
-    if (ackCnt)
-        stats->counter("acks") = ackCnt;
-    if (missCnt)
-        stats->counter("misses") = missCnt;
-    if (suspectCnt)
-        stats->counter("suspects") = suspectCnt;
-    if (downCnt)
-        stats->counter("downs") = downCnt;
-    if (rejoinCnt)
-        stats->counter("rejoins") = rejoinCnt;
 }
 
 bool
@@ -141,14 +123,14 @@ HealthMonitor::transition(unsigned b, BoardHealth to, sim::Tick at)
     boards[b].st = to;
     switch (to) {
     case BoardHealth::Suspect:
-        ++suspectCnt;
+        ++stats->counter("suspects");
         break;
     case BoardHealth::Down:
-        ++downCnt;
+        ++stats->counter("downs");
         break;
     case BoardHealth::Healthy:
         if (t.from == BoardHealth::Probation)
-            ++rejoinCnt;
+            ++stats->counter("rejoins");
         break;
     case BoardHealth::Probation:
         break;
@@ -160,7 +142,7 @@ HealthMonitor::resolve(const Obs &o)
 {
     BoardState &bs = boards[o.board];
     if (o.ack) {
-        ++ackCnt;
+        ++stats->counter("acks");
         bs.consecMiss = 0;
         ++bs.consecAck;
         switch (bs.st) {
@@ -182,7 +164,7 @@ HealthMonitor::resolve(const Obs &o)
         }
         return;
     }
-    ++missCnt;
+    ++stats->counter("misses");
     bs.consecAck = 0;
     ++bs.consecMiss;
     switch (bs.st) {
@@ -209,7 +191,7 @@ HealthMonitor::sendProbes(sim::Tick at)
     // Fixed board order per round: the probe schedule is part of
     // the deterministic host phase.
     for (unsigned b = 0; b < n; ++b) {
-        ++probeCnt;
+        ++stats->counter("probes");
         bool dropped = false;
         const sim::Tick delivered = net.deliver(
             b, probeBytes, at, dropped, sim::Traffic::Probe);

@@ -198,8 +198,12 @@ class HealthMonitor
         return log;
     }
 
-    std::uint64_t probesSent() const { return probeCnt; }
-    std::uint64_t missesSeen() const { return missCnt; }
+    /** The "health" cell @p name: 0 when never hit or with
+     *  monitoring off. */
+    std::uint64_t count(const std::string &name) const
+    {
+        return stats ? stats->get(name) : 0;
+    }
 
   private:
     /** One pending ack/miss, resolved at its observation tick. */
@@ -234,13 +238,11 @@ class HealthMonitor
     /** Apply one resolved observation to its board's machine. */
     void resolve(const Obs &o);
 
-    /** Record a state change (log + counters). */
+    /** Record a state change (log + cells). */
     void transition(unsigned b, BoardHealth to, sim::Tick at);
 
     /** One probe round: ping every board at @p at. */
     void sendProbes(sim::Tick at);
-
-    void foldStats();
 
     RackNet &net;
     HealthParams prm;
@@ -251,14 +253,9 @@ class HealthMonitor
     sim::Tick nextProbeAt = 0; ///< 0 = monitoring off
     std::vector<HealthTransition> log;
 
-    std::uint64_t probeCnt = 0;
-    std::uint64_t ackCnt = 0;
-    std::uint64_t missCnt = 0;
-    std::uint64_t suspectCnt = 0;
-    std::uint64_t downCnt = 0;
-    std::uint64_t rejoinCnt = 0;
-    /** Created only when monitoring is on, so un-monitored runs
-     *  keep their stat snapshots byte-identical. */
+    /** Probe, ack, miss and transition counts, incremented where
+     *  each happens. Created only when monitoring is on, so
+     *  un-monitored runs keep their stat snapshots byte-identical. */
     std::unique_ptr<sim::StatGroup> stats;
 };
 

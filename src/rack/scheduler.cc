@@ -72,45 +72,6 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
                 rack.board(b), std::move(p),
                 host::makeHashRouter()));
     }
-    stats.addFlushHook([this] {
-        if (offered)
-            stats.counter("offered") = offered;
-        if (admitted)
-            stats.counter("admitted") = admitted;
-        if (rejectedCnt)
-            stats.counter("rejected") = rejectedCnt;
-        if (boardsDownCnt)
-            stats.counter("boardsDown") = boardsDownCnt;
-        if (netLostCnt)
-            stats.counter("netLost") = netLostCnt;
-        if (shedCnt)
-            stats.counter("shed") = shedCnt;
-        if (failoverCnt)
-            stats.counter("failovers") = failoverCnt;
-        if (admitRerouteCnt)
-            stats.counter("admitReroutes") = admitRerouteCnt;
-        if (repairStarted)
-            stats.counter("repairStarted") = repairStarted;
-        if (repairCommitted)
-            stats.counter("repairCommitted") = repairCommitted;
-        if (migStarted)
-            stats.counter("migStarted") = migStarted;
-        if (migCommitted)
-            stats.counter("migCommitted") = migCommitted;
-        if (migAborted)
-            stats.counter("migAborted") = migAborted;
-        if (forwardedCnt)
-            stats.counter("forwarded") = forwardedCnt;
-        if (place.balance.window) {
-            // Per-shard serving accounting only matters (and only
-            // folds) when the balancer is live, so un-balanced
-            // goldens stay byte-identical.
-            for (unsigned b = 0; b < boardAdmitted.size(); ++b)
-                if (boardAdmitted[b])
-                    stats.counter("b" + std::to_string(b) +
-                                  ".admitted") = boardAdmitted[b];
-        }
-    });
 }
 
 unsigned
@@ -185,7 +146,7 @@ RackScheduler::commitReady(sim::Tick when)
                 set.push_back(m.step.to);
                 partMap.setReplicas(m.step.partition, std::move(set));
             }
-            ++repairCommitted;
+            ++stats.counter("repairCommitted");
             if (repairsOwed(m.attributed) == 0)
                 mon->markRepaired(m.attributed);
         } else {
@@ -194,7 +155,7 @@ RackScheduler::commitReady(sim::Tick when)
             // everything after routes to the new one. No job is in
             // limbo.
             partMap.reassign(m.step.partition, m.step.to);
-            ++migCommitted;
+            ++stats.counter("migCommitted");
         }
     }
 }
@@ -268,7 +229,7 @@ RackScheduler::repairBoard(unsigned b)
             owedRepairs.push_back(
                 {m.step.partition, m.attributed});
         else
-            ++migAborted;
+            ++stats.counter("migAborted");
         inflight.erase(inflight.begin() +
                        std::vector<InFlight>::difference_type(i));
     }
@@ -329,7 +290,7 @@ RackScheduler::pumpRepairs(sim::Tick when)
         m.step.to = unsigned(target);
         m.isRepair = true;
         m.attributed = j.attributed;
-        ++repairStarted;
+        ++stats.counter("repairStarted");
         // A dropped copy burned its wire time: retried at the next
         // arrival (the obligation survives).
         if (!ship(m, when))
@@ -411,12 +372,12 @@ RackScheduler::advanceBalancer(sim::Tick when)
             if (mon->monitoring() &&
                 mon->state(s.to) != BoardHealth::Healthy)
                 continue;
-            ++migStarted;
+            ++stats.counter("migStarted");
             // A transfer that dies on the wire aborts: the
             // partition stays at its source, and a later window may
             // retry.
             if (!ship({s}, boundary))
-                ++migAborted;
+                ++stats.counter("migAborted");
         }
     }
 }
@@ -428,7 +389,7 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
     sim_assert(when >= lastOffer,
                "rack arrivals must be offered in trace order");
     lastOffer = when;
-    ++offered;
+    ++stats.counter("offered");
 
     advanceHealth(when);
 
@@ -501,13 +462,17 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
             w.insert(std::upper_bound(w.begin(), w.end(), sendAt),
                      sendAt);
         }
-        ++admitted;
+        ++stats.counter("admitted");
         ++boardAdmitted[b];
+        // Per-shard serving accounting only matters when the
+        // balancer is live, so un-balanced goldens keep their keys.
+        if (place.balance.window)
+            ++stats.counter("b" + std::to_string(b) + ".admitted");
         if (i > 0) {
             if (outagePrior)
-                ++failoverCnt;
+                ++stats.counter("failovers");
             else if (admitPrior)
-                ++admitRerouteCnt;
+                ++stats.counter("admitReroutes");
         }
         if (board_out)
             *board_out = b;
@@ -518,7 +483,7 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
             // in flight stays current. A dropped delta only costs
             // accounting (the commit re-sends nothing — state is
             // modeled, not materialized).
-            ++forwardedCnt;
+            ++stats.counter("forwarded");
             bool deltaDropped = false;
             rack.net().deliver(m->step.to,
                                board::deltaBytesPerRequest, sendAt,
@@ -534,18 +499,18 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
     // means the rate cap shed it; otherwise every replica was
     // down (detector verdict or missing acks).
     if (sawDrop) {
-        ++netLostCnt;
+        ++stats.counter("netLost");
         return AdmitResult::NetLost;
     }
     if (sawShed) {
-        ++shedCnt;
+        ++stats.counter("shed");
         return AdmitResult::Shed;
     }
     if (sawFull) {
-        ++rejectedCnt;
+        ++stats.counter("rejected");
         return AdmitResult::Rejected;
     }
-    ++boardsDownCnt;
+    ++stats.counter("boardsDown");
     return AdmitResult::BoardsDown;
 }
 
@@ -560,21 +525,21 @@ RackSummary
 RackScheduler::summary() const
 {
     RackSummary sum;
-    sum.offered = offered;
-    sum.admitted = admitted;
-    sum.rejected = rejectedCnt;
-    sum.boardsDown = boardsDownCnt;
-    sum.netLost = netLostCnt;
-    sum.shed = shedCnt;
-    sum.failovers = failoverCnt;
-    sum.admitReroutes = admitRerouteCnt;
-    sum.probes = mon->probesSent();
-    sum.repairsStarted = repairStarted;
-    sum.repairsCommitted = repairCommitted;
-    sum.migStarted = migStarted;
-    sum.migCommitted = migCommitted;
-    sum.migAborted = migAborted;
-    sum.forwarded = forwardedCnt;
+    sum.offered = stats.get("offered");
+    sum.admitted = stats.get("admitted");
+    sum.rejected = stats.get("rejected");
+    sum.boardsDown = stats.get("boardsDown");
+    sum.netLost = stats.get("netLost");
+    sum.shed = stats.get("shed");
+    sum.failovers = stats.get("failovers");
+    sum.admitReroutes = stats.get("admitReroutes");
+    sum.probes = mon->count("probes");
+    sum.repairsStarted = stats.get("repairStarted");
+    sum.repairsCommitted = stats.get("repairCommitted");
+    sum.migStarted = stats.get("migStarted");
+    sum.migCommitted = stats.get("migCommitted");
+    sum.migAborted = stats.get("migAborted");
+    sum.forwarded = stats.get("forwarded");
     sum.migrationBytes = rack.net().migrationBytes();
     sum.netDroppedBytes = rack.net().droppedBytes();
 
@@ -587,9 +552,9 @@ RackScheduler::summary() const
             fold.add(bs->shard(d).summary(), bs->shard(d).jobs());
     sum.serving = fold.finish();
     sum.usersPerSimSec = sum.serving.throughputJobsPerSec;
-    if (offered)
+    if (sum.offered)
         sum.servedFraction =
-            double(sum.serving.completed) / double(offered);
+            double(sum.serving.completed) / double(sum.offered);
     sum.netPeakUtilization = rack.net().peakUtilization(rack.now());
     return sum;
 }

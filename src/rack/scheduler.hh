@@ -84,8 +84,9 @@
  *
  * summary() folds the per-board serving summaries into one rack
  * view (host/summary.hh: submitted-weighted availability, rank
- * percentiles) and adds the front-end counters plus the headline
- * "users served per simulated second".
+ * percentiles), reads the front-end counts from the "rack" and
+ * "health" stat cells, and adds the headline "users served per
+ * simulated second".
  */
 
 #ifndef DPU_RACK_SCHEDULER_HH
@@ -154,7 +155,9 @@ enum class AdmitResult : std::uint8_t
     Shed,       ///< brown-out: predicted to miss its deadline
 };
 
-/** Rack-wide aggregate (valid after the rack has run). */
+/** Rack-wide aggregate (valid after the rack has run). Request,
+ *  migration, repair and probe counts are read from the "rack" and
+ *  "health" stat cells; byte totals from the RackNet. */
 struct RackSummary
 {
     host::ServingSummary serving; ///< folded over all boards
@@ -245,29 +248,10 @@ class RackScheduler
     /** Rack-wide aggregate; valid after rack.run(). */
     RackSummary summary() const;
 
-    // --- balancer observability (tests / benches) ---------------
+    /** Moves and repairs currently in their forwarding epoch. */
     unsigned migrationsInFlight() const
     {
         return unsigned(inflight.size());
-    }
-    std::uint64_t migrationsStarted() const { return migStarted; }
-    std::uint64_t migrationsCommitted() const
-    {
-        return migCommitted;
-    }
-    std::uint64_t migrationsAborted() const { return migAborted; }
-    std::uint64_t forwardedRequests() const { return forwardedCnt; }
-
-    // --- health / repair observability (tests / benches) --------
-    std::uint64_t shedCount() const { return shedCnt; }
-    std::uint64_t admitRerouteCount() const
-    {
-        return admitRerouteCnt;
-    }
-    std::uint64_t repairsStarted() const { return repairStarted; }
-    std::uint64_t repairsCommitted() const
-    {
-        return repairCommitted;
     }
     /** Entries currently held in @p b's admission window (S1
      *  regression probe: must stay bounded, and empty with the
@@ -355,23 +339,11 @@ class RackScheduler
     std::vector<RepairJob> owedRepairs; ///< queued / retrying
     std::size_t seenTransitions = 0; ///< detector log cursor
 
-    // Front-end tallies (host phase only), folded into the "rack"
-    // stat group by a flush hook.
-    std::uint64_t offered = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t rejectedCnt = 0;
-    std::uint64_t boardsDownCnt = 0;
-    std::uint64_t netLostCnt = 0;
-    std::uint64_t shedCnt = 0;
-    std::uint64_t failoverCnt = 0;
-    std::uint64_t admitRerouteCnt = 0;
-    std::uint64_t repairStarted = 0;
-    std::uint64_t repairCommitted = 0;
-    std::uint64_t migStarted = 0;
-    std::uint64_t migCommitted = 0;
-    std::uint64_t migAborted = 0;
-    std::uint64_t forwardedCnt = 0;
+    /** Requests admitted per board: pickReplacement()'s load
+     *  signal. */
     std::vector<std::uint64_t> boardAdmitted;
+    /** The front-end's counts (host phase only), incremented where
+     *  each event happens. */
     sim::StatGroup stats;
 };
 

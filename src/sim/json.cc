@@ -156,7 +156,10 @@ struct Parser
             return fail("bad number");
         out.kind = Value::Kind::Double;
         out.d = d;
-        out.i = std::int64_t(d);
+        // Truncating a double outside int64's range is undefined;
+        // such a number has no integer view.
+        const double lim = 9223372036854775808.0; // 2^63
+        out.i = d >= -lim && d < lim ? std::int64_t(d) : 0;
         return true;
     }
 

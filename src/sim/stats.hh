@@ -6,6 +6,14 @@
  * dump all groups as a flat name = value listing. Counters are plain
  * uint64_t / double cells so hot paths pay only an increment.
  *
+ * A cell is the one record of its count, and a component's summary
+ * struct is a fold of its cells. Host-phase control paths (the
+ * schedulers and balancers) increment cells directly where each
+ * event happens (`++stats.counter("migCommitted")`), which creates
+ * the cell at its first hit. Kernel hot paths and writers on
+ * partition threads instead keep a DeferredCounter or a shadow
+ * tally that a flush hook folds in before any read.
+ *
  * Every live StatGroup is also tracked by the process-wide
  * StatsRegistry (see stats_registry.hh), which snapshots all groups
  * for golden-stats regression testing. Registration happens in the

@@ -377,6 +377,24 @@ TEST(BoardBalance, SkewedRunCommitsMigrationsOffTheHotDpu)
     const auto sum = s.sched->summary();
     EXPECT_EQ(sum.completed, 240u);
     EXPECT_EQ(sum.timedOut, 0u);
+
+    // Each report field is its board.balance cell; a cell never
+    // created reads 0.
+    const sim::StatsSnapshot snap =
+        sim::StatsRegistry::instance().snapshot();
+    const auto cell = [&snap](const std::string &name) {
+        const auto it = snap.counters.find("board.balance." + name);
+        return it == snap.counters.end() ? 0 : it->second;
+    };
+    EXPECT_EQ(rep.planned, cell("planned"));
+    EXPECT_EQ(rep.committed, cell("committed"));
+    EXPECT_EQ(rep.aborted, cell("aborted"));
+    EXPECT_EQ(rep.timeoutAborts, cell("timeoutAborts"));
+    EXPECT_EQ(rep.chunkRetries, cell("chunkRetries"));
+    EXPECT_EQ(rep.forwarded, cell("forwarded"));
+    EXPECT_EQ(rep.deltaBytes, cell("deltaBytes"));
+    EXPECT_EQ(rep.deltaDropped, cell("deltaDropped"));
+    EXPECT_EQ(rep.stateBytes, cell("stateBytes"));
 }
 
 TEST(BoardBalance, OneHandOffPerEngineRolePerWindow)

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "host/summary.hh"
@@ -52,6 +54,16 @@ TEST(Percentile, NearestRankOverASortedSample)
     EXPECT_DOUBLE_EQ(host::percentileOf(s, 0.0), 1.0);
     EXPECT_DOUBLE_EQ(host::percentileOf({}, 0.5), 0.0);
     EXPECT_DOUBLE_EQ(host::percentileOf({7.0}, 0.99), 7.0);
+
+    // Rank ceil(q * n): p95 of 12 samples is the 12th (11.4 rounds
+    // up) and of 31 samples the 30th (29.45 rounds up).
+    const std::pair<unsigned, double> p95[] = {{12, 12.0}, {31, 30.0}};
+    for (const auto &[n, want] : p95) {
+        std::vector<double> ranks(n);
+        std::iota(ranks.begin(), ranks.end(), 1.0);
+        EXPECT_DOUBLE_EQ(host::percentileOf(ranks, 0.95), want)
+            << n << " samples";
+    }
 }
 
 TEST(SummaryFold, AvailabilityIsWeightedBySubmittedTraffic)

@@ -187,7 +187,7 @@ TEST(RackBalance, MigrationDrainsAtTheSourceThenSwitches)
                   rack::AdmitResult::Admitted);
         ASSERT_EQ(board, hot);
     }
-    EXPECT_EQ(sched.migrationsStarted(), 0u);
+    EXPECT_EQ(sched.summary().migStarted, 0u);
 
     // The first arrivals past the 1 ms boundary trigger the roll
     // and one migration; its ~80 KB transfer is still on the wire
@@ -203,15 +203,15 @@ TEST(RackBalance, MigrationDrainsAtTheSourceThenSwitches)
     ASSERT_EQ(sched.enqueueAt(at, keyedRequest(at, keys[1], 1001),
                               &b1),
               rack::AdmitResult::Admitted);
-    EXPECT_EQ(sched.migrationsStarted(), 1u);
+    EXPECT_EQ(sched.summary().migStarted, 1u);
     EXPECT_EQ(sched.migrationsInFlight(), 1u);
-    EXPECT_EQ(sched.migrationsCommitted(), 0u);
+    EXPECT_EQ(sched.summary().migCommitted, 0u);
     EXPECT_EQ(b0, hot);
     EXPECT_EQ(b1, hot);
     EXPECT_EQ(sched.homeOf(p0), hot);
     EXPECT_EQ(sched.homeOf(p1), hot);
     // Exactly one of the two arrivals hit the migrating partition.
-    EXPECT_EQ(sched.forwardedRequests(), 1u);
+    EXPECT_EQ(sched.summary().forwarded, 1u);
 
     // Past the transfer's delivery tick the map flips: exactly one
     // partition re-homed, and arrivals follow the new map.
@@ -224,7 +224,7 @@ TEST(RackBalance, MigrationDrainsAtTheSourceThenSwitches)
                               keyedRequest(at + 1000, keys[1], 2001),
                               &c1),
               rack::AdmitResult::Admitted);
-    EXPECT_EQ(sched.migrationsCommitted(), 1u);
+    EXPECT_EQ(sched.summary().migCommitted, 1u);
     EXPECT_EQ(sched.migrationsInFlight(), 0u);
     const unsigned h0 = sched.homeOf(p0);
     const unsigned h1 = sched.homeOf(p1);
@@ -274,10 +274,10 @@ TEST(RackBalance, DroppedTransferAbortsAndRetriesNextWindow)
                               &b),
               rack::AdmitResult::Admitted);
     EXPECT_EQ(b, hot);
-    EXPECT_EQ(sched.migrationsStarted(), 1u);
-    EXPECT_EQ(sched.migrationsAborted(), 1u);
+    EXPECT_EQ(sched.summary().migStarted, 1u);
+    EXPECT_EQ(sched.summary().migAborted, 1u);
     EXPECT_EQ(sched.migrationsInFlight(), 0u);
-    EXPECT_EQ(sched.migrationsCommitted(), 0u);
+    EXPECT_EQ(sched.summary().migCommitted, 0u);
     EXPECT_EQ(sched.homeOf(p0), hot);
     EXPECT_EQ(sched.homeOf(p1), hot);
 
@@ -290,9 +290,9 @@ TEST(RackBalance, DroppedTransferAbortsAndRetriesNextWindow)
                       at, keyedRequest(at, keys[i % 2], 600 + i),
                       nullptr),
                   rack::AdmitResult::Admitted);
-    EXPECT_EQ(sched.migrationsStarted(), 2u);
-    EXPECT_EQ(sched.migrationsAborted(), 1u);
-    EXPECT_EQ(sched.migrationsCommitted(), 1u);
+    EXPECT_EQ(sched.summary().migStarted, 2u);
+    EXPECT_EQ(sched.summary().migAborted, 1u);
+    EXPECT_EQ(sched.summary().migCommitted, 1u);
     EXPECT_EQ(sched.migrationsInFlight(), 0u);
     const unsigned h0 = sched.homeOf(p0);
     const unsigned h1 = sched.homeOf(p1);

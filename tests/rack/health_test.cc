@@ -16,6 +16,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "board/balance.hh"
@@ -109,7 +110,6 @@ struct MonitoredRun
     std::vector<rack::HealthTransition> transitions;
     std::vector<rack::BoardHealth> finalState;
     sim::ChannelTotals net; ///< the RackNet's fate tallies
-    std::uint64_t misses = 0;
     bool finished = false;
 };
 
@@ -176,7 +176,6 @@ runMonitoredScenario(
     for (unsigned b = 0; b < r->nBoards(); ++b)
         out.finalState.push_back(sched.health().state(b));
     out.net = r->net().totals();
-    out.misses = sched.health().missesSeen();
     if (inspect)
         inspect(sched);
     sim::faultPlane().reset();
@@ -185,6 +184,14 @@ runMonitoredScenario(
         out.snap.counters["sim.finalTick"] = r->now();
     }
     return out;
+}
+
+/** @p snap's counter @p key; a cell never created reads 0. */
+std::uint64_t
+cell(const sim::StatsSnapshot &snap, const std::string &key)
+{
+    const auto it = snap.counters.find(key);
+    return it == snap.counters.end() ? 0 : it->second;
 }
 
 /** The RackNet's wire law: every send counted offered on entry
@@ -382,7 +389,8 @@ TEST(HealthIntegration, DropBurstsAloneNeverDeclareABoardDown)
                                           monitoredParams());
     ASSERT_FALSE(run.snap.counters.empty());
     EXPECT_GT(run.net.dropped.msgs, 0u) << "the burst never fired";
-    EXPECT_GT(run.misses, 0u) << "drops never reached the detector";
+    EXPECT_GT(cell(run.snap, "health.misses"), 0u)
+        << "drops never reached the detector";
     for (const rack::HealthTransition &t : run.transitions)
         EXPECT_NE(t.to, rack::BoardHealth::Down)
             << "drops alone declared board " << t.board
@@ -462,7 +470,7 @@ TEST(BrownOut, SuspectReplicasShedOnlyDeadlineRiskyRequests)
     tight.job.timeout = 100 * kUs;
     EXPECT_EQ(sched.enqueueAt(10 * kUs, std::move(tight)),
               rack::AdmitResult::Shed);
-    EXPECT_EQ(sched.shedCount(), 1u);
+    EXPECT_EQ(sched.summary().shed, 1u);
 
     // A lazy deadline rides through the same suspect pair: shed is
     // deadline-scoped, not a blanket Suspect ban.
@@ -472,7 +480,7 @@ TEST(BrownOut, SuspectReplicasShedOnlyDeadlineRiskyRequests)
     EXPECT_EQ(sched.enqueueAt(20 * kUs, std::move(lazy), &board),
               rack::AdmitResult::Admitted);
     EXPECT_EQ(board, reps[0]);
-    EXPECT_EQ(sched.shedCount(), 1u);
+    EXPECT_EQ(sched.summary().shed, 1u);
 }
 
 // ----------------------------------------------------------------
@@ -544,7 +552,7 @@ TEST(RackAttribution, AdmissionReroutesAreNotFailovers)
                               keyedRequest(20 * kUs, key, 2), &b1),
               rack::AdmitResult::Admitted);
     EXPECT_EQ(b1, reps[1]);
-    EXPECT_EQ(sched.admitRerouteCount(), 1u);
+    EXPECT_EQ(sched.summary().admitReroutes, 1u);
     EXPECT_EQ(sched.summary().failovers, 0u);
     EXPECT_EQ(sched.enqueueAt(30 * kUs,
                               keyedRequest(30 * kUs, key, 3)),
@@ -621,6 +629,28 @@ TEST(HealthChaos, CrashMidMigrationLeavesNoDoubleAssignment)
         << "crash + migration overlap lost or duplicated jobs";
     EXPECT_GE(a.sum.repairsStarted, 1u);
     EXPECT_GE(a.sum.repairsCommitted, 1u);
+
+    // With every mechanism live, each summary count is its stat
+    // cell.
+    const std::pair<std::uint64_t, const char *> folds[] = {
+        {a.sum.offered, "rack.offered"},
+        {a.sum.admitted, "rack.admitted"},
+        {a.sum.rejected, "rack.rejected"},
+        {a.sum.boardsDown, "rack.boardsDown"},
+        {a.sum.netLost, "rack.netLost"},
+        {a.sum.shed, "rack.shed"},
+        {a.sum.failovers, "rack.failovers"},
+        {a.sum.admitReroutes, "rack.admitReroutes"},
+        {a.sum.migStarted, "rack.migStarted"},
+        {a.sum.migCommitted, "rack.migCommitted"},
+        {a.sum.migAborted, "rack.migAborted"},
+        {a.sum.forwarded, "rack.forwarded"},
+        {a.sum.repairsStarted, "rack.repairStarted"},
+        {a.sum.repairsCommitted, "rack.repairCommitted"},
+        {a.sum.probes, "health.probes"},
+    };
+    for (const auto &[count, key] : folds)
+        EXPECT_EQ(count, cell(a.snap, key)) << key;
 
     // Requests, hand-offs, heartbeats and drops all crossed the
     // RackNet, and each send settled in exactly one fate class.

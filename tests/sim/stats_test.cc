@@ -1,13 +1,16 @@
 /**
  * @file
  * Unit tests for StatGroup accessors, dump()/reset() ordering, the
- * StatsRegistry snapshot, and snapshot JSON round-tripping.
+ * StatsRegistry snapshot, snapshot JSON round-tripping, and the JSON
+ * reader's numbers beyond int64's range.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 
+#include "sim/json.hh"
 #include "sim/stats.hh"
 #include "sim/stats_registry.hh"
 
@@ -109,6 +112,18 @@ TEST(StatsSnapshot, ReadRejectsMalformedInput)
         "{\"counters\": {\"k\": -1}, \"scalars\": {}}", out, err));
     EXPECT_FALSE(StatsSnapshot::readJson(
         "{\"counters\": {\"k\": \"str\"}}", out, err));
+}
+
+TEST(Json, NumbersBeyondInt64ParseAsDoublesWithNoIntegerView)
+{
+    for (const char *text : {"1e300", "-1e300", "1e400"}) {
+        json::Value v;
+        std::string err;
+        ASSERT_TRUE(json::parse(text, v, err)) << text << ": " << err;
+        EXPECT_EQ(v.kind, json::Value::Kind::Double) << text;
+        EXPECT_EQ(v.d, std::strtod(text, nullptr)) << text;
+        EXPECT_EQ(v.i, 0) << text;
+    }
 }
 
 TEST(StatsSnapshot, DiffFindsDriftMissingAndExtra)
