@@ -32,7 +32,7 @@
  */
 
 #include <chrono>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +41,7 @@
 #include "board/board.hh"
 #include "board/board_apps.hh"
 #include "host/board_offload.hh"
+#include "rack/workload.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -99,16 +100,6 @@ parallelRun(unsigned threads, const board::ShardedSqlConfig &cfg)
     pt.wallSec = wallNow() - t0;
     pt.epochs = b->runnerStats().epochs;
     return pt;
-}
-
-/** True when `flag` appears verbatim on the command line. */
-bool
-flagSet(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
 }
 
 // ----------------------------------------------------------------
@@ -322,7 +313,7 @@ int
 main(int argc, char **argv)
 {
     const bool smoke = bench::smokeRun(argc, argv);
-    if (flagSet(argc, argv, "--skew-step"))
+    if (bench::flag(argc, argv, "--skew-step"))
         return skewMain(smoke,
                         unsigned(std::strtoul(
                             bench::argValue(argc, argv, "--threads",
@@ -330,9 +321,6 @@ main(int argc, char **argv)
                             nullptr, 0)));
     const char *faults =
         bench::argValue(argc, argv, "--faults", "");
-    const std::uint64_t fault_seed = std::strtoull(
-        bench::argValue(argc, argv, "--fault-seed", "1"), nullptr,
-        0);
 
     board::ShardedSqlConfig scfg;
     scfg.rowsPerDpu = smoke ? (1u << 12) : (1u << 15);
@@ -384,7 +372,7 @@ main(int argc, char **argv)
     bool ran_faulted = false;
     if (*faults) {
         sim::faultPlane().reset();
-        sim::faultPlane().configure(faults, fault_seed);
+        sim::faultPlane().configure(faults, 1);
         const auto fb = topo::ClusterTopology::board(2).buildBoard();
         faulted = board::runShardedSql(*fb, scfg);
         sim::faultPlane().reset();
@@ -481,27 +469,13 @@ main(int argc, char **argv)
     const double rate = 4000;
     sim::Rng rng(0x0b0a7d);
     sim::Tick t = 0;
-    const char *mix[] = {"filter", "groupby-low", "hll-crc",
-                         "json"};
+    const std::vector<rack::MixApp> mix = rack::servingMix();
     std::vector<std::uint64_t> per_shard(sb.nDpus(), 0);
     for (unsigned i = 0; i < n_jobs; ++i) {
-        host::JobRequest req;
-        const apps::AppSpec *spec =
-            apps::findApp(mix[rng.below(4)]);
-        sim_assert(spec, "mix app missing from registry");
-        req.app = spec->name;
-        req.cfg = spec->makeConfig();
-        if (req.app == "filter")
-            spec->set(req.cfg, "rowsPerCore", "4096");
-        if (req.app == "groupby-low")
-            spec->set(req.cfg, "nRows", "16384");
-        if (req.app == "hll-crc") {
-            spec->set(req.cfg, "nElements", "8192");
-            spec->set(req.cfg, "cardinality", "2048");
-        }
-        if (req.app == "json")
-            spec->set(req.cfg, "nRecords", "512");
-        req.seed = rng.next();
+        rack::TraceEvent ev;
+        ev.appIdx = unsigned(rng.below(mix.size()));
+        ev.seed = rng.next();
+        host::JobRequest req = rack::makeRequest(ev, mix).job;
         const double gap_s = rng.uniform() / rate;
         t += sim::Tick(gap_s * 1e12);
         ++per_shard[bsched.route(req)];

@@ -44,7 +44,7 @@
  */
 
 #include <algorithm>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -85,11 +85,11 @@ traceRun(unsigned n_boards, unsigned max_boards,
          const std::vector<rack::TraceEvent> &master,
          const host::OffloadParams &op,
          const rack::PlacementParams &place, unsigned threads,
-         const char *faults, std::uint64_t fault_seed)
+         const char *faults)
 {
     sim::faultPlane().reset();
     if (faults && *faults)
-        sim::faultPlane().configure(faults, fault_seed);
+        sim::faultPlane().configure(faults, 1);
 
     rack::PlacementParams pl = place;
     pl.replication = std::min(pl.replication, n_boards);
@@ -128,16 +128,6 @@ traceRun(unsigned n_boards, unsigned max_boards,
     pt.sum = sched.summary();
     sim::faultPlane().reset();
     return pt;
-}
-
-/** True when `flag` appears verbatim on the command line. */
-bool
-flagSet(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
 }
 
 // ----------------------------------------------------------------
@@ -416,15 +406,12 @@ main(int argc, char **argv)
     const bool smoke = bench::smokeRun(argc, argv);
     const char *faults =
         bench::argValue(argc, argv, "--faults", "");
-    const std::uint64_t fault_seed = std::strtoull(
-        bench::argValue(argc, argv, "--fault-seed", "1"), nullptr,
-        0);
     // Boards run sequentially, so per-board worker threads only
     // help on long boards; serial epochs are the cheap default.
     const unsigned threads = unsigned(std::strtoul(
         bench::argValue(argc, argv, "--threads", "1"), nullptr, 0));
 
-    if (flagSet(argc, argv, "--outage"))
+    if (bench::flag(argc, argv, "--outage"))
         return outageMain(smoke, threads);
 
     // The arrival shape: one simulated "day" of 10 ms with a 50%
@@ -458,7 +445,7 @@ main(int argc, char **argv)
     bool ok = true;
     for (unsigned n : {1u, 2u, 4u, 8u}) {
         RackPoint pt = traceRun(n, max_boards, master, op, place,
-                                threads, "", 0);
+                                threads, "");
         const host::ServingSummary &s = pt.sum.serving;
         ok = ok && s.completed > 0 && s.validationFailed == 0;
         curve.push_back(pt);
@@ -498,7 +485,7 @@ main(int argc, char **argv)
     if (*faults) {
         bench::header("rack under faults", faults);
         faulted = traceRun(2, max_boards, master, op, place,
-                           threads, faults, fault_seed);
+                           threads, faults);
         ran_faulted = true;
         const rack::RackSummary &fs = faulted.sum;
         ok = ok && fs.serving.completed > 0;
@@ -574,10 +561,10 @@ main(int argc, char **argv)
                   "one of 4 boards at t=2ms; static vs balanced");
     RackPoint skewStatic =
         traceRun(skew_boards, skew_boards, skewMaster, op,
-                 staticPlace, threads, "", 0);
+                 staticPlace, threads, "");
     RackPoint skewBal =
         traceRun(skew_boards, skew_boards, skewMaster, op,
-                 balPlace, threads, "", 0);
+                 balPlace, threads, "");
     const double recovery =
         skewStatic.sum.usersPerSimSec > 0
             ? skewBal.sum.usersPerSimSec /

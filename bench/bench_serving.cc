@@ -23,13 +23,13 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "bench/report.hh"
 #include "host/offload.hh"
+#include "host/summary.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -84,15 +84,6 @@ stateName(host::JobState st)
     case host::JobState::Rejected: return "rejected";
     }
     return "?";
-}
-
-bool
-argFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
 }
 
 /** One serving run's shape. */
@@ -215,15 +206,7 @@ runServing(const RunCfg &cfg)
             window.push_back(done[i]->latencyUs());
         std::sort(window.begin(), window.end());
     }
-    auto pct = [&](double q) {
-        if (window.empty())
-            return 0.0;
-        std::size_t rank =
-            std::size_t(q * double(window.size()) + 0.5);
-        if (rank > 0)
-            --rank;
-        return window[std::min(rank, window.size() - 1)];
-    };
+    auto pct = [&](double q) { return host::percentileOf(window, q); };
 
     // Per-app completion counts and mean latency.
     struct AppAgg
@@ -399,7 +382,7 @@ main(int argc, char **argv)
     bench::header("Serving",
                   "offload scheduler under mixed-app load");
 
-    if (argFlag(argc, argv, "--fault-sweep")) {
+    if (bench::flag(argc, argv, "--fault-sweep")) {
         // Sweep a fixed fault menu with retries on, reporting
         // availability and tail latency per scenario.
         int rc = 0;

@@ -17,6 +17,16 @@
 
 namespace bench {
 
+/** True when @p name appears verbatim on the command line. */
+inline bool
+flag(int argc, char **argv, const char *name)
+{
+    for (int i = 1; i < argc; ++i)
+        if (std::strcmp(argv[i], name) == 0)
+            return true;
+    return false;
+}
+
 /**
  * True when the bench was invoked with --smoke (CI mode): run the
  * same code paths with tiny parameters so the binary finishes in
@@ -26,10 +36,7 @@ namespace bench {
 inline bool
 smokeRun(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            return true;
-    return false;
+    return flag(argc, argv, "--smoke");
 }
 
 /** Value of `--flag <v>` / `--flag=<v>`, or @p fallback. */

@@ -2,16 +2,19 @@
  * @file
  * Shared scaffolding for the co-design applications (Section 5):
  * the DPU-vs-Xeon result record with the paper's performance/watt
- * metric, and helpers for staging workload data in simulated DDR.
+ * metric, helpers for staging workload data in simulated DDR, and
+ * the lane split and DMEM dump the multi-core kernels share.
  */
 
 #ifndef DPU_APPS_COMMON_HH
 #define DPU_APPS_COMMON_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "rt/dms_ctl.hh"
 #include "soc/soc.hh"
 #include "soc/soc_params.hh"
 #include "xeon/xeon_model.hh"
@@ -65,6 +68,33 @@ constexpr std::uint64_t
 alignUp(std::uint64_t x, std::uint64_t align)
 {
     return (x + align - 1) / align * align;
+}
+
+/** Contiguous [begin, begin+count) share of @p total for @p lane. */
+struct Slice
+{
+    std::uint64_t begin = 0;
+    std::uint64_t count = 0;
+};
+
+inline Slice
+laneSlice(std::uint64_t total, unsigned n_lanes, unsigned lane)
+{
+    const std::uint64_t per = (total + n_lanes - 1) / n_lanes;
+    const std::uint64_t b = std::min<std::uint64_t>(total, lane * per);
+    const std::uint64_t e = std::min<std::uint64_t>(total, b + per);
+    return {b, e - b};
+}
+
+/** Dump @p bytes of DMEM at @p src_off to DDR @p dst, synchronous. */
+inline void
+dumpToDdr(rt::DmsCtl &ctl, std::uint16_t src_off, mem::Addr dst,
+          std::uint32_t bytes)
+{
+    ctl.dmemToDdr().rows(bytes / 4).width(4).from(src_off).to(dst)
+        .event(6).noAutoInc().push(1);
+    ctl.wfe(6);
+    ctl.clearEvent(6);
 }
 
 } // namespace dpu::apps

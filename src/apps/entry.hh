@@ -2,14 +2,12 @@
  * @file
  * Internal head-to-head entry points, one per Section 5 app.
  *
- * These are the typed run functions the registry's AppSpec adapters
- * call: DPU run + Xeon baseline + validation, folded into one
- * AppResult. They used to be declared in each app's public header
- * as deprecated free-function entry points; the registry
- * (apps/registry.hh) is now the sole public entry path, and this
- * header exists only so the definitions in the app .cc files and
- * the adapters in registry.cc agree on a signature. Do not include
- * it outside src/apps/.
+ * These are the typed run functions registry.cc hands to each
+ * AppSpec as its run callable: DPU run + Xeon baseline + validation,
+ * folded into one AppResult. The registry (apps/registry.hh) is the
+ * sole public entry path; this header exists only so the
+ * definitions in the app .cc files and registry.cc agree on a
+ * signature. Do not include it outside src/apps/.
  */
 
 #ifndef DPU_APPS_ENTRY_HH

@@ -202,32 +202,6 @@ disparitySet(DisparityConfig &c, std::string_view k,
     return false;
 }
 
-// Typed run/serve adapters (unary function pointers for makeSpec).
-
-AppResult runSvm(const SvmConfig &c) { return svmApp(c); }
-AppResult runSimSearch(const SimSearchConfig &c)
-{
-    return simSearchApp(c);
-}
-AppResult runFilter(const sql::FilterConfig &c)
-{
-    return sql::filterApp(c);
-}
-AppResult runGroupByLow(const sql::GroupByConfig &c)
-{
-    return sql::groupByLowApp(c);
-}
-AppResult runGroupByHigh(const sql::GroupByConfig &c)
-{
-    return sql::groupByHighApp(c);
-}
-AppResult runHll(const HllConfig &c) { return hllApp(c); }
-AppResult runJson(const JsonConfig &c) { return jsonApp(c); }
-AppResult runDisparity(const DisparityConfig &c)
-{
-    return disparityApp(c);
-}
-
 std::vector<AppSpec>
 buildRegistry()
 {
@@ -235,11 +209,11 @@ buildRegistry()
 
     r.push_back(makeSpec<SvmConfig>(
         "svm", "SMO training / fixed-point inference (Section 5.1)",
-        15.0, SvmConfig{}, svmSet, runSvm, serving::svmJob));
+        15.0, SvmConfig{}, svmSet, svmApp, serving::svmJob));
 
     r.push_back(makeSpec<SimSearchConfig>(
         "simsearch", "tf-idf similarity scoring (Section 5.2)", 3.9,
-        SimSearchConfig{}, simSearchSet, runSimSearch,
+        SimSearchConfig{}, simSearchSet, simSearchApp,
         serving::simSearchJob));
 
     {
@@ -248,7 +222,7 @@ buildRegistry()
         f.rowsPerCore = 256 << 10;
         r.push_back(makeSpec<sql::FilterConfig>(
             "filter", "SQL predicate scan via FILT (Section 5.3)",
-            6.7, f, filterSet, runFilter, serving::filterJob));
+            6.7, f, filterSet, sql::filterApp, serving::filterJob));
     }
 
     {
@@ -256,7 +230,7 @@ buildRegistry()
         low.ndv = 256;
         r.push_back(makeSpec<sql::GroupByConfig>(
             "groupby-low", "low-NDV aggregation (Section 5.3)", 6.7,
-            low, groupBySet, runGroupByLow, serving::groupByJob));
+            low, groupBySet, sql::groupByLowApp, serving::groupByJob));
     }
     {
         sql::GroupByConfig high;
@@ -264,12 +238,12 @@ buildRegistry()
         r.push_back(makeSpec<sql::GroupByConfig>(
             "groupby-high",
             "high-NDV partitioned aggregation (Section 5.3)", 9.7,
-            high, groupBySet, runGroupByHigh, serving::groupByJob));
+            high, groupBySet, sql::groupByHighApp, serving::groupByJob));
     }
 
     r.push_back(makeSpec<HllConfig>(
         "hll-crc", "HyperLogLog with CRC32 hashing (Section 5.4)",
-        9.0, HllConfig{}, hllSet, runHll, serving::hllJob));
+        9.0, HllConfig{}, hllSet, hllApp, serving::hllJob));
 
     {
         HllConfig murmur;
@@ -277,16 +251,16 @@ buildRegistry()
         r.push_back(makeSpec<HllConfig>(
             "hll-murmur",
             "HyperLogLog with Murmur64 hashing (Section 5.4)", 1.5,
-            murmur, hllSet, runHll, serving::hllJob));
+            murmur, hllSet, hllApp, serving::hllJob));
     }
 
     r.push_back(makeSpec<JsonConfig>(
         "json", "jump-table JSON parsing (Section 5.5)", 8.0,
-        JsonConfig{}, jsonSet, runJson, serving::jsonJob));
+        JsonConfig{}, jsonSet, jsonApp, serving::jsonJob));
 
     r.push_back(makeSpec<DisparityConfig>(
         "disparity", "stereo disparity SAD argmin (Section 5.6)",
-        8.6, DisparityConfig{}, disparitySet, runDisparity,
+        8.6, DisparityConfig{}, disparitySet, disparityApp,
         serving::disparityJob));
 
     return r;

@@ -13,43 +13,6 @@
 
 namespace dpu::apps::serving {
 
-namespace {
-
-/** Contiguous [begin, begin+count) share of @p total for @p lane. */
-struct Slice
-{
-    std::uint64_t begin = 0;
-    std::uint64_t count = 0;
-};
-
-Slice
-laneSlice(std::uint64_t total, unsigned n_lanes, unsigned lane)
-{
-    const std::uint64_t per = (total + n_lanes - 1) / n_lanes;
-    const std::uint64_t b = std::min<std::uint64_t>(total, lane * per);
-    const std::uint64_t e = std::min<std::uint64_t>(total, b + per);
-    return {b, e - b};
-}
-
-std::uint64_t
-align64(std::uint64_t v)
-{
-    return (v + 63) & ~std::uint64_t(63);
-}
-
-/** Dump @p bytes of DMEM at @p src_off to DDR @p dst, synchronous. */
-void
-dumpToDdr(rt::DmsCtl &ctl, std::uint16_t src_off, mem::Addr dst,
-          std::uint32_t bytes)
-{
-    ctl.dmemToDdr().rows(bytes / 4).width(4).from(src_off).to(dst)
-        .event(6).noAutoInc().push(1);
-    ctl.wfe(6);
-    ctl.clearEvent(6);
-}
-
-} // namespace
-
 // ----------------------------------------------------------------
 // SQL filter: FILT scan over a uint32 column slice
 // ----------------------------------------------------------------
@@ -63,7 +26,7 @@ filterJob(const sql::FilterConfig &cfg, const ServingContext &ctx)
         cfg.tileBytes ? cfg.tileBytes : 8192, 8192);
     sim_assert(tile % 4 == 0, "tile must be element aligned");
     const mem::Addr data_base = ctx.arena;
-    const mem::Addr res_base = ctx.arena + align64(rows * 4);
+    const mem::Addr res_base = ctx.arena + alignUp(rows * 4, 64);
     sim_assert(res_base + ctx.nLanes * 8 <=
                    ctx.arena + ctx.arenaBytes,
                "filter job overruns its arena");
@@ -128,7 +91,7 @@ groupByJob(const sql::GroupByConfig &cfg, const ServingContext &ctx)
     const std::uint64_t rows = cfg.nRows;
     const std::uint32_t tab_bytes = cfg.ndv * 8;
     const mem::Addr data_base = ctx.arena; // (key,val) uint32 pairs
-    const mem::Addr res_base = ctx.arena + align64(rows * 8);
+    const mem::Addr res_base = ctx.arena + alignUp(rows * 8, 64);
     sim_assert(res_base + std::uint64_t(ctx.nLanes) * tab_bytes <=
                    ctx.arena + ctx.arenaBytes,
                "group-by job overruns its arena");
@@ -209,7 +172,7 @@ hllJob(const HllConfig &cfg, const ServingContext &ctx)
     sim_assert(m <= 8 * 1024, "register file exceeds DMEM budget");
     const std::uint64_t n = cfg.nElements;
     const mem::Addr data_base = ctx.arena;
-    const mem::Addr res_base = ctx.arena + align64(n * 8);
+    const mem::Addr res_base = ctx.arena + alignUp(n * 8, 64);
     sim_assert(res_base + std::uint64_t(ctx.nLanes) * m <=
                    ctx.arena + ctx.arenaBytes,
                "HLL job overruns its arena");
@@ -319,7 +282,7 @@ jsonJob(const JsonConfig &cfg, const ServingContext &ctx)
     const std::uint64_t bytes = text->size();
     constexpr std::uint32_t pad = 1024; // Section 5.5's padding
     const mem::Addr data_base = ctx.arena;
-    const mem::Addr res_base = ctx.arena + align64(bytes + pad);
+    const mem::Addr res_base = ctx.arena + alignUp(bytes + pad, 64);
     sim_assert(res_base + ctx.nLanes * 24 <=
                    ctx.arena + ctx.arenaBytes,
                "JSON job overruns its arena");
@@ -409,8 +372,8 @@ svmJob(const SvmConfig &cfg, const ServingContext &ctx)
     const std::uint64_t n = cfg.nTest;
     const std::uint32_t row_bytes = dims * 4;
     const mem::Addr w_base = ctx.arena;
-    const mem::Addr x_base = ctx.arena + align64(row_bytes);
-    const mem::Addr res_base = x_base + align64(n * row_bytes);
+    const mem::Addr x_base = ctx.arena + alignUp(row_bytes, 64);
+    const mem::Addr res_base = x_base + alignUp(n * row_bytes, 64);
     sim_assert(res_base + ctx.nLanes * 8 <=
                    ctx.arena + ctx.arenaBytes,
                "SVM job overruns its arena");
@@ -508,8 +471,8 @@ simSearchJob(const SimSearchConfig &cfg, const ServingContext &ctx)
         std::uint64_t(cfg.nDocs) * cfg.avgTermsPerDoc;
     const std::uint32_t q_bytes = cfg.vocab * 4;
     const mem::Addr q_base = ctx.arena;
-    const mem::Addr p_base = ctx.arena + align64(q_bytes);
-    const mem::Addr res_base = p_base + align64(n_post * 8);
+    const mem::Addr p_base = ctx.arena + alignUp(q_bytes, 64);
+    const mem::Addr res_base = p_base + alignUp(n_post * 8, 64);
     sim_assert(res_base + ctx.nLanes * 8 <=
                    ctx.arena + ctx.arenaBytes,
                "simsearch job overruns its arena");
@@ -639,9 +602,9 @@ disparityJob(const DisparityConfig &cfg, const ServingContext &ctx)
                "serving disparity row must fit a DMEM buffer");
     const std::uint64_t wh = std::uint64_t(w) * h;
     const mem::Addr l_base = ctx.arena;
-    const mem::Addr r_base = ctx.arena + align64(wh);
-    const mem::Addr d_base = r_base + align64(wh);
-    sim_assert(d_base + align64(wh) <= ctx.arena + ctx.arenaBytes,
+    const mem::Addr r_base = ctx.arena + alignUp(wh, 64);
+    const mem::Addr d_base = r_base + alignUp(wh, 64);
+    sim_assert(d_base + alignUp(wh, 64) <= ctx.arena + ctx.arenaBytes,
                "disparity job overruns its arena");
 
     soc::Soc *s = ctx.soc;

@@ -109,10 +109,20 @@ LoadTracker::totalLoad(unsigned partition) const
 // PartitionMap
 // ----------------------------------------------------------------
 
+std::uint32_t
+placementHash(std::string_view app, std::uint64_t seed)
+{
+    std::uint32_t h = 2166136261u;
+    for (char ch : app)
+        h = (h ^ std::uint8_t(ch)) * 16777619u;
+    h = util::crc32Key(h ^ std::uint32_t(seed));
+    return util::crc32Key(h ^ std::uint32_t(seed >> 32));
+}
+
 unsigned
 hashHome(unsigned partition, unsigned n)
 {
-    return util::crc32Key(util::crc32Key(2166136261u ^ partition)) % n;
+    return placementHash({}, partition) % n;
 }
 
 PartitionMap::PartitionMap(unsigned n_partitions, unsigned replication)

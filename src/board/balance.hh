@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dms/handoff_exec.hh"
@@ -127,11 +128,18 @@ class LoadTracker
 };
 
 /**
- * @p partition's hash home on a tier of @p n nodes: where a map with
- * no reassignments places it. FNV's offset basis CRC-folded with the
- * partition index, bit-identical to host::routeHash with an empty
- * app name and the partition as its seed. Pure function; lets
- * workload generators find partitions that collide on one node.
+ * The one placement mix: FNV over @p app, CRC-folded with the two
+ * halves of @p seed. host::Router sends a keyless request to
+ * placementHash(app, seed) % n, and hashHome() homes a partition
+ * with it; the goldens pin its values.
+ */
+std::uint32_t placementHash(std::string_view app, std::uint64_t seed);
+
+/**
+ * @p partition's hash home on a tier of @p n nodes, where a map with
+ * no reassignments places it: placementHash({}, partition) % n. Pure
+ * function; lets workload generators find partitions that collide on
+ * one node.
  */
 unsigned hashHome(unsigned partition, unsigned n);
 

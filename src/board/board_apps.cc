@@ -18,33 +18,6 @@ namespace dpu::board {
 
 namespace {
 
-/** Contiguous [begin, begin+count) share of @p total for @p lane. */
-struct Slice
-{
-    std::uint64_t begin = 0;
-    std::uint64_t count = 0;
-};
-
-Slice
-laneSlice(std::uint64_t total, unsigned n_lanes, unsigned lane)
-{
-    const std::uint64_t per = (total + n_lanes - 1) / n_lanes;
-    const std::uint64_t b = std::min<std::uint64_t>(total, lane * per);
-    const std::uint64_t e = std::min<std::uint64_t>(total, b + per);
-    return {b, e - b};
-}
-
-/** Dump @p bytes of DMEM at @p src_off to DDR @p dst, synchronous. */
-void
-dumpToDdr(rt::DmsCtl &ctl, std::uint16_t src_off, mem::Addr dst,
-          std::uint32_t bytes)
-{
-    ctl.dmemToDdr().rows(bytes / 4).width(4).from(src_off).to(dst)
-        .event(6).noAutoInc().push(1);
-    ctl.wfe(6);
-    ctl.clearEvent(6);
-}
-
 /** Per-DPU key/value table, regenerable host-side for validation. */
 std::vector<std::uint32_t>
 sqlTable(const ShardedSqlConfig &cfg, unsigned dpu)
@@ -290,7 +263,7 @@ runShardedSql(Board &b, const ShardedSqlConfig &cfg)
                 c.dmem().store<std::uint64_t>(0x6000, cnt);
                 c.dmem().store<std::uint64_t>(0x6008, sum);
                 c.dualIssue(4, 4);
-                dumpToDdr(ctl, 0x6000, out, 16);
+                apps::dumpToDdr(ctl, 0x6000, out, 16);
             });
         }
     }
@@ -400,8 +373,8 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
         for (unsigned lane = 0; lane < cfg.nLanes; ++lane) {
             s->start(lane, [s, lane, cfg, m, data_base,
                             lane_regs](core::DpCore &c) {
-                const Slice sl = laneSlice(cfg.elementsPerDpu,
-                                           cfg.nLanes, lane);
+                const apps::Slice sl = apps::laneSlice(
+                    cfg.elementsPerDpu, cfg.nLanes, lane);
                 rt::DmsCtl ctl(c, s->dmsFor(c.id()));
                 constexpr std::uint32_t tile = 4096;
                 const std::uint32_t reg_off = 2 * tile;
@@ -429,8 +402,8 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
                 }
                 c.dmem().write(reg_off, regs.data(), m);
                 c.dualIssue(m / 8, m / 8);
-                dumpToDdr(ctl, std::uint16_t(reg_off),
-                          lane_regs + std::uint64_t(lane) * m, m);
+                apps::dumpToDdr(ctl, std::uint16_t(reg_off),
+                                lane_regs + std::uint64_t(lane) * m, m);
             });
         }
     }
@@ -464,7 +437,7 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
             const std::uint32_t out_off = 0x4000;
             c.dmem().write(out_off, merged.data(), m);
             c.dualIssue(m / 8, m / 8);
-            dumpToDdr(ctl, std::uint16_t(out_off), dpu_sketch, m);
+            apps::dumpToDdr(ctl, std::uint16_t(out_off), dpu_sketch, m);
         });
     }
     b.run();
@@ -516,7 +489,7 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
             const std::uint32_t out_off = 0x4000;
             c.dmem().write(out_off, merged.data(), m);
             c.dualIssue(m / 8, m / 8);
-            dumpToDdr(ctl, std::uint16_t(out_off), final_sketch, m);
+            apps::dumpToDdr(ctl, std::uint16_t(out_off), final_sketch, m);
         });
     }
     b.run();

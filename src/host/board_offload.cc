@@ -10,10 +10,10 @@ namespace dpu::host {
 BoardScheduler::BoardScheduler(board::Board &b,
                                OffloadParams per_dpu,
                                std::unique_ptr<Router> router_)
-    : brd(b), policy(std::move(router_)),
+    : brd(b), router(std::move(router_)),
       parts(b.params().balance.keyPartitions, 1)
 {
-    sim_assert(policy, "BoardScheduler needs a routing policy");
+    sim_assert(router, "BoardScheduler needs a router");
     const std::string prefix = per_dpu.statName;
     shards.reserve(b.nDpus());
     for (unsigned d = 0; d < b.nDpus(); ++d) {
@@ -39,25 +39,15 @@ BoardScheduler::BoardScheduler(board::Board &b,
 }
 
 unsigned
-BoardScheduler::route(const JobRequest &req)
+BoardScheduler::route(const JobRequest &req) const
 {
-    return policy->route(routeInfoOf(req), nShards());
+    return router->route(req, nShards());
 }
 
 void
 BoardScheduler::enqueueAt(sim::Tick when, JobRequest req)
 {
-    const unsigned d = route(req);
-    enqueueAt(when, d, std::move(req));
-}
-
-void
-BoardScheduler::enqueueAt(sim::Tick when, unsigned dpu,
-                          JobRequest req)
-{
-    sim_assert(dpu < nShards(), "request routed off the board (%u)",
-               dpu);
-    shards[dpu]->enqueueAt(when, std::move(req));
+    shards[route(req)]->enqueueAt(when, std::move(req));
 }
 
 void

@@ -3,14 +3,11 @@
  * Board-level sharded offload scheduling.
  *
  * One OffloadScheduler per DPU (each with its own HostA9 endpoint,
- * admission queue, quarantine and availability accounting), plus a
- * pluggable routing policy (host/router.hh) that assigns every
- * request to a shard before the run starts:
- *
- *  - hash routing: a deterministic CRC mix of the request's app
- *    name and seed — the serving-tier "partition by key" path, so
- *    a request's home DPU is a pure function of the request;
- *  - round-robin: arrival-order striping, the load-balancing path.
+ * admission queue, quarantine and availability accounting). A
+ * request without a key goes to the DPU its app name and seed hash
+ * to (host/router.hh), so its home DPU is a pure function of the
+ * request; a keyed offer() goes to its partition's home in the
+ * board's PartitionMap.
  *
  * Routing is static for a request (decided at enqueue time, before
  * the segment that serves it runs): a request never migrates
@@ -47,7 +44,7 @@
 
 namespace dpu::host {
 
-/** N per-DPU offload schedulers behind one routing policy. */
+/** N per-DPU offload schedulers behind one hash router. */
 class BoardScheduler
 {
   public:
@@ -70,15 +67,11 @@ class BoardScheduler
         return *shards[d];
     }
 
-    /** The shard @p req routes to (advances stateful policies such
-     *  as round-robin). */
-    unsigned route(const JobRequest &req);
+    /** The shard @p req routes to. */
+    unsigned route(const JobRequest &req) const;
 
-    /** Open-loop arrival routed by policy. */
+    /** Open-loop arrival on the shard route() picks. */
     void enqueueAt(sim::Tick when, JobRequest req);
-
-    /** Open-loop arrival pinned to DPU @p dpu. */
-    void enqueueAt(sim::Tick when, unsigned dpu, JobRequest req);
 
     /** Start every shard's workers and host driver loop; then run
      *  the board. */
@@ -137,7 +130,7 @@ class BoardScheduler
     };
 
     board::Board &brd;
-    std::unique_ptr<Router> policy;
+    std::unique_ptr<Router> router;
     std::vector<std::unique_ptr<OffloadScheduler>> shards;
     /** Key-partition homes; built for every board so the static
      *  and balanced paths route identically. */

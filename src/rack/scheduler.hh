@@ -9,11 +9,10 @@
  *
  *  1. Placement — the request's key hashes onto one of
  *     keyPartitions key-range partitions; the partition selects a
- *     board through a mutable board::PartitionMap whose default is
- *     bit-identical to the replica-group hash policy
- *     (host/router.hh), so a rack that never rebalances routes
- *     exactly as before. The replication factor only widens the
- *     failover list.
+ *     board through a mutable board::PartitionMap, which homes it
+ *     on board::hashHome() and fails over along its hash group
+ *     {g, g+1, ... mod nBoards} until a move or a repair re-homes
+ *     it. The replication factor only widens the failover list.
  *
  *  2. Routing with failover — the candidates are tried in order: a
  *     board the failure detector (rack/health.hh) has declared

@@ -6,39 +6,9 @@
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "util/zipf.hh"
 
 namespace dpu::rack {
-
-ZipfSampler::ZipfSampler(std::uint64_t n, double s)
-{
-    sim_assert(n >= 1, "zipf sampler needs a non-empty key space");
-    sim_assert(s >= 0, "zipf exponent must be non-negative");
-    cdf.resize(n);
-    double acc = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        acc += 1.0 / std::pow(double(i + 1), s);
-        cdf[i] = acc;
-    }
-    for (double &v : cdf)
-        v /= acc;
-}
-
-std::uint64_t
-ZipfSampler::sample(double u01) const
-{
-    const auto it =
-        std::lower_bound(cdf.begin(), cdf.end(), u01);
-    return std::uint64_t(it == cdf.end() ? cdf.size() - 1
-                                         : it - cdf.begin());
-}
-
-double
-ZipfSampler::headMass(std::uint64_t k) const
-{
-    if (k == 0)
-        return 0;
-    return cdf[std::min<std::uint64_t>(k, cdf.size()) - 1];
-}
 
 std::vector<TraceEvent>
 generateTrace(const TraceConfig &cfg)
@@ -47,8 +17,6 @@ generateTrace(const TraceConfig &cfg)
                "trace needs a positive rate and duration");
     sim_assert(cfg.diurnalAmp >= 0 && cfg.diurnalAmp < 1,
                "diurnal amplitude must sit in [0, 1)");
-    sim_assert(cfg.burstMultiplier >= 1,
-               "a burst cannot slow traffic down");
     sim_assert(cfg.nApps >= 1, "trace needs at least one app");
     sim_assert(cfg.hotStepFraction >= 0 && cfg.hotStepFraction <= 1,
                "hot-step fraction must sit in [0, 1]");
@@ -65,7 +33,7 @@ generateTrace(const TraceConfig &cfg)
     const std::uint64_t nBursts = std::uint64_t(expected + 0.5);
     for (std::uint64_t i = 0; i < nBursts; ++i) {
         const double start = rng.uniform() * cfg.durationSec;
-        bursts.emplace_back(start, start + cfg.burstLenSec);
+        bursts.emplace_back(start, start + burstLenSec);
     }
     std::sort(bursts.begin(), bursts.end());
     auto inBurst = [&](double t) {
@@ -77,7 +45,7 @@ generateTrace(const TraceConfig &cfg)
             --it;
             if (t < it->second)
                 return true;
-            if (it->first + cfg.burstLenSec < t)
+            if (it->first + burstLenSec < t)
                 break;
         }
         return false;
@@ -90,13 +58,13 @@ generateTrace(const TraceConfig &cfg)
                               std::sin(2.0 * M_PI * t /
                                        cfg.diurnalPeriodSec));
         if (inBurst(t))
-            r *= cfg.burstMultiplier;
+            r *= burstMultiplier;
         return r;
     };
     const double peak = cfg.ratePerSec * (1.0 + cfg.diurnalAmp) *
-                        cfg.burstMultiplier;
+                        burstMultiplier;
 
-    ZipfSampler keys(cfg.nKeys, cfg.zipf);
+    const util::Zipf keys(cfg.nKeys, cfg.zipf);
 
     std::vector<TraceEvent> out;
     out.reserve(std::size_t(cfg.ratePerSec * cfg.durationSec));
@@ -114,7 +82,7 @@ generateTrace(const TraceConfig &cfg)
             continue;
         TraceEvent ev;
         ev.at = sim::Tick(t * 1e12);
-        ev.key = keys.sample(rng.uniform());
+        ev.key = keys.sample(rng);
         // Skew step: past the step time, a fixed fraction of
         // traffic collapses onto the hot key set. The extra draws
         // happen only post-step, so the trace prefix is

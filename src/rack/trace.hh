@@ -33,6 +33,11 @@
 
 namespace dpu::rack {
 
+/** Burst length in simulated seconds. */
+constexpr double burstLenSec = 0.0005;
+/** Rate multiplier inside a burst. */
+constexpr double burstMultiplier = 3.0;
+
 /** Arrival-trace shape. */
 struct TraceConfig
 {
@@ -47,10 +52,6 @@ struct TraceConfig
     double diurnalPeriodSec = 0.01;
     /** Expected bursts per simulated second. */
     double burstsPerSec = 200;
-    /** Burst length in simulated seconds. */
-    double burstLenSec = 0.0005;
-    /** Rate multiplier inside a burst. */
-    double burstMultiplier = 3.0;
     /** Key-space size. */
     std::uint64_t nKeys = 1 << 16;
     /** Zipf exponent (0 = uniform; ~0.99 = web-like skew). */
@@ -84,26 +85,6 @@ struct TraceEvent
 
 /** Deterministic trace for @p cfg, sorted by arrival tick. */
 std::vector<TraceEvent> generateTrace(const TraceConfig &cfg);
-
-/**
- * Seed-deterministic Zipf(s) sampler over [0, n): a cumulative
- * table built once, binary-searched per draw. Exposed for tests
- * (hot-key mass assertions) and reuse by future skew workloads.
- */
-class ZipfSampler
-{
-  public:
-    ZipfSampler(std::uint64_t n, double s);
-
-    /** Draw a rank in [0, n); rank 0 is the hottest key. */
-    std::uint64_t sample(double u01) const;
-
-    /** Probability mass of the @p k hottest keys. */
-    double headMass(std::uint64_t k) const;
-
-  private:
-    std::vector<double> cdf;
-};
 
 } // namespace dpu::rack
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Zipf-distributed sampling for workload generators (term frequencies
- * in the similarity-search index, group-by key skew, JSON string
- * lengths). Uses the classic inverse-CDF-over-partial-harmonic table
+ * in the similarity-search index, hot keys in the rack's arrival
+ * traces). Uses the classic inverse-CDF-over-partial-harmonic table
  * for exact sampling with O(log n) draws.
  */
 
@@ -14,16 +14,20 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace dpu::util {
 
-/** Samples ranks in [0, n) with P(k) proportional to 1/(k+1)^s. */
+/** Samples ranks in [0, n) with P(k) proportional to 1/(k+1)^s;
+ *  rank 0 is the hottest. */
 class Zipf
 {
   public:
     Zipf(std::size_t n, double s) : cdf(n)
     {
+        sim_assert(n >= 1, "zipf sampler needs a non-empty key space");
+        sim_assert(s >= 0, "zipf exponent must be non-negative");
         double sum = 0.0;
         for (std::size_t k = 0; k < n; ++k) {
             sum += 1.0 / std::pow(double(k + 1), s);
@@ -33,13 +37,21 @@ class Zipf
             c /= sum;
     }
 
-    /** Draw one rank. */
+    /** Draw one rank (one rng.uniform()). */
     std::size_t
     sample(sim::Rng &rng) const
     {
-        double u = rng.uniform();
-        auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-        return std::size_t(it - cdf.begin());
+        const auto it =
+            std::lower_bound(cdf.begin(), cdf.end(), rng.uniform());
+        return it == cdf.end() ? cdf.size() - 1
+                               : std::size_t(it - cdf.begin());
+    }
+
+    /** Probability mass of the @p k hottest ranks. */
+    double
+    headMass(std::size_t k) const
+    {
+        return k == 0 ? 0 : cdf[std::min(k, cdf.size()) - 1];
     }
 
     std::size_t size() const { return cdf.size(); }

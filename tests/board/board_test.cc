@@ -246,20 +246,6 @@ TEST(BoardScheduler, HashRoutingIsDeterministicAndSpread)
     EXPECT_GE(used, 3u) << "hash routing collapsed onto few shards";
 }
 
-TEST(BoardScheduler, RoundRobinStripesArrivals)
-{
-    sim::faultPlane().reset();
-    const auto brd = topo::ClusterTopology::board(2).buildBoard();
-    board::Board &b = *brd;
-    host::BoardScheduler sched(b, host::OffloadParams{},
-                               host::makeRoundRobinRouter());
-    host::JobRequest req;
-    req.app = "filter";
-    EXPECT_EQ(sched.route(req), 0u);
-    EXPECT_EQ(sched.route(req), 1u);
-    EXPECT_EQ(sched.route(req), 0u);
-}
-
 // ----------------------------------------------------------------
 // Determinism + golden
 // ----------------------------------------------------------------

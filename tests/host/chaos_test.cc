@@ -100,6 +100,8 @@ struct ChaosOutcome
     bool hostFinished = false;
     std::vector<JobState> states;
     std::vector<std::string> causes;
+    /** Jobs each shard took, board runs only. */
+    std::vector<std::size_t> perShard;
 };
 
 /** One full chaos run under randomSpec(seed). */
@@ -232,7 +234,7 @@ runBoardChaos(std::uint64_t seed, unsigned threads)
         p.nCores = 16;
         p.groupSize = 4;
         p.maxAttempts = 2;
-        BoardScheduler sched(b, p, makeRoundRobinRouter());
+        BoardScheduler sched(b, p, makeHashRouter());
 
         sim::Rng rng(seed ^ 0xc0ffee);
         sim::Tick t = 0;
@@ -251,11 +253,13 @@ runBoardChaos(std::uint64_t seed, unsigned threads)
         for (unsigned d = 0; d < b.nDpus(); ++d)
             out.hostFinished &= b.host(d).finished();
         out.sum = sched.summary();
-        for (unsigned d = 0; d < sched.nShards(); ++d)
+        for (unsigned d = 0; d < sched.nShards(); ++d) {
+            out.perShard.push_back(sched.shard(d).jobs().size());
             for (const JobRecord &rec : sched.shard(d).jobs()) {
                 out.states.push_back(rec.state);
                 out.causes.push_back(rec.cause);
             }
+        }
         out.snap = sim::StatsRegistry::instance().snapshot();
         out.snap.counters["sim.finalTick"] = b.now();
     }
@@ -282,6 +286,11 @@ TEST(Chaos, BoardSchedulesReplayIdenticallyAcrossThreadCounts)
                       serial.sum.rejected,
                   serial.sum.submitted);
         EXPECT_EQ(serial.sum.submitted, std::uint64_t(chaosJobs));
+        // Hash routing must still feed both chips, so the schedule's
+        // faults land on each of them.
+        ASSERT_EQ(serial.perShard.size(), 2u);
+        EXPECT_GT(serial.perShard[0], 0u);
+        EXPECT_GT(serial.perShard[1], 0u);
         for (std::size_t i = 0; i < serial.states.size(); ++i) {
             EXPECT_NE(serial.states[i], JobState::Queued)
                 << "job " << i;

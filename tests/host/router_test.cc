@@ -1,68 +1,75 @@
 /**
  * @file
- * Routing-law property tests for the pluggable Router policies
- * (host/router.hh) and the partition map both tiers route keyed
- * requests through (board/balance.hh). These are the invariants the
- * board and rack schedulers lean on: hash purity and spread,
- * replica-group membership as a pure function of the request, exact
- * round-robin fairness, hash homes equal to the replica-group
- * routing, and a stable placement hash.
+ * Routing-law property tests for the board's hash router
+ * (host/router.hh), the partition map both tiers route keyed
+ * requests through, and the placement hash they share
+ * (board/balance.hh). These are the invariants the board and rack
+ * schedulers lean on: hash purity and spread, replica-group
+ * membership as a pure function of the partition, and a placement
+ * hash pinned to known values.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "board/balance.hh"
+#include "host/offload.hh"
 #include "host/router.hh"
-#include "sim/rng.hh"
 
 using namespace dpu;
-using host::RouteInfo;
-using host::Router;
 
 namespace {
 
-RouteInfo
+host::JobRequest
 seededReq(std::uint64_t seed)
 {
-    RouteInfo r;
+    host::JobRequest r;
     r.app = "serve";
     r.seed = seed;
     return r;
 }
 
+/** The explicit replica group of @p partition on @p n nodes at
+ *  width @p r: {g, g+1, ... mod n}, g its hash home. */
+std::vector<unsigned>
+hashGroup(unsigned partition, unsigned n, unsigned r)
+{
+    const unsigned g = board::hashHome(partition, n);
+    std::vector<unsigned> out;
+    for (unsigned i = 0; i < std::min(r, n); ++i)
+        out.push_back((g + i) % n);
+    return out;
+}
+
 } // namespace
 
 // ----------------------------------------------------------------
-// Hash policy
+// Hash router
 // ----------------------------------------------------------------
 
 TEST(HashRouter, IsAPureFunctionOfTheRequest)
 {
-    auto a = host::makeHashRouter();
-    auto b = host::makeHashRouter();
+    const host::Router r;
     for (std::uint64_t k = 0; k < 512; ++k) {
-        const unsigned s = a->route(seededReq(k), 7);
+        const host::JobRequest req = seededReq(k);
+        const unsigned s = r.route(req, 7);
         ASSERT_LT(s, 7u);
-        // Same request, same instance, interleaved with other
-        // requests: still the same shard (no hidden state).
-        EXPECT_EQ(a->route(seededReq(k), 7), s);
-        // And a fresh instance agrees: the policy has no per-
-        // instance identity.
-        EXPECT_EQ(b->route(seededReq(k), 7), s);
+        EXPECT_EQ(r.route(req, 7), s);
+        EXPECT_EQ(s, board::placementHash(req.app, req.seed) % 7);
     }
 }
 
 TEST(HashRouter, SpreadsKeysAcrossAllShards)
 {
-    auto r = host::makeHashRouter();
+    const host::Router r;
     std::map<unsigned, unsigned> hist;
     const unsigned n = 8, keys = 4096;
     for (std::uint64_t k = 0; k < keys; ++k)
-        ++hist[r->route(seededReq(k), n)];
+        ++hist[r.route(seededReq(k), n)];
     ASSERT_EQ(hist.size(), n);
     for (const auto &[shard, cnt] : hist) {
         // Crude balance bound: every shard within 2x of fair share.
@@ -73,142 +80,85 @@ TEST(HashRouter, SpreadsKeysAcrossAllShards)
 
 TEST(HashRouter, AppNameAndSeedBothFeedTheMix)
 {
-    auto r = host::makeHashRouter();
-    RouteInfo a = seededReq(99);
-    RouteInfo b = seededReq(99);
+    const host::Router r;
+    host::JobRequest a = seededReq(99);
+    host::JobRequest b = seededReq(99);
     b.app = "other-app";
     // Not a universal law for any single pair, so probe many seeds:
     // the two apps must disagree somewhere.
     bool differ = false;
     for (std::uint64_t s = 0; s < 64 && !differ; ++s) {
         a.seed = b.seed = s;
-        differ = r->route(a, 16) != r->route(b, 16);
+        differ = r.route(a, 16) != r.route(b, 16);
     }
     EXPECT_TRUE(differ);
-}
-
-// ----------------------------------------------------------------
-// Round-robin policy
-// ----------------------------------------------------------------
-
-TEST(RoundRobinRouter, ExactFairnessInArrivalOrder)
-{
-    auto r = host::makeRoundRobinRouter();
-    const unsigned n = 5, laps = 40;
-    std::vector<unsigned> cnt(n, 0);
-    for (unsigned i = 0; i < n * laps; ++i) {
-        const unsigned s = r->route(seededReq(i * 7919), n);
-        EXPECT_EQ(s, i % n) << "arrival " << i;
-        ++cnt[s];
-    }
-    for (unsigned s = 0; s < n; ++s)
-        EXPECT_EQ(cnt[s], laps) << "shard " << s;
-}
-
-TEST(RoundRobinRouter, CandidatesAdvanceTheCursorExactlyOnce)
-{
-    auto r = host::makeRoundRobinRouter();
-    std::vector<unsigned> c;
-    r->candidates(seededReq(1), 4, c);
-    ASSERT_EQ(c.size(), 1u);
-    EXPECT_EQ(c[0], 0u);
-    // The next arrival continues the stripe where candidates()
-    // left off — one cursor step per request, not per candidate.
-    EXPECT_EQ(r->route(seededReq(2), 4), 1u);
-}
-
-// ----------------------------------------------------------------
-// Replica-group policy (the rack placement law)
-// ----------------------------------------------------------------
-
-TEST(ReplicaGroupRouter, MembershipIsAPureFunctionOfTheKey)
-{
-    // The group a request lands in depends only on (request,
-    // nShards) —
-    // replication only widens the candidate list. This is what
-    // lets a rack raise replication without migrating data.
-    auto r1 = host::makeReplicaGroupRouter(1);
-    auto r2 = host::makeReplicaGroupRouter(2);
-    auto r3 = host::makeReplicaGroupRouter(3);
-    const unsigned n = 8;
-    for (std::uint64_t k = 0; k < 512; ++k) {
-        const RouteInfo req = seededReq(k);
-        const unsigned primary = r1->route(req, n);
-        EXPECT_EQ(r2->route(req, n), primary);
-        EXPECT_EQ(r3->route(req, n), primary);
-
-        std::vector<unsigned> c1, c2, c3;
-        r1->candidates(req, n, c1);
-        r2->candidates(req, n, c2);
-        r3->candidates(req, n, c3);
-        ASSERT_EQ(c1.size(), 1u);
-        ASSERT_EQ(c2.size(), 2u);
-        ASSERT_EQ(c3.size(), 3u);
-        // Wider replication extends, never reorders: c2 and c3
-        // share c1 as a prefix.
-        EXPECT_EQ(c2[0], c1[0]);
-        EXPECT_EQ(c3[0], c1[0]);
-        EXPECT_EQ(c3[1], c2[1]);
-        // Candidates are distinct shards.
-        std::set<unsigned> uniq(c3.begin(), c3.end());
-        EXPECT_EQ(uniq.size(), c3.size()) << "key " << k;
-    }
-}
-
-TEST(ReplicaGroupRouter, GroupsWrapAndClampToTheShardCount)
-{
-    auto r = host::makeReplicaGroupRouter(4);
-    // replication 4 over 2 shards: candidate list clamps to 2.
-    std::vector<unsigned> c;
-    r->candidates(seededReq(3), 2, c);
-    ASSERT_EQ(c.size(), 2u);
-    EXPECT_NE(c[0], c[1]);
-    // And over 3 shards the group wraps modulo nShards.
-    std::vector<unsigned> w;
-    r->candidates(seededReq(3), 3, w);
-    ASSERT_EQ(w.size(), 3u);
-    for (unsigned i = 1; i < w.size(); ++i)
-        EXPECT_EQ(w[i], (w[0] + i) % 3);
 }
 
 // ----------------------------------------------------------------
 // The partition map both tiers route keyed requests through
 // ----------------------------------------------------------------
 
-namespace {
-
-/** A bare partition index as a routing slice (empty app, the
- *  partition as the seed): what board::hashHome() mixes. */
-RouteInfo
-partReq(unsigned partition)
+TEST(PartitionMap, DefaultMapIsTheHashGroup)
 {
-    RouteInfo r;
-    r.seed = partition;
-    return r;
+    // A map with no reassignments homes every partition on its hash
+    // home and fails over along its hash group — this is what keeps
+    // static racks on their golden snapshots.
+    const unsigned parts = 64;
+    for (unsigned repl : {1u, 2u, 3u}) {
+        const board::PartitionMap pm(parts, repl);
+        for (unsigned n : {4u, 8u}) {
+            for (unsigned p = 0; p < parts; ++p) {
+                EXPECT_EQ(pm.homeOf(p, n), board::hashHome(p, n));
+                EXPECT_EQ(pm.candidates(p, n), hashGroup(p, n, repl))
+                    << "partition " << p << ", " << n
+                    << " nodes, replication " << repl;
+            }
+            EXPECT_EQ(pm.homes(n).size(), parts);
+        }
+        EXPECT_EQ(pm.reassignedCount(), 0u);
+    }
 }
 
-} // namespace
-
-TEST(PartitionMap, DefaultMapMatchesReplicaGroupRouting)
+TEST(PartitionMap, GroupMembershipIsIndependentOfReplication)
 {
-    // A map with no reassignments must be bit-identical to the
-    // replica-group policy over the same partitions — this is what
-    // keeps static racks on their golden snapshots.
-    const unsigned parts = 64;
-    const board::PartitionMap pm(parts, 2);
-    auto rg = host::makeReplicaGroupRouter(2);
-    for (unsigned n : {4u, 8u}) {
-        for (unsigned p = 0; p < parts; ++p) {
-            EXPECT_EQ(pm.homeOf(p, n), rg->route(partReq(p), n));
-            EXPECT_EQ(pm.homeOf(p, n), board::hashHome(p, n));
-            std::vector<unsigned> b;
-            rg->candidates(partReq(p), n, b);
-            EXPECT_EQ(pm.candidates(p, n), b)
-                << "partition " << p << ", " << n << " shards";
-        }
-        EXPECT_EQ(pm.homes(n).size(), parts);
+    // The group a partition lands in depends only on (partition,
+    // n); replication only widens the candidate list. This is what
+    // lets a rack raise replication without migrating data.
+    const unsigned parts = 512, n = 8;
+    const board::PartitionMap m1(parts, 1), m2(parts, 2), m3(parts, 3);
+    for (unsigned p = 0; p < parts; ++p) {
+        const std::vector<unsigned> c1 = m1.candidates(p, n);
+        const std::vector<unsigned> c2 = m2.candidates(p, n);
+        const std::vector<unsigned> c3 = m3.candidates(p, n);
+        ASSERT_EQ(c1.size(), 1u);
+        ASSERT_EQ(c2.size(), 2u);
+        ASSERT_EQ(c3.size(), 3u);
+        // Wider replication extends, never reorders.
+        EXPECT_EQ(c2[0], c1[0]);
+        EXPECT_EQ(c3[0], c1[0]);
+        EXPECT_EQ(c3[1], c2[1]);
+        // Candidates are distinct nodes.
+        const std::set<unsigned> uniq(c3.begin(), c3.end());
+        EXPECT_EQ(uniq.size(), c3.size()) << "partition " << p;
     }
-    EXPECT_EQ(pm.reassignedCount(), 0u);
+}
+
+TEST(PartitionMap, GroupsWrapAndClampToTheNodeCount)
+{
+    const unsigned parts = 16;
+    const board::PartitionMap pm(parts, 4);
+    for (unsigned p = 0; p < parts; ++p) {
+        // Replication 4 over 2 nodes: the list clamps to 2.
+        const std::vector<unsigned> c = pm.candidates(p, 2);
+        ASSERT_EQ(c.size(), 2u);
+        EXPECT_NE(c[0], c[1]);
+        // And over 3 nodes the group wraps modulo n.
+        const std::vector<unsigned> w = pm.candidates(p, 3);
+        ASSERT_EQ(w.size(), 3u);
+        EXPECT_EQ(w, hashGroup(p, 3, 4));
+        for (unsigned i = 1; i < w.size(); ++i)
+            EXPECT_EQ(w[i], (w[0] + i) % 3);
+    }
 }
 
 TEST(PartitionMap, ReassignRehomesOnePartitionOnly)
@@ -245,14 +195,18 @@ TEST(PartitionMap, ReassignRehomesOnePartitionOnly)
 // Shared hash
 // ----------------------------------------------------------------
 
-TEST(RouterHash, SeedPathIsStable)
+TEST(PlacementHash, MatchesPinnedValues)
 {
-    // routeHash is the one placement mix every hash policy shares:
-    // an accidental reformulation (which would silently migrate
-    // every request in every golden) must show up here first, not
-    // in a golden diff three layers up.
-    const std::uint32_t hs =
-        host::routeHash(seededReq(0xdeadbeef));
-    EXPECT_EQ(host::routeHash(seededReq(0xdeadbeef)), hs);
-    EXPECT_NE(host::routeHash(seededReq(0xdeadbef0)), hs);
+    // placementHash places every keyless request and every hash
+    // home: a reformulated mix (which would silently move every
+    // request in every golden) must fail here first, not in a
+    // golden diff three layers up.
+    EXPECT_EQ(board::placementHash("serve", 0xdeadbeef), 0xdcb2ce54u);
+    EXPECT_EQ(board::placementHash("", 0), 0x21e9da04u);
+    EXPECT_EQ(board::placementHash("filter", 0x123456789abcdef0ull),
+              0x81c361adu);
+    const std::vector<unsigned> homes{0, 2, 1, 3, 2, 0, 3, 1,
+                                      1, 3, 0, 2, 3, 1, 2, 0};
+    for (unsigned p = 0; p < homes.size(); ++p)
+        EXPECT_EQ(board::hashHome(p, 4), homes[p]) << "partition " << p;
 }

@@ -22,9 +22,11 @@
 #include "rack/trace.hh"
 #include "rack/workload.hh"
 #include "sim/fault.hh"
+#include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/stats_registry.hh"
 #include "topo/topology.hh"
+#include "util/zipf.hh"
 
 using namespace dpu;
 
@@ -146,15 +148,27 @@ TEST(ArrivalTrace, RateScalesTheEventCount)
 
 TEST(ArrivalTrace, ZipfConcentratesMassOnHotKeys)
 {
-    const rack::ZipfSampler z(1 << 16, 0.99);
+    // The key sampler generateTrace() draws from.
+    const std::size_t n = 1 << 16, head = n / 100;
+    const util::Zipf z(n, 0.99);
     // Web-like skew: the hottest 1% of keys carry well over a
     // third of the mass; uniform would give them 1%.
-    EXPECT_GT(z.headMass((1 << 16) / 100), 0.35);
-    EXPECT_LT(z.headMass((1 << 16) / 100), 0.95);
-    EXPECT_DOUBLE_EQ(z.headMass(1 << 16), 1.0);
-    EXPECT_EQ(z.sample(0.0), 0u);
+    EXPECT_GT(z.headMass(head), 0.35);
+    EXPECT_LT(z.headMass(head), 0.95);
+    EXPECT_DOUBLE_EQ(z.headMass(n), 1.0);
+    EXPECT_EQ(z.headMass(0), 0.0);
+    // Draws follow the table.
+    sim::Rng rng(7);
+    const unsigned draws = 20000;
+    unsigned hits = 0;
+    for (unsigned i = 0; i < draws; ++i) {
+        const std::size_t k = z.sample(rng);
+        ASSERT_LT(k, n);
+        hits += k < head;
+    }
+    EXPECT_NEAR(double(hits) / draws, z.headMass(head), 0.02);
     // And the zero-exponent sampler degrades to uniform-ish.
-    const rack::ZipfSampler u(100, 0.0);
+    const util::Zipf u(100, 0.0);
     EXPECT_NEAR(u.headMass(50), 0.5, 0.01);
 }
 
