@@ -32,10 +32,12 @@ main(int argc, char **argv)
     fcfg16.nCores = 160;
     FilterResult f16 = dpuFilter(soc::dpu16nm(), fcfg16);
 
-    double f40_ppw = f40.gbPerSec() / 6.0;
-    double f16_ppw = f16.gbPerSec() / 12.0;
-    bench::row("  filter: 40nm %6.2f GB/s @6W   16nm %6.2f GB/s"
-               " @12W", f40.gbPerSec(), f16.gbPerSec());
+    const double w40 = soc::dpu40nm().provisionedWatts;
+    const double w16 = soc::dpu16nm().provisionedWatts;
+    double f40_ppw = f40.gbPerSec() / w40;
+    double f16_ppw = f16.gbPerSec() / w16;
+    bench::row("  filter: 40nm %6.2f GB/s @%.0fW   16nm %6.2f GB/s"
+               " @%.0fW", f40.gbPerSec(), w40, f16.gbPerSec(), w16);
     bench::compare("filter perf/watt improvement", 2.5,
                    f16_ppw / f40_ppw, "x");
 
@@ -47,10 +49,9 @@ main(int argc, char **argv)
     apps::JsonConfig j16 = j;
     j16.nCores = 160;
     apps::JsonResult j16r = apps::dpuJson(soc::dpu16nm(), j16);
-    double j_ratio = (j16r.gbPerSec() / 12.0) /
-                     (j40.gbPerSec() / 6.0);
-    bench::row("  JSON: 40nm %6.2f GB/s @6W   16nm %6.2f GB/s @12W",
-               j40.gbPerSec(), j16r.gbPerSec());
+    double j_ratio = (j16r.gbPerSec() / w16) / (j40.gbPerSec() / w40);
+    bench::row("  JSON: 40nm %6.2f GB/s @%.0fW   16nm %6.2f GB/s @%.0fW",
+               j40.gbPerSec(), w40, j16r.gbPerSec(), w16);
     bench::compare("JSON (compute-bound) perf/watt", 2.5, j_ratio,
                    "x");
     return 0;

@@ -157,8 +157,12 @@ runListing1(unsigned bufs)
     std::uint64_t sum = 0;
     s.start(0, [&s, &sum, bufs](core::DpCore &c) {
         rt::DmsCtl ctl(c, s.dms());
-        auto d0 = ctl.setupDdrToDmem(256, 4, 0, 0, 0);
-        auto d1 = ctl.setupDdrToDmem(256, 4, 0, 1024, 1);
+        // dms_setup_ddr_to_dmem(256, 0, 0, event0)
+        auto d0 = ctl.ddrToDmem().rows(256).width(4).from(0).to(0)
+                      .event(0).setup();
+        // dms_setup_ddr_to_dmem(256, 0, 1024, event1)
+        auto d1 = ctl.ddrToDmem().rows(256).width(4).from(0).to(1024)
+                      .event(1).setup();
         auto loop = ctl.setupLoop(d0, std::uint16_t(bufs / 2 - 1));
         ctl.push(d0);
         ctl.push(d1);

@@ -5,7 +5,8 @@
  * attaches to — posts query descriptors to the dpCores through the
  * MailBox Controller; the chip executes them with hardware
  * partitioning and DMEM-resident operators and reports
- * per-query results and perf/watt against the Xeon baseline.
+ * per-query results and perf/watt against the Xeon baseline. Exits
+ * non-zero if any query's result differs from the baseline's.
  *
  *   $ ./sql_offload [scale]
  */
@@ -30,11 +31,15 @@ main(int argc, char **argv)
                 cfg.scale, cfg.nLineitem(), cfg.nOrders(),
                 cfg.nCustomers(), cfg.nParts());
 
+    const double watt_ratio =
+        soc::xeonTdpWatts / soc::dpu40nm().provisionedWatts;
+    bool all_ok = true;
     for (const char *q : tpchQueries) {
         QueryResult d = dpuTpch(soc::dpu40nm(), cfg, q);
         QueryResult x = xeonTpch(cfg, q);
         bool ok = d.values == x.values;
-        double gain = (x.seconds / d.seconds) * (145.0 / 6.0);
+        all_ok = all_ok && ok;
+        double gain = (x.seconds / d.seconds) * watt_ratio;
         std::printf("%-4s  dpu %8.1f us   results %s   perf/watt "
                     "gain %5.2fx\n", q, d.seconds * 1e6,
                     ok ? "verified" : "MISMATCH", gain);
@@ -48,5 +53,5 @@ main(int argc, char **argv)
                         (unsigned long long)v);
         }
     }
-    return 0;
+    return all_ok ? 0 : 1;
 }

@@ -33,16 +33,14 @@ struct AppResult
     /** Functional agreement between DPU and baseline outputs. */
     bool matched = false;
 
-    /** Performance/watt gain, the Figure 14/16 metric. */
+    /** Performance/watt gain, the Figure 14/16 metric: the 40 nm
+     *  DPU's provisioned power against the Xeon's TDP. */
     double
-    gain(double dpu_watts = 6.0,
-         double xeon_watts = soc::xeonTdpWatts) const
+    gain() const
     {
-        return (xeonSeconds / dpuSeconds) * (xeon_watts / dpu_watts);
+        return (xeonSeconds / dpuSeconds) *
+               (soc::xeonTdpWatts / soc::dpu40nm().provisionedWatts);
     }
-
-    double dpuThroughput() const { return workUnits / dpuSeconds; }
-    double xeonThroughput() const { return workUnits / xeonSeconds; }
 };
 
 /** Copy a host vector into simulated DDR at @p addr. */

@@ -196,7 +196,6 @@ dpuSimSearch(const soc::SocParams &params, const SimSearchConfig &cfg)
         s.start(id, [&, id](core::DpCore &c) {
             rt::DmsCtl ctl(c, s.dmsFor(id));
             ate::Ate &ate = s.ateFor(id);
-            core::IsaCosts isa = c.isa();
 
             // Work-steal tiles; the whole query batch's accumulator
             // for one tile (32 x 128 x 4 B = 16 KB) lives in DMEM.
@@ -225,7 +224,7 @@ dpuSimSearch(const soc::SocParams &params, const SimSearchConfig &cfg)
                             continue;
                         for (auto &[qi, wq] : it->second) {
                             // Q10.22 multiply-accumulate.
-                            c.cycles(isa.mulCycles(22) + 2);
+                            c.cycles(core::mulCycles(22) + 2);
                             sc.acc[qi][t * tileDocs + po.docLocal] +=
                                 std::int64_t(wq) *
                                 std::int64_t(po.weight) >>
@@ -250,10 +249,10 @@ dpuSimSearch(const soc::SocParams &params, const SimSearchConfig &cfg)
                         auto [a, b] = itr->second;
                         std::uint32_t fetch = std::min(
                             buf_rows, total - a);
-                        auto h = ctl.setupDdrToDmem(
-                            fetch * 2, 4, mem::Addr(a) * 8, 0, 0,
-                            false);
-                        ctl.push(h);
+                        ctl.ddrToDmem()
+                            .rows(fetch * 2).width(4)
+                            .from(mem::Addr(a) * 8).to(0)
+                            .event(0).noAutoInc().push(0);
                         ctl.wfe(0);
                         consume(&ix.postings[a], b - a);
                         ctl.clearEvent(0);

@@ -130,10 +130,10 @@ dpuGroupByLowNdv(const soc::SocParams &params, const GroupByConfig &cfg)
             }
 
             // Dump the local table for the merge operator.
-            auto dump = ctl.setupDmemToDdr(
-                cfg.ndv * 2, 4, std::uint16_t(aggTable),
-                tbl_base + std::uint64_t(id) * cfg.ndv * 8, 4, false);
-            ctl.push(dump, 1);
+            ctl.dmemToDdr()
+                .rows(cfg.ndv * 2).width(4).from(aggTable)
+                .to(tbl_base + std::uint64_t(id) * cfg.ndv * 8)
+                .event(4).noAutoInc().push(1);
             ctl.wfe(4);
             ctl.clearEvent(4);
 
@@ -165,10 +165,9 @@ dpuGroupByLowNdv(const soc::SocParams &params, const GroupByConfig &cfg)
                     }
                     c.dualIssue(bytes / 8 * 2, bytes / 8 * 3);
                 });
-                auto out = ctl.setupDmemToDdr(
-                    cfg.ndv * 2, 4, std::uint16_t(aggTable), res_base,
-                    5, false);
-                ctl.push(out, 1);
+                ctl.dmemToDdr()
+                    .rows(cfg.ndv * 2).width(4).from(aggTable)
+                    .to(res_base).event(5).noAutoInc().push(1);
                 ctl.wfe(5);
             }
         });

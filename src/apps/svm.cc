@@ -223,13 +223,12 @@ dpuSvm(const soc::SocParams &params, const SvmConfig &cfg)
                 rt::StreamReader in(
                     ctl, mem::Addr(id) * slice_bytes, slice_bytes, 0,
                     8192, 2, 0, 0);
-                core::IsaCosts isa = c.isa();
                 in.forEach([&](std::uint32_t, std::uint32_t blen) {
                     std::uint32_t rows = blen / (d * 4);
                     sim::Cycles per_row =
-                        d * isa.mulCycles(22) // Q10.22 multiplies
-                        + d                   // accumulates (ALU)
-                        + 8;                  // f update + pair scan
+                        d * core::mulCycles(22) // Q10.22 multiplies
+                        + d                     // accumulates (ALU)
+                        + 8;                    // f update + pair scan
                     c.cycles(rows * per_row);
                     c.statGroup().counter("muls") += rows * d;
                 });
@@ -248,7 +247,7 @@ dpuSvm(const soc::SocParams &params, const SvmConfig &cfg)
                     // weight update.
                     c.dualIssue(2 * cfg.nCores, cfg.nCores);
                     c.div();
-                    c.cycles(3 * d * isa.mulCycles(22));
+                    c.cycles(3 * d * core::mulCycles(22));
                 }
                 barrier.arrive(c, ate);
 
@@ -283,7 +282,7 @@ xeonSvm(const SvmConfig &cfg)
     // LIBSVM-style double-precision SMO with a kernel cache: per
     // iteration it materializes the two working rows (cache misses
     // stream them from DRAM) and updates the gradient.
-    xeon::XeonModel m(xeon::XeonParams{}, 18); // 18 OpenMP threads
+    xeon::XeonModel m(18); // 18 OpenMP threads
     SmoState st = runSmo(
         train, cfg.c, cfg.maxIters, false,
         [&](const SmoState &) {

@@ -29,12 +29,10 @@ ateOpName(AteOp op)
 
 } // namespace
 
-Ate::Ate(sim::EventQueue &eq_, std::vector<core::DpCore *> cores_,
-         const AteParams &params)
+Ate::Ate(sim::EventQueue &eq_, std::vector<core::DpCore *> cores_)
     : eq(eq_), cores(std::move(cores_)),
-      baseId(cores.empty() ? 0 : cores.front()->id()), p(params),
-      stats("ate"), pending(cores.size()),
-      lastDeliver(cores.size() * cores.size(), 0)
+      baseId(cores.empty() ? 0 : cores.front()->id()), stats("ate"),
+      pending(cores.size()), lastDeliver(cores.size() * cores.size(), 0)
 {
     stats.addFlushHook([this] { flushStats(); });
 }
@@ -62,7 +60,8 @@ Ate::oneWay(unsigned src, unsigned dst) const
 {
     bool same_macro = src / core::coresPerMacro ==
                       dst / core::coresPerMacro;
-    sim::Cycles c = 2 * p.localHop + (same_macro ? 0 : p.macroHop);
+    sim::Cycles c =
+        2 * localHopCycles + (same_macro ? 0 : macroHopCycles);
     return cyc(c);
 }
 
@@ -72,7 +71,7 @@ Ate::deliveryTick(unsigned src, unsigned dst)
     sim::Tick &last =
         lastDeliver[local(src) * cores.size() + local(dst)];
     sim::Tick t = std::max(eq.now() + oneWay(src, dst),
-                           last + cyc(p.linkSpacing));
+                           last + cyc(linkSpacingCycles));
     last = t;
     return t;
 }
@@ -118,18 +117,18 @@ Ate::doRemoteOp(unsigned target, AteOp op, mem::Addr addr,
     switch (op) {
       case AteOp::Load:
         old = read(t, t);
-        t += cyc(p.opLoad);
+        t += cyc(opLoadCycles);
         ++shLoads;
         break;
       case AteOp::Store:
         write(a & mask, t, t);
-        t += cyc(p.opStore);
+        t += cyc(opStoreCycles);
         ++shStores;
         break;
       case AteOp::FetchAdd: {
         old = read(t, t);
         write((old + std::uint64_t(std::int64_t(a))) & mask, t, t);
-        t += cyc(p.opAmo);
+        t += cyc(opAmoCycles);
         ++shFetchAdds;
         break;
       }
@@ -137,7 +136,7 @@ Ate::doRemoteOp(unsigned target, AteOp op, mem::Addr addr,
         old = read(t, t);
         if (old == (a & mask))
             write(b & mask, t, t);
-        t += cyc(p.opAmo);
+        t += cyc(opAmoCycles);
         ++shCompareSwaps;
         break;
       }
@@ -330,7 +329,7 @@ Ate::swRpc(core::DpCore &c, unsigned target,
     ++stats.counter("swRpcs");
 
     const unsigned src = c.id();
-    sim::Tick deliver = deliveryTick(src, target) + cyc(p.swDeliver);
+    sim::Tick deliver = deliveryTick(src, target) + cyc(swDeliverCycles);
 
     std::uint32_t span_id = 0;
     if (DPU_TRACE_ARMED) {

@@ -36,22 +36,21 @@
 
 namespace dpu::ate {
 
-/** Crossbar and op latencies (cycles at the 800 MHz core clock). */
-struct AteParams
-{
-    /** dpCore <-> macro crossbar hop. */
-    sim::Cycles localHop = 6;
-    /** Macro crossbar <-> top-level crossbar extra hops (one way). */
-    sim::Cycles macroHop = 10;
-    /** Remote pipeline injection cost per op type. */
-    sim::Cycles opLoad = 4;
-    sim::Cycles opStore = 2;
-    sim::Cycles opAmo = 8;
-    /** Queueing + dispatch before the remote interrupt for sw RPCs. */
-    sim::Cycles swDeliver = 24;
-    /** Minimum spacing between deliveries on one (src,dst) pair. */
-    sim::Cycles linkSpacing = 1;
-};
+// Crossbar and op latencies, in cycles at the 800 MHz core clock
+// (Figure 2). They are properties of the fabricated crossbar.
+
+/** dpCore <-> macro crossbar hop. */
+constexpr sim::Cycles localHopCycles = 6;
+/** Macro crossbar <-> top-level crossbar extra hops (one way). */
+constexpr sim::Cycles macroHopCycles = 10;
+/** Remote pipeline injection cost per op type. */
+constexpr sim::Cycles opLoadCycles = 4;
+constexpr sim::Cycles opStoreCycles = 2;
+constexpr sim::Cycles opAmoCycles = 8;
+/** Queueing + dispatch before the remote interrupt for sw RPCs. */
+constexpr sim::Cycles swDeliverCycles = 24;
+/** Minimum spacing between deliveries on one (src,dst) pair. */
+constexpr sim::Cycles linkSpacingCycles = 1;
 
 /** Hardware RPC opcodes. */
 enum class AteOp : std::uint8_t
@@ -73,8 +72,7 @@ class Ate
      *              public API are global; they are mapped onto this
      *              vector internally.
      */
-    Ate(sim::EventQueue &eq, std::vector<core::DpCore *> cores,
-        const AteParams &params = AteParams{});
+    Ate(sim::EventQueue &eq, std::vector<core::DpCore *> cores);
 
     // ------------------------------------------------------------
     // Blocking hardware RPCs (issue + wait in one call)
@@ -175,7 +173,6 @@ class Ate
     sim::EventQueue &eq;
     std::vector<core::DpCore *> cores;
     unsigned baseId;
-    AteParams p;
     sim::StatGroup stats;
     /** Deferred per-RPC counters (see sim/stats.hh); folded in by
      *  the group's flush hook. */

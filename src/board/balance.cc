@@ -374,8 +374,7 @@ BoardBalancer::BoardBalancer(Board &brd_, PartitionMap &map_,
     engines.resize(brd.nDpus());
     for (unsigned d = 0; d < brd.nDpus(); ++d) {
         soc::Soc &chip = brd.dpu(d);
-        const unsigned local =
-            handoffCore % chip.params().coresPerComplex;
+        const unsigned local = handoffCore % soc::coresPerComplex;
         dms::Dms &dms = chip.dmsFor(handoffCore);
         mem::Dmem &dmem = chip.core(handoffCore).dmem();
         engines[d].exec = std::make_unique<dms::HandoffExec>(

@@ -13,11 +13,8 @@ const mem::CacheParams l1dParams{16 * 1024, 4, 1};
 
 } // namespace
 
-DpCore::DpCore(unsigned id, sim::EventQueue &eq_,
-               mem::MainMemory &memory, mem::Cache &l2,
-               const IsaCosts &costs_)
-    : coreId(id), eq(eq_), mm(memory), costs(costs_),
-      stat("core" + std::to_string(id)), l2Cache(l2),
+DpCore::DpCore(unsigned id, sim::EventQueue &eq_, mem::Cache &l2)
+    : coreId(id), eq(eq_), stat("core" + std::to_string(id)), l2Cache(l2),
       l1dCache(std::make_unique<mem::Cache>(
           "core" + std::to_string(id) + ".l1d", l1dParams, l2))
 {
@@ -175,7 +172,7 @@ DpCore::deliverInterrupts()
         pendingIsrs.pop_front();
         inIsr = true;
         const sim::Tick t0 = now();
-        cycles(costs.interrupt);
+        cycles(interruptCycles);
         ++shInterruptsTaken;
         isr(*this);
         DPU_TRACE_COMPLETE(sim::TraceCat::Core, coreId, "isr", t0,
@@ -192,7 +189,7 @@ std::uint32_t
 DpCore::crcHash(std::uint32_t key)
 {
     ++shCrcOps;
-    cycles(costs.crc32);
+    cycles(crc32Cycles);
     return util::crc32Key(key);
 }
 
@@ -200,7 +197,7 @@ std::uint32_t
 DpCore::crcHash64(std::uint64_t key)
 {
     ++shCrcOps;
-    cycles(2 * costs.crc32);
+    cycles(2 * crc32Cycles);
     return util::crc32Key64(key);
 }
 
@@ -208,7 +205,7 @@ unsigned
 DpCore::popcount(std::uint64_t v)
 {
     ++shPopcounts;
-    cycles(costs.popcount);
+    cycles(popcountCycles);
     return unsigned(__builtin_popcountll(v));
 }
 
@@ -216,7 +213,7 @@ unsigned
 DpCore::ntz(std::uint64_t v)
 {
     ++shNtzOps;
-    cycles(costs.ntz);
+    cycles(ntzCycles);
     return v ? unsigned(__builtin_ctzll(v)) : 64;
 }
 
@@ -224,7 +221,7 @@ unsigned
 DpCore::nlz(std::uint64_t v)
 {
     ++shNlzOps;
-    cycles(costs.nlz);
+    cycles(nlzCycles);
     return v ? unsigned(__builtin_clzll(v)) : 64;
 }
 
@@ -300,14 +297,14 @@ DpCore::readBytes(mem::Addr addr, void *dst, std::uint32_t len)
                    "core %u direct access to remote DMEM %llx "
                    "(use the ATE)", coreId, (unsigned long long)addr);
         scratch.read(mem::dmemOffset(addr), dst, len);
-        cycles(words * costs.lsu);
+        cycles(words * lsuCycles);
         return;
     }
 
     if (memTrace)
         memTrace(coreId, addr, len, false);
     if (words > 1)
-        cycles((words - 1) * costs.lsu);
+        cycles((words - 1) * lsuCycles);
     sim::Tick done = l1dCache->read(addr, dst, len, now());
     aheadTicks = done - eq.now();
     maybeSync();
@@ -325,14 +322,14 @@ DpCore::writeBytes(mem::Addr addr, const void *src, std::uint32_t len)
                    "core %u direct access to remote DMEM %llx "
                    "(use the ATE)", coreId, (unsigned long long)addr);
         scratch.write(mem::dmemOffset(addr), src, len);
-        cycles(words * costs.lsu);
+        cycles(words * lsuCycles);
         return;
     }
 
     if (memTrace)
         memTrace(coreId, addr, len, true);
     if (words > 1)
-        cycles((words - 1) * costs.lsu);
+        cycles((words - 1) * lsuCycles);
     sim::Tick done = l1dCache->write(addr, src, len, now());
     aheadTicks = done - eq.now();
     maybeSync();

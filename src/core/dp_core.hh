@@ -32,7 +32,6 @@
 #include "mem/addr.hh"
 #include "mem/cache.hh"
 #include "mem/dmem.hh"
-#include "mem/main_memory.hh"
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
 #include "sim/stats.hh"
@@ -57,18 +56,14 @@ class DpCore
 {
   public:
     /**
-     * @param id     Core id, 0..31 (macro = id / 8).
-     * @param eq     The global event queue.
-     * @param memory Main memory (DDR).
-     * @param l2     The macro's shared 256 KB L2.
-     * @param costs  ISA cycle cost table.
+     * @param id Core id, 0..31 (macro = id / 8).
+     * @param eq The global event queue.
+     * @param l2 The macro's shared 256 KB L2 (backed by DDR).
      */
-    DpCore(unsigned id, sim::EventQueue &eq, mem::MainMemory &memory,
-           mem::Cache &l2, const IsaCosts &costs = IsaCosts{});
+    DpCore(unsigned id, sim::EventQueue &eq, mem::Cache &l2);
 
     unsigned id() const { return coreId; }
     unsigned macro() const { return coreId / coresPerMacro; }
-    const IsaCosts &isa() const { return costs; }
 
     // ------------------------------------------------------------
     // Program control
@@ -115,7 +110,7 @@ class DpCore
     alu(std::uint64_t n = 1)
     {
         shAluOps += n;
-        cycles(n * costs.alu);
+        cycles(n * aluCycles);
     }
 
     /** Charge one multiply of a value with @p bits significant bits. */
@@ -123,7 +118,7 @@ class DpCore
     mul(unsigned bits = 32)
     {
         ++shMuls;
-        const sim::Cycles c = costs.mulCycles(bits);
+        const sim::Cycles c = mulCycles(bits);
         if (DPU_TRACE_ARMED) {
             DPU_TRACE_COMPLETE(sim::TraceCat::Core, coreId, "mul",
                                now(), sim::dpCoreClock.cyclesToTicks(c),
@@ -137,7 +132,7 @@ class DpCore
     div()
     {
         ++shDivs;
-        cycles(costs.div);
+        cycles(divCycles);
     }
 
     /**
@@ -150,10 +145,10 @@ class DpCore
         ++shBranches;
         bool predicted_taken = backward;
         if (taken == predicted_taken) {
-            cycles(costs.branch);
+            cycles(branchCycles);
         } else {
             ++shBranchMisses;
-            cycles(costs.branch + costs.branchMiss);
+            cycles(branchCycles + branchMissCycles);
         }
     }
 
@@ -253,8 +248,6 @@ class DpCore
     void addWatchpoint(mem::Addr addr, std::uint64_t len,
                        std::function<void(mem::Addr, bool)> handler);
 
-    void clearWatchpoints() { watchpoints.clear(); }
-
     // ------------------------------------------------------------
     // Interrupts & blocking (used by ATE / MBC / DMS glue)
     // ------------------------------------------------------------
@@ -286,7 +279,6 @@ class DpCore
 
     sim::EventQueue &eventQueue() { return eq; }
     sim::StatGroup &statGroup() { return stat; }
-    mem::MainMemory &mainMemory() { return mm; }
 
     /**
      * Stall the pipeline for @p t ticks starting no earlier than
@@ -321,8 +313,6 @@ class DpCore
 
     unsigned coreId;
     sim::EventQueue &eq;
-    mem::MainMemory &mm;
-    IsaCosts costs;
     sim::StatGroup stat;
 
     /** Per-op counters are deferred (sim/stats.hh): the issue path

@@ -10,9 +10,11 @@
  * ISA extensions (BVLD, FILT, CRC32 hashcode, popcount) are single
  * cycle.
  *
- * Cycle numbers below come straight from the paper where stated:
- * NTZ-via-popcount costs 4 cycles vs 13 for NLZ (Section 5.4); the
- * BVLD/FILT filter loop lands at 1.65 cycles/tuple (Section 5.3).
+ * The costs are properties of the fabricated core, so they are
+ * constants rather than per-chip settings. Cycle numbers come
+ * straight from the paper where stated: NTZ-via-popcount costs 4
+ * cycles vs 13 for NLZ (Section 5.4); the BVLD/FILT filter loop
+ * lands at 1.65 cycles/tuple (Section 5.3).
  */
 
 #ifndef DPU_CORE_ISA_HH
@@ -22,52 +24,46 @@
 
 namespace dpu::core {
 
-/** Per-operation cycle costs for the dpCore pipeline model. */
-struct IsaCosts
+/** Single-issue ALU op (add, sub, logic, shift, compare). */
+constexpr sim::Cycles aluCycles = 1;
+
+/** DMEM load/store through the LSU pipe. */
+constexpr sim::Cycles lsuCycles = 1;
+
+/** Single-cycle analytics extensions. */
+constexpr sim::Cycles crc32Cycles = 1;
+constexpr sim::Cycles popcountCycles = 1;
+
+/** Count-trailing-zeros sequence built on popcount (Sec 5.4). */
+constexpr sim::Cycles ntzCycles = 4;
+/** Count-leading-zeros sequence without hardware help. */
+constexpr sim::Cycles nlzCycles = 13;
+
+/**
+ * Iterative multiplier: stalls for mulBaseCycles plus one cycle per
+ * mulBitsPerCycle significant bits of the smaller operand
+ * ("variable latency multiplier", Section 5.4).
+ */
+constexpr sim::Cycles mulBaseCycles = 3;
+constexpr unsigned mulBitsPerCycle = 8;
+
+/** Iterative divide (also used for Q10.22 divide). */
+constexpr sim::Cycles divCycles = 20;
+
+/** Taken-branch redirect when correctly predicted. */
+constexpr sim::Cycles branchCycles = 1;
+/** Mispredict penalty (short in-order pipeline). */
+constexpr sim::Cycles branchMissCycles = 3;
+
+/** Interrupt entry+exit overhead (ATE software RPC, mailbox). */
+constexpr sim::Cycles interruptCycles = 60;
+
+/** Mul stall cycles for a value with @p bits significant bits. */
+constexpr sim::Cycles
+mulCycles(unsigned bits)
 {
-    /** Single-issue ALU op (add, sub, logic, shift, compare). */
-    sim::Cycles alu = 1;
-
-    /** DMEM load/store through the LSU pipe. */
-    sim::Cycles lsu = 1;
-
-    /** Single-cycle analytics extensions. */
-    sim::Cycles bvld = 1;
-    sim::Cycles filt = 1;
-    sim::Cycles crc32 = 1;
-    sim::Cycles popcount = 1;
-
-    /** Count-trailing-zeros sequence built on popcount (Sec 5.4). */
-    sim::Cycles ntz = 4;
-    /** Count-leading-zeros sequence without hardware help. */
-    sim::Cycles nlz = 13;
-
-    /**
-     * Iterative multiplier: stalls for mulBase plus one cycle per
-     * mulBitsPerCycle significant bits of the smaller operand
-     * ("variable latency multiplier", Section 5.4).
-     */
-    sim::Cycles mulBase = 3;
-    unsigned mulBitsPerCycle = 8;
-
-    /** Iterative divide (also used for Q10.22 divide). */
-    sim::Cycles div = 20;
-
-    /** Taken-branch redirect when correctly predicted. */
-    sim::Cycles branch = 1;
-    /** Mispredict penalty (short in-order pipeline). */
-    sim::Cycles branchMiss = 3;
-
-    /** Interrupt entry+exit overhead (ATE software RPC, mailbox). */
-    sim::Cycles interrupt = 60;
-
-    /** Mul stall cycles for a value with @p bits significant bits. */
-    sim::Cycles
-    mulCycles(unsigned bits) const
-    {
-        return mulBase + (bits + mulBitsPerCycle - 1) / mulBitsPerCycle;
-    }
-};
+    return mulBaseCycles + (bits + mulBitsPerCycle - 1) / mulBitsPerCycle;
+}
 
 } // namespace dpu::core
 

@@ -32,8 +32,7 @@ sim::Tick
 Dmac::dmaxTicks(std::uint32_t bytes) const
 {
     std::uint32_t cycles =
-        (bytes + ctx.params.dmaxBytesPerCycle - 1) /
-        ctx.params.dmaxBytesPerCycle;
+        (bytes + dmaxBytesPerCycle - 1) / dmaxBytesPerCycle;
     return cyc(cycles);
 }
 
@@ -41,7 +40,7 @@ sim::Tick
 Dmac::ddrStream(mem::Addr addr, std::uint8_t *buf, std::uint32_t bytes,
                 bool write, sim::Tick start)
 {
-    const unsigned window = ctx.params.axiWindow;
+    const unsigned window = axiWindow;
     std::vector<sim::Tick> inflight(window, start);
     sim::Tick done = start;
     std::uint32_t off = 0;
@@ -126,8 +125,7 @@ Dmac::execute(unsigned core, const Descriptor &d, mem::Addr eff_ddr,
         d.type != DescType::DmsToDmem &&
         d.type != DescType::PartFlush &&
         d.type != DescType::DmsToDms) {
-        dispatcher = std::max(dispatcher, issue) +
-                     ctx.params.dmacDispatch;
+        dispatcher = std::max(dispatcher, issue) + dmacDispatch;
         issue = dispatcher;
         // Injected fault: the controller locks up mid-dispatch and
         // the descriptor never completes — the same observable shape
@@ -191,8 +189,7 @@ Dmac::execDdrToDmem(unsigned core, const Descriptor &d,
 
     // Dispatch overhead overlaps with the engine's previous
     // transfer; the engine itself is busy only while moving data.
-    sim::Tick start =
-        std::max(issue + ctx.params.descOverhead, loadEngine[m]);
+    sim::Tick start = std::max(issue + descOverhead, loadEngine[m]);
     mem::Dmem &dst = *ctx.dmems[core];
     sim::Tick t;
 
@@ -234,7 +231,7 @@ Dmac::execDdrToDmem(unsigned core, const Descriptor &d,
             seg_buf.resize(seg_bytes);
             t = ddrStream(ddr + mem::Addr(seg_first) * d.colWidth,
                           seg_buf.data(), seg_bytes, false,
-                          t + ctx.params.gatherRunOverhead);
+                          t + gatherRunOverhead);
             for (std::size_t k = i; k <= j; ++k) {
                 std::uint32_t run_bytes =
                     runs[k].nRows * d.colWidth;
@@ -291,8 +288,7 @@ Dmac::execDmemToDdr(unsigned core, const Descriptor &d,
                "DMEM->DDR overflows DMEM: off=%u bytes=%u", dmem,
                bytes);
 
-    sim::Tick start =
-        std::max(issue + ctx.params.descOverhead, storeEngine[m]);
+    sim::Tick start = std::max(issue + descOverhead, storeEngine[m]);
     mem::Dmem &src = *ctx.dmems[core];
     sim::Tick t;
 
@@ -305,7 +301,7 @@ Dmac::execDmemToDdr(unsigned core, const Descriptor &d,
             std::uint32_t run_bytes = run.nRows * d.colWidth;
             t = ddrStream(ddr + mem::Addr(run.firstRow) * d.colWidth,
                           src.raw() + in, run_bytes, true,
-                          t + ctx.params.gatherRunOverhead);
+                          t + gatherRunOverhead);
             in += run_bytes;
         }
         std::uint32_t moved = in - dmem;
@@ -341,7 +337,7 @@ Dmac::execDdrToDms(unsigned core, const Descriptor &d, mem::Addr ddr,
     sim_assert(bytes <= cmemBankBytes,
                "tuple chunk overflows CMEM bank: %u bytes", bytes);
 
-    sim::Tick start = std::max({issue + ctx.params.descOverhead,
+    sim::Tick start = std::max({issue + descOverhead,
                                 loadEngine[m], cmemBusy[d.ibank]});
 
     // Fetch one column at a time (Section 3.4: "As DMS fetches one
@@ -431,10 +427,8 @@ Dmac::execHashCol(const Descriptor &d, sim::Tick issue, DoneFn done)
         cid_bank[r] = cid;
     }
 
-    sim::Cycles cycles =
-        ctx.params.hashSetupCycles +
-        (d.rows + ctx.params.hashKeysPerCycle - 1) /
-            ctx.params.hashKeysPerCycle;
+    sim::Cycles cycles = hashSetupCycles +
+        (d.rows + hashKeysPerCycle - 1) / hashKeysPerCycle;
     sim::Tick t = start + cyc(cycles);
     stats.counter("keysHashed") += d.rows;
 
@@ -612,8 +606,7 @@ Dmac::partStep()
         const auto &src = cmem[d.ibank];
         const auto &cids = cidm[d.cidBank];
         const sim::Tick per_row =
-            cyc(std::max<std::uint32_t>(
-                1, tuple / ctx.params.storeBytesPerCycle));
+            cyc(std::max<std::uint32_t>(1, tuple / storeBytesPerCycle));
 
         while (job.row < d.rows) {
             std::uint32_t r = job.row;
@@ -702,7 +695,7 @@ Dmac::execDmemToDms(unsigned core, const Descriptor &d,
 
     const unsigned m = core / coresPerDmax;
     sim::Tick start = std::max({issue, bvBusy[d.ibank], dmaxBus[m]}) +
-                      ctx.params.descOverhead;
+                      descOverhead;
     ctx.dmems[core]->read(dmem, bvm[d.ibank].data(), bytes);
     sim::Tick t = start + dmaxTicks(bytes);
     dmaxBus[m] = t;
@@ -744,8 +737,7 @@ Dmac::execDmsToDdr(const Descriptor &d, mem::Addr ddr,
     std::uint32_t bytes = d.rows * d.colWidth;
     sim_assert(bytes <= cap, "DMS->DDR exceeds bank: %u bytes", bytes);
 
-    sim::Tick start = std::max(issue, storeEngine[0]) +
-                      ctx.params.descOverhead;
+    sim::Tick start = std::max(issue, storeEngine[0]) + descOverhead;
     sim::Tick t = ddrStream(ddr, bank, bytes, true, start);
     storeEngine[0] = t;
     stats.counter("bytesDmsToDdr") += bytes;
@@ -772,7 +764,7 @@ Dmac::execDmsToDms(const Descriptor &d, sim::Tick issue, DoneFn done)
     sim_assert(bytes <= src_cap && bytes <= dst_cap,
                "DMS->DMS move exceeds bank: %u bytes", bytes);
     std::memcpy(dst, src, bytes);
-    sim::Tick t = issue + ctx.params.descOverhead + dmaxTicks(bytes);
+    sim::Tick t = issue + descOverhead + dmaxTicks(bytes);
     done(t);
 }
 

@@ -80,9 +80,6 @@ class Dmac
     sim::StatGroup &statGroup() { return stats; }
 
     /** Raw internal memory access for tests. */
-    std::uint8_t *cmemBank(unsigned b) { return cmem[b].data(); }
-    std::uint8_t *crcBank(unsigned b) { return crcm[b].data(); }
-    std::uint8_t *cidBankData(unsigned b) { return cidm[b].data(); }
     std::uint8_t *bvBank(unsigned b) { return bvm[b].data(); }
 
   private:

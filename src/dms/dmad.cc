@@ -209,7 +209,7 @@ Dmad::process(unsigned ch)
         }
 
         // ---- data descriptor ----------------------------------
-        if (c.inflight >= ctx.params.outstanding)
+        if (c.inflight >= outstandingDescs)
             return; // a completion will resume us
 
         EventFile &ef = ctx.events[coreId];
@@ -285,7 +285,7 @@ Dmad::process(unsigned ch)
             DPU_TRACE_INSTANT(sim::TraceCat::Dms,
                               ctx.baseCore + coreId, "descError",
                               ctx.eq.now(), "ch", ch);
-            completeAt(ctx.eq.now() + ctx.params.descOverhead, ch,
+            completeAt(ctx.eq.now() + descOverhead, ch,
                        notify, span_id, desc_name, true);
         } else {
             dmac.execute(

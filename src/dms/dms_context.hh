@@ -2,7 +2,7 @@
  * @file
  * Shared state handed to the DMS sub-blocks (DMAD, DMAX, DMAC):
  * the event queue, main memory, every core's DMEM, the per-core
- * event files, and the tuning parameters.
+ * event files, and the chip's DMS settings.
  */
 
 #ifndef DPU_DMS_DMS_CONTEXT_HH

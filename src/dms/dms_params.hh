@@ -8,10 +8,11 @@
  * (one per DMAX/macro), a 128-bit AXI DDR port with 256 B maximum
  * transactions, and a 4-descriptor outstanding window.
  *
- * Latency/overhead numbers are calibration knobs chosen so the
+ * Latency/overhead numbers are calibrated once so the
  * microbenchmarks land on the paper's Figure 11-13 shapes (~9.3-9.6
  * GB/s at 8 KB buffers, lower at small tiles); EXPERIMENTS.md
- * records the resulting fits.
+ * records the resulting fits. Like the geometry, they are
+ * properties of the fabricated DMS, so they are constants.
  */
 
 #ifndef DPU_DMS_DMS_PARAMS_HH
@@ -39,42 +40,41 @@ constexpr unsigned bvBankBytes = 4 * 1024;
 /** Maximum bytes per AXI transaction (Section 3.1). */
 constexpr unsigned axiMaxBytes = 256;
 
-/** Tunable latencies and rates. */
+/** DMAD descriptor fetch/decode + DMAX arbitration + DMAC
+ *  dispatch, charged once per descriptor. */
+constexpr sim::Tick descOverhead = 120'000; // 120 ns
+
+/** In-flight descriptor window per channel at the DMAC. */
+constexpr unsigned outstandingDescs = 4;
+
+/** The DMAC front-end dispatches one descriptor at a time; this is
+ *  the per-descriptor occupancy of that dispatcher. It is what
+ *  makes small DMEM tiles lose bandwidth in Figure 11 ("large
+ *  buffer sizes amortize fixed DMS configuration overheads"). */
+constexpr sim::Tick dmacDispatch = 100'000; // 100 ns
+
+/** DDR transactions kept in flight by a load/store engine within
+ *  one descriptor. */
+constexpr unsigned axiWindow = 16;
+
+/** DMAX data path: bytes per core cycle (128-bit @ 800 MHz). */
+constexpr unsigned dmaxBytesPerCycle = 16;
+
+/** Hash/range engine throughput: keys per core cycle. */
+constexpr unsigned hashKeysPerCycle = 1;
+
+/** Hash/CID stage fixed setup per chunk descriptor (cycles). */
+constexpr sim::Cycles hashSetupCycles = 16;
+
+/** Partition store engine: bytes per cycle into one DMAX. */
+constexpr unsigned storeBytesPerCycle = 16;
+
+/** Extra per-run cost of gather/scatter (address generation). */
+constexpr sim::Tick gatherRunOverhead = 10'000; // 10 ns
+
+/** What a chip configuration may set on its DMS. */
 struct DmsParams
 {
-    /** DMAD descriptor fetch/decode + DMAX arbitration + DMAC
-     *  dispatch, charged once per descriptor. */
-    sim::Tick descOverhead = 120'000;   // 120 ns
-
-    /** In-flight descriptor window per channel at the DMAC. */
-    unsigned outstanding = 4;
-
-    /** The DMAC front-end dispatches one descriptor at a time;
-     *  this is the per-descriptor occupancy of that dispatcher.
-     *  It is what makes small DMEM tiles lose bandwidth in
-     *  Figure 11 ("large buffer sizes amortize fixed DMS
-     *  configuration overheads"). */
-    sim::Tick dmacDispatch = 100'000; // 100 ns
-
-    /** DDR transactions kept in flight by a load/store engine
-     *  within one descriptor. */
-    unsigned axiWindow = 16;
-
-    /** DMAX data path: bytes per core cycle (128-bit @ 800 MHz). */
-    unsigned dmaxBytesPerCycle = 16;
-
-    /** Hash/range engine throughput: keys per core cycle. */
-    unsigned hashKeysPerCycle = 1;
-
-    /** Hash/CID stage fixed setup per chunk descriptor (cycles). */
-    sim::Cycles hashSetupCycles = 16;
-
-    /** Partition store engine: bytes per cycle into one DMAX. */
-    unsigned storeBytesPerCycle = 16;
-
-    /** Extra per-run cost of gather/scatter (address generation). */
-    sim::Tick gatherRunOverhead = 10'000; // 10 ns
-
     /**
      * Emulate the first-silicon RTL erratum (Section 3.4): when more
      * than one gather descriptor is in flight, the bit-vector-count

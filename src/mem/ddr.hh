@@ -144,9 +144,6 @@ class DdrChannel
         return done;
     }
 
-    /** Tick at which the data bus next becomes free. */
-    sim::Tick busFreeAt() const { return busFree; }
-
     const DdrParams &params() const { return p; }
 
   private:

@@ -85,24 +85,6 @@ DmsCtl::rewrite(DescHandle at, const dms::Descriptor &d)
 }
 
 DescHandle
-DmsCtl::setupDdrToDmem(std::uint32_t rows, std::uint8_t width,
-                       mem::Addr src, std::uint16_t dst, int event,
-                       bool src_inc)
-{
-    return ddrToDmem().rows(rows).width(width).from(src).to(dst)
-        .event(event).autoInc(src_inc).setup();
-}
-
-DescHandle
-DmsCtl::setupDmemToDdr(std::uint32_t rows, std::uint8_t width,
-                       std::uint16_t src, mem::Addr dst, int event,
-                       bool dst_inc)
-{
-    return dmemToDdr().rows(rows).width(width).from(src).to(dst)
-        .event(event).autoInc(dst_inc).setup();
-}
-
-DescHandle
 DmsCtl::setupLoop(DescHandle target, std::uint16_t iterations)
 {
     dms::Descriptor d;
@@ -145,14 +127,20 @@ StreamReader::StreamReader(DmsCtl &ctl_, mem::Addr src,
     // park the channel on an event nobody will ever clear — and
     // explicit descriptors mop up the remainder (the final one
     // right-sized so the stream reads exactly total_bytes, rounded
-    // up to whole 4 B elements).
+    // up to whole 4 B elements). The loop descriptor's 16-bit count
+    // re-runs the group at most 65,535 times.
+    sim_assert(full_groups <= 0x10000,
+               "StreamReader: %llu full passes of the %u-buffer ring "
+               "exceed the loop descriptor's 65,536-pass limit",
+               (unsigned long long)full_groups, n_bufs);
     if (full_groups > 0) {
         std::vector<DescHandle> handles;
         for (unsigned b = 0; b < n_bufs; ++b) {
-            handles.push_back(ctl.setupDdrToDmem(
-                buf_bytes / 4, 4, src,
-                std::uint16_t(dmem_base + b * buf_bytes),
-                int(first_event + b), true));
+            // dms_setup_ddr_to_dmem(rows, src, buffer b, event b)
+            handles.push_back(ctl.ddrToDmem()
+                                  .rows(buf_bytes / 4).width(4)
+                                  .from(src).to(dmem_base + b * buf_bytes)
+                                  .event(int(first_event + b)).setup());
         }
         DescHandle loop = ctl.setupLoop(
             handles.front(), std::uint16_t(full_groups - 1));
@@ -162,18 +150,16 @@ StreamReader::StreamReader(DmsCtl &ctl_, mem::Addr src,
     }
     unsigned ring_pos = 0;
     for (unsigned b = 0; b < rem_full; ++b, ++ring_pos) {
-        DescHandle h = ctl.setupDdrToDmem(
-            buf_bytes / 4, 4, src,
-            std::uint16_t(dmem_base + ring_pos * buf_bytes),
-            int(first_event + ring_pos), true);
-        ctl.push(h, channel);
+        ctl.ddrToDmem()
+            .rows(buf_bytes / 4).width(4)
+            .from(src).to(dmem_base + ring_pos * buf_bytes)
+            .event(int(first_event + ring_pos)).push(channel);
     }
     if (partial > 0) {
-        DescHandle h = ctl.setupDdrToDmem(
-            (partial + 3) / 4, 4, src,
-            std::uint16_t(dmem_base + ring_pos * buf_bytes),
-            int(first_event + ring_pos), true);
-        ctl.push(h, channel);
+        ctl.ddrToDmem()
+            .rows((partial + 3) / 4).width(4)
+            .from(src).to(dmem_base + ring_pos * buf_bytes)
+            .event(int(first_event + ring_pos)).push(channel);
     }
 }
 

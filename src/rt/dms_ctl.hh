@@ -27,12 +27,13 @@ using DescHandle = std::uint16_t;
 class DmsCtl;
 
 /**
- * Fluent builder for DDR<->DMEM transfer descriptors.
+ * Fluent builder for DDR<->DMEM transfer descriptors, the one way
+ * to encode Listing 1's dms_setup_ddr_to_dmem / dms_setup_dmem_to_ddr.
  *
- * The positional setupDdrToDmem(rows, width, src, dst, event, inc)
- * signature is a transposition footgun — rows/width and src/dst are
- * all integers, so swapped arguments compile silently. The builder
- * names every operand and validates the combination before encoding:
+ * A positional (rows, width, src, dst, event) call would be a
+ * transposition footgun — rows/width and src/dst are all integers,
+ * so swapped arguments compile silently. The builder names every
+ * operand and validates the combination before encoding:
  *
  *   auto d = ctl.ddrToDmem().rows(256).width(4)
  *               .from(src_ddr).to(dmem_off).event(0).setup();
@@ -44,8 +45,8 @@ class DmsCtl;
  * the 16-bit DMEM address field and the transfer must stay inside
  * the scratchpad — both asserted at build time, which is exactly
  * the check a transposed call fails. autoInc() arms the DDR-side
- * auto-increment used by Listing 1 loop groups (on by default, as
- * with the positional calls). Terminal operations: setup() encodes
+ * auto-increment used by Listing 1 loop groups (on by default).
+ * Terminal operations: setup() encodes
  * into the arena and returns the handle; rewriteAt(h) re-encodes
  * over an existing slot; push(ch) is setup() + dms_push.
  */
@@ -158,43 +159,19 @@ class DmsCtl
 
     DmsCtl(core::DpCore &c, dms::Dms &dms) : core(c), dmsRef(dms) {}
 
-    // ------------------------------------------------------------
-    // Builder front-end (preferred)
-    // ------------------------------------------------------------
-
-    /** Start a DDR -> DMEM transfer descriptor (see DmsXfer). */
+    /** dms_setup_ddr_to_dmem: start a DDR -> DMEM transfer. */
     DmsXfer
     ddrToDmem()
     {
         return DmsXfer(*this, dms::DescType::DdrToDmem);
     }
 
-    /** Start a DMEM -> DDR transfer descriptor (see DmsXfer). */
+    /** dms_setup_dmem_to_ddr: start a DMEM -> DDR transfer. */
     DmsXfer
     dmemToDdr()
     {
         return DmsXfer(*this, dms::DescType::DmemToDdr);
     }
-
-    // ------------------------------------------------------------
-    // Listing 1 interface (positional; thin wrappers over DmsXfer)
-    // ------------------------------------------------------------
-
-    /**
-     * dms_setup_ddr_to_dmem: move @p rows elements of @p width
-     * bytes from DDR @p src to DMEM offset @p dst, setting @p event
-     * on completion (and waiting for it to be clear first). With
-     * @p src_inc the DDR address auto-increments across loop
-     * iterations exactly as in Listing 1.
-     */
-    DescHandle setupDdrToDmem(std::uint32_t rows, std::uint8_t width,
-                              mem::Addr src, std::uint16_t dst,
-                              int event, bool src_inc = true);
-
-    /** DMEM -> DDR mirror of setupDdrToDmem. */
-    DescHandle setupDmemToDdr(std::uint32_t rows, std::uint8_t width,
-                              std::uint16_t src, mem::Addr dst,
-                              int event, bool dst_inc = true);
 
     /** dms_setup_loop: jump back to @p target @p iterations times. */
     DescHandle setupLoop(DescHandle target, std::uint16_t iterations);

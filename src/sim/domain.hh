@@ -32,13 +32,6 @@ currentDomain()
     return detail::curDomain;
 }
 
-/** Set the calling thread's execution domain. */
-inline void
-setCurrentDomain(unsigned d)
-{
-    detail::curDomain = d;
-}
-
 /** RAII domain switch: restores the previous domain on scope exit. */
 class DomainScope
 {

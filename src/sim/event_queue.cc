@@ -205,7 +205,6 @@ EventQueue::popNext(Tick limit)
     ev->queue_ = nullptr;
     --nScheduled;
     curTick = ev->when_;
-    lastEvTick = curTick;
     return ev;
 }
 

@@ -165,10 +165,6 @@ class EventQueue
      */
     std::uint64_t runWindow(Tick end);
 
-    /** Tick of the last event actually executed (run() may park the
-     *  clock past it on a bounded run). 0 before any event fires. */
-    Tick lastEventTick() const { return lastEvTick; }
-
     /**
      * Non-mutating lower bound on the earliest pending event's tick:
      * exact when the earliest resident sits in wheel level 0 or in
@@ -380,7 +376,6 @@ class EventQueue
     std::vector<FarEntry> far; ///< min-heap by (when, seq)
 
     Tick curTick = 0;
-    Tick lastEvTick = 0; ///< tick of the last executed event
     std::uint64_t nextSeq = 0;
     std::size_t nScheduled = 0;
 

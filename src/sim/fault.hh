@@ -119,26 +119,6 @@ struct FaultRule
 
     std::vector<DomainState> dom;
     std::uint64_t ruleSeed = 0;
-
-    /** Opportunities examined, summed over domains. */
-    std::uint64_t
-    seenTotal() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &d : dom)
-            n += d.seen;
-        return n;
-    }
-
-    /** Faults injected, summed over domains. */
-    std::uint64_t
-    firedTotal() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &d : dom)
-            n += d.fired;
-        return n;
-    }
 };
 
 /** The process-wide fault scheduler. Use sim::faultPlane(). */

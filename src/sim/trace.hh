@@ -34,9 +34,7 @@
  * Arming: programmatically via tracer().arm(), or from the
  * environment — DPU_TRACE=out.json (capacity: DPU_TRACE_CAP records)
  * arms at the first Soc construction and writes the file at exit.
- *
- * Compile-out: build with -DDPU_TRACING=0 to turn every macro into a
- * no-op that still odr-uses its arguments (no unused warnings).
+ * Disarmed, each macro costs one branch on armed().
  */
 
 #ifndef DPU_SIM_TRACE_HH
@@ -51,10 +49,6 @@
 
 #include "sim/domain.hh"
 #include "sim/types.hh"
-
-#ifndef DPU_TRACING
-#define DPU_TRACING 1
-#endif
 
 namespace dpu::sim {
 
@@ -231,21 +225,12 @@ tracer()
     return t;
 }
 
-/** Swallows trace arguments when tracing is compiled out. */
-template <typename... A>
-inline void
-traceSink(const A &...)
-{
-}
-
 } // namespace dpu::sim
 
-#if DPU_TRACING
-
-/** True when tracing is compiled in AND armed (hot-path guard). */
+/** True when the tracer is armed (hot-path guard). */
 #define DPU_TRACE_ARMED (::dpu::sim::tracer().armed())
 
-/** Id for a new span; 0 when tracing is compiled out. */
+/** Id for a new span. */
 #define DPU_TRACE_NEXT_ID() (::dpu::sim::tracer().nextId())
 
 #define DPU_TRACE_SPAN_BEGIN(cat, tid, name, id, ts, k0, v0, k1, v1) \
@@ -267,17 +252,5 @@ traceSink(const A &...)
 #define DPU_TRACE_COUNTER(cat, tid, name, ts, k0, v0, k1, v1)        \
     ::dpu::sim::tracer().record('C', (cat), (tid), (name), (ts), 0,  \
                                 0, (k0), (v0), (k1), (v1))
-
-#else // !DPU_TRACING
-
-#define DPU_TRACE_ARMED (false)
-#define DPU_TRACE_NEXT_ID() (0u)
-#define DPU_TRACE_SPAN_BEGIN(...) ::dpu::sim::traceSink(__VA_ARGS__)
-#define DPU_TRACE_SPAN_END(...) ::dpu::sim::traceSink(__VA_ARGS__)
-#define DPU_TRACE_COMPLETE(...) ::dpu::sim::traceSink(__VA_ARGS__)
-#define DPU_TRACE_INSTANT(...) ::dpu::sim::traceSink(__VA_ARGS__)
-#define DPU_TRACE_COUNTER(...) ::dpu::sim::traceSink(__VA_ARGS__)
-
-#endif // DPU_TRACING
 
 #endif // DPU_SIM_TRACE_HH

@@ -46,9 +46,6 @@ class Clock
     /** Clock period in ticks. */
     constexpr Tick periodTicks() const { return period; }
 
-    /** Frequency in Hz. */
-    constexpr double freqHz() const { return 1e12 / double(period); }
-
     /** Convert a cycle count to a tick duration. */
     constexpr Tick cyclesToTicks(Cycles c) const { return c * period; }
 

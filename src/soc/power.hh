@@ -60,9 +60,6 @@ class PowerModel
     /** Provisioned power used as the perf/watt denominator. */
     double provisionedWatts() const { return p.provisionedWatts; }
 
-    /** Dynamic power of one active dpCore (51 mW, Section 2.5). */
-    static constexpr double dpCoreDynamicW = 0.051;
-
   private:
     SocParams p;
     unsigned nMacros;

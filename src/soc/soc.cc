@@ -38,24 +38,24 @@ Soc::Soc(sim::EventQueue *shared, const SocParams &params)
     cores.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
         cores.push_back(std::make_unique<core::DpCore>(
-            i, eq, *mm, *l2s[i / core::coresPerMacro], p.isa));
+            i, eq, *l2s[i / core::coresPerMacro]));
         corePtrs.push_back(cores.back().get());
     }
 
     dmsUnits.reserve(p.nComplexes);
     ateUnits.reserve(p.nComplexes);
     for (unsigned cx = 0; cx < p.nComplexes; ++cx) {
-        const unsigned base = cx * p.coresPerComplex;
+        const unsigned base = cx * coresPerComplex;
         dmsUnits.push_back(std::make_unique<dms::Dms>(
-            eq, *mm, p.coresPerComplex, p.dms, base));
-        for (unsigned i = 0; i < p.coresPerComplex; ++i)
+            eq, *mm, coresPerComplex, p.dms, base));
+        for (unsigned i = 0; i < coresPerComplex; ++i)
             dmsUnits[cx]->attachCore(i, &cores[base + i]->dmem());
 
         std::vector<core::DpCore *> complex_cores(
             corePtrs.begin() + base,
-            corePtrs.begin() + base + p.coresPerComplex);
-        ateUnits.push_back(std::make_unique<ate::Ate>(
-            eq, std::move(complex_cores), p.ate));
+            corePtrs.begin() + base + coresPerComplex);
+        ateUnits.push_back(
+            std::make_unique<ate::Ate>(eq, std::move(complex_cores)));
     }
 
     mbcUnit = std::make_unique<mbc::Mbc>(eq, corePtrs);
@@ -75,11 +75,10 @@ Soc::Soc(sim::EventQueue *shared, const SocParams &params)
     }
     tr.nameTrack(sim::TraceCat::Ddr, 0, p.ddr.name);
     for (unsigned cx = 0; cx < p.nComplexes; ++cx) {
-        const unsigned base = cx * p.coresPerComplex;
+        const unsigned base = cx * coresPerComplex;
         const std::string prefix = "cx" + std::to_string(cx) + ".";
         const unsigned dmax0 = base / core::coresPerMacro;
-        const unsigned n_dmax = p.coresPerComplex /
-                                core::coresPerMacro;
+        const unsigned n_dmax = coresPerComplex / core::coresPerMacro;
         for (unsigned m = 0; m < n_dmax; ++m) {
             const std::string dmax =
                 prefix + "dmax" + std::to_string(m);

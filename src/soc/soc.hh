@@ -102,14 +102,14 @@ class Soc
     dms::Dms &
     dmsFor(unsigned id)
     {
-        return *dmsUnits[id / p.coresPerComplex];
+        return *dmsUnits[id / coresPerComplex];
     }
 
     /** The ATE complex serving core @p id. */
     ate::Ate &
     ateFor(unsigned id)
     {
-        return *ateUnits[id / p.coresPerComplex];
+        return *ateUnits[id / coresPerComplex];
     }
 
     /** Dump all stat groups. */

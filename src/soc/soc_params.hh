@@ -15,23 +15,23 @@
 
 #include <cstddef>
 
-#include "ate/ate.hh"
-#include "core/isa.hh"
 #include "dms/dms_params.hh"
 #include "mem/ddr.hh"
 
 namespace dpu::soc {
 
-/** Everything needed to instantiate a DPU. */
+/** dpCores per complex (fixed by the dpCore-complex design). */
+constexpr unsigned coresPerComplex = 32;
+
+/**
+ * What a chip or workload sets differently when instantiating a DPU.
+ * Everything the two chips share is a constant beside the code that
+ * charges it (core/isa.hh, ate/ate.hh, dms/dms_params.hh).
+ */
 struct SocParams
 {
-    const char *name = "dpu-40nm";
-
     /** 32-core complexes on the die (1 at 40 nm, 5 at 16 nm). */
     unsigned nComplexes = 1;
-
-    /** dpCores per complex (fixed by the dpCore-complex design). */
-    unsigned coresPerComplex = 32;
 
     /** DDR channel feeding the die. */
     mem::DdrParams ddr = mem::ddr3_1600;
@@ -53,8 +53,6 @@ struct SocParams
     double coreDynamicW = 0.051;
 
     dms::DmsParams dms{};
-    ate::AteParams ate{};
-    core::IsaCosts isa{};
 
     unsigned nCores() const { return nComplexes * coresPerComplex; }
 };
@@ -71,7 +69,6 @@ inline SocParams
 dpu16nm()
 {
     SocParams p;
-    p.name = "dpu-16nm";
     p.nComplexes = 5;
     p.ddr = mem::ddr4_3200x3;
     p.provisionedWatts = 12.0;

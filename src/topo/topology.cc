@@ -87,9 +87,9 @@ ClusterTopology::validate() const
     if (tier_ == Tier::Rack && nBoards_ == 0)
         return "a rack needs at least one board (nBoards = 0)";
 
-    if (soc_.nCores() == 0)
-        return "the chip needs at least one core "
-               "(nComplexes x coresPerComplex = 0)";
+    if (soc_.nComplexes == 0)
+        return "the chip needs at least one core complex "
+               "(nComplexes = 0)";
 
     if (threads_ == 0)
         return "the epoch runner needs at least one worker "

@@ -7,15 +7,15 @@ namespace dpu::xeon {
 double
 XeonModel::phaseSeconds() const
 {
-    const double core_rate = p.freqGHz * 1e9 * p.ipc;
+    const double core_rate = freqGHz * 1e9 * ipc;
     const double scalar_s =
         phaseScalar / (core_rate * threads);
     const double simd_s =
-        phaseSimd / (core_rate * threads * p.simdLanes);
+        phaseSimd / (core_rate * threads * simdLanes);
     const double compute_s = scalar_s + simd_s;
 
-    const double mem_s = phaseStream / (p.effStreamBwGBs * 1e9) +
-                         phaseRandom / (p.effRandomBwGBs * 1e9);
+    const double mem_s = phaseStream / (effStreamBwGBs * 1e9) +
+                         phaseRandom / (effRandomBwGBs * 1e9);
 
     const double serial_s = phaseSerial / core_rate;
 

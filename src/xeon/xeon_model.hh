@@ -26,36 +26,28 @@
 #ifndef DPU_XEON_XEON_MODEL_HH
 #define DPU_XEON_XEON_MODEL_HH
 
-#include <string>
-#include <vector>
-
 namespace dpu::xeon {
 
-/** Machine constants for the baseline server. */
-struct XeonParams
-{
-    const char *name = "2x Xeon E5-2699 v3";
-    double tdpWatts = 145.0;     ///< Section 5's perf/watt basis
-    unsigned cores = 36;
-    double freqGHz = 2.3;        ///< all-core sustained
-    double ipc = 3.0;            ///< per-core retired uops/cycle
-    double simdLanes = 8;        ///< AVX2 32-bit lanes
-    /** Effective bandwidth in the tiled-streaming regime the
-     *  paper's kernels run in (its own SpMM measurement). */
-    double effStreamBwGBs = 34.5;
-    /** Effective bandwidth for dependent random access. */
-    double effRandomBwGBs = 8.0;
-    /** Last-level cache (2 x 45 MB). */
-    double llcBytes = 90.0 * 1024 * 1024;
-};
+// Machine constants of the baseline server.
+
+/** All-core sustained clock. */
+constexpr double freqGHz = 2.3;
+/** Per-core retired uops/cycle. */
+constexpr double ipc = 3.0;
+/** AVX2 32-bit lanes. */
+constexpr double simdLanes = 8;
+/** Effective bandwidth in the tiled-streaming regime the paper's
+ *  kernels run in (its own SpMM measurement). */
+constexpr double effStreamBwGBs = 34.5;
+/** Effective bandwidth for dependent random access. */
+constexpr double effRandomBwGBs = 8.0;
 
 /** Accumulates one workload's phases into seconds. */
 class XeonModel
 {
   public:
-    explicit XeonModel(const XeonParams &params = XeonParams{},
-                       unsigned threads_used = 36)
-        : p(params), threads(threads_used)
+    explicit XeonModel(unsigned threads_used = 36)
+        : threads(threads_used)
     {
     }
 
@@ -105,13 +97,9 @@ class XeonModel
     /** Total modelled time including any open phase. */
     double seconds() const;
 
-    const XeonParams &params() const { return p; }
-    unsigned threadsUsed() const { return threads; }
-
   private:
     double phaseSeconds() const;
 
-    XeonParams p;
     unsigned threads;
     double elapsed = 0;
     double phaseScalar = 0;

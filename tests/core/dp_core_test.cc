@@ -26,8 +26,8 @@ struct CoreFixture : ::testing::Test
 {
     CoreFixture()
         : mm(mem::ddr3_1600, 4 << 20), l2("l2", l2Params, mm),
-          core0(std::make_unique<DpCore>(0, eq, mm, l2)),
-          core1(std::make_unique<DpCore>(1, eq, mm, l2))
+          core0(std::make_unique<DpCore>(0, eq, l2)),
+          core1(std::make_unique<DpCore>(1, eq, l2))
     {
     }
 
@@ -68,21 +68,20 @@ TEST_F(CoreFixture, BranchPredictorBackwardTaken)
     // A taken backward branch (loop) is predicted: 1 cycle.
     sim::Tick loop = runOn0([](DpCore &c) { c.branch(true, true); });
     // A taken FORWARD branch is mispredicted: 1 + penalty.
-    core0 = std::make_unique<DpCore>(0, eq, mm, l2);
+    core0 = std::make_unique<DpCore>(0, eq, l2);
     sim::Tick fwd = runOn0([](DpCore &c) { c.branch(true, false); });
     EXPECT_GT(fwd, loop);
     EXPECT_EQ(fwd - loop,
-              sim::dpCoreClock.cyclesToTicks(core::IsaCosts{}.branchMiss));
+              sim::dpCoreClock.cyclesToTicks(core::branchMissCycles));
 }
 
 TEST_F(CoreFixture, MultiplierIsVariableLatency)
 {
-    core::IsaCosts costs;
     // A 64-bit multiply stalls longer than an 8-bit one (Section 5.4:
     // "variable latency multiplier").
-    EXPECT_GT(costs.mulCycles(64), costs.mulCycles(8));
+    EXPECT_GT(core::mulCycles(64), core::mulCycles(8));
     sim::Tick t8 = runOn0([](DpCore &c) { c.mul(8); });
-    core0 = std::make_unique<DpCore>(0, eq, mm, l2);
+    core0 = std::make_unique<DpCore>(0, eq, l2);
     sim::Tick t64 = runOn0([](DpCore &c) { c.mul(64); });
     EXPECT_GT(t64, t8);
 }
@@ -98,8 +97,7 @@ TEST_F(CoreFixture, NtzIsCheaperThanNlz)
     EXPECT_EQ(ntz, 3u);
     EXPECT_EQ(nlz, 60u);
     EXPECT_EQ(core0->statGroup().get("ntzOps"), 1u);
-    core::IsaCosts costs;
-    EXPECT_LT(costs.ntz, costs.nlz);
+    EXPECT_LT(core::ntzCycles, core::nlzCycles);
 }
 
 TEST_F(CoreFixture, CrcHashMatchesUtil)
@@ -209,7 +207,7 @@ TEST_F(CoreFixture, InterruptChargesOverhead)
     });
     eq.run();
     EXPECT_GE(sim::dpCoreClock.ticksToCycles(eq.now()),
-              core::IsaCosts{}.interrupt);
+              core::interruptCycles);
 }
 
 TEST_F(CoreFixture, TwoCoresInterleaveInTime)

@@ -86,9 +86,10 @@ TEST_P(DmsFuzz, RandomTransferChainsMatchReference)
             const std::uint64_t base = id * region_words;
             for (const auto &op : plans[id]) {
                 ctl.resetArena();
-                auto rd = ctl.setupDdrToDmem(
-                    op.words, 4, (base + op.srcw) * 4, 0, 0, false);
-                ctl.push(rd, 0);
+                ctl.ddrToDmem()
+                    .rows(op.words).width(4)
+                    .from((base + op.srcw) * 4).to(0)
+                    .event(0).noAutoInc().push(0);
                 ctl.wfe(0);
                 for (std::uint32_t i = 0; i < op.words; ++i) {
                     std::uint32_t v = c.dmem().load<std::uint32_t>(
@@ -97,9 +98,10 @@ TEST_P(DmsFuzz, RandomTransferChainsMatchReference)
                 }
                 c.dualIssue(op.words, op.words * 2);
                 ctl.clearEvent(0);
-                auto wr = ctl.setupDmemToDdr(
-                    op.words, 4, 0, (base + op.dstw) * 4, 1, false);
-                ctl.push(wr, 1);
+                ctl.dmemToDdr()
+                    .rows(op.words).width(4)
+                    .from(0).to((base + op.dstw) * 4)
+                    .event(1).noAutoInc().push(1);
                 ctl.wfe(1);
                 ctl.clearEvent(1);
             }
@@ -210,8 +212,6 @@ TEST_P(DmsFuzz, RandomPartitionShapesDeliverEveryRowOnce)
  */
 TEST_P(DmsFuzz, RandomChainsEmitWellFormedTraceJson)
 {
-    if (!DPU_TRACING)
-        GTEST_SKIP() << "built with -DDPU_TRACING=0";
     sim::Tracer &tr = sim::tracer();
     tr.arm(1u << 18);
 
@@ -233,14 +233,13 @@ TEST_P(DmsFuzz, RandomChainsEmitWellFormedTraceJson)
             DmsCtl ctl(c, s.dms());
             for (std::uint32_t w : words) {
                 ctl.resetArena();
-                auto rd = ctl.setupDdrToDmem(w, 4, 0, 0, 0, false);
-                ctl.push(rd, 0);
+                ctl.ddrToDmem().rows(w).width(4).from(0).to(0)
+                    .event(0).noAutoInc().push(0);
                 ctl.wfe(0);
                 c.dualIssue(w, w);
                 ctl.clearEvent(0);
-                auto wr = ctl.setupDmemToDdr(w, 4, 0, 0x8000, 1,
-                                             false);
-                ctl.push(wr, 1);
+                ctl.dmemToDdr().rows(w).width(4).from(0).to(0x8000)
+                    .event(1).noAutoInc().push(1);
                 ctl.wfe(1);
                 ctl.clearEvent(1);
             }

@@ -207,8 +207,8 @@ TEST(DmsOps, EventCtlDescriptorsSetClearAndGate)
         gate.eventOp = dms::EventOp::WaitClear;
         gate.eventMask = 1u << 5;
         ctl.push(ctl.setup(gate));
-        auto xfer = ctl.setupDdrToDmem(64, 4, 0x100, 0, 7, false);
-        ctl.push(xfer);
+        ctl.ddrToDmem().rows(64).width(4).from(0x100).to(0).event(7)
+            .noAutoInc().push(0);
 
         c.sleepCycles(4000);
         EXPECT_FALSE(ctl.eventSet(7)); // still gated

@@ -49,8 +49,8 @@ TEST(Dms, SingleTransferMovesDataAndSetsEvent)
     bool ok = false;
     s.start(0, [&](core::DpCore &c) {
         DmsCtl ctl(c, s.dms());
-        auto h = ctl.setupDdrToDmem(256, 4, 0x10000, 0, 0, false);
-        ctl.push(h);
+        ctl.ddrToDmem().rows(256).width(4).from(0x10000).to(0)
+            .event(0).noAutoInc().push(0);
         ctl.wfe(0);
         ok = true;
         for (std::uint32_t i = 0; i < 256; ++i) {
@@ -69,8 +69,8 @@ TEST(Dms, TransferTakesPlausibleTime)
     soc::Soc s(smallParams());
     s.start(0, [&](core::DpCore &c) {
         DmsCtl ctl(c, s.dms());
-        auto h = ctl.setupDdrToDmem(2048, 4, 0, 0, 0, false);
-        ctl.push(h);
+        ctl.ddrToDmem().rows(2048).width(4).from(0).to(0)
+            .event(0).noAutoInc().push(0);
         ctl.wfe(0);
     });
     sim::Tick t = s.run();

@@ -40,12 +40,14 @@ TEST(Listing1, SixteenMegabytesThreeDescriptors)
 
         // dms_descriptor* desc0 = dms_setup_ddr_to_dmem(256,
         //     src_addr, dest_addr, event0);
-        auto desc0 =
-            ctl.setupDdrToDmem(256, 4, src_addr, dest_addr, 0);
+        auto desc0 = ctl.ddrToDmem().rows(256).width(4)
+                         .from(src_addr).to(dest_addr)
+                         .event(0).setup();
         // dms_descriptor* desc1 = dms_setup_ddr_to_dmem(256,
         //     src_addr, dest_addr + 1024, event1);
-        auto desc1 =
-            ctl.setupDdrToDmem(256, 4, src_addr, dest_addr + 1024, 1);
+        auto desc1 = ctl.ddrToDmem().rows(256).width(4)
+                         .from(src_addr).to(dest_addr + 1024)
+                         .event(1).setup();
         // dms_descriptor* loop = dms_setup_loop(desc0, 8191);
         auto loop = ctl.setupLoop(desc0, 8191);
 
@@ -100,8 +102,12 @@ TEST(Listing1, EventProtocolPreventsOverrun)
     bool torn = false;
     s.start(0, [&](core::DpCore &c) {
         rt::DmsCtl ctl(c, s.dms());
-        auto d0 = ctl.setupDdrToDmem(256, 4, 0, 0, 0);
-        auto d1 = ctl.setupDdrToDmem(256, 4, 0, 1024, 1);
+        // dms_setup_ddr_to_dmem(256, 0, 0, event0)
+        auto d0 = ctl.ddrToDmem().rows(256).width(4).from(0).to(0)
+                      .event(0).setup();
+        // dms_setup_ddr_to_dmem(256, 0, 1024, event1)
+        auto d1 = ctl.ddrToDmem().rows(256).width(4).from(0).to(1024)
+                      .event(1).setup();
         auto loop = ctl.setupLoop(d0, 127);
         ctl.push(d0);
         ctl.push(d1);
@@ -126,4 +132,52 @@ TEST(Listing1, EventProtocolPreventsOverrun)
     s.run();
     ASSERT_TRUE(s.allFinished());
     EXPECT_FALSE(torn);
+}
+
+// The transfer builder refuses each malformed descriptor before it
+// is encoded, naming what is wrong.
+class DmsXferDeathTest : public ::testing::Test
+{
+  protected:
+    static soc::SocParams
+    smallChip()
+    {
+        soc::SocParams p = soc::dpu40nm();
+        p.ddrBytes = 1 << 20;
+        return p;
+    }
+
+    soc::Soc s{smallChip()};
+    rt::DmsCtl ctl{s.core(0), s.dms()};
+};
+
+TEST_F(DmsXferDeathTest, MissingFromOrToDies)
+{
+    EXPECT_DEATH(ctl.ddrToDmem().rows(256).width(4).from(0).descriptor(),
+                 "needs both from");
+    EXPECT_DEATH(ctl.dmemToDdr().rows(256).width(4).to(0).descriptor(),
+                 "needs both from");
+}
+
+TEST_F(DmsXferDeathTest, RowsBeyondTheSixteenBitFieldDie)
+{
+    EXPECT_DEATH(
+        ctl.ddrToDmem().rows(0x10000).width(1).from(0).to(0).descriptor(),
+        "rows 65536 out of the 16-bit field");
+}
+
+TEST_F(DmsXferDeathTest, WidthOtherThanOneTwoFourOrEightDies)
+{
+    EXPECT_DEATH(
+        ctl.ddrToDmem().rows(16).width(3).from(0).to(0).descriptor(),
+        "width 3 not 1/2/4/8");
+}
+
+TEST_F(DmsXferDeathTest, TransposedFromAndToOverrunDmem)
+{
+    // The DMEM offset went to from() and the DDR address to to().
+    EXPECT_DEATH(
+        ctl.ddrToDmem().rows(256).width(4).from(0).to(0x100000)
+            .descriptor(),
+        "overruns the 32 KB scratchpad");
 }

@@ -80,7 +80,9 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(std::uint64_t(65536), 2048u, 3u),  // triple
         std::make_tuple(std::uint64_t(65540), 2048u, 3u),
         std::make_tuple(std::uint64_t(131072), 8192u, 2u),
-        std::make_tuple(std::uint64_t(12), 4096u, 2u)));
+        std::make_tuple(std::uint64_t(12), 4096u, 2u),
+        // 65,536 full ring passes: the loop descriptor's limit.
+        std::make_tuple(std::uint64_t(524288), 4u, 2u)));
 
 TEST(StreamWriter, RandomCommitSizesRoundTrip)
 {
@@ -171,4 +173,23 @@ TEST(Stream, HeapBackedStreaming)
     ASSERT_TRUE(s.allFinished());
     std::uint64_t n = (64 << 10) / 4;
     EXPECT_EQ(sum, n * (n - 1) / 2);
+}
+
+// The loop descriptor counts re-runs of the ring in 16 bits, so one
+// StreamReader covers at most 65,536 full passes. One pass more used
+// to wrap the count to zero: the consumer took one ring's worth and
+// then waited forever.
+TEST(StreamDeathTest, ReaderRejectsMorePassesThanTheLoopCounts)
+{
+    auto overlong = [] {
+        soc::Soc s(smallParams());
+        s.start(0, [&](core::DpCore &c) {
+            DmsCtl ctl(c, s.dms());
+            // Two 4 B buffers over 65,537 x 8 B: 65,537 passes.
+            rt::StreamReader in(ctl, 0, 65537ull * 8, 0, 4, 2, 0);
+            in.forEach([](std::uint32_t, std::uint32_t) {});
+        });
+        s.run();
+    };
+    EXPECT_DEATH(overlong(), "65,536-pass limit");
 }

@@ -24,13 +24,6 @@ class TraceTest : public ::testing::Test
 {
   protected:
     void
-    SetUp() override
-    {
-        if (!DPU_TRACING)
-            GTEST_SKIP() << "built with -DDPU_TRACING=0";
-    }
-
-    void
     TearDown() override
     {
         tracer().disarm();

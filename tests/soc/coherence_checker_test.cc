@@ -146,8 +146,8 @@ TEST(CoherenceChecker, FlagsStaleDmsReadAndTracesIt)
     s.start(0, [&](core::DpCore &c) {
         rt::DmsCtl ctl(c, s.dms());
         c.dmem().store<std::uint32_t>(0, 2);
-        auto wr = ctl.setupDmemToDdr(1, 4, 0, shared, 0, false);
-        ctl.push(wr);
+        ctl.dmemToDdr().rows(1).width(4).from(0).to(shared).event(0)
+            .noAutoInc().push(0);
         ctl.wfe(0);
         ctl.clearEvent(0);
         dms_done = true;
@@ -168,11 +168,9 @@ TEST(CoherenceChecker, FlagsStaleDmsReadAndTracesIt)
     sim::tracer().exportJson(os);
     sim::tracer().disarm();
     sim::tracer().clear();
-    if (DPU_TRACING) {
-        EXPECT_NE(os.str().find("\"name\":\"staleDmsRead\""),
-                  std::string::npos)
-            << "hazard did not show up in the trace";
-    }
+    EXPECT_NE(os.str().find("\"name\":\"staleDmsRead\""),
+              std::string::npos)
+        << "hazard did not show up in the trace";
 }
 
 TEST(CoherenceChecker, InvalidateAfterDmsWriteRunsClean)
@@ -196,8 +194,8 @@ TEST(CoherenceChecker, InvalidateAfterDmsWriteRunsClean)
     s.start(0, [&](core::DpCore &c) {
         rt::DmsCtl ctl(c, s.dms());
         c.dmem().store<std::uint32_t>(0, 2);
-        auto wr = ctl.setupDmemToDdr(1, 4, 0, shared, 0, false);
-        ctl.push(wr);
+        ctl.dmemToDdr().rows(1).width(4).from(0).to(shared).event(0)
+            .noAutoInc().push(0);
         ctl.wfe(0);
         ctl.clearEvent(0);
         dms_done = true;

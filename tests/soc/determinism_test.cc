@@ -82,8 +82,8 @@ TEST(Determinism, StatDumpIsByteIdentical)
             s.memory().store().store<std::uint32_t>(i * 4, i ^ 0x5a);
         s.start(0, [&](core::DpCore &c) {
             rt::DmsCtl ctl(c, s.dms());
-            auto rd = ctl.setupDdrToDmem(1024, 4, 0, 0, 0);
-            ctl.push(rd);
+            ctl.ddrToDmem().rows(1024).width(4).from(0).to(0).event(0)
+                .push(0);
             ctl.wfe(0);
             std::uint64_t sum = 0;
             for (std::uint32_t i = 0; i < 1024; ++i)

@@ -14,10 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
+#include "apps/registry.hh"
 #include "scenarios.hh"
 
 using namespace dpu;
@@ -102,10 +105,58 @@ TEST(GoldenStats, OffloadServing)
     checkAgainstGolden("serving", test::runServingScenario());
 }
 
-// The harness must actually trip when a calibration knob moves:
-// perturb the DMS per-descriptor overhead (DESIGN.md §7 anchors it
-// at 120 ns) and require a non-empty diff against the golden run.
-TEST(GoldenStats, DetectsPerturbedDescriptorOverhead)
+// Figure 14 head to head: every registry app on a fresh chip at
+// dpubench's --smoke sizes, which covers the whole-chip kernels
+// (ATE work stealing and barriers, SMO, Murmur/NLZ) and the Xeon
+// model. Each app's outcome lands in a stat group of its own.
+TEST(GoldenStats, Fig14HeadToHead)
+{
+    const std::pair<const char *,
+                    std::vector<std::pair<std::string_view,
+                                          std::string_view>>>
+        smoke[] = {
+            {"svm",
+             {{"nTrain", "1024"}, {"nTest", "256"}, {"maxIters", "60"}}},
+            {"simsearch", {{"nDocs", "2048"}, {"nQueries", "4"}}},
+            {"filter", {{"rowsPerCore", "8192"}}},
+            {"groupby-low", {{"nRows", "65536"}}},
+            {"groupby-high", {{"nRows", "65536"}, {"ndv", "8192"}}},
+            {"hll-crc",
+             {{"nElements", "262144"}, {"cardinality", "32768"}}},
+            {"hll-murmur",
+             {{"nElements", "65536"}, {"cardinality", "8192"}}},
+            {"json", {{"nRecords", "2048"}}},
+            {"disparity", {{"width", "128"}, {"height", "64"}}},
+        };
+
+    std::vector<std::unique_ptr<sim::StatGroup>> groups;
+    for (const apps::AppSpec &spec : apps::registry()) {
+        apps::ConfigHandle cfg = spec.makeConfig();
+        for (const auto &[app, opts] : smoke) {
+            if (spec.name != app)
+                continue;
+            for (const auto &[k, v] : opts)
+                ASSERT_TRUE(spec.set(cfg, k, v)) << spec.name << k;
+        }
+        const apps::AppResult r = spec.run(cfg);
+
+        auto &g = *groups.emplace_back(
+            std::make_unique<sim::StatGroup>("fig14." + spec.name));
+        g.counter("dpuTicks") = std::llround(r.dpuSeconds * 1e12);
+        g.counter("matched") = r.matched;
+        g.scalar("xeonSeconds") = r.xeonSeconds;
+        g.scalar("workUnits") = r.workUnits;
+    }
+    ASSERT_EQ(groups.size(), 9u);
+    checkAgainstGolden("fig14",
+                       sim::StatsRegistry::instance().snapshot());
+}
+
+// The harness must actually trip when a calibration value moves:
+// stretch the DDR data-bus time per burst by a third (a value the
+// 40 nm and 16 nm chips set differently) and require a non-empty
+// diff against the golden run.
+TEST(GoldenStats, DetectsPerturbedDdrTiming)
 {
     if (regenRequested())
         GTEST_SKIP() << "regeneration run";
@@ -119,14 +170,14 @@ TEST(GoldenStats, DetectsPerturbedDescriptorOverhead)
     ASSERT_TRUE(sim::StatsSnapshot::readJson(buf.str(), golden, err))
         << err;
 
-    dms::DmsParams perturbed{};
-    perturbed.descOverhead += 40'000; // +40 ns per descriptor
+    mem::DdrParams perturbed = soc::dpu40nm().ddr;
+    perturbed.tBurst = perturbed.tBurst * 4 / 3; // 5 ns -> 6.67 ns
     auto actual = test::runListing1Scenario(&perturbed);
     ASSERT_FALSE(actual.counters.empty());
 
     auto diffs = sim::diffSnapshots(golden, actual);
     EXPECT_FALSE(diffs.empty())
-        << "a 33% descriptor-overhead change produced an identical "
+        << "a 33% DDR burst-time change produced an identical "
            "snapshot - the golden harness is not sensitive to "
            "calibration drift";
     // The perturbation slows the stream down, so at minimum the

@@ -35,7 +35,7 @@ TEST(Power, LeakageIsOver37Percent)
 
 TEST(Power, PerCoreDynamicIs51mW)
 {
-    EXPECT_NEAR(PowerModel::dpCoreDynamicW, 0.051, 1e-12);
+    EXPECT_NEAR(dpu40nm().coreDynamicW, 0.051, 1e-12);
     PowerModel pm(dpu40nm());
     double cores = 0;
     for (const auto &c : pm.breakdown())

@@ -41,12 +41,12 @@ freezeStats(soc::Soc &s)
  * buffers with three descriptors, consuming with wfe/clear_event.
  */
 inline sim::StatsSnapshot
-runListing1Scenario(const dms::DmsParams *dms_override = nullptr)
+runListing1Scenario(const mem::DdrParams *ddr_override = nullptr)
 {
     soc::SocParams p = soc::dpu40nm();
     p.ddrBytes = 8 << 20;
-    if (dms_override)
-        p.dms = *dms_override;
+    if (ddr_override)
+        p.ddr = *ddr_override;
     soc::Soc s(p);
 
     const std::uint32_t total = 2 << 20;
@@ -60,8 +60,12 @@ runListing1Scenario(const dms::DmsParams *dms_override = nullptr)
     std::uint64_t sum = 0;
     s.start(0, [&](core::DpCore &c) {
         rt::DmsCtl ctl(c, s.dms());
-        auto d0 = ctl.setupDdrToDmem(256, 4, 0, 0, 0);
-        auto d1 = ctl.setupDdrToDmem(256, 4, 0, 1024, 1);
+        // dms_setup_ddr_to_dmem(256, 0, 0, event0)
+        auto d0 = ctl.ddrToDmem().rows(256).width(4).from(0).to(0)
+                      .event(0).setup();
+        // dms_setup_ddr_to_dmem(256, 0, 1024, event1)
+        auto d1 = ctl.ddrToDmem().rows(256).width(4).from(0).to(1024)
+                      .event(1).setup();
         auto loop = ctl.setupLoop(d0, 1023); // 2048 buffers total
         ctl.push(d0);
         ctl.push(d1);

@@ -11,7 +11,6 @@
 #include "xeon/xeon_model.hh"
 
 using dpu::xeon::XeonModel;
-using dpu::xeon::XeonParams;
 
 TEST(XeonModel, MemoryBoundPhaseIsBytesOverBandwidth)
 {
@@ -23,8 +22,7 @@ TEST(XeonModel, MemoryBoundPhaseIsBytesOverBandwidth)
 
 TEST(XeonModel, ComputeBoundPhaseUsesAllThreads)
 {
-    XeonParams p;
-    XeonModel m(p, 36);
+    XeonModel m(36);
     // 36 cores x 2.3 GHz x 3 IPC = 248.4 G uops/s.
     m.scalarOps(248.4e9);
     m.endPhase();
@@ -78,8 +76,8 @@ TEST(XeonModel, RandomBytesAreSlowerThanStreamed)
 
 TEST(XeonModel, FewerThreadsSlowCompute)
 {
-    XeonModel full(XeonParams{}, 36);
-    XeonModel half(XeonParams{}, 18);
+    XeonModel full(36);
+    XeonModel half(18);
     full.scalarOps(1e10);
     half.scalarOps(1e10);
     full.endPhase();
