@@ -8,6 +8,10 @@
  * is exactly why software-managed coherence (flush before DMS read,
  * invalidate before cached read of DMS output) is required on the
  * real chip and in this simulator alike.
+ *
+ * The bytes are demand-zero pages (sim::ZeroPages): the image reads
+ * as zero, and host RAM follows the pages a run writes, not the
+ * chip's DDR size.
  */
 
 #ifndef DPU_MEM_BACKING_STORE_HH
@@ -15,10 +19,10 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "mem/addr.hh"
 #include "sim/logging.hh"
+#include "sim/zero_pages.hh"
 
 namespace dpu::mem {
 
@@ -26,14 +30,14 @@ namespace dpu::mem {
 class BackingStore
 {
   public:
-    explicit BackingStore(std::size_t bytes) : mem(bytes, 0) {}
+    explicit BackingStore(std::size_t bytes) : mem(bytes) {}
 
     std::size_t size() const { return mem.size(); }
 
     void
     read(Addr addr, void *dst, std::size_t len) const
     {
-        sim_assert(addr + len <= mem.size(),
+        sim_assert(addr <= mem.size() && len <= mem.size() - addr,
                    "DDR read out of range: addr=%llx len=%zu",
                    (unsigned long long)addr, len);
         std::memcpy(dst, mem.data() + addr, len);
@@ -42,7 +46,7 @@ class BackingStore
     void
     write(Addr addr, const void *src, std::size_t len)
     {
-        sim_assert(addr + len <= mem.size(),
+        sim_assert(addr <= mem.size() && len <= mem.size() - addr,
                    "DDR write out of range: addr=%llx len=%zu",
                    (unsigned long long)addr, len);
         std::memcpy(mem.data() + addr, src, len);
@@ -64,12 +68,8 @@ class BackingStore
         write(addr, &v, sizeof(T));
     }
 
-    /** Direct pointer for bulk workload setup (host-side only). */
-    std::uint8_t *raw() { return mem.data(); }
-    const std::uint8_t *raw() const { return mem.data(); }
-
   private:
-    std::vector<std::uint8_t> mem;
+    sim::ZeroPages mem;
 };
 
 } // namespace dpu::mem

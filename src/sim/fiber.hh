@@ -26,7 +26,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
+
+#include "sim/zero_pages.hh"
 
 // Sanitized builds keep the ucontext path: it is the reference
 // implementation, and CI's ASan job exercises the fiber-switch
@@ -57,6 +58,9 @@ class Fiber
   public:
     /**
      * Create a fiber that will execute @p fn when first resumed.
+     * The stack is demand-zero (sim::ZeroPages): host RAM follows
+     * the deepest call chain, and an overflow faults on the guard
+     * page below it.
      * @param fn         The fiber body.
      * @param stack_size Stack size in bytes (default 256 KiB).
      */
@@ -93,7 +97,7 @@ class Fiber
 #endif
 
     std::function<void()> body;
-    std::vector<std::uint8_t> stack;
+    ZeroPages stack;
 #if DPU_FIBER_UCONTEXT
     ucontext_t ctx;
     ucontext_t returnCtx;

@@ -36,8 +36,9 @@ struct SocParams
     /** DDR channel feeding the die. */
     mem::DdrParams ddr = mem::ddr3_1600;
 
-    /** Simulated DRAM capacity (the chip pairs with 8 GB; we size
-     *  to the workload to keep host memory reasonable). */
+    /** Simulated DRAM capacity (the chip pairs with 8 GB). The
+     *  image is demand-zero (mem::BackingStore), so this is address
+     *  space: host RAM follows the bytes a run writes. */
     std::size_t ddrBytes = std::size_t(256) << 20;
 
     /** Provisioned SoC power, the denominator of perf/watt.

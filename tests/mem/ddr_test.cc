@@ -7,8 +7,10 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
+#include <fstream>
 #include <vector>
 
 #include "mem/main_memory.hh"
@@ -39,6 +41,17 @@ streamBandwidthGBs(MainMemory &mm, std::size_t total, bool write)
     return double(total) / (double(done) * 1e-12) / 1e9;
 }
 
+/** This process's resident set in bytes, or -1 where unreadable. */
+long long
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    long long pages = 0, resident = 0;
+    if (!(statm >> pages >> resident))
+        return -1;
+    return resident * sysconf(_SC_PAGESIZE);
+}
+
 } // namespace
 
 TEST(Ddr, FunctionalReadWrite)
@@ -53,6 +66,45 @@ TEST(Ddr, FunctionalReadWrite)
     char out[sizeof(msg)];
     mm.store().read(0x8000, out, sizeof(msg));
     EXPECT_STREQ(out, msg);
+}
+
+TEST(Ddr, ImageIsDemandZero)
+{
+    // A chip's DDR size is address space only: building a 1 GiB
+    // image commits no host RAM for it, every byte reads zero until
+    // written, and a written byte keeps its value.
+    constexpr std::size_t gib = std::size_t(1) << 30;
+    const long long before = residentBytes();
+    MainMemory mm(mem::ddr3_1600, gib);
+    const long long after = residentBytes();
+    if (before >= 0 && after >= 0) {
+        EXPECT_LT(after - before, 16ll << 20);
+    }
+
+    for (mem::Addr a : {mem::Addr(0), mem::Addr(gib / 2),
+                        mem::Addr(gib - 1)}) {
+        EXPECT_EQ(mm.store().load<std::uint8_t>(a), 0u) << a;
+        mm.store().store<std::uint8_t>(a, 0x5a);
+        EXPECT_EQ(mm.store().load<std::uint8_t>(a), 0x5au) << a;
+    }
+}
+
+TEST(DdrDeathTest, ReadWrappingPastTheAddressSpaceDies)
+{
+    // addr + len wraps to 4: a sum-based bounds check passes it and
+    // copies from 4 bytes below the image.
+    MainMemory mm(mem::ddr3_1600, 1 << 20);
+    std::uint64_t v = 0;
+    EXPECT_DEATH(mm.store().read(~mem::Addr(0) - 3, &v, sizeof v),
+                 "DDR read out of range");
+}
+
+TEST(DdrDeathTest, WriteWrappingPastTheAddressSpaceDies)
+{
+    MainMemory mm(mem::ddr3_1600, 1 << 20);
+    const std::uint64_t v = ~std::uint64_t(0);
+    EXPECT_DEATH(mm.store().write(~mem::Addr(0) - 3, &v, sizeof v),
+                 "DDR write out of range");
 }
 
 TEST(Ddr, StreamingReadNearPeak)

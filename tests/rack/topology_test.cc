@@ -264,10 +264,6 @@ drawSpec(sim::Rng &rng)
     s.dpus = spoil(rng) ? 0 : 1 + unsigned(rng.below(3));
     s.threads = spoil(rng) ? 0 : 1 + unsigned(rng.below(3));
     s.ddrMiB = std::size_t(16) << rng.below(3);
-    // BackingStore zero-fills every chip's DDR: keep a spec's total
-    // at 256 MiB or less.
-    while (s.ddrMiB > 16 && s.ddrMiB * s.nBoards * s.dpus > 256)
-        s.ddrMiB /= 2;
 
     rack::PlacementParams &pl = s.place;
     if (spoil(rng))

@@ -5,11 +5,48 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
 #include "sim/fiber.hh"
 
 using dpu::sim::Fiber;
+
+namespace {
+
+/** Recurse @p frames deep, each frame holding 1 KiB of stack. */
+[[gnu::noinline]] void
+descend(int frames)
+{
+    if (frames == 0)
+        return;
+    // alloca, not an array: ASan may move a fixed-size array to its
+    // heap-allocated fake stack, and the frame must stay on this one.
+    auto *frame = static_cast<volatile char *>(__builtin_alloca(1024));
+    frame[0] = 1;
+    descend(frames - 1);
+    frame[1023] = 2;
+}
+
+} // namespace
+
+TEST(FiberDeathTest, StackOverflowFaultsOnTheGuardPage)
+{
+    // 72 one-KiB frames on a 64 KiB stack run several KiB past its
+    // bottom; the guard page below the stack must stop the first
+    // write there.
+    EXPECT_DEATH(
+        {
+            Fiber f([] { descend(72); }, 64 * 1024);
+            f.resume();
+            // Reached only if the overflow went unnoticed. Leave
+            // without running destructors over whatever it
+            // overwrote, so the test fails as a clean exit instead
+            // of passing on an unrelated crash.
+            std::_Exit(0);
+        },
+        "");
+}
 
 TEST(Fiber, RunsToCompletion)
 {
