@@ -22,9 +22,7 @@ cyclesFor(const std::function<void(core::DpCore &, ate::Ate &,
                                    unsigned)> &op,
           unsigned target, unsigned iters)
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
     sim::Tick dt = 0;
     s.start(0, [&](core::DpCore &c) {
         // Warm once, then measure the round trips.
@@ -81,9 +79,7 @@ main(int argc, char **argv)
     // core idles in a wfe-like block so the interrupt is taken
     // immediately.
     {
-        soc::SocParams p = soc::dpu40nm();
-        p.ddrBytes = 8 << 20;
-        soc::Soc s(p);
+        soc::Soc s;
         sim::Tick dt = 0;
         bool stop = false;
         s.start(31, [&](core::DpCore &c) {

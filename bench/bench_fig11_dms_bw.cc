@@ -24,10 +24,8 @@ double
 run(unsigned n_cols, std::uint32_t tile_bytes, bool write_back,
     std::uint64_t bytes_per_core)
 {
-    soc::SocParams p = soc::dpu40nm();
     const std::uint64_t col_bytes = bytes_per_core / n_cols;
-    p.ddrBytes = 160 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
 
     const mem::Addr out_base = 96 << 20;
     for (unsigned id = 0; id < 32; ++id) {

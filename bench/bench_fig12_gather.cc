@@ -30,7 +30,6 @@ double
 run(std::uint8_t pattern, bool concurrent)
 {
     soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 64 << 20;
     p.dms.emulateGatherBug = !concurrent;
     soc::Soc s(p);
 

@@ -22,9 +22,7 @@ namespace {
 double
 run(const rt::PartitionScheme &scheme, std::uint32_t rows)
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 64 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
 
     sim::Rng rng{3};
     for (std::uint32_t r = 0; r < rows; ++r)

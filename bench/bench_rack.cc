@@ -93,15 +93,8 @@ traceRun(unsigned n_boards, unsigned max_boards,
 
     rack::PlacementParams pl = place;
     pl.replication = std::min(pl.replication, n_boards);
-    // The serving mix's working sets are a few MB; the default
-    // 256 MB DDR per chip is pure page-fault overhead times 30
-    // chips across the curve. 64 MB still fits every per-group job
-    // arena (1 MB base + 8 groups x 6 MB) under full-queue load.
-    soc::SocParams sp = soc::dpu40nm();
-    sp.ddrBytes = std::size_t(64) << 20;
     topo::ClusterTopology topo =
         topo::ClusterTopology::rack(n_boards, 2)
-            .chip(sp)
             .placement(pl)
             .threads(threads);
     const std::string err = topo.validate();
@@ -164,9 +157,6 @@ outageRun(unsigned threads, bool smoke, unsigned crash_board,
     sim::faultPlane().reset();
     sim::faultPlane().configure(spec.c_str(), 1);
 
-    soc::SocParams sp = soc::dpu40nm();
-    sp.ddrBytes = std::size_t(64) << 20;
-
     // Offered load sits at ~86% of the rack's admission capacity:
     // losing one board of four drops capacity below the offered
     // rate, so the outage is visible as admission loss until the
@@ -187,7 +177,6 @@ outageRun(unsigned threads, bool smoke, unsigned crash_board,
     pl.health.rejoinAfter = 3;
 
     topo::ClusterTopology topo = topo::ClusterTopology::rack(4, 2)
-                                     .chip(sp)
                                      .placement(pl)
                                      .threads(threads);
     const std::string err = topo.validate();

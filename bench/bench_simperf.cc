@@ -124,9 +124,7 @@ runKernel(std::uint64_t total, unsigned chains)
 Result
 runFig02(unsigned iters)
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
     s.start(0, [&s, iters](core::DpCore &c) {
         for (unsigned i = 0; i < iters; ++i)
             s.ate().remoteLoad(c, 31, mem::dmemAddr(31, 0), 8);
@@ -146,10 +144,7 @@ runFig02(unsigned iters)
 Result
 runListing1(unsigned bufs)
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = std::max<std::uint64_t>(8 << 20,
-                                         std::uint64_t(bufs) * 1024);
-    soc::Soc s(p);
+    soc::Soc s;
     const std::uint32_t total = bufs * 1024;
     for (std::uint32_t i = 0; i < total / 4; ++i)
         s.memory().store().store<std::uint32_t>(i * 4,

@@ -22,9 +22,7 @@ main()
 {
     sim::setVerbose(false);
 
-    soc::SocParams params = soc::dpu40nm();
-    params.ddrBytes = 24 << 20;
-    soc::Soc dpu(params);
+    soc::Soc dpu(soc::dpu40nm());
 
     // Fill 16 MB of simulated DRAM with word pattern i.
     const std::uint32_t total = 16 << 20;

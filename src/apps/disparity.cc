@@ -123,16 +123,13 @@ DisparityResult
 dpuDisparity(const soc::SocParams &params, const DisparityConfig &cfg)
 {
     Stereo st = makeStereo(cfg);
-    soc::SocParams p = params;
     const std::uint64_t px = std::uint64_t(st.w) * st.h;
     // Layout: left, right, cost map (4 B), shift map (1 B).
     const mem::Addr l_base = 0;
     const mem::Addr r_base = alignUp(px, 4096);
     const mem::Addr cost_base = alignUp(2 * r_base, 4096);
     const mem::Addr out_base = alignUp(cost_base + px * 4, 4096);
-    p.ddrBytes = std::max<std::size_t>(
-        p.ddrBytes, alignUp(out_base + px + (1 << 20), 1 << 20));
-    soc::Soc s(p);
+    soc::Soc s(params);
     stage(s, l_base, st.left);
     stage(s, r_base, st.right);
 

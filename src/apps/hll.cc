@@ -84,7 +84,6 @@ using hlldetail::update;
 HllResult
 dpuHll(const soc::SocParams &params, const HllConfig &cfg)
 {
-    soc::SocParams p = params;
     const std::uint64_t bytes = cfg.nElements * 8;
     const std::uint64_t chunk_bytes = 64 << 10;
     const std::uint64_t n_chunks =
@@ -92,9 +91,7 @@ dpuHll(const soc::SocParams &params, const HllConfig &cfg)
     const std::uint32_t m = 1u << cfg.pBits;
     const mem::Addr data_base = 0;
     const mem::Addr regs_base = alignUp(bytes + 4096, 4096);
-    p.ddrBytes = std::max<std::size_t>(
-        p.ddrBytes, regs_base + 32ull * m + (1 << 20));
-    soc::Soc s(p);
+    soc::Soc s(params);
 
     stage(s, data_base, makeElements(cfg));
 

@@ -127,12 +127,9 @@ constexpr std::uint32_t padBytes = 1024; // Section 5.5's padding
 JsonResult
 dpuJson(const soc::SocParams &params, const JsonConfig &cfg)
 {
-    soc::SocParams p = params;
     std::string text = makeRecords(cfg);
     const std::uint64_t bytes = text.size();
-    p.ddrBytes = std::max<std::size_t>(
-        p.ddrBytes, alignUp(bytes + (1 << 20), 1 << 20));
-    soc::Soc s(p);
+    soc::Soc s(params);
     s.memory().store().write(0, text.data(), bytes);
 
     const std::uint64_t chunk =

@@ -178,11 +178,8 @@ dpuSimSearch(const soc::SocParams &params, const SimSearchConfig &cfg)
     auto queries = makeQueries(cfg, rng);
     TermMap tm = buildTermMap(queries);
 
-    soc::SocParams p = params;
     const std::uint64_t bytes = ix.postings.size() * sizeof(Posting);
-    p.ddrBytes = std::max<std::size_t>(
-        p.ddrBytes, alignUp(bytes + (4 << 20), 1 << 20));
-    soc::Soc s(p);
+    soc::Soc s(params);
     s.memory().store().write(0, ix.postings.data(), bytes);
 
     Scores sc;

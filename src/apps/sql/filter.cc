@@ -27,16 +27,12 @@ makeColumn(std::uint64_t rows, std::uint64_t seed)
 FilterResult
 dpuFilter(const soc::SocParams &params, const FilterConfig &cfg)
 {
-    soc::SocParams p = params;
     const std::uint64_t total_rows =
         std::uint64_t(cfg.rowsPerCore) * cfg.nCores;
     const std::uint64_t col_bytes = total_rows * 4;
     const mem::Addr col_base = 0;
     const mem::Addr bv_base = alignUp(col_bytes + (64 << 10), 4096);
-    p.ddrBytes = std::max<std::size_t>(
-        p.ddrBytes, alignUp(bv_base + total_rows / 8 + (1 << 20),
-                            1 << 20));
-    soc::Soc s(p);
+    soc::Soc s(params);
 
     auto col = makeColumn(total_rows, cfg.seed);
     stage(s, col_base, col);

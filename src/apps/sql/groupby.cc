@@ -61,17 +61,13 @@ GroupByResult
 dpuGroupByLowNdv(const soc::SocParams &params, const GroupByConfig &cfg)
 {
     sim_assert(cfg.ndv <= 2048, "low-NDV table must fit DMEM");
-    soc::SocParams p = params;
     const std::uint64_t n = cfg.nRows;
     const mem::Addr key_base = 0;
     const mem::Addr val_base = alignUp(n * 4 + (64 << 10), 4096);
     const mem::Addr tbl_base = alignUp(val_base * 2, 4096);
     const mem::Addr res_base =
         alignUp(tbl_base + 32ull * cfg.ndv * 8 + 4096, 4096);
-    p.ddrBytes = std::max<std::size_t>(p.ddrBytes,
-                                       res_base + cfg.ndv * 8 +
-                                           (1 << 20));
-    soc::Soc s(p);
+    soc::Soc s(params);
 
     Workload w = makeWorkload(cfg);
     stage(s, key_base, w.keys);
@@ -211,7 +207,6 @@ GroupByResult
 dpuGroupByHighNdv(const soc::SocParams &params,
                   const GroupByConfig &cfg)
 {
-    soc::SocParams p = params;
     const std::uint64_t n = cfg.nRows;
     const unsigned n_parts = 1024; // 32-way hw x 32-way sw
     const std::uint64_t region_bytes =
@@ -224,9 +219,7 @@ dpuGroupByHighNdv(const soc::SocParams &params,
                                         4096);
     const mem::Addr res_base =
         alignUp(part_base + n_parts * region_bytes + 4096, 4096);
-    p.ddrBytes = std::max<std::size_t>(
-        p.ddrBytes, res_base + n_parts * res_region + (1 << 20));
-    soc::Soc s(p);
+    soc::Soc s(params);
 
     Workload w = makeWorkload(cfg);
     stage(s, key_base, w.keys);

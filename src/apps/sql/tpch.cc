@@ -148,15 +148,6 @@ stageDb(soc::Soc &s, const Db &db)
     return st;
 }
 
-std::size_t
-ddrBudget(const TpchConfig &cfg)
-{
-    return alignUp(std::size_t(cfg.nLineitem()) * 4 * 11 +
-                       std::size_t(cfg.nOrders()) * 4 * 4 +
-                       (8 << 20),
-                   1 << 20);
-}
-
 // Query predicates shared by both platforms.
 constexpr std::uint32_t q1CutDay = 2200;
 constexpr std::uint32_t q3Segment = 1;
@@ -284,9 +275,7 @@ dpuTpch(const soc::SocParams &params, const TpchConfig &cfg,
         const std::string &query)
 {
     Db db = makeDb(cfg);
-    soc::SocParams p = params;
-    p.ddrBytes = std::max(p.ddrBytes, ddrBudget(cfg));
-    soc::Soc s(p);
+    soc::Soc s(params);
     Staged st = stageDb(s, db);
     const std::uint32_t nL = std::uint32_t(db.l_orderkey.size());
     const std::uint32_t nO = std::uint32_t(db.o_orderkey.size());

@@ -184,12 +184,7 @@ dpuSvm(const soc::SocParams &params, const SvmConfig &cfg)
     Dataset test = makeDataset(cfg.nTest, cfg.dims, cfg.seed + 1);
     SmoState st = runSmo(train, cfg.c, cfg.maxIters, true);
 
-    soc::SocParams p = params;
-    const std::uint64_t x_bytes =
-        std::uint64_t(cfg.nTrain) * cfg.dims * 4;
-    p.ddrBytes = std::max<std::size_t>(
-        p.ddrBytes, alignUp(x_bytes + (2 << 20), 1 << 20));
-    soc::Soc s(p);
+    soc::Soc s(params);
 
     // Stage the Q10.22 sample matrix (row-major).
     {

@@ -190,9 +190,8 @@ OffloadScheduler::buildJob(const JobRequest &req, unsigned group)
 }
 
 void
-OffloadScheduler::resolveJob(JobRecord &rec, soc::HostA9 &host)
+OffloadScheduler::resolveJob(JobRecord &rec)
 {
-    (void)host;
     if (completeHook)
         completeHook(rec);
 }
@@ -226,7 +225,7 @@ OffloadScheduler::reapTimeouts(soc::HostA9 &host)
         DPU_TRACE_INSTANT(sim::TraceCat::Soc, hostTid, "job.timeout",
                           now, "job", rec.id);
         it = queue.erase(it);
-        resolveJob(rec, host);
+        resolveJob(rec);
     }
 
     // In-flight jobs past their deadline: quarantine the group
@@ -251,10 +250,7 @@ OffloadScheduler::reapTimeouts(soc::HostA9 &host)
         DPU_TRACE_INSTANT(sim::TraceCat::Soc, groupTid + g,
                           "job.timeout", now, "job", rec.id);
 
-        const unsigned max_att = grp.req.maxAttempts
-                                     ? grp.req.maxAttempts
-                                     : p.maxAttempts;
-        if (rec.attempts < max_att) {
+        if (rec.attempts < p.maxAttempts) {
             // Retry on another group with a fresh deadline. The
             // requeue bypasses the admission bound: the job was
             // already admitted once.
@@ -282,7 +278,7 @@ OffloadScheduler::reapTimeouts(soc::HostA9 &host)
         ++stats.counter("timedOut");
         if (wedged)
             ++stats.counter("wedgeTimeouts");
-        resolveJob(rec, host);
+        resolveJob(rec);
     }
 }
 
@@ -383,7 +379,7 @@ OffloadScheduler::handleAck(soc::HostA9 &host, std::uint64_t msg)
     grp.state = GroupState::Free;
     grp.job = {};
     grp.req = {};
-    resolveJob(rec, host);
+    resolveJob(rec);
 }
 
 sim::Tick

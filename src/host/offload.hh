@@ -95,8 +95,6 @@ struct JobRequest
      *  (fault injection uses it to plant wedged kernels). */
     std::function<apps::ServingJob(const apps::ServingContext &)>
         makeJob;
-    /** Per-request attempt budget; 0 uses the params default. */
-    unsigned maxAttempts = 0;
 };
 
 enum class JobState : std::uint8_t
@@ -265,7 +263,7 @@ class OffloadScheduler
     void reapTimeouts(soc::HostA9 &host);
     void dispatchReady(soc::HostA9 &host);
     void handleAck(soc::HostA9 &host, std::uint64_t msg);
-    void resolveJob(JobRecord &rec, soc::HostA9 &host);
+    void resolveJob(JobRecord &rec);
     sim::Tick nextWake() const;
     void finalize(soc::HostA9 &host);
     mem::Addr arenaOf(unsigned group) const;

@@ -5,8 +5,12 @@
  * The dpCore has no MMU; every core addresses the same physical
  * space (Section 2.2). The map mirrors the chip:
  *
- *   [0, ddrBytes)                  DDR DRAM
+ *   [0, dmemBase)                  DDR DRAM: every chip maps this
+ *                                  whole 4 GiB window, demand-zero
  *   [dmemBase + i*dmemStride, +32K) DMEM scratchpad of dpCore i
+ *
+ * Every address from dmemBase up is a DMEM aperture (isDmemAddr), so
+ * a chip's DDR may not reach past it (soc::Soc asserts this).
  *
  * DMEM apertures are addressable by every agent (the local core, the
  * DMS store engines, and remote cores via ATE RPCs).

@@ -154,7 +154,6 @@ FaultPlane::configure(const std::string &spec, std::uint64_t seed)
             fatal("fault spec '%s': unknown site '%s'", part.c_str(),
                   siteName.c_str());
 
-        std::uint64_t ruleSeed = seed ^ (0x6661756c74ull + rules.size());
         if (at != std::string::npos) {
             for (const std::string &kv : split(part.substr(at + 1), ',')) {
                 const std::size_t eq = kv.find('=');
@@ -180,15 +179,13 @@ FaultPlane::configure(const std::string &spec, std::uint64_t seed)
                     r.mag = parseU64(part, v);
                 } else if (k == "unit") {
                     r.unit = int(parseF64(part, v));
-                } else if (k == "seed") {
-                    ruleSeed = parseU64(part, v);
                 } else {
                     fatal("fault spec '%s': unknown key '%s'",
                           part.c_str(), k.c_str());
                 }
             }
         }
-        r.ruleSeed = ruleSeed;
+        r.ruleSeed = seed ^ (0x6661756c74ull + rules.size());
         r.dom.resize(nDomains);
         for (unsigned d = 0; d < nDomains; ++d)
             seedDomain(r, d);

@@ -35,7 +35,6 @@
  *   max=N       at most N firings (default unlimited)
  *   mag=M       site-specific magnitude (ticks / cycles / divisor)
  *   unit=U      only opportunities of unit U (core id; default any)
- *   seed=S      per-rule seed override
  *
  * Determinism: every rule owns one Rng PER EXECUTION DOMAIN (see
  * sim/domain.hh), seeded from (configure seed, rule index, domain) —

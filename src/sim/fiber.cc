@@ -135,8 +135,8 @@ tsanSwitchTo([[maybe_unused]] void *fiber)
 
 } // namespace
 
-Fiber::Fiber(std::function<void()> fn, std::size_t stack_size)
-    : body(std::move(fn)), stack(stack_size)
+Fiber::Fiber(std::function<void()> fn)
+    : body(std::move(fn)), stack(stackBytes)
 {
 }
 

@@ -56,16 +56,14 @@ namespace dpu::sim {
 class Fiber
 {
   public:
-    /**
-     * Create a fiber that will execute @p fn when first resumed.
-     * The stack is demand-zero (sim::ZeroPages): host RAM follows
-     * the deepest call chain, and an overflow faults on the guard
-     * page below it.
-     * @param fn         The fiber body.
-     * @param stack_size Stack size in bytes (default 256 KiB).
-     */
-    explicit Fiber(std::function<void()> fn,
-                   std::size_t stack_size = 256 * 1024);
+    /** Stack size of every fiber. The stack is demand-zero
+     *  (sim::ZeroPages), so this is address space: host RAM follows
+     *  the deepest call chain, and an overflow faults on the guard
+     *  page below it. */
+    static constexpr std::size_t stackBytes = 256 * 1024;
+
+    /** Create a fiber that will execute @p fn when first resumed. */
+    explicit Fiber(std::function<void()> fn);
 
     Fiber(const Fiber &) = delete;
     Fiber &operator=(const Fiber &) = delete;

@@ -5,9 +5,9 @@
  *
  * The region is an anonymous private mapping, so it reads as zero
  * and the host kernel supplies a page only when the run first
- * writes it: a 256 MB DDR image costs host RAM in proportion to the
- * bytes a workload stores there, and a fiber stack to its deepest
- * call chain. This is how downmem's UPMEM emulator backs each
+ * writes it: a chip's 4 GiB DDR image costs host RAM in proportion
+ * to the bytes a workload stores there, and a fiber stack to its
+ * deepest call chain. This is how downmem's UPMEM emulator backs each
  * emulated DPU, and it is what lets one host model racks of chips.
  * MADV_NOHUGEPAGE keeps one touched byte from pulling in a whole
  * transparent huge page.

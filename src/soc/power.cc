@@ -5,17 +5,16 @@
 namespace dpu::soc {
 
 PowerModel::PowerModel(const SocParams &params)
-    : p(params), nMacros(params.nCores() / 8),
-      macros(nMacros, PowerState::Active)
+    : nMacros(params.nCores() / 8), macros(nMacros, PowerState::Active)
 {
     // Published anchors: >37% leakage; 51 mW dynamic per dpCore.
-    leakageW = 0.37 * p.designWatts;
-    coresDynW = p.coreDynamicW * p.nCores();
+    leakageW = 0.37 * params.designWatts;
+    coresDynW = params.coreDynamicW * params.nCores();
 
     // Remaining budget split across the data-movement and uncore
     // blocks in proportions consistent with the die's emphasis on
     // the memory system (reconstruction; see DESIGN.md).
-    double rest = p.designWatts - leakageW - coresDynW;
+    double rest = params.designWatts - leakageW - coresDynW;
     sim_assert(rest > 0, "power budget under-provisioned");
     dmsW = 0.28 * rest;
     ddrCtlW = 0.34 * rest;

@@ -57,11 +57,7 @@ class PowerModel
     /** Figure 5 style component breakdown at full activity. */
     std::vector<PowerComponent> breakdown() const;
 
-    /** Provisioned power used as the perf/watt denominator. */
-    double provisionedWatts() const { return p.provisionedWatts; }
-
   private:
-    SocParams p;
     unsigned nMacros;
     std::vector<PowerState> macros;
 

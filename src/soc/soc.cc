@@ -22,9 +22,15 @@ Soc::Soc(sim::EventQueue &shared, const SocParams &params)
 Soc::Soc(sim::EventQueue *shared, const SocParams &params)
     : p(params),
       ownedEq(shared ? nullptr : std::make_unique<sim::EventQueue>()),
-      eq(shared ? *shared : *ownedEq), powerModel(params),
-      started(params.nCores(), false)
+      eq(shared ? *shared : *ownedEq), started(params.nCores(), false)
 {
+    // The DDR image and the DMEM apertures share one address map;
+    // DpCore and the ATE send every address from mem::dmemBase up
+    // to a DMEM, so DDR past it would name two memories.
+    sim_assert(p.ddrBytes <= mem::dmemBase,
+               "the chip's DDR runs into the DMEM apertures at byte "
+               "%llu (SocParams.ddrBytes is %zu)",
+               (unsigned long long)mem::dmemBase, p.ddrBytes);
     mm = std::make_unique<mem::MainMemory>(p.ddr, p.ddrBytes);
 
     const unsigned n = p.nCores();

@@ -4,13 +4,14 @@
  *
  * Wires together: N 32-core complexes (each with 4 macros of 8
  * dpCores, per-macro shared L2s, and a DMS), the ATE crossbars, the
- * MBC, the single DDR channel, and the power model. At 40 nm there
- * is one complex; the 16 nm configuration replicates five.
+ * MBC, and the single DDR channel. At 40 nm there is one complex;
+ * the 16 nm configuration replicates five.
  *
  * The A9 host complex and M0 power manager are modelled thinly: the
  * A9 is a dispatch endpoint on the MBC (see HostA9), the M0 is the
- * PowerModel's gating interface. Their Linux/network stack is out
- * of evaluation scope (all paper experiments are on-die).
+ * gating interface of soc::PowerModel, which the Figure 5 bench
+ * builds on its own. Their Linux/network stack is out of evaluation
+ * scope (all paper experiments are on-die).
  */
 
 #ifndef DPU_SOC_SOC_HH
@@ -27,7 +28,6 @@
 #include "mem/cache.hh"
 #include "mem/main_memory.hh"
 #include "sim/event_queue.hh"
-#include "soc/power.hh"
 #include "soc/soc_params.hh"
 
 namespace dpu::soc {
@@ -96,7 +96,6 @@ class Soc
     dms::Dms &dms(unsigned complex = 0) { return *dmsUnits[complex]; }
     ate::Ate &ate(unsigned complex = 0) { return *ateUnits[complex]; }
     mbc::Mbc &mbc() { return *mbcUnit; }
-    PowerModel &power() { return powerModel; }
 
     /** The DMS complex serving core @p id. */
     dms::Dms &
@@ -139,7 +138,6 @@ class Soc
     std::vector<std::unique_ptr<dms::Dms>> dmsUnits;
     std::vector<std::unique_ptr<ate::Ate>> ateUnits;
     std::unique_ptr<mbc::Mbc> mbcUnit;
-    PowerModel powerModel;
     std::vector<bool> started;
     std::unique_ptr<sim::PeriodicEvent> queueSampler;
 };

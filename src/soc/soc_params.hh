@@ -16,6 +16,7 @@
 #include <cstddef>
 
 #include "dms/dms_params.hh"
+#include "mem/addr.hh"
 #include "mem/ddr.hh"
 
 namespace dpu::soc {
@@ -36,10 +37,12 @@ struct SocParams
     /** DDR channel feeding the die. */
     mem::DdrParams ddr = mem::ddr3_1600;
 
-    /** Simulated DRAM capacity (the chip pairs with 8 GB). The
-     *  image is demand-zero (mem::BackingStore), so this is address
-     *  space: host RAM follows the bytes a run writes. */
-    std::size_t ddrBytes = std::size_t(256) << 20;
+    /** Simulated DRAM capacity: the whole DDR window of the address
+     *  map, below the DMEM apertures (mem/addr.hh). The image is
+     *  demand-zero (mem::BackingStore), so this is address space:
+     *  host RAM follows the bytes a run writes. No app, bench or
+     *  example sizes it; only dpubench's rack workloads still do. */
+    std::size_t ddrBytes = mem::dmemBase;
 
     /** Provisioned SoC power, the denominator of perf/watt.
      *  Section 5: "we assume a TDP of ... 6W for the DPU". */

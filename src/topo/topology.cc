@@ -90,6 +90,11 @@ ClusterTopology::validate() const
     if (soc_.nComplexes == 0)
         return "the chip needs at least one core complex "
                "(nComplexes = 0)";
+    if (soc_.ddrBytes > mem::dmemBase)
+        return "the chip's DDR runs into the DMEM apertures at byte " +
+               std::to_string(mem::dmemBase) +
+               " (SocParams.ddrBytes is " +
+               std::to_string(soc_.ddrBytes) + ")";
 
     if (threads_ == 0)
         return "the epoch runner needs at least one worker "
@@ -115,7 +120,7 @@ ClusterTopology::validate() const
         return "the board balancer's state for keyPartitions " +
                std::to_string(boardBal_.keyPartitions) +
                " ends at byte " + std::to_string(stateEnd) +
-               ", past the chip's DDR (SocParams.ddrBytes = " +
+               ", past the chip's DDR (SocParams.ddrBytes is " +
                std::to_string(soc_.ddrBytes) + ")";
     return "";
 }

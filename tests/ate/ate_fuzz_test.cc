@@ -18,18 +18,6 @@
 
 using namespace dpu;
 
-namespace {
-
-soc::SocParams
-smallParams()
-{
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    return p;
-}
-
-} // namespace
-
 class AteFuzz : public ::testing::TestWithParam<int>
 {
 };
@@ -37,7 +25,7 @@ class AteFuzz : public ::testing::TestWithParam<int>
 TEST_P(AteFuzz, MixedAtomicsAreOwnerSerialized)
 {
     sim::Rng seeder{std::uint64_t(GetParam()) * 917 + 11};
-    soc::Soc s(smallParams());
+    soc::Soc s;
 
     // 8 shared counters, each pinned to a random owner's DMEM.
     const unsigned n_words = 8;

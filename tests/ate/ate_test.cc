@@ -18,21 +18,9 @@
 
 using namespace dpu;
 
-namespace {
-
-soc::SocParams
-smallParams()
-{
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 16 << 20;
-    return p;
-}
-
-} // namespace
-
 TEST(Ate, RemoteLoadStoreOnDmem)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     s.core(7).dmem().store<std::uint64_t>(128, 0xabcdull);
 
     std::uint64_t got = 0;
@@ -47,7 +35,7 @@ TEST(Ate, RemoteLoadStoreOnDmem)
 
 TEST(Ate, RemoteOpsOnDdrGoThroughOwnersCache)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     s.start(0, [&](core::DpCore &c) {
         s.ate().remoteStore(c, 5, 0x4000, 99, 8);
     });
@@ -69,7 +57,7 @@ TEST(Ate, RemoteOpsOnDdrGoThroughOwnersCache)
 
 TEST(Ate, FetchAddCountsExactlyFromAllCores)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     const unsigned owner = 3;
     s.core(owner).dmem().store<std::uint64_t>(0, 0);
     for (unsigned id = 0; id < 32; ++id) {
@@ -87,7 +75,7 @@ TEST(Ate, FetchAddCountsExactlyFromAllCores)
 
 TEST(Ate, CompareSwapSucceedsExactlyOnce)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     const unsigned owner = 0;
     s.core(owner).dmem().store<std::uint64_t>(64, 0);
     int winners = 0;
@@ -108,9 +96,7 @@ TEST(Ate, FarRpcIsSlowerThanNearRpc)
     // Figure 2's core shape: inter-macro requests take longer than
     // intra-macro ones.
     auto time_rpc = [](unsigned target) {
-        soc::SocParams p = soc::dpu40nm();
-        p.ddrBytes = 16 << 20;
-        soc::Soc s(p);
+        soc::Soc s;
         sim::Tick dt = 0;
         s.start(0, [&](core::DpCore &c) {
             sim::Tick t0 = c.now();
@@ -131,7 +117,7 @@ TEST(Ate, FarRpcIsSlowerThanNearRpc)
 
 TEST(Ate, SoftwareRpcCostsMoreThanHardwareRpc)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     sim::Tick hw = 0, sw = 0;
     s.start(5, [&](core::DpCore &) {
         // Keep the remote core alive but idle (blocked).
@@ -153,7 +139,7 @@ TEST(Ate, SoftwareRpcCostsMoreThanHardwareRpc)
 
 TEST(Ate, SplitPhaseOverlapsComputeWithRpc)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     sim::Tick blocking = 0, overlapped = 0;
     s.start(0, [&](core::DpCore &c) {
         // Blocking: RPC then compute.
@@ -177,7 +163,7 @@ TEST(Ate, FifoOrderingBetweenPairs)
 {
     // Two stores from the same source to the same remote word must
     // land in order: the second value wins.
-    soc::Soc s(smallParams());
+    soc::Soc s;
     s.start(0, [&](core::DpCore &c) {
         s.ate().remoteStore(c, 9, mem::dmemAddr(9, 0), 1, 8);
         s.ate().remoteStore(c, 9, mem::dmemAddr(9, 0), 2, 8);
@@ -188,7 +174,7 @@ TEST(Ate, FifoOrderingBetweenPairs)
 
 TEST(Ate, SwRpcRunsOnRemoteCore)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     unsigned ran_on = 999;
     // The target core must be alive to take the interrupt.
     bool done = false;
@@ -209,7 +195,7 @@ TEST(Ate, SwRpcRunsOnRemoteCore)
 
 TEST(Ate, MutexGivesMutualExclusion)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     rt::AteMutex mtx(0, 0);
     // A non-atomic shared counter in core 0's DMEM at offset 8,
     // updated with plain remote load+store inside the lock: only
@@ -235,7 +221,7 @@ TEST(Ate, MutexGivesMutualExclusion)
 
 TEST(Ate, BarrierSeparatesPhases)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     rt::AteBarrier bar(0, 32, 8);
     std::vector<int> phase1_done(8, 0);
     bool violated = false;
@@ -256,7 +242,7 @@ TEST(Ate, BarrierSeparatesPhases)
 
 TEST(Ate, WorkStealingCounterClaimsAllChunksOnce)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     s.core(4).dmem().store<std::uint64_t>(16, 0);
     rt::AteCounter counter(4, 16);
     const std::uint64_t n_chunks = 500;
@@ -280,7 +266,7 @@ TEST(Ate, WorkStealingCounterClaimsAllChunksOnce)
 
 TEST(Ate, DpuSerializedFixesStaleness)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     const mem::Addr shared = 0x8000;
     const unsigned owner = 2;
 
@@ -330,7 +316,7 @@ TEST(Ate, DroppedRequestIsRetriedAndAppliedExactlyOnce)
     // executes, so the retry cannot double-apply).
     sim::faultPlane().configure("ate.drop@nth=1,max=1", 5);
 
-    soc::Soc s(smallParams());
+    soc::Soc s;
     s.start(0, [&](core::DpCore &c) {
         rt::AteRetryPolicy pol;
         pol.timeout = sim::Tick(1e6); // 1 us
@@ -357,7 +343,7 @@ TEST(Ate, ExhaustedRetriesFailCleanlyWithoutHanging)
     sim::faultPlane().reset();
     sim::faultPlane().configure("ate.drop@p=1", 5); // fabric is dead
 
-    soc::Soc s(smallParams());
+    soc::Soc s;
     s.start(0, [&](core::DpCore &c) {
         rt::AteRetryPolicy pol;
         pol.timeout = sim::Tick(1e6);
@@ -385,7 +371,7 @@ TEST(Ate, DelayedResponseAfterAbandonIsDiscardedAsStale)
     sim::faultPlane().configure("ate.delay@nth=1,max=1,mag=4000000",
                                 5);
 
-    soc::Soc s(smallParams());
+    soc::Soc s;
     s.start(0, [&](core::DpCore &c) {
         rt::AteRetryPolicy pol;
         pol.timeout = sim::Tick(1e6);

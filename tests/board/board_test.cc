@@ -10,14 +10,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "board/board.hh"
 #include "board/board_apps.hh"
+#include "golden.hh"
 #include "host/board_offload.hh"
 #include "sim/fault.hh"
 #include "sim/stats.hh"
@@ -25,10 +23,6 @@
 #include "topo/topology.hh"
 
 using namespace dpu;
-
-#ifndef DPU_GOLDEN_DIR
-#error "build must define DPU_GOLDEN_DIR"
-#endif
 
 namespace {
 
@@ -57,13 +51,6 @@ runBoardScenario(const char *faults = nullptr,
         sim::StatsRegistry::instance().snapshot();
     snap.counters["sim.finalTick"] = b.now();
     return snap;
-}
-
-bool
-regenRequested()
-{
-    const char *v = std::getenv("DPU_REGEN_GOLDEN");
-    return v && *v && std::string(v) != "0";
 }
 
 } // namespace
@@ -277,34 +264,5 @@ TEST(BoardDeterminism, FaultReplayIsBitIdentical)
 
 TEST(BoardDeterminism, GoldenSnapshotMatches)
 {
-    const auto actual = runBoardScenario();
-    ASSERT_FALSE(actual.counters.empty());
-
-    const std::string path =
-        std::string(DPU_GOLDEN_DIR) + "/board.json";
-    if (regenRequested()) {
-        std::ofstream os(path, std::ios::trunc);
-        ASSERT_TRUE(os) << "cannot write " << path;
-        actual.writeJson(os);
-        GTEST_SKIP() << "regenerated " << path;
-    }
-
-    std::ifstream is(path);
-    ASSERT_TRUE(is) << "missing golden file " << path
-                    << " (run with DPU_REGEN_GOLDEN=1 to create)";
-    std::stringstream buf;
-    buf << is.rdbuf();
-    sim::StatsSnapshot golden;
-    std::string err;
-    ASSERT_TRUE(
-        sim::StatsSnapshot::readJson(buf.str(), golden, err))
-        << path << ": " << err;
-
-    const auto diffs = sim::diffSnapshots(golden, actual);
-    EXPECT_TRUE(diffs.empty())
-        << diffs.size() << " stat(s) drifted from " << path
-        << ":\n"
-        << sim::formatDiffs(diffs)
-        << "(if the board model change is intentional, regenerate "
-           "with DPU_REGEN_GOLDEN=1)";
+    test::expectGolden("board", runBoardScenario());
 }

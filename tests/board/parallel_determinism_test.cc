@@ -15,13 +15,13 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "board/board.hh"
 #include "board/board_apps.hh"
+#include "golden.hh"
 #include "sim/fault.hh"
 #include "sim/stats.hh"
 #include "sim/stats_registry.hh"
@@ -29,10 +29,6 @@
 #include "topo/topology.hh"
 
 using namespace dpu;
-
-#ifndef DPU_GOLDEN_DIR
-#error "build must define DPU_GOLDEN_DIR"
-#endif
 
 namespace {
 
@@ -135,22 +131,14 @@ TEST(ParallelDeterminism, TenRunsAcrossThreadCountsAreBitIdentical)
 
 TEST(ParallelDeterminism, ParallelModeReproducesTheSerialGolden)
 {
-    const std::string path =
-        std::string(DPU_GOLDEN_DIR) + "/board.json";
-    std::ifstream is(path);
-    ASSERT_TRUE(is) << "missing golden file " << path;
-    std::stringstream buf;
-    buf << is.rdbuf();
-    sim::StatsSnapshot golden;
-    std::string err;
-    ASSERT_TRUE(sim::StatsSnapshot::readJson(buf.str(), golden, err))
-        << path << ": " << err;
+    const auto golden = test::loadGolden("board");
+    ASSERT_TRUE(golden);
 
     // threads=4 on a 2-DPU board exercises the clamp path.
     for (const unsigned threads : {2u, 4u}) {
         const auto actual = runGoldenScenario(threads);
         ASSERT_FALSE(actual.counters.empty());
-        const auto diffs = sim::diffSnapshots(golden, actual);
+        const auto diffs = sim::diffSnapshots(*golden, actual);
         EXPECT_TRUE(diffs.empty())
             << "threads=" << threads << ": " << diffs.size()
             << " stat(s) drifted from the serial golden:\n"

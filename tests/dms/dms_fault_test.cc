@@ -19,14 +19,6 @@ using WfeResult = dms::Dms::WfeResult;
 
 namespace {
 
-soc::SocParams
-smallParams()
-{
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 32 << 20;
-    return p;
-}
-
 struct PlaneGuard
 {
     PlaneGuard() { sim::faultPlane().reset(); }
@@ -48,7 +40,7 @@ TEST(DmsFault, WedgedDmacTurnsIntoBoundedTimeout)
     PlaneGuard g;
     sim::faultPlane().configure("dms.wedge@nth=1,max=1", 11);
 
-    soc::Soc s(smallParams());
+    soc::Soc s;
     fillWords(s, 0x10000, 256);
 
     WfeResult res = WfeResult::Ok;
@@ -82,7 +74,7 @@ TEST(DmsFault, DescErrorCompletesCleanAndRetrySucceeds)
     // Budget of one: the first descriptor errors, the retry is clean.
     sim::faultPlane().configure("dms.descError@p=1,max=1", 11);
 
-    soc::Soc s(smallParams());
+    soc::Soc s;
     fillWords(s, 0x10000, 256);
 
     WfeResult first = WfeResult::Ok;
@@ -126,7 +118,7 @@ TEST(DmsFault, DescErrorCompletesCleanAndRetrySucceeds)
 TEST(DmsFault, BoundedWaitMatchesWfeOnHappyPath)
 {
     PlaneGuard g; // plane inert: wfeFor is a drop-in for wfe
-    soc::Soc s(smallParams());
+    soc::Soc s;
     fillWords(s, 0x10000, 512);
 
     WfeResult res = WfeResult::Timeout;

@@ -27,18 +27,6 @@
 using namespace dpu;
 using rt::DmsCtl;
 
-namespace {
-
-soc::SocParams
-smallParams()
-{
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 32 << 20;
-    return p;
-}
-
-} // namespace
-
 /** Seeded random transfer plans. */
 class DmsFuzz : public ::testing::TestWithParam<int>
 {
@@ -47,7 +35,7 @@ class DmsFuzz : public ::testing::TestWithParam<int>
 TEST_P(DmsFuzz, RandomTransferChainsMatchReference)
 {
     sim::Rng rng{std::uint64_t(GetParam()) * 1313 + 7};
-    soc::Soc s(smallParams());
+    soc::Soc s;
 
     // Reference copy of DDR contents, maintained host-side.
     const std::uint64_t ddr_words = 1 << 20; // 4 MB working region
@@ -133,7 +121,7 @@ TEST_P(DmsFuzz, RandomTransferChainsMatchReference)
 TEST_P(DmsFuzz, RandomPartitionShapesDeliverEveryRowOnce)
 {
     sim::Rng rng{std::uint64_t(GetParam()) * 31 + 3};
-    soc::Soc s(smallParams());
+    soc::Soc s;
 
     const std::uint32_t n_rows =
         2000 + std::uint32_t(rng.below(30000));
@@ -216,7 +204,7 @@ TEST_P(DmsFuzz, RandomChainsEmitWellFormedTraceJson)
     tr.arm(1u << 18);
 
     sim::Rng rng{std::uint64_t(GetParam()) * 977 + 11};
-    soc::Soc s(smallParams());
+    soc::Soc s;
     for (std::uint32_t i = 0; i < 4096; ++i)
         s.memory().store().store<std::uint32_t>(
             i * 4, std::uint32_t(rng.next()));

@@ -18,21 +18,9 @@
 using namespace dpu;
 using rt::DmsCtl;
 
-namespace {
-
-soc::SocParams
-smallParams()
-{
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 32 << 20;
-    return p;
-}
-
-} // namespace
-
 TEST(DmsOps, RidListGatherFetchesExactRows)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     for (std::uint32_t i = 0; i < 4096; ++i)
         s.memory().store().store<std::uint32_t>(0x10000 + i * 4,
                                                 i * 7);
@@ -80,7 +68,7 @@ TEST(DmsOps, CrcMemoryDumpsToDdr)
 {
     // Partition-pipeline hash results can be materialized to DRAM
     // (Table 1: "Store hash/CID memory to DDR").
-    soc::Soc s(smallParams());
+    soc::Soc s;
     const std::uint32_t rows = 128;
     for (std::uint32_t r = 0; r < rows; ++r)
         s.memory().store().store<std::uint32_t>(0x20000 + r * 4,
@@ -146,7 +134,7 @@ TEST(DmsOps, CrcMemoryDumpsToDdr)
 
 TEST(DmsOps, InternalMoveCopiesBetweenBanks)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     s.start(0, [&](core::DpCore &c) {
         DmsCtl ctl(c, s.dms());
         // Load 64 words into CMEM bank 1 from DDR.
@@ -187,7 +175,7 @@ TEST(DmsOps, InternalMoveCopiesBetweenBanks)
 
 TEST(DmsOps, EventCtlDescriptorsSetClearAndGate)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     sim::Tick gated_at = 0;
     s.start(0, [&](core::DpCore &c) {
         DmsCtl ctl(c, s.dms());
@@ -243,7 +231,7 @@ TEST(DmsOps, EventFileEdgeCallbacksFireOnce)
 
 TEST(DmsOps, RedundantFlushDetectorCountsNoOpFlushes)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     s.start(0, [&](core::DpCore &c) {
         c.store<std::uint32_t>(0x7000, 1);
         c.cacheFlush(0x7000, 4);  // real work

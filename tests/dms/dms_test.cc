@@ -21,14 +21,6 @@ using rt::DmsCtl;
 
 namespace {
 
-soc::SocParams
-smallParams()
-{
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 64 << 20;
-    return p;
-}
-
 /** Fill DDR with a deterministic pattern of 32-bit words. */
 void
 fillWords(soc::Soc &s, mem::Addr base, std::uint32_t n,
@@ -43,7 +35,7 @@ fillWords(soc::Soc &s, mem::Addr base, std::uint32_t n,
 
 TEST(Dms, SingleTransferMovesDataAndSetsEvent)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     fillWords(s, 0x10000, 256);
 
     bool ok = false;
@@ -66,7 +58,7 @@ TEST(Dms, SingleTransferMovesDataAndSetsEvent)
 
 TEST(Dms, TransferTakesPlausibleTime)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     s.start(0, [&](core::DpCore &c) {
         DmsCtl ctl(c, s.dms());
         ctl.ddrToDmem().rows(2048).width(4).from(0).to(0)
@@ -83,7 +75,7 @@ TEST(Dms, Listing1StreamsWholeRegionInOrder)
 {
     // The Listing 1 program, scaled to 2 MB: two 1 KB buffers, one
     // loop descriptor, consume and checksum every word.
-    soc::Soc s(smallParams());
+    soc::Soc s;
     const std::uint32_t total_words = (2 << 20) / 4;
     fillWords(s, 0, total_words);
 
@@ -115,7 +107,7 @@ TEST(Dms, StreamingApproachesLineRate)
     // One core streaming with 8 KB buffers should see multiple GB/s
     // even single-handedly (it cannot saturate DDR alone if its
     // consume loop is slow, so consume cheaply).
-    soc::Soc s(smallParams());
+    soc::Soc s;
     const std::uint64_t bytes = 8 << 20;
     s.start(0, [&](core::DpCore &c) {
         DmsCtl ctl(c, s.dms());
@@ -132,7 +124,7 @@ TEST(Dms, StreamingApproachesLineRate)
 
 TEST(Dms, StreamWriterRoundTrips)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     const std::uint32_t n = 4096;
     s.start(0, [&](core::DpCore &c) {
         DmsCtl ctl(c, s.dms());
@@ -160,7 +152,7 @@ TEST(Dms, StreamWriterRoundTrips)
 
 TEST(Dms, GatherPacksSelectedRows)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     const std::uint32_t rows = 1024;
     fillWords(s, 0x40000, rows);
 
@@ -213,7 +205,7 @@ TEST(Dms, GatherPacksSelectedRows)
 TEST(Dms, SparseGatherIsSlowerThanDense)
 {
     auto run_gather = [](std::uint8_t pattern) {
-        soc::Soc s(smallParams());
+        soc::Soc s;
         const std::uint32_t rows = 32768;
         std::vector<std::uint8_t> mask(rows / 8, pattern);
         s.start(0, [&](core::DpCore &c) {
@@ -262,7 +254,7 @@ TEST(Dms, SparseGatherIsSlowerThanDense)
 
 TEST(Dms, GatherBugWedgesConcurrentGathers)
 {
-    soc::SocParams p = smallParams();
+    soc::SocParams p = soc::dpu40nm();
     p.dms.emulateGatherBug = true;
     soc::Soc s(p);
 
@@ -301,7 +293,7 @@ TEST(Dms, GatherBugWedgesConcurrentGathers)
 
 TEST(Dms, SingleIssuerWorkaroundAvoidsTheBug)
 {
-    soc::SocParams p = smallParams();
+    soc::SocParams p = soc::dpu40nm();
     p.dms.emulateGatherBug = true;
     soc::Soc s(p);
     fillWords(s, 0, 512);
@@ -349,7 +341,7 @@ TEST(Dms, SingleIssuerWorkaroundAvoidsTheBug)
 
 TEST(Dms, ScatterWritesSelectedRows)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     const std::uint32_t rows = 256;
     std::vector<std::uint8_t> mask(rows / 8, 0);
     for (std::uint32_t i = 0; i < rows; i += 3)
@@ -401,7 +393,7 @@ TEST(Dms, ThirtyTwoCoreAggregateReadBandwidth)
 {
     // All 32 dpCores streaming: aggregate bandwidth should approach
     // the DDR3 practical ceiling (Figure 11: >9 GB/s at 8 KB tiles).
-    soc::Soc s(smallParams());
+    soc::Soc s;
     const std::uint64_t per_core = 1 << 20;
     for (unsigned id = 0; id < 32; ++id) {
         s.start(id, [&, id](core::DpCore &c) {

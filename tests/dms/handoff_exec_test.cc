@@ -33,14 +33,6 @@ constexpr mem::Addr dstBase = 0x80000;
 constexpr std::uint64_t stateBytes = 1152; // 4 x 256 + 128 tail
 constexpr std::uint64_t chunkBytes = 256;
 
-soc::SocParams
-smallParams()
-{
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 16 << 20;
-    return p;
-}
-
 /** The exec role used throughout: channel 0, tight buffers. */
 HandoffExecParams
 execRole()
@@ -108,7 +100,7 @@ struct PlaneGuard
 
 TEST(HandoffExecTest, ChainMatchesPlanBoundariesExactly)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     seedSource(s);
     const HandoffExecParams role = execRole();
     HandoffExec exec(s.dms(), 0, s.core(0).dmem(), role);
@@ -154,7 +146,7 @@ TEST(HandoffExecTest, ChainMatchesPlanBoundariesExactly)
 
 TEST(HandoffExecTest, StagesSourceBytesInTickSeqOrder)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     seedSource(s);
     const HandoffExecParams role = execRole();
     HandoffExec exec(s.dms(), 0, s.core(0).dmem(), role);
@@ -197,7 +189,7 @@ TEST(HandoffExecTest, StagesSourceBytesInTickSeqOrder)
 
 TEST(HandoffExecTest, ChainSelfThrottlesOnUnreleasedBuffers)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     seedSource(s);
     HandoffExec exec(s.dms(), 0, s.core(0).dmem(), execRole());
 
@@ -232,7 +224,7 @@ TEST(HandoffExecTest, DescriptorErrorSurfacesToConsumer)
     PlaneGuard g;
     sim::faultPlane().configure("dms.descError@p=1,max=1", 7);
 
-    soc::Soc s(smallParams());
+    soc::Soc s;
     seedSource(s);
     HandoffExec exec(s.dms(), 0, s.core(0).dmem(), execRole());
 
@@ -279,7 +271,7 @@ deliverAll(HandoffLander &lander, unsigned gen,
 
 TEST(HandoffLanderTest, LandsDeliveredChunksByteExactly)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     HandoffLander lander(s.dms(), 0, s.core(0).dmem(), landerRole());
 
     const HandoffPlan plan =
@@ -298,7 +290,7 @@ TEST(HandoffLanderTest, LandsDeliveredChunksByteExactly)
 
 TEST(HandoffLanderTest, ToleratesReorderedDeliveries)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     HandoffLander lander(s.dms(), 0, s.core(0).dmem(), landerRole());
 
     const HandoffPlan plan =
@@ -321,7 +313,7 @@ TEST(HandoffLanderTest, ToleratesReorderedDeliveries)
 
 TEST(HandoffLanderTest, StaleGenerationsDropWithoutLanding)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     HandoffLander lander(s.dms(), 0, s.core(0).dmem(), landerRole());
 
     const HandoffPlan plan =
@@ -356,7 +348,7 @@ TEST(HandoffLanderTest, StaleGenerationsDropWithoutLanding)
 
 TEST(HandoffExecTest, RoundTripReproducesSourceImage)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     seedSource(s);
     const HandoffExecParams srcRole = execRole();
     HandoffExec exec(s.dms(), 0, s.core(0).dmem(), srcRole);
@@ -395,7 +387,7 @@ TEST(HandoffExecTest, RoundTripReproducesSourceImage)
 
 TEST(HandoffExecDeathTest, StartWhileActiveDies)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     seedSource(s);
     HandoffExec exec(s.dms(), 0, s.core(0).dmem(), execRole());
     const HandoffPlan plan =
@@ -407,7 +399,7 @@ TEST(HandoffExecDeathTest, StartWhileActiveDies)
 
 TEST(HandoffExecDeathTest, ReleaseBeforeStagingDies)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     seedSource(s);
     HandoffExec exec(s.dms(), 0, s.core(0).dmem(), execRole());
     exec.start(planRangeHandoff(srcBase, stateBytes, chunkBytes, 8),
@@ -417,7 +409,7 @@ TEST(HandoffExecDeathTest, ReleaseBeforeStagingDies)
 
 TEST(HandoffExecDeathTest, PlanOverrunningChainWindowDies)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     HandoffExecParams role = execRole();
     role.chainBytes = 32; // room for two descriptors, plan has five
     HandoffExec exec(s.dms(), 0, s.core(0).dmem(), role);
@@ -430,7 +422,7 @@ TEST(HandoffExecDeathTest, PlanOverrunningChainWindowDies)
 
 TEST(HandoffLanderDeathTest, OversizePayloadDies)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     HandoffLander lander(s.dms(), 0, s.core(0).dmem(), landerRole());
     const unsigned gen = lander.expect(1);
     const std::vector<std::uint8_t> fat(512, 0); // bufBytes is 256
@@ -440,7 +432,7 @@ TEST(HandoffLanderDeathTest, OversizePayloadDies)
 
 TEST(HandoffLanderDeathTest, RaggedPayloadDies)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     HandoffLander lander(s.dms(), 0, s.core(0).dmem(), landerRole());
     const unsigned gen = lander.expect(1);
     const std::vector<std::uint8_t> ragged(12, 0);
@@ -450,7 +442,7 @@ TEST(HandoffLanderDeathTest, RaggedPayloadDies)
 
 TEST(HandoffLanderDeathTest, ReArmWhileBusyDies)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     HandoffLander lander(s.dms(), 0, s.core(0).dmem(), landerRole());
     const unsigned gen = lander.expect(1);
     const std::vector<std::uint8_t> payload(64, 1);

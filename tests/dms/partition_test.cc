@@ -22,14 +22,6 @@ using rt::PartitionScheme;
 
 namespace {
 
-soc::SocParams
-smallParams()
-{
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 64 << 20;
-    return p;
-}
-
 /** Column-major 4-column table; column 0 is the key. */
 struct Table
 {
@@ -124,7 +116,7 @@ runPartitionAll(soc::Soc &s, const Table &t,
 
 TEST(Partition, HashRadixRoutesEveryRowOnce)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     Table t = makeTable(s, 10000, 42);
     auto got = runPartitionAll(s, t, PartitionScheme{});
 
@@ -155,7 +147,7 @@ TEST(Partition, HashRadixRoutesEveryRowOnce)
 
 TEST(Partition, RawRadixUsesKeyBits)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     Table t = makeTable(s, 4000, 7);
     PartitionScheme scheme;
     scheme.kind = PartitionScheme::Kind::RawRadix;
@@ -174,7 +166,7 @@ TEST(Partition, RawRadixUsesKeyBits)
 
 TEST(Partition, RangeRespectsBoundaries)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     Table t = makeTable(s, 6000, 99);
     PartitionScheme scheme;
     scheme.kind = PartitionScheme::Kind::Range;
@@ -203,7 +195,7 @@ TEST(Partition, RangeRespectsBoundaries)
 
 TEST(Partition, SlowConsumerTriggersBackPressure)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     Table t = makeTable(s, 20000, 5);
     std::uint64_t stalls = 0;
     auto got = runPartitionAll(s, t, PartitionScheme{}, &stalls,
@@ -220,7 +212,7 @@ TEST(Partition, ThroughputIsMultipleGBs)
 {
     // Figure 13: the DMS partitions at ~9.3 GB/s, comfortably above
     // HARP's published 6 GB/s for 32-way partitioning.
-    soc::Soc s(smallParams());
+    soc::Soc s;
     Table t = makeTable(s, 60000, 3);
     sim::Tick t0 = s.now();
     auto got = runPartitionAll(s, t, PartitionScheme{}, nullptr, 0,

@@ -84,9 +84,7 @@ oneGroup()
 
 TEST(OffloadScheduler, MixedRegistryLoadCompletesAndValidates)
 {
-    soc::SocParams sp = soc::dpu40nm();
-    sp.ddrBytes = 64 << 20;
-    soc::Soc s(sp);
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
     OffloadScheduler sched(s, a9, {});
 
@@ -307,13 +305,14 @@ TEST(OffloadScheduler, ReapedJobRequeuesAndCompletesElsewhere)
 {
     soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
-    OffloadScheduler sched(s, a9, twoGroups());
+    OffloadParams p = twoGroups();
+    p.maxAttempts = 2;
+    OffloadScheduler sched(s, a9, p);
 
     // First dispatch wedges lane 0 forever; the retry is clean.
     auto dispatches = std::make_shared<unsigned>(0);
     JobRequest req;
     req.timeout = sim::Tick(1e9); // 1 ms
-    req.maxAttempts = 2;          // per-request override
     req.makeJob = [dispatches](const apps::ServingContext &) {
         const unsigned n = (*dispatches)++;
         apps::ServingJob job;

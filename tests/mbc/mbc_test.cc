@@ -13,21 +13,9 @@
 
 using namespace dpu;
 
-namespace {
-
-soc::SocParams
-smallParams()
-{
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    return p;
-}
-
-} // namespace
-
 TEST(Mbc, CoreToCoreMessage)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     std::uint64_t got = 0;
     s.start(1, [&](core::DpCore &c) { got = s.mbc().recv(c); });
     s.start(0, [&](core::DpCore &c) {
@@ -40,7 +28,7 @@ TEST(Mbc, CoreToCoreMessage)
 
 TEST(Mbc, MessagesArriveInOrder)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     std::vector<std::uint64_t> got;
     s.start(2, [&](core::DpCore &c) {
         for (int i = 0; i < 10; ++i)
@@ -58,7 +46,7 @@ TEST(Mbc, MessagesArriveInOrder)
 
 TEST(Mbc, ReceiverBlocksUntilDelivery)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     sim::Tick recv_at = 0;
     s.start(3, [&](core::DpCore &c) {
         (void)s.mbc().recv(c);
@@ -76,7 +64,7 @@ TEST(Mbc, A9MailboxWithHandler)
 {
     // The A9 dispatch model: a dpCore posts a completion pointer to
     // the A9 mailbox; the "driver" handler picks it up.
-    soc::Soc s(smallParams());
+    soc::Soc s;
     std::uint64_t a9_got = 0;
     s.mbc().onMessage(s.mbc().a9Box(), [&] {
         std::uint64_t msg;
@@ -94,7 +82,7 @@ TEST(Mbc, HostCanSeedWorkToCores)
 {
     // The A9 offload pattern: the host sends each core a pointer to
     // its work descriptor in DRAM.
-    soc::Soc s(smallParams());
+    soc::Soc s;
     std::vector<std::uint64_t> work(32, 0);
     for (unsigned id = 0; id < 32; ++id) {
         s.start(id, [&, id](core::DpCore &c) {
@@ -111,7 +99,7 @@ TEST(Mbc, HostCanSeedWorkToCores)
 
 TEST(Mbc, MailboxCountMatchesPaper)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     // 34 mailboxes on the 40 nm die: 32 dpCores + A9 + M0.
     EXPECT_EQ(s.mbc().nBoxes(), 34u);
     EXPECT_EQ(s.mbc().a9Box(), mbc::a9Mailbox);

@@ -72,9 +72,7 @@ keyedRequest(sim::Tick at, std::uint64_t key, std::uint64_t seed)
 std::unique_ptr<rack::Rack>
 smallRack()
 {
-    soc::SocParams sp = soc::dpu40nm();
-    sp.ddrBytes = std::size_t(16) << 20;
-    return topo::ClusterTopology::rack(4, 1).chip(sp).buildRack();
+    return topo::ClusterTopology::rack(4, 1).buildRack();
 }
 
 /** Balancer knobs the protocol tests share: 1 ms windows, raw
@@ -105,9 +103,6 @@ runBalancedScenario(unsigned threads, const char *faults = nullptr,
     if (faults)
         sim::faultPlane().configure(faults, 42);
 
-    soc::SocParams sp = soc::dpu40nm();
-    sp.ddrBytes = std::size_t(64) << 20;
-
     rack::PlacementParams pl;
     pl.balance.window = 500 * kUs;
     pl.balance.ewmaAlpha = 0.7;
@@ -116,7 +111,6 @@ runBalancedScenario(unsigned threads, const char *faults = nullptr,
     pl.balance.minPartitionLoad = 2.0;
 
     auto r = topo::ClusterTopology::rack(4, 1)
-                 .chip(sp)
                  .threads(threads)
                  .placement(pl)
                  .buildRack();

@@ -72,9 +72,7 @@ keyedRequest(sim::Tick at, std::uint64_t key, std::uint64_t seed)
 std::unique_ptr<rack::Rack>
 smallRack()
 {
-    soc::SocParams sp = soc::dpu40nm();
-    sp.ddrBytes = std::size_t(16) << 20;
-    return topo::ClusterTopology::rack(4, 1).chip(sp).buildRack();
+    return topo::ClusterTopology::rack(4, 1).buildRack();
 }
 
 /** Detection knobs the integration tests share: 200 us heartbeat,
@@ -130,9 +128,6 @@ runMonitoredScenario(
     if (faults)
         sim::faultPlane().configure(faults, 42);
 
-    soc::SocParams sp = soc::dpu40nm();
-    sp.ddrBytes = std::size_t(64) << 20;
-
     rack::PlacementParams pl;
     pl.health = hp;
     if (skew) {
@@ -143,7 +138,6 @@ runMonitoredScenario(
         pl.balance.minPartitionLoad = 2.0;
     }
     auto r = topo::ClusterTopology::rack(4, 1)
-                 .chip(sp)
                  .threads(threads)
                  .placement(pl)
                  .buildRack();

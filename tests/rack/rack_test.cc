@@ -11,11 +11,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
+#include "golden.hh"
 #include "host/offload.hh"
 #include "rack/rack.hh"
 #include "rack/scheduler.hh"
@@ -29,10 +27,6 @@
 #include "util/zipf.hh"
 
 using namespace dpu;
-
-#ifndef DPU_GOLDEN_DIR
-#error "build must define DPU_GOLDEN_DIR"
-#endif
 
 namespace {
 
@@ -62,10 +56,7 @@ runRackScenario(unsigned threads = 1, const char *faults = nullptr,
     if (faults)
         sim::faultPlane().configure(faults, fault_seed);
 
-    soc::SocParams sp = soc::dpu40nm();
-    sp.ddrBytes = std::size_t(32) << 20;
     auto r = topo::ClusterTopology::rack(2, 2)
-                 .chip(sp)
                  .threads(threads)
                  .buildRack();
     rack::RackScheduler sched(*r, host::OffloadParams{},
@@ -89,21 +80,12 @@ runRackScenario(unsigned threads = 1, const char *faults = nullptr,
     return snap;
 }
 
-/** An @p n_boards x @p dpus rack on 16 MB chips (the protocol tests
- *  never run it). */
+/** An @p n_boards x @p dpus rack (the protocol tests never run
+ *  it). */
 std::unique_ptr<rack::Rack>
 smallRack(unsigned n_boards, unsigned dpus)
 {
-    soc::SocParams sp = soc::dpu40nm();
-    sp.ddrBytes = std::size_t(16) << 20;
-    return topo::ClusterTopology::rack(n_boards, dpus).chip(sp).buildRack();
-}
-
-bool
-regenRequested()
-{
-    const char *v = std::getenv("DPU_REGEN_GOLDEN");
-    return v && *v && std::string(v) != "0";
+    return topo::ClusterTopology::rack(n_boards, dpus).buildRack();
 }
 
 } // namespace
@@ -503,34 +485,5 @@ TEST(RackDeterminism, FaultReplayIsBitIdentical)
 
 TEST(RackDeterminism, GoldenSnapshotMatches)
 {
-    const auto actual = runRackScenario();
-    ASSERT_FALSE(actual.counters.empty());
-
-    const std::string path =
-        std::string(DPU_GOLDEN_DIR) + "/rack.json";
-    if (regenRequested()) {
-        std::ofstream os(path, std::ios::trunc);
-        ASSERT_TRUE(os) << "cannot write " << path;
-        actual.writeJson(os);
-        GTEST_SKIP() << "regenerated " << path;
-    }
-
-    std::ifstream is(path);
-    ASSERT_TRUE(is) << "missing golden file " << path
-                    << " (run with DPU_REGEN_GOLDEN=1 to create)";
-    std::stringstream buf;
-    buf << is.rdbuf();
-    sim::StatsSnapshot golden;
-    std::string err;
-    ASSERT_TRUE(
-        sim::StatsSnapshot::readJson(buf.str(), golden, err))
-        << path << ": " << err;
-
-    const auto diffs = sim::diffSnapshots(golden, actual);
-    EXPECT_TRUE(diffs.empty())
-        << diffs.size() << " stat(s) drifted from " << path
-        << ":\n"
-        << sim::formatDiffs(diffs)
-        << "(if the rack model change is intentional, regenerate "
-           "with DPU_REGEN_GOLDEN=1)";
+    test::expectGolden("rack", runRackScenario());
 }

@@ -136,6 +136,14 @@ TEST(ClusterTopologyValidation, NamesTheOffendingField)
                   .find("ddrBytes"),
               std::string::npos);
 
+    // DDR past mem::dmemBase would overlap the DMEM apertures; a
+    // lone chip is checked too.
+    soc::SocParams overlap = soc::dpu40nm();
+    overlap.ddrBytes = mem::dmemBase + (std::size_t(1) << 20);
+    EXPECT_NE(ClusterTopology::soc().chip(overlap).validate().find(
+                  "SocParams.ddrBytes"),
+              std::string::npos);
+
     // A valid spec reports no error.
     EXPECT_EQ(ClusterTopology::rack(2, 2).validate(), "");
     EXPECT_EQ(ClusterTopology::board(2).boardBalance(live).validate(),
@@ -182,10 +190,7 @@ TEST(RackSchedulerDeathTest, BadPlacementDiesWithTheTopologySentence)
          [](rack::PlacementParams &p) { p.admitWindow = kMs; }},
     };
     sim::faultPlane().reset();
-    soc::SocParams sp = soc::dpu40nm();
-    sp.ddrBytes = std::size_t(16) << 20;
-    const auto rk =
-        ClusterTopology::rack(4, 1).chip(sp).buildRack();
+    const auto rk = ClusterTopology::rack(4, 1).buildRack();
     for (const BadKnob &row : rows) {
         SCOPED_TRACE(row.field);
         rack::PlacementParams place;
@@ -193,10 +198,7 @@ TEST(RackSchedulerDeathTest, BadPlacementDiesWithTheTopologySentence)
         const std::string err =
             rack::checkPlacement(place, rk->nBoards());
         ASSERT_NE(err.find(row.field), std::string::npos) << err;
-        EXPECT_EQ(ClusterTopology::rack(4, 1)
-                      .chip(sp)
-                      .placement(place)
-                      .validate(),
+        EXPECT_EQ(ClusterTopology::rack(4, 1).placement(place).validate(),
                   err);
         EXPECT_DEATH(rack::RackScheduler(*rk, {}, place),
                      literal(err));

@@ -15,21 +15,9 @@
 
 using namespace dpu;
 
-namespace {
-
-soc::SocParams
-smallParams()
-{
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 32 << 20;
-    return p;
-}
-
-} // namespace
-
 TEST(Heap, BlocksAreLineAlignedAndDisjoint)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     rt::Heap heap(1 << 20, 8 << 20, 32);
     std::vector<std::pair<mem::Addr, std::uint64_t>> blocks;
     s.start(0, [&](core::DpCore &c) {
@@ -51,7 +39,7 @@ TEST(Heap, BlocksAreLineAlignedAndDisjoint)
 
 TEST(Heap, FreeEnablesReuse)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     rt::Heap heap(1 << 20, 4 << 20, 32);
     s.start(0, [&](core::DpCore &c) {
         mem::Addr a = heap.alloc(c, 256);
@@ -64,7 +52,7 @@ TEST(Heap, FreeEnablesReuse)
 
 TEST(Heap, LiveBytesTracksAllocations)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     rt::Heap heap(1 << 20, 4 << 20, 32);
     s.start(0, [&](core::DpCore &c) {
         mem::Addr a = heap.alloc(c, 64);
@@ -80,7 +68,7 @@ TEST(Heap, LiveBytesTracksAllocations)
 
 TEST(Heap, HugeAllocationsComeFromCentralArena)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     rt::Heap heap(1 << 20, 16 << 20, 32);
     s.start(0, [&](core::DpCore &c) {
         mem::Addr a = heap.alloc(c, 1 << 20); // 1 MB
@@ -93,7 +81,7 @@ TEST(Heap, HugeAllocationsComeFromCentralArena)
 
 TEST(Heap, LocalFastPathIsCheaperThanRefill)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     rt::Heap heap(1 << 20, 8 << 20, 32);
     sim::Tick first = 0, second = 0;
     s.start(0, [&](core::DpCore &c) {
@@ -110,7 +98,7 @@ TEST(Heap, LocalFastPathIsCheaperThanRefill)
 
 TEST(Heap, ManyCoresAllocateDisjointBlocks)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     rt::Heap heap(1 << 20, 24 << 20, 32);
     std::vector<std::vector<mem::Addr>> per_core(32);
     s.startAll([&](core::DpCore &c) {
@@ -132,7 +120,7 @@ TEST(Heap, ManyCoresAllocateDisjointBlocks)
 
 TEST(Heap, TryAllocReportsExhaustionWithoutDying)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     // Four 64 KB superblocks in total.
     rt::Heap heap(1 << 20, 256 * 1024, 32);
 
@@ -167,7 +155,7 @@ TEST(Heap, TryAllocReportsExhaustionWithoutDying)
 
 TEST(Heap, TryAllocMatchesAllocOnTheHappyPath)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     rt::Heap heap(1 << 20, 8 << 20, 32);
     s.start(0, [&](core::DpCore &c) {
         auto p = heap.tryAlloc(c, 256);

@@ -19,9 +19,7 @@ using namespace dpu;
 
 TEST(Listing1, SixteenMegabytesThreeDescriptors)
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 24 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
 
     const mem::Addr src_addr = 0;
     const std::uint32_t total = 16 << 20;
@@ -91,9 +89,7 @@ TEST(Listing1, EventProtocolPreventsOverrun)
 {
     // A deliberately slow consumer must never observe torn data:
     // the DMS may not refill a buffer whose event is still set.
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
 
     const std::uint32_t total_words = 64 * 1024;
     for (std::uint32_t i = 0; i < total_words; ++i)
@@ -139,15 +135,7 @@ TEST(Listing1, EventProtocolPreventsOverrun)
 class DmsXferDeathTest : public ::testing::Test
 {
   protected:
-    static soc::SocParams
-    smallChip()
-    {
-        soc::SocParams p = soc::dpu40nm();
-        p.ddrBytes = 1 << 20;
-        return p;
-    }
-
-    soc::Soc s{smallChip()};
+    soc::Soc s;
     rt::DmsCtl ctl{s.core(0), s.dms()};
 };
 

@@ -75,9 +75,7 @@ partitionRun(const std::vector<std::uint32_t> &keys,
              const rt::PartitionScheme &scheme)
 {
     sim::faultPlane().reset();
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 32 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
 
     const std::uint32_t n_rows = std::uint32_t(keys.size());
     const std::uint32_t stride = n_rows * 4;

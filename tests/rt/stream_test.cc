@@ -21,18 +21,6 @@
 using namespace dpu;
 using rt::DmsCtl;
 
-namespace {
-
-soc::SocParams
-smallParams()
-{
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 16 << 20;
-    return p;
-}
-
-} // namespace
-
 /** (total_bytes, buf_bytes, n_bufs) sweep. */
 class StreamSweep
     : public ::testing::TestWithParam<
@@ -43,7 +31,7 @@ class StreamSweep
 TEST_P(StreamSweep, ReaderDeliversExactlyEverything)
 {
     auto [total, buf, nbufs] = GetParam();
-    soc::Soc s(smallParams());
+    soc::Soc s;
     for (std::uint64_t i = 0; i < (total + 3) / 4; ++i)
         s.memory().store().store<std::uint32_t>(i * 4,
                                                 std::uint32_t(i));
@@ -86,7 +74,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(StreamWriter, RandomCommitSizesRoundTrip)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     sim::Rng rng{99};
     std::vector<std::uint32_t> reference;
     s.start(0, [&](core::DpCore &c) {
@@ -118,7 +106,7 @@ TEST(Stream, ReaderAndWriterShareACoreAcrossChannels)
 {
     // Copy 256 KB through DMEM: read on channel 0, write on channel
     // 1, fully overlapped.
-    soc::Soc s(smallParams());
+    soc::Soc s;
     const std::uint64_t total = 256 << 10;
     for (std::uint64_t i = 0; i < total / 4; ++i)
         s.memory().store().store<std::uint32_t>(
@@ -153,7 +141,7 @@ TEST(Stream, ReaderAndWriterShareACoreAcrossChannels)
 TEST(Stream, HeapBackedStreaming)
 {
     // Allocate the source from the runtime heap, stream it, free it.
-    soc::Soc s(smallParams());
+    soc::Soc s;
     rt::Heap heap(1 << 20, 8 << 20, 32);
     std::uint64_t sum = 0;
     s.start(0, [&](core::DpCore &c) {
@@ -182,7 +170,7 @@ TEST(Stream, HeapBackedStreaming)
 TEST(StreamDeathTest, ReaderRejectsMorePassesThanTheLoopCounts)
 {
     auto overlong = [] {
-        soc::Soc s(smallParams());
+        soc::Soc s;
         s.start(0, [&](core::DpCore &c) {
             DmsCtl ctl(c, s.dms());
             // Two 4 B buffers over 65,537 x 8 B: 65,537 passes.

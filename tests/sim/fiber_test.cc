@@ -32,12 +32,12 @@ descend(int frames)
 
 TEST(FiberDeathTest, StackOverflowFaultsOnTheGuardPage)
 {
-    // 72 one-KiB frames on a 64 KiB stack run several KiB past its
-    // bottom; the guard page below the stack must stop the first
-    // write there.
+    // Eight one-KiB frames more than the stack holds run several
+    // KiB past its bottom; the guard page below the stack must stop
+    // the first write there.
     EXPECT_DEATH(
         {
-            Fiber f([] { descend(72); }, 64 * 1024);
+            Fiber f([] { descend(int(Fiber::stackBytes / 1024) + 8); });
             f.resume();
             // Reached only if the overflow went unnoticed. Leave
             // without running destructors over whatever it

@@ -18,21 +18,9 @@
 
 using namespace dpu;
 
-namespace {
-
-soc::SocParams
-smallParams()
-{
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    return p;
-}
-
-} // namespace
-
 TEST(CoherenceChecker, FlagsStaleReadAcrossCores)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::CoherenceChecker checker(s);
 
     bool writer_done = false;
@@ -56,7 +44,7 @@ TEST(CoherenceChecker, FlagsStaleReadAcrossCores)
 
 TEST(CoherenceChecker, FlagsConflictingWrites)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::CoherenceChecker checker(s);
 
     bool first_done = false;
@@ -76,7 +64,7 @@ TEST(CoherenceChecker, FlagsConflictingWrites)
 
 TEST(CoherenceChecker, FlushInvalidatePairRunsClean)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::CoherenceChecker checker(s);
 
     bool flushed = false;
@@ -100,7 +88,7 @@ TEST(CoherenceChecker, OwnerPinnedAteAccessIsExempt)
 {
     // The paper's idiom: pin the structure to one owner; every
     // manipulation goes through ATE RPCs in the owner's pipeline.
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::CoherenceChecker checker(s);
 
     const mem::Addr shared = 0xA000;
@@ -130,7 +118,7 @@ TEST(CoherenceChecker, FlagsStaleDmsReadAndTracesIt)
     // hazard AND emit a trace instant for it.
     sim::tracer().arm(1u << 14);
 
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::CoherenceChecker checker(s);
 
     const mem::Addr shared = 0x6000; // line-aligned DDR address
@@ -178,7 +166,7 @@ TEST(CoherenceChecker, InvalidateAfterDmsWriteRunsClean)
     // The sanctioned pattern: invalidate before re-reading a line
     // the DMS rewrote. The refetch observes fresh data and must not
     // be flagged.
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::CoherenceChecker checker(s);
 
     const mem::Addr shared = 0x7000;
@@ -209,7 +197,7 @@ TEST(CoherenceChecker, InvalidateAfterDmsWriteRunsClean)
 
 TEST(CoherenceChecker, DpuSerializedRunsClean)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::CoherenceChecker checker(s);
 
     const mem::Addr arg = 0xC000;

@@ -75,9 +75,7 @@ TEST(Determinism, StatDumpIsByteIdentical)
     // The human-readable dump must also be stable — it's what gets
     // pasted into bug reports and compared across machines.
     auto dump = [] {
-        soc::SocParams p = soc::dpu40nm();
-        p.ddrBytes = 8 << 20;
-        soc::Soc s(p);
+        soc::Soc s;
         for (std::uint32_t i = 0; i < 4096; ++i)
             s.memory().store().store<std::uint32_t>(i * 4, i ^ 0x5a);
         s.start(0, [&](core::DpCore &c) {

@@ -1,108 +1,46 @@
 /**
  * @file
- * Golden-stats regression harness: re-runs the canonical scenarios
- * and diffs every simulator statistic against checked-in golden
- * snapshots under tests/golden/. The simulator is integer-exact
- * and single-threaded, so counters must match bit-for-bit; any
- * drift means a model change, which is either a bug or a deliberate
- * recalibration — in the latter case regenerate the files with
- *
- *   DPU_REGEN_GOLDEN=1 ./golden_stats_test
- *
- * and commit the diff alongside the model change.
+ * Golden-stats regression harness: re-runs the canonical
+ * single-chip scenarios and diffs every simulator statistic against
+ * its checked-in snapshot under tests/golden/ (golden.hh says how to
+ * regenerate them).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "apps/registry.hh"
+#include "golden.hh"
 #include "scenarios.hh"
 
 using namespace dpu;
-
-#ifndef DPU_GOLDEN_DIR
-#error "build must define DPU_GOLDEN_DIR"
-#endif
-
-namespace {
-
-std::string
-goldenPath(const std::string &name)
-{
-    return std::string(DPU_GOLDEN_DIR) + "/" + name + ".json";
-}
-
-bool
-regenRequested()
-{
-    const char *v = std::getenv("DPU_REGEN_GOLDEN");
-    return v && *v && std::string(v) != "0";
-}
-
-void
-checkAgainstGolden(const std::string &name,
-                   const sim::StatsSnapshot &actual)
-{
-    ASSERT_FALSE(actual.counters.empty())
-        << "scenario '" << name << "' failed its own self-checks";
-
-    const std::string path = goldenPath(name);
-    if (regenRequested()) {
-        std::ofstream os(path, std::ios::trunc);
-        ASSERT_TRUE(os) << "cannot write " << path;
-        actual.writeJson(os);
-        GTEST_SKIP() << "regenerated " << path;
-    }
-
-    std::ifstream is(path);
-    ASSERT_TRUE(is) << "missing golden file " << path
-                    << " (run with DPU_REGEN_GOLDEN=1 to create it)";
-    std::stringstream buf;
-    buf << is.rdbuf();
-
-    sim::StatsSnapshot golden;
-    std::string err;
-    ASSERT_TRUE(sim::StatsSnapshot::readJson(buf.str(), golden, err))
-        << path << ": " << err;
-
-    auto diffs = sim::diffSnapshots(golden, actual);
-    EXPECT_TRUE(diffs.empty())
-        << diffs.size() << " stat(s) drifted from " << path << ":\n"
-        << sim::formatDiffs(diffs)
-        << "(if the model change is intentional, regenerate with "
-           "DPU_REGEN_GOLDEN=1)";
-}
-
-} // namespace
+using test::expectGolden;
 
 TEST(GoldenStats, Listing1Stream)
 {
-    checkAgainstGolden("listing1", test::runListing1Scenario());
+    expectGolden("listing1", test::runListing1Scenario());
 }
 
 TEST(GoldenStats, HashPartition32Way)
 {
-    checkAgainstGolden("partition", test::runPartitionScenario());
+    expectGolden("partition", test::runPartitionScenario());
 }
 
 TEST(GoldenStats, AtePingPong)
 {
-    checkAgainstGolden("ate_pingpong", test::runAtePingPongScenario());
+    expectGolden("ate_pingpong", test::runAtePingPongScenario());
 }
 
 TEST(GoldenStats, MbcStorm32To1)
 {
-    checkAgainstGolden("mbc_storm", test::runMbcStormScenario());
+    expectGolden("mbc_storm", test::runMbcStormScenario());
 }
 
 TEST(GoldenStats, OffloadServing)
 {
-    checkAgainstGolden("serving", test::runServingScenario());
+    expectGolden("serving", test::runServingScenario());
 }
 
 // Figure 14 head to head: every registry app on a fresh chip at
@@ -148,8 +86,7 @@ TEST(GoldenStats, Fig14HeadToHead)
         g.scalar("workUnits") = r.workUnits;
     }
     ASSERT_EQ(groups.size(), 9u);
-    checkAgainstGolden("fig14",
-                       sim::StatsRegistry::instance().snapshot());
+    expectGolden("fig14", sim::StatsRegistry::instance().snapshot());
 }
 
 // The harness must actually trip when a calibration value moves:
@@ -158,30 +95,21 @@ TEST(GoldenStats, Fig14HeadToHead)
 // diff against the golden run.
 TEST(GoldenStats, DetectsPerturbedDdrTiming)
 {
-    if (regenRequested())
-        GTEST_SKIP() << "regeneration run";
-
-    std::ifstream is(goldenPath("listing1"));
-    ASSERT_TRUE(is) << "missing golden file (regenerate first)";
-    std::stringstream buf;
-    buf << is.rdbuf();
-    sim::StatsSnapshot golden;
-    std::string err;
-    ASSERT_TRUE(sim::StatsSnapshot::readJson(buf.str(), golden, err))
-        << err;
+    const auto golden = test::loadGolden("listing1");
+    ASSERT_TRUE(golden);
 
     mem::DdrParams perturbed = soc::dpu40nm().ddr;
     perturbed.tBurst = perturbed.tBurst * 4 / 3; // 5 ns -> 6.67 ns
     auto actual = test::runListing1Scenario(&perturbed);
     ASSERT_FALSE(actual.counters.empty());
 
-    auto diffs = sim::diffSnapshots(golden, actual);
+    auto diffs = sim::diffSnapshots(*golden, actual);
     EXPECT_FALSE(diffs.empty())
         << "a 33% DDR burst-time change produced an identical "
            "snapshot - the golden harness is not sensitive to "
            "calibration drift";
     // The perturbation slows the stream down, so at minimum the
     // final tick must have moved.
-    EXPECT_NE(golden.counters.at("sim.finalTick"),
+    EXPECT_NE(golden->counters.at("sim.finalTick"),
               actual.counters.at("sim.finalTick"));
 }

@@ -14,21 +14,9 @@
 
 using namespace dpu;
 
-namespace {
-
-soc::SocParams
-smallParams()
-{
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    return p;
-}
-
-} // namespace
-
 TEST(HostA9, OffloadHandshakeRoundTrip)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     // Work descriptors in DRAM: [input ptr, length, output ptr].
@@ -82,7 +70,7 @@ TEST(HostA9, OffloadHandshakeRoundTrip)
 
 TEST(HostA9, RecvBlocksUntilCoreResponds)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
     sim::Tick host_got_at = 0;
 
@@ -101,7 +89,7 @@ TEST(HostA9, RecvBlocksUntilCoreResponds)
 
 TEST(HostA9, BusyUsAdvancesSimulatedTime)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
     a9.start([&](soc::HostA9 &host) { host.busyUs(25.0); });
     s.run();
@@ -111,7 +99,7 @@ TEST(HostA9, BusyUsAdvancesSimulatedTime)
 
 TEST(HostA9, TryRecvPollsWithoutBlocking)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     s.start(0, [&](core::DpCore &c) {
@@ -143,7 +131,7 @@ TEST(HostA9, TryRecvPollsWithoutBlocking)
 
 TEST(HostA9, RecvUntilTimesOutThenDelivers)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     s.start(0, [&](core::DpCore &c) {
@@ -179,7 +167,7 @@ TEST(HostA9, RecvUntilTimesOutThenDelivers)
 
 TEST(HostA9, StaleDeadlineTimerDoesNotDoubleResume)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     // The message beats the deadline, leaving the deadline timer
@@ -211,7 +199,7 @@ TEST(HostA9, StaleDeadlineTimerDoesNotDoubleResume)
 
 TEST(HostA9, SleepUntilIsNotCutShortByMessages)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     s.start(0, [&](core::DpCore &c) {
@@ -237,7 +225,7 @@ TEST(HostA9, AllCoresToHostExactlyOnce)
 {
     // MBC stress: all 32 dpCores fire salvos at the A9 mailbox with
     // staggered timing. Every message must arrive exactly once.
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
     const unsigned n_cores = 32, per_core = 8;
 
@@ -277,7 +265,7 @@ TEST(HostA9, AllCoresToHostExactlyOnce)
 
 TEST(HostA9, RecvUntilDeadlineTiedWithDeliveryTimesOutFirst)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     // Worker timing: sleep 6 + send 4 + MBC latency 30 cycles puts
@@ -312,7 +300,7 @@ TEST(HostA9, RecvUntilDeadlineTiedWithDeliveryTimesOutFirst)
 
 TEST(HostA9, StaleDeadlineDoesNotCutLaterBoundedWaitShort)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     // The first bounded wait is satisfied long before its 1 ms
@@ -343,7 +331,7 @@ TEST(HostA9, StaleDeadlineDoesNotCutLaterBoundedWaitShort)
 
 TEST(HostA9, BackToBackBoundedWaitsTimeOutAtExactDeadlines)
 {
-    soc::Soc s(smallParams());
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     // Reply lands at (800 + 4 + 30) cycles = tick 1042500, past all

@@ -44,7 +44,6 @@ inline sim::StatsSnapshot
 runListing1Scenario(const mem::DdrParams *ddr_override = nullptr)
 {
     soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
     if (ddr_override)
         p.ddr = *ddr_override;
     soc::Soc s(p);
@@ -92,9 +91,7 @@ runListing1Scenario(const mem::DdrParams *ddr_override = nullptr)
 inline sim::StatsSnapshot
 runPartitionScenario()
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 32 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
 
     sim::Rng rng{12345};
     const std::uint32_t n_rows = 8192;
@@ -164,9 +161,7 @@ runPartitionScenario()
 inline sim::StatsSnapshot
 runAtePingPongScenario()
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
 
     bool stop = false;
     s.start(31, [&](core::DpCore &c) {
@@ -202,9 +197,7 @@ runAtePingPongScenario()
 inline sim::StatsSnapshot
 runMbcStormScenario()
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     constexpr unsigned per_core = 8;
@@ -254,9 +247,7 @@ runMbcStormScenario()
 inline sim::StatsSnapshot
 runServingScenario()
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 64 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
     host::OffloadParams op;
     host::OffloadScheduler sched(s, a9, op);

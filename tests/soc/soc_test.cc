@@ -1,8 +1,8 @@
 /**
  * @file
- * SoC assembly tests: the 40 nm and 16 nm configurations, kernel
- * scheduling across all cores, stats plumbing, and cross-complex
- * isolation at 16 nm.
+ * SoC assembly tests: the 40 nm and 16 nm configurations, the DDR
+ * window, kernel scheduling across all cores, stats plumbing, and
+ * cross-complex isolation at 16 nm.
  */
 
 #include <gtest/gtest.h>
@@ -16,31 +16,37 @@ using namespace dpu;
 
 TEST(Soc, FortyNmMatchesPaperGeometry)
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
     EXPECT_EQ(s.nCores(), 32u);
     EXPECT_STREQ(s.params().ddr.name, "DDR3-1600");
-    EXPECT_DOUBLE_EQ(s.power().provisionedWatts(), 6.0);
+    EXPECT_DOUBLE_EQ(s.params().provisionedWatts, 6.0);
+    // The DDR image spans the whole window below the DMEM apertures.
+    EXPECT_EQ(s.memory().store().size(), mem::dmemBase);
+}
+
+TEST(SocDeathTest, DdrOverlappingTheDmemAperturesDies)
+{
+    // DpCore and the ATE send every address from mem::dmemBase up to
+    // a DMEM aperture, so a larger DDR image would give one address
+    // two memories.
+    soc::SocParams p = soc::dpu40nm();
+    p.ddrBytes = mem::dmemBase + (1 << 20);
+    EXPECT_DEATH(soc::Soc{p}, "DMEM apertures");
 }
 
 TEST(Soc, SixteenNmShrink)
 {
-    soc::SocParams p = soc::dpu16nm();
-    p.ddrBytes = 8 << 20;
-    soc::Soc s(p);
+    soc::Soc s(soc::dpu16nm());
     // Section 2.5: 160 dpCores in five 32-core complexes, 76 GB/s.
     EXPECT_EQ(s.nCores(), 160u);
     EXPECT_EQ(s.params().nComplexes, 5u);
     EXPECT_GT(s.params().ddr.peakBytesPerSec(), 70e9);
-    EXPECT_DOUBLE_EQ(s.power().provisionedWatts(), 12.0);
+    EXPECT_DOUBLE_EQ(s.params().provisionedWatts, 12.0);
 }
 
 TEST(Soc, StartAllRunsTheSameImageEverywhere)
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
     std::vector<int> ran(32, 0);
     s.startAll([&](core::DpCore &c) {
         ran[c.id()] = 1;
@@ -54,9 +60,7 @@ TEST(Soc, StartAllRunsTheSameImageEverywhere)
 
 TEST(Soc, RunForLimitsSimulatedTime)
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
     s.start(0, [](core::DpCore &c) {
         for (int i = 0; i < 1000; ++i)
             c.sleepCycles(100000);
@@ -68,9 +72,7 @@ TEST(Soc, RunForLimitsSimulatedTime)
 
 TEST(Soc, StatsDumpContainsAllGroups)
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
     s.start(0, [](core::DpCore &c) {
         c.alu(100);
         (void)c.load<std::uint64_t>(0x1000); // touch DDR
@@ -85,9 +87,7 @@ TEST(Soc, StatsDumpContainsAllGroups)
 
 TEST(Soc, SixteenNmComplexesHaveIndependentDmsAndAte)
 {
-    soc::SocParams p = soc::dpu16nm();
-    p.ddrBytes = 16 << 20;
-    soc::Soc s(p);
+    soc::Soc s(soc::dpu16nm());
     // Core 40 belongs to complex 1.
     EXPECT_EQ(&s.dmsFor(40), &s.dms(1));
     EXPECT_EQ(&s.ateFor(40), &s.ate(1));
@@ -104,9 +104,7 @@ TEST(Soc, SixteenNmComplexesHaveIndependentDmsAndAte)
 
 TEST(Soc, SecondsTracksTicks)
 {
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
     s.start(0, [](core::DpCore &c) { c.sleepCycles(800'000'000); });
     s.run(); // 800 M cycles at 800 MHz = 1 s
     EXPECT_NEAR(s.seconds(), 1.0, 1e-6);
@@ -117,9 +115,7 @@ TEST(Soc, QueueSamplerEmitsHeartbeatWhileArmedThenSelfCancels)
     sim::tracer().disarm();
     sim::tracer().clear();
 
-    soc::SocParams p = soc::dpu40nm();
-    p.ddrBytes = 8 << 20;
-    soc::Soc s(p);
+    soc::Soc s;
     s.start(0, [](core::DpCore &c) {
         for (int i = 0; i < 100; ++i)
             c.sleepCycles(10000);
