@@ -9,8 +9,7 @@
  * very different scheduling mixes:
  *
  *   kernel   — raw EventQueue chains (no SoC): pure scheduling
- *              overhead, near/far deltas exercising both the timing
- *              wheel and the overflow heap.
+ *              overhead, a near/far delta mix on the event heap.
  *   fig02    — the Figure 2 ATE ping-pong: every RPC is a chain of
  *              queue events plus two fiber switches.
  *   listing1 — the Listing 1 DDR->DMEM ping-pong stream: DMAD/DMAC
@@ -70,8 +69,7 @@ wallNow()
 /**
  * Raw event-kernel storm: @p chains self-rescheduling events with a
  * deterministic near/far delta mix (7/8 within a few dpCore cycles,
- * 1/8 far enough to land beyond a near-horizon wheel), until
- * @p total events have executed.
+ * 1/8 up to 100 us out), until @p total events have executed.
  */
 Result
 runKernel(std::uint64_t total, unsigned chains)
@@ -98,8 +96,8 @@ runKernel(std::uint64_t total, unsigned chains)
             if (++executed >= total)
                 return;
             std::uint64_t r = rng.next();
-            // Mostly cycle-scale deltas; every 8th hop jumps ~84 us
-            // to stress far-future insertion paths.
+            // Mostly cycle-scale deltas; every 8th hop jumps up to
+            // 100 us, so chains interleave across a wide time span.
             sim::Tick delta = (r & 7) == 0
                                   ? (r >> 8) % 100'000'000
                                   : (r >> 8) % 20'000;

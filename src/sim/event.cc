@@ -33,7 +33,7 @@ Event::~Event()
     // A still-scheduled event unlinks itself so the queue never
     // fires dangling storage. (When the QUEUE dies first it severs
     // these links instead; queue_ is null then.)
-    if (queue_ && where_ != Where::None)
+    if (queue_)
         queue_->deschedule(*this);
 }
 

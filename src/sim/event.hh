@@ -3,12 +3,12 @@
  * Intrusive simulation events.
  *
  * An Event is a schedulable object with a fixed vtable slot
- * (process()) and intrusive links, so scheduling it costs no
- * allocation: the queue threads the object itself onto a timing
- * wheel slot or the overflow heap. Long-lived simulation blocks
- * embed their recurring events as members (a dpCore's wakeup, a
- * DMAD channel's pipeline step) and re-schedule the same object
- * forever.
+ * (process()) and its own queue bookkeeping (firing tick, heap
+ * slot), so scheduling it costs no allocation: the queue's heap
+ * holds a pointer to the object itself. Long-lived simulation
+ * blocks embed their recurring events as members (a dpCore's
+ * wakeup, a DMAD channel's pipeline step) and re-schedule the same
+ * object forever.
  *
  * Every event carries a subsystem tag (EvTag) so the event-kernel
  * self-profiler can attribute executed-event counts and wall time
@@ -49,7 +49,7 @@ const char *evTagName(EvTag t);
 
 /**
  * Base class for schedulable events. Instances are intrusively
- * linked into the queue, so an Event may be scheduled on at most
+ * held by the queue, so an Event may be scheduled on at most
  * one queue at a time, and at most once; use reschedule() or a
  * second Event member for overlapping occurrences. Destroying a
  * scheduled event deschedules it first.
@@ -74,24 +74,18 @@ class Event
     /** Scheduled firing time (valid while scheduled()). */
     Tick when() const { return when_; }
 
-    /** True while linked on a queue. */
-    bool scheduled() const { return where_ != Where::None; }
+    /** True while pending on a queue. */
+    bool scheduled() const { return queue_ != nullptr; }
 
     EvTag tag() const { return tag_; }
 
   private:
     friend class EventQueue;
 
-    enum class Where : std::uint8_t { None, Wheel, Heap };
-
     EventQueue *queue_ = nullptr; ///< owning queue while scheduled
-    Event *prev_ = nullptr;       ///< wheel slot list links
-    Event *next_ = nullptr;
+    Event *next_ = nullptr;       ///< callback-pool free list link
     Tick when_ = 0;
-    std::uint64_t seq_ = 0; ///< same-tick FIFO order, queue-global
-    std::size_t heapIdx_ = 0; ///< overflow-heap slot while Where::Heap
-    Where where_ = Where::None;
-    std::uint8_t level_ = 0;  ///< wheel level while Where::Wheel
+    std::size_t heapIdx_ = 0; ///< heap slot while scheduled
     bool poolOwned_ = false;  ///< queue returns it to the pool
   protected:
     EvTag tag_;

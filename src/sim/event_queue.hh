@@ -9,16 +9,13 @@
  * the ATE and DMAX crossbars rely on.
  *
  * The queue is the simulator's hottest path, so it is built around
- * three no-allocation mechanisms (DESIGN.md §"Event kernel"):
+ * two no-allocation mechanisms (DESIGN.md §"Event kernel"):
  *
- *  - Intrusive events: Event objects (sim/event.hh) link themselves
- *    into the queue; scheduling a member event costs no allocation.
- *  - A hierarchical timing wheel: four levels of 256 slots indexed
- *    by successive 8-bit digits of the firing tick, giving O(1)
- *    insert/remove for anything within 2^32 ticks (~4.3 ms) of the
- *    clock. Rarer, farther events overflow into a (when, seq)
- *    binary heap and are merged at pop time by sequence number, so
- *    the global FIFO order is exact across both structures.
+ *  - Intrusive events: Event objects (sim/event.hh) sit in the queue
+ *    themselves; scheduling a member event costs no allocation. One
+ *    binary min-heap keyed by (when, seq) holds every pending event,
+ *    and each event records its heap slot, so deschedule is
+ *    O(log n) and the heap front is the exact next event.
  *  - A slab pool of callback events: the `scheduleIn(delta, lambda)`
  *    convenience API is carried by pooled CallbackEvent nodes whose
  *    capture storage is inline (sim/inplace_fn.hh) — no malloc on
@@ -36,7 +33,6 @@
 #define DPU_SIM_EVENT_QUEUE_HH
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -77,22 +73,15 @@ class EventQueue
                    "scheduling in the past (%llu < %llu)",
                    (unsigned long long)when,
                    (unsigned long long)curTick);
-        sim_assert(ev.where_ == Event::Where::None,
+        sim_assert(!ev.scheduled(),
                    "event '%s' is already scheduled", ev.name());
         ev.when_ = when;
-        ev.seq_ = nextSeq++;
         ev.queue_ = this;
-        // An empty wheel is the moment to resync its base with the
-        // clock: placement digits stay exact however far the clock
-        // has travelled (including past the 2^32-tick horizon of a
-        // stale base), and no resident event can be invalidated.
-        if (nWheel == 0)
-            wheelBase = curTick;
-        place(ev);
-        ++nScheduled;
+        heap.push_back({when, nextSeq++, &ev});
+        siftUp(heap.size() - 1);
         ++prof.schedules;
-        if (nScheduled > prof.maxPending)
-            prof.maxPending = nScheduled;
+        if (heap.size() > prof.maxPending)
+            prof.maxPending = heap.size();
     }
 
     /** Schedule @p ev to fire @p delta ticks from now. */
@@ -141,10 +130,10 @@ class EventQueue
     // ------------------------------------------------------------
 
     /** True when no events remain. */
-    bool empty() const { return nScheduled == 0; }
+    bool empty() const { return heap.empty(); }
 
     /** Number of pending events. */
-    std::size_t pending() const { return nScheduled; }
+    std::size_t pending() const { return heap.size(); }
 
     /**
      * Run events until the queue drains or @p limit is reached.
@@ -166,15 +155,16 @@ class EventQueue
     std::uint64_t runWindow(Tick end);
 
     /**
-     * Non-mutating lower bound on the earliest pending event's tick:
-     * exact when the earliest resident sits in wheel level 0 or in
-     * the overflow heap, else the start of its level's time window
-     * (at most one wasted epoch refines it, because running past a
-     * window start cascades it to level 0). maxTick when empty. The
-     * epoch runner uses this to place the next lookahead window —
-     * and to jump idle gaps instead of marching through them.
+     * Tick of the earliest pending event (the heap front), or
+     * maxTick when empty. The epoch runner opens each lookahead
+     * window here, so every window starts on a real event and idle
+     * gaps are jumped, not marched through.
      */
-    Tick nextDueLowerBound() const;
+    Tick
+    nextDue() const
+    {
+        return heap.empty() ? maxTick : heap.front().when;
+    }
 
     /** Execute exactly one event if one exists. @return true if so. */
     bool step();
@@ -193,12 +183,6 @@ class EventQueue
         std::array<double, nEvTags> wallNs{};
         std::uint64_t schedules = 0;
         std::uint64_t maxPending = 0;
-        /** Events that went to the overflow heap (beyond the
-         *  wheel's 2^32-tick horizon). */
-        std::uint64_t heapInserts = 0;
-        /** Slot migrations between wheel levels. */
-        std::uint64_t cascades = 0;
-        std::uint64_t cascadedEvents = 0;
         /** Pool growth: slabs allocated / events per slab. */
         std::uint64_t poolSlabs = 0;
         std::uint64_t poolEvents = 0;
@@ -226,40 +210,22 @@ class EventQueue
      * "eventq" (created on first call; see file header for the
      * golden-snapshot rationale). Counters: eventq.executed,
      * eventq.executed.<tag>, eventq.schedules, eventq.maxPending,
-     * eventq.heapInserts, eventq.cascades, eventq.cascadedEvents,
-     * eventq.poolSlabs, eventq.poolEvents. Scalars:
+     * eventq.pending, eventq.poolSlabs, eventq.poolEvents. Scalars:
      * eventq.wallNs.<tag>, eventq.runWallNs, eventq.eventsPerSec.
      */
     void publishStats();
 
   private:
-    // ------------------------------------------------------------
-    // Timing wheel: 4 levels x 256 slots, one 8-bit digit each.
-    // Level k holds events whose tick agrees with wheelBase on all
-    // digits above k; slot index is digit k of the tick. Level 0
-    // slots therefore hold exactly one tick each, and a slot's
-    // doubly-linked list is in seq order (FIFO) by construction.
-    // ------------------------------------------------------------
-    static constexpr unsigned levelBits = 8;
-    static constexpr unsigned slotsPerLevel = 1u << levelBits;
-    static constexpr unsigned nLevels = 4;
-    static constexpr unsigned bitmapWords = slotsPerLevel / 64;
-
-    struct Slot
-    {
-        Event *head = nullptr;
-        Event *tail = nullptr;
-    };
-
-    /** Overflow entry for events beyond the wheel horizon. */
-    struct FarEntry
+    /** One heap entry. The firing tick is copied out of the event
+     *  so sifts compare without chasing the pointer. */
+    struct Entry
     {
         Tick when;
-        std::uint64_t seq;
+        std::uint64_t seq; ///< same-tick FIFO order, queue-global
         Event *ev;
 
         bool
-        operator>(const FarEntry &o) const
+        operator>(const Entry &o) const
         {
             return when != o.when ? when > o.when : seq > o.seq;
         }
@@ -278,106 +244,31 @@ class EventQueue
         const char *name() const override { return "callback"; }
     };
 
-    /** Link @p ev into the wheel or the overflow heap (assumes
-     *  when_/seq_ already assigned). */
-    void place(Event &ev);
-
-    /** Append to a slot's FIFO list and set its bitmap bit. */
-    void
-    pushSlot(unsigned lvl, unsigned slot, Event &ev)
-    {
-        Slot &s = wheel[lvl][slot];
-        ev.prev_ = s.tail;
-        ev.next_ = nullptr;
-        (s.tail ? s.tail->next_ : s.head) = &ev;
-        s.tail = &ev;
-        ev.where_ = Event::Where::Wheel;
-        ev.level_ = std::uint8_t(lvl);
-        bits[lvl][slot >> 6] |= 1ull << (slot & 63);
-    }
-
-    /** Unlink from a wheel slot, clearing the bit when it empties. */
-    void
-    unlinkWheel(Event &ev)
-    {
-        const unsigned lvl = ev.level_;
-        const unsigned slot =
-            unsigned(ev.when_ >> (levelBits * lvl)) &
-            (slotsPerLevel - 1);
-        Slot &s = wheel[lvl][slot];
-        (ev.prev_ ? ev.prev_->next_ : s.head) = ev.next_;
-        (ev.next_ ? ev.next_->prev_ : s.tail) = ev.prev_;
-        ev.prev_ = ev.next_ = nullptr;
-        if (!s.head)
-            bits[lvl][slot >> 6] &= ~(1ull << (slot & 63));
-    }
-
-    /** Lowest set slot index of a level's bitmap, or -1. */
-    static int
-    findFirst(const std::array<std::uint64_t, bitmapWords> &bm)
-    {
-        for (unsigned w = 0; w < bitmapWords; ++w)
-            if (bm[w])
-                return int(w * 64 + unsigned(std::countr_zero(bm[w])));
-        return -1;
-    }
-
-    /** Head event of the earliest wheel tick, cascading outer
-     *  levels toward level 0 as the search advances wheelBase.
-     *  Never advances the base into a window starting beyond
-     *  @p cap — returns null instead (also when the wheel is
-     *  empty), meaning "no wheel event due at or before cap".
-     *  The cap is what keeps wheelBase <= curTick: popNext() caps
-     *  at both its limit and the overflow heap's front, the two
-     *  points where control can resume code that may schedule at
-     *  any tick >= curTick. */
-    Event *wheelPeek(Tick cap);
-
-    /** Redistribute a level>=1 slot after wheelBase enters its
-     *  window. */
-    void cascade(unsigned lvl, unsigned slot);
-
-    /** Earliest event overall (wheel vs overflow merged by
-     *  (when, seq)), popped and unlinked, or null if none is due at
-     *  or before @p limit. Advances curTick on success. */
+    /** Earliest event, popped and unlinked, or null if none is due
+     *  at or before @p limit. Advances curTick on success. */
     Event *popNext(Tick limit);
 
     /** Run one event's process() with profiling, then recycle
      *  pool-owned carriers. */
     void execute(Event &ev);
 
-    // Overflow min-heap by (when, seq). Hand-rolled sifts so every
-    // entry move updates its event's heapIdx_, giving O(log n)
-    // deschedule of heap residents (std::*_heap can't report where
-    // elements land).
-    void farSiftUp(std::size_t i);
-    void farSiftDown(std::size_t i);
+    // Min-heap by (when, seq). Hand-rolled sifts so every entry move
+    // updates its event's heapIdx_, giving O(log n) deschedule
+    // (std::*_heap can't report where elements land).
+    void siftUp(std::size_t i);
+    void siftDown(std::size_t i);
     /** Remove entry @p i, repairing the heap and indices. */
-    void farRemoveAt(std::size_t i);
+    void removeAt(std::size_t i);
 
     // Pool.
     CallbackEvent &acquire();
     void release(CallbackEvent &ev);
     void growPool();
 
-    std::array<std::array<Slot, slotsPerLevel>, nLevels> wheel{};
-    std::array<std::array<std::uint64_t, bitmapWords>, nLevels>
-        bits{};
-    /** All wheel-resident events fire at or after this tick; its
-     *  digits define slot membership (see place()). Invariant:
-     *  wheelBase <= curTick whenever user code can run, so every
-     *  legal schedule (when >= now) lands at when >= wheelBase and
-     *  the digit comparison in place() is exact. Maintained by
-     *  capping the advance in wheelPeek() and resyncing to curTick
-     *  in schedule() when the wheel is empty. */
-    Tick wheelBase = 0;
-    std::size_t nWheel = 0;
-
-    std::vector<FarEntry> far; ///< min-heap by (when, seq)
+    std::vector<Entry> heap; ///< every pending event
 
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;
-    std::size_t nScheduled = 0;
 
     static constexpr std::size_t slabEvents = 256;
     std::vector<std::unique_ptr<CallbackEvent[]>> slabs;

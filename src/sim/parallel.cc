@@ -136,7 +136,7 @@ EpochRunner::run(Tick limit)
     for (;;) {
         Tick next = maxTick;
         for (const EventQueue *q : queues)
-            next = std::min(next, q->nextDueLowerBound());
+            next = std::min(next, q->nextDue());
         if (next == maxTick || next > limit)
             break;
         Tick end = next + p.lookahead;

@@ -5,7 +5,8 @@
  * The EpochRunner advances a set of EventQueue partitions (one per
  * execution domain — on a board, one per DPU) in BSP-style epochs:
  *
- *   1. window:  next = min over partitions of nextDueLowerBound();
+ *   1. window:  next = min over partitions of nextDue(), the exact
+ *               next event tick;
  *               epochEnd = min(limit, next + lookahead)
  *   2. compute: every partition free-runs its events with
  *               runWindow(epochEnd) — in parallel, one worker thread
@@ -109,8 +110,8 @@ class EpochRunner
         /** Epochs whose window start jumped past the previous
          *  window's end — idle gaps skipped, not marched through. */
         std::uint64_t idleSkips = 0;
-        /** Compute phases that executed zero events (a coarse
-         *  wheel-window lower bound being refined). */
+        /** Compute phases that executed zero events. Always 0:
+         *  every window opens on a partition's next event. */
         std::uint64_t emptyEpochs = 0;
     };
 

@@ -8,8 +8,9 @@
  *  - more partitions than workers (oversubscription) changes
  *    nothing observable;
  *  - idle gaps between event clusters are skipped, not marched
- *    through epoch by epoch;
- *  - nextDueLowerBound() bounds and refines as documented.
+ *    through epoch by epoch, and every epoch opens on a real event:
+ *    no runner case ever runs an empty epoch;
+ *  - nextDue() is the exact next event tick, near or far.
  */
 
 #include <gtest/gtest.h>
@@ -63,6 +64,8 @@ TEST(EpochRunner, ZeroLookaheadRunsInGlobalTickOrder)
     EXPECT_EQ(end, sim::Tick(39 * 10 + 5));
     EXPECT_EQ(q0.now(), end);
     EXPECT_EQ(q1.now(), end);
+    EXPECT_EQ(r.stats().epochs, 80u) << "one epoch per event tick";
+    EXPECT_EQ(r.stats().emptyEpochs, 0u);
 }
 
 TEST(EpochRunner, HopLatencyMessageStraddlesTheEpochBoundary)
@@ -97,6 +100,7 @@ TEST(EpochRunner, HopLatencyMessageStraddlesTheEpochBoundary)
     // Epoch 1 = [0, hop] runs the send; the delivery lands exactly
     // on the boundary and must execute in epoch 2, not epoch 1.
     EXPECT_EQ(r.stats().epochs, 2u);
+    EXPECT_EQ(r.stats().emptyEpochs, 0u);
 }
 
 TEST(EpochRunner, OversubscriptionIsInvisible)
@@ -129,6 +133,7 @@ TEST(EpochRunner, OversubscriptionIsInvisible)
         sim::EpochRunner r(std::move(qp), pp, noDrain);
         EXPECT_EQ(r.workers(), std::min(threads, nq));
         const sim::Tick end = r.run();
+        EXPECT_EQ(r.stats().emptyEpochs, 0u);
 
         if (threads == 1) {
             ref = logs;
@@ -155,11 +160,44 @@ TEST(EpochRunner, IdleGapsAreSkippedNotMarched)
     r.run();
 
     EXPECT_TRUE(late);
-    EXPECT_GE(r.stats().idleSkips, 1u);
     // Lockstep marching would need ~10'000 epochs; the window scan
-    // must jump the gap in a handful (a few extra while a coarse
-    // wheel bound refines).
-    EXPECT_LE(r.stats().epochs, 10u);
+    // jumps the gap straight to the second event.
+    EXPECT_EQ(r.stats().epochs, 2u);
+    EXPECT_EQ(r.stats().idleSkips, 1u);
+    EXPECT_EQ(r.stats().emptyEpochs, 0u);
+}
+
+TEST(EpochRunner, EventsSpacedWiderThanTheLookaheadTakeOneEpochEach)
+{
+    // K events on two partitions, each 0x1234567 ticks after the
+    // last. That spacing puts every event deep inside a window of
+    // 2^24 ticks (and again of 2^16 and 2^8), so a next-event bound
+    // that rounds down to such a window start opens empty epochs
+    // before reaching the event. With the exact next event, each
+    // event gets its own epoch and each gap one idle skip.
+    constexpr unsigned k = 8;
+    constexpr sim::Tick spacing = 0x1234567;
+    sim::EventQueue q0, q1;
+    std::vector<sim::Tick> fired;
+    for (unsigned i = 0; i < k; ++i) {
+        const sim::Tick t = (i + 1) * spacing;
+        (i % 2 ? q1 : q0).schedule(t, [&fired, t] {
+            fired.push_back(t);
+        });
+    }
+
+    sim::ParallelParams pp;
+    pp.threads = 1;
+    pp.lookahead = 1'000;
+    sim::EpochRunner r({&q0, &q1}, pp, noDrain);
+    const sim::Tick end = r.run();
+
+    ASSERT_EQ(fired.size(), k);
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+    EXPECT_EQ(end, k * spacing);
+    EXPECT_EQ(r.stats().epochs, k);
+    EXPECT_EQ(r.stats().idleSkips, k - 1);
+    EXPECT_EQ(r.stats().emptyEpochs, 0u);
 }
 
 TEST(EpochRunner, EmptyBoardFinishesImmediately)
@@ -171,6 +209,7 @@ TEST(EpochRunner, EmptyBoardFinishesImmediately)
     sim::EpochRunner r({&q0, &q1}, pp, noDrain);
     EXPECT_EQ(r.run(), 0u);
     EXPECT_EQ(r.stats().epochs, 0u);
+    EXPECT_EQ(r.stats().emptyEpochs, 0u);
 }
 
 TEST(EpochRunner, BoundedRunParksEveryClockOnTheLimit)
@@ -189,37 +228,59 @@ TEST(EpochRunner, BoundedRunParksEveryClockOnTheLimit)
     EXPECT_EQ(q0.now(), 1'000'000u);
     EXPECT_EQ(q1.now(), 1'000'000u);
     EXPECT_EQ(q1.pending(), 1u) << "the future event must survive";
+    EXPECT_EQ(r.stats().epochs, 1u);
+    EXPECT_EQ(r.stats().emptyEpochs, 0u);
 }
 
-TEST(NextDueLowerBound, BoundsAndRefines)
+TEST(NextDue, IsExactForNearOuterAndFarEvents)
 {
     sim::EventQueue q;
-    EXPECT_EQ(q.nextDueLowerBound(), sim::maxTick);
+    EXPECT_EQ(q.nextDue(), sim::maxTick);
 
     q.schedule(5, [] {});
-    EXPECT_EQ(q.nextDueLowerBound(), 5u) << "level-0 bound is exact";
+    EXPECT_EQ(q.nextDue(), 5u);
 
     q.schedule(1'000'000, [] {});
-    EXPECT_EQ(q.nextDueLowerBound(), 5u);
+    EXPECT_EQ(q.nextDue(), 5u);
 
-    q.runWindow(5); // consume the first event
-    const sim::Tick lb = q.nextDueLowerBound();
-    EXPECT_GT(lb, 5u);
-    EXPECT_LE(lb, 1'000'000u) << "a lower bound, never beyond";
+    // Ticks that differ from the clock in an outer 8-bit digit (the
+    // 2^16 and 2^24 windows) and one past 2^40.
+    const sim::Tick outer16 = (sim::Tick(3) << 16) + 0x1234;
+    const sim::Tick outer24 = (sim::Tick(7) << 24) + 0x56789a;
+    const sim::Tick far = (sim::Tick(1) << 40) + 3;
+    q.schedule(far, [] {});
+    q.schedule(outer24, [] {});
+    q.schedule(outer16, [] {});
+    EXPECT_EQ(q.nextDue(), 5u);
 
-    // Running an empty window up to the bound refines it (the wheel
-    // cascades); within a few refinements it must become exact.
-    sim::Tick cur = lb;
-    for (unsigned i = 0; i < 8 && cur < 1'000'000u; ++i) {
-        q.runWindow(cur);
-        const sim::Tick next = q.nextDueLowerBound();
-        EXPECT_GE(next, cur) << "bounds may only tighten";
-        cur = next;
-    }
-    EXPECT_EQ(cur, 1'000'000u);
+    // Every window run leaves the exact next tick at the front,
+    // including an empty window that stops short of it.
+    q.runWindow(5);
+    EXPECT_EQ(q.nextDue(), outer16);
+    q.runWindow(outer16 - 1);
+    EXPECT_EQ(q.nextDue(), outer16) << "an empty window changes nothing";
+    q.runWindow(outer16);
+    EXPECT_EQ(q.nextDue(), 1'000'000u);
+    q.runWindow(1'000'000);
+    EXPECT_EQ(q.nextDue(), outer24);
+    q.runWindow(outer24);
+    EXPECT_EQ(q.nextDue(), far);
 
-    // Far-heap residents bound exactly by the heap front.
-    sim::EventQueue far;
-    far.schedule(sim::Tick(1) << 40, [] {});
-    EXPECT_EQ(far.nextDueLowerBound(), sim::Tick(1) << 40);
+    // Descheduling the front exposes the next one; a schedule below
+    // the front becomes the front.
+    sim::EventQueue d;
+    struct Noop final : sim::Event
+    {
+        void process() override {}
+    } a, b;
+    d.schedule(far, a);
+    d.schedule(outer24, b);
+    EXPECT_EQ(d.nextDue(), outer24);
+    d.deschedule(b);
+    EXPECT_EQ(d.nextDue(), far);
+    d.schedule(outer16, b);
+    EXPECT_EQ(d.nextDue(), outer16);
+    d.deschedule(b);
+    d.deschedule(a);
+    EXPECT_EQ(d.nextDue(), sim::maxTick);
 }
