@@ -219,13 +219,20 @@ runParallelKernel(std::uint64_t total_per_part, unsigned chains,
         }
     };
 
-    std::vector<std::uint64_t> executed(parts, 0);
+    // One cache line per partition's count: every worker bumps its
+    // count on every event, and shared lines would time the false
+    // sharing rather than the epoch runner.
+    struct alignas(64) Count
+    {
+        std::uint64_t n = 0;
+    };
+    std::vector<Count> executed(parts);
     std::vector<std::unique_ptr<Chain>> cs;
     sim::Rng seeds(7);
     for (unsigned d = 0; d < parts; ++d)
         for (unsigned i = 0; i < chains; ++i)
             cs.push_back(std::make_unique<Chain>(Chain{
-                *qs[d], executed[d], total_per_part,
+                *qs[d], executed[d].n, total_per_part,
                 sim::Rng(seeds.next())}));
 
     sim::ParallelParams pp;
@@ -239,8 +246,8 @@ runParallelKernel(std::uint64_t total_per_part, unsigned chains,
     const sim::Tick end = runner.run();
     const double wall = wallNow() - t0;
     std::uint64_t events = 0;
-    for (std::uint64_t e : executed)
-        events += e;
+    for (const Count &e : executed)
+        events += e.n;
     return {"kernel4x" + std::to_string(threads), end, wall, events};
 }
 

@@ -63,36 +63,61 @@ makeStereo(const DisparityConfig &cfg)
     return st;
 }
 
-/** Shared functional kernel: box-filtered SAD argmin over shifts.
- *  Row band [y0, y1). */
+/** Shared functional kernel: box-filtered SAD argmin over shifts,
+ *  row band [y0, y1). Window taps clamp to the image edges. The
+ *  (2r+1)^2 window sums separably: a prefix sum over each row's
+ *  |L[min(x+shift, w-1)] - R[x]| gives every pixel's clamped
+ *  horizontal window, and 2r+1 clamped rows of those give its box. */
 void
 disparityBand(const Stereo &st, const DisparityConfig &cfg,
               std::uint32_t y0, std::uint32_t y1,
-              const std::vector<std::uint32_t> &sad_rows_scratch,
               std::vector<std::uint32_t> &best_cost,
               std::vector<std::uint8_t> &best_shift, unsigned shift)
 {
-    (void)sad_rows_scratch;
+    if (y0 >= y1)
+        return;
     const int r = int(cfg.window) / 2;
-    const std::uint32_t w = st.w;
-    for (std::uint32_t y = y0; y < y1; ++y) {
-        for (std::uint32_t x = 0; x < w; ++x) {
-            std::uint32_t cost = 0;
-            for (int dy = -r; dy <= r; ++dy) {
-                int yy = std::clamp(int(y) + dy, 0, int(st.h) - 1);
-                for (int dx = -r; dx <= r; ++dx) {
-                    int xx =
-                        std::clamp(int(x) + dx, 0, int(w) - 1);
-                    int xs = std::min<int>(xx + int(shift),
-                                           int(w) - 1);
-                    int d = int(st.left[yy * w + xs]) -
-                            int(st.right[yy * w + xx]);
-                    cost += std::uint32_t(d < 0 ? -d : d);
-                }
-            }
-            std::size_t i = y * w + x;
-            if (cost < best_cost[i]) {
-                best_cost[i] = cost;
+    const int w = int(st.w);
+    const int h = int(st.h);
+    // Horizontal window sums of every row the band's boxes reach.
+    const int ya = std::max(int(y0) - r, 0);
+    const int yb = std::min(int(y1) - 1 + r, h - 1);
+    std::vector<std::uint32_t> hsum(std::size_t(yb - ya + 1) * w);
+    std::vector<std::uint32_t> prefix(w + 1, 0);
+    for (int yy = ya; yy <= yb; ++yy) {
+        const std::uint8_t *lrow = &st.left[std::size_t(yy) * w];
+        const std::uint8_t *rrow = &st.right[std::size_t(yy) * w];
+        for (int x = 0; x < w; ++x) {
+            int d = int(lrow[std::min(x + int(shift), w - 1)]) -
+                    int(rrow[x]);
+            prefix[x + 1] = prefix[x] + std::uint32_t(d < 0 ? -d : d);
+        }
+        // Taps left of column 0 repeat column 0; right of w-1, w-1.
+        const std::uint32_t first = prefix[1];
+        const std::uint32_t last = prefix[w] - prefix[w - 1];
+        std::uint32_t *row = &hsum[std::size_t(yy - ya) * w];
+        for (int x = 0; x < w; ++x) {
+            const int lo = x - r;
+            const int hi = x + r;
+            row[x] = prefix[std::min(hi, w - 1) + 1] -
+                     prefix[std::max(lo, 0)] +
+                     std::uint32_t(std::max(-lo, 0)) * first +
+                     std::uint32_t(std::max(hi - (w - 1), 0)) * last;
+        }
+    }
+    std::vector<std::uint32_t> cost(w);
+    for (int y = int(y0); y < int(y1); ++y) {
+        std::fill(cost.begin(), cost.end(), 0);
+        for (int dy = -r; dy <= r; ++dy) {
+            const std::uint32_t *row =
+                &hsum[std::size_t(std::clamp(y + dy, 0, h - 1) - ya) * w];
+            for (int x = 0; x < w; ++x)
+                cost[x] += row[x];
+        }
+        for (int x = 0; x < w; ++x) {
+            std::size_t i = std::size_t(y) * w + x;
+            if (cost[x] < best_cost[i]) {
+                best_cost[i] = cost[x];
                 best_shift[i] = std::uint8_t(shift);
             }
         }
@@ -181,8 +206,8 @@ dpuDisparity(const soc::SocParams &params, const DisparityConfig &cfg)
                     c.cycles(blen / 16);
                 });
 
-                disparityBand(st, cfg, y0, y1, {}, best_cost,
-                              best_shift, shift);
+                disparityBand(st, cfg, y0, y1, best_cost, best_shift,
+                              shift);
 
                 // Cost model: separable box SAD via running sums —
                 // abs-diff + 2 incremental adds + compare/update,
@@ -239,8 +264,7 @@ xeonDisparity(const DisparityConfig &cfg)
 
     xeon::XeonModel m;
     for (unsigned shift = 0; shift < cfg.maxShift; ++shift) {
-        disparityBand(st, cfg, 0, st.h, {}, best_cost, best_shift,
-                      shift);
+        disparityBand(st, cfg, 0, st.h, best_cost, best_shift, shift);
         // SD-VBS-style full-image passes per shift: read both
         // images, read+write the 4 B cost map and 1 B argmin map;
         // AVX2 integer abs-diff + running sums.

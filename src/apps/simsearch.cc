@@ -31,15 +31,26 @@ static_assert(sizeof(Posting) == 8);
 struct Index
 {
     std::uint32_t nDocs = 0, nTiles = 0, vocab = 0;
-    /** Postings, tile-major; tileStart[t]..tileStart[t+1]. */
+    /** Postings, tile-major; tileStart[t]..tileStart[t+1]. Within a
+     *  tile they are sorted by (term, local doc), so one term's
+     *  postings form one range (see termRange). */
     std::vector<Posting> postings;
     std::vector<std::uint32_t> tileStart;
-    /** Within a tile, postings sorted by term; per-(tile,term)
-     *  ranges for the naive/Xeon useful-only access pattern. */
-    std::map<std::pair<std::uint32_t, std::uint16_t>,
-             std::pair<std::uint32_t, std::uint32_t>>
-        termRange;
 };
+
+/** [first, last) of tile @p t's postings of @p term, as indices into
+ *  ix.postings; empty if the tile lacks the term. The naive DMS and
+ *  Xeon useful-only access patterns fetch exactly this range. */
+std::pair<std::uint32_t, std::uint32_t>
+termRange(const Index &ix, std::uint32_t t, std::uint16_t term)
+{
+    const auto base = ix.postings.begin();
+    const auto hit = std::ranges::equal_range(
+        base + ix.tileStart[t], base + ix.tileStart[t + 1], term, {},
+        &Posting::term);
+    return {std::uint32_t(hit.begin() - base),
+            std::uint32_t(hit.end() - base)};
+}
 
 struct Query
 {
@@ -55,38 +66,31 @@ makeIndex(const SimSearchConfig &cfg, sim::Rng &rng)
     ix.vocab = cfg.vocab;
     util::Zipf zipf(cfg.vocab, cfg.zipf);
 
-    std::vector<std::vector<Posting>> per_tile(ix.nTiles);
-    for (std::uint32_t d = 0; d < cfg.nDocs; ++d) {
-        std::uint32_t t = d / tileDocs;
-        unsigned n = cfg.avgTermsPerDoc / 2 +
-                     unsigned(rng.below(cfg.avgTermsPerDoc));
-        for (unsigned k = 0; k < n; ++k) {
-            Posting p;
-            p.term = std::uint16_t(zipf.sample(rng));
-            p.docLocal = std::uint16_t(d % tileDocs);
-            p.weight =
-                Fx22::fromDouble(0.05 + rng.uniform() * 0.9).raw();
-            per_tile[t].push_back(p);
-        }
-    }
-
+    // Documents arrive in tile order, so each tile's postings are
+    // appended contiguously and then sorted in place.
+    ix.postings.reserve(std::size_t(cfg.nDocs) * cfg.avgTermsPerDoc);
     ix.tileStart.push_back(0);
     for (std::uint32_t t = 0; t < ix.nTiles; ++t) {
-        auto &v = per_tile[t];
-        std::sort(v.begin(), v.end(),
+        const std::uint32_t d_end = std::min(cfg.nDocs, (t + 1) * tileDocs);
+        for (std::uint32_t d = t * tileDocs; d < d_end; ++d) {
+            unsigned n = cfg.avgTermsPerDoc / 2 +
+                         unsigned(rng.below(cfg.avgTermsPerDoc));
+            for (unsigned k = 0; k < n; ++k) {
+                Posting p;
+                p.term = std::uint16_t(zipf.sample(rng));
+                p.docLocal = std::uint16_t(d % tileDocs);
+                p.weight =
+                    Fx22::fromDouble(0.05 + rng.uniform() * 0.9).raw();
+                ix.postings.push_back(p);
+            }
+        }
+        std::sort(ix.postings.begin() + ix.tileStart[t],
+                  ix.postings.end(),
                   [](const Posting &a, const Posting &b) {
                       return a.term != b.term ? a.term < b.term
                                               : a.docLocal <
                                                     b.docLocal;
                   });
-        std::uint32_t base = std::uint32_t(ix.postings.size());
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            std::uint32_t at = base + std::uint32_t(i);
-            if (i == 0 || v[i].term != v[i - 1].term)
-                ix.termRange[{t, v[i].term}] = {at, at};
-            ix.termRange[{t, v[i].term}].second = at + 1;
-        }
-        ix.postings.insert(ix.postings.end(), v.begin(), v.end());
         ix.tileStart.push_back(std::uint32_t(ix.postings.size()));
     }
     return ix;
@@ -168,16 +172,31 @@ finish(SimSearchResult &r, const SimSearchConfig &cfg,
     }
 }
 
-} // namespace
+/** One run's generated inputs: the index and the query batch's term
+ *  map, drawn from one Rng{cfg.seed} in that order. Both the DPU run
+ *  and the Xeon model read them; neither holds an answer. */
+struct Inputs
+{
+    Index ix;
+    TermMap tm;
+};
 
-SimSearchResult
-dpuSimSearch(const soc::SocParams &params, const SimSearchConfig &cfg)
+Inputs
+makeInputs(const SimSearchConfig &cfg)
 {
     sim::Rng rng{cfg.seed};
-    Index ix = makeIndex(cfg, rng);
-    auto queries = makeQueries(cfg, rng);
-    TermMap tm = buildTermMap(queries);
+    Inputs inputs;
+    inputs.ix = makeIndex(cfg, rng);
+    inputs.tm = buildTermMap(makeQueries(cfg, rng));
+    return inputs;
+}
 
+SimSearchResult
+runDpu(const soc::SocParams &params, const SimSearchConfig &cfg,
+       const Inputs &inputs)
+{
+    const Index &ix = inputs.ix;
+    const TermMap &tm = inputs.tm;
     const std::uint64_t bytes = ix.postings.size() * sizeof(Posting);
     soc::Soc s(params);
     s.memory().store().write(0, ix.postings.data(), bytes);
@@ -239,11 +258,10 @@ dpuSimSearch(const soc::SocParams &params, const SimSearchConfig &cfg)
                     const std::uint32_t total =
                         std::uint32_t(ix.postings.size());
                     for (auto &[term, lst] : tm) {
-                        auto itr = ix.termRange.find(
-                            {std::uint32_t(t), term});
-                        if (itr == ix.termRange.end())
+                        auto [a, b] =
+                            termRange(ix, std::uint32_t(t), term);
+                        if (a == b)
                             continue;
-                        auto [a, b] = itr->second;
                         std::uint32_t fetch = std::min(
                             buf_rows, total - a);
                         ctl.ddrToDmem()
@@ -286,13 +304,9 @@ dpuSimSearch(const soc::SocParams &params, const SimSearchConfig &cfg)
 }
 
 SimSearchResult
-xeonSimSearch(const SimSearchConfig &cfg)
+runXeon(const SimSearchConfig &cfg, const Inputs &inputs)
 {
-    sim::Rng rng{cfg.seed};
-    Index ix = makeIndex(cfg, rng);
-    auto queries = makeQueries(cfg, rng);
-    TermMap tm = buildTermMap(queries);
-
+    const Index &ix = inputs.ix;
     Scores sc;
     sc.acc.assign(cfg.nQueries,
                   std::vector<std::int64_t>(cfg.nDocs, 0));
@@ -302,11 +316,8 @@ xeonSimSearch(const SimSearchConfig &cfg)
     std::uint64_t useful = 0;
     std::uint64_t updates = 0;
     for (std::uint32_t t = 0; t < ix.nTiles; ++t) {
-        for (auto &[term, lst] : tm) {
-            auto itr = ix.termRange.find({t, term});
-            if (itr == ix.termRange.end())
-                continue;
-            auto [a, b] = itr->second;
+        for (auto &[term, lst] : inputs.tm) {
+            auto [a, b] = termRange(ix, t, term);
             useful += std::uint64_t(b - a) * sizeof(Posting);
             for (std::uint32_t i = a; i < b; ++i) {
                 const Posting &po = ix.postings[i];
@@ -334,11 +345,28 @@ xeonSimSearch(const SimSearchConfig &cfg)
     return r;
 }
 
+} // namespace
+
+SimSearchResult
+dpuSimSearch(const soc::SocParams &params, const SimSearchConfig &cfg)
+{
+    return runDpu(params, cfg, makeInputs(cfg));
+}
+
+SimSearchResult
+xeonSimSearch(const SimSearchConfig &cfg)
+{
+    return runXeon(cfg, makeInputs(cfg));
+}
+
 AppResult
 simSearchApp(const SimSearchConfig &cfg)
 {
-    SimSearchResult d = dpuSimSearch(soc::dpu40nm(), cfg);
-    SimSearchResult x = xeonSimSearch(cfg);
+    // One index per run: the DPU full scan and the Xeon term-range
+    // SpMM score the same generated input independently.
+    const Inputs inputs = makeInputs(cfg);
+    SimSearchResult d = runDpu(soc::dpu40nm(), cfg, inputs);
+    SimSearchResult x = runXeon(cfg, inputs);
     AppResult r;
     r.name = cfg.naiveDms ? "SimSearch (naive DMS)"
                           : "Similarity search";

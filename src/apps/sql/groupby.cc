@@ -34,14 +34,26 @@ makeWorkload(const GroupByConfig &cfg)
     return w;
 }
 
-/** Reference aggregation for validation and the Xeon baselines. */
-std::map<std::uint32_t, std::uint64_t>
-referenceGroups(const Workload &w)
+/** Add one (key, sum) to a dense GroupByResult::groups table; a key
+ *  outside [0, ndv) bumps the overflow slot instead. */
+void
+addGroup(std::vector<std::uint64_t> &groups, std::uint32_t key,
+         std::uint64_t sum)
 {
-    std::map<std::uint32_t, std::uint64_t> m;
+    if (key < groups.size() - 1)
+        groups[key] += sum;
+    else
+        ++groups.back();
+}
+
+/** Reference aggregation for validation and the Xeon baselines. */
+std::vector<std::uint64_t>
+referenceGroups(const GroupByConfig &cfg, const Workload &w)
+{
+    std::vector<std::uint64_t> groups(std::size_t(cfg.ndv) + 1, 0);
     for (std::size_t i = 0; i < w.keys.size(); ++i)
-        m[w.keys[i]] += w.vals[i];
-    return m;
+        addGroup(groups, w.keys[i], w.vals[i]);
+    return groups;
 }
 
 /** DMEM layout shared by the group-by kernels. */
@@ -174,10 +186,10 @@ dpuGroupByLowNdv(const soc::SocParams &params, const GroupByConfig &cfg)
     GroupByResult r;
     r.seconds = double(t) * 1e-12;
     r.rows = n;
-    auto sums = unstage<std::uint64_t>(s, res_base, cfg.ndv);
-    for (std::uint32_t k = 0; k < cfg.ndv; ++k)
-        if (sums[k])
-            r.groups[k] = sums[k];
+    // The merged table is already dense; append the overflow slot
+    // (no key can fall outside it).
+    r.groups = unstage<std::uint64_t>(s, res_base, cfg.ndv);
+    r.groups.push_back(0);
     return r;
 }
 
@@ -186,7 +198,7 @@ xeonGroupByLowNdv(const GroupByConfig &cfg)
 {
     Workload w = makeWorkload(cfg);
     GroupByResult r;
-    r.groups = referenceGroups(w);
+    r.groups = referenceGroups(cfg, w);
     r.rows = cfg.nRows;
 
     xeon::XeonModel m;
@@ -477,6 +489,7 @@ dpuGroupByHighNdv(const soc::SocParams &params,
     GroupByResult r;
     r.seconds = double(t) * 1e-12;
     r.rows = n;
+    r.groups.assign(std::size_t(cfg.ndv) + 1, 0);
     for (unsigned j = 0; j < n_parts; ++j) {
         mem::Addr base = res_base + j * res_region;
         std::uint32_t groups =
@@ -486,7 +499,7 @@ dpuGroupByHighNdv(const soc::SocParams &params,
                 base + 4 + g * 8);
             std::uint32_t v = s.memory().store().load<std::uint32_t>(
                 base + 4 + g * 8 + 4);
-            r.groups[k] += v;
+            addGroup(r.groups, k, v);
         }
     }
     return r;
@@ -497,7 +510,7 @@ xeonGroupByHighNdv(const GroupByConfig &cfg)
 {
     Workload w = makeWorkload(cfg);
     GroupByResult r;
-    r.groups = referenceGroups(w);
+    r.groups = referenceGroups(cfg, w);
     r.rows = cfg.nRows;
 
     xeon::XeonModel m;

@@ -25,7 +25,7 @@
 #define DPU_APPS_SQL_GROUPBY_HH
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "apps/common.hh"
 
@@ -45,8 +45,10 @@ struct GroupByResult
 {
     double seconds = 0;
     std::uint64_t rows = 0;
-    /** group key -> sum (for cross-validation). */
-    std::map<std::uint32_t, std::uint64_t> groups;
+    /** Per-key sums for cross-validation: groups[k] is key k's sum
+     *  for k < ndv; the last slot, groups[ndv], counts the keys seen
+     *  outside [0, ndv), so one stray key breaks equality. */
+    std::vector<std::uint64_t> groups;
 
     double gbPerSec() const { return rows * 8.0 / seconds / 1e9; }
 };

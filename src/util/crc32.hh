@@ -35,6 +35,32 @@ makeCrcTable()
 
 inline constexpr auto crcTable = makeCrcTable();
 
+/** Slicing tables: slice[k][b] is the CRC state after byte b is
+ *  followed by k zero bytes, so a word's bytes fold in one step. */
+constexpr std::array<std::array<std::uint32_t, 256>, 8>
+makeSliceTables()
+{
+    std::array<std::array<std::uint32_t, 256>, 8> slice{};
+    slice[0] = crcTable;
+    for (std::size_t k = 1; k < slice.size(); ++k)
+        for (std::uint32_t i = 0; i < 256; ++i)
+            slice[k][i] = (slice[k - 1][i] >> 8) ^
+                          crcTable[slice[k - 1][i] & 0xff];
+    return slice;
+}
+
+inline constexpr auto crcSlice = makeSliceTables();
+
+/** Fold the four little-endian bytes of @p w, the last of them
+ *  followed by @p k zero bytes. */
+constexpr std::uint32_t
+foldWord(std::uint32_t w, std::size_t k)
+{
+    return crcSlice[k + 3][w & 0xff] ^
+           crcSlice[k + 2][(w >> 8) & 0xff] ^
+           crcSlice[k + 1][(w >> 16) & 0xff] ^ crcSlice[k][w >> 24];
+}
+
 } // namespace detail
 
 /** Incrementally extend a CRC32 over @p len bytes. */
@@ -55,18 +81,21 @@ crc32(const void *data, std::size_t len)
     return crc32Update(0, data, len);
 }
 
-/** CRC32 of a single little-endian 32-bit key (the hot DMS path). */
-inline std::uint32_t
+/** CRC32 of a single little-endian 32-bit key (the hot DMS path):
+ *  crc32(&key, 4) in four independent table lookups. */
+constexpr std::uint32_t
 crc32Key(std::uint32_t key)
 {
-    return crc32(&key, sizeof(key));
+    return ~detail::foldWord(~key, 0);
 }
 
-/** CRC32 of a single little-endian 64-bit key. */
-inline std::uint32_t
+/** CRC32 of a single little-endian 64-bit key: crc32(&key, 8) in
+ *  eight independent table lookups. */
+constexpr std::uint32_t
 crc32Key64(std::uint64_t key)
 {
-    return crc32(&key, sizeof(key));
+    return ~(detail::foldWord(~std::uint32_t(key), 4) ^
+             detail::foldWord(std::uint32_t(key >> 32), 0));
 }
 
 } // namespace dpu::util

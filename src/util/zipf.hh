@@ -3,7 +3,8 @@
  * Zipf-distributed sampling for workload generators (term frequencies
  * in the similarity-search index, hot keys in the rack's arrival
  * traces). Uses the classic inverse-CDF-over-partial-harmonic table
- * for exact sampling with O(log n) draws.
+ * for exact sampling, with a guide table that narrows each draw's
+ * binary search to the ranks one 1/4096 slice of [0, 1) can reach.
  */
 
 #ifndef DPU_UTIL_ZIPF_HH
@@ -24,7 +25,7 @@ namespace dpu::util {
 class Zipf
 {
   public:
-    Zipf(std::size_t n, double s) : cdf(n)
+    Zipf(std::size_t n, double s) : cdf(n), guide(guideSize + 1)
     {
         sim_assert(n >= 1, "zipf sampler needs a non-empty key space");
         sim_assert(s >= 0, "zipf exponent must be non-negative");
@@ -35,14 +36,27 @@ class Zipf
         }
         for (auto &c : cdf)
             c /= sum;
+        // guide[j] = lower_bound(cdf, j / guideSize). The power-of-two
+        // size makes j / guideSize and u * guideSize exact, so a draw
+        // u in slice j has its lower_bound in [guide[j], guide[j+1]].
+        std::size_t k = 0;
+        for (std::size_t j = 0; j <= guideSize; ++j) {
+            const double at = double(j) / guideSize;
+            while (k < n && cdf[k] < at)
+                ++k;
+            guide[j] = k;
+        }
     }
 
-    /** Draw one rank (one rng.uniform()). */
+    /** Draw one rank (one rng.uniform()): the first rank whose CDF
+     *  reaches the draw. */
     std::size_t
     sample(sim::Rng &rng) const
     {
-        const auto it =
-            std::lower_bound(cdf.begin(), cdf.end(), rng.uniform());
+        const double u = rng.uniform();
+        const std::size_t j = std::size_t(u * guideSize);
+        const auto it = std::lower_bound(cdf.begin() + guide[j],
+                                         cdf.begin() + guide[j + 1], u);
         return it == cdf.end() ? cdf.size() - 1
                                : std::size_t(it - cdf.begin());
     }
@@ -57,7 +71,10 @@ class Zipf
     std::size_t size() const { return cdf.size(); }
 
   private:
+    static constexpr std::size_t guideSize = 4096;
+
     std::vector<double> cdf;
+    std::vector<std::size_t> guide;
 };
 
 } // namespace dpu::util

@@ -25,6 +25,7 @@ TEST(GroupByApp, LowNdvGainNearPaper)
 {
     AppResult r = runApp("groupby-low",
                          {{"nRows", "1048576"}, {"ndv", "256"}});
+    EXPECT_TRUE(r.matched);
     // Figure 14: 6.7x. Both sides bandwidth-bound; the gain is the
     // bandwidth-per-watt ratio.
     EXPECT_GT(r.gain(), 4.5);
@@ -44,6 +45,8 @@ TEST(GroupByApp, HighNdvGainExceedsLowNdv)
                           {{"nRows", "1048576"}, {"ndv", "256"}});
     AppResult rh = runApp("groupby-high",
                           {{"nRows", "1048576"}, {"ndv", "262144"}});
+    EXPECT_TRUE(rl.matched);
+    EXPECT_TRUE(rh.matched);
     // Figure 14: 9.7x vs 6.7x — one hardware round beats two
     // software rounds.
     EXPECT_GT(rh.gain(), rl.gain());

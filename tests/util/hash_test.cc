@@ -1,7 +1,8 @@
 /**
  * @file
  * Vector tests for CRC32 (against the published IEEE 802.3 check
- * value) and MurmurHash64A (self-consistency and avalanche sanity),
+ * value, and the sliced key hashes against the buffer CRC) and
+ * MurmurHash64A (self-consistency and avalanche sanity),
  * plus distribution checks the DMS partitioner depends on.
  */
 
@@ -45,8 +46,21 @@ TEST(Crc32, IncrementalMatchesOneShot)
 
 TEST(Crc32, KeyHashMatchesBufferHash)
 {
-    std::uint32_t key = 0xdeadbeef;
-    EXPECT_EQ(crc32Key(key), crc32(&key, 4));
+    // The sliced key hashes must equal the byte-wise buffer CRC, for
+    // the low 32 bits and for the whole 64-bit key.
+    auto matches = [](std::uint64_t k) {
+        const std::uint32_t k32 = std::uint32_t(k);
+        return crc32Key(k32) == crc32(&k32, 4) &&
+               crc32Key64(k) == crc32(&k, 8);
+    };
+    std::vector<std::uint64_t> keys = {0, ~0ull, 0xdeadbeef};
+    for (int b = 0; b < 64; ++b)
+        keys.push_back(1ull << b);
+    dpu::sim::Rng rng(2024);
+    for (int i = 0; i < 1'000'000; ++i)
+        keys.push_back(rng.next());
+    for (std::uint64_t k : keys)
+        ASSERT_TRUE(matches(k)) << std::hex << k;
 }
 
 TEST(Crc32, RadixBitsAreBalanced)
