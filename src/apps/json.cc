@@ -2,6 +2,8 @@
 
 #include "apps/entry.hh"
 
+#include <charconv>
+#include <string_view>
 #include <vector>
 
 #include "rt/dms_ctl.hh"
@@ -12,44 +14,64 @@ namespace dpu::apps {
 namespace jsondetail {
 
 /** Newline-delimited lineitem-shaped records (Section 5.5). */
-std::string
+Records
 makeRecords(const JsonConfig &cfg)
 {
-    static const char *words[] = {"quick", "silent", "ironic",
-                                  "final", "pending", "express",
-                                  "deposits", "accounts", "theodolites",
-                                  "platelets"};
+    static constexpr std::string_view words[] = {
+        "quick",   "silent",   "ironic",   "final",       "pending",
+        "express", "deposits", "accounts", "theodolites", "platelets"};
     sim::Rng rng{cfg.seed};
-    std::string out;
-    out.reserve(std::size_t(cfg.nRecords) * 180);
-    char buf[64];
+    Records out;
+    std::string &text = out.text;
+    text.reserve(std::size_t(cfg.nRecords) * 180);
+    const auto number = [&text](std::uint64_t v) {
+        char buf[20];
+        text.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    };
+    const auto twoDigits = [&text](std::uint64_t v) {
+        text += char('0' + v / 10);
+        text += char('0' + v % 10);
+    };
     for (std::uint32_t r = 0; r < cfg.nRecords; ++r) {
-        out += "{\"orderkey\":";
-        out += std::to_string(r + 1);
-        out += ",\"partkey\":";
-        out += std::to_string(rng.below(200000) + 1);
-        out += ",\"quantity\":";
-        out += std::to_string(rng.below(50) + 1);
-        out += ",\"price\":";
-        std::snprintf(buf, sizeof(buf), "%llu.%02llu",
-                      (unsigned long long)(rng.below(90000) + 1000),
-                      (unsigned long long)rng.below(100));
-        out += buf;
-        out += ",\"shipdate\":\"19";
-        std::snprintf(buf, sizeof(buf), "%02llu-%02llu-%02llu",
-                      (unsigned long long)(92 + rng.below(7)) % 100,
-                      (unsigned long long)rng.below(12) + 1,
-                      (unsigned long long)rng.below(28) + 1);
-        out += buf;
-        out += "\",\"comment\":\"";
+        // The draw order is part of the input: cents before
+        // dollars, and the ship date's day, month, then year.
+        const std::uint64_t orderkey = r + 1;
+        const std::uint64_t partkey = rng.below(200000) + 1;
+        const std::uint64_t quantity = rng.below(50) + 1;
+        const std::uint64_t cents = rng.below(100);
+        const std::uint64_t dollars = rng.below(90000) + 1000;
+        const std::uint64_t day = rng.below(28) + 1;
+        const std::uint64_t month = rng.below(12) + 1;
+        const std::uint64_t year = 92 + rng.below(7);
+
+        text += "{\"orderkey\":";
+        number(orderkey);
+        text += ",\"partkey\":";
+        number(partkey);
+        text += ",\"quantity\":";
+        number(quantity);
+        text += ",\"price\":";
+        number(dollars);
+        text += '.';
+        twoDigits(cents);
+        text += ",\"shipdate\":\"19";
+        twoDigits(year);
+        text += '-';
+        twoDigits(month);
+        text += '-';
+        twoDigits(day);
+        text += "\",\"comment\":\"";
         unsigned n = 2 + unsigned(rng.below(4));
         for (unsigned w = 0; w < n; ++w) {
             if (w)
-                out += ' ';
-            out += words[rng.below(10)];
+                text += ' ';
+            text += words[rng.below(10)];
         }
-        out += "\"}\n";
+        text += "\"}\n";
+        out.tally.intSum += orderkey + partkey + quantity + dollars;
     }
+    out.tally.records = cfg.nRecords;
+    out.tally.fields = 6 * std::uint64_t(cfg.nRecords);
     return out;
 }
 
@@ -127,7 +149,7 @@ constexpr std::uint32_t padBytes = 1024; // Section 5.5's padding
 JsonResult
 dpuJson(const soc::SocParams &params, const JsonConfig &cfg)
 {
-    std::string text = makeRecords(cfg);
+    const std::string text = makeRecords(cfg).text;
     const std::uint64_t bytes = text.size();
     soc::Soc s(params);
     s.memory().store().write(0, text.data(), bytes);
@@ -214,7 +236,7 @@ dpuJson(const soc::SocParams &params, const JsonConfig &cfg)
 JsonResult
 xeonJson(const JsonConfig &cfg)
 {
-    std::string text = makeRecords(cfg);
+    const std::string text = makeRecords(cfg).text;
     JsonResult r;
     r.bytes = text.size();
     r.tally = parseSpan(text.data(), text.size());

@@ -59,8 +59,17 @@ struct JsonResult
 
 /** Internals shared with the serving kernel (apps/serving.cc). */
 namespace jsondetail {
+/** Generated text plus the tally it was written with. */
+struct Records
+{
+    std::string text;
+    /** Counted while writing, not parsed: every record has 6
+     *  fields, and intSum adds orderkey, partkey, quantity and the
+     *  price's integer part. */
+    JsonTally tally;
+};
 /** The synthetic record generator both platforms parse. */
-std::string makeRecords(const JsonConfig &cfg);
+Records makeRecords(const JsonConfig &cfg);
 /** The shared FSM tally over [p, p+len). */
 JsonTally parseSpan(const char *p, std::uint64_t len);
 } // namespace jsondetail

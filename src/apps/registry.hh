@@ -49,10 +49,11 @@ struct ServingContext
 /**
  * One dispatched request, instantiated on a core group. stage()
  * runs host-side before dispatch (places inputs in DDR through the
- * backing store); lane() is the kernel body executed on core
- * baseCore+lane for every lane; validate() runs host-side after all
- * lanes acked and checks the outputs (again via the backing store,
- * which DMS writes reach directly).
+ * backing store, and computes from them the answer validate() will
+ * expect); lane() is the kernel body executed on core baseCore+lane
+ * for every lane; validate() runs host-side after all lanes acked
+ * and checks the outputs (again via the backing store, which DMS
+ * writes reach directly).
  */
 struct ServingJob
 {

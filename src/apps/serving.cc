@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "rt/dms_ctl.hh"
@@ -12,6 +14,25 @@
 #include "util/murmur64.hh"
 
 namespace dpu::apps::serving {
+
+// Every job generates its input once, in stage(), and from that same
+// buffer computes the answer its lanes must leave in DDR. The answer
+// is all a job keeps while in flight; validate() reads the lanes'
+// output back and compares.
+
+namespace {
+
+/** Sum of the one result word each lane dumps at @p base. */
+std::uint64_t
+sumLaneWords(soc::Soc &s, mem::Addr base, unsigned n_lanes)
+{
+    std::uint64_t sum = 0;
+    for (std::uint64_t w : unstage<std::uint64_t>(s, base, n_lanes))
+        sum += w;
+    return sum;
+}
+
+} // namespace
 
 // ----------------------------------------------------------------
 // SQL filter: FILT scan over a uint32 column slice
@@ -33,18 +54,22 @@ filterJob(const sql::FilterConfig &cfg, const ServingContext &ctx)
 
     soc::Soc *s = ctx.soc;
     const std::uint64_t seed = ctx.seed ^ cfg.seed;
-    auto column = [=] {
-        sim::Rng rng{seed};
-        std::vector<std::uint32_t> v(rows);
-        for (auto &x : v)
-            x = std::uint32_t(rng.below(1000));
-        return v;
-    };
+    auto want = std::make_shared<std::uint64_t>(0); // rows passing
 
     ServingJob job;
     job.workUnits = double(rows);
     job.unitName = "tuples";
-    job.stage = [=] { stage(*s, data_base, column()); };
+    job.stage = [=] {
+        sim::Rng rng{seed};
+        std::vector<std::uint32_t> v(rows);
+        std::uint64_t passed = 0;
+        for (auto &x : v) {
+            x = std::uint32_t(rng.below(1000));
+            passed += x >= cfg.lo && x <= cfg.hi;
+        }
+        stage(*s, data_base, v);
+        *want = passed;
+    };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(rows, ctx.nLanes, lane);
         if (!sl.count)
@@ -65,15 +90,7 @@ filterJob(const sql::FilterConfig &cfg, const ServingContext &ctx)
                   8);
     };
     job.validate = [=] {
-        auto v = column();
-        std::uint64_t expect = 0;
-        for (std::uint32_t x : v)
-            expect += (x >= cfg.lo && x <= cfg.hi);
-        std::uint64_t got = 0;
-        for (unsigned l = 0; l < ctx.nLanes; ++l)
-            got += unstage<std::uint64_t>(*s, res_base + l * 8,
-                                          1)[0];
-        return got == expect;
+        return sumLaneWords(*s, res_base, ctx.nLanes) == *want;
     };
     return job;
 }
@@ -98,20 +115,24 @@ groupByJob(const sql::GroupByConfig &cfg, const ServingContext &ctx)
 
     soc::Soc *s = ctx.soc;
     const std::uint64_t seed = ctx.seed ^ cfg.seed;
-    auto table = [=] {
-        sim::Rng rng{seed};
-        std::vector<std::uint32_t> v(rows * 2);
-        for (std::uint64_t r = 0; r < rows; ++r) {
-            v[r * 2] = std::uint32_t(rng.below(cfg.ndv));
-            v[r * 2 + 1] = std::uint32_t(rng.below(1 << 16));
-        }
-        return v;
-    };
+    // Per-key sums over every lane.
+    auto want = std::make_shared<std::vector<std::uint64_t>>();
 
     ServingJob job;
     job.workUnits = double(rows);
     job.unitName = "rows";
-    job.stage = [=] { stage(*s, data_base, table()); };
+    job.stage = [=] {
+        sim::Rng rng{seed};
+        std::vector<std::uint32_t> v(rows * 2);
+        std::vector<std::uint64_t> sums(cfg.ndv, 0);
+        for (std::uint64_t r = 0; r < rows; ++r) {
+            v[r * 2] = std::uint32_t(rng.below(cfg.ndv));
+            v[r * 2 + 1] = std::uint32_t(rng.below(1 << 16));
+            sums[v[r * 2]] += v[r * 2 + 1];
+        }
+        stage(*s, data_base, v);
+        *want = std::move(sums);
+    };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(rows, ctx.nLanes, lane);
         if (!sl.count)
@@ -144,19 +165,13 @@ groupByJob(const sql::GroupByConfig &cfg, const ServingContext &ctx)
                   tab_bytes);
     };
     job.validate = [=] {
-        auto v = table();
-        std::vector<std::uint64_t> expect(cfg.ndv, 0);
-        for (std::uint64_t r = 0; r < rows; ++r)
-            expect[v[r * 2]] += v[r * 2 + 1];
+        const auto tables = unstage<std::uint64_t>(
+            *s, res_base, std::size_t(ctx.nLanes) * cfg.ndv);
         std::vector<std::uint64_t> got(cfg.ndv, 0);
-        for (unsigned l = 0; l < ctx.nLanes; ++l) {
-            auto part = unstage<std::uint64_t>(
-                *s, res_base + std::uint64_t(l) * tab_bytes,
-                cfg.ndv);
+        for (std::size_t at = 0; at < tables.size(); at += cfg.ndv)
             for (std::uint32_t g = 0; g < cfg.ndv; ++g)
-                got[g] += part[g];
-        }
-        return got == expect;
+                got[g] += tables[at + g];
+        return got == *want;
     };
     return job;
 }
@@ -180,11 +195,36 @@ hllJob(const HllConfig &cfg, const ServingContext &ctx)
     soc::Soc *s = ctx.soc;
     HllConfig gen = cfg;
     gen.seed = ctx.seed ^ cfg.seed;
+    // Every lane's register file, laid out as the lanes dump them.
+    auto want = std::make_shared<std::vector<std::uint8_t>>();
 
     ServingJob job;
     job.workUnits = double(n);
     job.unitName = "elements";
-    job.stage = [=] { stage(*s, data_base, hlldetail::makeElements(gen)); };
+    job.stage = [=] {
+        const auto data = hlldetail::makeElements(gen);
+        stage(*s, data_base, data);
+        want->clear();
+        std::vector<std::uint8_t> regs;
+        for (unsigned l = 0; l < ctx.nLanes; ++l) {
+            Slice sl = laneSlice(n, ctx.nLanes, l);
+            regs.assign(m, 0);
+            for (std::uint64_t i = 0; i < sl.count; ++i) {
+                std::uint64_t e = data[sl.begin + i];
+                std::uint64_t h;
+                if (cfg.hash == HllHash::Crc32) {
+                    std::uint32_t lo = util::crc32Key64(e);
+                    std::uint32_t hi =
+                        util::crc32Key(lo ^ std::uint32_t(e >> 32));
+                    h = (std::uint64_t(hi) << 32) | lo;
+                } else {
+                    h = util::murmur64Key(e);
+                }
+                hlldetail::update(h, cfg.pBits, cfg.useNtz, regs);
+            }
+            want->insert(want->end(), regs.begin(), regs.end());
+        }
+    };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(n, ctx.nLanes, lane);
         if (!sl.count)
@@ -230,38 +270,19 @@ hllJob(const HllConfig &cfg, const ServingContext &ctx)
                   res_base + std::uint64_t(lane) * m, m);
     };
     job.validate = [=] {
-        auto data = hlldetail::makeElements(gen);
-        bool ok = true;
-        std::vector<std::uint8_t> merged(m, 0);
-        for (unsigned l = 0; l < ctx.nLanes; ++l) {
-            Slice sl = laneSlice(n, ctx.nLanes, l);
-            std::vector<std::uint8_t> regs(m, 0);
-            for (std::uint64_t i = 0; i < sl.count; ++i) {
-                std::uint64_t e = data[sl.begin + i];
-                std::uint64_t h;
-                if (cfg.hash == HllHash::Crc32) {
-                    std::uint32_t lo = util::crc32Key64(e);
-                    std::uint32_t hi =
-                        util::crc32Key(lo ^ std::uint32_t(e >> 32));
-                    h = (std::uint64_t(hi) << 32) | lo;
-                } else {
-                    h = util::murmur64Key(e);
-                }
-                hlldetail::update(h, cfg.pBits, cfg.useNtz, regs);
-            }
-            auto got = unstage<std::uint8_t>(
-                *s, res_base + std::uint64_t(l) * m, m);
-            ok = ok && got == regs;
-            for (std::uint32_t i = 0; i < m; ++i)
-                merged[i] = std::max(merged[i], regs[i]);
-        }
+        if (unstage<std::uint8_t>(*s, res_base, want->size()) != *want)
+            return false;
         // The merged sketch must also estimate the true
         // cardinality within the usual HLL error band.
+        std::vector<std::uint8_t> merged(m, 0);
+        for (std::size_t at = 0; at < want->size(); at += m)
+            for (std::uint32_t i = 0; i < m; ++i)
+                merged[i] = std::max(merged[i], (*want)[at + i]);
         double err =
             std::abs(hlldetail::estimate(merged) -
                      double(cfg.cardinality)) /
             double(cfg.cardinality);
-        return ok && err < 0.1;
+        return err < 0.1;
     };
     return job;
 }
@@ -276,10 +297,11 @@ jsonJob(const JsonConfig &cfg, const ServingContext &ctx)
     JsonConfig gen = cfg;
     gen.seed = ctx.seed ^ cfg.seed;
     // Generate once at job-build time: the text's size fixes the
-    // chunking and every lane's slice.
-    auto text = std::make_shared<std::string>(
-        jsondetail::makeRecords(gen));
-    const std::uint64_t bytes = text->size();
+    // chunking and every lane's slice. The answer is the tally the
+    // generator wrote, not a parse of the text.
+    jsondetail::Records recs = jsondetail::makeRecords(gen);
+    const std::uint64_t bytes = recs.text.size();
+    const JsonTally want = recs.tally;
     constexpr std::uint32_t pad = 1024; // Section 5.5's padding
     const mem::Addr data_base = ctx.arena;
     const mem::Addr res_base = ctx.arena + alignUp(bytes + pad, 64);
@@ -294,8 +316,12 @@ jsonJob(const JsonConfig &cfg, const ServingContext &ctx)
     ServingJob job;
     job.workUnits = double(bytes);
     job.unitName = "bytes";
-    job.stage = [=] {
-        s->memory().store().write(data_base, text->data(), bytes);
+    // Staging hands the text to DDR and drops the host copy.
+    job.stage = [s, data_base, bytes,
+                 text = std::move(recs.text)]() mutable {
+        sim_assert(text.size() == bytes, "JSON job staged twice");
+        s->memory().store().write(data_base, text.data(), bytes);
+        std::string().swap(text);
     };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         rt::DmsCtl ctl(c, s->dmsFor(c.id()));
@@ -344,17 +370,15 @@ jsonJob(const JsonConfig &cfg, const ServingContext &ctx)
         dumpToDdr(ctl, out_off, res_base + lane * 24, 24);
     };
     job.validate = [=] {
-        JsonTally expect =
-            jsondetail::parseSpan(text->data(), bytes);
+        const auto w = unstage<std::uint64_t>(
+            *s, res_base, std::size_t(ctx.nLanes) * 3);
         JsonTally got;
-        for (unsigned l = 0; l < ctx.nLanes; ++l) {
-            auto w =
-                unstage<std::uint64_t>(*s, res_base + l * 24, 3);
-            got.records += w[0];
-            got.fields += w[1];
-            got.intSum += w[2];
+        for (std::size_t i = 0; i < w.size(); i += 3) {
+            got.records += w[i];
+            got.fields += w[i + 1];
+            got.intSum += w[i + 2];
         }
-        return got == expect;
+        return got == want;
     };
     return job;
 }
@@ -380,22 +404,28 @@ svmJob(const SvmConfig &cfg, const ServingContext &ctx)
 
     soc::Soc *s = ctx.soc;
     const std::uint64_t seed = ctx.seed ^ cfg.seed;
-    auto model = [=] {
-        sim::Rng rng{seed};
-        std::vector<std::int32_t> v(dims + n * std::uint64_t(dims));
-        for (auto &x : v)
-            x = std::int32_t(rng.below(2048)) - 1024;
-        return v; // weights first, then samples row-major
-    };
+    auto want = std::make_shared<std::uint64_t>(0); // positive count
 
     ServingJob job;
     job.workUnits = double(n);
     job.unitName = "samples";
     job.stage = [=] {
-        auto v = model();
+        sim::Rng rng{seed};
+        // Weights first, then samples row-major.
+        std::vector<std::int32_t> v(dims + n * std::uint64_t(dims));
+        for (auto &x : v)
+            x = std::int32_t(rng.below(2048)) - 1024;
         s->memory().store().write(w_base, v.data(), row_bytes);
         s->memory().store().write(x_base, v.data() + dims,
                                   n * std::uint64_t(row_bytes));
+        std::uint64_t positive = 0;
+        for (std::uint64_t r = 0; r < n; ++r) {
+            std::int64_t dot = 0;
+            for (std::uint32_t d = 0; d < dims; ++d)
+                dot += std::int64_t(v[d]) * v[dims + r * dims + d];
+            positive += dot > 0;
+        }
+        *want = positive;
     };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(n, ctx.nLanes, lane);
@@ -440,20 +470,7 @@ svmJob(const SvmConfig &cfg, const ServingContext &ctx)
                   8);
     };
     job.validate = [=] {
-        auto v = model();
-        std::uint64_t expect = 0;
-        for (std::uint64_t r = 0; r < n; ++r) {
-            std::int64_t dot = 0;
-            for (std::uint32_t d = 0; d < dims; ++d)
-                dot += std::int64_t(v[d]) *
-                       v[dims + r * dims + d];
-            expect += dot > 0;
-        }
-        std::uint64_t got = 0;
-        for (unsigned l = 0; l < ctx.nLanes; ++l)
-            got += unstage<std::uint64_t>(*s, res_base + l * 8,
-                                          1)[0];
-        return got == expect;
+        return sumLaneWords(*s, res_base, ctx.nLanes) == *want;
     };
     return job;
 }
@@ -479,30 +496,29 @@ simSearchJob(const SimSearchConfig &cfg, const ServingContext &ctx)
 
     soc::Soc *s = ctx.soc;
     const std::uint64_t seed = ctx.seed ^ cfg.seed;
-    auto query = [=] {
-        sim::Rng rng{seed};
-        std::vector<std::int32_t> q(cfg.vocab, 0);
-        for (std::uint32_t t = 0; t < cfg.termsPerQuery; ++t)
-            q[rng.below(cfg.vocab)] =
-                std::int32_t(1 + rng.below(1 << 10));
-        return q;
-    };
-    auto postings = [=] {
-        sim::Rng rng{seed + 1};
-        std::vector<std::uint32_t> v(n_post * 2);
-        for (std::uint64_t i = 0; i < n_post; ++i) {
-            v[i * 2] = std::uint32_t(rng.below(cfg.vocab));
-            v[i * 2 + 1] = std::uint32_t(1 + rng.below(1 << 10));
-        }
-        return v;
-    };
+    auto want = std::make_shared<std::int64_t>(0); // summed score
 
     ServingJob job;
     job.workUnits = double(n_post);
     job.unitName = "postings";
     job.stage = [=] {
-        stage(*s, q_base, query());
-        stage(*s, p_base, postings());
+        sim::Rng qrng{seed};
+        std::vector<std::int32_t> q(cfg.vocab, 0);
+        for (std::uint32_t t = 0; t < cfg.termsPerQuery; ++t)
+            q[qrng.below(cfg.vocab)] =
+                std::int32_t(1 + qrng.below(1 << 10));
+        sim::Rng prng{seed + 1};
+        std::vector<std::uint32_t> v(n_post * 2);
+        std::int64_t score = 0;
+        for (std::uint64_t i = 0; i < n_post; ++i) {
+            v[i * 2] = std::uint32_t(prng.below(cfg.vocab));
+            v[i * 2 + 1] = std::uint32_t(1 + prng.below(1 << 10));
+            score += std::int64_t(q[v[i * 2]]) *
+                     std::int32_t(v[i * 2 + 1]);
+        }
+        stage(*s, q_base, q);
+        stage(*s, p_base, v);
+        *want = score;
     };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(n_post, ctx.nLanes, lane);
@@ -544,17 +560,8 @@ simSearchJob(const SimSearchConfig &cfg, const ServingContext &ctx)
                   8);
     };
     job.validate = [=] {
-        auto q = query();
-        auto v = postings();
-        std::int64_t expect = 0;
-        for (std::uint64_t i = 0; i < n_post; ++i)
-            expect += std::int64_t(q[v[i * 2]]) *
-                      std::int32_t(v[i * 2 + 1]);
-        std::int64_t got = 0;
-        for (unsigned l = 0; l < ctx.nLanes; ++l)
-            got += std::int64_t(unstage<std::uint64_t>(
-                *s, res_base + l * 8, 1)[0]);
-        return got == expect;
+        return sumLaneWords(*s, res_base, ctx.nLanes) ==
+               std::uint64_t(*want);
     };
     return job;
 }
@@ -565,7 +572,7 @@ simSearchJob(const SimSearchConfig &cfg, const ServingContext &ctx)
 
 namespace {
 
-/** First-minimum SAD argmin shared by lane and validator. */
+/** First-minimum SAD argmin shared by the lanes and stage(). */
 std::uint8_t
 sadArgmin(const std::uint8_t *left, const std::uint8_t *right,
           std::uint32_t width, std::uint32_t x, unsigned max_shift,
@@ -609,21 +616,26 @@ disparityJob(const DisparityConfig &cfg, const ServingContext &ctx)
 
     soc::Soc *s = ctx.soc;
     const std::uint64_t seed = ctx.seed ^ cfg.seed;
-    auto images = [=] {
-        sim::Rng rng{seed};
-        std::vector<std::uint8_t> v(wh * 2);
-        for (auto &px : v)
-            px = std::uint8_t(rng.below(256));
-        return v; // left then right
-    };
+    auto want = std::make_shared<std::vector<std::uint8_t>>(); // map
 
     ServingJob job;
     job.workUnits = double(wh);
     job.unitName = "pixels";
     job.stage = [=] {
-        auto v = images();
-        s->memory().store().write(l_base, v.data(), wh);
-        s->memory().store().write(r_base, v.data() + wh, wh);
+        sim::Rng rng{seed};
+        std::vector<std::uint8_t> v(wh * 2); // left then right
+        for (auto &px : v)
+            px = std::uint8_t(rng.below(256));
+        const std::uint8_t *left = v.data();
+        const std::uint8_t *right = v.data() + wh;
+        s->memory().store().write(l_base, left, wh);
+        s->memory().store().write(r_base, right, wh);
+        want->resize(wh);
+        for (std::uint64_t r = 0; r < h; ++r)
+            for (std::uint32_t x = 0; x < w; ++x)
+                (*want)[r * w + x] =
+                    sadArgmin(left + r * w, right + r * w, w, x,
+                              cfg.maxShift, cfg.window);
     };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(h, ctx.nLanes, lane);
@@ -661,17 +673,7 @@ disparityJob(const DisparityConfig &cfg, const ServingContext &ctx)
         }
     };
     job.validate = [=] {
-        auto v = images();
-        const std::uint8_t *left = v.data();
-        const std::uint8_t *right = v.data() + wh;
-        auto got = unstage<std::uint8_t>(*s, d_base, wh);
-        for (std::uint64_t r = 0; r < h; ++r)
-            for (std::uint32_t x = 0; x < w; ++x)
-                if (got[r * w + x] !=
-                    sadArgmin(left + r * w, right + r * w, w, x,
-                              cfg.maxShift, cfg.window))
-                    return false;
-        return true;
+        return unstage<std::uint8_t>(*s, d_base, wh) == *want;
     };
     return job;
 }

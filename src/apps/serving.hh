@@ -9,10 +9,11 @@
  * Unlike the dpu* head-to-head runners — which build a whole Soc per
  * invocation — a serving job stages its inputs into a job-private
  * DDR arena, runs one kernel lane per group core, and is validated
- * host-side against an exact integer replay. All input/output moves
- * go through the DMS (which reads and writes the DDR backing store
- * directly), so jobs never depend on the non-coherent core caches
- * observing another job's data.
+ * host-side against the exact answer it computed from the same input
+ * while staging (JSON: the tally its generator wrote). All
+ * input/output moves go through the DMS (which reads and writes the
+ * DDR backing store directly), so jobs never depend on the
+ * non-coherent core caches observing another job's data.
  */
 
 #ifndef DPU_APPS_SERVING_HH

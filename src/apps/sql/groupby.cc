@@ -414,8 +414,16 @@ dpuGroupByHighNdv(const soc::SocParams &params,
                         std::uint32_t slot =
                             (c.crcHash(key) >> 10) & (tblSlots - 1);
                         // Linear probe; keys are stored +1 so that
-                        // 0 means empty (key 0 is legal).
-                        while (true) {
+                        // 0 means empty (key 0 is legal). A full
+                        // table ends the run instead of probing
+                        // forever.
+                        for (std::uint32_t probes = 0;; ++probes) {
+                            sim_assert(probes < tblSlots,
+                                       "group-by partition %llu holds "
+                                       "more than %u distinct keys "
+                                       "(ndv %u)",
+                                       (unsigned long long)j, tblSlots,
+                                       cfg.ndv);
                             std::uint32_t k =
                                 c.dmem().load<std::uint32_t>(
                                     tblOff + slot * 8);

@@ -1,6 +1,7 @@
 #include "core/dp_core.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/crc32.hh"
 
@@ -10,6 +11,34 @@ namespace {
 
 /** Geometry of the per-core L1-D (Section 2.3: 16 KB). */
 const mem::CacheParams l1dParams{16 * 1024, 4, 1};
+
+/**
+ * FILT's functional half over @p n elements of type @p T at @p src:
+ * eight element reads, then their bit-vector byte, so a bit vector
+ * that overlaps the elements reads back as it did one element at a
+ * time. The caller checks both DMEM ranges.
+ */
+template <typename T>
+std::uint64_t
+filtScan(const std::uint8_t *src, std::uint8_t *bv, std::uint32_t n,
+         std::uint64_t lo, std::uint64_t hi)
+{
+    std::uint64_t passed = 0;
+    for (std::uint32_t i = 0; i < n; i += 8) {
+        const std::uint32_t group = std::min<std::uint32_t>(8, n - i);
+        std::uint8_t bits = 0;
+        for (std::uint32_t k = 0; k < group; ++k) {
+            T v;
+            std::memcpy(&v, src + std::size_t(i + k) * sizeof(T),
+                        sizeof(T));
+            const bool hit = v >= lo && v <= hi;
+            passed += hit;
+            bits |= std::uint8_t(hit) << k;
+        }
+        bv[i / 8] = bits;
+    }
+    return passed;
+}
 
 } // namespace
 
@@ -35,6 +64,7 @@ DpCore::flushStats()
     shPopcounts.flushInto(stat, "popcounts");
     shNtzOps.flushInto(stat, "ntzOps");
     shNlzOps.flushInto(stat, "nlzOps");
+    shFiltOps.flushInto(stat, "filtOps");
     shInterruptsPosted.flushInto(stat, "interruptsPosted");
     shInterruptsTaken.flushInto(stat, "interruptsTaken");
     shAteInjectTicks.flushInto(stat, "ateInjectTicks");
@@ -233,19 +263,28 @@ DpCore::filt(std::uint32_t src_off, std::uint32_t n,
     sim_assert(elem_bytes == 1 || elem_bytes == 2 || elem_bytes == 4 ||
                elem_bytes == 8, "bad FILT element width %u",
                elem_bytes);
+    sim_assert(src_off + std::uint64_t(n) * elem_bytes <= mem::Dmem::size,
+               "FILT elements out of DMEM: %u x %u bytes at %u", n,
+               elem_bytes, src_off);
+    sim_assert(bv_off + (std::uint64_t(n) + 7) / 8 <= mem::Dmem::size,
+               "FILT bit vector out of DMEM: %u bits at %u", n, bv_off);
 
-    std::uint64_t passed = 0;
-    std::uint8_t cur = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        std::uint64_t v = 0;
-        scratch.read(src_off + i * elem_bytes, &v, elem_bytes);
-        bool hit = v >= lo && v <= hi;
-        passed += hit;
-        cur |= std::uint8_t(hit) << (i & 7);
-        if ((i & 7) == 7 || i + 1 == n) {
-            scratch.write(bv_off + (i >> 3), &cur, 1);
-            cur = 0;
-        }
+    const std::uint8_t *src = scratch.raw() + src_off;
+    std::uint8_t *bv = scratch.raw() + bv_off;
+    std::uint64_t passed;
+    switch (elem_bytes) {
+      case 1:
+        passed = filtScan<std::uint8_t>(src, bv, n, lo, hi);
+        break;
+      case 2:
+        passed = filtScan<std::uint16_t>(src, bv, n, lo, hi);
+        break;
+      case 4:
+        passed = filtScan<std::uint32_t>(src, bv, n, lo, hi);
+        break;
+      default:
+        passed = filtScan<std::uint64_t>(src, bv, n, lo, hi);
+        break;
     }
 
     // Timing: the element load pairs with FILT in the dual-issue
@@ -258,7 +297,7 @@ DpCore::filt(std::uint32_t src_off, std::uint32_t n,
     sim::Cycles c = n + n / 2;  // paired LD+FILT, alternate bit-pack
     c += n / 8 + 1;             // loop branches
     c += (n / 64 + 1) * 2;      // bit-vector spill stores
-    stat.counter("filtOps") += n;
+    shFiltOps += n;
     cycles(c);
     return passed;
 }

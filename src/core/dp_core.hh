@@ -90,7 +90,10 @@ class DpCore
     cycles(sim::Cycles n)
     {
         aheadTicks += sim::dpCoreClock.cyclesToTicks(n);
-        maybeSync();
+        // maybeSync's own test, hoisted: almost every charge needs
+        // neither a sync nor an interrupt.
+        if (aheadTicks >= syncQuantum || !pendingIsrs.empty())
+            maybeSync();
     }
 
     /**
@@ -320,8 +323,8 @@ class DpCore
      *  group's flush hook (installed in the constructor). */
     sim::DeferredCounter shAluOps, shLsuOps, shMuls, shDivs,
         shBranches, shBranchMisses, shBlocks, shCrcOps, shPopcounts,
-        shNtzOps, shNlzOps, shInterruptsPosted, shInterruptsTaken,
-        shAteInjectTicks;
+        shNtzOps, shNlzOps, shFiltOps, shInterruptsPosted,
+        shInterruptsTaken, shAteInjectTicks;
     void flushStats();
 
     mem::Dmem scratch;

@@ -26,6 +26,24 @@ cyc(sim::Cycles c)
 Dmac::Dmac(DmsContext &ctx_)
     : ctx(ctx_), stats("dmac"), partDst(ctx_.nCores())
 {
+    stats.addFlushHook([this] { flushStats(); });
+}
+
+void
+Dmac::flushStats()
+{
+    shDescriptors.flushInto(stats, "descriptors");
+    shGathers.flushInto(stats, "gathers");
+    shScatters.flushInto(stats, "scatters");
+    shBytesToDmem.flushInto(stats, "bytesToDmem");
+    shBytesFromDmem.flushInto(stats, "bytesFromDmem");
+    shBytesToCmem.flushInto(stats, "bytesToCmem");
+    shKeysHashed.flushInto(stats, "keysHashed");
+    shPartBuffersSealed.flushInto(stats, "partBuffersSealed");
+    shPartStalls.flushInto(stats, "partStalls");
+    shRowsPartitioned.flushInto(stats, "rowsPartitioned");
+    shBvBytesLoaded.flushInto(stats, "bvBytesLoaded");
+    shBytesDmsToDdr.flushInto(stats, "bytesDmsToDdr");
 }
 
 sim::Tick
@@ -117,7 +135,7 @@ void
 Dmac::execute(unsigned core, const Descriptor &d, mem::Addr eff_ddr,
               std::uint32_t eff_dmem, sim::Tick issue, DoneFn done)
 {
-    ++stats.counter("descriptors");
+    ++shDescriptors;
     // The front-end handles one incoming descriptor at a time.
     // Internal pipeline-stage commands (hash, partition store,
     // flush) ride the already-dispatched chain and skip it.
@@ -203,7 +221,7 @@ Dmac::execDdrToDmem(unsigned core, const Descriptor &d,
             return;
         }
         ++gathersActive;
-        ++stats.counter("gathers");
+        ++shGathers;
         auto runs = maskRuns(d, d.rows);
         t = start;
         std::uint32_t out = dmem;
@@ -253,13 +271,13 @@ Dmac::execDdrToDmem(unsigned core, const Descriptor &d,
         ctx.eq.schedule(std::max(t, ctx.eq.now()),
                         [this] { --gathersActive; },
                         sim::EvTag::Dms);
-        stats.counter("bytesToDmem") += moved;
+        shBytesToDmem += moved;
     } else {
         t = ddrStream(ddr, dst.raw() + dmem, bytes, false, start);
         sim::Tick bus = std::max(dmaxBus[m], start) + dmaxTicks(bytes);
         dmaxBus[m] = bus;
         t = std::max(t, bus);
-        stats.counter("bytesToDmem") += bytes;
+        shBytesToDmem += bytes;
     }
 
     // The engine is occupied while ISSUING the request stream (its
@@ -293,7 +311,7 @@ Dmac::execDmemToDdr(unsigned core, const Descriptor &d,
     sim::Tick t;
 
     if (d.scatterDst) {
-        ++stats.counter("scatters");
+        ++shScatters;
         auto runs = maskRuns(d, d.rows);
         t = start;
         std::uint32_t in = dmem;
@@ -308,13 +326,13 @@ Dmac::execDmemToDdr(unsigned core, const Descriptor &d,
         sim::Tick bus = std::max(dmaxBus[m], start) + dmaxTicks(moved);
         dmaxBus[m] = bus;
         t = std::max(t, bus);
-        stats.counter("bytesFromDmem") += moved;
+        shBytesFromDmem += moved;
     } else {
         t = ddrStream(ddr, src.raw() + dmem, bytes, true, start);
         sim::Tick bus = std::max(dmaxBus[m], start) + dmaxTicks(bytes);
         dmaxBus[m] = bus;
         t = std::max(t, bus);
-        stats.counter("bytesFromDmem") += bytes;
+        shBytesFromDmem += bytes;
     }
 
     storeEngine[m] = start + dmaxTicks(bytes); // issue occupancy
@@ -372,7 +390,7 @@ Dmac::execDdrToDms(unsigned core, const Descriptor &d, mem::Addr ddr,
         }
     }
 
-    stats.counter("bytesToCmem") += bytes;
+    shBytesToCmem += bytes;
     loadEngine[m] = start + dmaxTicks(bytes); // issue occupancy
     cmemBusy[d.ibank] = t;
     DPU_TRACE_COMPLETE(sim::TraceCat::Dms,
@@ -430,7 +448,7 @@ Dmac::execHashCol(const Descriptor &d, sim::Tick issue, DoneFn done)
     sim::Cycles cycles = hashSetupCycles +
         (d.rows + hashKeysPerCycle - 1) / hashKeysPerCycle;
     sim::Tick t = start + cyc(cycles);
-    stats.counter("keysHashed") += d.rows;
+    shKeysHashed += d.rows;
 
     hashEngine = t;
     cmemBusy[d.ibank] = t;
@@ -529,7 +547,7 @@ Dmac::finalizeBuffer(unsigned dst_core, sim::Tick t, bool final_buf)
     });
 
     ctx.scheduleSet(dst_core, ev, t);
-    ++stats.counter("partBuffersSealed");
+    ++shPartBuffersSealed;
 }
 
 void
@@ -572,7 +590,7 @@ Dmac::partStep()
                 if (p.busyMask & (1u << p.curBuf)) {
                     // The buffer to seal is still owned by the
                     // consumer; the seal-time clear hook resumes us.
-                    ++stats.counter("partStalls");
+                    ++shPartStalls;
                     DPU_TRACE_INSTANT(sim::TraceCat::Dms,
                                       sim::dmstrack::partPipe +
                                           ctx.baseCore,
@@ -627,7 +645,7 @@ Dmac::partStep()
             if (p.busyMask & (1u << p.curBuf)) {
                 // Back-pressure: the consumer still owns the next
                 // buffer; the seal-time clear hook resumes us.
-                ++stats.counter("partStalls");
+                ++shPartStalls;
                 DPU_TRACE_INSTANT(sim::TraceCat::Dms,
                                   sim::dmstrack::partPipe +
                                       ctx.baseCore,
@@ -644,7 +662,7 @@ Dmac::partStep()
             ++p.rowsInBuf;
             job.t += per_row;
             ++job.row;
-            ++stats.counter("rowsPartitioned");
+            ++shRowsPartitioned;
         }
 
         cmemBusy[d.ibank] = job.t;
@@ -700,7 +718,7 @@ Dmac::execDmemToDms(unsigned core, const Descriptor &d,
     sim::Tick t = start + dmaxTicks(bytes);
     dmaxBus[m] = t;
     bvBusy[d.ibank] = t;
-    stats.counter("bvBytesLoaded") += bytes;
+    shBvBytesLoaded += bytes;
     done(t);
 }
 
@@ -740,7 +758,7 @@ Dmac::execDmsToDdr(const Descriptor &d, mem::Addr ddr,
     sim::Tick start = std::max(issue, storeEngine[0]) + descOverhead;
     sim::Tick t = ddrStream(ddr, bank, bytes, true, start);
     storeEngine[0] = t;
-    stats.counter("bytesDmsToDdr") += bytes;
+    shBytesDmsToDdr += bytes;
     done(t);
 }
 

@@ -174,6 +174,13 @@ class Dmac
 
     DmsContext &ctx;
     sim::StatGroup stats;
+    /** Per-descriptor and per-row counters, deferred (sim/stats.hh)
+     *  and folded into stats by flushStats(). */
+    sim::DeferredCounter shDescriptors, shGathers, shScatters,
+        shBytesToDmem, shBytesFromDmem, shBytesToCmem, shKeysHashed,
+        shPartBuffersSealed, shPartStalls, shRowsPartitioned,
+        shBvBytesLoaded, shBytesDmsToDdr;
+    void flushStats();
 
     // Internal SRAMs.
     std::array<std::array<std::uint8_t, cmemBankBytes>, nCmemBanks>

@@ -288,49 +288,61 @@ FaultPlane::randomSpec(std::uint64_t seed)
     for (unsigned i = 0; i < nRules; ++i) {
         if (!spec.empty())
             spec += ';';
+        // Each rule draws its fields into named locals, last field
+        // first: that order is part of the schedule, and C++ leaves
+        // the order of function arguments unspecified.
+        using ull = unsigned long long;
         char buf[128];
         switch (rng.below(7)) {
-        case 0: // rare permanent DMAC wedge
+        case 0: { // rare permanent DMAC wedge
+            const ull nth = 20 + rng.below(60);
             std::snprintf(buf, sizeof(buf), "dms.wedge@nth=%llu,max=1",
-                          (unsigned long long)(20 + rng.below(60)));
+                          nth);
             break;
-        case 1: // sporadic descriptor error completions
+        }
+        case 1: { // sporadic descriptor error completions
+            const ull max = 2 + rng.below(6);
+            const ull p = 1 + rng.below(9);
             std::snprintf(buf, sizeof(buf),
-                          "dms.descError@p=0.0%llu,max=%llu",
-                          (unsigned long long)(1 + rng.below(9)),
-                          (unsigned long long)(2 + rng.below(6)));
+                          "dms.descError@p=0.0%llu,max=%llu", p, max);
             break;
-        case 2: // lost RPC requests (recovered by retry)
+        }
+        case 2: { // lost RPC requests (recovered by retry)
+            const ull max = 2 + rng.below(8);
+            const ull p = 1 + rng.below(9);
             std::snprintf(buf, sizeof(buf), "ate.drop@p=0.0%llu,max=%llu",
-                          (unsigned long long)(1 + rng.below(9)),
-                          (unsigned long long)(2 + rng.below(8)));
+                          p, max);
             break;
-        case 3: // jittered RPC delivery, 1-4 us extra
+        }
+        case 3: { // jittered RPC delivery, 1-4 us extra
+            const ull mag = (1 + rng.below(4)) * 1000000ull;
             std::snprintf(buf, sizeof(buf), "ate.delay@p=0.1,mag=%llu",
-                          (unsigned long long)((1 + rng.below(4)) *
-                                               1000000ull));
+                          mag);
             break;
-        case 4: // lost mailbox messages (recovered by requeue)
+        }
+        case 4: { // lost mailbox messages (recovered by requeue)
+            const ull max = 1 + rng.below(3);
+            const ull nth = 15 + rng.below(40);
             std::snprintf(buf, sizeof(buf), "mbc.drop@nth=%llu,max=%llu",
-                          (unsigned long long)(15 + rng.below(40)),
-                          (unsigned long long)(1 + rng.below(3)));
+                          nth, max);
             break;
-        case 5: // finite worker stalls, 100-900 us of cycles
+        }
+        case 5: { // finite worker stalls, 100-900 us of cycles
+            const ull mag = (1 + rng.below(9)) * 80000ull;
+            const ull nth = 5 + rng.below(20);
             std::snprintf(buf, sizeof(buf),
-                          "core.stall@nth=%llu,max=2,mag=%llu",
-                          (unsigned long long)(5 + rng.below(20)),
-                          (unsigned long long)((1 + rng.below(9)) *
-                                               80000ull));
+                          "core.stall@nth=%llu,max=2,mag=%llu", nth, mag);
             break;
-        default: // degraded DDR bandwidth window
+        }
+        default: { // degraded DDR bandwidth window
+            const ull mag = 2 + rng.below(7);
+            const ull to = 2000000000ull + rng.below(4) * 1000000000ull;
+            const ull from = rng.below(4) * 500000000ull;
             std::snprintf(buf, sizeof(buf),
-                          "mem.degrade@from=%llu,to=%llu,mag=%llu",
-                          (unsigned long long)(rng.below(4) * 500000000ull),
-                          (unsigned long long)(2000000000ull +
-                                               rng.below(4) *
-                                                   1000000000ull),
-                          (unsigned long long)(2 + rng.below(7)));
+                          "mem.degrade@from=%llu,to=%llu,mag=%llu", from,
+                          to, mag);
             break;
+        }
         }
         spec += buf;
     }

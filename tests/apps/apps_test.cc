@@ -2,11 +2,13 @@
  * @file
  * Cross-validation tests for the remaining Section 5 applications:
  * HLL (estimate agreement + the NTZ/CRC design points), JSON
- * (boundary-exact parsing + jump-table vs branchy costs), SVM
+ * (boundary-exact parsing + jump-table vs branchy costs, and the
+ * generator's own tally against a parse of its text), SVM
  * (fixed-point iteration savings at equal accuracy), similarity
  * search (exact score agreement + naive-DMS ablation), and
  * disparity (bit-exact maps + ground-truth recovery), plus pinned
- * outputs for the two apps whose sides share code.
+ * outputs for the two apps whose sides share code and for the JSON
+ * generator's text.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "apps/json.hh"
 #include "apps/simsearch.hh"
 #include "apps/svm.hh"
+#include "sim/rng.hh"
 #include "util/crc32.hh"
 
 using namespace dpu;
@@ -94,6 +97,56 @@ TEST(JsonApp, GainNearPaper)
     // Figure 14: ~8x.
     EXPECT_GT(r.gain(), 5.0);
     EXPECT_LT(r.gain(), 12.0);
+}
+
+TEST(JsonApp, GeneratorTallyEqualsAParseOfItsText)
+{
+    // The serving validator checks the lanes against the tally the
+    // generator counts while writing, so that tally must be what a
+    // parse of the text reads: records, 6 fields each, and the sum
+    // of orderkey, partkey, quantity and the price's integer part.
+    sim::Rng pick{0x75a11e5};
+    for (unsigned i = 0; i < 256; ++i) {
+        JsonConfig cfg;
+        cfg.seed = pick.next();
+        cfg.nRecords = i == 0   ? 1
+                       : i == 1 ? 2048
+                                : std::uint32_t(1 + pick.below(2048));
+        const jsondetail::Records r = jsondetail::makeRecords(cfg);
+        const JsonTally parsed =
+            jsondetail::parseSpan(r.text.data(), r.text.size());
+        EXPECT_EQ(r.tally.records, parsed.records) << cfg.seed;
+        EXPECT_EQ(r.tally.fields, parsed.fields) << cfg.seed;
+        EXPECT_EQ(r.tally.intSum, parsed.intSum) << cfg.seed;
+    }
+}
+
+TEST(JsonApp, RecordsMatchPinnedCrcs)
+{
+    // The text is an input to every JSON run, fig14's workUnits
+    // included: the same bytes under every compiler and every
+    // rewrite of the generator.
+    struct Case
+    {
+        std::uint32_t nRecords;
+        std::uint64_t seed;
+        std::size_t bytes;
+        std::uint32_t crc;
+    };
+    const JsonConfig def;
+    const Case cases[] = {
+        {def.nRecords, def.seed, 3206530, 0x74c1fd1d},
+        {512, 7, 65853, 0x9858e9db},
+    };
+    for (const Case &c : cases) {
+        JsonConfig cfg;
+        cfg.nRecords = c.nRecords;
+        cfg.seed = c.seed;
+        const std::string text = jsondetail::makeRecords(cfg).text;
+        EXPECT_EQ(text.size(), c.bytes) << c.nRecords;
+        EXPECT_EQ(util::crc32(text.data(), text.size()), c.crc)
+            << c.nRecords;
+    }
 }
 
 TEST(SvmApp, FixedPointConvergesFasterAtEqualAccuracy)

@@ -53,3 +53,15 @@ TEST(GroupByApp, HighNdvGainExceedsLowNdv)
     EXPECT_GT(rh.gain(), 6.0);
     EXPECT_LT(rh.gain(), 16.0);
 }
+
+TEST(GroupByAppDeathTest, HighNdvTableOverflowEndsTheRun)
+{
+    // Phase B aggregates each of the 1,024 partitions in a 1,024-slot
+    // DMEM table. At ndv 2M a partition holds about 1,300 distinct
+    // keys, so the linear probe finds the table full: the run must
+    // end naming the partition and ndv instead of probing forever.
+    EXPECT_DEATH(runApp("groupby-high",
+                        {{"nRows", "2097152"}, {"ndv", "2097152"}}),
+                 "group-by partition [0-9]+ holds more than 1024 "
+                 "distinct keys \\(ndv 2097152\\)");
+}

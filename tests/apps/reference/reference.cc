@@ -176,7 +176,7 @@ jsonRef(const JsonConfig &cfg, const Geometry &g)
     // extracted here by field name, independent of the parser FSM.
     JsonConfig gen = cfg;
     gen.seed = g.seed ^ cfg.seed;
-    const std::string text = jsondetail::makeRecords(gen);
+    const std::string text = jsondetail::makeRecords(gen).text;
 
     const auto fieldInt = [](const std::string &rec,
                              const char *name) {

@@ -7,7 +7,10 @@
  * of each job's own validate() hook — a kernel bug mirrored into
  * its validator still fails here — and doubles as a layout
  * contract: the models re-derive every arena offset, so a layout
- * drift in serving.cc is a test failure, not a silent co-move.
+ * drift in serving.cc is a test failure, not a silent co-move. Each
+ * run also flips one output bit per region and expects the job's
+ * validate() to reject it, so a validator that passes everything
+ * fails here.
  */
 
 #include <gtest/gtest.h>
@@ -85,6 +88,24 @@ checkApp(std::string_view app,
 
     const std::vector<Region> regions = ref(cfg, g);
     ASSERT_FALSE(regions.empty());
+
+    // The job's own validator must catch a one-bit error in any of
+    // its outputs: flip one seed-chosen bit per region, expect a
+    // failed check, restore.
+    for (const Region &r : regions) {
+        ASSERT_FALSE(r.bytes.empty());
+        const mem::Addr at = r.base + g.seed % r.bytes.size();
+        const std::uint8_t mask = std::uint8_t(1u << (g.seed >> 32) % 8);
+        std::uint8_t byte = 0;
+        s.memory().store().read(at, &byte, 1);
+        const std::uint8_t flipped = byte ^ mask;
+        s.memory().store().write(at, &flipped, 1);
+        EXPECT_FALSE(shared->validate())
+            << app << " missed a flipped bit @" << std::hex << at;
+        s.memory().store().write(at, &byte, 1);
+    }
+    EXPECT_TRUE(shared->validate()) << app;
+
     for (const Region &r : regions) {
         ASSERT_FALSE(r.bytes.empty());
         const auto got =

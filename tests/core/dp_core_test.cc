@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "core/dp_core.hh"
 #include "mem/cache.hh"
 #include "mem/main_memory.hh"
+#include "sim/rng.hh"
 #include "util/crc32.hh"
 
 using namespace dpu;
@@ -122,6 +125,63 @@ TEST_F(CoreFixture, FiltProducesExactBitvector)
         bool bit = (core0->dmem().load<std::uint8_t>(1024 + i / 8) >>
                     (i % 8)) & 1;
         EXPECT_EQ(bit, i >= 10 && i <= 19) << "row " << i;
+    }
+}
+
+TEST_F(CoreFixture, FiltMatchesAnElementAtATimeScan)
+{
+    // A test-local replica of FILT's semantics: read one element,
+    // and store each group of eight bits as a byte once its last
+    // element is read. Covers every width, counts off a multiple of
+    // eight, and bit vectors that overlap the elements, behind the
+    // scan or ahead of it, where a stored byte is read back as a
+    // later element.
+    struct Case
+    {
+        unsigned width;
+        std::uint32_t n, src, bv;
+    };
+    const Case cases[] = {
+        {1, 1, 0, 4096},   {1, 77, 3, 4096},  {2, 64, 0, 4096},
+        {2, 13, 6, 4096},  {4, 100, 0, 1024}, {8, 17, 16, 4096},
+        {4, 0, 0, 4096},
+        // Bit vector inside the first element group, behind the scan.
+        {4, 33, 8, 9},
+        // Bit vector ahead of the scan: its bytes are later elements.
+        {1, 200, 100, 110}, {1, 2048, 0, 1024}, {2, 1024, 0, 1024},
+        {4, 512, 0, 1024},  {8, 512, 0, 2048},
+    };
+    sim::Rng rng{0xf117};
+    for (const Case &k : cases) {
+        std::vector<std::uint8_t> image(mem::Dmem::size);
+        for (auto &b : image)
+            b = std::uint8_t(rng.below(256));
+        const std::uint64_t lo = 40, hi = 1ull << (8 * k.width - 1);
+
+        std::vector<std::uint8_t> want = image;
+        std::uint64_t want_passed = 0;
+        std::uint8_t cur = 0;
+        for (std::uint32_t i = 0; i < k.n; ++i) {
+            std::uint64_t v = 0;
+            std::memcpy(&v, want.data() + k.src + i * k.width, k.width);
+            const bool hit = v >= lo && v <= hi;
+            want_passed += hit;
+            cur |= std::uint8_t(hit) << (i % 8);
+            if (i % 8 == 7 || i + 1 == k.n) {
+                want[k.bv + i / 8] = cur;
+                cur = 0;
+            }
+        }
+
+        std::uint64_t passed = 0;
+        runOn0([&](DpCore &c) {
+            c.dmem().write(0, image.data(), image.size());
+            passed = c.filt(k.src, k.n, k.width, lo, hi, k.bv);
+        });
+        std::vector<std::uint8_t> got(mem::Dmem::size);
+        core0->dmem().read(0, got.data(), got.size());
+        EXPECT_EQ(passed, want_passed) << k.width << " x " << k.n;
+        EXPECT_EQ(got, want) << k.width << " x " << k.n;
     }
 }
 

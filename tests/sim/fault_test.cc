@@ -166,6 +166,27 @@ TEST(FaultPlane, RandomSpecIsStableAndParses)
     EXPECT_NE(FaultPlane::randomSpec(1), FaultPlane::randomSpec(2));
 }
 
+TEST(FaultPlane, RandomSpecMatchesPinnedStrings)
+{
+    // The schedules chaos runs replay, pinned so every compiler
+    // draws each rule's fields in the same order. The four seeds
+    // cover all seven rule kinds.
+    const std::pair<std::uint64_t, const char *> pinned[] = {
+        {0, "ate.drop@p=0.01,max=6;"
+            "mem.degrade@from=1000000000,to=5000000000,mag=5;"
+            "dms.wedge@nth=53,max=1"},
+        {4, "core.stall@nth=21,max=2,mag=640000;mbc.drop@nth=31,max=1;"
+            "core.stall@nth=6,max=2,mag=560000"},
+        {7, "ate.delay@p=0.1,mag=2000000;"
+            "core.stall@nth=24,max=2,mag=640000;"
+            "dms.descError@p=0.04,max=4"},
+        {10, "mbc.drop@nth=27,max=1;dms.descError@p=0.05,max=6;"
+             "dms.descError@p=0.05,max=5"},
+    };
+    for (const auto &[seed, spec] : pinned)
+        EXPECT_EQ(FaultPlane::randomSpec(seed), spec) << seed;
+}
+
 // ----------------------------------------------------------------
 // Per-domain streams (the parallel board's determinism contract)
 // ----------------------------------------------------------------
