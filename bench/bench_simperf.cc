@@ -238,7 +238,7 @@ runParallelKernel(std::uint64_t total_per_part, unsigned chains,
     sim::ParallelParams pp;
     pp.threads = threads;
     pp.lookahead = 600'000;
-    sim::EpochRunner runner(qp, pp, [](unsigned) {});
+    sim::EpochRunner runner(qp, pp);
 
     const double t0 = wallNow();
     for (auto &c : cs)

@@ -65,7 +65,7 @@ estimate(const std::vector<std::uint8_t> &regs)
     double sum = 0;
     unsigned zeros = 0;
     for (std::uint8_t r : regs) {
-        sum += std::ldexp(1.0, -int(r));
+        sum += rankTerm(r);
         zeros += r == 0;
     }
     const double alpha = 0.7213 / (1.0 + 1.079 / m);

@@ -20,7 +20,9 @@
 #ifndef DPU_APPS_HLL_HH
 #define DPU_APPS_HLL_HH
 
+#include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "apps/common.hh"
 
@@ -60,6 +62,13 @@ std::vector<std::uint64_t> makeElements(const HllConfig &cfg);
 /** The estimator update both platforms share. */
 void update(std::uint64_t h, unsigned p_bits, bool use_ntz,
             std::vector<std::uint8_t> &regs);
+/** 2^-@p r, exactly: built from the exponent bits, since every
+ *  8-bit rank's power of two is a normal double. */
+inline double
+rankTerm(std::uint8_t r)
+{
+    return std::bit_cast<double>(std::uint64_t(1023 - r) << 52);
+}
 /** Harmonic-mean estimate with small-range correction. */
 double estimate(const std::vector<std::uint8_t> &regs);
 } // namespace hlldetail

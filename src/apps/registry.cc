@@ -141,7 +141,6 @@ filterSet(sql::FilterConfig &c, std::string_view k,
     if (k == "lo") return setInt(c.lo, v);
     if (k == "hi") return setInt(c.hi, v);
     if (k == "seed") return setInt(c.seed, v);
-    if (k == "writeBitvector") return setBool(c.writeBitvector, v);
     return false;
 }
 

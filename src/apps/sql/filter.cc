@@ -63,15 +63,11 @@ dpuFilter(const soc::SocParams &params, const FilterConfig &cfg)
             reader.forEach([&](std::uint32_t off,
                                std::uint32_t bytes) {
                 std::uint32_t n = bytes / 4;
-                std::uint32_t out = cfg.writeBitvector
-                                        ? writer.acquire()
-                                        : bv_off;
+                std::uint32_t out = writer.acquire();
                 hits += c.filt(off, n, 4, cfg.lo, cfg.hi, out);
-                if (cfg.writeBitvector)
-                    writer.commit(alignUp(n / 8, 4));
+                writer.commit(alignUp(n / 8, 4));
             });
-            if (cfg.writeBitvector)
-                writer.finish();
+            writer.finish();
             passed[id] = hits;
         });
     }
@@ -102,8 +98,7 @@ xeonFilter(const FilterConfig &cfg)
     // ops per tuple; the stream bound dominates in practice.
     m.simdOps(double(total_rows) * 4);
     m.streamBytes(double(total_rows) * 4);
-    if (cfg.writeBitvector)
-        m.streamBytes(double(total_rows) / 8 * 2); // RFO + write
+    m.streamBytes(double(total_rows) / 8 * 2); // RFO + write
     m.endPhase();
 
     FilterResult r;

@@ -27,8 +27,6 @@ struct FilterConfig
     unsigned nCores = 32;
     std::uint32_t lo = 100, hi = 799; ///< inclusive predicate
     std::uint64_t seed = 1;
-    /** Write the selection bit vector back to DDR. */
-    bool writeBitvector = true;
 };
 
 /** Outcome of a filter run. */

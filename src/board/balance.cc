@@ -477,14 +477,10 @@ BoardBalancer::record(unsigned part)
     ++stats.counter("forwarded");
     stats.counter("deltaBytes") += deltaBytesPerRequest;
     bool dropped = false;
-    const sim::Tick at = brd.fabric().startBulk(
-        m->from, m->to, deltaBytesPerRequest, dropped,
-        sim::Traffic::Migration);
-    if (dropped) {
+    brd.fabric().send(m->from, m->to, deltaBytesPerRequest,
+                      sim::Traffic::Migration, [] {}, dropped);
+    if (dropped)
         ++stats.counter("deltaDropped"); // deltas are best-effort
-        return;
-    }
-    brd.fabric().postDelivery(m->from, m->to, at, [] {});
 }
 
 void
@@ -560,22 +556,18 @@ BoardBalancer::ship(Migration &m, unsigned chunk,
 {
     if (m.srcFailed)
         return; // a sibling chunk exhausted its retries; give up
+    const mem::Addr ddr = m.plan.chunks[chunk].ddrAddr;
+    const std::uint8_t width = m.plan.chunks[chunk].colWidth;
     bool dropped = false;
-    const sim::Tick at = brd.fabric().startBulk(
-        m.from, m.to, payload->size(), dropped,
-        sim::Traffic::Migration);
-    if (!dropped) {
-        const mem::Addr ddr = m.plan.chunks[chunk].ddrAddr;
-        const std::uint8_t width = m.plan.chunks[chunk].colWidth;
-        brd.fabric().postDelivery(
-            m.from, m.to, at,
-            [this, mp = &m, chunk, ddr, width,
-             payload = std::move(payload)] {
-                engines[mp->to].lander->deliver(mp->gen, chunk, ddr,
-                                                *payload, width);
-            });
+    const sim::Tick at = brd.fabric().send(
+        m.from, m.to, payload->size(), sim::Traffic::Migration,
+        [this, mp = &m, chunk, ddr, width, payload] {
+            engines[mp->to].lander->deliver(mp->gen, chunk, ddr,
+                                            *payload, width);
+        },
+        dropped);
+    if (!dropped)
         return;
-    }
     ++m.srcRetries;
     if (attempts <= 1) {
         m.srcFailed = true; // retransmit budget exhausted

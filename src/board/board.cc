@@ -1,19 +1,44 @@
 #include "board/board.hh"
 
+#include "sim/domain.hh"
 #include "sim/logging.hh"
 
 namespace dpu::board {
 
-Board::Board(const BoardParams &params)
-    : p(params), link(p.nDpus)
+namespace {
+
+/** One partition per DPU, each on its own allocation so workers
+ *  never share a queue's cache lines. */
+std::vector<std::unique_ptr<sim::EventQueue>>
+makeQueues(unsigned n)
 {
-    sim_assert(p.nDpus >= 1, "a board carries at least one DPU");
-    queues.reserve(p.nDpus);
+    std::vector<std::unique_ptr<sim::EventQueue>> qs;
+    for (unsigned d = 0; d < n; ++d)
+        qs.push_back(std::make_unique<sim::EventQueue>());
+    return qs;
+}
+
+std::vector<sim::EventQueue *>
+partitions(const std::vector<std::unique_ptr<sim::EventQueue>> &qs)
+{
+    std::vector<sim::EventQueue *> out;
+    for (const auto &q : qs)
+        out.push_back(q.get());
+    return out;
+}
+
+} // namespace
+
+Board::Board(const BoardParams &params)
+    : p(params), queues(makeQueues(p.nDpus)),
+      // The largest window that keeps cross-chip delivery
+      // conservative.
+      runner(partitions(queues), {p.threads, linkHopLatency}),
+      link(runner)
+{
     dpus.reserve(p.nDpus);
     hosts.reserve(p.nDpus);
     for (unsigned d = 0; d < p.nDpus; ++d) {
-        queues.push_back(std::make_unique<sim::EventQueue>());
-        link.attach(d, *queues[d]);
         dpus.push_back(std::make_unique<soc::Soc>(*queues[d], p.soc));
         hosts.push_back(
             std::make_unique<soc::HostA9>(*queues[d], dpus[d]->mbc()));
@@ -30,39 +55,26 @@ Board::Board(const BoardParams &params)
         if (failed)
             link.statGroup().counter("bulkFailed") = failed;
     });
-
-    std::vector<sim::EventQueue *> qs;
-    qs.reserve(p.nDpus);
-    for (auto &q : queues)
-        qs.push_back(q.get());
-    sim::ParallelParams pp;
-    pp.threads = p.threads;
-    // The largest window that keeps cross-chip delivery conservative.
-    pp.lookahead = linkHopLatency;
-    runner = std::make_unique<sim::EpochRunner>(
-        std::move(qs), pp, [this](unsigned d) { link.drainInbound(d); });
 }
 
 sim::Tick
 Board::now() const
 {
-    if (const sim::EventQueue *q = sim::activeEventQueue())
-        return q->now();
-    return boardNow;
+    // Inside an event, the executing partition's clock; in the host
+    // phase every partition sits on the aligned board tick.
+    return queues[sim::currentDomain()]->now();
 }
 
 sim::Tick
 Board::run()
 {
-    boardNow = runner->run();
-    return boardNow;
+    return runner.run();
 }
 
 sim::Tick
 Board::runFor(sim::Tick limit)
 {
-    boardNow = runner->run(boardNow + limit);
-    return boardNow;
+    return runner.run(now() + limit);
 }
 
 bool
@@ -77,25 +89,24 @@ Board::allFinished() const
 const sim::EpochRunner::Stats &
 Board::runnerStats() const
 {
-    return runner->stats();
+    return runner.stats();
 }
 
 unsigned
 Board::runnerThreads() const
 {
-    return runner->workers();
+    return runner.workers();
 }
 
 void
 Board::dma(unsigned src_dpu, mem::Addr src_addr, unsigned dst_dpu,
            mem::Addr dst_addr, std::uint64_t bytes,
-           LinkFabric::BulkHandler done)
+           std::function<void(bool ok)> done)
 {
     sim_assert(src_dpu < nDpus() && dst_dpu < nDpus() &&
                    src_dpu != dst_dpu,
                "bad DMA route %u -> %u", src_dpu, dst_dpu);
-    sim_assert(sim::activeEventQueue() == nullptr ||
-                   sim::activeEventQueue() == queues[src_dpu].get(),
+    sim_assert(runner.onPartition(src_dpu),
                "dma %u -> %u issued from another chip's partition",
                src_dpu, dst_dpu);
     auto buf = std::make_shared<std::vector<std::uint8_t>>(bytes);
@@ -109,24 +120,24 @@ void
 Board::dmaAttempt(unsigned src_dpu, unsigned dst_dpu,
                   mem::Addr dst_addr,
                   std::shared_ptr<std::vector<std::uint8_t>> buf,
-                  LinkFabric::BulkHandler done, unsigned attempts)
+                  std::function<void(bool ok)> done,
+                  unsigned attempts)
 {
     // Runs on the source chip (issue context or a retry event), so
     // the fate is known immediately and everything that follows is
-    // a plain schedule: the byte copy rides the fabric mailbox to
-    // the destination partition, completion and retries stay on the
+    // a plain schedule: the byte copy rides the fabric to the
+    // destination partition, completion and retries stay on the
     // source partition at the delivery tick — exactly when the old
     // shared-queue delivery event would have run them.
     bool dropped = false;
-    const sim::Tick arrive =
-        link.startBulk(src_dpu, dst_dpu, buf->size(), dropped);
+    const sim::Tick arrive = link.send(
+        src_dpu, dst_dpu, buf->size(), sim::Traffic::Workload,
+        [this, dst_dpu, dst_addr, buf] {
+            dpus[dst_dpu]->memory().store().write(
+                dst_addr, buf->data(), buf->size());
+        },
+        dropped);
     if (!dropped) {
-        link.postDelivery(
-            src_dpu, dst_dpu, arrive,
-            [this, dst_dpu, dst_addr, buf] {
-                dpus[dst_dpu]->memory().store().write(
-                    dst_addr, buf->data(), buf->size());
-            });
         if (done)
             queues[src_dpu]->schedule(
                 arrive, [done = std::move(done)] { done(true); },

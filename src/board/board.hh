@@ -11,10 +11,10 @@
  * partitions in conservative epochs bounded by the LinkFabric's
  * store-and-forward latency — serially with threads=1 (the default),
  * or on a worker pool with more threads. Cross-chip
- * traffic (RPC doorbells, bulk DMA) moves only through the fabric's
- * epoch mailboxes, so the simulated schedule — every stat, trace
- * record and memory image — is bit-identical at any thread count
- * (see DESIGN.md §13).
+ * traffic (doorbells, bulk DMA) moves only as fabric sends, whose
+ * deliveries wait in the runner's epoch mailboxes, so the simulated
+ * schedule — every stat, trace record and memory image — is
+ * bit-identical at any thread count (see DESIGN.md §13).
  *
  * Bulk data movement (dma()) is descriptor-style: the payload is
  * snapshotted from the source chip's functional DDR store when the
@@ -35,6 +35,7 @@
 #define DPU_BOARD_BOARD_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -121,7 +122,7 @@ class Board
      */
     void dma(unsigned src_dpu, mem::Addr src_addr, unsigned dst_dpu,
              mem::Addr dst_addr, std::uint64_t bytes,
-             LinkFabric::BulkHandler done = {});
+             std::function<void(bool ok)> done = {});
 
   private:
     friend class rack::Rack;
@@ -132,7 +133,8 @@ class Board
     void dmaAttempt(unsigned src_dpu, unsigned dst_dpu,
                     mem::Addr dst_addr,
                     std::shared_ptr<std::vector<std::uint8_t>> buf,
-                    LinkFabric::BulkHandler done, unsigned attempts);
+                    std::function<void(bool ok)> done,
+                    unsigned attempts);
 
     /** Per-source-DPU DMA recovery tallies (src thread owned). */
     struct DmaShadow
@@ -143,14 +145,11 @@ class Board
 
     BoardParams p;
     std::vector<std::unique_ptr<sim::EventQueue>> queues;
+    sim::EpochRunner runner;
     LinkFabric link;
     std::vector<std::unique_ptr<soc::Soc>> dpus;
     std::vector<std::unique_ptr<soc::HostA9>> hosts;
     std::vector<DmaShadow> dmaShadows;
-    std::unique_ptr<sim::EpochRunner> runner;
-    /** Host-phase board clock: the common tick every partition was
-     *  aligned on at the end of the last run. */
-    sim::Tick boardNow = 0;
 };
 
 } // namespace dpu::board

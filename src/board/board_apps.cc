@@ -74,13 +74,13 @@ runShardedSql(Board &b, const ShardedSqlConfig &cfg)
 
     // Host-side control metadata: per (dpu, partition) row counts
     // observed by the consumers, and the counts announced to owners
-    // by doorbell RPCs.
+    // by doorbells.
     std::vector<std::uint64_t> counts(std::size_t(n) * sqlPartitions,
                                       0);
     std::vector<std::uint64_t> recvCounts(
         std::size_t(n) * n * sqlPartitions, 0);
-    // One byte per slot, not vector<bool>: the doorbell handlers run
-    // on the owning DPU's partition, and bit-packing would let two
+    // One byte per slot, not vector<bool>: the doorbells land on the
+    // owning DPU's partition, and bit-packing would let two
     // owners' writes share a byte.
     std::vector<std::uint8_t> recvSeen(
         std::size_t(n) * n * sqlPartitions, 0);
@@ -142,23 +142,26 @@ runShardedSql(Board &b, const ShardedSqlConfig &cfg)
 
     // ------------------------------------------------------------
     // Exchange: ship every non-owned partition to its owner, then
-    // announce the row count with a doorbell RPC. The DMA layer
-    // retries link drops; a lost doorbell is recovered from the
-    // host's control metadata after the exchange drains.
+    // announce the row count with a doorbell. The DMA layer retries
+    // link drops; a lost doorbell is recovered from the host's
+    // control metadata after the exchange drains.
     // ------------------------------------------------------------
-    for (unsigned o = 0; o < n; ++o) {
-        b.fabric().onRpc(o, [&recvCounts, &recvSeen, n,
-                             o](unsigned src, std::uint64_t payload) {
-            const unsigned part = unsigned(payload >> 48);
-            const std::uint64_t cnt =
-                payload & ((1ull << 48) - 1);
-            recvCounts[(std::uint64_t(o) * n + src) *
-                           sqlPartitions +
-                       part] = cnt;
-            recvSeen[(std::uint64_t(o) * n + src) * sqlPartitions +
-                     part] = 1;
-        });
-    }
+    // A doorbell is 8 bytes on the (d, o) link; on arrival the owner
+    // records partition p's count from d. Runs on d's partition.
+    auto ring = [&b, &recvCounts, &recvSeen, n](unsigned d, unsigned o,
+                                                unsigned p,
+                                                std::uint64_t cnt) {
+        const std::size_t ri =
+            (std::uint64_t(o) * n + d) * sqlPartitions + p;
+        bool dropped = false;
+        b.fabric().send(d, o, 8, sim::Traffic::Workload,
+                        [count = &recvCounts[ri], seen = &recvSeen[ri],
+                         cnt] {
+                            *count = cnt;
+                            *seen = 1;
+                        },
+                        dropped);
+    };
 
     // DMA completions run on the source chip's partition: give each
     // source its own failure tally and sum after the run.
@@ -176,19 +179,16 @@ runShardedSql(Board &b, const ShardedSqlConfig &cfg)
             if (cnt == 0) {
                 // Nothing to ship; the doorbell alone announces
                 // the empty partition.
-                b.fabric().sendRpc(
-                    d, o, (std::uint64_t(p) << 48) | 0);
+                ring(d, o, p, 0);
                 continue;
             }
             b.dma(d, stage_base + p * slot, o, dst, cnt * 8,
-                  [&b, fail = &dmaFails[d], d, o, p, cnt](bool ok) {
+                  [&ring, fail = &dmaFails[d], d, o, p, cnt](bool ok) {
                       if (!ok) {
                           ++*fail;
                           return;
                       }
-                      b.fabric().sendRpc(
-                          d, o,
-                          (std::uint64_t(p) << 48) | cnt);
+                      ring(d, o, p, cnt);
                   });
         }
     }

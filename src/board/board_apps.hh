@@ -8,7 +8,7 @@
  *    radix-partitions its local table slice 32 ways with the DMS
  *    hash engine (Figure 10/13); partition p is owned by DPU
  *    p % nDpus, so non-owned partitions are staged to DDR and
- *    shipped to their owner over the link fabric (bulk DMA + an RPC
+ *    shipped to their owner over the link fabric (bulk DMA + a
  *    doorbell carrying the row count). Owners then aggregate
  *    COUNT/SUM per partition — the partitioned-hash-join building
  *    block — with one core per (partition, source DPU) region so
@@ -55,7 +55,7 @@ struct ShardedSqlResult
     std::uint64_t rows = 0;
     double seconds = 0;
     std::uint64_t bytesShipped = 0;
-    /** Doorbell RPCs lost to link faults (recovered host-side). */
+    /** Doorbells lost to link faults (recovered host-side). */
     std::uint64_t doorbellsLost = 0;
     double peakLinkUtilization = 0;
 

@@ -8,26 +8,20 @@
  * independent sim::Channel — the store-and-forward wire the rack
  * network uses too (sim/channel.hh has its timing and accounting
  * law) — so concurrent messages on one channel serialize while
- * opposite directions and disjoint pairs proceed in parallel. Two
- * kinds of message share the channels:
- *
- *  - RPCs: pointer-sized control messages (ATE-style doorbells)
- *    delivered to a per-DPU handler;
- *  - bulk transfers: DMS-descriptor-sized payloads between DDR
- *    spaces; the fabric only models the wire time and invokes the
- *    caller's delivery hook, which performs the byte copy
- *    (board::Board::dma composes the two).
+ * opposite directions and disjoint pairs proceed in parallel. Every
+ * message is one send(): some bytes on the wire and a closure that
+ * runs on the destination chip at the delivery tick — an ATE-style
+ * doorbell, or the byte copy of a DMS-descriptor-sized bulk transfer
+ * (board::Board::dma snapshots the payload and sends that copy).
  *
  * Parallel execution. Every DPU owns its own sim::EventQueue
- * partition (board::Board runs them under a sim::EpochRunner), so
- * the fabric never schedules into another chip's queue directly.
- * A send runs entirely on the source chip — channel occupancy,
- * fault decisions and the delivery tick are all computed
- * synchronously against the source clock — and the delivery is
- * parked in the per-(src, dst) epoch mailbox. At each epoch barrier
- * the runner calls drainInbound(dst) on the thread that owns dst,
- * which schedules every parked delivery into dst's queue in
- * deterministic (src, send order) sequence. Because the runner's
+ * partition under the board's sim::EpochRunner, so the fabric never
+ * schedules into another chip's queue directly. A send runs entirely
+ * on the source chip — channel occupancy, fault decisions and the
+ * delivery tick are all computed synchronously against the source
+ * clock — and the delivery is posted to the runner, which parks it
+ * in the (src, dst) mailbox and schedules it on the destination at
+ * the next epoch barrier (sim/parallel.hh). Because the runner's
  * lookahead is linkHopLatency, a delivery tick is always at or
  * beyond the end of the epoch that produced it, so the receiving
  * clock has never passed it. That makes the parallel schedule a
@@ -35,12 +29,12 @@
  * bit-identical stats, traces and memory images.
  *
  * Faults ride the process-wide plane (sim/fault.hh): `link.drop`
- * loses a message after it burned its wire time (RPCs vanish, bulk
- * deliveries are lost so the sender retries), `link.delay` adds
- * `mag` ticks to one delivery. The fault `unit` of a channel is
- * src * nDpus + dst; decisions draw from the SOURCE chip's domain
- * stream (the fabric enters DomainScope(src) for the decision), so
- * they too are independent of thread interleaving.
+ * loses a message after it burned its wire time (the closure never
+ * runs; senders needing reliability retry, as Board::dma does),
+ * `link.delay` adds `mag` ticks to one delivery. The fault `unit` of
+ * a channel is src * nDpus + dst; decisions draw from the SOURCE
+ * chip's domain stream (the fabric enters DomainScope(src) for the
+ * decision), so they too are independent of thread interleaving.
  *
  * Everything lands in the "link" StatGroup under the channel key
  * set, with per-channel cells named "ch<src>to<dst>". The channels
@@ -52,12 +46,10 @@
 #define DPU_BOARD_LINK_HH
 
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <vector>
 
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
+#include "sim/parallel.hh"
 #include "sim/stats.hh"
 
 namespace dpu::board {
@@ -76,58 +68,20 @@ constexpr std::uint32_t linkFlitBytes = 64;
 class LinkFabric : public sim::ChannelSet
 {
   public:
-    /** Per-DPU RPC delivery hook: (source DPU, payload). */
-    using RpcHandler =
-        std::function<void(unsigned src, std::uint64_t payload)>;
-    /** Bulk delivery hook: ok=false means the link dropped it. */
-    using BulkHandler = std::function<void(bool ok)>;
-
-    explicit LinkFabric(unsigned n_dpus);
-
-    unsigned size() const { return n; }
-
-    /** Bind DPU @p dpu's event-queue partition (host phase). */
-    void attach(unsigned dpu, sim::EventQueue &q);
-
-    /** Install DPU @p dst's RPC handler (replaces any previous). */
-    void onRpc(unsigned dst, RpcHandler handler);
+    /** One endpoint per partition of @p runner. */
+    explicit LinkFabric(sim::EpochRunner &runner);
 
     /**
-     * Post a pointer-sized RPC from DPU @p src to DPU @p dst. A
-     * dropped RPC vanishes (senders needing reliability must
-     * timeout and retry, as with ATE messages). Runs on the source
-     * chip; delivery is parked until drainInbound(dst).
+     * Put @p bytes of @p cls on the (src, dst) channel and decide
+     * the message's fate now, against the source clock, in the
+     * source's fault domain. Unless the link drops it (@p dropped:
+     * wire time spent, payload lost — the caller owns retries),
+     * @p fn runs on DPU @p dst at the returned delivery tick. Runs
+     * on the source chip: from its events or the host phase.
      */
-    void sendRpc(unsigned src, unsigned dst, std::uint64_t payload);
-
-    /**
-     * Occupy the (src, dst) channel with @p bytes of payload and
-     * decide the message's fate now, against the source clock, in
-     * the source's fault domain.
-     * @return the delivery tick; @p dropped reports a link.drop
-     * (wire time spent, payload lost — the caller owns retries).
-     * @p cls attributes the bytes: workload vs the balancer's
-     * migration chunks and deltas.
-     */
-    sim::Tick startBulk(unsigned src, unsigned dst,
-                        std::uint64_t bytes, bool &dropped,
-                        sim::Traffic cls = sim::Traffic::Workload);
-
-    /**
-     * Park @p fn in the (src, dst) mailbox for execution on DPU
-     * @p dst's queue at tick @p when (a delivery tick returned by
-     * startBulk). Drained at the next epoch barrier.
-     */
-    void postDelivery(unsigned src, unsigned dst, sim::Tick when,
-                      std::function<void()> fn);
-
-    /**
-     * Schedule every parked delivery bound for @p dst into dst's
-     * queue, sources in ascending order, each channel in send
-     * order. Called by the epoch runner on the thread owning dst
-     * (and by hand after host-phase sends in tests).
-     */
-    void drainInbound(unsigned dst);
+    sim::Tick send(unsigned src, unsigned dst, std::uint64_t bytes,
+                   sim::Traffic cls, sim::EventQueue::Callback fn,
+                   bool &dropped);
 
     /** Fraction of simulated time the (src, dst) channel spent
      *  serializing (0 when the clock has not advanced). */
@@ -139,23 +93,8 @@ class LinkFabric : public sim::ChannelSet
     sim::StatGroup &statGroup() { return stats; }
 
   private:
-    /** One parked delivery: an RPC payload or a bulk action. */
-    struct Pending
-    {
-        sim::Tick when = 0;
-        std::uint64_t payload = 0;
-        std::function<void()> fn; ///< non-empty = bulk delivery
-    };
-
+    sim::EpochRunner &runner;
     unsigned n;
-    std::vector<sim::EventQueue *> queues;
-    /** Epoch mailboxes, indexed src * n + dst. A mailbox is written
-     *  by src's thread in the compute phase and read by dst's thread
-     *  in the drain phase; the runner's barriers order the two. */
-    std::vector<std::vector<Pending>> inbox;
-    std::vector<RpcHandler> handlers;
-    /** Per-dst count of RPCs delivered with no handler installed. */
-    std::vector<std::uint64_t> unhandled;
     sim::StatGroup stats;
 };
 

@@ -1,154 +1,147 @@
 /**
  * @file
- * EpochRunner implementation: the worker pool, the epoch loop, and
- * the end-of-run clock alignment.
+ * EpochRunner implementation: the worker pool, the mailboxes, the
+ * epoch loop, and the end-of-run clock alignment.
  */
 
 #include "sim/parallel.hh"
 
 #include <algorithm>
 
-#include "sim/domain.hh"
 #include "sim/logging.hh"
 
 namespace dpu::sim {
 
-namespace {
-
-thread_local const EventQueue *activeQueue = nullptr;
-
-/** RAII activeEventQueue() marker around one partition's window. */
-class ActiveQueueScope
-{
-  public:
-    explicit ActiveQueueScope(const EventQueue *q) : prev(activeQueue)
-    {
-        activeQueue = q;
-    }
-    ~ActiveQueueScope() { activeQueue = prev; }
-
-  private:
-    const EventQueue *prev;
-};
-
-} // namespace
-
-const EventQueue *
-activeEventQueue()
-{
-    return activeQueue;
-}
-
 EpochRunner::EpochRunner(std::vector<EventQueue *> queues_,
-                         const ParallelParams &params,
-                         std::function<void(unsigned dst)> drain)
-    : queues(std::move(queues_)), p(params), drainFn(std::move(drain))
+                         const ParallelParams &params)
+    : queues(std::move(queues_)), p(params),
+      nWorkers(std::max(1u,
+                        std::min(p.threads, unsigned(queues.size())))),
+      mail(queues.size() * queues.size()), reports(nWorkers)
 {
     sim_assert(!queues.empty(), "EpochRunner needs a partition");
-    nWorkers = std::max(1u,
-                        std::min(p.threads, unsigned(queues.size())));
-    if (nWorkers > 1) {
-        barrier.init(nWorkers);
-        pool.reserve(nWorkers - 1);
-        for (unsigned w = 1; w < nWorkers; ++w)
-            pool.emplace_back([this, w] { workerMain(w); });
-    }
+    barrier.init(nWorkers);
+    pool.reserve(nWorkers - 1);
+    for (unsigned w = 1; w < nWorkers; ++w)
+        pool.emplace_back([this, w] { workerMain(w); });
 }
 
 EpochRunner::~EpochRunner()
 {
     if (!pool.empty()) {
         stopFlag.store(true, std::memory_order_release);
-        barrier.arriveAndWait(); // release workers parked at A
+        barrier.arriveAndWait(); // release workers parked between runs
         for (auto &t : pool)
             t.join();
     }
 }
 
 void
-EpochRunner::workerMain(unsigned w)
+EpochRunner::post(unsigned src, unsigned dst, Tick when,
+                  EventQueue::Callback fn)
 {
-    for (;;) {
-        barrier.arriveAndWait(); // A: window published (or stop)
-        if (stopFlag.load(std::memory_order_acquire))
-            return;
-        runOwned(w);
-        barrier.arriveAndWait(); // B: all partitions quiesced
-        drainOwned(w);
-        barrier.arriveAndWait(); // C: all mailboxes drained
-    }
+    const unsigned n = partitions();
+    sim_assert(src < n && dst < n, "bad post route %u -> %u", src,
+               dst);
+    sim_assert(onPartition(src),
+               "post %u -> %u issued from partition %u", src, dst,
+               currentDomain());
+    mail[src * n + dst].push_back({when, std::move(fn)});
 }
 
 void
-EpochRunner::runOwned(unsigned w)
+EpochRunner::workerMain(unsigned w)
+{
+    for (;;) {
+        barrier.arriveAndWait(); // a run starts (or the runner stops)
+        if (stopFlag.load(std::memory_order_acquire))
+            return;
+        epochs(w);
+    }
+}
+
+Tick
+EpochRunner::drainOwned(unsigned w)
+{
+    const unsigned n = partitions();
+    Tick due = maxTick;
+    for (unsigned dst = w; dst < n; dst += nWorkers) {
+        EventQueue &q = *queues[dst];
+        for (unsigned src = 0; src < n; ++src) {
+            std::vector<Mail> &box = mail[src * n + dst];
+            for (Mail &m : box) {
+                sim_assert(m.when >= q.now(),
+                           "late delivery %u -> %u at tick %llu, "
+                           "clock %llu (lookahead wider than the "
+                           "delivery latency?)",
+                           src, dst, (unsigned long long)m.when,
+                           (unsigned long long)q.now());
+                q.schedule(m.when, std::move(m.fn), EvTag::Link);
+            }
+            box.clear();
+        }
+        due = std::min(due, q.nextDue());
+    }
+    return due;
+}
+
+std::uint64_t
+EpochRunner::runOwned(unsigned w, Tick end)
 {
     std::uint64_t executed = 0;
     for (unsigned d = w; d < queues.size(); d += nWorkers) {
         DomainScope ds(d);
-        ActiveQueueScope qs(queues[d]);
-        executed += queues[d]->runWindow(epochEnd);
+        executed += queues[d]->runWindow(end);
     }
-    if (executed)
-        epochExecuted.fetch_add(executed, std::memory_order_relaxed);
+    return executed;
 }
 
 void
-EpochRunner::drainOwned(unsigned w)
+EpochRunner::epochs(unsigned w)
 {
-    for (unsigned d = w; d < queues.size(); d += nWorkers) {
-        DomainScope ds(d);
-        drainFn(d);
+    // A local copy: the caller rewrites the limit for its next run
+    // while a slow worker may still be checking this run's last
+    // window.
+    const Tick bound = limit;
+    Report &mine = reports[w];
+    bool first = true;
+    Tick lastEnd = 0;
+    for (;;) {
+        mine.due = drainOwned(w);
+        barrier.arriveAndWait(); // every minimum published
+        Tick next = maxTick;
+        for (const Report &r : reports)
+            next = std::min(next, r.due);
+        if (next == maxTick || next > bound)
+            return;
+        Tick end = next + p.lookahead;
+        if (end < next || end > bound) // overflow or bound
+            end = bound;
+        mine.executed = runOwned(w, end);
+        barrier.arriveAndWait(); // every window run, its mail posted
+        if (w != 0)
+            continue;
+        if (!first && next > lastEnd)
+            ++st.idleSkips;
+        first = false;
+        lastEnd = end;
+        ++st.epochs;
+        std::uint64_t executed = 0;
+        for (const Report &r : reports)
+            executed += r.executed;
+        if (executed == 0)
+            ++st.emptyEpochs;
     }
-}
-
-void
-EpochRunner::runEpoch()
-{
-    epochExecuted.store(0, std::memory_order_relaxed);
-    if (pool.empty()) {
-        runOwned(0);
-        drainOwned(0);
-    } else {
-        barrier.arriveAndWait(); // A
-        runOwned(0);
-        barrier.arriveAndWait(); // B
-        drainOwned(0);
-        barrier.arriveAndWait(); // C
-    }
-    ++st.epochs;
-    if (epochExecuted.load(std::memory_order_relaxed) == 0)
-        ++st.emptyEpochs;
 }
 
 Tick
-EpochRunner::run(Tick limit)
+EpochRunner::run(Tick bound)
 {
-    // Deliver anything posted between runs (host-phase RPCs/DMAs)
-    // before scanning for the first window.
-    drainOwned(0);
-    if (nWorkers > 1) {
-        for (unsigned w = 1; w < nWorkers; ++w)
-            drainOwned(w);
-    }
-
-    Tick lastEnd = 0;
-    bool firstEpoch = true;
-    for (;;) {
-        Tick next = maxTick;
-        for (const EventQueue *q : queues)
-            next = std::min(next, q->nextDue());
-        if (next == maxTick || next > limit)
-            break;
-        Tick end = next + p.lookahead;
-        if (end < next || end > limit) // overflow or bound
-            end = limit;
-        if (!firstEpoch && next > lastEnd)
-            ++st.idleSkips;
-        firstEpoch = false;
-        epochEnd = end;
-        runEpoch();
-        lastEnd = end;
-    }
+    limit = bound;
+    running = true;
+    barrier.arriveAndWait(); // release the workers into the run
+    epochs(0);
+    running = false;
 
     // Align every clock on the common final tick so host-phase code
     // between runs sees the one board clock a shared queue showed.

@@ -3,33 +3,38 @@
  * Conservative parallel runner for sharded event kernels.
  *
  * The EpochRunner advances a set of EventQueue partitions (one per
- * execution domain — on a board, one per DPU) in BSP-style epochs:
+ * execution domain — on a board, one per DPU) in BSP-style epochs,
+ * and it owns the one way a partition reaches another: post(), which
+ * parks a callback in the (src, dst) mailbox. Partition d belongs to
+ * worker d % threads (the caller is worker 0), and every worker runs
+ * the same loop:
  *
- *   1. window:  next = min over partitions of nextDue(), the exact
- *               next event tick;
- *               epochEnd = min(limit, next + lookahead)
- *   2. compute: every partition free-runs its events with
- *               runWindow(epochEnd) — in parallel, one worker thread
- *               per partition group (static ownership d % threads)
+ *   1. drain:   schedule its partitions' inbound mail, sources in
+ *               ascending order, each mailbox in post order
+ *   2. publish: its partitions' earliest nextDue(), the exact next
+ *               event tick
  *   3. barrier
- *   4. drain:   each destination partition schedules its inbound
- *               cross-partition messages (posted to mailboxes during
- *               compute) in deterministic (src, tick, seq) order
+ *   4. compute: next = min of the published ticks; every worker
+ *               derives the same window [next, min(limit, next +
+ *               lookahead)] from the same minima and runWindow()s
+ *               its partitions to its end (or all stop together
+ *               when next lies past the limit)
  *   5. barrier, then back to 1
  *
  * Conservative correctness: with lookahead <= the minimum
  * cross-partition delivery latency (a board link's store-and-forward
- * hopLatency), any message sent at tick t inside an epoch delivers
- * at >= t + latency >= epochEnd, i.e. always at or after the
- * receiving partition's clock when it is scheduled at the barrier —
- * no partition ever receives an event in its past, so no rollback is
- * needed. lookahead == 0 degenerates to tick-lockstep (every epoch
- * is a single tick), the serial-order fallback.
+ * hopLatency), any message posted at tick t inside an epoch delivers
+ * at >= t + latency >= the epoch's end, i.e. always at or after the
+ * receiving partition's clock when the next drain schedules it — no
+ * partition ever receives an event in its past, so no rollback is
+ * needed. The drain asserts it: a late delivery is fatal.
+ * lookahead == 0 degenerates to tick-lockstep (every epoch is a
+ * single tick), the serial-order fallback.
  *
  * Determinism: each partition executes exactly the same local event
  * sequence whatever the thread count, because (a) per-queue seq
  * counters make same-tick FIFO order a partition-local property,
- * (b) all cross-partition interaction is mailbox-mediated and
+ * (b) all cross-partition interaction goes through the mailboxes,
  * drained in a fixed order, and (c) per-domain state (fault RNG
  * streams, trace rings — see sim/domain.hh) is keyed by domain, not
  * by thread. threads == 1 runs the identical epoch schedule on the
@@ -49,19 +54,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <thread>
 #include <vector>
 
+#include "sim/domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace dpu::sim {
-
-/** The partition the calling thread is currently advancing, or
- *  nullptr outside an EpochRunner compute phase. Lets a facade over
- *  N partitions (board::Board::now()) report the running clock. */
-const EventQueue *activeEventQueue();
 
 /** Knobs for EpochRunner. */
 struct ParallelParams
@@ -74,7 +74,8 @@ struct ParallelParams
     Tick lookahead = 0;
 };
 
-/** Epoch-barrier coordinator over a fixed set of partitions. */
+/** Epoch-barrier coordinator and mailbox owner over a fixed set of
+ *  partitions. */
 class EpochRunner
 {
   public:
@@ -82,19 +83,35 @@ class EpochRunner
      * @param queues  One partition per domain; domain d's events run
      *                under DomainScope(d).
      * @param params  Thread count / lookahead.
-     * @param drain   drain(dst): schedule domain dst's pending
-     *                inbound messages into queues[dst]; called under
-     *                DomainScope(dst), once per partition at the
-     *                start of the run and at every epoch barrier.
-     *                Must only touch dst-owned state.
      */
     EpochRunner(std::vector<EventQueue *> queues,
-                const ParallelParams &params,
-                std::function<void(unsigned dst)> drain);
+                const ParallelParams &params);
     ~EpochRunner();
 
     EpochRunner(const EpochRunner &) = delete;
     EpochRunner &operator=(const EpochRunner &) = delete;
+
+    unsigned partitions() const { return unsigned(queues.size()); }
+    const EventQueue &queue(unsigned d) const { return *queues[d]; }
+
+    /**
+     * Run @p fn on partition @p dst at tick @p when, as an
+     * EvTag::Link event. Only partition @p src may post: from its
+     * own events, or from the host phase between runs. The callback
+     * waits in the (src, dst) mailbox until the next drain — the
+     * next epoch barrier, or the start of the next run — and
+     * @p when must not lie in dst's past by then.
+     */
+    void post(unsigned src, unsigned dst, Tick when,
+              EventQueue::Callback fn);
+
+    /** True when the calling code may act for partition @p d: in
+     *  the host phase between runs, or inside d's own events. */
+    bool
+    onPartition(unsigned d) const
+    {
+        return !running || currentDomain() == d;
+    }
 
     /**
      * Run every partition until all drain or every clock reaches
@@ -120,7 +137,7 @@ class EpochRunner
 
   private:
     /** Sense-counting spin barrier (atomics only: cheap at this
-     *  scale and race-free under TSan). */
+     *  scale and race-free under TSan). One thread never waits. */
     class Barrier
     {
       public:
@@ -133,6 +150,8 @@ class EpochRunner
         void
         arriveAndWait()
         {
+            if (nThreads == 1)
+                return;
             const std::uint32_t gen =
                 generation.load(std::memory_order_acquire);
             if (count.fetch_add(1, std::memory_order_acq_rel) + 1 ==
@@ -156,27 +175,52 @@ class EpochRunner
         std::atomic<std::uint32_t> generation{0};
     };
 
+    /** One parked delivery. */
+    struct Mail
+    {
+        Tick when;
+        EventQueue::Callback fn;
+    };
+
+    /** What a worker publishes each epoch, on its own cache line:
+     *  written by its worker, read by all after a barrier. */
+    struct alignas(64) Report
+    {
+        /** Earliest event on its partitions after the drain. */
+        Tick due = maxTick;
+        /** Events its partitions ran in the last window. */
+        std::uint64_t executed = 0;
+    };
+
     void workerMain(unsigned w);
-    /** Advance every partition owned by worker @p w to epochEnd. */
-    void runOwned(unsigned w);
-    /** Drain inbound mailboxes of every partition owned by @p w. */
-    void drainOwned(unsigned w);
-    /** One epoch: compute, barrier, drain, barrier. */
-    void runEpoch();
+    /** Worker @p w's share of one run: the epoch loop. */
+    void epochs(unsigned w);
+    /** Schedule the mail bound for worker @p w's partitions;
+     *  @return their earliest pending tick. */
+    Tick drainOwned(unsigned w);
+    /** Advance worker @p w's partitions to @p end; @return the
+     *  events they ran. */
+    std::uint64_t runOwned(unsigned w, Tick end);
 
     std::vector<EventQueue *> queues;
     ParallelParams p;
-    std::function<void(unsigned dst)> drainFn;
     unsigned nWorkers;
+    /** Mailboxes, indexed src * partitions + dst. A mailbox is
+     *  written by src's worker (or the host phase) and drained by
+     *  dst's worker; the barriers order the two. */
+    std::vector<std::vector<Mail>> mail;
+    std::vector<Report> reports; ///< one per worker
 
-    std::vector<std::thread> pool;
     Barrier barrier;
     std::atomic<bool> stopFlag{false};
-    /** Published by the coordinator before releasing an epoch. */
-    Tick epochEnd = 0;
-    std::atomic<std::uint64_t> epochExecuted{0};
+    /** The bound of the current run, and whether one is under way;
+     *  the caller sets both before it releases the workers. */
+    Tick limit = maxTick;
+    bool running = false;
 
     Stats st;
+    /** Workers 1 and up; declared last, joined by the destructor. */
+    std::vector<std::thread> pool;
 };
 
 } // namespace dpu::sim

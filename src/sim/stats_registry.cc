@@ -124,17 +124,6 @@ StatsSnapshot::readJson(const std::string &text, StatsSnapshot &out,
 
 namespace {
 
-double
-tolFor(const std::string &key, double base, const DiffOptions &opts)
-{
-    double tol = base;
-    for (const auto &[prefix, rel] : opts.prefixRel) {
-        if (key.compare(0, prefix.size(), prefix) == 0)
-            tol = rel;
-    }
-    return tol;
-}
-
 bool
 drifts(double golden, double actual, double tol)
 {
@@ -144,9 +133,8 @@ drifts(double golden, double actual, double tol)
 
 template <typename Map, typename AsDouble>
 void
-diffMaps(const Map &golden, const Map &actual, double baseTol,
-         const DiffOptions &opts, AsDouble toDouble,
-         std::vector<StatDiff> &out)
+diffMaps(const Map &golden, const Map &actual, double tol,
+         AsDouble toDouble, std::vector<StatDiff> &out)
 {
     for (const auto &[key, gv] : golden) {
         auto it = actual.find(key);
@@ -155,7 +143,7 @@ diffMaps(const Map &golden, const Map &actual, double baseTol,
             continue;
         }
         double g = toDouble(gv), a = toDouble(it->second);
-        if (drifts(g, a, tolFor(key, baseTol, opts)))
+        if (drifts(g, a, tol))
             out.push_back({key, g, a, "drift"});
     }
     for (const auto &[key, av] : actual) {
@@ -168,12 +156,12 @@ diffMaps(const Map &golden, const Map &actual, double baseTol,
 
 std::vector<StatDiff>
 diffSnapshots(const StatsSnapshot &golden, const StatsSnapshot &actual,
-              const DiffOptions &opts)
+              double scalar_rel)
 {
     std::vector<StatDiff> out;
-    diffMaps(golden.counters, actual.counters, opts.counterRel, opts,
+    diffMaps(golden.counters, actual.counters, 0.0,
              [](std::uint64_t v) { return double(v); }, out);
-    diffMaps(golden.scalars, actual.scalars, opts.scalarRel, opts,
+    diffMaps(golden.scalars, actual.scalars, scalar_rel,
              [](double v) { return v; }, out);
     return out;
 }

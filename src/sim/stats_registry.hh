@@ -51,20 +51,6 @@ struct StatsSnapshot
                          std::string &err);
 };
 
-/** Tolerances for diffSnapshots(). */
-struct DiffOptions
-{
-    /** Relative tolerance for counters (0 = exact match). */
-    double counterRel = 0.0;
-    /** Relative tolerance for floating-point scalars. */
-    double scalarRel = 1e-9;
-    /**
-     * Per-stat overrides: any stat whose flat key starts with the
-     * prefix uses the given relative tolerance instead.
-     */
-    std::vector<std::pair<std::string, double>> prefixRel;
-};
-
 /** One stat that differs between golden and actual. */
 struct StatDiff
 {
@@ -76,13 +62,14 @@ struct StatDiff
 };
 
 /**
- * Compare @p actual against @p golden. A stat drifts when
+ * Compare @p actual against @p golden: counters exactly, scalars
+ * within the relative tolerance @p scalar_rel. A stat drifts when
  * |actual - golden| > tol * max(|golden|, 1); stats present on only
  * one side are reported as missing/extra.
  */
 std::vector<StatDiff> diffSnapshots(const StatsSnapshot &golden,
                                     const StatsSnapshot &actual,
-                                    const DiffOptions &opts = {});
+                                    double scalar_rel = 1e-9);
 
 /** Render a diff list as readable "key: golden -> actual" lines. */
 std::string formatDiffs(const std::vector<StatDiff> &diffs);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Cross-validation tests for the remaining Section 5 applications:
- * HLL (estimate agreement + the NTZ/CRC design points), JSON
+ * HLL (estimate agreement + the NTZ/CRC design points + the exact
+ * estimator terms), JSON
  * (boundary-exact parsing + jump-table vs branchy costs, and the
  * generator's own tally against a parse of its text), SVM
  * (fixed-point iteration savings at equal accuracy), similarity
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "apps/disparity.hh"
@@ -65,6 +67,48 @@ TEST(HllApp, NtzVariantIsFasterThanNlz)
     double truth = double(cfg.cardinality);
     EXPECT_NEAR(ntz.estimate / truth, 1.0, 0.05);
     EXPECT_NEAR(nlz.estimate / truth, 1.0, 0.05);
+}
+
+TEST(HllApp, RankTermIsTheExactPowerOfTwo)
+{
+    for (unsigned r = 0; r <= 64; ++r)
+        EXPECT_EQ(hlldetail::rankTerm(std::uint8_t(r)),
+                  std::ldexp(1.0, -int(r)))
+            << "rank " << r;
+}
+
+TEST(HllApp, EstimateOfRandomRegistersIsPinned)
+{
+    // Seeded register files (geometric ranks, a share of empty
+    // registers) and their estimates as the ldexp-based estimator
+    // computed them; the 90%-empty file takes the small-range
+    // correction.
+    struct Case
+    {
+        std::size_t m;
+        std::uint64_t seed;
+        unsigned zeroPct;
+        double want;
+    };
+    const Case cases[] = {
+        {4096, 1, 0, 0x1.13ca911e9f243p+13},
+        {4096, 2, 30, 0x1.317b50eb5cda4p+12},
+        {4096, 3, 90, 0x1.b0004ac1a86adp+8},
+        {16, 4, 0, 0x1.017810eb8881fp+5},
+        {65536, 5, 5, 0x1.809f84b9586cfp+17},
+    };
+    for (const Case &c : cases) {
+        sim::Rng rng{c.seed};
+        std::vector<std::uint8_t> regs(c.m);
+        for (auto &r : regs)
+            r = rng.below(100) < c.zeroPct
+                    ? 0
+                    : std::uint8_t(
+                          __builtin_ctzll(rng.next() | (1ull << 63)) +
+                          1);
+        EXPECT_EQ(hlldetail::estimate(regs), c.want)
+            << "m " << c.m << ", seed " << c.seed;
+    }
 }
 
 TEST(JsonApp, TallyMatchesBaselineExactly)

@@ -17,6 +17,7 @@
 #include "board/board_apps.hh"
 #include "golden.hh"
 #include "host/board_offload.hh"
+#include "sim/domain.hh"
 #include "sim/fault.hh"
 #include "sim/stats.hh"
 #include "sim/stats_registry.hh"
@@ -59,7 +60,7 @@ runBoardScenario(const char *faults = nullptr,
 // Link fabric
 // ----------------------------------------------------------------
 
-TEST(LinkFabric, RpcDeliveryAndChannelSerialization)
+TEST(LinkFabric, SendDeliveryAndChannelSerialization)
 {
     sim::faultPlane().reset();
     const auto brd = topo::ClusterTopology::board(2).buildBoard();
@@ -70,20 +71,30 @@ TEST(LinkFabric, RpcDeliveryAndChannelSerialization)
         unsigned src;
         std::uint64_t payload;
         sim::Tick at;
+        unsigned ranOn;
     };
     std::vector<Arrival> got;
-    b.fabric().onRpc(1, [&](unsigned src, std::uint64_t payload) {
-        got.push_back({src, payload, b.now()});
-    });
-    b.fabric().sendRpc(0, 1, 0xabcdull);
-    b.fabric().sendRpc(0, 1, 0xef01ull);
+    // Two pointer-sized doorbells on the (0, 1) channel.
+    for (const std::uint64_t payload : {0xabcdull, 0xef01ull}) {
+        bool dropped = true;
+        b.fabric().send(0, 1, 8, sim::Traffic::Workload,
+                        [&got, &b, payload] {
+                            got.push_back({0, payload, b.now(),
+                                           sim::currentDomain()});
+                        },
+                        dropped);
+        EXPECT_FALSE(dropped);
+    }
     b.run();
 
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[0].src, 0u);
     EXPECT_EQ(got[0].payload, 0xabcdull);
     EXPECT_EQ(got[1].payload, 0xef01ull);
-    // Both burned at least the hop latency...
+    // Each closure ran on the destination chip's partition...
+    EXPECT_EQ(got[0].ranOn, 1u);
+    EXPECT_EQ(got[1].ranOn, 1u);
+    // ...both burned at least the hop latency...
     EXPECT_GE(got[0].at, board::linkHopLatency);
     // ...and the shared (0,1) channel serialized them: the second
     // message's wire time starts after the first finishes.

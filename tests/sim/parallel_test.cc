@@ -1,10 +1,15 @@
 /**
  * @file
- * EpochRunner unit tests: the barrier/lookahead protocol edges.
+ * EpochRunner unit tests: the barrier/lookahead protocol edges and
+ * the mailboxes behind post().
  *
  *  - zero lookahead degenerates to serial (global tick) order;
  *  - a message whose latency equals the lookahead lands exactly on
  *    the next epoch, never inside the sending one;
+ *  - same-tick posts to one partition arrive in (drain, source,
+ *    post) order at every thread count;
+ *  - host-phase posts are delivered before the next window opens;
+ *  - a post that lands in the receiver's past is fatal;
  *  - more partitions than workers (oversubscription) changes
  *    nothing observable;
  *  - idle gaps between event clusters are skipped, not marched
@@ -19,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/parallel.hh"
 
@@ -27,12 +33,6 @@ using namespace dpu;
 namespace {
 
 constexpr sim::Tick hop = 600'000; // the board link's 600 ns
-
-/** No-op drain for runs without cross-partition traffic. */
-void
-noDrain(unsigned)
-{
-}
 
 } // namespace
 
@@ -50,7 +50,7 @@ TEST(EpochRunner, ZeroLookaheadRunsInGlobalTickOrder)
     sim::ParallelParams pp;
     pp.threads = 1;
     pp.lookahead = 0; // tick-lockstep: the serial-order fallback
-    sim::EpochRunner r({&q0, &q1}, pp, noDrain);
+    sim::EpochRunner r({&q0, &q1}, pp);
     const sim::Tick end = r.run();
 
     ASSERT_EQ(log.size(), 80u);
@@ -71,28 +71,21 @@ TEST(EpochRunner, ZeroLookaheadRunsInGlobalTickOrder)
 TEST(EpochRunner, HopLatencyMessageStraddlesTheEpochBoundary)
 {
     sim::EventQueue q0, q1;
-    std::vector<sim::Tick> inbox; // deliveries bound for q1
     sim::Tick delivered = 0;
-
-    q0.schedule(0, [&inbox] { inbox.push_back(hop); });
 
     sim::ParallelParams pp;
     pp.threads = 1;
     pp.lookahead = hop;
-    sim::EpochRunner r(
-        {&q0, &q1}, pp, [&](unsigned dst) {
-            if (dst != 1)
-                return;
-            for (const sim::Tick when : inbox) {
-                // The conservative invariant the whole design rests
-                // on: the receiver's clock has not passed the
-                // delivery tick when the barrier schedules it.
-                EXPECT_GE(when, q1.now());
-                q1.schedule(when,
-                            [&delivered, &q1] { delivered = q1.now(); });
-            }
-            inbox.clear();
-        });
+    sim::EpochRunner r({&q0, &q1}, pp);
+    q0.schedule(0, [&] {
+        r.post(0, 1, hop, [&delivered, &q1] { delivered = q1.now(); });
+    });
+    // q1's own event on the boundary brings its clock to hop inside
+    // epoch 1. The conservative invariant the whole design rests on
+    // still holds: the receiver's clock has not passed the delivery
+    // tick when the barrier schedules it (the drain asserts it; see
+    // LateDeliveryIsFatal).
+    q1.schedule(hop, [&q1] { EXPECT_EQ(q1.now(), hop); });
     const sim::Tick end = r.run();
 
     EXPECT_EQ(delivered, hop);
@@ -101,6 +94,124 @@ TEST(EpochRunner, HopLatencyMessageStraddlesTheEpochBoundary)
     // on the boundary and must execute in epoch 2, not epoch 1.
     EXPECT_EQ(r.stats().epochs, 2u);
     EXPECT_EQ(r.stats().emptyEpochs, 0u);
+}
+
+TEST(EpochRunner, SameTickPostsArriveInDrainSourcePostOrder)
+{
+    // Sources 2, 1, 0 post two messages each to partition 3 in epoch
+    // 1, in that order of time, all for tick 2 * hop: they arrive
+    // sorted by source, then by post. Source 2 also posts for tick
+    // 3 * hop in epoch 1 and source 0 in epoch 2, so the earlier
+    // drain comes first whatever the source: a delivery's place among
+    // same-tick arrivals is fixed when it is drained.
+    constexpr unsigned nq = 4;
+    static constexpr unsigned dst = 3;
+    constexpr sim::Tick t1 = 2 * hop, t2 = 3 * hop;
+    struct Arrival
+    {
+        unsigned src, k;
+        sim::Tick at;
+        unsigned ranOn;
+
+        bool operator==(const Arrival &) const = default;
+    };
+    const std::vector<Arrival> want = {
+        {0, 0, t1, dst}, {0, 1, t1, dst}, {1, 0, t1, dst},
+        {1, 1, t1, dst}, {2, 0, t1, dst}, {2, 1, t1, dst},
+        {2, 2, t2, dst}, {0, 2, t2, dst},
+    };
+
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        std::vector<sim::EventQueue> qs(nq);
+        std::vector<sim::EventQueue *> qp;
+        for (auto &q : qs)
+            qp.push_back(&q);
+        sim::ParallelParams pp;
+        pp.threads = threads;
+        pp.lookahead = hop;
+        sim::EpochRunner r(std::move(qp), pp);
+
+        std::vector<Arrival> got; // written only on dst's partition
+        auto post = [&](unsigned src, unsigned k, sim::Tick when) {
+            r.post(src, dst, when, [&got, &qs, src, k] {
+                got.push_back(Arrival{src, k, qs[dst].now(),
+                                      sim::currentDomain()});
+            });
+        };
+        for (const unsigned src : {0u, 1u, 2u}) {
+            qs[src].schedule((2 - src) * 10, [&post, src] {
+                post(src, 0, t1);
+                post(src, 1, t1);
+            });
+        }
+        qs[2].schedule(30, [&post] { post(2, 2, t2); });
+        qs[0].schedule(hop + 50, [&post] { post(0, 2, t2); });
+
+        EXPECT_EQ(r.run(), t2);
+        EXPECT_EQ(got, want) << threads << " workers";
+    }
+}
+
+TEST(EpochRunner, HostPhasePostsAreDeliveredBeforeTheNextWindow)
+{
+    for (const unsigned threads : {1u, 2u}) {
+        sim::EventQueue q0, q1;
+        sim::ParallelParams pp;
+        pp.threads = threads;
+        pp.lookahead = hop;
+        sim::EpochRunner r({&q0, &q1}, pp);
+
+        q0.schedule(100, [] {});
+        const sim::Tick first = r.run();
+        ASSERT_EQ(first, 100u);
+        const std::uint64_t epochs = r.stats().epochs;
+
+        // Between runs: a post to partition 1 due 5 ticks on, and a
+        // far event on partition 0. The post must be drained before
+        // the first window is placed, so that window opens on it
+        // rather than on the far event (which would leave it behind
+        // partition 1's clock).
+        std::vector<sim::Tick> log;
+        r.post(0, 1, first + 5, [&log, &q1] { log.push_back(q1.now()); });
+        q0.schedule(first + 10 * hop,
+                    [&log, &q0] { log.push_back(q0.now()); });
+        const sim::Tick end = r.run();
+
+        EXPECT_EQ(end, first + 10 * hop);
+        EXPECT_EQ(log, (std::vector<sim::Tick>{first + 5,
+                                               first + 10 * hop}))
+            << threads << " workers";
+        EXPECT_EQ(r.stats().epochs - epochs, 2u)
+            << "one window per delivery, opened on its tick";
+    }
+}
+
+namespace {
+
+/** Two partitions, a lookahead ten hops wide: partition 0 posts at
+ *  tick 0 for tick hop, while partition 1 runs to 5 hops inside the
+ *  same epoch. */
+void
+runLateDelivery()
+{
+    sim::EventQueue q0;
+    sim::EventQueue q1;
+    sim::ParallelParams pp;
+    pp.threads = 1;
+    pp.lookahead = 10 * hop;
+    sim::EpochRunner r({&q0, &q1}, pp);
+    q0.schedule(0, [&r] { r.post(0, 1, hop, [] {}); });
+    q1.schedule(5 * hop, [] {});
+    r.run();
+}
+
+} // namespace
+
+TEST(EpochRunnerDeathTest, LateDeliveryIsFatal)
+{
+    // A lookahead wider than the post's latency lets the receiver
+    // run past the delivery tick before the barrier drains it.
+    EXPECT_DEATH(runLateDelivery(), "late delivery 0 -> 1");
 }
 
 TEST(EpochRunner, OversubscriptionIsInvisible)
@@ -130,7 +241,7 @@ TEST(EpochRunner, OversubscriptionIsInvisible)
         sim::ParallelParams pp;
         pp.threads = threads;
         pp.lookahead = hop;
-        sim::EpochRunner r(std::move(qp), pp, noDrain);
+        sim::EpochRunner r(std::move(qp), pp);
         EXPECT_EQ(r.workers(), std::min(threads, nq));
         const sim::Tick end = r.run();
         EXPECT_EQ(r.stats().emptyEpochs, 0u);
@@ -156,7 +267,7 @@ TEST(EpochRunner, IdleGapsAreSkippedNotMarched)
     sim::ParallelParams pp;
     pp.threads = 1;
     pp.lookahead = 1'000;
-    sim::EpochRunner r({&q0, &q1}, pp, noDrain);
+    sim::EpochRunner r({&q0, &q1}, pp);
     r.run();
 
     EXPECT_TRUE(late);
@@ -189,7 +300,7 @@ TEST(EpochRunner, EventsSpacedWiderThanTheLookaheadTakeOneEpochEach)
     sim::ParallelParams pp;
     pp.threads = 1;
     pp.lookahead = 1'000;
-    sim::EpochRunner r({&q0, &q1}, pp, noDrain);
+    sim::EpochRunner r({&q0, &q1}, pp);
     const sim::Tick end = r.run();
 
     ASSERT_EQ(fired.size(), k);
@@ -206,7 +317,7 @@ TEST(EpochRunner, EmptyBoardFinishesImmediately)
     sim::ParallelParams pp;
     pp.threads = 2;
     pp.lookahead = hop;
-    sim::EpochRunner r({&q0, &q1}, pp, noDrain);
+    sim::EpochRunner r({&q0, &q1}, pp);
     EXPECT_EQ(r.run(), 0u);
     EXPECT_EQ(r.stats().epochs, 0u);
     EXPECT_EQ(r.stats().emptyEpochs, 0u);
@@ -221,7 +332,7 @@ TEST(EpochRunner, BoundedRunParksEveryClockOnTheLimit)
     sim::ParallelParams pp;
     pp.threads = 1;
     pp.lookahead = hop;
-    sim::EpochRunner r({&q0, &q1}, pp, noDrain);
+    sim::EpochRunner r({&q0, &q1}, pp);
     const sim::Tick end = r.run(1'000'000);
 
     EXPECT_EQ(end, 1'000'000u);

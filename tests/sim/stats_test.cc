@@ -150,16 +150,3 @@ TEST(StatsSnapshot, DiffFindsDriftMissingAndExtra)
 
     EXPECT_FALSE(formatDiffs(diffs).empty());
 }
-
-TEST(StatsSnapshot, DiffHonoursPrefixTolerances)
-{
-    StatsSnapshot golden, actual;
-    golden.counters["noisy.t"] = 1000;
-    actual.counters["noisy.t"] = 1004;
-
-    EXPECT_EQ(diffSnapshots(golden, actual).size(), 1u);
-
-    DiffOptions opts;
-    opts.prefixRel.emplace_back("noisy.", 0.01);
-    EXPECT_TRUE(diffSnapshots(golden, actual, opts).empty());
-}

@@ -36,8 +36,7 @@ expectRepeatable(Scenario &&run)
     EXPECT_EQ(first.counters.at("sim.finalTick"),
               second.counters.at("sim.finalTick"));
     EXPECT_TRUE(first == second)
-        << sim::formatDiffs(sim::diffSnapshots(first, second,
-                                               {0.0, 0.0, {}}));
+        << sim::formatDiffs(sim::diffSnapshots(first, second, 0.0));
 }
 
 } // namespace
