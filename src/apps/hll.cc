@@ -57,6 +57,45 @@ update(std::uint64_t h, unsigned p_bits, bool use_ntz,
         regs[idx] = std::uint8_t(rank);
 }
 
+std::uint64_t
+hostHash(std::uint64_t e, HllHash hash)
+{
+    if (hash == HllHash::Murmur64)
+        return util::murmur64Key(e);
+    const std::uint32_t lo = util::crc32Key64(e);
+    const std::uint32_t hi = util::crc32Key(lo ^ std::uint32_t(e >> 32));
+    return (std::uint64_t(hi) << 32) | lo;
+}
+
+void
+dpuStep(core::DpCore &c, std::uint64_t e, HllHash hash,
+        unsigned p_bits, bool use_ntz, std::vector<std::uint8_t> &regs)
+{
+    std::uint64_t h;
+    if (hash == HllHash::Crc32) {
+        // Two chained CRC32 steps build a 64-bit-quality hash; each
+        // is one cycle.
+        const std::uint32_t lo = c.crcHash64(e);
+        const std::uint32_t hi = c.crcHash(lo ^ std::uint32_t(e >> 32));
+        h = (std::uint64_t(hi) << 32) | lo;
+    } else {
+        h = util::murmur64Key(e);
+        // Charge the iterative multiplier for every 64x64 multiply
+        // murmur performs.
+        for (std::uint64_t k = 0; k < util::murmur64MulCount(8); ++k)
+            c.mul(64);
+        c.alu(10); // shifts/xors
+    }
+    if (use_ntz)
+        (void)c.ntz(h << p_bits | 1);
+    else
+        (void)c.nlz(h << p_bits | 1);
+    update(h, p_bits, use_ntz, regs);
+    // load + compare + conditional store, paired with the index
+    // arithmetic.
+    c.dualIssue(3, 3);
+}
+
 /** Standard HLL harmonic-mean estimate with small-range correction. */
 double
 estimate(const std::vector<std::uint8_t> &regs)
@@ -77,7 +116,9 @@ estimate(const std::vector<std::uint8_t> &regs)
 
 } // namespace hlldetail
 
+using hlldetail::dpuStep;
 using hlldetail::estimate;
+using hlldetail::hostHash;
 using hlldetail::makeElements;
 using hlldetail::update;
 
@@ -128,37 +169,10 @@ dpuHll(const soc::SocParams &params, const HllConfig &cfg)
                                     tile, 2, 0, 0);
                 in.forEach([&](std::uint32_t boff,
                                std::uint32_t blen) {
-                    for (std::uint32_t i = 0; i < blen; i += 8) {
-                        std::uint64_t e =
-                            c.dmem().load<std::uint64_t>(boff + i);
-                        std::uint64_t h;
-                        if (cfg.hash == HllHash::Crc32) {
-                            // Two chained CRC32 steps build a
-                            // 64-bit-quality hash; each is one
-                            // cycle.
-                            std::uint32_t lo = c.crcHash64(e);
-                            std::uint32_t hi =
-                                c.crcHash(lo ^ std::uint32_t(e >> 32));
-                            h = (std::uint64_t(hi) << 32) | lo;
-                        } else {
-                            h = util::murmur64Key(e);
-                            // Charge the iterative multiplier for
-                            // every 64x64 multiply murmur performs.
-                            for (std::uint64_t k = 0;
-                                 k < util::murmur64MulCount(8); ++k)
-                                c.mul(64);
-                            c.alu(10); // shifts/xors
-                        }
-                        // Register update path.
-                        if (cfg.useNtz)
-                            (void)c.ntz(h << cfg.pBits | 1);
-                        else
-                            (void)c.nlz(h << cfg.pBits | 1);
-                        update(h, cfg.pBits, cfg.useNtz, regs);
-                        // load + compare + conditional store, paired
-                        // with the index arithmetic.
-                        c.dualIssue(3, 3);
-                    }
+                    for (std::uint32_t i = 0; i < blen; i += 8)
+                        dpuStep(c,
+                                c.dmem().load<std::uint64_t>(boff + i),
+                                cfg.hash, cfg.pBits, cfg.useNtz, regs);
                 });
             }
 
@@ -218,18 +232,8 @@ xeonHll(const HllConfig &cfg)
     auto data = makeElements(cfg);
     const std::uint32_t m = 1u << cfg.pBits;
     std::vector<std::uint8_t> regs(m, 0);
-    for (std::uint64_t e : data) {
-        std::uint64_t h;
-        if (cfg.hash == HllHash::Crc32) {
-            std::uint32_t lo = util::crc32Key64(e);
-            std::uint32_t hi =
-                util::crc32Key(lo ^ std::uint32_t(e >> 32));
-            h = (std::uint64_t(hi) << 32) | lo;
-        } else {
-            h = util::murmur64Key(e);
-        }
-        update(h, cfg.pBits, cfg.useNtz, regs);
-    }
+    for (std::uint64_t e : data)
+        update(hostHash(e, cfg.hash), cfg.pBits, cfg.useNtz, regs);
 
     xeon::XeonModel model;
     const double n = double(cfg.nElements);

@@ -62,6 +62,19 @@ std::vector<std::uint64_t> makeElements(const HllConfig &cfg);
 /** The estimator update both platforms share. */
 void update(std::uint64_t h, unsigned p_bits, bool use_ntz,
             std::vector<std::uint8_t> &regs);
+/** The 64-bit element hash on the host: two chained CRC32 steps,
+ *  or Murmur64. */
+std::uint64_t hostHash(std::uint64_t e, HllHash hash);
+/**
+ * One element on dpCore @p c: hostHash()'s value, charged as the
+ * core computes it (one cycle per CRC32 step; Murmur64's multiplies
+ * on the iterative multiplier plus 10 ALU ops), then the NTZ or NLZ
+ * count, update() into @p regs, and the register's load, compare
+ * and store paired with the index arithmetic.
+ */
+void dpuStep(core::DpCore &c, std::uint64_t e, HllHash hash,
+             unsigned p_bits, bool use_ntz,
+             std::vector<std::uint8_t> &regs);
 /** 2^-@p r, exactly: built from the exponent bits, since every
  *  8-bit rank's power of two is a normal double. */
 inline double

@@ -10,8 +10,6 @@
 #include "rt/dms_ctl.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "util/crc32.hh"
-#include "util/murmur64.hh"
 
 namespace dpu::apps::serving {
 
@@ -209,19 +207,10 @@ hllJob(const HllConfig &cfg, const ServingContext &ctx)
         for (unsigned l = 0; l < ctx.nLanes; ++l) {
             Slice sl = laneSlice(n, ctx.nLanes, l);
             regs.assign(m, 0);
-            for (std::uint64_t i = 0; i < sl.count; ++i) {
-                std::uint64_t e = data[sl.begin + i];
-                std::uint64_t h;
-                if (cfg.hash == HllHash::Crc32) {
-                    std::uint32_t lo = util::crc32Key64(e);
-                    std::uint32_t hi =
-                        util::crc32Key(lo ^ std::uint32_t(e >> 32));
-                    h = (std::uint64_t(hi) << 32) | lo;
-                } else {
-                    h = util::murmur64Key(e);
-                }
-                hlldetail::update(h, cfg.pBits, cfg.useNtz, regs);
-            }
+            for (std::uint64_t i = 0; i < sl.count; ++i)
+                hlldetail::update(
+                    hlldetail::hostHash(data[sl.begin + i], cfg.hash),
+                    cfg.pBits, cfg.useNtz, regs);
             want->insert(want->end(), regs.begin(), regs.end());
         }
     };
@@ -240,29 +229,11 @@ hllJob(const HllConfig &cfg, const ServingContext &ctx)
         rt::StreamReader in(ctl, data_base + sl.begin * 8,
                             sl.count * 8, 0, tile, 2, 0, 0);
         in.forEach([&](std::uint32_t off, std::uint32_t blen) {
-            for (std::uint32_t i = 0; i < blen; i += 8) {
-                std::uint64_t e =
-                    c.dmem().load<std::uint64_t>(off + i);
-                std::uint64_t h;
-                if (cfg.hash == HllHash::Crc32) {
-                    std::uint32_t lo = c.crcHash64(e);
-                    std::uint32_t hi =
-                        c.crcHash(lo ^ std::uint32_t(e >> 32));
-                    h = (std::uint64_t(hi) << 32) | lo;
-                } else {
-                    h = util::murmur64Key(e);
-                    for (std::uint64_t k = 0;
-                         k < util::murmur64MulCount(8); ++k)
-                        c.mul(64);
-                    c.alu(10);
-                }
-                if (cfg.useNtz)
-                    (void)c.ntz(h << cfg.pBits | 1);
-                else
-                    (void)c.nlz(h << cfg.pBits | 1);
-                hlldetail::update(h, cfg.pBits, cfg.useNtz, regs);
-                c.dualIssue(3, 3);
-            }
+            for (std::uint32_t i = 0; i < blen; i += 8)
+                hlldetail::dpuStep(c,
+                                   c.dmem().load<std::uint64_t>(off + i),
+                                   cfg.hash, cfg.pBits, cfg.useNtz,
+                                   regs);
         });
         c.dmem().write(reg_off, regs.data(), m);
         c.dualIssue(m / 8, m / 8);

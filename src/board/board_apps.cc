@@ -327,16 +327,6 @@ hllGen(const DistHllConfig &cfg, unsigned dpu)
     return g;
 }
 
-/** The kernel's CRC64 composition, replayed host-side. */
-std::uint64_t
-crcMix(std::uint64_t e)
-{
-    const std::uint32_t lo = util::crc32Key64(e);
-    const std::uint32_t hi =
-        util::crc32Key(lo ^ std::uint32_t(e >> 32));
-    return (std::uint64_t(hi) << 32) | lo;
-}
-
 } // namespace
 
 DistHllResult
@@ -385,19 +375,11 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
                                         0);
                     in.forEach([&](std::uint32_t off,
                                    std::uint32_t blen) {
-                        for (std::uint32_t i = 0; i < blen; i += 8) {
-                            const std::uint64_t e =
-                                c.dmem().load<std::uint64_t>(off + i);
-                            const std::uint32_t lo = c.crcHash64(e);
-                            const std::uint32_t hi = c.crcHash(
-                                lo ^ std::uint32_t(e >> 32));
-                            const std::uint64_t h =
-                                (std::uint64_t(hi) << 32) | lo;
-                            (void)c.ntz(h << cfg.pBits | 1);
-                            apps::hlldetail::update(h, cfg.pBits,
-                                                    true, regs);
-                            c.dualIssue(3, 3);
-                        }
+                        for (std::uint32_t i = 0; i < blen; i += 8)
+                            apps::hlldetail::dpuStep(
+                                c, c.dmem().load<std::uint64_t>(off + i),
+                                apps::HllHash::Crc32, cfg.pBits, true,
+                                regs);
                     });
                 }
                 c.dmem().write(reg_off, regs.data(), m);
@@ -506,8 +488,9 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
         auto data = apps::hlldetail::makeElements(hllGen(cfg, d));
         for (std::uint64_t e : data) {
             distinct.insert(e);
-            apps::hlldetail::update(crcMix(e), cfg.pBits, true,
-                                    expect);
+            apps::hlldetail::update(
+                apps::hlldetail::hostHash(e, apps::HllHash::Crc32),
+                cfg.pBits, true, expect);
         }
     }
     auto got =

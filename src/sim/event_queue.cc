@@ -1,15 +1,12 @@
 /**
  * @file
- * Event-kernel internals: the (when, seq) heap, the callback-event
- * slab pool, and the self-profiler's StatsRegistry surface.
+ * Event-kernel internals: the (when, seq) heap and the
+ * callback-event slab pool.
  */
 
 #include "sim/event_queue.hh"
 
 #include <chrono>
-#include <string>
-
-#include "sim/stats.hh"
 
 namespace dpu::sim {
 
@@ -58,8 +55,9 @@ EventQueue::popNext(Tick limit)
 {
     if (heap.empty() || heap.front().when > limit)
         return nullptr;
-    Event *ev = heap.front().ev;
-    removeAt(0);
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    Event *ev = heap.back().ev;
+    heap.pop_back();
     ev->queue_ = nullptr;
     curTick = ev->when_;
     return ev;
@@ -71,7 +69,7 @@ EventQueue::execute(Event &ev)
     const unsigned t = unsigned(ev.tag_);
     // Read the recycle flag before process(): the callback may
     // schedule, and a pool-owned carrier must go back even if it
-    // rescheduled other work.
+    // scheduled other work.
     const bool owned = ev.poolOwned_;
     ++prof.executed[t];
     if (wallProfiling) {
@@ -89,14 +87,10 @@ std::uint64_t
 EventQueue::runWindow(Tick end)
 {
     std::uint64_t executed = 0;
-    const auto t0 = wallProfiling ? WallClock::now()
-                                  : WallClock::time_point{};
     while (Event *ev = popNext(end)) {
         execute(*ev);
         ++executed;
     }
-    if (wallProfiling)
-        prof.runWallNs += elapsedNs(t0);
     return executed;
 }
 
@@ -126,71 +120,16 @@ EventQueue::step()
 void
 EventQueue::deschedule(Event &ev)
 {
-    sim_assert(ev.queue_ == this && ev.heapIdx_ < heap.size() &&
-                   heap[ev.heapIdx_].ev == &ev,
+    const auto it =
+        std::find_if(heap.begin(), heap.end(),
+                     [&ev](const Entry &e) { return e.ev == &ev; });
+    sim_assert(ev.queue_ == this && it != heap.end(),
                "descheduling event '%s' that is not scheduled here",
                ev.name());
-    removeAt(ev.heapIdx_);
-    ev.queue_ = nullptr;
-    if (ev.poolOwned_)
-        release(static_cast<CallbackEvent &>(ev));
-}
-
-// ----------------------------------------------------------------
-// The heap: min-heap by (when, seq) with index maintenance so any
-// resident deschedules in O(log n).
-// ----------------------------------------------------------------
-
-void
-EventQueue::siftUp(std::size_t i)
-{
-    const Entry e = heap[i];
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 2;
-        if (!(heap[parent] > e))
-            break;
-        heap[i] = heap[parent];
-        heap[i].ev->heapIdx_ = i;
-        i = parent;
-    }
-    heap[i] = e;
-    heap[i].ev->heapIdx_ = i;
-}
-
-void
-EventQueue::siftDown(std::size_t i)
-{
-    const Entry e = heap[i];
-    const std::size_t n = heap.size();
-    for (;;) {
-        std::size_t child = 2 * i + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n && heap[child] > heap[child + 1])
-            ++child;
-        if (!(e > heap[child]))
-            break;
-        heap[i] = heap[child];
-        heap[i].ev->heapIdx_ = i;
-        i = child;
-    }
-    heap[i] = e;
-    heap[i].ev->heapIdx_ = i;
-}
-
-void
-EventQueue::removeAt(std::size_t i)
-{
-    const Entry last = heap.back();
+    *it = heap.back();
     heap.pop_back();
-    if (i == heap.size())
-        return;
-    heap[i] = last;
-    heap[i].ev->heapIdx_ = i;
-    // The displaced tail can belong either above or below slot i;
-    // one of the two sifts is a no-op.
-    siftDown(i);
-    siftUp(last.ev->heapIdx_);
+    std::make_heap(heap.begin(), heap.end(), std::greater<>{});
+    ev.queue_ = nullptr;
 }
 
 // ----------------------------------------------------------------
@@ -230,34 +169,6 @@ EventQueue::growPool()
     slabs.push_back(std::move(slab));
     ++prof.poolSlabs;
     prof.poolEvents += slabEvents;
-}
-
-// ----------------------------------------------------------------
-// Self-profiler surface
-// ----------------------------------------------------------------
-
-void
-EventQueue::publishStats()
-{
-    if (!statGroup)
-        statGroup = std::make_unique<StatGroup>("eventq");
-    StatGroup &g = *statGroup;
-    g.counter("executed") = prof.totalExecuted();
-    for (unsigned t = 0; t < nEvTags; ++t) {
-        const std::string tag = evTagName(EvTag(t));
-        g.counter("executed." + tag) = prof.executed[t];
-        g.scalar("wallNs." + tag) = prof.wallNs[t];
-    }
-    g.counter("schedules") = prof.schedules;
-    g.counter("maxPending") = prof.maxPending;
-    g.counter("pending") = heap.size();
-    g.counter("poolSlabs") = prof.poolSlabs;
-    g.counter("poolEvents") = prof.poolEvents;
-    g.scalar("runWallNs") = prof.runWallNs;
-    g.scalar("eventsPerSec") =
-        prof.runWallNs > 0
-            ? double(prof.totalExecuted()) / (prof.runWallNs * 1e-9)
-            : 0.0;
 }
 
 } // namespace dpu::sim

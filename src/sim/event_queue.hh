@@ -13,37 +13,38 @@
  *
  *  - Intrusive events: Event objects (sim/event.hh) sit in the queue
  *    themselves; scheduling a member event costs no allocation. One
- *    binary min-heap keyed by (when, seq) holds every pending event,
- *    and each event records its heap slot, so deschedule is
- *    O(log n) and the heap front is the exact next event.
+ *    binary min-heap of (when, seq, event) entries, kept by
+ *    std::push_heap/std::pop_heap, holds every pending event, so the
+ *    heap front is the exact next event. An event destroyed while
+ *    pending is found by a linear scan and the heap rebuilt: only
+ *    teardown does that, and no queue in the dpubench workloads
+ *    holds more than 160 pending events.
  *  - A slab pool of callback events: the `scheduleIn(delta, lambda)`
  *    convenience API is carried by pooled CallbackEvent nodes whose
  *    capture storage is inline (sim/inplace_fn.hh) — no malloc on
  *    schedule, no free on fire.
  *
  * A built-in self-profiler counts executed events per subsystem tag
- * (and, when enableWallProfiling() is on, attributes wall time per
- * tag); publishStats() surfaces it through the StatsRegistry as the
- * "eventq" group. The group is created lazily so that golden stat
- * snapshots of the modelled chip are unaffected unless a run opts
- * in.
+ * and, when enableWallProfiling() is on, attributes wall time per
+ * tag; profile() returns both.
  */
 
 #ifndef DPU_SIM_EVENT_QUEUE_HH
 #define DPU_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "sim/event.hh"
+#include "sim/inplace_fn.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace dpu::sim {
-
-class StatGroup;
 
 /** Discrete-event queue with a monotonically advancing clock. */
 class EventQueue
@@ -78,10 +79,7 @@ class EventQueue
         ev.when_ = when;
         ev.queue_ = this;
         heap.push_back({when, nextSeq++, &ev});
-        siftUp(heap.size() - 1);
-        ++prof.schedules;
-        if (heap.size() > prof.maxPending)
-            prof.maxPending = heap.size();
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
     }
 
     /** Schedule @p ev to fire @p delta ticks from now. */
@@ -92,17 +90,10 @@ class EventQueue
     }
 
     /** Unlink a scheduled event; no-op semantics are NOT provided —
-     *  the event must currently be scheduled on this queue. */
+     *  the event must currently be scheduled on this queue. Linear
+     *  in pending(): meant for the rare event that dies or is
+     *  cancelled while pending, not for per-event traffic. */
     void deschedule(Event &ev);
-
-    /** deschedule-if-needed + schedule. */
-    void
-    reschedule(Tick when, Event &ev)
-    {
-        if (ev.scheduled())
-            deschedule(ev);
-        schedule(when, ev);
-    }
 
     // ------------------------------------------------------------
     // Callback convenience API (pooled, allocation-free)
@@ -181,13 +172,9 @@ class EventQueue
         /** Wall nanoseconds inside process(), by tag (only grows
          *  while wall profiling is enabled). */
         std::array<double, nEvTags> wallNs{};
-        std::uint64_t schedules = 0;
-        std::uint64_t maxPending = 0;
         /** Pool growth: slabs allocated / events per slab. */
         std::uint64_t poolSlabs = 0;
         std::uint64_t poolEvents = 0;
-        /** Wall nanoseconds spent inside run() (wall profiling). */
-        double runWallNs = 0;
 
         std::uint64_t
         totalExecuted() const
@@ -205,19 +192,9 @@ class EventQueue
      *  event: measurable overhead, off by default). */
     void enableWallProfiling(bool on) { wallProfiling = on; }
 
-    /**
-     * Surface the profiler through the StatsRegistry as group
-     * "eventq" (created on first call; see file header for the
-     * golden-snapshot rationale). Counters: eventq.executed,
-     * eventq.executed.<tag>, eventq.schedules, eventq.maxPending,
-     * eventq.pending, eventq.poolSlabs, eventq.poolEvents. Scalars:
-     * eventq.wallNs.<tag>, eventq.runWallNs, eventq.eventsPerSec.
-     */
-    void publishStats();
-
   private:
     /** One heap entry. The firing tick is copied out of the event
-     *  so sifts compare without chasing the pointer. */
+     *  so heap moves compare without chasing the pointer. */
     struct Entry
     {
         Tick when;
@@ -252,20 +229,14 @@ class EventQueue
      *  pool-owned carriers. */
     void execute(Event &ev);
 
-    // Min-heap by (when, seq). Hand-rolled sifts so every entry move
-    // updates its event's heapIdx_, giving O(log n) deschedule
-    // (std::*_heap can't report where elements land).
-    void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
-    /** Remove entry @p i, repairing the heap and indices. */
-    void removeAt(std::size_t i);
-
     // Pool.
     CallbackEvent &acquire();
     void release(CallbackEvent &ev);
     void growPool();
 
-    std::vector<Entry> heap; ///< every pending event
+    /** Every pending event; a min-heap by (when, seq) under
+     *  std::greater, so front() fires next. */
+    std::vector<Entry> heap;
 
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;
@@ -276,7 +247,6 @@ class EventQueue
 
     Profile prof;
     bool wallProfiling = false;
-    std::unique_ptr<StatGroup> statGroup; ///< lazy, see publishStats
 };
 
 } // namespace dpu::sim

@@ -126,27 +126,6 @@ Soc::run()
     return eq.now();
 }
 
-void
-Soc::enableQueueSampling(sim::Tick period)
-{
-    queueSampler = std::make_unique<sim::PeriodicEvent>(
-        eq, period,
-        [this] {
-            if (!DPU_TRACE_ARMED) {
-                // Nobody is recording: stop re-arming so the
-                // heartbeat does not keep the queue alive forever.
-                queueSampler->cancel();
-                return;
-            }
-            DPU_TRACE_COUNTER(sim::TraceCat::Soc, 0, "eventq",
-                              eq.now(), "pending",
-                              std::uint64_t(eq.pending()), "executed",
-                              eq.profile().totalExecuted());
-        },
-        sim::EvTag::Soc);
-    queueSampler->startIn(period);
-}
-
 sim::Tick
 Soc::runFor(sim::Tick limit)
 {

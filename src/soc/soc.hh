@@ -114,15 +114,6 @@ class Soc
     /** Dump all stat groups. */
     void dumpStats(std::ostream &os);
 
-    /**
-     * Emit an "eventq" trace counter (pending depth, total executed
-     * events) every @p period ticks while the tracer is armed — a
-     * heartbeat track that makes stalls visible in Perfetto without
-     * per-event cost. The ticker cancels itself on the first firing
-     * with tracing disarmed, so it never keeps run() from draining.
-     */
-    void enableQueueSampling(sim::Tick period);
-
   private:
     /** Delegation target of both public constructors. */
     Soc(sim::EventQueue *shared, const SocParams &params);
@@ -139,7 +130,6 @@ class Soc
     std::vector<std::unique_ptr<ate::Ate>> ateUnits;
     std::unique_ptr<mbc::Mbc> mbcUnit;
     std::vector<bool> started;
-    std::unique_ptr<sim::PeriodicEvent> queueSampler;
 };
 
 } // namespace dpu::soc

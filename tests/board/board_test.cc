@@ -1,7 +1,8 @@
 /**
  * @file
  * Board-layer tests: link fabric timing and fault semantics, bulk
- * DMA between DPU DDR spaces, the cross-DPU workloads, shard
+ * DMA between DPU DDR spaces, teardown with events and mail still
+ * pending, the cross-DPU workloads, shard
  * routing, and the multi-DPU determinism + golden contract — a
  * fixed 2-DPU sharded workload must produce bit-identical stats
  * across reruns (clean and under a seeded link-fault schedule) and
@@ -174,6 +175,67 @@ TEST(LinkFabric, ExhaustedRetriesReportFailure)
     EXPECT_EQ(b.fabric().statGroup().get("bulkRetries"),
               board::dmaRetries);
     EXPECT_EQ(b.fabric().statGroup().get("bulkFailed"), 1u);
+}
+
+// ----------------------------------------------------------------
+// Teardown with work in flight
+// ----------------------------------------------------------------
+
+TEST(Board, TeardownWithEventsPendingEverywhereIsClean)
+{
+    sim::faultPlane().reset();
+    auto brd = topo::ClusterTopology::board(2).buildBoard();
+    board::Board &b = *brd;
+    const sim::Tick bound = 1'000'000; // 1 us
+    unsigned late = 0; // closures that run after the bound
+
+    for (unsigned d = 0; d < 2; ++d) {
+        // Cores sleep well past the bound: their member resume
+        // events stay pending.
+        for (unsigned c = 0; c < 4; ++c)
+            b.dpu(d).start(c, [](core::DpCore &core) {
+                core.sleepCycles(100'000);
+            });
+        // A pooled callback past the bound.
+        b.eventQueue(d).schedule(10 * bound, [&late] { ++late; });
+    }
+    // DPU 0's A9 sleeps (its member resume event pending); DPU 1's
+    // waits for mail that never comes (a pooled deadline timer).
+    b.host(0).start([=](soc::HostA9 &h) { h.sleepUntil(20 * bound); });
+    b.host(1).start([=](soc::HostA9 &h) {
+        std::uint64_t msg;
+        (void)h.recvUntil(20 * bound, msg);
+    });
+    // Just before the bound, DPU 0 sends to DPU 1: the delivery lies
+    // past the bound, so the runner's last drain leaves it pending
+    // on DPU 1's queue.
+    bool dropped = true;
+    b.eventQueue(0).schedule(bound - 1, [&] {
+        b.fabric().send(0, 1, 8, sim::Traffic::Workload,
+                        [&late] { ++late; }, dropped);
+    });
+
+    EXPECT_EQ(b.runFor(bound), bound);
+    EXPECT_FALSE(dropped);
+    EXPECT_FALSE(b.allFinished());
+    EXPECT_FALSE(b.host(0).finished());
+    EXPECT_FALSE(b.host(1).finished());
+    // Four core resumes, the pooled callback and an A9 wait on each
+    // chip, plus the drained delivery on DPU 1.
+    EXPECT_EQ(b.eventQueue(0).pending(), 6u);
+    EXPECT_EQ(b.eventQueue(1).pending(), 7u);
+
+    // A host-phase send waits in the (1, 0) mailbox for the next run.
+    b.fabric().send(1, 0, 64, sim::Traffic::Workload,
+                    [&late] { ++late; }, dropped);
+    EXPECT_FALSE(dropped);
+    EXPECT_EQ(b.eventQueue(0).pending(), 6u);
+
+    // Members go in reverse order: the A9s and the chips unlink their
+    // pending member events from live queues, the runner drops its
+    // mail, and each queue severs what is left.
+    brd.reset();
+    EXPECT_EQ(late, 0u);
 }
 
 // ----------------------------------------------------------------

@@ -2,9 +2,9 @@
  * @file
  * Event-kernel regression tests: the bounded-run clock fix, the
  * schedule-from-callback-at-current-tick fix, pool growth/reuse,
- * events past the 2^32-tick mark, PeriodicEvent lifecycle, the
- * intrusive API, large-scale same-tick FIFO determinism, and a
- * seeded reference-model property test of the whole API.
+ * events past the 2^32-tick mark, the intrusive API, large-scale
+ * same-tick FIFO determinism, and a seeded reference-model property
+ * test of the whole API.
  */
 
 #include <gtest/gtest.h>
@@ -21,12 +21,10 @@
 #include "sim/event.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "sim/stats_registry.hh"
 
 using dpu::sim::Event;
 using dpu::sim::EventQueue;
 using dpu::sim::EvTag;
-using dpu::sim::PeriodicEvent;
 using dpu::sim::Tick;
 
 namespace {
@@ -234,44 +232,7 @@ TEST(EventKernel, WidelySpacedTicksFireInOrderWithSameTickFifo)
 }
 
 // ----------------------------------------------------------------
-// Satellite 3c: PeriodicEvent fire / cancel / re-arm.
-// ----------------------------------------------------------------
-
-TEST(EventKernel, PeriodicEventFiresCancelsAndRearms)
-{
-    EventQueue eq;
-    int fires = 0;
-    PeriodicEvent *self = nullptr;
-    PeriodicEvent ticker(eq, 10, [&] {
-        if (++fires % 3 == 0)
-            self->cancel(); // stop so run() can drain
-    });
-    self = &ticker;
-
-    EXPECT_FALSE(ticker.active());
-    ticker.start(10);
-    EXPECT_TRUE(ticker.active());
-    eq.run();
-    EXPECT_EQ(fires, 3);
-    EXPECT_EQ(eq.now(), 30u); // 10, 20, 30
-    EXPECT_FALSE(ticker.active());
-
-    // Re-arm after cancel, with a new period.
-    ticker.setPeriod(5);
-    EXPECT_EQ(ticker.period(), 5u);
-    ticker.startIn(5);
-    eq.run();
-    EXPECT_EQ(fires, 6);
-    EXPECT_EQ(eq.now(), 45u); // 35, 40, 45
-    EXPECT_FALSE(ticker.active());
-
-    // cancel() when already idle is a no-op.
-    ticker.cancel();
-    EXPECT_FALSE(ticker.active());
-}
-
-// ----------------------------------------------------------------
-// Intrusive API: deschedule, reschedule, destructor unlink.
+// Intrusive API: deschedule, schedule again, destructor unlink.
 // ----------------------------------------------------------------
 
 TEST(EventKernel, IntrusiveDescheduleAndReschedule)
@@ -290,7 +251,8 @@ TEST(EventKernel, IntrusiveDescheduleAndReschedule)
     EXPECT_EQ(eq.pending(), 0u);
 
     eq.schedule(200, ev);
-    eq.reschedule(300, ev); // moves, does not duplicate
+    eq.deschedule(ev);
+    eq.schedule(300, ev); // moves, does not duplicate
     EXPECT_EQ(eq.pending(), 1u);
     eq.run();
     EXPECT_EQ(log, (std::vector<std::string>{"ev"}));
@@ -494,8 +456,8 @@ TEST(EventKernel, QuantumSteppedRunsWithLateSchedulesStayOrdered)
 }
 
 // ----------------------------------------------------------------
-// Past the 2^32-tick mark: short-delta traffic and a periodic ticker
-// keep exact order and period once the clock has crossed it.
+// Past the 2^32-tick mark: short-delta traffic keeps exact order
+// once the clock has crossed it.
 // ----------------------------------------------------------------
 
 TEST(EventKernel, ShortDeltasPastThe32BitMarkStayOrdered)
@@ -520,27 +482,12 @@ TEST(EventKernel, ShortDeltasPastThe32BitMarkStayOrdered)
     EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
 }
 
-TEST(EventKernel, PeriodicTickerCrossesThe32BitMark)
-{
-    EventQueue eq;
-    const Tick h = Tick(1) << 32;
-    eq.run(h - 250); // park the clock just below 2^32
-
-    int fires = 0;
-    PeriodicEvent ticker(eq, 100, [&] { ++fires; });
-    ticker.startIn(100);
-    eq.run(h + 750);
-    EXPECT_EQ(eq.now(), h + 750);
-    EXPECT_EQ(fires, 10); // h-150, h-50, ..., h+750
-    ticker.cancel();
-}
-
 // ----------------------------------------------------------------
-// Events deschedule via their stored heap index; scattered
-// deschedules and reschedules must leave an exact heap behind.
+// Scattered deschedules from arbitrary heap slots, and events that
+// re-enter afterwards, must leave an exact heap behind.
 // ----------------------------------------------------------------
 
-TEST(EventKernel, DescheduleByHeapIndexKeepsHeapConsistent)
+TEST(EventKernel, ScatteredDeschedulesKeepHeapConsistent)
 {
     EventQueue eq;
     const Tick h = Tick(1) << 32;
@@ -565,15 +512,17 @@ TEST(EventKernel, DescheduleByHeapIndexKeepsHeapConsistent)
     EXPECT_EQ(eq.pending(), 300u);
 
     // Deschedule every third (arbitrary interior heap slots), then
-    // reschedule every seventh to an earlier far tick — including
-    // some just-descheduled ones, which re-enter.
+    // move every seventh to an earlier far tick — including some
+    // just-descheduled ones, which re-enter.
     std::vector<bool> sched(300, true), moved(300, false);
     for (unsigned i = 0; i < 300; i += 3) {
         eq.deschedule(*evs[i]);
         sched[i] = false;
     }
     for (unsigned i = 1; i < 300; i += 7) {
-        eq.reschedule(h + 500 + i, *evs[i]);
+        if (sched[i])
+            eq.deschedule(*evs[i]);
+        eq.schedule(h + 500 + i, *evs[i]);
         sched[i] = true;
         moved[i] = true;
     }
@@ -592,7 +541,7 @@ TEST(EventKernel, DescheduleByHeapIndexKeepsHeapConsistent)
 }
 
 // ----------------------------------------------------------------
-// Self-profiler: per-tag counts, lazy stats publication.
+// Self-profiler: per-tag counts.
 // ----------------------------------------------------------------
 
 TEST(EventKernel, ProfilerAttributesExecutionByTag)
@@ -611,44 +560,13 @@ TEST(EventKernel, ProfilerAttributesExecutionByTag)
     EXPECT_EQ(prof.executed[unsigned(EvTag::Dms)], 1u);
     EXPECT_EQ(prof.executed[unsigned(EvTag::Core)], 1u);
     EXPECT_EQ(prof.totalExecuted(), 4u);
-    EXPECT_EQ(prof.schedules, 4u);
-    EXPECT_GE(prof.maxPending, 4u);
-}
-
-TEST(EventKernel, PublishStatsIsLazyAndExportsCounters)
-{
-    using dpu::sim::StatsRegistry;
-    using dpu::sim::StatsSnapshot;
-
-    auto countEventqKeys = [](const StatsSnapshot &s) {
-        std::size_t n = 0;
-        for (const auto &[k, v] : s.counters)
-            n += k.rfind("eventq.", 0) == 0;
-        return n;
-    };
-
-    EventQueue eq;
-    eq.schedule(1, [] {}, EvTag::Mbc);
-    eq.run();
-
-    // Until publishStats() opts in, the registry has no "eventq"
-    // group — golden snapshots of the modelled chip stay clean.
-    EXPECT_EQ(countEventqKeys(StatsRegistry::instance().snapshot()),
-              0u);
-
-    eq.publishStats();
-    StatsSnapshot snap = StatsRegistry::instance().snapshot();
-    EXPECT_GT(countEventqKeys(snap), 0u);
-    EXPECT_EQ(snap.counters.at("eventq.executed"), 1u);
-    EXPECT_EQ(snap.counters.at("eventq.executed.mbc"), 1u);
-    EXPECT_EQ(snap.counters.at("eventq.schedules"), 1u);
 }
 
 // ----------------------------------------------------------------
 // Reference model. Each seed drives the queue through a random mix
 // of schedules (near deltas, deltas past 2^32 ticks, same-tick
 // bursts, callbacks that schedule from inside their own firing),
-// deschedule, reschedule, PeriodicEvent start/cancel, bounded
+// deschedule, destruction of pending intrusive events, bounded
 // run(limit) and step(). A std::set of (when, seq) mirrors every
 // pending event; after each operation the queue's firing order,
 // clock, pending count and nextDue() must equal the model's.
@@ -688,14 +606,11 @@ class KernelModel
         }
     };
 
-    /** Ids: intrusive [0, nIntr), periodic [nIntr, nIntr + nPer),
-     *  then callbacks; a callback's child is id | childBit. */
+    /** Ids: intrusive [0, nIntr), then callbacks; a callback's
+     *  child is id | childBit. */
     static constexpr unsigned childBit = 1u << 31;
 
-    KernelModel(unsigned nIntr_, std::vector<Tick> periods_)
-        : nIntr(nIntr_), periods(std::move(periods_)),
-          intrKey(nIntr), perKey(periods.size()),
-          armed(periods.size(), false)
+    explicit KernelModel(unsigned nIntr_) : nIntr(nIntr_), intrKey(nIntr)
     {
     }
 
@@ -714,8 +629,6 @@ class KernelModel
     void
     scheduleIntrusive(unsigned i, Tick when)
     {
-        if (intrKey[i])
-            pending.erase(*intrKey[i]);
         intrKey[i] = insert(when, i);
     }
 
@@ -726,31 +639,6 @@ class KernelModel
     {
         pending.erase(*intrKey[i]);
         intrKey[i].reset();
-    }
-
-    void
-    startPeriodic(unsigned j, Tick first)
-    {
-        armed[j] = true;
-        if (perKey[j])
-            pending.erase(*perKey[j]);
-        perKey[j] = insert(first, nIntr + j);
-    }
-
-    void
-    cancelPeriodic(unsigned j)
-    {
-        armed[j] = false;
-        if (perKey[j])
-            pending.erase(*perKey[j]);
-        perKey[j].reset();
-    }
-
-    bool
-    anyPeriodicArmed() const
-    {
-        return std::find(armed.begin(), armed.end(), true) !=
-               armed.end();
     }
 
     void
@@ -796,12 +684,6 @@ class KernelModel
         fired.push_back(k.id);
         if (k.id < nIntr) {
             intrKey[k.id].reset();
-        } else if (k.id < nIntr + periods.size()) {
-            // PeriodicEvent runs its fn (which logs), then re-arms.
-            const unsigned j = k.id - nIntr;
-            perKey[j].reset();
-            if (armed[j])
-                perKey[j] = insert(k.when + periods[j], k.id);
         } else if (auto it = child.find(k.id); it != child.end()) {
             insert(k.when + it->second, k.id | childBit);
             child.erase(it);
@@ -809,12 +691,9 @@ class KernelModel
     }
 
     unsigned nIntr;
-    std::vector<Tick> periods;
     std::set<Key> pending;
     std::uint64_t seq = 0;
     std::vector<std::optional<Key>> intrKey;
-    std::vector<std::optional<Key>> perKey;
-    std::vector<bool> armed;
     std::map<unsigned, Tick> child;
 };
 
@@ -833,23 +712,16 @@ void
 runReferenceModel(std::uint64_t seed, unsigned ops)
 {
     constexpr unsigned nIntr = 12;
-    const std::vector<Tick> periods = {700, 5'003, 91'000};
 
     dpu::sim::Rng rng(seed);
     EventQueue eq;
-    KernelModel model(nIntr, periods);
+    KernelModel model(nIntr);
     std::vector<unsigned> log;
 
     std::vector<std::unique_ptr<LogEvent>> intr;
     for (unsigned i = 0; i < nIntr; ++i)
         intr.push_back(std::make_unique<LogEvent>(log, i));
-    std::vector<std::unique_ptr<PeriodicEvent>> per;
-    for (unsigned j = 0; j < periods.size(); ++j) {
-        const unsigned id = nIntr + unsigned(j);
-        per.push_back(std::make_unique<PeriodicEvent>(
-            eq, periods[j], [&log, id] { log.push_back(id); }));
-    }
-    unsigned nextId = nIntr + unsigned(periods.size());
+    unsigned nextId = nIntr;
 
     auto scheduleCallback = [&](Tick when, bool spawns, Tick d) {
         const unsigned id = nextId++;
@@ -867,7 +739,7 @@ runReferenceModel(std::uint64_t seed, unsigned ops)
     };
 
     for (unsigned op = 0; op < ops; ++op) {
-        const unsigned kind = unsigned(rng.below(11));
+        const unsigned kind = unsigned(rng.below(10));
         switch (kind) {
           case 0: case 1: // one callback, any band
             scheduleCallback(eq.now() + drawDelta(rng), false, 0);
@@ -883,11 +755,17 @@ runReferenceModel(std::uint64_t seed, unsigned ops)
             scheduleCallback(eq.now() + drawDelta(rng), true,
                              rng.below(2) ? 0 : rng.below(4096));
             break;
-          case 4: { // schedule or reschedule an intrusive event
+          case 4: { // schedule an intrusive event, moving it if pending
             const unsigned i = unsigned(rng.below(nIntr));
             const Tick when = eq.now() + drawDelta(rng);
+            ASSERT_EQ(intr[i]->scheduled(),
+                      model.intrusiveScheduled(i));
+            if (model.intrusiveScheduled(i)) {
+                model.descheduleIntrusive(i);
+                eq.deschedule(*intr[i]);
+            }
             model.scheduleIntrusive(i, when);
-            eq.reschedule(when, *intr[i]);
+            eq.schedule(when, *intr[i]);
             break;
           }
           case 5: { // deschedule an intrusive event if pending
@@ -900,26 +778,25 @@ runReferenceModel(std::uint64_t seed, unsigned ops)
             }
             break;
           }
-          case 6: { // arm (or re-arm) a periodic ticker
-            const unsigned j = unsigned(rng.below(periods.size()));
-            const Tick first = eq.now() + rng.below(2 * periods[j]);
-            model.startPeriodic(j, first);
-            per[j]->start(first);
+          case 6: { // destroy a pending intrusive event, build a fresh one
+            // The first pending one from a random start: its entry
+            // sits anywhere in the heap, and only the destructor
+            // takes it out.
+            const unsigned start = unsigned(rng.below(nIntr));
+            for (unsigned k = 0; k < nIntr; ++k) {
+                const unsigned i = (start + k) % nIntr;
+                ASSERT_EQ(intr[i]->scheduled(),
+                          model.intrusiveScheduled(i));
+                if (!model.intrusiveScheduled(i))
+                    continue;
+                model.descheduleIntrusive(i);
+                intr[i] = std::make_unique<LogEvent>(log, i);
+                break;
+            }
             break;
           }
-          case 7: { // cancel a ticker (a no-op when idle)
-            const unsigned j = unsigned(rng.below(periods.size()));
-            model.cancelPeriodic(j);
-            per[j]->cancel();
-            break;
-          }
-          case 8: case 9: { // bounded run
-            // Past 2^32 only with every ticker idle: a 700-tick
-            // period across 2^32 ticks would fire millions of times.
-            Tick delta = drawDelta(rng);
-            if (model.anyPeriodicArmed())
-                delta %= 1u << 20;
-            const Tick limit = eq.now() + delta;
+          case 7: case 8: { // bounded run
+            const Tick limit = eq.now() + drawDelta(rng);
             model.run(limit);
             eq.run(limit);
             break;
@@ -937,11 +814,6 @@ runReferenceModel(std::uint64_t seed, unsigned ops)
             << "seed " << seed << " op " << op;
     }
 
-    // Drain: disarm the tickers, then run unbounded.
-    for (unsigned j = 0; j < periods.size(); ++j) {
-        model.cancelPeriodic(j);
-        per[j]->cancel();
-    }
     model.run(dpu::sim::maxTick);
     eq.run();
     EXPECT_EQ(log, model.fired) << "seed " << seed;

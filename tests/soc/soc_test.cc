@@ -9,7 +9,6 @@
 
 #include <sstream>
 
-#include "sim/trace.hh"
 #include "soc/soc.hh"
 
 using namespace dpu;
@@ -108,35 +107,4 @@ TEST(Soc, SecondsTracksTicks)
     s.start(0, [](core::DpCore &c) { c.sleepCycles(800'000'000); });
     s.run(); // 800 M cycles at 800 MHz = 1 s
     EXPECT_NEAR(s.seconds(), 1.0, 1e-6);
-}
-
-TEST(Soc, QueueSamplerEmitsHeartbeatWhileArmedThenSelfCancels)
-{
-    sim::tracer().disarm();
-    sim::tracer().clear();
-
-    soc::Soc s;
-    s.start(0, [](core::DpCore &c) {
-        for (int i = 0; i < 100; ++i)
-            c.sleepCycles(10000);
-    });
-
-    // Armed: the heartbeat re-arms every period and drops "eventq"
-    // counter samples into the trace.
-    sim::tracer().arm(1 << 12);
-    s.enableQueueSampling(100'000); // 100 ns
-    s.runFor(2'000'000);
-    EXPECT_GT(sim::tracer().size(), 0u);
-    std::ostringstream os;
-    sim::tracer().exportJson(os);
-    EXPECT_NE(os.str().find("eventq"), std::string::npos);
-
-    // Disarmed: the sampler cancels itself on its next firing, so
-    // run() drains instead of ticking forever.
-    sim::tracer().disarm();
-    s.run();
-    EXPECT_TRUE(s.allFinished());
-    EXPECT_EQ(s.eventQueue().pending(), 0u);
-
-    sim::tracer().clear();
 }
