@@ -251,15 +251,7 @@ Ate::waitResponseFor(core::DpCore &c, sim::Tick timeout,
     Outstanding &o = pending[local(c.id())];
     sim_assert(o.busy, "waitResponseFor with no outstanding request");
     c.sync();
-    const sim::Tick deadline = eq.now() + timeout;
-    core::DpCore *cp = &c;
-    // Unconditional deadline wake; wake() is a no-op unless blocked,
-    // and blockUntil re-checks its predicate on spurious wakes.
-    eq.schedule(deadline, [this, cp] { cp->wake(eq.now()); },
-                sim::EvTag::Ate);
-    c.blockUntil(
-        [this, &o, deadline] { return o.ready || eq.now() >= deadline; });
-    if (!o.ready) {
+    if (!c.blockUntil([&o] { return o.ready; }, eq.now() + timeout)) {
         abandonRequest(c);
         return false;
     }

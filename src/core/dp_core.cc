@@ -95,7 +95,9 @@ DpCore::start(Kernel kernel)
 void
 DpCore::resumeFiber()
 {
-    sim_assert(state == State::Ready || state == State::Sleeping,
+    // Blocked: a bounded wait's deadline fired.
+    sim_assert(state == State::Ready || state == State::Sleeping ||
+                   state == State::Blocked,
                "core %u resumed in bad state %d", coreId, int(state));
     state = State::Running;
     fiber->resume();
@@ -154,24 +156,30 @@ DpCore::sleepCycles(sim::Cycles n)
     sync();
 }
 
-void
-DpCore::blockUntil(const std::function<bool()> &pred)
+bool
+DpCore::blockUntil(const std::function<bool()> &pred,
+                   sim::Tick deadline)
 {
     sync();
     const sim::Tick t0 = eq.now();
     bool blocked = false;
-    while (!pred()) {
+    bool held = pred();
+    while (!held && eq.now() < deadline) {
         state = State::Blocked;
         ++shBlocks;
         blocked = true;
+        if (deadline != sim::maxTick)
+            eq.schedule(deadline, resumeEvent);
         yieldToScheduler();
-        // Woken by wake(); state is Running again here.
+        // Woken by wake() or the deadline; Running again here.
         deliverInterrupts();
+        held = pred();
     }
     if (blocked) {
         DPU_TRACE_COMPLETE(sim::TraceCat::Core, coreId, "blocked", t0,
                            eq.now() - t0, nullptr, 0, nullptr, 0);
     }
+    return held;
 }
 
 void
@@ -180,7 +188,14 @@ DpCore::wake(sim::Tick when)
     if (state != State::Blocked)
         return; // a resume is already scheduled or the core is busy
     state = State::Sleeping;
-    eq.schedule(std::max(when, eq.now()), resumeEvent);
+    when = std::max(when, eq.now());
+    if (resumeEvent.scheduled()) {
+        // The wait's deadline is armed: pull it in, never out.
+        if (resumeEvent.when() < when)
+            return;
+        eq.deschedule(resumeEvent);
+    }
+    eq.schedule(when, resumeEvent);
 }
 
 void

@@ -263,14 +263,17 @@ class DpCore
     void postInterrupt(Isr isr);
 
     /**
-     * Block the calling fiber until @p pred becomes true. Interrupts
+     * Block the calling fiber until @p pred becomes true or the
+     * absolute @p deadline passes, whichever is first. Interrupts
      * are delivered while blocked (the handler runs, then the wait
      * resumes), matching the chip's cooperative scheduling model.
-     * Wakers must call wake().
+     * Wakers must call wake(). @return whether @p pred held.
      */
-    void blockUntil(const std::function<bool()> &pred);
+    bool blockUntil(const std::function<bool()> &pred,
+                    sim::Tick deadline = sim::maxTick);
 
-    /** Wake a blocked core at tick @p when (>= eq.now()). */
+    /** Wake a blocked core at tick @p when (>= eq.now()), or at its
+     *  wait's deadline if that comes first. */
     void wake(sim::Tick when);
 
     /**
@@ -336,8 +339,9 @@ class DpCore
      * sync/wake hot path schedules an intrusive event instead of
      * renting a pooled callback carrier. The state machine
      * guarantees at most one resume is pending (start from
-     * Idle/Done, sync from Running, wake only from Blocked); the
-     * queue's already-scheduled assertion enforces it.
+     * Idle/Done, sync from Running, a bounded wait's deadline when
+     * it blocks, wake only from Blocked, moving that deadline in);
+     * the queue's already-scheduled assertion enforces it.
      */
     class ResumeEvent final : public sim::Event
     {

@@ -37,18 +37,26 @@ Dms::push(core::DpCore &c, unsigned channel, std::uint16_t desc_addr)
     dmads[localId(c)]->push(channel, desc_addr);
 }
 
+bool
+Dms::waitSet(core::DpCore &c, unsigned ev, sim::Tick deadline)
+{
+    EventFile &ef = ctx.events[localId(c)];
+    core::DpCore *cp = &c;
+    return c.blockUntil(
+        [this, cp, &ef, ev] {
+            if (ef.isSet(ev))
+                return true;
+            ef.whenSet(ev, [this, cp] { cp->wake(ctx.eq.now()); });
+            return false;
+        },
+        deadline);
+}
+
 void
 Dms::wfe(core::DpCore &c, unsigned ev)
 {
     c.cycles(1);
-    EventFile &ef = ctx.events[localId(c)];
-    core::DpCore *cp = &c;
-    c.blockUntil([this, cp, &ef, ev] {
-        if (ef.isSet(ev))
-            return true;
-        ef.whenSet(ev, [this, cp] { cp->wake(ctx.eq.now()); });
-        return false;
-    });
+    waitSet(c, ev, sim::maxTick);
 }
 
 Dms::WfeResult
@@ -56,26 +64,10 @@ Dms::wfeFor(core::DpCore &c, unsigned ev, sim::Tick timeout)
 {
     c.cycles(1);
     c.sync();
-    const unsigned local = localId(c);
-    EventFile &ef = ctx.events[local];
-    const sim::Tick deadline = ctx.eq.now() + timeout;
-    core::DpCore *cp = &c;
-    // The deadline wake is unconditional; a core that already moved
-    // on just absorbs a spurious predicate re-check (wake() is a
-    // no-op unless the core is blocked).
-    ctx.eq.schedule(deadline, [this, cp] { cp->wake(ctx.eq.now()); },
-                    sim::EvTag::Dms);
-    c.blockUntil([this, cp, &ef, ev, deadline] {
-        if (ef.isSet(ev))
-            return true;
-        if (ctx.eq.now() >= deadline)
-            return true;
-        ef.whenSet(ev, [this, cp] { cp->wake(ctx.eq.now()); });
-        return false;
-    });
-    if (!ef.isSet(ev))
+    if (!waitSet(c, ev, ctx.eq.now() + timeout))
         return WfeResult::Timeout;
-    return ef.errorSet(ev) ? WfeResult::Error : WfeResult::Ok;
+    return ctx.events[localId(c)].errorSet(ev) ? WfeResult::Error
+                                                : WfeResult::Ok;
 }
 
 void

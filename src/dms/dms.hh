@@ -93,6 +93,10 @@ class Dms
     /** Map a core to its id local to this complex. */
     unsigned localId(const core::DpCore &c) const;
 
+    /** Block @p c until its event @p ev is set or @p deadline
+     *  passes. @return whether the event is set. */
+    bool waitSet(core::DpCore &c, unsigned ev, sim::Tick deadline);
+
     DmsContext ctx;
     unsigned baseCore;
     std::unique_ptr<Dmac> dmacUnit;

@@ -94,8 +94,9 @@ BoardScheduler::run()
 
     // Balanced: window-sized segments. Each iteration forwards the
     // window's offers to their partitions' CURRENT homes (host
-    // phase, clocks parked), runs the kernel to the boundary, then
-    // lets the balancer harvest/plan/launch. Migrations execute
+    // phase, clocks parked; each forward wakes its shard's blocked
+    // A9 at the offer's tick), runs the kernel to the boundary,
+    // then lets the balancer harvest/plan/launch. Migrations execute
     // inside subsequent segments; commits flip the partition map
     // between them. Termination: once offers are exhausted the
     // balancer is draining (no new plans) and every in-flight
@@ -116,8 +117,6 @@ BoardScheduler::run()
             shards[parts.homeOf(part, nShards())]->enqueueAt(
                 o.when, std::move(o.req));
         }
-        for (auto &s : shards)
-            s->setIdleWake(boundary);
         brd.runFor(boundary - brd.now());
         if (next == offers.size())
             balancer_->setDraining(true);

@@ -1,7 +1,6 @@
 #include "host/offload.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "host/summary.hh"
 #include "sim/fault.hh"
@@ -11,8 +10,6 @@
 namespace dpu::host {
 
 namespace {
-
-constexpr sim::Tick noTick = std::numeric_limits<sim::Tick>::max();
 
 /** Worker shutdown sentinel (no valid dispatch encodes to it). */
 constexpr std::uint64_t shutdownMsg = ~0ull;
@@ -80,6 +77,7 @@ OffloadScheduler::enqueueAt(sim::Tick when, JobRequest req)
         sim_assert(arrivals.empty() ||
                        when >= arrivals.back().when,
                    "held-open arrivals must be time-ordered");
+        a9.wakeBy(when);
     }
     arrivals.push_back({when, std::move(req)});
 }
@@ -385,7 +383,7 @@ OffloadScheduler::handleAck(soc::HostA9 &host, std::uint64_t msg)
 sim::Tick
 OffloadScheduler::nextWake() const
 {
-    sim::Tick wake = noTick;
+    sim::Tick wake = sim::maxTick;
     if (nextArrival < arrivals.size())
         wake = std::min(wake, arrivals[nextArrival].when);
     for (const Pending &pend : queue)
@@ -411,25 +409,12 @@ OffloadScheduler::hostMain(soc::HostA9 &host)
             nextArrival == arrivals.size() && !open)
             break;
 
+        // A timeout is not idle spin: the next iteration admits the
+        // due arrival or reaps the overdue job that set the wake
+        // tick (a held-open append or close() may pull it in).
         std::uint64_t msg;
-        sim::Tick wake = nextWake();
-        if (open) {
-            // Held open: never block unboundedly, and always be
-            // awake by the idle-wake bound (the next window
-            // boundary) to observe freshly appended arrivals. The
-            // now+1 floor keeps recvUntil strictly in the future.
-            wake = std::min(
-                wake, std::max(idleWake, host.now() + 1));
-        }
-        if (wake == noTick) {
-            msg = host.recv();
+        if (host.recvUntil(nextWake(), msg))
             handleAck(host, msg);
-        } else if (host.recvUntil(wake, msg)) {
-            handleAck(host, msg);
-        }
-        // recvUntil timing out is not idle spin: the next loop
-        // iteration admits the due arrival or reaps the overdue
-        // job that defined the wake tick.
     }
 
     // Retire the workers. Wedged lanes never read their sentinel;

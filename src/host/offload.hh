@@ -166,7 +166,7 @@ class OffloadScheduler
     /** Open-loop arrival: @p req reaches the host at tick @p when.
      *  Normally arrivals precede start(); a held-open scheduler
      *  (holdOpen()) accepts time-ordered appends between run
-     *  segments too. */
+     *  segments too, and its blocked A9 wakes at the arrival. */
     void enqueueAt(sim::Tick when, JobRequest req);
 
     /**
@@ -177,16 +177,14 @@ class OffloadScheduler
      */
     void holdOpen() { open = true; }
 
-    /** Let the driver loop exit once drained (ends holdOpen()). */
-    void close() { open = false; }
-
-    /**
-     * While held open, the driver wakes no later than @p when even
-     * with nothing pending, so it observes arrivals appended at the
-     * next host-phase boundary. Set per segment by the stepped
-     * driver.
-     */
-    void setIdleWake(sim::Tick when) { idleWake = when; }
+    /** Let the driver loop exit once drained (ends holdOpen()); a
+     *  blocked A9 wakes now to see it. */
+    void
+    close()
+    {
+        open = false;
+        a9.wakeBy(a9.now());
+    }
 
     /**
      * Completion hook, fired after every job resolution (completed
@@ -289,8 +287,6 @@ class OffloadScheduler
     bool started = false;
     /** holdOpen() latch: keep the driver loop alive while idle. */
     bool open = false;
-    /** Held-open idle wake bound (next window boundary). */
-    sim::Tick idleWake = 0;
 };
 
 } // namespace dpu::host

@@ -15,10 +15,11 @@
  *    themselves; scheduling a member event costs no allocation. One
  *    binary min-heap of (when, seq, event) entries, kept by
  *    std::push_heap/std::pop_heap, holds every pending event, so the
- *    heap front is the exact next event. An event destroyed while
- *    pending is found by a linear scan and the heap rebuilt: only
- *    teardown does that, and no queue in the dpubench workloads
- *    holds more than 160 pending events.
+ *    heap front is the exact next event. An event descheduled while
+ *    pending is found by a linear scan and the heap rebuilt: a
+ *    bounded wait that ends early moves its waiter's armed resume
+ *    event that way, and no queue in the dpubench workloads holds
+ *    more than 160 pending events.
  *  - A slab pool of callback events: the `scheduleIn(delta, lambda)`
  *    convenience API is carried by pooled CallbackEvent nodes whose
  *    capture storage is inline (sim/inplace_fn.hh) — no malloc on
@@ -91,8 +92,10 @@ class EventQueue
 
     /** Unlink a scheduled event; no-op semantics are NOT provided —
      *  the event must currently be scheduled on this queue. Linear
-     *  in pending(): meant for the rare event that dies or is
-     *  cancelled while pending, not for per-event traffic. */
+     *  in pending(): meant for a wait's deadline that something
+     *  else beat (one call per 25-33 executed events on the serving
+     *  workloads) and for an event that dies pending, not for
+     *  every event. */
     void deschedule(Event &ev);
 
     // ------------------------------------------------------------

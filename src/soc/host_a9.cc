@@ -1,5 +1,7 @@
 #include "soc/host_a9.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace dpu::soc {
@@ -7,12 +9,12 @@ namespace dpu::soc {
 HostA9::HostA9(sim::EventQueue &eq_, mbc::Mbc &mbc_)
     : eq(eq_), mbcRef(mbc_)
 {
-    // The driver's interrupt handler: wake the host fiber whenever
-    // its mailbox raises.
+    // The mailbox interrupt handler: a message ends a blocked wait
+    // now, whatever deadline it had armed.
     mbcRef.onMessage(mbcRef.a9Box(), [this] {
         if (blocked) {
             blocked = false;
-            eq.scheduleIn(0, resumeEvent);
+            armAt(eq.now());
         }
     });
 }
@@ -35,9 +37,11 @@ HostA9::resume()
 }
 
 void
-HostA9::yield()
+HostA9::armAt(sim::Tick when)
 {
-    fiber->yield();
+    if (resumeEvent.scheduled())
+        eq.deschedule(resumeEvent);
+    eq.schedule(when, resumeEvent);
 }
 
 void
@@ -46,70 +50,37 @@ HostA9::sendToCore(unsigned core, std::uint64_t msg)
     mbcRef.sendFromHost(core, msg);
 }
 
-void
-HostA9::block()
-{
-    ++wakeGen;
-    blocked = true;
-}
-
-std::uint64_t
-HostA9::recv()
-{
-    std::uint64_t msg;
-    while (!mbcRef.tryRecv(mbcRef.a9Box(), msg)) {
-        block();
-        yield();
-    }
-    return msg;
-}
-
 bool
-HostA9::tryRecv(std::uint64_t &msg)
+HostA9::recvUntil(sim::Tick until, std::uint64_t &msg)
 {
-    return mbcRef.tryRecv(mbcRef.a9Box(), msg);
-}
-
-bool
-HostA9::recvUntil(sim::Tick deadline, std::uint64_t &msg)
-{
+    deadline = until;
     while (!mbcRef.tryRecv(mbcRef.a9Box(), msg)) {
         if (eq.now() >= deadline)
             return false;
-        block();
-        const std::uint64_t gen = wakeGen;
-        eq.schedule(deadline,
-                    [this, gen] {
-                        // Only fire if this exact wait is still
-                        // pending: a message wake (or a newer wait)
-                        // invalidates the timer.
-                        if (blocked && gen == wakeGen) {
-                            blocked = false;
-                            resume();
-                        }
-                    },
-                    sim::EvTag::Host);
-        yield();
+        blocked = true;
+        if (deadline != sim::maxTick)
+            eq.schedule(deadline, resumeEvent);
+        fiber->yield();
+        blocked = false;
     }
     return true;
+}
+
+void
+HostA9::wakeBy(sim::Tick when)
+{
+    when = std::max(when, eq.now());
+    if (!blocked || when >= deadline)
+        return;
+    deadline = when;
+    armAt(when);
 }
 
 void
 HostA9::busyUs(double us)
 {
     eq.scheduleIn(sim::Tick(us * 1e6), resumeEvent);
-    yield();
-}
-
-void
-HostA9::sleepUntil(sim::Tick when)
-{
-    if (when <= eq.now())
-        return;
-    // Not a "blocked" wait: a message arriving mid-sleep must not
-    // resume the fiber early (and must not double-resume it).
-    eq.schedule(when, resumeEvent);
-    yield();
+    fiber->yield();
 }
 
 } // namespace dpu::soc

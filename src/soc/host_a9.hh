@@ -14,7 +14,6 @@
 #ifndef DPU_SOC_HOST_A9_HH
 #define DPU_SOC_HOST_A9_HH
 
-#include <deque>
 #include <functional>
 #include <memory>
 
@@ -45,45 +44,53 @@ class HostA9
     /** Post a pointer-sized message to dpCore @p core's mailbox. */
     void sendToCore(unsigned core, std::uint64_t msg);
 
-    /** Block until a message arrives on the A9 mailbox. */
-    std::uint64_t recv();
-
-    /**
-     * Poll the A9 mailbox without blocking. @return true and fill
-     * @p msg if a message was waiting; false otherwise. Burns no
-     * simulated time — poll loops must advance time themselves
-     * (busyUs / sleepUntil) or they spin forever at one tick.
-     */
-    bool tryRecv(std::uint64_t &msg);
-
     /**
      * Block until a message arrives or the absolute @p deadline
-     * passes, whichever is first. @return true and fill @p msg on
-     * delivery; false on timeout (any message that races the
-     * deadline at the same tick stays queued for the next receive).
+     * passes, whichever is first; sim::maxTick waits unbounded, and
+     * a deadline at or before now() polls. @return true and fill
+     * @p msg on delivery; false on timeout (any message that races
+     * the deadline at the same tick stays queued for the next
+     * receive).
      */
     bool recvUntil(sim::Tick deadline, std::uint64_t &msg);
 
-    /** Burn host time (driver work, syscalls...). The A9 runs at
-     *  a fraction of the dpCore clock; @p us is wall microseconds. */
-    void busyUs(double us);
+    /** Block until a message arrives on the A9 mailbox. */
+    std::uint64_t
+    recv()
+    {
+        std::uint64_t msg = 0;
+        recvUntil(sim::maxTick, msg);
+        return msg;
+    }
 
-    /** Sleep until absolute tick @p when (no-op if in the past).
-     *  Arriving messages do NOT cut the sleep short; use recvUntil
-     *  for an interruptible wait. */
-    void sleepUntil(sim::Tick when);
+    /** Burn host time (driver work, syscalls...). The A9 runs at
+     *  a fraction of the dpCore clock; @p us is wall microseconds.
+     *  Arriving messages do not cut it short. */
+    void busyUs(double us);
 
     sim::Tick now() const { return eq.now(); }
 
+    // ------------------------------------------------------------
+    // Host phase (between runs, from outside the host program)
+    // ------------------------------------------------------------
+
+    /**
+     * Move a blocked recvUntil's deadline in to @p when (clamped to
+     * now()), so the wait returns false there: a host program fed
+     * between runs wakes on its new work. Never moves a deadline
+     * later, and does nothing unless the program is blocked in
+     * recvUntil.
+     */
+    void wakeBy(sim::Tick when);
+
   private:
     void resume();
-    void yield();
-    void block();
+    /** Fire resumeEvent at @p when, moving it if it is armed. */
+    void armAt(sim::Tick when);
 
-    /** The host fiber's single outstanding wake/resume (see
-     *  DpCore::ResumeEvent for the pattern). recvUntil's deadline
-     *  timer stays a pooled callback: several stale timers can be
-     *  in flight at once, disarmed by wakeGen. */
+    /** The host fiber's one wake-up (see DpCore::ResumeEvent for
+     *  the pattern): busyUs's end, a blocked wait's deadline, or a
+     *  message's interrupt, which pulls an armed deadline in. */
     class ResumeEvent final : public sim::Event
     {
       public:
@@ -104,11 +111,11 @@ class HostA9
     std::unique_ptr<sim::Fiber> fiber;
     HostFn program;
     bool done = false;
+    /** True while the program waits in recvUntil. */
     bool blocked = false;
-    /** Bumped on every blocking wait so a stale recvUntil deadline
-     *  timer (whose wait already ended) can tell it lost the race
-     *  and must not resume the fiber a second time. */
-    std::uint64_t wakeGen = 0;
+    /** The current recvUntil's deadline, as wakeBy may have moved
+     *  it. */
+    sim::Tick deadline = sim::maxTick;
 };
 
 } // namespace dpu::soc

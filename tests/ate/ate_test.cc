@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "rt/serialized.hh"
@@ -358,6 +359,48 @@ TEST(Ate, ExhaustedRetriesFailCleanlyWithoutHanging)
     s.run(); // must drain: a dead fabric fails ops, not the sim
     sim::faultPlane().reset();
     EXPECT_TRUE(s.allFinished());
+}
+
+TEST(Ate, BoundedWaitEndsOnTheResponseNotTheDeadline)
+{
+    sim::faultPlane().reset(); // plane inert: every request lands
+    // The second run's core goes on to block in mbc().recv until a
+    // host message at 2 ms, past its answered wait's 1 ms deadline.
+    for (const bool then_recv : {false, true}) {
+        soc::Soc s;
+        std::optional<std::uint64_t> v;
+        sim::Tick doneAt = 0;
+        std::uint64_t got = 0;
+        s.start(0, [&](core::DpCore &c) {
+            rt::AteRetryPolicy pol;
+            pol.timeout = sim::Tick(1e9); // 1 ms
+            rt::ReliableAte ra(s.ate(), pol);
+            v = ra.load(c, 7, mem::dmemAddr(7, 64));
+            doneAt = c.now();
+            EXPECT_EQ(ra.retries(), 0u);
+            if (then_recv)
+                got = s.mbc().recv(c);
+        });
+        if (then_recv)
+            s.eventQueue().schedule(sim::Tick(2e9), [&s] {
+                s.mbc().sendFromHost(0, 7);
+            });
+        s.run();
+
+        EXPECT_TRUE(s.allFinished());
+        ASSERT_TRUE(v.has_value());
+        EXPECT_EQ(*v, 0u);
+        EXPECT_LT(doneAt, sim::Tick(1e9)) << "response, not deadline";
+        if (!then_recv) {
+            EXPECT_LT(s.now(), sim::Tick(1e9))
+                << "the run ends at its last work, not the deadline";
+        } else {
+            EXPECT_EQ(got, 7u);
+            EXPECT_EQ(s.core(0).statGroup().get("blocks"), 2u)
+                << "one block per wait: the met deadline must not "
+                   "wake the later recv";
+        }
+    }
 }
 
 TEST(Ate, DelayedResponseAfterAbandonIsDiscardedAsStale)

@@ -469,6 +469,24 @@ TEST(BoardBalance, StaticWindowZeroBoardMovesNothing)
     EXPECT_EQ(sched.summary().completed, 64u);
 }
 
+TEST(BoardBalance, OfferAtAWindowBoundaryIsAdmittedAtThatTick)
+{
+    PlaneGuard g;
+    Scenario sc(1);
+    // The second offer reaches its shard in the host phase at the
+    // first boundary, when the shard's idle A9 is blocked.
+    sc.sched->offer(0, 0, quickJob());
+    sc.sched->offer(kWindow, 0, quickJob());
+    sc.sched->run();
+
+    const auto &jobs = sc.sched->shard(sc.hotDpu).jobs();
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_EQ(jobs[0].enqueuedAt, 0u);
+    EXPECT_EQ(jobs[1].enqueuedAt, kWindow)
+        << "the appended arrival must wake its A9 on time";
+    EXPECT_EQ(sc.sched->summary().completed, 2u);
+}
+
 // ----------------------------------------------------------------
 // Failure walls
 // ----------------------------------------------------------------

@@ -199,9 +199,9 @@ TEST(Board, TeardownWithEventsPendingEverywhereIsClean)
         // A pooled callback past the bound.
         b.eventQueue(d).schedule(10 * bound, [&late] { ++late; });
     }
-    // DPU 0's A9 sleeps (its member resume event pending); DPU 1's
-    // waits for mail that never comes (a pooled deadline timer).
-    b.host(0).start([=](soc::HostA9 &h) { h.sleepUntil(20 * bound); });
+    // DPU 0's A9 is busy and DPU 1's waits for mail that never
+    // comes: each has its member resume event pending.
+    b.host(0).start([](soc::HostA9 &h) { h.busyUs(20.0); });
     b.host(1).start([=](soc::HostA9 &h) {
         std::uint64_t msg;
         (void)h.recvUntil(20 * bound, msg);

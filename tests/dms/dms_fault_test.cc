@@ -118,32 +118,52 @@ TEST(DmsFault, DescErrorCompletesCleanAndRetrySucceeds)
 TEST(DmsFault, BoundedWaitMatchesWfeOnHappyPath)
 {
     PlaneGuard g; // plane inert: wfeFor is a drop-in for wfe
-    soc::Soc s;
-    fillWords(s, 0x10000, 512);
+    // The second run's core goes on to block in mbc().recv until a
+    // host message at 2 ms, past its met wait's 1 ms deadline.
+    for (const bool then_recv : {false, true}) {
+        soc::Soc s;
+        fillWords(s, 0x10000, 512);
 
-    WfeResult res = WfeResult::Timeout;
-    sim::Tick doneAt = 0;
-    s.start(0, [&](core::DpCore &c) {
-        DmsCtl ctl(c, s.dms());
-        ctl.ddrToDmem()
-            .rows(512)
-            .width(4)
-            .from(0x10000)
-            .to(0)
-            .event(2)
-            .push(0);
-        res = ctl.wfeFor(2, sim::Tick(1e9));
-        doneAt = c.now();
-        for (std::uint32_t i = 0; i < 512; ++i)
-            EXPECT_EQ(c.dmem().load<std::uint32_t>(i * 4),
-                      i * 2654435761u);
-        ctl.clearEvent(2);
-    });
-    s.run();
+        WfeResult res = WfeResult::Timeout;
+        sim::Tick doneAt = 0;
+        std::uint64_t got = 0;
+        s.start(0, [&](core::DpCore &c) {
+            DmsCtl ctl(c, s.dms());
+            ctl.ddrToDmem()
+                .rows(512)
+                .width(4)
+                .from(0x10000)
+                .to(0)
+                .event(2)
+                .push(0);
+            res = ctl.wfeFor(2, sim::Tick(1e9));
+            doneAt = c.now();
+            for (std::uint32_t i = 0; i < 512; ++i)
+                EXPECT_EQ(c.dmem().load<std::uint32_t>(i * 4),
+                          i * 2654435761u);
+            ctl.clearEvent(2);
+            if (then_recv)
+                got = s.mbc().recv(c);
+        });
+        if (then_recv)
+            s.eventQueue().schedule(sim::Tick(2e9), [&s] {
+                s.mbc().sendFromHost(0, 7);
+            });
+        s.run();
 
-    EXPECT_EQ(res, WfeResult::Ok);
-    EXPECT_TRUE(s.allFinished());
-    // The core woke on completion, long before its 1 ms deadline
-    // (the armed deadline wake still drains later as a no-op).
-    EXPECT_LT(doneAt, sim::Tick(1e9)) << "completion, not deadline";
+        EXPECT_EQ(res, WfeResult::Ok);
+        EXPECT_TRUE(s.allFinished());
+        // The core woke on completion, long before its 1 ms
+        // deadline.
+        EXPECT_LT(doneAt, sim::Tick(1e9)) << "completion, not deadline";
+        if (!then_recv) {
+            EXPECT_LT(s.now(), sim::Tick(1e9))
+                << "the run ends at its last work, not the deadline";
+        } else {
+            EXPECT_EQ(got, 7u);
+            EXPECT_EQ(s.core(0).statGroup().get("blocks"), 2u)
+                << "one block per wait: the met deadline must not "
+                   "wake the later recv";
+        }
+    }
 }

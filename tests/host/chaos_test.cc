@@ -169,9 +169,10 @@ TEST(Chaos, EverySeedResolvesCleanlyAndReplaysBitIdentically)
         for (std::size_t i = 0; i < a.states.size(); ++i) {
             EXPECT_NE(a.states[i], JobState::Queued) << "job " << i;
             EXPECT_NE(a.states[i], JobState::Running) << "job " << i;
-            if (a.states[i] == JobState::TimedOut)
+            if (a.states[i] == JobState::TimedOut) {
                 EXPECT_FALSE(a.causes[i].empty())
                     << "job " << i << " timed out unattributed";
+            }
         }
         EXPECT_GE(a.sum.availability, 0.0);
         EXPECT_LE(a.sum.availability, 1.0);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "host/offload.hh"
@@ -138,6 +139,34 @@ TEST(OffloadScheduler, MixedRegistryLoadCompletesAndValidates)
     EXPECT_LE(sum.p95Us, sum.p99Us);
     EXPECT_LE(sum.p99Us, sum.maxUs);
     EXPECT_GT(sum.throughputJobsPerSec, 0.0);
+    EXPECT_TRUE(s.allFinished());
+    EXPECT_TRUE(a9.finished());
+}
+
+TEST(OffloadScheduler, RunEndsAtTheLastJobNotAQueuedDeadline)
+{
+    soc::Soc s;
+    soc::HostA9 a9(s.eventQueue(), s.mbc());
+    OffloadParams p;
+    p.nCores = 8;
+    p.groupSize = 4;
+    OffloadScheduler sched(s, a9, p);
+
+    // 20 us lanes offered every 10 us: the A9's every wait ends
+    // on an ack or an arrival, long before its 50 ms job deadline.
+    for (unsigned i = 0; i < 200; ++i)
+        sched.enqueueAt(sim::Tick(i) * 10'000'000, slowJob(16'000));
+
+    sched.start();
+    const sim::Tick end = s.run();
+
+    EXPECT_EQ(sched.summary().completed, 200u);
+    sim::Tick last = 0;
+    for (const JobRecord &rec : sched.jobs())
+        last = std::max(last, rec.finishedAt);
+    EXPECT_GE(end, last);
+    EXPECT_LE(end, last + 1'000'000)
+        << "the run must end within 1 us of the last job";
     EXPECT_TRUE(s.allFinished());
     EXPECT_TRUE(a9.finished());
 }

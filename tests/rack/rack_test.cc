@@ -106,8 +106,9 @@ TEST(ArrivalTrace, IsSeedDeterministicAndSorted)
         EXPECT_EQ(a[i].key, b[i].key);
         EXPECT_EQ(a[i].appIdx, b[i].appIdx);
         EXPECT_EQ(a[i].seed, b[i].seed);
-        if (i)
+        if (i) {
             EXPECT_GE(a[i].at, a[i - 1].at);
+        }
         EXPECT_LT(a[i].appIdx, tc.nApps);
         EXPECT_LT(a[i].key, tc.nKeys);
     }

@@ -149,9 +149,10 @@ checkProperties(const std::vector<std::uint32_t> &keys,
             EXPECT_LE(std::uint64_t(rc.key),
                       scheme.bounds[std::min<unsigned>(rc.core,
                                                        31)]);
-            if (rc.core > 0)
+            if (rc.core > 0) {
                 EXPECT_GT(std::uint64_t(rc.key),
                           scheme.bounds[rc.core - 1]);
+            }
         }
     }
 }

@@ -97,7 +97,7 @@ TEST(HostA9, BusyUsAdvancesSimulatedTime)
     EXPECT_GE(s.now(), sim::Tick(25e6));
 }
 
-TEST(HostA9, TryRecvPollsWithoutBlocking)
+TEST(HostA9, RecvUntilNowPollsWithoutBlocking)
 {
     soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
@@ -112,10 +112,10 @@ TEST(HostA9, TryRecvPollsWithoutBlocking)
     unsigned polls = 0;
     a9.start([&](soc::HostA9 &host) {
         std::uint64_t msg;
-        empty_at_start = !host.tryRecv(msg);
+        empty_at_start = !host.recvUntil(host.now(), msg);
         // Poll loop: each miss costs host time, or we'd spin at one
         // tick forever.
-        while (!host.tryRecv(msg)) {
+        while (!host.recvUntil(host.now(), msg)) {
             ++polls;
             host.busyUs(1.0);
         }
@@ -142,6 +142,7 @@ TEST(HostA9, RecvUntilTimesOutThenDelivers)
     bool first = true, second = false;
     sim::Tick woke_at = 0, delivered_at = 0;
     std::uint64_t got = 0;
+    std::size_t pending = ~std::size_t(0);
     a9.start([&](soc::HostA9 &host) {
         std::uint64_t msg;
         // Deadline at 10 us: nothing has arrived, must time out at
@@ -152,6 +153,9 @@ TEST(HostA9, RecvUntilTimesOutThenDelivers)
         second = host.recvUntil(sim::Tick(1e12), msg);
         got = msg;
         delivered_at = host.now();
+        // The core is done and the message consumed: the wait's
+        // deadline must not still be queued.
+        pending = s.eventQueue().pending();
     });
 
     s.run();
@@ -160,9 +164,52 @@ TEST(HostA9, RecvUntilTimesOutThenDelivers)
     EXPECT_EQ(woke_at, sim::Tick(10e6));
     EXPECT_TRUE(second);
     EXPECT_EQ(got, 9u);
-    // The wait ended on delivery, far before the 1e12 deadline
-    // (though the abandoned timer still drains from the queue).
+    // The wait ended on delivery, far before the 1e12 deadline, and
+    // so did the run: no abandoned timer drains after it.
     EXPECT_LT(delivered_at, sim::Tick(1e9));
+    EXPECT_EQ(pending, 0u);
+    EXPECT_EQ(s.now(), delivered_at);
+}
+
+TEST(HostA9, WakeByOnlyMovesABlockedDeadlineEarlier)
+{
+    soc::Soc s;
+    soc::HostA9 a9(s.eventQueue(), s.mbc());
+
+    std::vector<bool> results;
+    std::vector<sim::Tick> wokeAt;
+    a9.start([&](soc::HostA9 &host) {
+        std::uint64_t msg;
+        for (sim::Tick until : {sim::Tick(1e9), sim::maxTick}) {
+            results.push_back(host.recvUntil(until, msg));
+            wokeAt.push_back(host.now());
+        }
+        host.busyUs(10.0);
+        wokeAt.push_back(host.now());
+    });
+
+    // Host phase: a later deadline leaves the wait alone, an earlier
+    // one ends it there with a timeout.
+    s.runFor(sim::Tick(100e6));
+    a9.wakeBy(sim::Tick(2e9));
+    a9.wakeBy(sim::Tick(300e6));
+    // The unbounded wait armed nothing; pull it in to now.
+    s.runFor(sim::Tick(400e6));
+    EXPECT_EQ(wokeAt.size(), 1u);
+    a9.wakeBy(0);
+    // busyUs is not a wait: wakeBy leaves it alone.
+    s.runFor(sim::Tick(1e6));
+    a9.wakeBy(s.now());
+    s.run();
+
+    EXPECT_TRUE(a9.finished());
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_FALSE(results[0]);
+    EXPECT_FALSE(results[1]);
+    ASSERT_EQ(wokeAt.size(), 3u);
+    EXPECT_EQ(wokeAt[0], sim::Tick(300e6));
+    EXPECT_EQ(wokeAt[1], sim::Tick(500e6));
+    EXPECT_EQ(wokeAt[2], sim::Tick(510e6));
 }
 
 TEST(HostA9, StaleDeadlineTimerDoesNotDoubleResume)
@@ -170,10 +217,10 @@ TEST(HostA9, StaleDeadlineTimerDoesNotDoubleResume)
     soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
 
-    // The message beats the deadline, leaving the deadline timer
-    // armed. When it later fires, the host is inside an unrelated
-    // blocking recv(); a buggy timer would resume it with an empty
-    // mailbox (recv returns garbage) or resume a running fiber.
+    // The message beats the deadline. Had the deadline stayed
+    // armed, it would fire while the host is inside an unrelated
+    // blocking recv() and resume it with an empty mailbox (recv
+    // returns garbage) or resume a running fiber.
     s.start(0, [&](core::DpCore &c) {
         s.mbc().send(c, s.mbc().a9Box(), 1); // immediate
         c.sleepCycles(800'000);              // ~1 ms
@@ -183,8 +230,7 @@ TEST(HostA9, StaleDeadlineTimerDoesNotDoubleResume)
     std::vector<std::uint64_t> seen;
     a9.start([&](soc::HostA9 &host) {
         std::uint64_t msg;
-        // Deadline far beyond the second send: timer stays armed
-        // long after this wait completes.
+        // Deadline far beyond the second send.
         ASSERT_TRUE(host.recvUntil(sim::Tick(500e6), msg));
         seen.push_back(msg);
         seen.push_back(host.recv());
@@ -197,21 +243,20 @@ TEST(HostA9, StaleDeadlineTimerDoesNotDoubleResume)
     EXPECT_EQ(seen[1], 2u);
 }
 
-TEST(HostA9, SleepUntilIsNotCutShortByMessages)
+TEST(HostA9, BusyUsIsNotCutShortByMessages)
 {
     soc::Soc s;
     soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     s.start(0, [&](core::DpCore &c) {
-        s.mbc().send(c, s.mbc().a9Box(), 5); // lands mid-sleep
+        s.mbc().send(c, s.mbc().a9Box(), 5); // lands mid-busy
     });
 
     sim::Tick woke_at = 0;
     std::uint64_t got = 0;
     a9.start([&](soc::HostA9 &host) {
-        host.sleepUntil(sim::Tick(50e6));
+        host.busyUs(50.0);
         woke_at = host.now();
-        host.sleepUntil(sim::Tick(1)); // past: must be a no-op
         got = host.recv();
     });
 
@@ -253,7 +298,7 @@ TEST(HostA9, AllCoresToHostExactlyOnce)
         }
         // Mailbox must now be empty: no duplicated deliveries.
         std::uint64_t extra;
-        EXPECT_FALSE(host.tryRecv(extra));
+        EXPECT_FALSE(host.recvUntil(host.now(), extra));
     });
 
     s.run();
@@ -304,10 +349,9 @@ TEST(HostA9, StaleDeadlineDoesNotCutLaterBoundedWaitShort)
     soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     // The first bounded wait is satisfied long before its 1 ms
-    // deadline, leaving that timer armed. It fires in the middle of
-    // the second bounded wait, whose own deadline is 3 ms; without
-    // the generation bump the stale timer would end the second wait
-    // two milliseconds early.
+    // deadline. The second bounded wait's own deadline is 3 ms; a
+    // first deadline left armed would end it two milliseconds
+    // early.
     s.start(0, [&](core::DpCore &c) {
         s.mbc().send(c, s.mbc().a9Box(), 1);
     });
