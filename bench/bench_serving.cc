@@ -124,10 +124,9 @@ runServing(const RunCfg &cfg)
         sim::faultPlane().configure(spec, cfg.seed);
 
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
     host::OffloadParams op;
     op.maxAttempts = cfg.attempts;
-    host::OffloadScheduler sched(s, a9, op);
+    host::OffloadScheduler sched(s, op);
 
     double total_weight = 0;
     for (const MixEntry &m : servingMix)

@@ -60,8 +60,6 @@ struct ServingJob
     std::function<void()> stage;
     std::function<void(core::DpCore &, unsigned lane)> lane;
     std::function<bool()> validate;
-    double workUnits = 0;
-    const char *unitName = "items";
 };
 
 /** One registered application. */

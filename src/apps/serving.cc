@@ -55,8 +55,6 @@ filterJob(const sql::FilterConfig &cfg, const ServingContext &ctx)
     auto want = std::make_shared<std::uint64_t>(0); // rows passing
 
     ServingJob job;
-    job.workUnits = double(rows);
-    job.unitName = "tuples";
     job.stage = [=] {
         sim::Rng rng{seed};
         std::vector<std::uint32_t> v(rows);
@@ -117,8 +115,6 @@ groupByJob(const sql::GroupByConfig &cfg, const ServingContext &ctx)
     auto want = std::make_shared<std::vector<std::uint64_t>>();
 
     ServingJob job;
-    job.workUnits = double(rows);
-    job.unitName = "rows";
     job.stage = [=] {
         sim::Rng rng{seed};
         std::vector<std::uint32_t> v(rows * 2);
@@ -197,8 +193,6 @@ hllJob(const HllConfig &cfg, const ServingContext &ctx)
     auto want = std::make_shared<std::vector<std::uint8_t>>();
 
     ServingJob job;
-    job.workUnits = double(n);
-    job.unitName = "elements";
     job.stage = [=] {
         const auto data = hlldetail::makeElements(gen);
         stage(*s, data_base, data);
@@ -285,8 +279,6 @@ jsonJob(const JsonConfig &cfg, const ServingContext &ctx)
     soc::Soc *s = ctx.soc;
 
     ServingJob job;
-    job.workUnits = double(bytes);
-    job.unitName = "bytes";
     // Staging hands the text to DDR and drops the host copy.
     job.stage = [s, data_base, bytes,
                  text = std::move(recs.text)]() mutable {
@@ -378,8 +370,6 @@ svmJob(const SvmConfig &cfg, const ServingContext &ctx)
     auto want = std::make_shared<std::uint64_t>(0); // positive count
 
     ServingJob job;
-    job.workUnits = double(n);
-    job.unitName = "samples";
     job.stage = [=] {
         sim::Rng rng{seed};
         // Weights first, then samples row-major.
@@ -470,8 +460,6 @@ simSearchJob(const SimSearchConfig &cfg, const ServingContext &ctx)
     auto want = std::make_shared<std::int64_t>(0); // summed score
 
     ServingJob job;
-    job.workUnits = double(n_post);
-    job.unitName = "postings";
     job.stage = [=] {
         sim::Rng qrng{seed};
         std::vector<std::int32_t> q(cfg.vocab, 0);
@@ -590,8 +578,6 @@ disparityJob(const DisparityConfig &cfg, const ServingContext &ctx)
     auto want = std::make_shared<std::vector<std::uint8_t>>(); // map
 
     ServingJob job;
-    job.workUnits = double(wh);
-    job.unitName = "pixels";
     job.stage = [=] {
         sim::Rng rng{seed};
         std::vector<std::uint8_t> v(wh * 2); // left then right

@@ -326,40 +326,6 @@ planMigrations(const std::vector<double> &loads,
 // BoardBalancer
 // ----------------------------------------------------------------
 
-namespace {
-
-/** Engine-role layouts: disjoint channels, buffers, chain windows
- *  and events, so one DPU can source and land concurrently. */
-dms::HandoffExecParams
-srcRole()
-{
-    dms::HandoffExecParams r;
-    r.channel = 0;
-    r.bufBase = 0x5000;
-    r.bufBytes = std::uint16_t(stagingBufBytes);
-    r.chainBase = 0x6000;
-    r.chainBytes = 0x800;
-    r.eventA = 16;
-    r.eventB = 17;
-    return r;
-}
-
-dms::HandoffExecParams
-dstRole()
-{
-    dms::HandoffExecParams r;
-    r.channel = 1;
-    r.bufBase = 0x4000;
-    r.bufBytes = std::uint16_t(stagingBufBytes);
-    r.chainBase = 0x6800;
-    r.chainBytes = 32; // two 16 B slots, ping/pong
-    r.eventA = 18;
-    r.eventB = 19;
-    return r;
-}
-
-} // namespace
-
 BoardBalancer::BoardBalancer(Board &brd_, PartitionMap &map_,
                              const BalanceParams &params)
     : brd(brd_), map(map_), p(params),
@@ -377,10 +343,10 @@ BoardBalancer::BoardBalancer(Board &brd_, PartitionMap &map_,
         const unsigned local = handoffCore % soc::coresPerComplex;
         dms::Dms &dms = chip.dmsFor(handoffCore);
         mem::Dmem &dmem = chip.core(handoffCore).dmem();
-        engines[d].exec = std::make_unique<dms::HandoffExec>(
-            dms, local, dmem, srcRole());
-        engines[d].lander = std::make_unique<dms::HandoffLander>(
-            dms, local, dmem, dstRole());
+        engines[d].exec =
+            std::make_unique<dms::HandoffExec>(dms, local, dmem);
+        engines[d].lander =
+            std::make_unique<dms::HandoffLander>(dms, local, dmem);
     }
 
     for (unsigned part = 0; part < map.nPartitions(); ++part)
@@ -494,7 +460,7 @@ BoardBalancer::launch(const MigrationStep &step, sim::Tick boundary)
     m.launchedAt = boundary;
     m.plan = dms::planRangeHandoff(stateAddr(m.part),
                                    stateBytesPerPartition,
-                                   stagingBufBytes, 8);
+                                   dms::stagingBufBytes, 8);
     m.chunks = unsigned(m.plan.chunks.size());
     m.gen = engines[m.to].lander->expect(m.chunks);
 
@@ -540,10 +506,9 @@ BoardBalancer::onChunkStaged(Migration &m, unsigned chunk,
     const dms::HandoffChunk &hc = m.plan.chunks[chunk];
     auto payload = std::make_shared<std::vector<std::uint8_t>>(
         hc.bytes());
-    const dms::HandoffExecParams &role = exec.params();
     brd.dpu(m.from).core(handoffCore).dmem().read(
-        role.bufBase + (chunk & 1) * role.bufBytes, payload->data(),
-        payload->size());
+        dms::execBufBase + (chunk & 1) * dms::stagingBufBytes,
+        payload->data(), payload->size());
     exec.release(chunk);
     ship(m, chunk, std::move(payload), 1 + dmaRetries);
 }

@@ -239,9 +239,6 @@ planMigrations(const std::vector<double> &loads,
 /** DDR base of the board's per-partition state ranges (identical
  *  on every DPU; clear of the offload arenas). */
 constexpr mem::Addr stateBase = mem::Addr(192) << 20;
-/** Staging-chunk / DMEM-buffer bytes: the engine roles' ping-pong
- *  buffer size. */
-constexpr std::uint32_t stagingBufBytes = 2048;
 /** A migration not fully landed this long after launch is aborted
  *  at the next window boundary; its engine roles are poisoned (a
  *  wedged DMAC never completes). */

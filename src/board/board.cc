@@ -37,12 +37,8 @@ Board::Board(const BoardParams &params)
       link(runner)
 {
     dpus.reserve(p.nDpus);
-    hosts.reserve(p.nDpus);
-    for (unsigned d = 0; d < p.nDpus; ++d) {
+    for (unsigned d = 0; d < p.nDpus; ++d)
         dpus.push_back(std::make_unique<soc::Soc>(*queues[d], p.soc));
-        hosts.push_back(
-            std::make_unique<soc::HostA9>(*queues[d], dpus[d]->mbc()));
-    }
     dmaShadows.resize(p.nDpus);
     link.statGroup().addFlushHook([this] {
         std::uint64_t retries = 0, failed = 0;

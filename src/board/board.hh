@@ -26,9 +26,10 @@
  * charged (the link, two orders of magnitude slower than a DDR
  * channel, is the modelled bottleneck — see DESIGN.md §12).
  *
- * Each DPU also gets its own HostA9 (the per-chip offload driver
- * endpoint); host::BoardScheduler runs one OffloadScheduler per chip
- * on top of these.
+ * Each chip carries its own A9 (Soc::a9(), the chip's offload
+ * endpoint, on the chip's partition like its dpCores);
+ * host::BoardScheduler runs one OffloadScheduler per chip on top of
+ * these.
  */
 
 #ifndef DPU_BOARD_BOARD_HH
@@ -43,7 +44,6 @@
 #include "board/link.hh"
 #include "sim/event_queue.hh"
 #include "sim/parallel.hh"
-#include "soc/host_a9.hh"
 #include "soc/soc.hh"
 
 namespace dpu::rack {
@@ -92,7 +92,6 @@ class Board
     double seconds() const { return double(now()) * 1e-12; }
 
     soc::Soc &dpu(unsigned d) { return *dpus[d]; }
-    soc::HostA9 &host(unsigned d) { return *hosts[d]; }
     LinkFabric &fabric() { return link; }
 
     /** Run every partition until the board drains; @return end tick. */
@@ -148,7 +147,6 @@ class Board
     sim::EpochRunner runner;
     LinkFabric link;
     std::vector<std::unique_ptr<soc::Soc>> dpus;
-    std::vector<std::unique_ptr<soc::HostA9>> hosts;
     std::vector<DmaShadow> dmaShadows;
 };
 

@@ -327,6 +327,36 @@ hllGen(const DistHllConfig &cfg, unsigned dpu)
     return g;
 }
 
+/** Start the max-merge of @p n_sketches consecutive @p m-byte
+ *  sketches at @p src into one sketch at @p dst, on @p s's core 0. */
+void
+startSketchMerge(soc::Soc &s, mem::Addr src, unsigned n_sketches,
+                 std::uint32_t m, mem::Addr dst)
+{
+    soc::Soc *sp = &s;
+    s.start(0, [sp, src, n_sketches, m, dst](core::DpCore &c) {
+        rt::DmsCtl ctl(c, sp->dmsFor(c.id()));
+        std::vector<std::uint8_t> merged(m, 0);
+        std::uint64_t pos = 0;
+        rt::StreamReader in(ctl, src, std::uint64_t(n_sketches) * m, 0,
+                            2048, 2, 0, 0);
+        in.forEach([&](std::uint32_t off, std::uint32_t blen) {
+            for (std::uint32_t i = 0; i < blen; ++i) {
+                const std::uint8_t r =
+                    c.dmem().load<std::uint8_t>(off + i);
+                std::uint8_t &cell = merged[(pos + i) % m];
+                cell = std::max(cell, r);
+            }
+            c.dualIssue(blen / 4, blen / 4);
+            pos += blen;
+        });
+        const std::uint32_t out_off = 0x4000;
+        c.dmem().write(out_off, merged.data(), m);
+        c.dualIssue(m / 8, m / 8);
+        apps::dumpToDdr(ctl, std::uint16_t(out_off), dst, m);
+    });
+}
+
 } // namespace
 
 DistHllResult
@@ -396,32 +426,8 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
     // ------------------------------------------------------------
     // Phase 2: on-chip max-merge of the lane sketches (core 0).
     // ------------------------------------------------------------
-    for (unsigned d = 0; d < n; ++d) {
-        soc::Soc *s = &b.dpu(d);
-        s->start(0, [s, cfg, m, lane_regs, dpu_sketch](
-                        core::DpCore &c) {
-            rt::DmsCtl ctl(c, s->dmsFor(c.id()));
-            std::vector<std::uint8_t> merged(m, 0);
-            std::uint64_t pos = 0;
-            rt::StreamReader in(ctl, lane_regs,
-                                std::uint64_t(cfg.nLanes) * m, 0,
-                                2048, 2, 0, 0);
-            in.forEach([&](std::uint32_t off, std::uint32_t blen) {
-                for (std::uint32_t i = 0; i < blen; ++i) {
-                    const std::uint8_t r =
-                        c.dmem().load<std::uint8_t>(off + i);
-                    std::uint8_t &cell = merged[(pos + i) % m];
-                    cell = std::max(cell, r);
-                }
-                c.dualIssue(blen / 4, blen / 4);
-                pos += blen;
-            });
-            const std::uint32_t out_off = 0x4000;
-            c.dmem().write(out_off, merged.data(), m);
-            c.dualIssue(m / 8, m / 8);
-            apps::dumpToDdr(ctl, std::uint16_t(out_off), dpu_sketch, m);
-        });
-    }
+    for (unsigned d = 0; d < n; ++d)
+        startSketchMerge(b.dpu(d), lane_regs, cfg.nLanes, m, dpu_sketch);
     b.run();
     if (!b.allFinished())
         return res;
@@ -448,32 +454,7 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
     // ------------------------------------------------------------
     // Phase 4: DPU 0 merges the board sketch.
     // ------------------------------------------------------------
-    {
-        soc::Soc *s = &b.dpu(0);
-        s->start(0, [s, n, m, recv_sketch,
-                     final_sketch](core::DpCore &c) {
-            rt::DmsCtl ctl(c, s->dmsFor(c.id()));
-            std::vector<std::uint8_t> merged(m, 0);
-            std::uint64_t pos = 0;
-            rt::StreamReader in(ctl, recv_sketch,
-                                std::uint64_t(n) * m, 0, 2048, 2, 0,
-                                0);
-            in.forEach([&](std::uint32_t off, std::uint32_t blen) {
-                for (std::uint32_t i = 0; i < blen; ++i) {
-                    const std::uint8_t r =
-                        c.dmem().load<std::uint8_t>(off + i);
-                    std::uint8_t &cell = merged[(pos + i) % m];
-                    cell = std::max(cell, r);
-                }
-                c.dualIssue(blen / 4, blen / 4);
-                pos += blen;
-            });
-            const std::uint32_t out_off = 0x4000;
-            c.dmem().write(out_off, merged.data(), m);
-            c.dualIssue(m / 8, m / 8);
-            apps::dumpToDdr(ctl, std::uint16_t(out_off), final_sketch, m);
-        });
-    }
+    startSketchMerge(b.dpu(0), recv_sketch, n, m, final_sketch);
     b.run();
     if (!b.allFinished())
         return res;

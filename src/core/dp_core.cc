@@ -77,40 +77,13 @@ DpCore::flushStats()
 void
 DpCore::start(Kernel kernel)
 {
-    sim_assert(state == State::Idle || state == State::Done,
-               "core %u already running", coreId);
-    kernelFn = std::move(kernel);
-    fiberDone = false;
     aheadTicks = 0;
-    fiber = std::make_unique<sim::Fiber>([this] {
-        kernelFn(*this);
+    agent.start([this, kernel = std::move(kernel)] {
+        kernel(*this);
         // Drain the lazy clock so the kernel's last charges are
         // reflected in simulated time before the fiber finishes.
         sync();
     });
-    state = State::Ready;
-    eq.scheduleIn(0, resumeEvent);
-}
-
-void
-DpCore::resumeFiber()
-{
-    // Blocked: a bounded wait's deadline fired.
-    sim_assert(state == State::Ready || state == State::Sleeping ||
-                   state == State::Blocked,
-               "core %u resumed in bad state %d", coreId, int(state));
-    state = State::Running;
-    fiber->resume();
-    if (fiber->finished()) {
-        state = State::Done;
-        fiberDone = true;
-    }
-}
-
-void
-DpCore::yieldToScheduler()
-{
-    fiber->yield();
 }
 
 // ----------------------------------------------------------------
@@ -138,9 +111,7 @@ DpCore::sync()
         if (aheadTicks > 0) {
             sim::Tick target = eq.now() + aheadTicks;
             aheadTicks = 0;
-            state = State::Sleeping;
-            eq.schedule(target, resumeEvent);
-            yieldToScheduler();
+            agent.sleepUntil(target);
         }
         if (!pendingIsrs.empty() && !inIsr)
             deliverInterrupts();
@@ -161,17 +132,15 @@ DpCore::blockUntil(const std::function<bool()> &pred,
                    sim::Tick deadline)
 {
     sync();
+    agent.beginWait();
     const sim::Tick t0 = eq.now();
     bool blocked = false;
     bool held = pred();
     while (!held && eq.now() < deadline) {
-        state = State::Blocked;
         ++shBlocks;
         blocked = true;
-        if (deadline != sim::maxTick)
-            eq.schedule(deadline, resumeEvent);
-        yieldToScheduler();
-        // Woken by wake() or the deadline; Running again here.
+        deadline = agent.block(deadline);
+        // Woken by wake() or the deadline; running again here.
         deliverInterrupts();
         held = pred();
     }
@@ -183,28 +152,11 @@ DpCore::blockUntil(const std::function<bool()> &pred,
 }
 
 void
-DpCore::wake(sim::Tick when)
-{
-    if (state != State::Blocked)
-        return; // a resume is already scheduled or the core is busy
-    state = State::Sleeping;
-    when = std::max(when, eq.now());
-    if (resumeEvent.scheduled()) {
-        // The wait's deadline is armed: pull it in, never out.
-        if (resumeEvent.when() < when)
-            return;
-        eq.deschedule(resumeEvent);
-    }
-    eq.schedule(when, resumeEvent);
-}
-
-void
 DpCore::postInterrupt(Isr isr)
 {
     pendingIsrs.push_back(std::move(isr));
     ++shInterruptsPosted;
-    if (state == State::Blocked)
-        wake(eq.now());
+    agent.wake(eq.now());
 }
 
 void

@@ -32,8 +32,8 @@
 #include "mem/addr.hh"
 #include "mem/cache.hh"
 #include "mem/dmem.hh"
+#include "sim/agent.hh"
 #include "sim/event_queue.hh"
-#include "sim/fiber.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
@@ -73,10 +73,10 @@ class DpCore
     void start(Kernel kernel);
 
     /** True once the kernel has returned. */
-    bool finished() const { return fiberDone; }
+    bool finished() const { return agent.finished(); }
 
     /** True while this core's fiber is the one executing. */
-    bool running() const { return sim::Fiber::current() == fiber.get(); }
+    bool running() const { return agent.running(); }
 
     // ------------------------------------------------------------
     // Time
@@ -274,7 +274,19 @@ class DpCore
 
     /** Wake a blocked core at tick @p when (>= eq.now()), or at its
      *  wait's deadline if that comes first. */
-    void wake(sim::Tick when);
+    void wake(sim::Tick when) { agent.wake(when); }
+
+    /** The current blockUntil's id: a waker its predicate arms
+     *  passes it to wake(when, wait) so that it cannot end a later
+     *  wait. */
+    std::uint64_t waitId() const { return agent.waitId(); }
+
+    /** wake(@p when), if wait @p wait has not ended. */
+    void
+    wake(sim::Tick when, std::uint64_t wait)
+    {
+        agent.wake(when, wait);
+    }
 
     /**
      * Synchronise the lazy clock with the event queue and deliver
@@ -309,13 +321,9 @@ class DpCore
 
   private:
     void maybeSync();
-    void resumeFiber();
-    void yieldToScheduler();
     void deliverInterrupts();
     void checkWatchpoints(mem::Addr addr, std::uint32_t len,
                           bool write);
-
-    enum class State { Idle, Ready, Running, Sleeping, Blocked, Done };
 
     unsigned coreId;
     sim::EventQueue &eq;
@@ -334,34 +342,8 @@ class DpCore
     mem::Cache &l2Cache;
     std::unique_ptr<mem::Cache> l1dCache;
 
-    /**
-     * The core's single outstanding wake/resume, embedded so the
-     * sync/wake hot path schedules an intrusive event instead of
-     * renting a pooled callback carrier. The state machine
-     * guarantees at most one resume is pending (start from
-     * Idle/Done, sync from Running, a bounded wait's deadline when
-     * it blocks, wake only from Blocked, moving that deadline in);
-     * the queue's already-scheduled assertion enforces it.
-     */
-    class ResumeEvent final : public sim::Event
-    {
-      public:
-        explicit ResumeEvent(DpCore &c_)
-            : sim::Event(sim::EvTag::Core), c(c_)
-        {
-        }
-        void process() override { c.resumeFiber(); }
-        const char *name() const override { return "core.resume"; }
-
-      private:
-        DpCore &c;
-    };
-    ResumeEvent resumeEvent{*this};
-
-    std::unique_ptr<sim::Fiber> fiber;
-    Kernel kernelFn;
-    State state = State::Idle;
-    bool fiberDone = false;
+    /** The kernel's fiber: sync sleeps it, blockUntil blocks it. */
+    sim::Agent agent{eq, sim::EvTag::Core, "core.resume"};
 
     /** How far the core's logical clock runs ahead of the EQ. */
     sim::Tick aheadTicks = 0;

@@ -43,10 +43,14 @@ Dms::waitSet(core::DpCore &c, unsigned ev, sim::Tick deadline)
     EventFile &ef = ctx.events[localId(c)];
     core::DpCore *cp = &c;
     return c.blockUntil(
-        [this, cp, &ef, ev] {
+        [cp, &ef, ev] {
             if (ef.isSet(ev))
                 return true;
-            ef.whenSet(ev, [this, cp] { cp->wake(ctx.eq.now()); });
+            // The waker outlives a wait that times out: it may end
+            // only this wait, not whatever the core waits on next.
+            ef.whenSet(ev, [cp, wait = cp->waitId()] {
+                cp->wake(cp->eventQueue().now(), wait);
+            });
             return false;
         },
         deadline);

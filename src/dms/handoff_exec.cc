@@ -7,33 +7,32 @@
 
 namespace dpu::dms {
 
+// Both layouts fit one core's channels, events and DMEM, side by
+// side: lander buffers, exec buffers, exec chain, lander slots.
+static_assert(execChannel != landerChannel &&
+              execChannel < channelsPerCore &&
+              landerChannel < channelsPerCore);
+static_assert(execEventA != execEventB &&
+              landerEventA != landerEventB &&
+              execEventB < landerEventA && landerEventB < eventsPerCore);
+static_assert(landerBufBase + 2 * stagingBufBytes <= execBufBase &&
+              execBufBase + 2 * stagingBufBytes <= execChainBase &&
+              execChainBase + execChainBytes <= landerSlotBase &&
+              landerSlotBase + 2 * 16 <= mem::Dmem::size);
+
 // ----------------------------------------------------------------
 // HandoffExec (source role)
 // ----------------------------------------------------------------
 
-HandoffExec::HandoffExec(Dms &dms_, unsigned core_id,
-                         mem::Dmem &dmem_,
-                         const HandoffExecParams &params)
-    : dms(dms_), coreId(core_id), dmem(dmem_), p(params)
+HandoffExec::HandoffExec(Dms &dms_, unsigned core_id, mem::Dmem &dmem_)
+    : dms(dms_), coreId(core_id), dmem(dmem_)
 {
-    sim_assert(p.channel < channelsPerCore,
-               "hand-off channel %u out of range", p.channel);
-    sim_assert(p.eventA != p.eventB &&
-                   p.eventA < eventsPerCore &&
-                   p.eventB < eventsPerCore,
-               "hand-off needs two distinct events");
-    sim_assert(std::uint32_t(p.bufBase) + 2u * p.bufBytes <=
-                   mem::Dmem::size,
-               "staging buffers overrun DMEM");
-    sim_assert(std::uint32_t(p.chainBase) + p.chainBytes <=
-                   mem::Dmem::size,
-               "descriptor chain overruns DMEM");
 }
 
 unsigned
 HandoffExec::eventOf(unsigned chunk) const
 {
-    return (chunk & 1) ? p.eventB : p.eventA;
+    return (chunk & 1) ? execEventB : execEventA;
 }
 
 void
@@ -43,10 +42,10 @@ HandoffExec::start(const HandoffPlan &plan, ChunkFn on_staged)
     sim_assert(!plan.chunks.empty(), "empty hand-off plan");
     sim_assert(on_staged, "staged-chunk consumer required");
 
-    descs = plan.descriptors(p.bufBase, p.bufBytes,
-                             std::int8_t(p.eventA),
-                             std::int8_t(p.eventB));
-    sim_assert(descs.size() * 16 <= p.chainBytes,
+    descs = plan.descriptors(execBufBase, stagingBufBytes,
+                             std::int8_t(execEventA),
+                             std::int8_t(execEventB));
+    sim_assert(descs.size() * 16 <= execChainBytes,
                "plan chain (%zu descriptors) overruns the chain "
                "window", descs.size());
 
@@ -58,11 +57,11 @@ HandoffExec::start(const HandoffPlan &plan, ChunkFn on_staged)
     nextFor[1] = 1;
 
     EventFile &ev = dms.events(coreId);
-    sim_assert(!ev.isSet(p.eventA) && !ev.isSet(p.eventB),
+    sim_assert(!ev.isSet(execEventA) && !ev.isSet(execEventB),
                "hand-off events dirty at start");
-    ev.whenSet(p.eventA, [this] { onStaged(0); });
+    ev.whenSet(execEventA, [this] { onStaged(0); });
     if (total > 1)
-        ev.whenSet(p.eventB, [this] { onStaged(1); });
+        ev.whenSet(execEventB, [this] { onStaged(1); });
 
     // Encode the whole chain into DMEM, then push it. Descriptor
     // i+2 shares buffer (and event) with descriptor i, so the DMAD
@@ -70,10 +69,10 @@ HandoffExec::start(const HandoffPlan &plan, ChunkFn on_staged)
     Dmad &dmad = dms.dmad(coreId);
     for (unsigned i = 0; i < total; ++i) {
         const EncodedDesc e = encode(descs[i]);
-        dmem.write(p.chainBase + 16u * i, e.w.data(), 16);
+        dmem.write(execChainBase + 16u * i, e.w.data(), 16);
     }
     for (unsigned i = 0; i < total; ++i)
-        dmad.push(p.channel, std::uint16_t(p.chainBase + 16u * i));
+        dmad.push(execChannel, std::uint16_t(execChainBase + 16u * i));
 }
 
 void
@@ -106,31 +105,19 @@ HandoffExec::release(unsigned chunk)
 // ----------------------------------------------------------------
 
 HandoffLander::HandoffLander(Dms &dms_, unsigned core_id,
-                             mem::Dmem &dmem_,
-                             const HandoffExecParams &params)
-    : dms(dms_), coreId(core_id), dmem(dmem_), p(params)
+                             mem::Dmem &dmem_)
+    : dms(dms_), coreId(core_id), dmem(dmem_)
 {
-    sim_assert(p.channel < channelsPerCore,
-               "hand-off channel %u out of range", p.channel);
-    sim_assert(p.eventA != p.eventB &&
-                   p.eventA < eventsPerCore &&
-                   p.eventB < eventsPerCore,
-               "hand-off needs two distinct events");
-    sim_assert(std::uint32_t(p.bufBase) + 2u * p.bufBytes <=
-                   mem::Dmem::size,
-               "bounce buffers overrun DMEM");
-    sim_assert(std::uint32_t(p.chainBase) + 32u <= mem::Dmem::size,
-               "descriptor slots overrun DMEM");
 }
 
 unsigned
 HandoffLander::eventOf(unsigned chunk) const
 {
-    return (chunk & 1) ? p.eventB : p.eventA;
+    return (chunk & 1) ? landerEventB : landerEventA;
 }
 
 unsigned
-HandoffLander::expect(unsigned total_chunks, LandedFn on_landed)
+HandoffLander::expect(unsigned total_chunks)
 {
     sim_assert(total_chunks > 0, "expecting an empty migration");
     sim_assert(!busy(), "lander re-armed while busy");
@@ -138,7 +125,6 @@ HandoffLander::expect(unsigned total_chunks, LandedFn on_landed)
     total = total_chunks;
     landedCnt = 0;
     failedCnt = 0;
-    cb = std::move(on_landed);
     return gen;
 }
 
@@ -153,7 +139,7 @@ HandoffLander::deliver(unsigned generation, unsigned chunk,
         return;
     }
     sim_assert(chunk < total, "delivery of unknown chunk %u", chunk);
-    sim_assert(!payload.empty() && payload.size() <= p.bufBytes,
+    sim_assert(!payload.empty() && payload.size() <= stagingBufBytes,
                "chunk payload does not fit the bounce buffer");
     sim_assert(col_width > 0 && payload.size() % col_width == 0,
                "chunk payload not a whole number of rows");
@@ -190,7 +176,7 @@ HandoffLander::land(const Queued &q)
 {
     const unsigned buf = q.chunk & 1;
     const std::uint16_t buf_addr =
-        std::uint16_t(p.bufBase + buf * p.bufBytes);
+        std::uint16_t(landerBufBase + buf * stagingBufBytes);
     dmem.write(buf_addr, q.payload.data(), q.payload.size());
 
     Descriptor d;
@@ -201,8 +187,7 @@ HandoffLander::land(const Queued &q)
     d.ddrAddr = q.ddr;
     d.dmemAddr = buf_addr;
     const EncodedDesc e = encode(d);
-    const std::uint16_t slot =
-        std::uint16_t(p.chainBase + 16u * buf);
+    const std::uint16_t slot = std::uint16_t(landerSlotBase + 16u * buf);
     dmem.write(slot, e.w.data(), 16);
 
     dms.events(coreId).whenSet(
@@ -210,7 +195,7 @@ HandoffLander::land(const Queued &q)
         [this, g = gen, buf, chunk = q.chunk] {
             onLanded(g, buf, chunk);
         });
-    dms.dmad(coreId).push(p.channel, slot);
+    dms.dmad(coreId).push(landerChannel, slot);
 }
 
 void
@@ -226,8 +211,6 @@ HandoffLander::onLanded(unsigned expect_gen, unsigned buf,
             ++failedCnt;
         else
             ++landedCnt;
-        if (cb)
-            cb(chunk, err);
     }
     pump();
 }
@@ -238,7 +221,6 @@ HandoffLander::cancel()
     ++gen;
     fifo.clear();
     total = 0;
-    cb = {};
 }
 
 bool

@@ -49,25 +49,29 @@ namespace dpu::dms {
 
 class Dms;
 
-/** DMEM/channel/event layout of one hand-off engine role. The
- *  defaults keep the exec and lander roles of one core disjoint, so
- *  a DPU can source one migration while landing another. */
-struct HandoffExecParams
-{
-    /** DMS channel the role owns (0 = exec, 1 = lander default). */
-    unsigned channel = 0;
-    /** DMEM offset of the ping buffer; pong lives at +bufBytes. */
-    std::uint16_t bufBase = 0x5000;
-    /** Bytes per staging buffer (>= the plan's chunk size). */
-    std::uint16_t bufBytes = 0x800;
-    /** DMEM offset where descriptors are encoded (16 B each). */
-    std::uint16_t chainBase = 0x6000;
-    /** DMEM bytes reserved for the descriptor chain. */
-    std::uint16_t chainBytes = 0x800;
-    /** Ping / pong completion events. */
-    std::uint8_t eventA = 16;
-    std::uint8_t eventB = 17;
-};
+/** Bytes per ping-pong buffer of either role: the largest chunk a
+ *  plan may stage or a lander may land. */
+constexpr std::uint16_t stagingBufBytes = 2048;
+
+// The two roles' fixed layouts on one engine core. They share no
+// DMS channel, DMEM byte or event, so a DPU can source one
+// migration while landing another.
+
+/** Source role (HandoffExec): DMS channel, ping buffer (pong at
+ *  +stagingBufBytes), descriptor chain window of 16 B slots, and
+ *  the ping / pong completion events. */
+constexpr unsigned execChannel = 0;
+constexpr std::uint16_t execBufBase = 0x5000;
+constexpr std::uint16_t execChainBase = 0x6000;
+constexpr std::uint16_t execChainBytes = 0x800;
+constexpr unsigned execEventA = 16, execEventB = 17;
+
+/** Destination role (HandoffLander): DMS channel, ping bounce
+ *  buffer, two 16 B descriptor slots (ping, pong), and events. */
+constexpr unsigned landerChannel = 1;
+constexpr std::uint16_t landerBufBase = 0x4000;
+constexpr std::uint16_t landerSlotBase = 0x6800;
+constexpr unsigned landerEventA = 18, landerEventB = 19;
 
 /**
  * Source half: stage a plan's chunks into DMEM through the real
@@ -83,8 +87,7 @@ class HandoffExec
 
     /** @p core_id is the engine core's id LOCAL to @p dms's complex;
      *  @p dmem is that core's DMEM. */
-    HandoffExec(Dms &dms, unsigned core_id, mem::Dmem &dmem,
-                const HandoffExecParams &params);
+    HandoffExec(Dms &dms, unsigned core_id, mem::Dmem &dmem);
 
     /** Encode + push the whole chain (event context, source DPU).
      *  One plan at a time: asserts !active(). */
@@ -106,7 +109,6 @@ class HandoffExec
     unsigned chunksReleased() const { return released; }
     /** The encoded chain of the current/last plan (test probe). */
     const std::vector<Descriptor> &chain() const { return descs; }
-    const HandoffExecParams &params() const { return p; }
 
   private:
     void onStaged(unsigned buf);
@@ -115,7 +117,6 @@ class HandoffExec
     Dms &dms;
     unsigned coreId;
     mem::Dmem &dmem;
-    HandoffExecParams p;
     std::vector<Descriptor> descs;
     ChunkFn cb;
     unsigned total = 0;
@@ -132,19 +133,14 @@ class HandoffExec
 class HandoffLander
 {
   public:
-    /** Fires on the owning partition as each chunk's descriptor
-     *  completes; @p error flags a descriptor error completion. */
-    using LandedFn = std::function<void(unsigned chunk, bool error)>;
-
-    HandoffLander(Dms &dms, unsigned core_id, mem::Dmem &dmem,
-                  const HandoffExecParams &params);
+    HandoffLander(Dms &dms, unsigned core_id, mem::Dmem &dmem);
 
     /**
      * Arm the lander for a migration of @p total_chunks (host
      * phase). @return the generation token deliveries must carry;
      * deliveries with any other token are dropped as stale.
      */
-    unsigned expect(unsigned total_chunks, LandedFn on_landed = {});
+    unsigned expect(unsigned total_chunks);
 
     /**
      * Deliver one chunk (event context, destination DPU): copy
@@ -168,7 +164,6 @@ class HandoffLander
     unsigned failed() const { return failedCnt; }
     std::uint64_t staleDeliveries() const { return staleCnt; }
     unsigned generation() const { return gen; }
-    const HandoffExecParams &params() const { return p; }
 
   private:
     struct Queued
@@ -187,8 +182,6 @@ class HandoffLander
     Dms &dms;
     unsigned coreId;
     mem::Dmem &dmem;
-    HandoffExecParams p;
-    LandedFn cb;
     std::deque<Queued> fifo;
     bool bufBusy[2] = {false, false};
     unsigned gen = 0;

@@ -19,8 +19,8 @@ BoardScheduler::BoardScheduler(board::Board &b,
     for (unsigned d = 0; d < b.nDpus(); ++d) {
         OffloadParams p = per_dpu;
         p.statName = prefix + ".dpu" + std::to_string(d);
-        shards.push_back(std::make_unique<OffloadScheduler>(
-            b.dpu(d), b.host(d), std::move(p)));
+        shards.push_back(
+            std::make_unique<OffloadScheduler>(b.dpu(d), std::move(p)));
     }
 
     // The key-partition map exists for every board (so the static

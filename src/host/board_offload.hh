@@ -2,8 +2,8 @@
  * @file
  * Board-level sharded offload scheduling.
  *
- * One OffloadScheduler per DPU (each with its own HostA9 endpoint,
- * admission queue, quarantine and availability accounting). A
+ * One OffloadScheduler per DPU (each with its chip's own A9 and its
+ * own admission queue, quarantine and availability accounting). A
  * request without a key goes to the DPU its app name and seed hash
  * to (host/router.hh), so its home DPU is a pure function of the
  * request; a keyed offer() goes to its partition's home in the

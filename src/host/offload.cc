@@ -36,9 +36,8 @@ constexpr std::uint32_t groupTid = 0x510;
 
 } // namespace
 
-OffloadScheduler::OffloadScheduler(soc::Soc &soc_, soc::HostA9 &a9_,
-                                   OffloadParams params)
-    : soc(soc_), a9(a9_), p(std::move(params)), stats(p.statName)
+OffloadScheduler::OffloadScheduler(soc::Soc &soc_, OffloadParams params)
+    : soc(soc_), p(std::move(params)), stats(p.statName)
 {
     sim_assert(p.groupSize > 0 && p.nCores % p.groupSize == 0,
                "group size %u must divide the %u managed cores",
@@ -77,7 +76,7 @@ OffloadScheduler::enqueueAt(sim::Tick when, JobRequest req)
         sim_assert(arrivals.empty() ||
                        when >= arrivals.back().when,
                    "held-open arrivals must be time-ordered");
-        a9.wakeBy(when);
+        soc.a9().wakeBy(when);
     }
     arrivals.push_back({when, std::move(req)});
 }
@@ -129,13 +128,13 @@ OffloadScheduler::start()
         });
     }
 
-    a9.start([this](soc::HostA9 &host) { hostMain(host); });
+    soc.a9().start([this](soc::HostA9 &host) { hostMain(host); });
 }
 
 bool
 OffloadScheduler::submitNow(JobRequest req)
 {
-    const sim::Tick now = a9.now();
+    const sim::Tick now = soc.now();
     ++stats.counter("submitted");
 
     JobRecord rec;

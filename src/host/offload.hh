@@ -39,7 +39,6 @@
 
 #include "apps/registry.hh"
 #include "sim/stats.hh"
-#include "soc/host_a9.hh"
 #include "soc/soc.hh"
 
 namespace dpu::host {
@@ -157,7 +156,8 @@ struct ServingSummary
 class OffloadScheduler
 {
   public:
-    OffloadScheduler(soc::Soc &soc, soc::HostA9 &a9, OffloadParams p);
+    /** Serve on @p soc's dpCores from its A9 (Soc::a9()). */
+    OffloadScheduler(soc::Soc &soc, OffloadParams p);
 
     // ------------------------------------------------------------
     // Load description (before start())
@@ -183,7 +183,7 @@ class OffloadScheduler
     close()
     {
         open = false;
-        a9.wakeBy(a9.now());
+        soc.a9().wakeBy(soc.now());
     }
 
     /**
@@ -268,7 +268,6 @@ class OffloadScheduler
     apps::ServingJob buildJob(const JobRequest &req, unsigned group);
 
     soc::Soc &soc;
-    soc::HostA9 &a9;
     OffloadParams p;
     sim::StatGroup stats;
 

@@ -7,19 +7,20 @@
  * dpCores; all evaluation-relevant interaction happens through the
  * MailBox Controller ("sending a pointer to a buffer in memory,
  * while the bulk of the data is communicated through main memory").
- * This model runs host software as a fiber at a (slower) A9 clock,
- * exchanging pointer-sized messages with the dpCores over the MBC.
+ * This model runs host software as a fiber (sim::Agent, the same
+ * protocol a dpCore runs on) at a (slower) A9 clock, exchanging
+ * pointer-sized messages with the dpCores over the MBC. The Soc
+ * builds one per chip (Soc::a9()).
  */
 
 #ifndef DPU_SOC_HOST_A9_HH
 #define DPU_SOC_HOST_A9_HH
 
 #include <functional>
-#include <memory>
 
 #include "mbc/mbc.hh"
+#include "sim/agent.hh"
 #include "sim/event_queue.hh"
-#include "sim/fiber.hh"
 
 namespace dpu::soc {
 
@@ -33,9 +34,13 @@ class HostA9
     HostA9(sim::EventQueue &eq, mbc::Mbc &mbc);
 
     /** Start @p fn on the A9 at the current tick. */
-    void start(HostFn fn);
+    void
+    start(HostFn fn)
+    {
+        agent.start([this, fn = std::move(fn)] { fn(*this); });
+    }
 
-    bool finished() const { return done; }
+    bool finished() const { return agent.finished(); }
 
     // ------------------------------------------------------------
     // Host-side primitives (call from inside the host program)
@@ -66,7 +71,11 @@ class HostA9
     /** Burn host time (driver work, syscalls...). The A9 runs at
      *  a fraction of the dpCore clock; @p us is wall microseconds.
      *  Arriving messages do not cut it short. */
-    void busyUs(double us);
+    void
+    busyUs(double us)
+    {
+        agent.sleepUntil(now() + sim::Tick(us * 1e6));
+    }
 
     sim::Tick now() const { return eq.now(); }
 
@@ -81,41 +90,12 @@ class HostA9
      * later, and does nothing unless the program is blocked in
      * recvUntil.
      */
-    void wakeBy(sim::Tick when);
+    void wakeBy(sim::Tick when) { agent.wakeBy(when); }
 
   private:
-    void resume();
-    /** Fire resumeEvent at @p when, moving it if it is armed. */
-    void armAt(sim::Tick when);
-
-    /** The host fiber's one wake-up (see DpCore::ResumeEvent for
-     *  the pattern): busyUs's end, a blocked wait's deadline, or a
-     *  message's interrupt, which pulls an armed deadline in. */
-    class ResumeEvent final : public sim::Event
-    {
-      public:
-        explicit ResumeEvent(HostA9 &h_)
-            : sim::Event(sim::EvTag::Host), h(h_)
-        {
-        }
-        void process() override { h.resume(); }
-        const char *name() const override { return "a9.resume"; }
-
-      private:
-        HostA9 &h;
-    };
-    ResumeEvent resumeEvent{*this};
-
     sim::EventQueue &eq;
     mbc::Mbc &mbcRef;
-    std::unique_ptr<sim::Fiber> fiber;
-    HostFn program;
-    bool done = false;
-    /** True while the program waits in recvUntil. */
-    bool blocked = false;
-    /** The current recvUntil's deadline, as wakeBy may have moved
-     *  it. */
-    sim::Tick deadline = sim::maxTick;
+    sim::Agent agent{eq, sim::EvTag::Host, "a9.resume"};
 };
 
 } // namespace dpu::soc

@@ -65,6 +65,7 @@ Soc::Soc(sim::EventQueue *shared, const SocParams &params)
     }
 
     mbcUnit = std::make_unique<mbc::Mbc>(eq, corePtrs);
+    a9Unit = std::make_unique<HostA9>(eq, *mbcUnit);
 
     // Tracing: honour DPU_TRACE=<file> on the first chip built, and
     // label every track this chip can emit on (cheap while

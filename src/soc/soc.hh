@@ -8,10 +8,12 @@
  * the 16 nm configuration replicates five.
  *
  * The A9 host complex and M0 power manager are modelled thinly: the
- * A9 is a dispatch endpoint on the MBC (see HostA9), the M0 is the
- * gating interface of soc::PowerModel, which the Figure 5 bench
- * builds on its own. Their Linux/network stack is out of evaluation
- * scope (all paper experiments are on-die).
+ * A9 is the chip's dispatch endpoint on the MBC (a9(), see HostA9),
+ * whose program runs on the same fiber protocol as the dpCores'
+ * kernels (sim::Agent); the M0 is the gating interface of
+ * soc::PowerModel, which the Figure 5 bench builds on its own. Their
+ * Linux/network stack is out of evaluation scope (all paper
+ * experiments are on-die).
  */
 
 #ifndef DPU_SOC_SOC_HH
@@ -28,6 +30,7 @@
 #include "mem/cache.hh"
 #include "mem/main_memory.hh"
 #include "sim/event_queue.hh"
+#include "soc/host_a9.hh"
 #include "soc/soc_params.hh"
 
 namespace dpu::soc {
@@ -96,6 +99,8 @@ class Soc
     dms::Dms &dms(unsigned complex = 0) { return *dmsUnits[complex]; }
     ate::Ate &ate(unsigned complex = 0) { return *ateUnits[complex]; }
     mbc::Mbc &mbc() { return *mbcUnit; }
+    /** The A9 host complex (the chip's offload endpoint). */
+    HostA9 &a9() { return *a9Unit; }
 
     /** The DMS complex serving core @p id. */
     dms::Dms &
@@ -129,6 +134,7 @@ class Soc
     std::vector<std::unique_ptr<dms::Dms>> dmsUnits;
     std::vector<std::unique_ptr<ate::Ate>> ateUnits;
     std::unique_ptr<mbc::Mbc> mbcUnit;
+    std::unique_ptr<HostA9> a9Unit;
     std::vector<bool> started;
 };
 

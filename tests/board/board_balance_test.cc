@@ -371,7 +371,7 @@ TEST(BoardBalance, SkewedRunCommitsMigrationsOffTheHotDpu)
                   .of(sim::Traffic::Migration)
                   .msgs,
               rep.committed * (board::stateBytesPerPartition /
-                               board::stagingBufBytes));
+                               dms::stagingBufBytes));
 
     // The workload itself was untouched by the re-sharding.
     const auto sum = s.sched->summary();

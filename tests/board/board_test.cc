@@ -201,8 +201,8 @@ TEST(Board, TeardownWithEventsPendingEverywhereIsClean)
     }
     // DPU 0's A9 is busy and DPU 1's waits for mail that never
     // comes: each has its member resume event pending.
-    b.host(0).start([](soc::HostA9 &h) { h.busyUs(20.0); });
-    b.host(1).start([=](soc::HostA9 &h) {
+    b.dpu(0).a9().start([](soc::HostA9 &h) { h.busyUs(20.0); });
+    b.dpu(1).a9().start([=](soc::HostA9 &h) {
         std::uint64_t msg;
         (void)h.recvUntil(20 * bound, msg);
     });
@@ -218,8 +218,8 @@ TEST(Board, TeardownWithEventsPendingEverywhereIsClean)
     EXPECT_EQ(b.runFor(bound), bound);
     EXPECT_FALSE(dropped);
     EXPECT_FALSE(b.allFinished());
-    EXPECT_FALSE(b.host(0).finished());
-    EXPECT_FALSE(b.host(1).finished());
+    EXPECT_FALSE(b.dpu(0).a9().finished());
+    EXPECT_FALSE(b.dpu(1).a9().finished());
     // Four core resumes, the pooled callback and an A9 wait on each
     // chip, plus the drained delivery on DPU 1.
     EXPECT_EQ(b.eventQueue(0).pending(), 6u);

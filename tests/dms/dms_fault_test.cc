@@ -167,3 +167,37 @@ TEST(DmsFault, BoundedWaitMatchesWfeOnHappyPath)
         }
     }
 }
+
+TEST(DmsFault, TimedOutWaitsWakerDoesNotEndALaterWait)
+{
+    PlaneGuard g; // plane inert: the descriptor completes, just late
+    soc::Soc s;
+    fillWords(s, 0x10000, 512);
+
+    WfeResult res = WfeResult::Ok;
+    std::uint64_t got = 0;
+    s.start(0, [&](core::DpCore &c) {
+        DmsCtl ctl(c, s.dms());
+        ctl.ddrToDmem()
+            .rows(512)
+            .width(4)
+            .from(0x10000)
+            .to(0)
+            .event(2)
+            .push(0);
+        // Far too short for 2 KiB: the wait times out while its
+        // waker is still registered on event 2.
+        res = ctl.wfeFor(2, sim::Tick(1000));
+        got = s.mbc().recv(c);
+    });
+    s.eventQueue().schedule(sim::Tick(2e9),
+                            [&s] { s.mbc().sendFromHost(0, 7); });
+    s.run();
+
+    EXPECT_EQ(res, WfeResult::Timeout);
+    EXPECT_EQ(got, 7u);
+    EXPECT_TRUE(s.allFinished());
+    EXPECT_EQ(s.core(0).statGroup().get("blocks"), 2u)
+        << "the descriptor's late completion must not wake the core "
+           "out of its later recv";
+}

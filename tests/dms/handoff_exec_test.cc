@@ -21,7 +21,6 @@
 
 using namespace dpu;
 using dms::HandoffExec;
-using dms::HandoffExecParams;
 using dms::HandoffLander;
 using dms::HandoffPlan;
 using dms::planRangeHandoff;
@@ -31,36 +30,15 @@ namespace {
 constexpr mem::Addr srcBase = 0x40000;
 constexpr mem::Addr dstBase = 0x80000;
 constexpr std::uint64_t stateBytes = 1152; // 4 x 256 + 128 tail
+/** Chunks smaller than the staging buffers, so a short state range
+ *  still makes a five-chunk plan. */
 constexpr std::uint64_t chunkBytes = 256;
 
-/** The exec role used throughout: channel 0, tight buffers. */
-HandoffExecParams
-execRole()
+/** DMEM offset of the exec role's staging buffer for @p chunk. */
+std::uint32_t
+stagedAt(unsigned chunk)
 {
-    HandoffExecParams p;
-    p.channel = 0;
-    p.bufBase = 0x5000;
-    p.bufBytes = 256;
-    p.chainBase = 0x6000;
-    p.chainBytes = 0x200;
-    p.eventA = 16;
-    p.eventB = 17;
-    return p;
-}
-
-/** The lander role: disjoint channel, buffers, slots and events. */
-HandoffExecParams
-landerRole()
-{
-    HandoffExecParams p;
-    p.channel = 1;
-    p.bufBase = 0x4000;
-    p.bufBytes = 256;
-    p.chainBase = 0x6800;
-    p.chainBytes = 0x200;
-    p.eventA = 18;
-    p.eventB = 19;
-    return p;
+    return dms::execBufBase + (chunk % 2) * dms::stagingBufBytes;
 }
 
 std::uint8_t
@@ -102,8 +80,7 @@ TEST(HandoffExecTest, ChainMatchesPlanBoundariesExactly)
 {
     soc::Soc s;
     seedSource(s);
-    const HandoffExecParams role = execRole();
-    HandoffExec exec(s.dms(), 0, s.core(0).dmem(), role);
+    HandoffExec exec(s.dms(), 0, s.core(0).dmem());
 
     const HandoffPlan plan =
         planRangeHandoff(srcBase, stateBytes, chunkBytes, 8);
@@ -117,8 +94,8 @@ TEST(HandoffExecTest, ChainMatchesPlanBoundariesExactly)
     // Byte-for-byte the chain plan.descriptors() would emit: same
     // chunk boundaries, ping-pong buffers, alternating events.
     const std::vector<dms::Descriptor> want = plan.descriptors(
-        role.bufBase, role.bufBytes, std::int8_t(role.eventA),
-        std::int8_t(role.eventB));
+        dms::execBufBase, dms::stagingBufBytes,
+        std::int8_t(dms::execEventA), std::int8_t(dms::execEventB));
     ASSERT_EQ(exec.chain().size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
         const dms::Descriptor &g = exec.chain()[i];
@@ -130,11 +107,9 @@ TEST(HandoffExecTest, ChainMatchesPlanBoundariesExactly)
         EXPECT_EQ(g.notifyEvent, want[i].notifyEvent) << i;
         // The ping-pong law, spelled out: even chunks fill the ping
         // buffer and notify eventA, odd chunks the pong / eventB.
-        EXPECT_EQ(g.dmemAddr,
-                  role.bufBase + (i % 2 ? role.bufBytes : 0))
-            << i;
-        EXPECT_EQ(g.notifyEvent,
-                  std::int8_t(i % 2 ? role.eventB : role.eventA))
+        EXPECT_EQ(g.dmemAddr, stagedAt(unsigned(i))) << i;
+        EXPECT_EQ(g.notifyEvent, std::int8_t(i % 2 ? dms::execEventB
+                                                   : dms::execEventA))
             << i;
     }
 
@@ -148,8 +123,7 @@ TEST(HandoffExecTest, StagesSourceBytesInTickSeqOrder)
 {
     soc::Soc s;
     seedSource(s);
-    const HandoffExecParams role = execRole();
-    HandoffExec exec(s.dms(), 0, s.core(0).dmem(), role);
+    HandoffExec exec(s.dms(), 0, s.core(0).dmem());
 
     const HandoffPlan plan =
         planRangeHandoff(srcBase, stateBytes, chunkBytes, 8);
@@ -165,9 +139,7 @@ TEST(HandoffExecTest, StagesSourceBytesInTickSeqOrder)
         // must be exactly this chunk's DDR slice.
         const dms::HandoffChunk &c = plan.chunks[chunk];
         std::vector<std::uint8_t> got(c.bytes());
-        s.core(0).dmem().read(
-            role.bufBase + (chunk % 2) * role.bufBytes, got.data(),
-            got.size());
+        s.core(0).dmem().read(stagedAt(chunk), got.data(), got.size());
         bool ok = true;
         for (std::uint64_t i = 0; i < c.bytes(); ++i)
             ok = ok && got[i] == patByte(c.ddrAddr - srcBase + i);
@@ -191,7 +163,7 @@ TEST(HandoffExecTest, ChainSelfThrottlesOnUnreleasedBuffers)
 {
     soc::Soc s;
     seedSource(s);
-    HandoffExec exec(s.dms(), 0, s.core(0).dmem(), execRole());
+    HandoffExec exec(s.dms(), 0, s.core(0).dmem());
 
     const HandoffPlan plan =
         planRangeHandoff(srcBase, stateBytes, chunkBytes, 8);
@@ -226,7 +198,7 @@ TEST(HandoffExecTest, DescriptorErrorSurfacesToConsumer)
 
     soc::Soc s;
     seedSource(s);
-    HandoffExec exec(s.dms(), 0, s.core(0).dmem(), execRole());
+    HandoffExec exec(s.dms(), 0, s.core(0).dmem());
 
     unsigned errors = 0;
     exec.start(planRangeHandoff(srcBase, stateBytes, chunkBytes, 8),
@@ -272,7 +244,7 @@ deliverAll(HandoffLander &lander, unsigned gen,
 TEST(HandoffLanderTest, LandsDeliveredChunksByteExactly)
 {
     soc::Soc s;
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), landerRole());
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
 
     const HandoffPlan plan =
         planRangeHandoff(srcBase, stateBytes, chunkBytes, 8);
@@ -291,7 +263,7 @@ TEST(HandoffLanderTest, LandsDeliveredChunksByteExactly)
 TEST(HandoffLanderTest, ToleratesReorderedDeliveries)
 {
     soc::Soc s;
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), landerRole());
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
 
     const HandoffPlan plan =
         planRangeHandoff(srcBase, stateBytes, chunkBytes, 8);
@@ -314,7 +286,7 @@ TEST(HandoffLanderTest, ToleratesReorderedDeliveries)
 TEST(HandoffLanderTest, StaleGenerationsDropWithoutLanding)
 {
     soc::Soc s;
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), landerRole());
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
 
     const HandoffPlan plan =
         planRangeHandoff(srcBase, stateBytes, chunkBytes, 8);
@@ -350,9 +322,8 @@ TEST(HandoffExecTest, RoundTripReproducesSourceImage)
 {
     soc::Soc s;
     seedSource(s);
-    const HandoffExecParams srcRole = execRole();
-    HandoffExec exec(s.dms(), 0, s.core(0).dmem(), srcRole);
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), landerRole());
+    HandoffExec exec(s.dms(), 0, s.core(0).dmem());
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
 
     const HandoffPlan plan =
         planRangeHandoff(srcBase, stateBytes, chunkBytes, 8);
@@ -365,9 +336,8 @@ TEST(HandoffExecTest, RoundTripReproducesSourceImage)
         ASSERT_FALSE(error);
         const dms::HandoffChunk &c = plan.chunks[chunk];
         std::vector<std::uint8_t> payload(c.bytes());
-        s.core(0).dmem().read(
-            srcRole.bufBase + (chunk % 2) * srcRole.bufBytes,
-            payload.data(), payload.size());
+        s.core(0).dmem().read(stagedAt(chunk), payload.data(),
+                              payload.size());
         exec.release(chunk);
         lander.deliver(gen, chunk,
                        dstBase + (c.ddrAddr - srcBase), payload,
@@ -389,7 +359,7 @@ TEST(HandoffExecDeathTest, StartWhileActiveDies)
 {
     soc::Soc s;
     seedSource(s);
-    HandoffExec exec(s.dms(), 0, s.core(0).dmem(), execRole());
+    HandoffExec exec(s.dms(), 0, s.core(0).dmem());
     const HandoffPlan plan =
         planRangeHandoff(srcBase, stateBytes, chunkBytes, 8);
     exec.start(plan, [](unsigned, bool) {});
@@ -401,7 +371,7 @@ TEST(HandoffExecDeathTest, ReleaseBeforeStagingDies)
 {
     soc::Soc s;
     seedSource(s);
-    HandoffExec exec(s.dms(), 0, s.core(0).dmem(), execRole());
+    HandoffExec exec(s.dms(), 0, s.core(0).dmem());
     exec.start(planRangeHandoff(srcBase, stateBytes, chunkBytes, 8),
                [](unsigned, bool) {});
     EXPECT_DEATH(exec.release(0), "release before staging");
@@ -410,22 +380,23 @@ TEST(HandoffExecDeathTest, ReleaseBeforeStagingDies)
 TEST(HandoffExecDeathTest, PlanOverrunningChainWindowDies)
 {
     soc::Soc s;
-    HandoffExecParams role = execRole();
-    role.chainBytes = 32; // room for two descriptors, plan has five
-    HandoffExec exec(s.dms(), 0, s.core(0).dmem(), role);
-    EXPECT_DEATH(
-        exec.start(planRangeHandoff(srcBase, stateBytes, chunkBytes,
-                                    8),
-                   [](unsigned, bool) {}),
-        "overruns the chain");
+    HandoffExec exec(s.dms(), 0, s.core(0).dmem());
+    // One 16 B descriptor per chunk: a plan one chunk longer than
+    // the window holds.
+    const unsigned window = dms::execChainBytes / 16;
+    const HandoffPlan plan = planRangeHandoff(
+        srcBase, (window + 1) * chunkBytes, chunkBytes, 8);
+    ASSERT_EQ(plan.chunks.size(), window + 1);
+    EXPECT_DEATH(exec.start(plan, [](unsigned, bool) {}),
+                 "overruns the chain");
 }
 
 TEST(HandoffLanderDeathTest, OversizePayloadDies)
 {
     soc::Soc s;
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), landerRole());
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
     const unsigned gen = lander.expect(1);
-    const std::vector<std::uint8_t> fat(512, 0); // bufBytes is 256
+    const std::vector<std::uint8_t> fat(2 * dms::stagingBufBytes, 0);
     EXPECT_DEATH(lander.deliver(gen, 0, dstBase, fat, 8),
                  "bounce buffer");
 }
@@ -433,7 +404,7 @@ TEST(HandoffLanderDeathTest, OversizePayloadDies)
 TEST(HandoffLanderDeathTest, RaggedPayloadDies)
 {
     soc::Soc s;
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), landerRole());
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
     const unsigned gen = lander.expect(1);
     const std::vector<std::uint8_t> ragged(12, 0);
     EXPECT_DEATH(lander.deliver(gen, 0, dstBase, ragged, 8),
@@ -443,7 +414,7 @@ TEST(HandoffLanderDeathTest, RaggedPayloadDies)
 TEST(HandoffLanderDeathTest, ReArmWhileBusyDies)
 {
     soc::Soc s;
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), landerRole());
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
     const unsigned gen = lander.expect(1);
     const std::vector<std::uint8_t> payload(64, 1);
     lander.deliver(gen, 0, dstBase, payload, 8);

@@ -115,12 +115,11 @@ runChaos(std::uint64_t seed)
     ChaosOutcome out;
     {
         soc::Soc s;
-        soc::HostA9 a9(s.eventQueue(), s.mbc());
         OffloadParams p;
         p.nCores = 16;
         p.groupSize = 4;
         p.maxAttempts = 2;
-        OffloadScheduler sched(s, a9, p);
+        OffloadScheduler sched(s, p);
 
         sim::Rng rng(seed ^ 0xc0ffee);
         sim::Tick t = 0;
@@ -135,7 +134,7 @@ runChaos(std::uint64_t seed)
         sched.start();
         s.runFor(sim::Tick(1e12)); // 1 s cap: a hang fails loudly
 
-        out.hostFinished = a9.finished();
+        out.hostFinished = s.a9().finished();
         out.sum = sched.summary();
         for (const JobRecord &rec : sched.jobs()) {
             out.states.push_back(rec.state);
@@ -190,11 +189,10 @@ TEST(Chaos, CleanRunUnderChaosHarnessShape)
     // The same workload with the plane inert: everything completes.
     sim::faultPlane().reset();
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
     OffloadParams p;
     p.nCores = 16;
     p.groupSize = 4;
-    OffloadScheduler sched(s, a9, p);
+    OffloadScheduler sched(s, p);
 
     sim::Rng rng(99);
     sim::Tick t = 0;
@@ -205,7 +203,7 @@ TEST(Chaos, CleanRunUnderChaosHarnessShape)
     sched.start();
     s.runFor(sim::Tick(1e12));
 
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
     EXPECT_EQ(sched.summary().completed,
               std::uint64_t(chaosJobs));
     EXPECT_EQ(sched.summary().timedOut, 0u);
@@ -252,7 +250,7 @@ runBoardChaos(std::uint64_t seed, unsigned threads)
 
         out.hostFinished = true;
         for (unsigned d = 0; d < b.nDpus(); ++d)
-            out.hostFinished &= b.host(d).finished();
+            out.hostFinished &= b.dpu(d).a9().finished();
         out.sum = sched.summary();
         for (unsigned d = 0; d < sched.nShards(); ++d) {
             out.perShard.push_back(sched.shard(d).jobs().size());

@@ -86,8 +86,7 @@ oneGroup()
 TEST(OffloadScheduler, MixedRegistryLoadCompletesAndValidates)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
-    OffloadScheduler sched(s, a9, {});
+    OffloadScheduler sched(s, {});
 
     const char *apps[] = {"filter", "groupby-low", "hll-crc",
                           "json",   "filter",      "groupby-low"};
@@ -140,17 +139,16 @@ TEST(OffloadScheduler, MixedRegistryLoadCompletesAndValidates)
     EXPECT_LE(sum.p99Us, sum.maxUs);
     EXPECT_GT(sum.throughputJobsPerSec, 0.0);
     EXPECT_TRUE(s.allFinished());
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
 }
 
 TEST(OffloadScheduler, RunEndsAtTheLastJobNotAQueuedDeadline)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
     OffloadParams p;
     p.nCores = 8;
     p.groupSize = 4;
-    OffloadScheduler sched(s, a9, p);
+    OffloadScheduler sched(s, p);
 
     // 20 us lanes offered every 10 us: the A9's every wait ends
     // on an ack or an arrival, long before its 50 ms job deadline.
@@ -168,17 +166,16 @@ TEST(OffloadScheduler, RunEndsAtTheLastJobNotAQueuedDeadline)
     EXPECT_LE(end, last + 1'000'000)
         << "the run must end within 1 us of the last job";
     EXPECT_TRUE(s.allFinished());
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
 }
 
 TEST(OffloadScheduler, WedgedKernelIsReapedAndQueueKeepsDraining)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
     OffloadParams p;
     p.nCores = 8; // two groups: the wedge costs one, not the chip
     p.groupSize = 4;
-    OffloadScheduler sched(s, a9, p);
+    OffloadScheduler sched(s, p);
 
     // The wedge arrives first and grabs a group; everything behind
     // it must still drain through the surviving group.
@@ -199,14 +196,13 @@ TEST(OffloadScheduler, WedgedKernelIsReapedAndQueueKeepsDraining)
     EXPECT_EQ(sched.jobs()[0].state, JobState::TimedOut);
     // The wedged lane is the one fiber left parked.
     EXPECT_EQ(s.unfinishedCores().size(), 1u);
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
 }
 
 TEST(OffloadScheduler, QueuedJobPastDeadlineIsReapedUndispatched)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
-    OffloadScheduler sched(s, a9, oneGroup());
+    OffloadScheduler sched(s, oneGroup());
 
     // ~2.5 ms of kernel on the only group.
     sched.enqueueAt(0, slowJob(2'000'000));
@@ -232,10 +228,9 @@ TEST(OffloadScheduler, QueuedJobPastDeadlineIsReapedUndispatched)
 TEST(OffloadScheduler, BoundedQueueRejectsOverflow)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
     OffloadParams p = oneGroup();
     p.queueDepth = 2;
-    OffloadScheduler sched(s, a9, p);
+    OffloadScheduler sched(s, p);
 
     for (unsigned i = 0; i < 10; ++i)
         sched.enqueueAt(0, quickJob());
@@ -258,8 +253,7 @@ TEST(OffloadScheduler, BoundedQueueRejectsOverflow)
 TEST(OffloadScheduler, LateAckReclaimsQuarantinedGroup)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
-    OffloadScheduler sched(s, a9, oneGroup());
+    OffloadScheduler sched(s, oneGroup());
 
     // Finite but slower than its deadline: reaped at 1 ms, acks at
     // ~2.5 ms, and the group must then serve the follow-up job.
@@ -288,8 +282,7 @@ TEST(OffloadScheduler, LateAckReclaimsQuarantinedGroup)
 TEST(OffloadScheduler, ClosedLoopResubmitsFromCompletionHook)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
-    OffloadScheduler sched(s, a9, oneGroup());
+    OffloadScheduler sched(s, oneGroup());
 
     const unsigned target = 12;
     unsigned issued = 2;
@@ -308,7 +301,7 @@ TEST(OffloadScheduler, ClosedLoopResubmitsFromCompletionHook)
     EXPECT_EQ(sched.summary().completed, target);
     EXPECT_EQ(sched.summary().rejected, 0u);
     EXPECT_TRUE(s.allFinished());
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
 }
 
 // ----------------------------------------------------------------
@@ -333,10 +326,9 @@ twoGroups()
 TEST(OffloadScheduler, ReapedJobRequeuesAndCompletesElsewhere)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
     OffloadParams p = twoGroups();
     p.maxAttempts = 2;
-    OffloadScheduler sched(s, a9, p);
+    OffloadScheduler sched(s, p);
 
     // First dispatch wedges lane 0 forever; the retry is clean.
     auto dispatches = std::make_shared<unsigned>(0);
@@ -369,16 +361,15 @@ TEST(OffloadScheduler, ReapedJobRequeuesAndCompletesElsewhere)
     EXPECT_EQ(rec.state, JobState::Completed);
     EXPECT_EQ(rec.attempts, 2u);
     EXPECT_EQ(s.unfinishedCores().size(), 1u);
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
 }
 
 TEST(OffloadScheduler, ExhaustedAttemptsReportDeadlineCause)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
     OffloadParams p = twoGroups();
     p.maxAttempts = 2;
-    OffloadScheduler sched(s, a9, p);
+    OffloadScheduler sched(s, p);
 
     JobRequest wedge = wedgedJob(); // wedges on every attempt
     wedge.timeout = sim::Tick(1e9);
@@ -400,7 +391,7 @@ TEST(OffloadScheduler, ExhaustedAttemptsReportDeadlineCause)
     EXPECT_EQ(rec.attempts, 2u);
     EXPECT_STREQ(rec.cause, "deadline");
     EXPECT_LT(sum.availability, 1.0);
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
 }
 
 TEST(OffloadScheduler, HungDmacTimeoutIsAttributedToTheWedge)
@@ -409,8 +400,7 @@ TEST(OffloadScheduler, HungDmacTimeoutIsAttributedToTheWedge)
     sim::faultPlane().configure("dms.wedge@nth=1,max=1", 3);
 
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
-    OffloadScheduler sched(s, a9, twoGroups());
+    OffloadScheduler sched(s, twoGroups());
 
     // Lane 0 pushes one DMS descriptor and waits unbounded; the
     // injected DMAC wedge drops its completion, so the job is
@@ -451,16 +441,15 @@ TEST(OffloadScheduler, HungDmacTimeoutIsAttributedToTheWedge)
     const JobRecord &rec = sched.jobs()[0];
     EXPECT_EQ(rec.state, JobState::TimedOut);
     EXPECT_STREQ(rec.cause, "dmsWedge");
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
 }
 
 TEST(OffloadScheduler, LateAckFromOldDispatchReclaimsDuringRetry)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
     OffloadParams p = twoGroups();
     p.maxAttempts = 2;
-    OffloadScheduler sched(s, a9, p);
+    OffloadScheduler sched(s, p);
 
     // Attempt 1 is slow-but-finite (reaped, acks late); attempt 2
     // is quick. The late acks carry the first dispatch id and must
@@ -498,5 +487,5 @@ TEST(OffloadScheduler, LateAckFromOldDispatchReclaimsDuringRetry)
     EXPECT_EQ(rec.attempts, 2u);
     EXPECT_LT(sum.availability, 1.0);
     EXPECT_TRUE(s.allFinished());
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
 }

@@ -17,7 +17,6 @@ using namespace dpu;
 TEST(HostA9, OffloadHandshakeRoundTrip)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     // Work descriptors in DRAM: [input ptr, length, output ptr].
     for (unsigned id = 0; id < 8; ++id) {
@@ -45,7 +44,7 @@ TEST(HostA9, OffloadHandshakeRoundTrip)
     }
 
     unsigned acks = 0;
-    a9.start([&](soc::HostA9 &host) {
+    s.a9().start([&](soc::HostA9 &host) {
         for (unsigned id = 0; id < 8; ++id) {
             host.busyUs(0.5); // driver overhead per submission
             host.sendToCore(id, 0x1000 + id * 64);
@@ -58,7 +57,7 @@ TEST(HostA9, OffloadHandshakeRoundTrip)
 
     s.run();
     EXPECT_TRUE(s.allFinished());
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
     EXPECT_EQ(acks, 8u);
     for (unsigned id = 0; id < 8; ++id) {
         std::uint64_t expect = 0;
@@ -71,36 +70,33 @@ TEST(HostA9, OffloadHandshakeRoundTrip)
 TEST(HostA9, RecvBlocksUntilCoreResponds)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
     sim::Tick host_got_at = 0;
 
     s.start(0, [&](core::DpCore &c) {
         c.sleepCycles(80'000); // 100 us of work
         s.mbc().send(c, s.mbc().a9Box(), 7);
     });
-    a9.start([&](soc::HostA9 &host) {
+    s.a9().start([&](soc::HostA9 &host) {
         EXPECT_EQ(host.recv(), 7u);
         host_got_at = host.now();
     });
     s.run();
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
     EXPECT_GE(host_got_at, sim::dpCoreClock.cyclesToTicks(80'000));
 }
 
 TEST(HostA9, BusyUsAdvancesSimulatedTime)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
-    a9.start([&](soc::HostA9 &host) { host.busyUs(25.0); });
+    s.a9().start([&](soc::HostA9 &host) { host.busyUs(25.0); });
     s.run();
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
     EXPECT_GE(s.now(), sim::Tick(25e6));
 }
 
 TEST(HostA9, RecvUntilNowPollsWithoutBlocking)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     s.start(0, [&](core::DpCore &c) {
         c.sleepCycles(8'000); // 10 us of work before the reply
@@ -110,7 +106,7 @@ TEST(HostA9, RecvUntilNowPollsWithoutBlocking)
     bool empty_at_start = false;
     std::uint64_t got = 0;
     unsigned polls = 0;
-    a9.start([&](soc::HostA9 &host) {
+    s.a9().start([&](soc::HostA9 &host) {
         std::uint64_t msg;
         empty_at_start = !host.recvUntil(host.now(), msg);
         // Poll loop: each miss costs host time, or we'd spin at one
@@ -123,7 +119,7 @@ TEST(HostA9, RecvUntilNowPollsWithoutBlocking)
     });
 
     s.run();
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
     EXPECT_TRUE(empty_at_start);
     EXPECT_EQ(got, 42u);
     EXPECT_GE(polls, 1u);
@@ -132,7 +128,6 @@ TEST(HostA9, RecvUntilNowPollsWithoutBlocking)
 TEST(HostA9, RecvUntilTimesOutThenDelivers)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     s.start(0, [&](core::DpCore &c) {
         c.sleepCycles(80'000); // replies at ~100 us
@@ -143,7 +138,7 @@ TEST(HostA9, RecvUntilTimesOutThenDelivers)
     sim::Tick woke_at = 0, delivered_at = 0;
     std::uint64_t got = 0;
     std::size_t pending = ~std::size_t(0);
-    a9.start([&](soc::HostA9 &host) {
+    s.a9().start([&](soc::HostA9 &host) {
         std::uint64_t msg;
         // Deadline at 10 us: nothing has arrived, must time out at
         // exactly the deadline, not hang.
@@ -159,7 +154,7 @@ TEST(HostA9, RecvUntilTimesOutThenDelivers)
     });
 
     s.run();
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
     EXPECT_FALSE(first);
     EXPECT_EQ(woke_at, sim::Tick(10e6));
     EXPECT_TRUE(second);
@@ -174,11 +169,10 @@ TEST(HostA9, RecvUntilTimesOutThenDelivers)
 TEST(HostA9, WakeByOnlyMovesABlockedDeadlineEarlier)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     std::vector<bool> results;
     std::vector<sim::Tick> wokeAt;
-    a9.start([&](soc::HostA9 &host) {
+    s.a9().start([&](soc::HostA9 &host) {
         std::uint64_t msg;
         for (sim::Tick until : {sim::Tick(1e9), sim::maxTick}) {
             results.push_back(host.recvUntil(until, msg));
@@ -191,18 +185,18 @@ TEST(HostA9, WakeByOnlyMovesABlockedDeadlineEarlier)
     // Host phase: a later deadline leaves the wait alone, an earlier
     // one ends it there with a timeout.
     s.runFor(sim::Tick(100e6));
-    a9.wakeBy(sim::Tick(2e9));
-    a9.wakeBy(sim::Tick(300e6));
+    s.a9().wakeBy(sim::Tick(2e9));
+    s.a9().wakeBy(sim::Tick(300e6));
     // The unbounded wait armed nothing; pull it in to now.
     s.runFor(sim::Tick(400e6));
     EXPECT_EQ(wokeAt.size(), 1u);
-    a9.wakeBy(0);
+    s.a9().wakeBy(0);
     // busyUs is not a wait: wakeBy leaves it alone.
     s.runFor(sim::Tick(1e6));
-    a9.wakeBy(s.now());
+    s.a9().wakeBy(s.now());
     s.run();
 
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
     ASSERT_EQ(results.size(), 2u);
     EXPECT_FALSE(results[0]);
     EXPECT_FALSE(results[1]);
@@ -215,7 +209,6 @@ TEST(HostA9, WakeByOnlyMovesABlockedDeadlineEarlier)
 TEST(HostA9, StaleDeadlineTimerDoesNotDoubleResume)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     // The message beats the deadline. Had the deadline stayed
     // armed, it would fire while the host is inside an unrelated
@@ -228,7 +221,7 @@ TEST(HostA9, StaleDeadlineTimerDoesNotDoubleResume)
     });
 
     std::vector<std::uint64_t> seen;
-    a9.start([&](soc::HostA9 &host) {
+    s.a9().start([&](soc::HostA9 &host) {
         std::uint64_t msg;
         // Deadline far beyond the second send.
         ASSERT_TRUE(host.recvUntil(sim::Tick(500e6), msg));
@@ -237,7 +230,7 @@ TEST(HostA9, StaleDeadlineTimerDoesNotDoubleResume)
     });
 
     s.run();
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
     ASSERT_EQ(seen.size(), 2u);
     EXPECT_EQ(seen[0], 1u);
     EXPECT_EQ(seen[1], 2u);
@@ -246,7 +239,6 @@ TEST(HostA9, StaleDeadlineTimerDoesNotDoubleResume)
 TEST(HostA9, BusyUsIsNotCutShortByMessages)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     s.start(0, [&](core::DpCore &c) {
         s.mbc().send(c, s.mbc().a9Box(), 5); // lands mid-busy
@@ -254,14 +246,14 @@ TEST(HostA9, BusyUsIsNotCutShortByMessages)
 
     sim::Tick woke_at = 0;
     std::uint64_t got = 0;
-    a9.start([&](soc::HostA9 &host) {
+    s.a9().start([&](soc::HostA9 &host) {
         host.busyUs(50.0);
         woke_at = host.now();
         got = host.recv();
     });
 
     s.run();
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
     EXPECT_EQ(woke_at, sim::Tick(50e6));
     EXPECT_EQ(got, 5u);
 }
@@ -271,7 +263,6 @@ TEST(HostA9, AllCoresToHostExactlyOnce)
     // MBC stress: all 32 dpCores fire salvos at the A9 mailbox with
     // staggered timing. Every message must arrive exactly once.
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
     const unsigned n_cores = 32, per_core = 8;
 
     for (unsigned id = 0; id < n_cores; ++id) {
@@ -287,7 +278,7 @@ TEST(HostA9, AllCoresToHostExactlyOnce)
     }
 
     std::vector<unsigned> counts(n_cores * per_core, 0);
-    a9.start([&](soc::HostA9 &host) {
+    s.a9().start([&](soc::HostA9 &host) {
         for (unsigned i = 0; i < n_cores * per_core; ++i) {
             std::uint64_t msg = host.recv();
             unsigned core = unsigned(msg >> 32);
@@ -303,7 +294,7 @@ TEST(HostA9, AllCoresToHostExactlyOnce)
 
     s.run();
     EXPECT_TRUE(s.allFinished());
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
     for (unsigned i = 0; i < counts.size(); ++i)
         EXPECT_EQ(counts[i], 1u) << "message " << i;
 }
@@ -311,7 +302,6 @@ TEST(HostA9, AllCoresToHostExactlyOnce)
 TEST(HostA9, RecvUntilDeadlineTiedWithDeliveryTimesOutFirst)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     // Worker timing: sleep 6 + send 4 + MBC latency 30 cycles puts
     // the delivery at tick 50000 — exactly the host's deadline. The
@@ -326,7 +316,7 @@ TEST(HostA9, RecvUntilDeadlineTiedWithDeliveryTimesOutFirst)
     bool timed_out = false;
     sim::Tick woke_at = 0, got_at = 0;
     std::uint64_t got = 0;
-    a9.start([&](soc::HostA9 &host) {
+    s.a9().start([&](soc::HostA9 &host) {
         std::uint64_t msg;
         timed_out = !host.recvUntil(50'000, msg);
         woke_at = host.now();
@@ -335,7 +325,7 @@ TEST(HostA9, RecvUntilDeadlineTiedWithDeliveryTimesOutFirst)
     });
 
     s.run();
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
     EXPECT_TRUE(timed_out);
     EXPECT_EQ(woke_at, 50'000u);
     EXPECT_EQ(got, 77u);
@@ -346,7 +336,6 @@ TEST(HostA9, RecvUntilDeadlineTiedWithDeliveryTimesOutFirst)
 TEST(HostA9, StaleDeadlineDoesNotCutLaterBoundedWaitShort)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     // The first bounded wait is satisfied long before its 1 ms
     // deadline. The second bounded wait's own deadline is 3 ms; a
@@ -358,7 +347,7 @@ TEST(HostA9, StaleDeadlineDoesNotCutLaterBoundedWaitShort)
 
     bool first = false, second = true;
     sim::Tick woke_at = 0;
-    a9.start([&](soc::HostA9 &host) {
+    s.a9().start([&](soc::HostA9 &host) {
         std::uint64_t msg;
         first = host.recvUntil(sim::Tick(1e9), msg);
         second = host.recvUntil(sim::Tick(3e9), msg);
@@ -366,7 +355,7 @@ TEST(HostA9, StaleDeadlineDoesNotCutLaterBoundedWaitShort)
     });
 
     s.run();
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
     EXPECT_TRUE(first);
     EXPECT_FALSE(second);
     EXPECT_EQ(woke_at, sim::Tick(3e9))
@@ -376,7 +365,6 @@ TEST(HostA9, StaleDeadlineDoesNotCutLaterBoundedWaitShort)
 TEST(HostA9, BackToBackBoundedWaitsTimeOutAtExactDeadlines)
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     // Reply lands at (800 + 4 + 30) cycles = tick 1042500, past all
     // four staggered deadlines: each wait must time out at exactly
@@ -389,7 +377,7 @@ TEST(HostA9, BackToBackBoundedWaitsTimeOutAtExactDeadlines)
     std::vector<sim::Tick> wokeAt;
     bool delivered = false;
     std::uint64_t got = 0;
-    a9.start([&](soc::HostA9 &host) {
+    s.a9().start([&](soc::HostA9 &host) {
         std::uint64_t msg;
         for (unsigned i = 1; i <= 4; ++i) {
             EXPECT_FALSE(host.recvUntil(sim::Tick(i) * 200'000,
@@ -401,7 +389,7 @@ TEST(HostA9, BackToBackBoundedWaitsTimeOutAtExactDeadlines)
     });
 
     s.run();
-    EXPECT_TRUE(a9.finished());
+    EXPECT_TRUE(s.a9().finished());
     ASSERT_EQ(wokeAt.size(), 4u);
     for (unsigned i = 0; i < 4; ++i)
         EXPECT_EQ(wokeAt[i], sim::Tick(i + 1) * 200'000);

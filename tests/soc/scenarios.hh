@@ -198,7 +198,6 @@ inline sim::StatsSnapshot
 runMbcStormScenario()
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
 
     constexpr unsigned per_core = 8;
     const unsigned n_cores = s.nCores();
@@ -214,7 +213,7 @@ runMbcStormScenario()
 
     std::vector<unsigned> seen(n_cores * per_core, 0);
     bool stray = false;
-    a9.start([&](soc::HostA9 &host) {
+    s.a9().start([&](soc::HostA9 &host) {
         for (unsigned n = 0; n < n_cores * per_core; ++n) {
             const std::uint64_t msg = host.recv();
             const unsigned id = unsigned(msg >> 32);
@@ -227,7 +226,7 @@ runMbcStormScenario()
     });
     s.run();
 
-    if (!s.allFinished() || !a9.finished() || stray)
+    if (!s.allFinished() || !s.a9().finished() || stray)
         return {};
     for (unsigned slot : seen)
         if (slot != 1)
@@ -248,9 +247,8 @@ inline sim::StatsSnapshot
 runServingScenario()
 {
     soc::Soc s;
-    soc::HostA9 a9(s.eventQueue(), s.mbc());
     host::OffloadParams op;
-    host::OffloadScheduler sched(s, a9, op);
+    host::OffloadScheduler sched(s, op);
 
     struct Req
     {
