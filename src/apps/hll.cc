@@ -8,8 +8,6 @@
 #include "rt/dms_ctl.hh"
 #include "rt/sync.hh"
 #include "sim/rng.hh"
-#include "util/crc32.hh"
-#include "util/murmur64.hh"
 
 namespace dpu::apps {
 
@@ -28,72 +26,6 @@ makeElements(const HllConfig &cfg)
         e = x;
     }
     return v;
-}
-
-/**
- * The estimator update both platforms share. @return the register
- * index and rank for @p e. NTZ and NLZ variants are statistically
- * interchangeable on a well-behaved hash (Section 5.4).
- */
-void
-update(std::uint64_t h, unsigned p_bits, bool use_ntz,
-          std::vector<std::uint8_t> &regs)
-{
-    unsigned rank;
-    std::uint32_t idx;
-    if (use_ntz) {
-        // NTZ form: index from the low bits, rank from trailing
-        // zeros of the remainder; the guard bit bounds the rank.
-        idx = std::uint32_t(h) & ((1u << p_bits) - 1);
-        std::uint64_t w = (h >> p_bits) | (1ull << (64 - p_bits));
-        rank = unsigned(__builtin_ctzll(w)) + 1;
-    } else {
-        // Classic NLZ form: index from the top bits.
-        idx = std::uint32_t(h >> (64 - p_bits));
-        std::uint64_t w = (h << p_bits) | (1ull << (p_bits - 1));
-        rank = unsigned(__builtin_clzll(w)) + 1;
-    }
-    if (rank > regs[idx])
-        regs[idx] = std::uint8_t(rank);
-}
-
-std::uint64_t
-hostHash(std::uint64_t e, HllHash hash)
-{
-    if (hash == HllHash::Murmur64)
-        return util::murmur64Key(e);
-    const std::uint32_t lo = util::crc32Key64(e);
-    const std::uint32_t hi = util::crc32Key(lo ^ std::uint32_t(e >> 32));
-    return (std::uint64_t(hi) << 32) | lo;
-}
-
-void
-dpuStep(core::DpCore &c, std::uint64_t e, HllHash hash,
-        unsigned p_bits, bool use_ntz, std::vector<std::uint8_t> &regs)
-{
-    std::uint64_t h;
-    if (hash == HllHash::Crc32) {
-        // Two chained CRC32 steps build a 64-bit-quality hash; each
-        // is one cycle.
-        const std::uint32_t lo = c.crcHash64(e);
-        const std::uint32_t hi = c.crcHash(lo ^ std::uint32_t(e >> 32));
-        h = (std::uint64_t(hi) << 32) | lo;
-    } else {
-        h = util::murmur64Key(e);
-        // Charge the iterative multiplier for every 64x64 multiply
-        // murmur performs.
-        for (std::uint64_t k = 0; k < util::murmur64MulCount(8); ++k)
-            c.mul(64);
-        c.alu(10); // shifts/xors
-    }
-    if (use_ntz)
-        (void)c.ntz(h << p_bits | 1);
-    else
-        (void)c.nlz(h << p_bits | 1);
-    update(h, p_bits, use_ntz, regs);
-    // load + compare + conditional store, paired with the index
-    // arithmetic.
-    c.dualIssue(3, 3);
 }
 
 /** Standard HLL harmonic-mean estimate with small-range correction. */
@@ -151,8 +83,7 @@ dpuHll(const soc::SocParams &params, const HllConfig &cfg)
             rt::DmsCtl ctl(c, s.dmsFor(id));
             ate::Ate &ate = s.ateFor(id);
 
-            for (std::uint32_t i = 0; i < m; ++i)
-                c.dmem().store<std::uint8_t>(regOff + i, 0);
+            c.dmem().zero(regOff, m);
             c.dualIssue(m / 8, m / 8);
 
             std::vector<std::uint8_t> regs(m, 0);

@@ -20,11 +20,15 @@
 #ifndef DPU_APPS_HLL_HH
 #define DPU_APPS_HLL_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "apps/common.hh"
+#include "core/dp_core.hh"
+#include "util/crc32.hh"
+#include "util/murmur64.hh"
 
 namespace dpu::apps {
 
@@ -59,12 +63,48 @@ struct HllResult
 namespace hlldetail {
 /** Synthetic multiset with a known number of distinct values. */
 std::vector<std::uint64_t> makeElements(const HllConfig &cfg);
-/** The estimator update both platforms share. */
-void update(std::uint64_t h, unsigned p_bits, bool use_ntz,
-            std::vector<std::uint8_t> &regs);
+/**
+ * The estimator update both platforms share: the register index and
+ * rank of hash @p h, kept as the register's maximum. NTZ and NLZ
+ * variants are statistically interchangeable on a well-behaved hash
+ * (Section 5.4). Inline, like hostHash() and dpuStep(): the lanes
+ * and the serving job's answer run them once per element.
+ */
+inline void
+update(std::uint64_t h, unsigned p_bits, bool use_ntz,
+       std::vector<std::uint8_t> &regs)
+{
+    unsigned rank;
+    std::uint32_t idx;
+    if (use_ntz) {
+        // NTZ form: index from the low bits, rank from trailing
+        // zeros of the remainder; the guard bit bounds the rank.
+        idx = std::uint32_t(h) & ((1u << p_bits) - 1);
+        std::uint64_t w = (h >> p_bits) | (1ull << (64 - p_bits));
+        rank = unsigned(__builtin_ctzll(w)) + 1;
+    } else {
+        // Classic NLZ form: index from the top bits.
+        idx = std::uint32_t(h >> (64 - p_bits));
+        std::uint64_t w = (h << p_bits) | (1ull << (p_bits - 1));
+        rank = unsigned(__builtin_clzll(w)) + 1;
+    }
+    // Store the maximum unconditionally: whether a rank beats its
+    // register is a coin flip the branch predictor loses.
+    regs[idx] = std::max(regs[idx], std::uint8_t(rank));
+}
+
 /** The 64-bit element hash on the host: two chained CRC32 steps,
  *  or Murmur64. */
-std::uint64_t hostHash(std::uint64_t e, HllHash hash);
+inline std::uint64_t
+hostHash(std::uint64_t e, HllHash hash)
+{
+    if (hash == HllHash::Murmur64)
+        return util::murmur64Key(e);
+    const std::uint32_t lo = util::crc32Key64(e);
+    const std::uint32_t hi = util::crc32Key(lo ^ std::uint32_t(e >> 32));
+    return (std::uint64_t(hi) << 32) | lo;
+}
+
 /**
  * One element on dpCore @p c: hostHash()'s value, charged as the
  * core computes it (one cycle per CRC32 step; Murmur64's multiplies
@@ -72,9 +112,35 @@ std::uint64_t hostHash(std::uint64_t e, HllHash hash);
  * count, update() into @p regs, and the register's load, compare
  * and store paired with the index arithmetic.
  */
-void dpuStep(core::DpCore &c, std::uint64_t e, HllHash hash,
-             unsigned p_bits, bool use_ntz,
-             std::vector<std::uint8_t> &regs);
+inline void
+dpuStep(core::DpCore &c, std::uint64_t e, HllHash hash,
+        unsigned p_bits, bool use_ntz, std::vector<std::uint8_t> &regs)
+{
+    std::uint64_t h;
+    if (hash == HllHash::Crc32) {
+        // Two chained CRC32 steps build a 64-bit-quality hash; each
+        // is one cycle.
+        const std::uint32_t lo = c.crcHash64(e);
+        const std::uint32_t hi = c.crcHash(lo ^ std::uint32_t(e >> 32));
+        h = (std::uint64_t(hi) << 32) | lo;
+    } else {
+        h = util::murmur64Key(e);
+        // Charge the iterative multiplier for every 64x64 multiply
+        // murmur performs.
+        for (std::uint64_t k = 0; k < util::murmur64MulCount(8); ++k)
+            c.mul(64);
+        c.alu(10); // shifts/xors
+    }
+    if (use_ntz)
+        (void)c.ntz(h << p_bits | 1);
+    else
+        (void)c.nlz(h << p_bits | 1);
+    update(h, p_bits, use_ntz, regs);
+    // load + compare + conditional store, paired with the index
+    // arithmetic.
+    c.dualIssue(3, 3);
+}
+
 /** 2^-@p r, exactly: built from the exponent bits, since every
  *  8-bit rank's power of two is a normal double. */
 inline double

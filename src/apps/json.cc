@@ -2,7 +2,9 @@
 
 #include "apps/entry.hh"
 
+#include <bit>
 #include <charconv>
+#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -20,17 +22,29 @@ makeRecords(const JsonConfig &cfg)
     static constexpr std::string_view words[] = {
         "quick",   "silent",   "ironic",   "final",       "pending",
         "express", "deposits", "accounts", "theodolites", "platelets"};
+    // The longest record: 86 bytes of keys, punctuation and
+    // two-digit fields, a 10-digit orderkey, 6-digit partkey,
+    // 2-digit quantity, 5-digit dollars, and five 11-byte words
+    // with four spaces between them.
+    constexpr std::size_t maxRecordBytes =
+        86 + 10 + 6 + 2 + 5 + 5 * 11 + 4;
     sim::Rng rng{cfg.seed};
     Records out;
     std::string &text = out.text;
-    text.reserve(std::size_t(cfg.nRecords) * 180);
-    const auto number = [&text](std::uint64_t v) {
-        char buf[20];
-        text.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    text.resize(std::size_t(cfg.nRecords) * maxRecordBytes);
+    char *w = text.data();
+    char *const end = w + text.size();
+    const auto put = [&w](std::string_view sv) {
+        std::memcpy(w, sv.data(), sv.size());
+        w += sv.size();
     };
-    const auto twoDigits = [&text](std::uint64_t v) {
-        text += char('0' + v / 10);
-        text += char('0' + v % 10);
+    const auto number = [&w, end](std::uint64_t v) {
+        w = std::to_chars(w, end, v).ptr;
+    };
+    const auto twoDigits = [&w](std::uint64_t v) {
+        w[0] = char('0' + v / 10);
+        w[1] = char('0' + v % 10);
+        w += 2;
     };
     for (std::uint32_t r = 0; r < cfg.nRecords; ++r) {
         // The draw order is part of the input: cents before
@@ -44,83 +58,124 @@ makeRecords(const JsonConfig &cfg)
         const std::uint64_t month = rng.below(12) + 1;
         const std::uint64_t year = 92 + rng.below(7);
 
-        text += "{\"orderkey\":";
+        put("{\"orderkey\":");
         number(orderkey);
-        text += ",\"partkey\":";
+        put(",\"partkey\":");
         number(partkey);
-        text += ",\"quantity\":";
+        put(",\"quantity\":");
         number(quantity);
-        text += ",\"price\":";
+        put(",\"price\":");
         number(dollars);
-        text += '.';
+        *w++ = '.';
         twoDigits(cents);
-        text += ",\"shipdate\":\"19";
+        put(",\"shipdate\":\"19");
         twoDigits(year);
-        text += '-';
+        *w++ = '-';
         twoDigits(month);
-        text += '-';
+        *w++ = '-';
         twoDigits(day);
-        text += "\",\"comment\":\"";
+        put("\",\"comment\":\"");
         unsigned n = 2 + unsigned(rng.below(4));
-        for (unsigned w = 0; w < n; ++w) {
-            if (w)
-                text += ' ';
-            text += words[rng.below(10)];
+        for (unsigned k = 0; k < n; ++k) {
+            if (k)
+                *w++ = ' ';
+            put(words[rng.below(10)]);
         }
-        text += "\"}\n";
+        put("\"}\n");
         out.tally.intSum += orderkey + partkey + quantity + dollars;
     }
+    text.resize(std::size_t(w - text.data()));
     out.tally.records = cfg.nRecords;
     out.tally.fields = 6 * std::uint64_t(cfg.nRecords);
     return out;
 }
+
+namespace {
+
+/**
+ * Index of the first '"' or '\\' in [p + i, p + len), or len (i when
+ * i > len). Eight bytes at a time: each byte xor the target is zero
+ * only at a match, and the zero-byte test below flags no byte under
+ * the lowest zero (a borrow starts only at a zero byte), so the
+ * lowest flag is the first match. Little-endian hosts take its
+ * index from the flag's bit position; others search the word a
+ * byte at a time.
+ */
+std::uint64_t
+stringStop(const char *p, std::uint64_t i, std::uint64_t len)
+{
+    constexpr std::uint64_t ones = 0x0101010101010101ull;
+    constexpr std::uint64_t highs = 0x8080808080808080ull;
+    constexpr std::uint64_t quotes = ones * '"';
+    constexpr std::uint64_t slashes = ones * '\\';
+    const auto zeroBytes = [](std::uint64_t x) {
+        return (x - ones) & ~x & highs;
+    };
+    for (; i + 8 <= len; i += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, p + i, 8);
+        const std::uint64_t hits =
+            zeroBytes(word ^ quotes) | zeroBytes(word ^ slashes);
+        if (hits) {
+            if constexpr (std::endian::native == std::endian::little)
+                return i + unsigned(std::countr_zero(hits)) / 8;
+            break;
+        }
+    }
+    while (i < len && p[i] != '"' && p[i] != '\\')
+        ++i;
+    return i;
+}
+
+bool
+isDigit(char ch)
+{
+    return unsigned(ch - '0') < 10;
+}
+
+} // namespace
 
 /**
  * The table-driven FSM both implementations share functionally: a
  * flat scan counting records (depth-0 newlines), fields (colons at
  * depth 1 outside strings), and summing integer-part values. Also
  * reports the number of "action" events (fields) for the DPU's
- * cost model.
+ * cost model. A string body is skipped to its closing quote in
+ * stringStop() steps, a backslash escaping the byte after it; an
+ * integer is read in one loop and is not added if it runs into the
+ * span's end.
  */
 JsonTally
 parseSpan(const char *p, std::uint64_t len)
 {
     JsonTally t;
     int depth = 0;
-    bool in_str = false;
-    bool esc = false;
-    bool in_int = false;
-    std::uint64_t cur = 0;
-    for (std::uint64_t i = 0; i < len; ++i) {
-        char ch = p[i];
-        if (in_str) {
-            if (esc)
-                esc = false;
-            else if (ch == '\\')
-                esc = true;
-            else if (ch == '"')
-                in_str = false;
-            continue;
-        }
-        if (in_int) {
-            if (ch >= '0' && ch <= '9') {
-                cur = cur * 10 + std::uint64_t(ch - '0');
-                continue;
+    std::uint64_t i = 0;
+    while (i < len) {
+        switch (p[i++]) {
+          case '"':
+            for (;;) {
+                i = stringStop(p, i, len);
+                if (i >= len)
+                    return t;
+                if (p[i++] == '"')
+                    break;
+                ++i; // the escaped byte
             }
-            t.intSum += cur;
-            in_int = false;
-        }
-        switch (ch) {
-          case '"': in_str = true; break;
+            break;
           case '{': ++depth; break;
           case '}': --depth; break;
           case ':':
             if (depth == 1) {
                 ++t.fields;
-                if (i + 1 < len && p[i + 1] >= '0' &&
-                    p[i + 1] <= '9') {
-                    in_int = true;
-                    cur = 0;
+                if (i < len && isDigit(p[i])) {
+                    std::uint64_t cur = 0;
+                    for (; i < len && isDigit(p[i]); ++i)
+                        cur = cur * 10 + std::uint64_t(p[i] - '0');
+                    if (i == len)
+                        return t;
+                    // The terminator is scanned next, as any byte.
+                    t.intSum += cur;
                 }
             }
             break;

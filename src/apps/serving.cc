@@ -134,22 +134,30 @@ groupByJob(const sql::GroupByConfig &cfg, const ServingContext &ctx)
         rt::DmsCtl ctl(c, s->dmsFor(c.id()));
         constexpr std::uint32_t tile = 8192;
         const std::uint32_t tab_off = 2 * tile;
-        for (std::uint32_t g = 0; g < cfg.ndv; ++g)
-            c.dmem().store<std::uint64_t>(tab_off + g * 8, 0);
+        c.dmem().zero(tab_off, tab_bytes);
         c.dualIssue(cfg.ndv / 4 + 1, cfg.ndv / 4 + 1);
 
         rt::StreamReader in(ctl, data_base + sl.begin * 8,
                             sl.count * 8, 0, tile, 2, 0, 0);
+        std::uint8_t *const dmem = c.dmem().raw();
         in.forEach([&](std::uint32_t off, std::uint32_t blen) {
+            // The tile is checked once and read as (key, val) pairs;
+            // a key's table cell is checked as it is reached.
+            sim_assert(off + std::uint64_t(blen + 7) / 8 * 8 <=
+                           mem::Dmem::size,
+                       "group-by tile out of DMEM: %u bytes at %u",
+                       blen, off);
             for (std::uint32_t i = 0; i < blen; i += 8) {
-                std::uint32_t key =
-                    c.dmem().load<std::uint32_t>(off + i);
-                std::uint32_t val =
-                    c.dmem().load<std::uint32_t>(off + i + 4);
-                std::uint64_t sum = c.dmem().load<std::uint64_t>(
-                    tab_off + key * 8);
-                c.dmem().store<std::uint64_t>(tab_off + key * 8,
-                                              sum + val);
+                std::uint32_t pair[2];
+                std::memcpy(pair, dmem + off + i, 8);
+                const std::uint32_t at = tab_off + pair[0] * 8;
+                sim_assert(at <= mem::Dmem::size - 8,
+                           "group-by key %u's cell out of DMEM",
+                           pair[0]);
+                std::uint64_t sum;
+                std::memcpy(&sum, dmem + at, 8);
+                sum += pair[1];
+                std::memcpy(dmem + at, &sum, 8);
                 // 2 loads + rmw, paired with index arithmetic.
                 c.dualIssue(3, 3);
             }
@@ -216,8 +224,7 @@ hllJob(const HllConfig &cfg, const ServingContext &ctx)
         constexpr std::uint32_t tile = 4096;
         const std::uint32_t reg_off = 2 * tile;
         std::vector<std::uint8_t> regs(m, 0);
-        for (std::uint32_t i = 0; i < m; ++i)
-            c.dmem().store<std::uint8_t>(reg_off + i, 0);
+        c.dmem().zero(reg_off, m);
         c.dualIssue(m / 8, m / 8);
 
         rt::StreamReader in(ctl, data_base + sl.begin * 8,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "util/crc32.hh"
-
 namespace dpu::core {
 
 namespace {
@@ -155,6 +153,7 @@ void
 DpCore::postInterrupt(Isr isr)
 {
     pendingIsrs.push_back(std::move(isr));
+    syncAt = 0;
     ++shInterruptsPosted;
     agent.wake(eq.now());
 }
@@ -176,51 +175,12 @@ DpCore::deliverInterrupts()
                            now() - t0, nullptr, 0, nullptr, 0);
         inIsr = false;
     }
+    syncAt = syncQuantum;
 }
 
 // ----------------------------------------------------------------
 // Analytics ISA extensions
 // ----------------------------------------------------------------
-
-std::uint32_t
-DpCore::crcHash(std::uint32_t key)
-{
-    ++shCrcOps;
-    cycles(crc32Cycles);
-    return util::crc32Key(key);
-}
-
-std::uint32_t
-DpCore::crcHash64(std::uint64_t key)
-{
-    ++shCrcOps;
-    cycles(2 * crc32Cycles);
-    return util::crc32Key64(key);
-}
-
-unsigned
-DpCore::popcount(std::uint64_t v)
-{
-    ++shPopcounts;
-    cycles(popcountCycles);
-    return unsigned(__builtin_popcountll(v));
-}
-
-unsigned
-DpCore::ntz(std::uint64_t v)
-{
-    ++shNtzOps;
-    cycles(ntzCycles);
-    return v ? unsigned(__builtin_ctzll(v)) : 64;
-}
-
-unsigned
-DpCore::nlz(std::uint64_t v)
-{
-    ++shNlzOps;
-    cycles(nlzCycles);
-    return v ? unsigned(__builtin_clzll(v)) : 64;
-}
 
 std::uint64_t
 DpCore::filt(std::uint32_t src_off, std::uint32_t n,

@@ -37,6 +37,7 @@
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
+#include "util/crc32.hh"
 
 namespace dpu::core {
 
@@ -90,9 +91,9 @@ class DpCore
     cycles(sim::Cycles n)
     {
         aheadTicks += sim::dpCoreClock.cyclesToTicks(n);
-        // maybeSync's own test, hoisted: almost every charge needs
-        // neither a sync nor an interrupt.
-        if (aheadTicks >= syncQuantum || !pendingIsrs.empty())
+        // maybeSync's own test, hoisted into one compare: almost
+        // every charge needs neither a sync nor an interrupt.
+        if (aheadTicks >= syncAt)
             maybeSync();
     }
 
@@ -163,19 +164,49 @@ class DpCore
     // ------------------------------------------------------------
 
     /** CRC32 hashcode of a 32-bit key in one cycle (Section 2.2). */
-    std::uint32_t crcHash(std::uint32_t key);
+    std::uint32_t
+    crcHash(std::uint32_t key)
+    {
+        ++shCrcOps;
+        cycles(crc32Cycles);
+        return util::crc32Key(key);
+    }
 
     /** CRC32 hashcode of a 64-bit key (two issue slots). */
-    std::uint32_t crcHash64(std::uint64_t key);
+    std::uint32_t
+    crcHash64(std::uint64_t key)
+    {
+        ++shCrcOps;
+        cycles(2 * crc32Cycles);
+        return util::crc32Key64(key);
+    }
 
     /** Population count in one cycle. */
-    unsigned popcount(std::uint64_t v);
+    unsigned
+    popcount(std::uint64_t v)
+    {
+        ++shPopcounts;
+        cycles(popcountCycles);
+        return unsigned(__builtin_popcountll(v));
+    }
 
     /** Number of trailing zeros via the popcount unit (4 cycles). */
-    unsigned ntz(std::uint64_t v);
+    unsigned
+    ntz(std::uint64_t v)
+    {
+        ++shNtzOps;
+        cycles(ntzCycles);
+        return v ? unsigned(__builtin_ctzll(v)) : 64;
+    }
 
     /** Number of leading zeros, no hardware assist (13 cycles). */
-    unsigned nlz(std::uint64_t v);
+    unsigned
+    nlz(std::uint64_t v)
+    {
+        ++shNlzOps;
+        cycles(nlzCycles);
+        return v ? unsigned(__builtin_clzll(v)) : 64;
+    }
 
     /**
      * FILT: compare @p n packed elements in DMEM against [lo, hi]
@@ -350,6 +381,12 @@ class DpCore
 
     /** Force a sync after this much accumulated lead (20 us). */
     static constexpr sim::Tick syncQuantum = 20'000'000;
+
+    /** The lead at which a charge calls maybeSync: syncQuantum, or
+     *  0 while an interrupt is pending, so that the next charge
+     *  takes it. postInterrupt lowers it, deliverInterrupts raises
+     *  it once the queue is empty. */
+    sim::Tick syncAt = syncQuantum;
 
     std::deque<Isr> pendingIsrs;
     bool inIsr = false;

@@ -1,6 +1,7 @@
 #include "dms/dmac.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "sim/fault.hh"
@@ -58,8 +59,9 @@ sim::Tick
 Dmac::ddrStream(mem::Addr addr, std::uint8_t *buf, std::uint32_t bytes,
                 bool write, sim::Tick start)
 {
-    const unsigned window = axiWindow;
-    std::vector<sim::Tick> inflight(window, start);
+    constexpr unsigned window = axiWindow;
+    std::array<sim::Tick, window> inflight;
+    inflight.fill(start);
     sim::Tick done = start;
     std::uint32_t off = 0;
     unsigned i = 0;

@@ -76,10 +76,13 @@ BoardScheduler::run()
 {
     sim_assert(!ran, "BoardScheduler::run() is one-shot");
     ran = true;
-    std::stable_sort(offers.begin(), offers.end(),
-                     [](const Offer &a, const Offer &b) {
-                         return a.when < b.when;
-                     });
+    // Offers usually come time-ordered; sorting those anyway moves
+    // every request through the merge passes for nothing.
+    const auto earlier = [](const Offer &a, const Offer &b) {
+        return a.when < b.when;
+    };
+    if (!std::is_sorted(offers.begin(), offers.end(), earlier))
+        std::stable_sort(offers.begin(), offers.end(), earlier);
 
     if (!balancer_) {
         // Static placement: forward everything up front and run the

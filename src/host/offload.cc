@@ -55,6 +55,16 @@ OffloadScheduler::OffloadScheduler(soc::Soc &soc_, OffloadParams params)
                                 "sched.group" + std::to_string(g));
     }
     sim::tracer().nameTrack(sim::TraceCat::Soc, hostTid, "a9.sched");
+    stats.addFlushHook([this] { flushStats(); });
+}
+
+void
+OffloadScheduler::flushStats()
+{
+    shSubmitted.flushInto(stats, "submitted");
+    shAccepted.flushInto(stats, "accepted");
+    shDispatched.flushInto(stats, "dispatched");
+    shCompleted.flushInto(stats, "completed");
 }
 
 mem::Addr
@@ -86,10 +96,13 @@ OffloadScheduler::start()
 {
     sim_assert(!started, "scheduler already started");
     started = true;
-    std::stable_sort(arrivals.begin(), arrivals.end(),
-                     [](const Arrival &a, const Arrival &b) {
-                         return a.when < b.when;
-                     });
+    // Arrivals usually come time-ordered; sorting those anyway
+    // moves every request through the merge passes for nothing.
+    const auto earlier = [](const Arrival &a, const Arrival &b) {
+        return a.when < b.when;
+    };
+    if (!std::is_sorted(arrivals.begin(), arrivals.end(), earlier))
+        std::stable_sort(arrivals.begin(), arrivals.end(), earlier);
 
     // Persistent worker loop on every managed core: receive a
     // dispatch pointer, run the group's kernel lane, ack the host.
@@ -135,7 +148,7 @@ bool
 OffloadScheduler::submitNow(JobRequest req)
 {
     const sim::Tick now = soc.now();
-    ++stats.counter("submitted");
+    ++shSubmitted;
 
     JobRecord rec;
     rec.id = nextJobId++;
@@ -152,7 +165,7 @@ OffloadScheduler::submitNow(JobRequest req)
         return false;
     }
 
-    ++stats.counter("accepted");
+    ++shAccepted;
     Pending pend;
     pend.id = rec.id;
     pend.req = std::move(req);
@@ -307,7 +320,7 @@ OffloadScheduler::dispatchReady(soc::HostA9 &host)
         rec.state = JobState::Running;
         rec.dispatchedAt = now;
         ++rec.attempts;
-        ++stats.counter("dispatched");
+        ++shDispatched;
         DPU_TRACE_SPAN_END(sim::TraceCat::Soc, hostTid, "job.queued",
                            pend.queueSpan, now);
 
@@ -368,7 +381,7 @@ OffloadScheduler::handleAck(soc::HostA9 &host, std::uint64_t msg)
     rec.state = JobState::Completed;
     rec.finishedAt = now;
     rec.valid = !grp.job.validate || grp.job.validate();
-    ++stats.counter("completed");
+    ++shCompleted;
     if (!rec.valid)
         ++stats.counter("validationFailed");
     DPU_TRACE_SPAN_END(sim::TraceCat::Soc, groupTid + g, "job.run",
@@ -426,6 +439,7 @@ OffloadScheduler::hostMain(soc::HostA9 &host)
 void
 OffloadScheduler::finalize(soc::HostA9 &host)
 {
+    flushStats();
     ServingSummary s;
     s.submitted = stats.counter("submitted");
     s.accepted = stats.counter("accepted");

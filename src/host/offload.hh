@@ -270,6 +270,12 @@ class OffloadScheduler
     soc::Soc &soc;
     OffloadParams p;
     sim::StatGroup stats;
+    /** The cells every job passes through are deferred
+     *  (sim/stats.hh): a plain add per job, folded into stats by
+     *  its flush hook and by finalize(). */
+    sim::DeferredCounter shSubmitted, shAccepted, shDispatched,
+        shCompleted;
+    void flushStats();
 
     std::vector<Arrival> arrivals; ///< sorted at start()
     std::size_t nextArrival = 0;

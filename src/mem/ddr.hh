@@ -20,6 +20,7 @@
 #ifndef DPU_MEM_DDR_HH
 #define DPU_MEM_DDR_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 
@@ -93,7 +94,8 @@ class DdrChannel
 {
   public:
     DdrChannel(const DdrParams &params, sim::StatGroup &stats)
-        : p(params), st(stats)
+        : p(params), st(stats),
+          derated(sim::Tick(double(p.tBurst) / (1.0 - p.refreshDerate)))
     {
         banks.fill(Bank{});
         stats.addFlushHook([this] { flushStats(); });
@@ -108,6 +110,14 @@ class DdrChannel
      * Issue one memory transaction of up to any length; the model
      * splits it into 64 B bursts internally.
      *
+     * Each row run (the bursts of one transaction that fall in one
+     * row) is charged in closed form: its first burst takes the
+     * bank and bus logic of burst(), and every later burst is a row
+     * hit that queues on the bus right behind it, adding one
+     * derated burst time. While the fault plane holds a mem.degrade
+     * rule, whose divisor depends on each burst's own start tick,
+     * every burst takes the per-burst path.
+     *
      * @param addr     Start address.
      * @param bytes    Transfer length.
      * @param write    True for a write.
@@ -121,10 +131,30 @@ class DdrChannel
     {
         sim::Tick done = earliest;
         Addr a = addr & ~Addr(63);
-        Addr end = addr + bytes;
-        while (a < end) {
-            done = burst(a, write, earliest);
-            a += 64;
+        const Addr end = addr + bytes;
+        sim::FaultPlane &fp = sim::faultPlane();
+        if (fp.hasMemFault()) {
+            for (; a < end; a += 64)
+                done = burst(a, write, earliest, &fp);
+        } else {
+            while (a < end) {
+                done = burst(a, write, earliest, nullptr);
+                const Addr row_end = (a / p.rowBytes + 1) * p.rowBytes;
+                a += 64;
+                const Addr run_end = std::min(end, row_end);
+                if (a >= run_end)
+                    continue;
+                // The run's other bursts: row hits whose CAS is
+                // already covered, each starting as the bus frees.
+                const std::uint64_t hits = (run_end - a + 63) / 64;
+                const sim::Tick ticks = hits * derated;
+                busFree += ticks;
+                shBusyTicks += ticks;
+                shBursts += hits;
+                shRowHits += hits;
+                done = busFree;
+                a += hits * 64;
+            }
         }
         (write ? shBytesWritten : shBytesRead) += bytes;
         if (DPU_TRACE_ARMED) {
@@ -154,9 +184,11 @@ class DdrChannel
         sim::Tick dataReadyAt = 0;
     };
 
-    /** Schedule a single 64 B burst; returns its completion tick. */
+    /** Schedule a single 64 B burst; returns its completion tick.
+     *  @p degrade is the fault plane when it holds a mem rule. */
     sim::Tick
-    burst(Addr addr, bool write, sim::Tick earliest)
+    burst(Addr addr, bool write, sim::Tick earliest,
+          sim::FaultPlane *degrade)
     {
         // Address map: row : bank : column. Consecutive rows of the
         // stream land in consecutive banks so activations overlap.
@@ -189,16 +221,12 @@ class DdrChannel
             data_start += p.tTurnaround;
         lastWasWrite = write;
 
-        // Refresh/controller derating: stretch effective burst time.
-        sim::Tick t_burst =
-            sim::Tick(double(p.tBurst) / (1.0 - p.refreshDerate));
-
         // Fault plane: a mem.degrade window divides the channel's
         // effective bandwidth by stretching each burst (thermal
-        // throttling / a misbehaving rank). Inert runs only pay the
-        // hasMemFault() flag test.
-        if (sim::faultPlane().hasMemFault())
-            t_burst *= sim::faultPlane().memBwDivisor(data_start);
+        // throttling / a misbehaving rank).
+        sim::Tick t_burst = derated;
+        if (degrade)
+            t_burst *= degrade->memBwDivisor(data_start);
 
         busFree = data_start + t_burst;
         shBusyTicks += t_burst;
@@ -220,6 +248,8 @@ class DdrChannel
 
     DdrParams p;
     sim::StatGroup &st;
+    /** Refresh/controller derating: the effective burst time. */
+    const sim::Tick derated;
     /** Deferred per-burst counters (see sim/stats.hh). */
     sim::DeferredCounter shRowMisses, shRowHits, shBusyTicks,
         shBursts, shBytesRead, shBytesWritten;

@@ -47,6 +47,16 @@ class Dmem
         std::memcpy(bytes.data() + offset, src, len);
     }
 
+    /** Zero [offset, offset + len): a kernel clearing a table. */
+    void
+    zero(std::uint32_t offset, std::size_t len)
+    {
+        sim_assert(offset + len <= size,
+                   "DMEM write out of range: off=%u len=%zu", offset,
+                   len);
+        std::memset(bytes.data() + offset, 0, len);
+    }
+
     template <typename T>
     T
     load(std::uint32_t offset) const

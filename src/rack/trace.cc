@@ -51,12 +51,15 @@ generateTrace(const TraceConfig &cfg)
         return false;
     };
 
-    // Instantaneous rate and its peak, for Poisson thinning.
+    // Instantaneous rate and its peak, for Poisson thinning. With
+    // no diurnal swing the factor is exactly 1.0, so it is skipped
+    // along with its sine.
     auto rateAt = [&](double t) {
-        double r = cfg.ratePerSec *
-                   (1.0 + cfg.diurnalAmp *
-                              std::sin(2.0 * M_PI * t /
-                                       cfg.diurnalPeriodSec));
+        double r = cfg.ratePerSec;
+        if (cfg.diurnalAmp != 0)
+            r *= 1.0 + cfg.diurnalAmp *
+                           std::sin(2.0 * M_PI * t /
+                                    cfg.diurnalPeriodSec);
         if (inBurst(t))
             r *= burstMultiplier;
         return r;

@@ -136,8 +136,10 @@ class EpochRunner
     unsigned workers() const { return nWorkers; }
 
   private:
-    /** Sense-counting spin barrier (atomics only: cheap at this
-     *  scale and race-free under TSan). One thread never waits. */
+    /** Sense-counting barrier on one generation word: a waiter
+     *  spins for a short budget, then blocks in std::atomic::wait
+     *  until the last arrival's notify, so a worker parked through
+     *  a host phase holds no CPU. One thread never waits. */
     class Barrier
     {
       public:
@@ -159,14 +161,14 @@ class EpochRunner
                 count.store(0, std::memory_order_relaxed);
                 generation.store(gen + 1,
                                  std::memory_order_release);
+                generation.notify_all();
                 return;
             }
-            unsigned spins = 0;
-            while (generation.load(std::memory_order_acquire) ==
-                   gen) {
-                if (++spins > 64)
-                    std::this_thread::yield();
-            }
+            for (unsigned spins = 0; spins < 64; ++spins)
+                if (generation.load(std::memory_order_acquire) != gen)
+                    return;
+            // wait() returns only once the word differs from gen.
+            generation.wait(gen, std::memory_order_acquire);
         }
 
       private:

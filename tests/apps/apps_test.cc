@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "apps/disparity.hh"
@@ -162,6 +164,131 @@ TEST(JsonApp, GeneratorTallyEqualsAParseOfItsText)
         EXPECT_EQ(r.tally.records, parsed.records) << cfg.seed;
         EXPECT_EQ(r.tally.fields, parsed.fields) << cfg.seed;
         EXPECT_EQ(r.tally.intSum, parsed.intSum) << cfg.seed;
+    }
+}
+
+namespace {
+
+/** The byte-at-a-time FSM parseSpan ran before it skipped string
+ *  bodies a word at a time: the tallies must stay equal. */
+JsonTally
+byteFsmTally(const char *p, std::uint64_t len)
+{
+    JsonTally t;
+    int depth = 0;
+    bool in_str = false, esc = false, in_int = false;
+    std::uint64_t cur = 0;
+    for (std::uint64_t i = 0; i < len; ++i) {
+        const char ch = p[i];
+        if (in_str) {
+            if (esc)
+                esc = false;
+            else if (ch == '\\')
+                esc = true;
+            else if (ch == '"')
+                in_str = false;
+            continue;
+        }
+        if (in_int) {
+            if (ch >= '0' && ch <= '9') {
+                cur = cur * 10 + std::uint64_t(ch - '0');
+                continue;
+            }
+            t.intSum += cur;
+            in_int = false;
+        }
+        switch (ch) {
+          case '"': in_str = true; break;
+          case '{': ++depth; break;
+          case '}': --depth; break;
+          case ':':
+            if (depth == 1) {
+                ++t.fields;
+                if (i + 1 < len && p[i + 1] >= '0' && p[i + 1] <= '9') {
+                    in_int = true;
+                    cur = 0;
+                }
+            }
+            break;
+          case '\n':
+            if (depth == 0)
+                ++t.records;
+            break;
+          default:
+            break;
+        }
+    }
+    return t;
+}
+
+/** parseSpan against byteFsmTally on [from, to) of @p text. */
+void
+expectSameTally(const std::string &text, std::uint64_t from,
+                std::uint64_t to, const char *what)
+{
+    const JsonTally want =
+        byteFsmTally(text.data() + from, to - from);
+    const JsonTally got =
+        jsondetail::parseSpan(text.data() + from, to - from);
+    EXPECT_EQ(got, want) << what << " [" << from << ", " << to << ")";
+}
+
+} // namespace
+
+TEST(JsonApp, ParseSpanMatchesTheByteFsmAtEveryCut)
+{
+    // Adversarial spans, cut at every start and end: an escaped
+    // quote (with a colon and digits inside the string), a
+    // backslash as the last byte, nested braces, a trailing
+    // integer, and quotes and backslashes at every offset of a
+    // long string body.
+    std::vector<std::string> spans = {
+        "{\"a\":\"x\\\"y:12\",\"b\":12}\n{\"c\":\"\\\\\",\"d\":7}\n",
+        "{\"k\":\"abc\\",
+        "{\"a\":{\"b\":1,\"c\":{\"d\":22}},\"e\":333}\n}\n{\"f\":4}\n",
+        "{\"a\":1,\"b\":23",
+    };
+    for (unsigned at = 0; at < 20; ++at) {
+        for (const char *mark : {"\"", "\\", "\\\"", "\\\\"}) {
+            std::string body(24, 'x');
+            body.replace(at, std::strlen(mark), mark);
+            spans.push_back("{\"s\":\"" + body + "\",\"n\":" +
+                            std::to_string(at) + "}\n");
+        }
+    }
+    // Random bytes, dense and sparse, from an alphabet of the FSM's
+    // specials, their neighbours and high-bit bytes (a word-wide
+    // zero-byte test must not confuse them with a quote or a
+    // backslash).
+    const char alphabet[] = {'"', '\\', ':', '{', '}', '\n', '1', '9',
+                             'x', '!', '#', '[', ']', char(0xa2),
+                             char(0xdc), char(0x80), char(0x01), '\0'};
+    sim::Rng rng{0x5bad5ull};
+    for (int k = 0; k < 80; ++k) {
+        std::string s(rng.below(90), 'x');
+        for (char &ch : s)
+            if (k % 2 == 0 || rng.below(8) == 0)
+                ch = alphabet[rng.below(sizeof(alphabet))];
+        spans.push_back(s);
+    }
+    for (const std::string &s : spans)
+        for (std::uint64_t from = 0; from <= s.size(); ++from)
+            for (std::uint64_t to = from; to <= s.size(); ++to)
+                expectSameTally(s, from, to, "adversarial span");
+
+    // Generated records at random cuts, as the lanes split them.
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+        JsonConfig cfg;
+        cfg.seed = seed;
+        cfg.nRecords = std::uint32_t(1 + rng.below(64));
+        const std::string text = jsondetail::makeRecords(cfg).text;
+        expectSameTally(text, 0, text.size(), "whole text");
+        for (int cut = 0; cut < 24; ++cut) {
+            const std::uint64_t from = rng.below(text.size() + 1);
+            const std::uint64_t to =
+                from + rng.below(text.size() - from + 1);
+            expectSameTally(text, from, to, "generated text");
+        }
     }
 }
 

@@ -319,3 +319,57 @@ TEST_F(CoreFixture, BlockedCoreWakesOnCondition)
     eq.run();
     EXPECT_EQ(woke_at, 5'000'000u);
 }
+
+TEST_F(CoreFixture, InterruptPostedWhileBlockedIsTakenAtTheFirstCharge)
+{
+    // Every tick below was read from the model before a charge
+    // tested one sync threshold instead of the quantum and the ISR
+    // queue; a pending interrupt must still be taken at the same
+    // charge.
+    std::vector<std::pair<char, sim::Tick>> taken;
+    bool a_ran = false, b_ran = false;
+    sim::Tick resumed = 0, done = 0;
+    const auto isr = [&](char name, bool *ran, sim::Cycles work) {
+        return [&taken, name, ran, work](DpCore &rc) {
+            taken.emplace_back(name, rc.now());
+            if (ran)
+                *ran = true;
+            rc.cycles(work);
+        };
+    };
+    core0->start([&](DpCore &c) {
+        c.cycles(50);
+        // A: posted by an event while the core is blocked.
+        c.blockUntil([&] { return a_ran; });
+        resumed = c.now();
+        c.cycles(30);
+        // B: posted by core 1's running fiber while this core is
+        // blocked again.
+        c.blockUntil([&] { return b_ran; });
+        // C: posted by the core itself; the next charge takes it.
+        c.postInterrupt(isr('C', nullptr, 20));
+        c.cycles(7);
+        c.cycles(1000);
+        done = c.now();
+    });
+    core1->start([&](DpCore &c) {
+        c.sleepCycles(2000);
+        core0->postInterrupt(isr('B', &b_ran, 40));
+        c.cycles(5);
+    });
+    eq.schedule(1'000'000, [&] {
+        core0->postInterrupt(isr('A', &a_ran, 100));
+    });
+    eq.run();
+    ASSERT_TRUE(core0->finished());
+    // A and B enter at their wake plus the 60-cycle entry charge;
+    // C at the 7-cycle charge right after its post, not at the
+    // kernel's closing sync 1,000 cycles later.
+    const std::vector<std::pair<char, sim::Tick>> want{
+        {'A', 1'075'000}, {'B', 2'575'000}, {'C', 2'708'750}};
+    EXPECT_EQ(taken, want);
+    EXPECT_EQ(resumed, 1'200'000u);
+    EXPECT_EQ(done, 3'983'750u);
+    EXPECT_EQ(eq.now(), 3'983'750u);
+    EXPECT_EQ(core0->statGroup().get("interruptsTaken"), 3u);
+}
