@@ -84,13 +84,23 @@ BoardScheduler::run()
     if (!std::is_sorted(offers.begin(), offers.end(), earlier))
         std::stable_sort(offers.begin(), offers.end(), earlier);
 
+    // Each offer moves on to its shard's arrival queue and is
+    // freed here as it goes.
+    const auto forward = [&] {
+        Offer &o = offers.front();
+        const unsigned part = partitionOf(o.key);
+        if (balancer_)
+            balancer_->record(part);
+        shards[parts.homeOf(part, nShards())]->enqueueAt(
+            o.when, std::move(o.req));
+        offers.pop_front();
+    };
+
     if (!balancer_) {
         // Static placement: forward everything up front and run the
         // board to completion — the PR-5 path, byte for byte.
-        for (Offer &o : offers)
-            shards[parts.homeOf(partitionOf(o.key), nShards())]
-                ->enqueueAt(o.when, std::move(o.req));
-        offers.clear();
+        while (!offers.empty())
+            forward();
         start();
         return brd.run();
     }
@@ -109,23 +119,15 @@ BoardScheduler::run()
         s->holdOpen();
     start();
 
-    std::size_t next = 0;
     sim::Tick boundary = brd.now() + window;
     for (;;) {
-        while (next < offers.size() &&
-               offers[next].when < boundary) {
-            Offer &o = offers[next++];
-            const unsigned part = partitionOf(o.key);
-            balancer_->record(part);
-            shards[parts.homeOf(part, nShards())]->enqueueAt(
-                o.when, std::move(o.req));
-        }
+        while (!offers.empty() && offers.front().when < boundary)
+            forward();
         brd.runFor(boundary - brd.now());
-        if (next == offers.size())
+        if (offers.empty())
             balancer_->setDraining(true);
         balancer_->onWindowBoundary(boundary);
-        if (next == offers.size() &&
-            !balancer_->migrationsActive())
+        if (offers.empty() && !balancer_->migrationsActive())
             break;
         boundary += window;
     }

@@ -34,6 +34,7 @@
 #ifndef DPU_HOST_BOARD_OFFLOAD_HH
 #define DPU_HOST_BOARD_OFFLOAD_HH
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -89,7 +90,8 @@ class BoardScheduler
      * Buffer a keyed open-loop arrival for run(). The request is
      * routed at segment-forwarding time (not now), so it observes
      * every partition flip committed before its window. Must be
-     * called before run(); offers may arrive in any order.
+     * called before run(); offers may arrive in any order. run()
+     * moves each offer on to its shard and frees it there.
      */
     void offer(sim::Tick when, std::uint64_t key, JobRequest req);
 
@@ -137,7 +139,8 @@ class BoardScheduler
     board::PartitionMap parts;
     /** Live only when the board's balance.window > 0. */
     std::unique_ptr<board::BoardBalancer> balancer_;
-    std::vector<Offer> offers;
+    /** Not yet forwarded; sorted at run(), popped as forwarded. */
+    std::deque<Offer> offers;
     bool ran = false;
 };
 

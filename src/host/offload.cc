@@ -79,15 +79,14 @@ OffloadScheduler::enqueueAt(sim::Tick when, JobRequest req)
     if (started) {
         // Held-open appends ride the already-sorted tail: the
         // stepped driver forwards offers window by window, so
-        // time order comes for free and admitArrivals' cursor
-        // stays valid.
+        // time order comes for free and the queue stays sorted.
         sim_assert(open, "arrivals must precede start() unless "
                          "the driver is held open");
-        sim_assert(arrivals.empty() ||
-                       when >= arrivals.back().when,
+        sim_assert(when >= lastArrival,
                    "held-open arrivals must be time-ordered");
         soc.a9().wakeBy(when);
     }
+    lastArrival = std::max(lastArrival, when);
     arrivals.push_back({when, std::move(req)});
 }
 
@@ -209,9 +208,10 @@ OffloadScheduler::resolveJob(JobRecord &rec)
 void
 OffloadScheduler::admitArrivals(soc::HostA9 &host)
 {
-    while (nextArrival < arrivals.size() &&
-           arrivals[nextArrival].when <= host.now())
-        (void)submitNow(arrivals[nextArrival++].req);
+    while (!arrivals.empty() && arrivals.front().when <= host.now()) {
+        (void)submitNow(std::move(arrivals.front().req));
+        arrivals.pop_front();
+    }
 }
 
 void
@@ -288,6 +288,9 @@ OffloadScheduler::reapTimeouts(soc::HostA9 &host)
         ++stats.counter("timedOut");
         if (wedged)
             ++stats.counter("wedgeTimeouts");
+        // The verdict is final, so the request is not needed again;
+        // the job stays until its lanes ack (a wedged one never does).
+        grp.req = {};
         resolveJob(rec);
     }
 }
@@ -396,8 +399,8 @@ sim::Tick
 OffloadScheduler::nextWake() const
 {
     sim::Tick wake = sim::maxTick;
-    if (nextArrival < arrivals.size())
-        wake = std::min(wake, arrivals[nextArrival].when);
+    if (!arrivals.empty())
+        wake = std::min(wake, arrivals.front().when);
     for (const Pending &pend : queue)
         wake = std::min(wake, pend.deadline);
     for (const Group &grp : groups)
@@ -417,8 +420,7 @@ OffloadScheduler::hostMain(soc::HostA9 &host)
         bool busy = false;
         for (const Group &grp : groups)
             busy = busy || grp.state == GroupState::Busy;
-        if (!busy && queue.empty() &&
-            nextArrival == arrivals.size() && !open)
+        if (!busy && queue.empty() && arrivals.empty() && !open)
             break;
 
         // A timeout is not idle spin: the next iteration admits the

@@ -105,22 +105,23 @@ enum class JobState : std::uint8_t
     Rejected,
 };
 
-/** Final per-job record. */
+/** Final per-job record. The fields run from widest to narrowest,
+ *  so padding only trails the record (80 bytes with libstdc++). */
 struct JobRecord
 {
     std::uint64_t id = 0;
     std::string app;
-    JobState state = JobState::Queued;
     sim::Tick enqueuedAt = 0;
     sim::Tick dispatchedAt = 0;
     sim::Tick finishedAt = 0;
-    bool valid = false; ///< validator verdict (Completed only)
-    /** Dispatches performed (>1 means the job was requeued). */
-    unsigned attempts = 0;
     /** Failure attribution for TimedOut jobs: "queue" (never
      *  dispatched), "deadline", or "dmsWedge" (a group core's DMAC
      *  is hung — the erratum or an injected wedge). */
     const char *cause = "";
+    /** Dispatches performed (>1 means the job was requeued). */
+    unsigned attempts = 0;
+    JobState state = JobState::Queued;
+    bool valid = false; ///< validator verdict (Completed only)
 
     double
     latencyUs() const
@@ -166,7 +167,9 @@ class OffloadScheduler
     /** Open-loop arrival: @p req reaches the host at tick @p when.
      *  Normally arrivals precede start(); a held-open scheduler
      *  (holdOpen()) accepts time-ordered appends between run
-     *  segments too, and its blocked A9 wakes at the arrival. */
+     *  segments too, and its blocked A9 wakes at the arrival. The
+     *  scheduler holds the request until it is admitted, then
+     *  until it resolves; only its JobRecord outlives that. */
     void enqueueAt(sim::Tick when, JobRequest req);
 
     /**
@@ -211,7 +214,8 @@ class OffloadScheduler
     // Results (after the Soc has run)
     // ------------------------------------------------------------
 
-    const std::vector<JobRecord> &jobs() const { return records; }
+    /** Every submitted job's record, in id order. */
+    const std::deque<JobRecord> &jobs() const { return records; }
     ServingSummary summary() const { return finalSummary; }
     unsigned nGroups() const { return unsigned(groups.size()); }
 
@@ -277,11 +281,16 @@ class OffloadScheduler
         shCompleted;
     void flushStats();
 
-    std::vector<Arrival> arrivals; ///< sorted at start()
-    std::size_t nextArrival = 0;
+    /** Not yet admitted; sorted at start(), popped as admitted. */
+    std::deque<Arrival> arrivals;
+    /** The latest arrival tick appended: held-open appends must
+     *  not precede it, even once the queue has drained. */
+    sim::Tick lastArrival = 0;
     std::deque<Pending> queue;
     std::vector<Group> groups;
-    std::vector<JobRecord> records;
+    /** Indexed by job id - 1. Node storage: a record never moves,
+     *  and its blocks reuse what consumed requests freed. */
+    std::deque<JobRecord> records;
     std::function<void(const JobRecord &)> completeHook;
     ServingSummary finalSummary;
     std::uint64_t nextJobId = 1;

@@ -21,7 +21,7 @@ percentileOf(const std::vector<double> &sorted, double q)
 
 void
 SummaryFold::add(const ServingSummary &part,
-                 const std::vector<JobRecord> &jobs)
+                 const std::deque<JobRecord> &jobs)
 {
     agg.submitted += part.submitted;
     agg.accepted += part.accepted;
@@ -50,7 +50,7 @@ SummaryFold::add(const ServingSummary &part,
 }
 
 ServingSummary
-SummaryFold::finish() const
+SummaryFold::finish()
 {
     ServingSummary out = agg;
 
@@ -62,17 +62,18 @@ SummaryFold::finish() const
     else if (parts > 0)
         out.availability = availUnweighted / double(parts);
 
-    std::vector<double> sorted = lat;
-    std::sort(sorted.begin(), sorted.end());
-    out.p50Us = percentileOf(sorted, 0.50);
-    out.p95Us = percentileOf(sorted, 0.95);
-    out.p99Us = percentileOf(sorted, 0.99);
-    if (!sorted.empty()) {
+    // The mean sums in ascending order, so it does not depend on
+    // the order the parts were added in.
+    std::sort(lat.begin(), lat.end());
+    out.p50Us = percentileOf(lat, 0.50);
+    out.p95Us = percentileOf(lat, 0.95);
+    out.p99Us = percentileOf(lat, 0.99);
+    if (!lat.empty()) {
         double sum = 0;
-        for (double l : sorted)
+        for (double l : lat)
             sum += l;
-        out.meanUs = sum / double(sorted.size());
-        out.maxUs = sorted.back();
+        out.meanUs = sum / double(lat.size());
+        out.maxUs = lat.back();
     }
 
     // first <= last whenever a completion exists (its finish tick

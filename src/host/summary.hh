@@ -26,6 +26,7 @@
 #ifndef DPU_HOST_SUMMARY_HH
 #define DPU_HOST_SUMMARY_HH
 
+#include <deque>
 #include <vector>
 
 #include "host/offload.hh"
@@ -42,10 +43,12 @@ class SummaryFold
   public:
     /** Fold in one shard's summary and its job records. */
     void add(const ServingSummary &part,
-             const std::vector<JobRecord> &jobs);
+             const std::deque<JobRecord> &jobs);
 
-    /** The aggregate over every add() so far. */
-    ServingSummary finish() const;
+    /** The aggregate over every add() so far. Sorts the folded
+     *  latencies in place, so a later add() and finish() still
+     *  fold every part. */
+    ServingSummary finish();
 
     /** Earliest enqueue across all folded job records. */
     sim::Tick firstEnqueue() const { return first; }

@@ -11,7 +11,9 @@ Cache::Cache(const std::string &name, const CacheParams &params,
              MemPort &downstream)
     : stats(name), p(params), next(downstream),
       nSets(params.sizeBytes / (lineBytes * params.assoc)),
-      lines(std::size_t(nSets) * params.assoc),
+      storage(std::size_t(nSets) * params.assoc * sizeof(Line)),
+      lines(reinterpret_cast<Line *>(storage.data()),
+            std::size_t(nSets) * params.assoc),
       hitLatency(sim::dpCoreClock.cyclesToTicks(params.hitCycles))
 {
     sim_assert(nSets > 0 && (nSets & (nSets - 1)) == 0,

@@ -11,18 +11,24 @@
  *
  * Geometry per the paper: 16 KB L1-D and 8 KB L1-I per dpCore and a
  * 256 KB L2 shared by the 8 dpCores of a macro.
+ *
+ * The lines, tags and data alike, are demand-zero pages
+ * (sim::ZeroPages), like a chip's DDR image: a fresh cache is all
+ * invalid, and host RAM follows the sets a run touches.
  */
 
 #ifndef DPU_MEM_CACHE_HH
 #define DPU_MEM_CACHE_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "mem/mem_port.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
+#include "sim/zero_pages.hh"
 
 namespace dpu::mem {
 
@@ -90,14 +96,22 @@ class Cache : public MemPort
     sim::StatGroup &statGroup() { return stats; }
 
   private:
+    /**
+     * One way of a set. A trivial type, and so implicit-lifetime:
+     * the lines come into being with the demand-zero region that
+     * holds them, and all-zero bytes are a line's initial state
+     * (invalid, clean, tag 0, never used, data zero). No line is
+     * constructed or written before the run first touches its set.
+     */
     struct Line
     {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0;
-        std::uint64_t lastUse = 0;
-        std::uint8_t data[lineBytes] = {};
+        bool valid;
+        bool dirty;
+        Addr tag;
+        std::uint64_t lastUse;
+        std::uint8_t data[lineBytes];
     };
+    static_assert(std::is_trivial_v<Line>);
 
     /** Locate a resident line; nullptr on miss. */
     Line *findLine(Addr line_addr);
@@ -123,7 +137,8 @@ class Cache : public MemPort
     CacheParams p;
     MemPort &next;
     std::uint32_t nSets;
-    std::vector<Line> lines;   ///< nSets * assoc, set-major
+    sim::ZeroPages storage;   ///< the lines' bytes
+    std::span<Line> lines;    ///< nSets * assoc, set-major
     std::uint64_t useClock = 0;
     sim::Tick hitLatency;
 };

@@ -9,17 +9,21 @@
  * DMEM is dual-ported between the core and the DMS in the model (the
  * chip banks it; contention is second-order and absorbed into the
  * DMS's per-buffer overhead calibration).
+ *
+ * The bytes are demand-zero pages (sim::ZeroPages), like a chip's
+ * DDR image: a fresh DMEM reads as zero, and host RAM follows the
+ * pages a run writes.
  */
 
 #ifndef DPU_MEM_DMEM_HH
 #define DPU_MEM_DMEM_HH
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 
 #include "mem/addr.hh"
 #include "sim/logging.hh"
+#include "sim/zero_pages.hh"
 
 namespace dpu::mem {
 
@@ -77,7 +81,7 @@ class Dmem
     const std::uint8_t *raw() const { return bytes.data(); }
 
   private:
-    std::array<std::uint8_t, size> bytes{};
+    sim::ZeroPages bytes{size};
 };
 
 } // namespace dpu::mem

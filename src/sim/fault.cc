@@ -349,11 +349,4 @@ FaultPlane::randomSpec(std::uint64_t seed)
     return spec;
 }
 
-FaultPlane &
-faultPlane()
-{
-    static FaultPlane plane;
-    return plane;
-}
-
 } // namespace dpu::sim

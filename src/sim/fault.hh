@@ -216,8 +216,15 @@ class FaultPlane
     std::unique_ptr<StatGroup> stats;
 };
 
-/** The process-wide fault plane (the simulator is one thread). */
-FaultPlane &faultPlane();
+/** The process-wide fault plane (the simulator is one thread).
+ *  Inline: the DDR, DMS and dispatch hooks read it on every access,
+ *  and for most runs find it inert. */
+inline FaultPlane &
+faultPlane()
+{
+    static FaultPlane plane;
+    return plane;
+}
 
 } // namespace dpu::sim
 

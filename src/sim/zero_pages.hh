@@ -1,13 +1,15 @@
 /**
  * @file
  * A demand-zero byte region: the storage behind every chip's DDR
- * image (mem::BackingStore) and every fiber's stack (sim::Fiber).
+ * image (mem::BackingStore), every SRAM on the chip (mem::Dmem and
+ * the mem::Cache lines of each L1-D and L2) and every fiber's stack
+ * (sim::Fiber).
  *
  * The region is an anonymous private mapping, so it reads as zero
  * and the host kernel supplies a page only when the run first
  * writes it: a chip's 4 GiB DDR image costs host RAM in proportion
- * to the bytes a workload stores there, and a fiber stack to its
- * deepest call chain. This is how downmem's UPMEM emulator backs each
+ * to the bytes a workload stores there, an SRAM to the pages a run
+ * writes, and a fiber stack to its deepest call chain. This is how downmem's UPMEM emulator backs each
  * emulated DPU, and it is what lets one host model racks of chips.
  * MADV_NOHUGEPAGE keeps one touched byte from pulling in a whole
  * transparent huge page.

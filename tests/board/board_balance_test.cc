@@ -469,6 +469,40 @@ TEST(BoardBalance, StaticWindowZeroBoardMovesNothing)
     EXPECT_EQ(sched.summary().completed, 64u);
 }
 
+TEST(BoardBalance, ServedOffersAreFreedOnBothPaths)
+{
+    PlaneGuard g;
+    for (const bool balanced : {false, true}) {
+        const auto brd =
+            balanced ? balancedBoard(1)
+                     : topo::ClusterTopology::board(kDpus).buildBoard();
+        host::OffloadParams op;
+        op.nCores = 8;
+        op.groupSize = 4;
+        host::BoardScheduler sched(*brd, op, host::makeHashRouter());
+        ASSERT_EQ(sched.balanced(), balanced);
+
+        // Each request's makeJob holds a copy of the token, so its
+        // use_count() counts the requests still alive.
+        const auto token = std::make_shared<int>(0);
+        for (unsigned i = 0; i < 64; ++i) {
+            host::JobRequest req = quickJob();
+            req.makeJob = [token, make = std::move(req.makeJob)](
+                              const apps::ServingContext &ctx) {
+                return make(ctx);
+            };
+            sched.offer(sim::Tick(i) * 40'000'000, i % kParts,
+                        std::move(req));
+        }
+        EXPECT_EQ(token.use_count(), 65);
+        sched.run();
+        EXPECT_EQ(sched.summary().completed, 64u);
+        EXPECT_EQ(token.use_count(), 1)
+            << (balanced ? "balanced" : "static")
+            << " path: a served request is still held";
+    }
+}
+
 TEST(BoardBalance, OfferAtAWindowBoundaryIsAdmittedAtThatTick)
 {
     PlaneGuard g;

@@ -81,6 +81,18 @@ oneGroup()
     return p;
 }
 
+/** @p req, whose makeJob also holds a copy of @p token: the
+ *  token's use_count() counts the live copies of such requests. */
+JobRequest
+holding(const std::shared_ptr<int> &token, JobRequest req)
+{
+    req.makeJob = [token, make = std::move(req.makeJob)](
+                      const apps::ServingContext &ctx) {
+        return make(ctx);
+    };
+    return req;
+}
+
 } // namespace
 
 TEST(OffloadScheduler, MixedRegistryLoadCompletesAndValidates)
@@ -488,4 +500,62 @@ TEST(OffloadScheduler, LateAckFromOldDispatchReclaimsDuringRetry)
     EXPECT_LT(sum.availability, 1.0);
     EXPECT_TRUE(s.allFinished());
     EXPECT_TRUE(s.a9().finished());
+}
+
+TEST(OffloadScheduler, NoResolvedRequestStaysHeld)
+{
+    soc::Soc s;
+    OffloadParams p = oneGroup();
+    p.queueDepth = 2;
+    OffloadScheduler sched(s, p);
+
+    // Every way a request can end: completed, rejected by a burst
+    // past the queue bound, reaped at its deadline (a wedged lane
+    // keeps its group quarantined to the end) and timed out in the
+    // queue behind that group.
+    const auto token = std::make_shared<int>(0);
+    for (unsigned i = 0; i < 4; ++i)
+        sched.enqueueAt(sim::Tick(i) * 10'000'000,
+                        holding(token, quickJob()));
+    for (unsigned i = 0; i < 4; ++i)
+        sched.enqueueAt(sim::Tick(100'000'000),
+                        holding(token, quickJob()));
+    JobRequest wedged = holding(token, wedgedJob());
+    wedged.timeout = sim::Tick(1e9);
+    sched.enqueueAt(sim::Tick(200'000'000), std::move(wedged));
+    JobRequest stuck = holding(token, quickJob());
+    stuck.timeout = sim::Tick(2e9);
+    sched.enqueueAt(sim::Tick(300'000'000), std::move(stuck));
+    EXPECT_EQ(token.use_count(), 11);
+
+    sched.start();
+    s.run();
+
+    const ServingSummary sum = sched.summary();
+    EXPECT_EQ(sum.submitted, 10u);
+    EXPECT_EQ(sum.completed, 6u);
+    EXPECT_EQ(sum.rejected, 2u);
+    EXPECT_EQ(sum.timedOut, 2u);
+    EXPECT_STREQ(sched.jobs()[8].cause, "deadline");
+    EXPECT_STREQ(sched.jobs()[9].cause, "queue");
+    EXPECT_EQ(token.use_count(), 1)
+        << "the scheduler still holds a resolved request";
+}
+
+TEST(OffloadSchedulerDeathTest, HeldOpenAppendBeforeAnAdmittedOneDies)
+{
+    // The arrival queue pops what it admits, so the order check
+    // must remember the last tick appended, not read the queue.
+    EXPECT_DEATH(
+        {
+            soc::Soc s;
+            OffloadScheduler sched(s, oneGroup());
+            sched.holdOpen();
+            sched.enqueueAt(sim::Tick(10'000'000), quickJob());
+            sched.start();
+            s.run(); // admits and serves it: the queue is empty
+            if (sched.jobs().size() == 1)
+                sched.enqueueAt(sim::Tick(5'000'000), quickJob());
+        },
+        "time-ordered");
 }

@@ -1,17 +1,66 @@
 /**
  * @file
  * SoC assembly tests: the 40 nm and 16 nm configurations, the DDR
- * window, kernel scheduling across all cores, stats plumbing, and
- * cross-complex isolation at 16 nm.
+ * window, demand-zero SRAM, kernel scheduling across all cores,
+ * stats plumbing, and cross-complex isolation at 16 nm.
  */
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "soc/soc.hh"
 
+// ThreadSanitizer maps shadow of its own beside each new region, so
+// under it the process's mapping count measures the instrumentation.
+#if defined(__SANITIZE_THREAD__)
+#define DPU_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define DPU_TEST_TSAN 1
+#endif
+#endif
+#ifndef DPU_TEST_TSAN
+#define DPU_TEST_TSAN 0
+#endif
+
 using namespace dpu;
+
+namespace {
+
+/** The process's kernel mappings (lines of /proc/self/maps), or -1
+ *  where the file cannot be read. */
+long
+mappingCount()
+{
+    std::ifstream f("/proc/self/maps");
+    if (!f)
+        return -1;
+    long n = 0;
+    for (std::string line; std::getline(f, line);)
+        ++n;
+    return n;
+}
+
+/** Resident pages among the @p len bytes at page-aligned @p p. */
+unsigned
+residentPages(const void *p, std::size_t len)
+{
+    const std::size_t page = std::size_t(sysconf(_SC_PAGESIZE));
+    std::vector<unsigned char> in((len + page - 1) / page);
+    EXPECT_EQ(mincore(const_cast<void *>(p), len, in.data()), 0);
+    unsigned n = 0;
+    for (unsigned char c : in)
+        n += c & 1;
+    return n;
+}
+
+} // namespace
 
 TEST(Soc, FortyNmMatchesPaperGeometry)
 {
@@ -31,6 +80,35 @@ TEST(SocDeathTest, DdrOverlappingTheDmemAperturesDies)
     soc::SocParams p = soc::dpu40nm();
     p.ddrBytes = mem::dmemBase + (1 << 20);
     EXPECT_DEATH(soc::Soc{p}, "DMEM apertures");
+}
+
+TEST(Soc, SramIsDemandZeroInABoundedNumberOfMappings)
+{
+    // The first chip also maps what the process sets up once (the
+    // allocator's and a sanitizer's regions), so count a second.
+    const soc::Soc first;
+    const long before = mappingCount();
+    soc::Soc s;
+    // 68 SRAMs (32 DMEMs, 32 L1-Ds, 4 L2s) and the DDR image, each
+    // one region below its guard page, plus a few that a growing
+    // heap may map: a rack of 16 chips stays far below the kernel's
+    // default 65,530 mappings per process.
+    if (before >= 0 && !DPU_TEST_TSAN) {
+        EXPECT_LE(mappingCount() - before, 2 * (68 + 1) + 16);
+    }
+
+    // A fresh chip reads all zero, yet holds no DMEM page until a
+    // run writes one.
+    for (unsigned i = 0; i < s.nCores(); ++i)
+        ASSERT_EQ(residentPages(s.core(i).dmem().raw(), mem::dmemBytes),
+                  0u)
+            << "core " << i;
+    s.core(5).dmem().store<std::uint32_t>(4096, 7);
+    EXPECT_EQ(residentPages(s.core(5).dmem().raw(), mem::dmemBytes), 1u);
+    std::vector<std::uint8_t> bytes(mem::dmemBytes, 1);
+    s.core(6).dmem().read(0, bytes.data(), bytes.size());
+    EXPECT_EQ(std::vector<std::uint8_t>(mem::dmemBytes, 0), bytes);
+    EXPECT_EQ(s.core(5).dmem().load<std::uint32_t>(4096), 7u);
 }
 
 TEST(Soc, SixteenNmShrink)
