@@ -34,16 +34,6 @@ Ate::Ate(sim::EventQueue &eq_, std::vector<core::DpCore *> cores_)
       baseId(cores.empty() ? 0 : cores.front()->id()), stats("ate"),
       pending(cores.size()), lastDeliver(cores.size() * cores.size(), 0)
 {
-    stats.addFlushHook([this] { flushStats(); });
-}
-
-void
-Ate::flushStats()
-{
-    shLoads.flushInto(stats, "loads");
-    shStores.flushInto(stats, "stores");
-    shFetchAdds.flushInto(stats, "fetchAdds");
-    shCompareSwaps.flushInto(stats, "compareSwaps");
 }
 
 unsigned
@@ -118,18 +108,18 @@ Ate::doRemoteOp(unsigned target, AteOp op, mem::Addr addr,
       case AteOp::Load:
         old = read(t, t);
         t += cyc(opLoadCycles);
-        ++shLoads;
+        ++loads;
         break;
       case AteOp::Store:
         write(a & mask, t, t);
         t += cyc(opStoreCycles);
-        ++shStores;
+        ++stores;
         break;
       case AteOp::FetchAdd: {
         old = read(t, t);
         write((old + std::uint64_t(std::int64_t(a))) & mask, t, t);
         t += cyc(opAmoCycles);
-        ++shFetchAdds;
+        ++fetchAdds;
         break;
       }
       case AteOp::CompareSwap: {
@@ -137,7 +127,7 @@ Ate::doRemoteOp(unsigned target, AteOp op, mem::Addr addr,
         if (old == (a & mask))
             write(b & mask, t, t);
         t += cyc(opAmoCycles);
-        ++shCompareSwaps;
+        ++compareSwaps;
         break;
       }
       default:

@@ -174,11 +174,11 @@ class Ate
     std::vector<core::DpCore *> cores;
     unsigned baseId;
     sim::StatGroup stats;
-    /** Deferred per-RPC counters (see sim/stats.hh); folded in by
-     *  the group's flush hook. */
-    sim::DeferredCounter shLoads, shStores, shFetchAdds,
-        shCompareSwaps;
-    void flushStats();
+    /** Per-RPC counters (see sim/stats.hh). */
+    sim::Counter loads{stats, "loads"};
+    sim::Counter stores{stats, "stores"};
+    sim::Counter fetchAdds{stats, "fetchAdds"};
+    sim::Counter compareSwaps{stats, "compareSwaps"};
 
     std::vector<Outstanding> pending;
     /** lastDeliver[src * nCores + dst]. */

@@ -4,9 +4,10 @@
  * planning, and execution of partition hand-offs over the real DMS
  * descriptor + link-fabric path.
  *
- * PR 8 gave the rack a feedback loop between boards; below the board
- * boundary, shards stayed frozen at construction. This module closes
- * that tier with the same architecture — windowed EWMA load
+ * The rack scheduler balances load between boards; without this
+ * module, shards below the board boundary would stay where they were
+ * placed at construction. It closes that tier with the same
+ * architecture — windowed EWMA load
  * tracking, a deterministic greedy planner, and the drain-then-
  * switch protocol — but where the rack charges a flat state
  * transfer, the board EXECUTES it the way the paper says data should
@@ -39,7 +40,7 @@
  * never completes its descriptor — times out at a window boundary
  * and permanently poisons the affected engine roles so no later plan
  * touches them. Deltas absorbed during the forwarding epoch ship to
- * the new home as they arrive, exactly like PR 8.
+ * the new home as they arrive, exactly as the rack tier ships them.
  */
 
 #ifndef DPU_BOARD_BALANCE_HH

@@ -39,18 +39,10 @@ Board::Board(const BoardParams &params)
     dpus.reserve(p.nDpus);
     for (unsigned d = 0; d < p.nDpus; ++d)
         dpus.push_back(std::make_unique<soc::Soc>(*queues[d], p.soc));
-    dmaShadows.resize(p.nDpus);
-    link.statGroup().addFlushHook([this] {
-        std::uint64_t retries = 0, failed = 0;
-        for (const DmaShadow &s : dmaShadows) {
-            retries += s.retries;
-            failed += s.failed;
-        }
-        if (retries)
-            link.statGroup().counter("bulkRetries") = retries;
-        if (failed)
-            link.statGroup().counter("bulkFailed") = failed;
-    });
+    for (unsigned d = 0; d < p.nDpus; ++d) {
+        bulkRetries.emplace_back(link.statGroup(), "bulkRetries");
+        bulkFailed.emplace_back(link.statGroup(), "bulkFailed");
+    }
 }
 
 sim::Tick
@@ -141,7 +133,7 @@ Board::dmaAttempt(unsigned src_dpu, unsigned dst_dpu,
         return;
     }
     if (attempts > 1) {
-        ++dmaShadows[src_dpu].retries;
+        ++bulkRetries[src_dpu];
         queues[src_dpu]->schedule(
             arrive,
             [this, src_dpu, dst_dpu, dst_addr, buf = std::move(buf),
@@ -153,7 +145,7 @@ Board::dmaAttempt(unsigned src_dpu, unsigned dst_dpu,
             sim::EvTag::Link);
         return;
     }
-    ++dmaShadows[src_dpu].failed;
+    ++bulkFailed[src_dpu];
     if (done)
         queues[src_dpu]->schedule(
             arrive, [done = std::move(done)] { done(false); },

@@ -36,6 +36,7 @@
 #define DPU_BOARD_BOARD_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -135,19 +136,15 @@ class Board
                     std::function<void(bool ok)> done,
                     unsigned attempts);
 
-    /** Per-source-DPU DMA recovery tallies (src thread owned). */
-    struct DmaShadow
-    {
-        std::uint64_t retries = 0;
-        std::uint64_t failed = 0;
-    };
-
     BoardParams p;
     std::vector<std::unique_ptr<sim::EventQueue>> queues;
     sim::EpochRunner runner;
     LinkFabric link;
     std::vector<std::unique_ptr<soc::Soc>> dpus;
-    std::vector<DmaShadow> dmaShadows;
+    /** Per-source-DPU DMA recovery counts in the "link" group's
+     *  bulkRetries and bulkFailed cells, each written only on its
+     *  source chip's partition. */
+    std::deque<sim::Counter> bulkRetries, bulkFailed;
 };
 
 } // namespace dpu::board

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <set>
+#include <iterator>
 #include <vector>
 
 #include "apps/common.hh"
@@ -18,7 +18,7 @@ namespace dpu::board {
 
 namespace {
 
-/** Per-DPU key/value table, regenerable host-side for validation. */
+/** Per-DPU key/value table: a key column, then a value column. */
 std::vector<std::uint32_t>
 sqlTable(const ShardedSqlConfig &cfg, unsigned dpu)
 {
@@ -67,10 +67,22 @@ runShardedSql(Board &b, const ShardedSqlConfig &cfg)
                (unsigned long long)(ddr_need >> 20));
 
     // ------------------------------------------------------------
-    // Stage each DPU's table slice (host-side, functional).
+    // Stage each DPU's table slice (host-side, functional), and sum
+    // the COUNT/SUM every partition must reach: the same CRC32 radix
+    // the hash engine applies.
     // ------------------------------------------------------------
-    for (unsigned d = 0; d < n; ++d)
-        apps::stage(b.dpu(d), table_base, sqlTable(cfg, d));
+    std::vector<std::uint64_t> expCnt(sqlPartitions, 0);
+    std::vector<std::uint64_t> expSum(sqlPartitions, 0);
+    for (unsigned d = 0; d < n; ++d) {
+        const std::vector<std::uint32_t> t = sqlTable(cfg, d);
+        for (std::uint32_t r = 0; r < rows; ++r) {
+            const unsigned p =
+                util::crc32Key(t[r]) & (sqlPartitions - 1);
+            ++expCnt[p];
+            expSum[p] += t[rows + r];
+        }
+        apps::stage(b.dpu(d), table_base, t);
+    }
 
     // Host-side control metadata: per (dpu, partition) row counts
     // observed by the consumers, and the counts announced to owners
@@ -276,22 +288,8 @@ runShardedSql(Board &b, const ShardedSqlConfig &cfg)
     res.bytesShipped = b.fabric().bytesCarried();
     res.peakLinkUtilization = b.fabric().peakUtilization();
 
-    // ------------------------------------------------------------
-    // Host reference: replay every table, partition by the same
-    // CRC32 radix the hash engine applies, and compare the owners'
-    // partial aggregates bit-exactly.
-    // ------------------------------------------------------------
-    std::vector<std::uint64_t> expCnt(sqlPartitions, 0);
-    std::vector<std::uint64_t> expSum(sqlPartitions, 0);
-    for (unsigned d = 0; d < n; ++d) {
-        auto t = sqlTable(cfg, d);
-        for (std::uint32_t r = 0; r < rows; ++r) {
-            const unsigned p =
-                util::crc32Key(t[r]) & (sqlPartitions - 1);
-            ++expCnt[p];
-            expSum[p] += t[rows + r];
-        }
-    }
+    // Compare the owners' partial aggregates with the sums taken
+    // while staging, bit-exactly.
     for (unsigned p = 0; p < sqlPartitions; ++p) {
         const unsigned o = p % n;
         std::uint64_t cnt = 0, sum = 0;
@@ -381,9 +379,26 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
     sim_assert(final_sketch + m <= b.dpu(0).params().ddrBytes,
                "board HLL layout overruns DDR");
 
-    for (unsigned d = 0; d < n; ++d)
-        apps::stage(b.dpu(d), data_base,
-                    apps::hlldetail::makeElements(hllGen(cfg, d)));
+    // Stage each DPU's stream, replay it host-side through the same
+    // CRC composition into the sketch the board must merge, and add
+    // its values to the sorted distinct set.
+    std::vector<std::uint8_t> expect(m, 0);
+    std::vector<std::uint64_t> distinct, merged;
+    for (unsigned d = 0; d < n; ++d) {
+        std::vector<std::uint64_t> data =
+            apps::hlldetail::makeElements(hllGen(cfg, d));
+        apps::stage(b.dpu(d), data_base, data);
+        for (std::uint64_t e : data)
+            apps::hlldetail::update(
+                apps::hlldetail::hostHash(e, apps::HllHash::Crc32),
+                cfg.pBits, true, expect);
+        std::sort(data.begin(), data.end());
+        data.erase(std::unique(data.begin(), data.end()), data.end());
+        merged.clear();
+        std::set_union(distinct.begin(), distinct.end(), data.begin(),
+                       data.end(), std::back_inserter(merged));
+        distinct.swap(merged);
+    }
 
     // ------------------------------------------------------------
     // Phase 1: per-lane sketches (CRC32 + NTZ, Section 5.4).
@@ -459,21 +474,6 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
     if (!b.allFinished())
         return res;
 
-    // ------------------------------------------------------------
-    // Host reference: replay every stream through the same CRC
-    // composition, merge, and compare bit-exactly.
-    // ------------------------------------------------------------
-    std::vector<std::uint8_t> expect(m, 0);
-    std::set<std::uint64_t> distinct;
-    for (unsigned d = 0; d < n; ++d) {
-        auto data = apps::hlldetail::makeElements(hllGen(cfg, d));
-        for (std::uint64_t e : data) {
-            distinct.insert(e);
-            apps::hlldetail::update(
-                apps::hlldetail::hostHash(e, apps::HllHash::Crc32),
-                cfg.pBits, true, expect);
-        }
-    }
     auto got =
         apps::unstage<std::uint8_t>(b.dpu(0), final_sketch, m);
     res.sketchExact = got == expect;

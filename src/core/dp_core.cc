@@ -45,27 +45,6 @@ DpCore::DpCore(unsigned id, sim::EventQueue &eq_, mem::Cache &l2)
       l1dCache(std::make_unique<mem::Cache>(
           "core" + std::to_string(id) + ".l1d", l1dParams, l2))
 {
-    stat.addFlushHook([this] { flushStats(); });
-}
-
-void
-DpCore::flushStats()
-{
-    shAluOps.flushInto(stat, "aluOps");
-    shLsuOps.flushInto(stat, "lsuOps");
-    shMuls.flushInto(stat, "muls");
-    shDivs.flushInto(stat, "divs");
-    shBranches.flushInto(stat, "branches");
-    shBranchMisses.flushInto(stat, "branchMisses");
-    shBlocks.flushInto(stat, "blocks");
-    shCrcOps.flushInto(stat, "crcOps");
-    shPopcounts.flushInto(stat, "popcounts");
-    shNtzOps.flushInto(stat, "ntzOps");
-    shNlzOps.flushInto(stat, "nlzOps");
-    shFiltOps.flushInto(stat, "filtOps");
-    shInterruptsPosted.flushInto(stat, "interruptsPosted");
-    shInterruptsTaken.flushInto(stat, "interruptsTaken");
-    shAteInjectTicks.flushInto(stat, "ateInjectTicks");
 }
 
 // ----------------------------------------------------------------
@@ -135,7 +114,7 @@ DpCore::blockUntil(const std::function<bool()> &pred,
     bool blocked = false;
     bool held = pred();
     while (!held && eq.now() < deadline) {
-        ++shBlocks;
+        ++blocks;
         blocked = true;
         deadline = agent.block(deadline);
         // Woken by wake() or the deadline; running again here.
@@ -154,7 +133,7 @@ DpCore::postInterrupt(Isr isr)
 {
     pendingIsrs.push_back(std::move(isr));
     syncAt = 0;
-    ++shInterruptsPosted;
+    ++interruptsPosted;
     agent.wake(eq.now());
 }
 
@@ -169,7 +148,7 @@ DpCore::deliverInterrupts()
         inIsr = true;
         const sim::Tick t0 = now();
         cycles(interruptCycles);
-        ++shInterruptsTaken;
+        ++interruptsTaken;
         isr(*this);
         DPU_TRACE_COMPLETE(sim::TraceCat::Core, coreId, "isr", t0,
                            now() - t0, nullptr, 0, nullptr, 0);
@@ -224,7 +203,7 @@ DpCore::filt(std::uint32_t src_off, std::uint32_t n,
     sim::Cycles c = n + n / 2;  // paired LD+FILT, alternate bit-pack
     c += n / 8 + 1;             // loop branches
     c += (n / 64 + 1) * 2;      // bit-vector spill stores
-    shFiltOps += n;
+    filtOps += n;
     cycles(c);
     return passed;
 }
@@ -256,7 +235,7 @@ DpCore::readBytes(mem::Addr addr, void *dst, std::uint32_t len)
 {
     checkWatchpoints(addr, len, false);
     std::uint64_t words = (len + 7) / 8;
-    shLsuOps += words;
+    lsuOps += words;
 
     if (mem::isDmemAddr(addr)) {
         sim_assert(mem::dmemOwner(addr) == coreId,
@@ -281,7 +260,7 @@ DpCore::writeBytes(mem::Addr addr, const void *src, std::uint32_t len)
 {
     checkWatchpoints(addr, len, true);
     std::uint64_t words = (len + 7) / 8;
-    shLsuOps += words;
+    lsuOps += words;
 
     if (mem::isDmemAddr(addr)) {
         sim_assert(mem::dmemOwner(addr) == coreId,
@@ -309,15 +288,11 @@ DpCore::cacheFlush(mem::Addr addr, std::uint64_t len)
     // conservatively over-flush; a tool identifies and quantifies
     // redundant cache operations. A flush that wrote nothing back
     // was redundant.
-    std::uint64_t before = l1dCache->statGroup().get("flushedLines") +
-                           l2Cache.statGroup().get("flushedLines");
-    sim::Tick done = l1dCache->flushRange(addr, len, now());
-    done = l2Cache.flushRange(addr, len, done);
-    std::uint64_t after = l1dCache->statGroup().get("flushedLines") +
-                          l2Cache.statGroup().get("flushedLines");
-    if (after == before)
+    const mem::Cache::Flushed l1 = l1dCache->flushRange(addr, len, now());
+    const mem::Cache::Flushed l2 = l2Cache.flushRange(addr, len, l1.done);
+    if (l1.lines + l2.lines == 0)
         ++stat.counter("redundantFlushes");
-    aheadTicks = done - eq.now();
+    aheadTicks = l2.done - eq.now();
     maybeSync();
 }
 

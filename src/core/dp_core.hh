@@ -104,8 +104,8 @@ class DpCore
     void
     dualIssue(std::uint64_t alu_ops, std::uint64_t lsu_ops)
     {
-        shAluOps += alu_ops;
-        shLsuOps += lsu_ops;
+        aluOps += alu_ops;
+        lsuOps += lsu_ops;
         cycles(std::max(alu_ops, lsu_ops));
     }
 
@@ -113,7 +113,7 @@ class DpCore
     void
     alu(std::uint64_t n = 1)
     {
-        shAluOps += n;
+        aluOps += n;
         cycles(n * aluCycles);
     }
 
@@ -121,7 +121,7 @@ class DpCore
     void
     mul(unsigned bits = 32)
     {
-        ++shMuls;
+        ++muls;
         const sim::Cycles c = mulCycles(bits);
         if (DPU_TRACE_ARMED) {
             DPU_TRACE_COMPLETE(sim::TraceCat::Core, coreId, "mul",
@@ -135,7 +135,7 @@ class DpCore
     void
     div()
     {
-        ++shDivs;
+        ++divs;
         cycles(divCycles);
     }
 
@@ -146,12 +146,12 @@ class DpCore
     void
     branch(bool taken, bool backward)
     {
-        ++shBranches;
+        ++branches;
         bool predicted_taken = backward;
         if (taken == predicted_taken) {
             cycles(branchCycles);
         } else {
-            ++shBranchMisses;
+            ++branchMisses;
             cycles(branchCycles + branchMissCycles);
         }
     }
@@ -167,7 +167,7 @@ class DpCore
     std::uint32_t
     crcHash(std::uint32_t key)
     {
-        ++shCrcOps;
+        ++crcOps;
         cycles(crc32Cycles);
         return util::crc32Key(key);
     }
@@ -176,7 +176,7 @@ class DpCore
     std::uint32_t
     crcHash64(std::uint64_t key)
     {
-        ++shCrcOps;
+        ++crcOps;
         cycles(2 * crc32Cycles);
         return util::crc32Key64(key);
     }
@@ -185,7 +185,7 @@ class DpCore
     unsigned
     popcount(std::uint64_t v)
     {
-        ++shPopcounts;
+        ++popcounts;
         cycles(popcountCycles);
         return unsigned(__builtin_popcountll(v));
     }
@@ -194,7 +194,7 @@ class DpCore
     unsigned
     ntz(std::uint64_t v)
     {
-        ++shNtzOps;
+        ++ntzOps;
         cycles(ntzCycles);
         return v ? unsigned(__builtin_ctzll(v)) : 64;
     }
@@ -203,7 +203,7 @@ class DpCore
     unsigned
     nlz(std::uint64_t v)
     {
-        ++shNlzOps;
+        ++nlzOps;
         cycles(nlzCycles);
         return v ? unsigned(__builtin_clzll(v)) : 64;
     }
@@ -337,7 +337,7 @@ class DpCore
     injectStall(sim::Tick t)
     {
         aheadTicks += t;
-        shAteInjectTicks += t;
+        ateInjectTicks += t;
     }
 
     /**
@@ -360,14 +360,23 @@ class DpCore
     sim::EventQueue &eq;
     sim::StatGroup stat;
 
-    /** Per-op counters are deferred (sim/stats.hh): the issue path
-     *  pays a plain add and the cells materialise through the stat
-     *  group's flush hook (installed in the constructor). */
-    sim::DeferredCounter shAluOps, shLsuOps, shMuls, shDivs,
-        shBranches, shBranchMisses, shBlocks, shCrcOps, shPopcounts,
-        shNtzOps, shNlzOps, shFiltOps, shInterruptsPosted,
-        shInterruptsTaken, shAteInjectTicks;
-    void flushStats();
+    /** Per-op counters (sim/stats.hh): each charged instruction
+     *  pays a plain add. */
+    sim::Counter aluOps{stat, "aluOps"};
+    sim::Counter lsuOps{stat, "lsuOps"};
+    sim::Counter muls{stat, "muls"};
+    sim::Counter divs{stat, "divs"};
+    sim::Counter branches{stat, "branches"};
+    sim::Counter branchMisses{stat, "branchMisses"};
+    sim::Counter blocks{stat, "blocks"};
+    sim::Counter crcOps{stat, "crcOps"};
+    sim::Counter popcounts{stat, "popcounts"};
+    sim::Counter ntzOps{stat, "ntzOps"};
+    sim::Counter nlzOps{stat, "nlzOps"};
+    sim::Counter filtOps{stat, "filtOps"};
+    sim::Counter interruptsPosted{stat, "interruptsPosted"};
+    sim::Counter interruptsTaken{stat, "interruptsTaken"};
+    sim::Counter ateInjectTicks{stat, "ateInjectTicks"};
 
     mem::Dmem scratch;
     mem::Cache &l2Cache;

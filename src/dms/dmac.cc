@@ -27,24 +27,6 @@ cyc(sim::Cycles c)
 Dmac::Dmac(DmsContext &ctx_)
     : ctx(ctx_), stats("dmac"), partDst(ctx_.nCores())
 {
-    stats.addFlushHook([this] { flushStats(); });
-}
-
-void
-Dmac::flushStats()
-{
-    shDescriptors.flushInto(stats, "descriptors");
-    shGathers.flushInto(stats, "gathers");
-    shScatters.flushInto(stats, "scatters");
-    shBytesToDmem.flushInto(stats, "bytesToDmem");
-    shBytesFromDmem.flushInto(stats, "bytesFromDmem");
-    shBytesToCmem.flushInto(stats, "bytesToCmem");
-    shKeysHashed.flushInto(stats, "keysHashed");
-    shPartBuffersSealed.flushInto(stats, "partBuffersSealed");
-    shPartStalls.flushInto(stats, "partStalls");
-    shRowsPartitioned.flushInto(stats, "rowsPartitioned");
-    shBvBytesLoaded.flushInto(stats, "bvBytesLoaded");
-    shBytesDmsToDdr.flushInto(stats, "bytesDmsToDdr");
 }
 
 sim::Tick
@@ -137,7 +119,7 @@ void
 Dmac::execute(unsigned core, const Descriptor &d, mem::Addr eff_ddr,
               std::uint32_t eff_dmem, sim::Tick issue, DoneFn done)
 {
-    ++shDescriptors;
+    ++descriptors;
     // The front-end handles one incoming descriptor at a time.
     // Internal pipeline-stage commands (hash, partition store,
     // flush) ride the already-dispatched chain and skip it.
@@ -223,7 +205,7 @@ Dmac::execDdrToDmem(unsigned core, const Descriptor &d,
             return;
         }
         ++gathersActive;
-        ++shGathers;
+        ++gathers;
         auto runs = maskRuns(d, d.rows);
         t = start;
         std::uint32_t out = dmem;
@@ -273,13 +255,13 @@ Dmac::execDdrToDmem(unsigned core, const Descriptor &d,
         ctx.eq.schedule(std::max(t, ctx.eq.now()),
                         [this] { --gathersActive; },
                         sim::EvTag::Dms);
-        shBytesToDmem += moved;
+        bytesToDmem += moved;
     } else {
         t = ddrStream(ddr, dst.raw() + dmem, bytes, false, start);
         sim::Tick bus = std::max(dmaxBus[m], start) + dmaxTicks(bytes);
         dmaxBus[m] = bus;
         t = std::max(t, bus);
-        shBytesToDmem += bytes;
+        bytesToDmem += bytes;
     }
 
     // The engine is occupied while ISSUING the request stream (its
@@ -313,7 +295,7 @@ Dmac::execDmemToDdr(unsigned core, const Descriptor &d,
     sim::Tick t;
 
     if (d.scatterDst) {
-        ++shScatters;
+        ++scatters;
         auto runs = maskRuns(d, d.rows);
         t = start;
         std::uint32_t in = dmem;
@@ -328,13 +310,13 @@ Dmac::execDmemToDdr(unsigned core, const Descriptor &d,
         sim::Tick bus = std::max(dmaxBus[m], start) + dmaxTicks(moved);
         dmaxBus[m] = bus;
         t = std::max(t, bus);
-        shBytesFromDmem += moved;
+        bytesFromDmem += moved;
     } else {
         t = ddrStream(ddr, src.raw() + dmem, bytes, true, start);
         sim::Tick bus = std::max(dmaxBus[m], start) + dmaxTicks(bytes);
         dmaxBus[m] = bus;
         t = std::max(t, bus);
-        shBytesFromDmem += bytes;
+        bytesFromDmem += bytes;
     }
 
     storeEngine[m] = start + dmaxTicks(bytes); // issue occupancy
@@ -392,7 +374,7 @@ Dmac::execDdrToDms(unsigned core, const Descriptor &d, mem::Addr ddr,
         }
     }
 
-    shBytesToCmem += bytes;
+    bytesToCmem += bytes;
     loadEngine[m] = start + dmaxTicks(bytes); // issue occupancy
     cmemBusy[d.ibank] = t;
     DPU_TRACE_COMPLETE(sim::TraceCat::Dms,
@@ -450,7 +432,7 @@ Dmac::execHashCol(const Descriptor &d, sim::Tick issue, DoneFn done)
     sim::Cycles cycles = hashSetupCycles +
         (d.rows + hashKeysPerCycle - 1) / hashKeysPerCycle;
     sim::Tick t = start + cyc(cycles);
-    shKeysHashed += d.rows;
+    keysHashed += d.rows;
 
     hashEngine = t;
     cmemBusy[d.ibank] = t;
@@ -549,7 +531,7 @@ Dmac::finalizeBuffer(unsigned dst_core, sim::Tick t, bool final_buf)
     });
 
     ctx.scheduleSet(dst_core, ev, t);
-    ++shPartBuffersSealed;
+    ++partBuffersSealed;
 }
 
 void
@@ -592,7 +574,7 @@ Dmac::partStep()
                 if (p.busyMask & (1u << p.curBuf)) {
                     // The buffer to seal is still owned by the
                     // consumer; the seal-time clear hook resumes us.
-                    ++shPartStalls;
+                    ++partStalls;
                     DPU_TRACE_INSTANT(sim::TraceCat::Dms,
                                       sim::dmstrack::partPipe +
                                           ctx.baseCore,
@@ -647,7 +629,7 @@ Dmac::partStep()
             if (p.busyMask & (1u << p.curBuf)) {
                 // Back-pressure: the consumer still owns the next
                 // buffer; the seal-time clear hook resumes us.
-                ++shPartStalls;
+                ++partStalls;
                 DPU_TRACE_INSTANT(sim::TraceCat::Dms,
                                   sim::dmstrack::partPipe +
                                       ctx.baseCore,
@@ -664,7 +646,7 @@ Dmac::partStep()
             ++p.rowsInBuf;
             job.t += per_row;
             ++job.row;
-            ++shRowsPartitioned;
+            ++rowsPartitioned;
         }
 
         cmemBusy[d.ibank] = job.t;
@@ -720,7 +702,7 @@ Dmac::execDmemToDms(unsigned core, const Descriptor &d,
     sim::Tick t = start + dmaxTicks(bytes);
     dmaxBus[m] = t;
     bvBusy[d.ibank] = t;
-    shBvBytesLoaded += bytes;
+    bvBytesLoaded += bytes;
     done(t);
 }
 
@@ -760,7 +742,7 @@ Dmac::execDmsToDdr(const Descriptor &d, mem::Addr ddr,
     sim::Tick start = std::max(issue, storeEngine[0]) + descOverhead;
     sim::Tick t = ddrStream(ddr, bank, bytes, true, start);
     storeEngine[0] = t;
-    shBytesDmsToDdr += bytes;
+    bytesDmsToDdr += bytes;
     done(t);
 }
 

@@ -174,13 +174,19 @@ class Dmac
 
     DmsContext &ctx;
     sim::StatGroup stats;
-    /** Per-descriptor and per-row counters, deferred (sim/stats.hh)
-     *  and folded into stats by flushStats(). */
-    sim::DeferredCounter shDescriptors, shGathers, shScatters,
-        shBytesToDmem, shBytesFromDmem, shBytesToCmem, shKeysHashed,
-        shPartBuffersSealed, shPartStalls, shRowsPartitioned,
-        shBvBytesLoaded, shBytesDmsToDdr;
-    void flushStats();
+    /** Per-descriptor and per-row counters (sim/stats.hh). */
+    sim::Counter descriptors{stats, "descriptors"};
+    sim::Counter gathers{stats, "gathers"};
+    sim::Counter scatters{stats, "scatters"};
+    sim::Counter bytesToDmem{stats, "bytesToDmem"};
+    sim::Counter bytesFromDmem{stats, "bytesFromDmem"};
+    sim::Counter bytesToCmem{stats, "bytesToCmem"};
+    sim::Counter keysHashed{stats, "keysHashed"};
+    sim::Counter partBuffersSealed{stats, "partBuffersSealed"};
+    sim::Counter partStalls{stats, "partStalls"};
+    sim::Counter rowsPartitioned{stats, "rowsPartitioned"};
+    sim::Counter bvBytesLoaded{stats, "bvBytesLoaded"};
+    sim::Counter bytesDmsToDdr{stats, "bytesDmsToDdr"};
 
     // Internal SRAMs.
     std::array<std::array<std::uint8_t, cmemBankBytes>, nCmemBanks>

@@ -3,9 +3,9 @@
  * Hand-off plan execution: drive planRangeHandoff() staging plans
  * through the real descriptor path.
  *
- * PR 8 introduced the plans — pure chunking functions that both ends
- * of a migration can compute independently — but nothing executed
- * them: the rack tier charges a flat transfer, and the DMS model
+ * The plans (dms/handoff.hh) are pure chunking functions that both
+ * ends of a migration can compute independently, and they execute
+ * nothing: the rack tier charges a flat transfer, and the DMS model
  * never sees the bytes. This driver closes that gap for the board
  * tier. Two halves, one per endpoint role:
  *

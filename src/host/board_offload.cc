@@ -97,8 +97,9 @@ BoardScheduler::run()
     };
 
     if (!balancer_) {
-        // Static placement: forward everything up front and run the
-        // board to completion — the PR-5 path, byte for byte.
+        // Static placement: no window needs a host-phase decision,
+        // so forward everything up front and run the board to
+        // completion in one run.
         while (!offers.empty())
             forward();
         start();

@@ -52,7 +52,8 @@ class BoardScheduler
     /**
      * @p per_dpu.statName becomes the per-shard stat prefix: shard
      * d's scheduler group is "<statName>.dpu<d>" (the default
-     * "sched" keeps the PR-5 names; a rack passes "sched.b<b>").
+     * "sched" gives "sched.dpu<d>"; a rack passes "sched.b<b>" so
+     * that its boards' shards keep distinct names).
      */
     BoardScheduler(board::Board &b, OffloadParams per_dpu,
                    std::unique_ptr<Router> router);

@@ -55,16 +55,6 @@ OffloadScheduler::OffloadScheduler(soc::Soc &soc_, OffloadParams params)
                                 "sched.group" + std::to_string(g));
     }
     sim::tracer().nameTrack(sim::TraceCat::Soc, hostTid, "a9.sched");
-    stats.addFlushHook([this] { flushStats(); });
-}
-
-void
-OffloadScheduler::flushStats()
-{
-    shSubmitted.flushInto(stats, "submitted");
-    shAccepted.flushInto(stats, "accepted");
-    shDispatched.flushInto(stats, "dispatched");
-    shCompleted.flushInto(stats, "completed");
 }
 
 mem::Addr
@@ -147,7 +137,7 @@ bool
 OffloadScheduler::submitNow(JobRequest req)
 {
     const sim::Tick now = soc.now();
-    ++shSubmitted;
+    ++submitted;
 
     JobRecord rec;
     rec.id = nextJobId++;
@@ -164,7 +154,7 @@ OffloadScheduler::submitNow(JobRequest req)
         return false;
     }
 
-    ++shAccepted;
+    ++accepted;
     Pending pend;
     pend.id = rec.id;
     pend.req = std::move(req);
@@ -323,7 +313,7 @@ OffloadScheduler::dispatchReady(soc::HostA9 &host)
         rec.state = JobState::Running;
         rec.dispatchedAt = now;
         ++rec.attempts;
-        ++shDispatched;
+        ++dispatched;
         DPU_TRACE_SPAN_END(sim::TraceCat::Soc, hostTid, "job.queued",
                            pend.queueSpan, now);
 
@@ -384,7 +374,7 @@ OffloadScheduler::handleAck(soc::HostA9 &host, std::uint64_t msg)
     rec.state = JobState::Completed;
     rec.finishedAt = now;
     rec.valid = !grp.job.validate || grp.job.validate();
-    ++shCompleted;
+    ++completed;
     if (!rec.valid)
         ++stats.counter("validationFailed");
     DPU_TRACE_SPAN_END(sim::TraceCat::Soc, groupTid + g, "job.run",
@@ -441,19 +431,24 @@ OffloadScheduler::hostMain(soc::HostA9 &host)
 void
 OffloadScheduler::finalize(soc::HostA9 &host)
 {
-    flushStats();
+    // Every summary cell exists after a run, at 0 if its event
+    // never happened.
+    const auto cell = [this](const char *name) {
+        stats.counter(name);
+        return stats.get(name);
+    };
     ServingSummary s;
-    s.submitted = stats.counter("submitted");
-    s.accepted = stats.counter("accepted");
-    s.rejected = stats.counter("rejected");
-    s.dispatched = stats.counter("dispatched");
-    s.completed = stats.counter("completed");
-    s.timedOut = stats.counter("timedOut");
-    s.validationFailed = stats.counter("validationFailed");
-    s.lateJobs = stats.counter("lateJobs");
-    s.requeued = stats.counter("requeued");
-    s.quarantines = stats.counter("quarantines");
-    s.wedgeTimeouts = stats.counter("wedgeTimeouts");
+    s.submitted = cell("submitted");
+    s.accepted = cell("accepted");
+    s.rejected = cell("rejected");
+    s.dispatched = cell("dispatched");
+    s.completed = cell("completed");
+    s.timedOut = cell("timedOut");
+    s.validationFailed = cell("validationFailed");
+    s.lateJobs = cell("lateJobs");
+    s.requeued = cell("requeued");
+    s.quarantines = cell("quarantines");
+    s.wedgeTimeouts = cell("wedgeTimeouts");
     for (const Group &grp : groups)
         s.wedgedGroups += grp.state == GroupState::Quarantined;
     stats.counter("wedgedGroups") = s.wedgedGroups;

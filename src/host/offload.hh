@@ -66,8 +66,8 @@ struct OffloadParams
     /**
      * Dispatch attempts per job: a running job reaped at its
      * deadline is requeued (fresh deadline, healthy group) while
-     * attempts remain, then finally reported TimedOut. 1 preserves
-     * the PR-2 fail-fast behaviour.
+     * attempts remain, then finally reported TimedOut. 1 fails
+     * fast: a job reaped at its deadline is TimedOut at once.
      */
     unsigned maxAttempts = 1;
     /**
@@ -274,12 +274,12 @@ class OffloadScheduler
     soc::Soc &soc;
     OffloadParams p;
     sim::StatGroup stats;
-    /** The cells every job passes through are deferred
-     *  (sim/stats.hh): a plain add per job, folded into stats by
-     *  its flush hook and by finalize(). */
-    sim::DeferredCounter shSubmitted, shAccepted, shDispatched,
-        shCompleted;
-    void flushStats();
+    /** The cells every job passes through (sim/stats.hh): a plain
+     *  add per job. */
+    sim::Counter submitted{stats, "submitted"};
+    sim::Counter accepted{stats, "accepted"};
+    sim::Counter dispatched{stats, "dispatched"};
+    sim::Counter completed{stats, "completed"};
 
     /** Not yet admitted; sorted at start(), popped as admitted. */
     std::deque<Arrival> arrivals;

@@ -29,17 +29,13 @@ Mbc::Mbc(sim::EventQueue &eq_, std::vector<core::DpCore *> &cores_)
     : eq(eq_), cores(cores_), stats("mbc"),
       boxes(cores_.size() + 2), handlers(cores_.size() + 2)
 {
-    stats.addFlushHook([this] {
-        shSent.flushInto(stats, "sent");
-        shDelivered.flushInto(stats, "delivered");
-    });
 }
 
 void
 Mbc::deliver(unsigned dst, std::uint64_t msg)
 {
     boxes[dst].push_back(msg);
-    ++shDelivered;
+    ++delivered;
     if (dst < cores.size() && cores[dst]) {
         // Raise the mailbox interrupt line: wake a blocked receiver.
         cores[dst]->wake(eq.now());
@@ -55,7 +51,7 @@ Mbc::send(core::DpCore &sender, unsigned dst, std::uint64_t msg)
     // Two memory-mapped register writes (control + data).
     sender.cycles(4);
     sender.sync();
-    ++shSent;
+    ++sent;
     if (dropped(eq, dst, stats))
         return;
     eq.schedule(eq.now() + sim::dpCoreClock.cyclesToTicks(mbcLatency),
@@ -67,7 +63,7 @@ void
 Mbc::sendFromHost(unsigned dst, std::uint64_t msg)
 {
     sim_assert(dst < boxes.size(), "bad mailbox %u", dst);
-    ++shSent;
+    ++sent;
     if (dropped(eq, dst, stats))
         return;
     eq.schedule(eq.now() + sim::dpCoreClock.cyclesToTicks(mbcLatency),

@@ -85,8 +85,9 @@ class Mbc
     sim::EventQueue &eq;
     std::vector<core::DpCore *> &cores;
     sim::StatGroup stats;
-    /** Deferred per-message counters (see sim/stats.hh). */
-    sim::DeferredCounter shSent, shDelivered;
+    /** Per-message counters (see sim/stats.hh). */
+    sim::Counter sent{stats, "sent"};
+    sim::Counter delivered{stats, "delivered"};
     std::vector<std::deque<std::uint64_t>> boxes;
     std::vector<std::function<void()>> handlers;
 };

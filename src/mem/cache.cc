@@ -19,16 +19,6 @@ Cache::Cache(const std::string &name, const CacheParams &params,
     sim_assert(nSets > 0 && (nSets & (nSets - 1)) == 0,
                "cache sets must be a power of two (size=%u assoc=%u)",
                params.sizeBytes, params.assoc);
-    stats.addFlushHook([this] { flushStats(); });
-}
-
-void
-Cache::flushStats()
-{
-    shHits.flushInto(stats, "hits");
-    shMisses.flushInto(stats, "misses");
-    shWritebacks.flushInto(stats, "writebacks");
-    shFills.flushInto(stats, "fills");
 }
 
 std::uint32_t
@@ -59,11 +49,11 @@ Cache::getLine(Addr line_addr, sim::Tick when, bool fill)
 {
     if (Line *l = findLine(line_addr)) {
         l->lastUse = ++useClock;
-        ++shHits;
+        ++hits;
         return {l, when + hitLatency};
     }
 
-    ++shMisses;
+    ++misses;
     Line *set = &lines[std::size_t(setIndex(line_addr)) * p.assoc];
     Line *victim = &set[0];
     for (std::uint32_t w = 1; w < p.assoc; ++w) {
@@ -78,7 +68,7 @@ Cache::getLine(Addr line_addr, sim::Tick when, bool fill)
     sim::Tick t = when + hitLatency;
     if (victim->valid && victim->dirty) {
         t = next.writeLine(victim->tag, victim->data, t);
-        ++shWritebacks;
+        ++writebacks;
     }
 
     victim->valid = true;
@@ -87,7 +77,7 @@ Cache::getLine(Addr line_addr, sim::Tick when, bool fill)
     victim->lastUse = ++useClock;
     if (fill) {
         t = next.readLine(line_addr, victim->data, t);
-        ++shFills;
+        ++fills;
     } else {
         std::memset(victim->data, 0, lineBytes);
     }
@@ -148,20 +138,21 @@ Cache::writeLine(Addr addr, const void *src, sim::Tick when)
     return write(addr, src, lineBytes, when);
 }
 
-sim::Tick
+Cache::Flushed
 Cache::flushRange(Addr addr, std::uint64_t len, sim::Tick when)
 {
-    sim::Tick t = when;
+    Flushed f{when, 0};
     Addr first = lineAlign(addr);
     Addr last = lineAlign(addr + (len ? len - 1 : 0));
     for (Addr a = first; a <= last; a += lineBytes) {
         if (Line *l = findLine(a); l && l->dirty) {
-            t = next.writeLine(a, l->data, t + hitLatency);
+            f.done = next.writeLine(a, l->data, f.done + hitLatency);
             l->dirty = false;
+            ++f.lines;
             ++stats.counter("flushedLines");
         }
     }
-    return t;
+    return f;
 }
 
 sim::Tick

@@ -68,13 +68,19 @@ class Cache : public MemPort
     sim::Tick writeLine(Addr addr, const void *src,
                         sim::Tick when) override;
 
+    /** What a flushRange() did. */
+    struct Flushed
+    {
+        sim::Tick done;      ///< completion tick of the last writeback
+        std::uint64_t lines; ///< dirty lines written back
+    };
+
     /**
      * Write back any dirty lines intersecting [addr, addr+len) to
      * the downstream level; lines stay resident and clean. This is
      * the dpCore's cache-flush instruction.
-     * @return completion tick of the last writeback.
      */
-    sim::Tick flushRange(Addr addr, std::uint64_t len, sim::Tick when);
+    Flushed flushRange(Addr addr, std::uint64_t len, sim::Tick when);
 
     /**
      * Drop any lines intersecting [addr, addr+len) WITHOUT writing
@@ -127,13 +133,12 @@ class Cache : public MemPort
 
     std::uint32_t setIndex(Addr line_addr) const;
 
-    /** Fold deferred per-access counters into the stat group. */
-    void flushStats();
-
     sim::StatGroup stats;
-    /** Deferred per-access counters (see sim/stats.hh); folded in by
-     *  the group's flush hook. */
-    sim::DeferredCounter shHits, shMisses, shWritebacks, shFills;
+    /** Per-access counters (see sim/stats.hh). */
+    sim::Counter hits{stats, "hits"};
+    sim::Counter misses{stats, "misses"};
+    sim::Counter writebacks{stats, "writebacks"};
+    sim::Counter fills{stats, "fills"};
     CacheParams p;
     MemPort &next;
     std::uint32_t nSets;

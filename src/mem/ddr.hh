@@ -98,13 +98,7 @@ class DdrChannel
           derated(sim::Tick(double(p.tBurst) / (1.0 - p.refreshDerate)))
     {
         banks.fill(Bank{});
-        stats.addFlushHook([this] { flushStats(); });
     }
-
-    // The flush hook captures `this`, so the channel must stay put
-    // (it lives inside MainMemory for the whole simulation).
-    DdrChannel(const DdrChannel &) = delete;
-    DdrChannel &operator=(const DdrChannel &) = delete;
 
     /**
      * Issue one memory transaction of up to any length; the model
@@ -149,14 +143,14 @@ class DdrChannel
                 const std::uint64_t hits = (run_end - a + 63) / 64;
                 const sim::Tick ticks = hits * derated;
                 busFree += ticks;
-                shBusyTicks += ticks;
-                shBursts += hits;
-                shRowHits += hits;
+                busyTicks += ticks;
+                bursts += hits;
+                rowHits += hits;
                 done = busFree;
                 a += hits * 64;
             }
         }
-        (write ? shBytesWritten : shBytesRead) += bytes;
+        (write ? bytesWritten : bytesRead) += bytes;
         if (DPU_TRACE_ARMED) {
             DPU_TRACE_COMPLETE(sim::TraceCat::Ddr, 0,
                                write ? "write" : "read", earliest,
@@ -167,8 +161,8 @@ class DdrChannel
             if (++tracedAccesses % 64 == 0) {
                 DPU_TRACE_COUNTER(sim::TraceCat::Ddr, 0, "rowBuffer",
                                   done, "hits",
-                                  st.get("rowHits"), "misses",
-                                  st.get("rowMisses"));
+                                  rowHits.value(), "misses",
+                                  rowMisses.value());
             }
         }
         return done;
@@ -208,12 +202,12 @@ class DdrChannel
             t += p.tRcd + p.tCl;
             b.dataReadyAt = t;
             b.openRow = row;
-            ++shRowMisses;
+            ++rowMisses;
         } else {
             // Row hit: the column command pipelines behind earlier
             // bursts; only the CAS latency of this request bounds it.
             b.dataReadyAt = std::max(b.dataReadyAt, earliest + p.tCl);
-            ++shRowHits;
+            ++rowHits;
         }
 
         sim::Tick data_start = std::max(b.dataReadyAt, busFree);
@@ -229,30 +223,22 @@ class DdrChannel
             t_burst *= degrade->memBwDivisor(data_start);
 
         busFree = data_start + t_burst;
-        shBusyTicks += t_burst;
-        ++shBursts;
+        busyTicks += t_burst;
+        ++bursts;
         return busFree;
-    }
-
-    /** Fold deferred per-burst counters into the stat group. */
-    void
-    flushStats()
-    {
-        shRowMisses.flushInto(st, "rowMisses");
-        shRowHits.flushInto(st, "rowHits");
-        shBusyTicks.flushInto(st, "busyTicks");
-        shBursts.flushInto(st, "bursts");
-        shBytesRead.flushInto(st, "bytesRead");
-        shBytesWritten.flushInto(st, "bytesWritten");
     }
 
     DdrParams p;
     sim::StatGroup &st;
     /** Refresh/controller derating: the effective burst time. */
     const sim::Tick derated;
-    /** Deferred per-burst counters (see sim/stats.hh). */
-    sim::DeferredCounter shRowMisses, shRowHits, shBusyTicks,
-        shBursts, shBytesRead, shBytesWritten;
+    /** Per-burst counters (see sim/stats.hh). */
+    sim::Counter rowMisses{st, "rowMisses"};
+    sim::Counter rowHits{st, "rowHits"};
+    sim::Counter busyTicks{st, "busyTicks"};
+    sim::Counter bursts{st, "bursts"};
+    sim::Counter bytesRead{st, "bytesRead"};
+    sim::Counter bytesWritten{st, "bytesWritten"};
     std::array<Bank, 64> banks;
     sim::Tick busFree = 0;
     bool lastWasWrite = false;

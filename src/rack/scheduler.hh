@@ -78,8 +78,9 @@
  *     queueing doomed work.
  *
  * Inside a board the request is routed to a DPU by the board's own
- * BoardScheduler policy (hash), and everything from PR 2-6 applies:
- * deadlines, reaping, quarantine, availability accounting.
+ * BoardScheduler policy (hash), and each chip's OffloadScheduler
+ * serves it as it serves any request: deadlines, reaping,
+ * quarantine, availability accounting.
  *
  * summary() folds the per-board serving summaries into one rack
  * view (host/summary.hh: submitted-weighted availability, rank
@@ -171,7 +172,7 @@ struct RackSummary
     std::uint64_t failovers = 0;
     /** Non-primary deliveries where every skipped replica was
      *  merely admission-full or shed — load spreading, not
-     *  failure (PR 9 split these out of `failovers`). */
+     *  failure, so `failovers` counts outages only. */
     std::uint64_t admitReroutes = 0;
     // Balancer activity (all zero with balance.window = 0).
     std::uint64_t migStarted = 0;

@@ -108,23 +108,18 @@ FaultPlane::ensureDomains(unsigned n)
         for (unsigned d = have; d < n; ++d)
             seedDomain(r, d);
     }
-    domCounts.resize(n);
     nDomains = n;
+    addInjectionRows();
 }
 
 void
-FaultPlane::foldStats()
+FaultPlane::addInjectionRows()
 {
     if (!stats)
         return;
-    for (auto &dc : domCounts) {
-        for (unsigned s = 0; s < nFaultSites; ++s) {
-            if (dc.pending[s]) {
-                stats->counter(siteNames[s]) += dc.pending[s];
-                dc.pending[s] = 0;
-            }
-        }
-    }
+    while (injections.size() < std::size_t(nDomains) * nFaultSites)
+        injections.emplace_back(
+            *stats, siteNames[injections.size() % nFaultSites]);
 }
 
 void
@@ -134,9 +129,9 @@ FaultPlane::reset()
     memRules = 0;
     specStr.clear();
     // The domain count is sticky (a live Board keeps its sizing);
-    // the tallies are not.
-    domCounts.assign(nDomains, DomainCounts{});
+    // the counts are not.
     stats.reset();
+    injections.clear();
 }
 
 void
@@ -200,7 +195,7 @@ FaultPlane::configure(const std::string &spec, std::uint64_t seed)
 
     specStr = spec;
     stats = std::make_unique<StatGroup>("fault");
-    stats->addFlushHook([this] { foldStats(); });
+    addInjectionRows();
 }
 
 bool
@@ -231,8 +226,7 @@ FaultPlane::fires(FaultSite site, Tick now, int unit,
         if (!hit)
             continue;
         ++ds.fired;
-        ++domCounts[d].counts[unsigned(site)];
-        ++domCounts[d].pending[unsigned(site)];
+        ++injectionsAt(d, site);
         if (magnitude)
             *magnitude = r.mag;
         return true;
@@ -258,10 +252,9 @@ FaultPlane::memBwDivisor(Tick now)
         // Count degraded bursts; budget caps window length, not
         // bursts, so `max` is ignored here.
         ++r.dom[d].fired;
-        ++domCounts[d].counts[unsigned(FaultSite::MemDegrade)];
     }
     if (factor > 1)
-        ++domCounts[d].pending[unsigned(FaultSite::MemDegrade)];
+        ++injectionsAt(d, FaultSite::MemDegrade);
     return factor;
 }
 
@@ -269,9 +262,8 @@ std::uint64_t
 FaultPlane::injectedTotal() const
 {
     std::uint64_t total = 0;
-    for (const auto &dc : domCounts)
-        for (auto c : dc.counts)
-            total += c;
+    for (const Counter &c : injections)
+        total += c.value();
     return total;
 }
 

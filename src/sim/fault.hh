@@ -47,11 +47,12 @@
  * stream, keeping single-chip runs byte-identical. Note the `max`
  * firing budget and `nth` counters are likewise per (rule, domain).
  *
- * Thread-safety: fires() only mutates current-domain state, and the
- * "fault" stat group is fed through per-domain deferred counts
- * folded on read, so concurrent partitions never share cells. All
- * configuration (configure / reset / ensureDomains) is host-phase
- * only — never call it while a parallel run is in flight.
+ * Thread-safety: fires() only mutates current-domain state. Each
+ * domain counts its injections in its own sim::Counter per site,
+ * and the "fault" group reads a site's counters as one cell, so
+ * concurrent partitions never share a count. All configuration
+ * (configure / reset / ensureDomains) is host-phase only — never
+ * call it while a parallel run is in flight.
  *
  * The plane is inert until configured: every hook point first tests
  * active(), so un-faulted runs execute the exact pre-fault paths and
@@ -62,6 +63,7 @@
 #define DPU_SIM_FAULT_HH
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -152,7 +154,8 @@ class FaultPlane
 
     /**
      * DDR burst-time multiplier at @p now (>= 1): the product of
-     * every active mem.degrade rule's magnitude.
+     * every active mem.degrade rule's magnitude. A degraded burst
+     * is one injection, however many rules overlap it.
      */
     std::uint64_t memBwDivisor(Tick now);
 
@@ -166,14 +169,12 @@ class FaultPlane
     /** Domains the plane is sized for (>= 1 once configured). */
     unsigned domains() const { return nDomains; }
 
-    /** Faults injected at @p site since configure(), all domains. */
+    /** Faults injected at @p site since configure(), all domains:
+     *  its "fault" cell. */
     std::uint64_t
     injected(FaultSite site) const
     {
-        std::uint64_t total = 0;
-        for (const auto &d : domCounts)
-            total += d.counts[unsigned(site)];
-        return total;
+        return stats ? stats->get(faultSiteName(site)) : 0;
     }
 
     /** Total faults injected since configure(). */
@@ -193,27 +194,29 @@ class FaultPlane
     static std::string randomSpec(std::uint64_t seed);
 
   private:
-    /** Per-domain injection tallies: absolute counts for injected()
-     *  plus pending deltas folded into the stat group on read. */
-    struct DomainCounts
-    {
-        std::uint64_t counts[nFaultSites] = {};
-        std::uint64_t pending[nFaultSites] = {};
-    };
-
     /** Seed domain @p d of rule @p r (0 replays the pre-domain
      *  single stream). */
     static void seedDomain(FaultRule &r, unsigned d);
 
-    /** Fold every domain's pending stat deltas into the group. */
-    void foldStats();
+    /** Add a row of injection counters for each domain up to
+     *  nDomains that has none. */
+    void addInjectionRows();
+
+    /** Domain @p d's injection counter for @p site. */
+    Counter &
+    injectionsAt(unsigned d, FaultSite site)
+    {
+        return injections[std::size_t(d) * nFaultSites + unsigned(site)];
+    }
 
     std::vector<FaultRule> rules;
     unsigned memRules = 0;
     unsigned nDomains = 1;
     std::string specStr;
-    std::vector<DomainCounts> domCounts{1};
     std::unique_ptr<StatGroup> stats;
+    /** Injections per (domain, site), domain-major, counted into the
+     *  "fault" group's site cells; empty while inert. */
+    std::deque<Counter> injections;
 };
 
 /** The process-wide fault plane (the simulator is one thread).

@@ -14,11 +14,33 @@ StatGroup::~StatGroup()
     StatsRegistry::instance().remove(this);
 }
 
+std::uint64_t
+StatGroup::get(const std::string &name) const
+{
+    flush();
+    auto it = counters.find(name);
+    std::uint64_t v = it == counters.end() ? 0 : it->second;
+    for (const Live &l : live)
+        if (name == l.cell)
+            v += l.counter->v;
+    return v;
+}
+
+std::map<std::string, std::uint64_t>
+StatGroup::counterCells() const
+{
+    flush();
+    std::map<std::string, std::uint64_t> cells = counters;
+    for (const Live &l : live)
+        if (l.counter->touched)
+            cells[l.cell] += l.counter->v;
+    return cells;
+}
+
 void
 StatGroup::dump(std::ostream &os) const
 {
-    flush();
-    for (const auto &[name, value] : counters)
+    for (const auto &[name, value] : counterCells())
         os << groupName << "." << name << " = " << value << "\n";
     for (const auto &[name, value] : scalars)
         os << groupName << "." << name << " = " << value << "\n";
@@ -27,11 +49,13 @@ StatGroup::dump(std::ostream &os) const
 void
 StatGroup::reset()
 {
-    // Drain deferred counts first so they don't survive the reset
-    // and leak into the next measurement window.
+    // Fold computed cells first so their counts don't survive the
+    // reset and leak into the next measurement window.
     flush();
     for (auto &[name, value] : counters)
         value = 0;
+    for (Live &l : live)
+        l.counter->v = 0;
     for (auto &[name, value] : scalars)
         value = 0.0;
 }

@@ -11,8 +11,9 @@
  * schedulers and balancers) increment cells directly where each
  * event happens (`++stats.counter("migCommitted")`), which creates
  * the cell at its first hit. Kernel hot paths and writers on
- * partition threads instead keep a DeferredCounter or a shadow
- * tally that a flush hook folds in before any read.
+ * partition threads instead hold a Counter: a member that names its
+ * cell once, at construction, and that the group reads live. Its
+ * increment is a plain add, and no fold copies it anywhere.
  *
  * Every live StatGroup is also tracked by the process-wide
  * StatsRegistry (see stats_registry.hh), which snapshots all groups
@@ -36,21 +37,34 @@ namespace dpu::sim {
 class StatGroup;
 
 /**
- * A hot-path counter that defers its StatGroup cell.
+ * A counter that is its own stat cell.
  *
  * The string-keyed counter() lookup is cheap enough for control
  * paths but shows up hard when charged per load or per issue slot
- * (the dpCore's LSU path calls it once per 8 bytes moved). Owners
- * keep one of these as a plain member, bump it with add()/++, and
- * fold it into the group from a flush hook (StatGroup::addFlushHook)
- * that runs right before any read of the cells. The cell is
- * registered exactly when the owning site has been hit — the same
- * rule as direct counter() use — so stat snapshots are
- * indistinguishable from the eager version.
+ * (the dpCore's LSU path counts once per 8 bytes moved). A Counter
+ * is constructed against its group with its cell name, and the
+ * group reads it in get(), dump(), reset() and snapshots, so the
+ * counter is the only record of its count:
+ *  - its cell appears the first time it is touched (an add of 0
+ *    counts), the same rule as direct counter() use;
+ *  - several counters may name one cell (one per source chip or
+ *    fault domain, each written by its own thread), and the cell
+ *    reads as their sum, plus any direct counter() value.
+ *
+ * The group keeps the counter's address and the name pointer, so a
+ * counter does not move, its name is a string literal, and it lives
+ * as long as its group is read (in practice both are members of one
+ * owner, the group declared first).
  */
-class DeferredCounter
+class Counter
 {
   public:
+    /** Count into @p group's cell @p cell (a string literal). */
+    Counter(StatGroup &group, const char *cell);
+
+    Counter(const Counter &) = delete;
+    Counter &operator=(const Counter &) = delete;
+
     void
     add(std::uint64_t n)
     {
@@ -58,25 +72,26 @@ class DeferredCounter
         touched = true;
     }
 
-    DeferredCounter &
+    Counter &
     operator+=(std::uint64_t n)
     {
         add(n);
         return *this;
     }
 
-    DeferredCounter &
+    Counter &
     operator++()
     {
         add(1);
         return *this;
     }
 
-    /** Move the pending count into @p group's @p cell (inline
-     *  definition follows StatGroup). */
-    void flushInto(StatGroup &group, const char *cell);
+    /** This counter's own count (not its cell's sum). */
+    std::uint64_t value() const { return v; }
 
   private:
+    friend class StatGroup;
+
     std::uint64_t v = 0;
     bool touched = false;
 };
@@ -107,11 +122,12 @@ class StatGroup
 
     /**
      * Run @p hook before any read of the cells (get, dump,
-     * snapshot, reset). Owners use this to fold DeferredCounter
-     * members in lazily; the hook must only write cells, never read
-     * other groups. The registering object must outlive the group's
-     * last read (in practice: hooks capture `this` of the object
-     * that owns or co-owns the group).
+     * snapshot, reset). Owners use this for cells computed from
+     * other state (the channel tallies, the landers' stale-chunk
+     * counts); the hook must only write cells, never read other
+     * groups. The registering object must outlive the group's last
+     * read (in practice: hooks capture `this` of the object that
+     * owns or co-owns the group).
      */
     void
     addFlushHook(std::function<void()> hook)
@@ -120,13 +136,7 @@ class StatGroup
     }
 
     /** Read a counter (0 if never touched). */
-    std::uint64_t
-    get(const std::string &name) const
-    {
-        flush();
-        auto it = counters.find(name);
-        return it == counters.end() ? 0 : it->second;
-    }
+    std::uint64_t get(const std::string &name) const;
 
     /** Read a floating-point cell (0.0 if never touched). */
     double
@@ -140,12 +150,7 @@ class StatGroup
     const std::string &name() const { return groupName; }
 
     /** All counter cells, name-ordered (snapshot/diff tooling). */
-    const std::map<std::string, std::uint64_t> &
-    counterCells() const
-    {
-        flush();
-        return counters;
-    }
+    std::map<std::string, std::uint64_t> counterCells() const;
 
     /** All floating-point cells, name-ordered. */
     const std::map<std::string, double> &
@@ -162,7 +167,16 @@ class StatGroup
     void reset();
 
   private:
-    /** Fold deferred counters in; hooks mutate the maps through the
+    friend class Counter;
+
+    /** A Counter and the cell it counts into. */
+    struct Live
+    {
+        const char *cell;
+        Counter *counter;
+    };
+
+    /** Run the flush hooks; they mutate the maps through the
      *  owner's non-const handle, hence callable from const reads. */
     void
     flush() const
@@ -174,16 +188,13 @@ class StatGroup
     std::string groupName;
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, double> scalars;
+    std::vector<Live> live;
     std::vector<std::function<void()>> flushHooks;
 };
 
-inline void
-DeferredCounter::flushInto(StatGroup &group, const char *cell)
+inline Counter::Counter(StatGroup &group, const char *cell)
 {
-    if (touched) {
-        group.counter(cell) += v;
-        v = 0;
-    }
+    group.live.push_back({cell, this});
 }
 
 } // namespace dpu::sim

@@ -135,6 +135,23 @@ TEST(FaultPlane, MemDivisorAppliesInsideWindowOnly)
     EXPECT_EQ(fp.memBwDivisor(1000), 4u);
     EXPECT_EQ(fp.memBwDivisor(1999), 4u);
     EXPECT_EQ(fp.memBwDivisor(2000), 1u);
+
+    // A second, overlapping rule multiplies the divisor, and a burst
+    // both rules degrade is still one injection, in injected() and
+    // in the "fault" cell alike.
+    fp.configure("mem.degrade@from=1000,to=2000,mag=4;"
+                 "mem.degrade@from=1500,to=3000,mag=3",
+                 1);
+    EXPECT_EQ(fp.memBwDivisor(999), 1u);
+    for (int i = 0; i < 10; ++i)
+        EXPECT_EQ(fp.memBwDivisor(1500 + i), 12u);
+    EXPECT_EQ(fp.injected(FaultSite::MemDegrade), 10u);
+    EXPECT_EQ(fp.statGroup()->get("mem.degrade"), 10u);
+    EXPECT_EQ(fp.memBwDivisor(1499), 4u);
+    EXPECT_EQ(fp.memBwDivisor(2000), 3u);
+    EXPECT_EQ(fp.memBwDivisor(3000), 1u);
+    EXPECT_EQ(fp.injected(FaultSite::MemDegrade), 12u);
+    EXPECT_EQ(fp.statGroup()->get("mem.degrade"), 12u);
 }
 
 TEST(FaultPlane, StatGroupTracksInjections)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for StatGroup accessors, dump()/reset() ordering, the
- * StatsRegistry snapshot, snapshot JSON round-tripping, and the JSON
- * reader's numbers beyond int64's range.
+ * Counter cells a group reads live, the StatsRegistry snapshot,
+ * snapshot JSON round-tripping, and the JSON reader's numbers beyond
+ * int64's range.
  */
 
 #include <gtest/gtest.h>
@@ -52,6 +53,46 @@ TEST(StatGroup, DumpIsNameOrderedCountersThenScalars)
               "grp.alpha = 0\n"
               "grp.zeta = 0\n"
               "grp.mid = 0\n");
+}
+
+TEST(StatGroup, CountersAreReadLiveAndShareACellAsASum)
+{
+    StatGroup g("ctr_test");
+    Counter a(g, "n");
+    Counter b(g, "n");
+
+    // No cell until a counter is touched; an add of 0 touches it.
+    EXPECT_TRUE(g.counterCells().empty());
+    EXPECT_EQ(StatsRegistry::instance().snapshot().counters.count(
+                  "ctr_test.n"),
+              0u);
+    a.add(0);
+    ASSERT_EQ(g.counterCells().count("n"), 1u);
+    EXPECT_EQ(g.get("n"), 0u);
+
+    // Two counters naming one cell read as their sum everywhere.
+    a += 3;
+    ++b;
+    ++b;
+    EXPECT_EQ(a.value(), 3u);
+    EXPECT_EQ(b.value(), 2u);
+    EXPECT_EQ(g.get("n"), 5u);
+    std::ostringstream os;
+    g.dump(os);
+    EXPECT_EQ(os.str(), "ctr_test.n = 5\n");
+    EXPECT_EQ(StatsRegistry::instance().snapshot().counters.at(
+                  "ctr_test.n"),
+              5u);
+
+    // reset() zeroes both counters and keeps the cell.
+    g.reset();
+    EXPECT_EQ(a.value(), 0u);
+    EXPECT_EQ(b.value(), 0u);
+    std::ostringstream os2;
+    g.dump(os2);
+    EXPECT_EQ(os2.str(), "ctr_test.n = 0\n");
+    ++b;
+    EXPECT_EQ(g.get("n"), 1u);
 }
 
 TEST(StatsRegistry, SnapshotCoversLiveGroupsOnly)
