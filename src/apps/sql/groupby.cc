@@ -349,7 +349,7 @@ dpuGroupByHighNdv(const soc::SocParams &params,
                     // 2 loads + 2 stores (LSU), CRC + radix + fill
                     // bookkeeping (ALU) per tuple.
                     c.dualIssue(3 * rows, 4 * rows);
-                    c.statGroup().counter("crcOps") += rows;
+                    c.bulkCrcOps(rows);
                 });
             for (unsigned sp = 0; sp < 32; ++sp)
                 flushSub(sp);

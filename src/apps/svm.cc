@@ -225,7 +225,7 @@ dpuSvm(const soc::SocParams &params, const SvmConfig &cfg)
                         + d                     // accumulates (ALU)
                         + 8;                    // f update + pair scan
                     c.cycles(rows * per_row);
-                    c.statGroup().counter("muls") += rows * d;
+                    c.bulkMuls(rows * d);
                 });
 
                 // Send the local pair to the master (two packed

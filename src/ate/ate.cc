@@ -166,7 +166,7 @@ Ate::issue(core::DpCore &c, unsigned target, AteOp op, mem::Addr addr,
     if (sim::faultPlane().active()) {
         if (sim::faultPlane().fires(sim::FaultSite::AteDrop, eq.now(),
                                     int(src))) {
-            ++stats.counter("droppedRequests");
+            ++droppedRequests;
             DPU_TRACE_INSTANT(sim::TraceCat::Ate, src, "reqDrop",
                               eq.now(), "target", target);
             return;
@@ -174,7 +174,7 @@ Ate::issue(core::DpCore &c, unsigned target, AteOp op, mem::Addr addr,
         std::uint64_t extra = 0;
         if (sim::faultPlane().fires(sim::FaultSite::AteDelay,
                                     eq.now(), int(src), &extra)) {
-            ++stats.counter("delayedRequests");
+            ++delayedRequests;
             // Charge the link too, so FIFO ordering holds.
             lastDeliver[local(src) * cores.size() + local(target)] +=
                 extra;
@@ -214,7 +214,7 @@ Ate::issue(core::DpCore &c, unsigned target, AteOp op, mem::Addr addr,
             if (out.gen != gen) {
                 // The requester abandoned this request (bounded wait
                 // timed out); drop the response on the floor.
-                ++stats.counter("staleResponses");
+                ++staleResponses;
                 return;
             }
             out.ready = true;
@@ -258,7 +258,7 @@ Ate::abandonRequest(core::DpCore &c)
     o.busy = false;
     o.ready = false;
     ++o.gen;
-    ++stats.counter("abandonedRequests");
+    ++abandonedRequests;
 }
 
 std::uint64_t
@@ -308,7 +308,7 @@ Ate::swRpc(core::DpCore &c, unsigned target,
     o.busy = true;
     o.ready = false;
     const std::uint64_t gen = ++o.gen;
-    ++stats.counter("swRpcs");
+    ++swRpcs;
 
     const unsigned src = c.id();
     sim::Tick deliver = deliveryTick(src, target) + cyc(swDeliverCycles);
@@ -338,8 +338,7 @@ Ate::swRpc(core::DpCore &c, unsigned target,
                                 }
                                 unsigned l = local(src);
                                 if (pending[l].gen != gen) {
-                                    ++stats.counter(
-                                        "staleResponses");
+                                    ++staleResponses;
                                     return;
                                 }
                                 pending[l].ready = true;

@@ -174,11 +174,16 @@ class Ate
     std::vector<core::DpCore *> cores;
     unsigned baseId;
     sim::StatGroup stats;
-    /** Per-RPC counters (see sim/stats.hh). */
+    /** Per-RPC and recovery counters (see sim/stats.hh). */
     sim::Counter loads{stats, "loads"};
     sim::Counter stores{stats, "stores"};
     sim::Counter fetchAdds{stats, "fetchAdds"};
     sim::Counter compareSwaps{stats, "compareSwaps"};
+    sim::Counter swRpcs{stats, "swRpcs"};
+    sim::Counter droppedRequests{stats, "droppedRequests"};
+    sim::Counter delayedRequests{stats, "delayedRequests"};
+    sim::Counter staleResponses{stats, "staleResponses"};
+    sim::Counter abandonedRequests{stats, "abandonedRequests"};
 
     std::vector<Outstanding> pending;
     /** lastDeliver[src * nCores + dst]. */

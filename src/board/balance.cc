@@ -345,22 +345,12 @@ BoardBalancer::BoardBalancer(Board &brd_, PartitionMap &map_,
         mem::Dmem &dmem = chip.core(handoffCore).dmem();
         engines[d].exec =
             std::make_unique<dms::HandoffExec>(dms, local, dmem);
-        engines[d].lander =
-            std::make_unique<dms::HandoffLander>(dms, local, dmem);
+        engines[d].lander = std::make_unique<dms::HandoffLander>(
+            dms, local, dmem, stats);
     }
 
     for (unsigned part = 0; part < map.nPartitions(); ++part)
         seedState(part, homeOf(part));
-
-    // Landers count stale chunks in the kernel phase; fold their
-    // totals in at each read.
-    stats.addFlushHook([this] {
-        std::uint64_t stale = 0;
-        for (const Engines &e : engines)
-            stale += e.lander->staleDeliveries();
-        if (stale)
-            stats.counter("staleDeliveries") = stale;
-    });
 }
 
 BoardBalancer::~BoardBalancer() = default;
@@ -440,13 +430,13 @@ BoardBalancer::record(unsigned part)
     // has not flipped); ship its delta to the new home so the moved
     // state stays current. Host-phase send — deterministic, and the
     // delivery tick is at least one hop into the next segment.
-    ++stats.counter("forwarded");
-    stats.counter("deltaBytes") += deltaBytesPerRequest;
+    ++forwarded;
+    deltaBytes += deltaBytesPerRequest;
     bool dropped = false;
     brd.fabric().send(m->from, m->to, deltaBytesPerRequest,
                       sim::Traffic::Migration, [] {}, dropped);
     if (dropped)
-        ++stats.counter("deltaDropped"); // deltas are best-effort
+        ++deltaDropped; // deltas are best-effort
 }
 
 void
@@ -465,12 +455,12 @@ BoardBalancer::launch(const MigrationStep &step, sim::Tick boundary)
     m.gen = engines[m.to].lander->expect(m.chunks);
 
     inflight[m.part] = &m;
-    ++stats.counter("planned");
+    ++planned;
     // The outcome cells report from the first launch on, zero or
     // not.
-    stats.counter("committed");
-    stats.counter("aborted");
-    stats.counter("stateBytes");
+    committed.add(0);
+    aborted.add(0);
+    stateBytes.add(0);
 
     // Execution starts inside the kernel, on the source partition.
     brd.eventQueue(m.from).schedule(
@@ -565,8 +555,8 @@ BoardBalancer::harvest(sim::Tick boundary)
             // Flip the single partition; offers forwarded from now
             // on route to the new home.
             map.reassign(m.part, m.to);
-            ++stats.counter("committed");
-            stats.counter("stateBytes") += m.plan.totalBytes();
+            ++committed;
+            stateBytes += m.plan.totalBytes();
         } else if (boundary >= m.launchedAt + migrationTimeout) {
             // A wedged DMAC never completes its descriptor: the
             // staging chain (or the landing slot) is stuck for
@@ -575,8 +565,8 @@ BoardBalancer::harvest(sim::Tick boundary)
             lander.cancel();
             se.srcPoisoned = true;
             de.dstPoisoned = true;
-            ++stats.counter("aborted");
-            ++stats.counter("timeoutAborts");
+            ++aborted;
+            ++timeoutAborts;
         } else if (m.srcFailed && !se.exec->active() &&
                    !lander.busy()) {
             // Clean abort: retransmits exhausted (or a descError
@@ -584,12 +574,12 @@ BoardBalancer::harvest(sim::Tick boundary)
             // drained. The partition stays home; the planner may
             // retry it next window.
             lander.cancel();
-            ++stats.counter("aborted");
+            ++aborted;
         } else {
             continue; // still staging, shipping or landing
         }
         if (m.srcRetries)
-            stats.counter("chunkRetries") += m.srcRetries;
+            chunkRetries += m.srcRetries;
         slot = nullptr;
     }
 }
@@ -627,15 +617,15 @@ BoardBalancer::Report
 BoardBalancer::report() const
 {
     Report r;
-    r.planned = stats.get("planned");
-    r.committed = stats.get("committed");
-    r.aborted = stats.get("aborted");
-    r.timeoutAborts = stats.get("timeoutAborts");
-    r.chunkRetries = stats.get("chunkRetries");
-    r.forwarded = stats.get("forwarded");
-    r.deltaBytes = stats.get("deltaBytes");
-    r.deltaDropped = stats.get("deltaDropped");
-    r.stateBytes = stats.get("stateBytes");
+    r.planned = planned.value();
+    r.committed = committed.value();
+    r.aborted = aborted.value();
+    r.timeoutAborts = timeoutAborts.value();
+    r.chunkRetries = chunkRetries.value();
+    r.forwarded = forwarded.value();
+    r.deltaBytes = deltaBytes.value();
+    r.deltaDropped = deltaDropped.value();
+    r.stateBytes = stateBytes.value();
     return r;
 }
 

@@ -331,6 +331,12 @@ class BoardBalancer
 
     /** The accounting so far, read from the stat cells. */
     Report report() const;
+    /** DPU @p dpu's destination role (diagnostics). */
+    const dms::HandoffLander &
+    lander(unsigned dpu) const
+    {
+        return *engines[dpu].lander;
+    }
     /** Source roles poisoned by timed-out migrations
      *  (diagnostics). */
     bool srcPoisoned(unsigned dpu) const;
@@ -389,9 +395,19 @@ class BoardBalancer
      *  record of what is moving. */
     std::vector<Migration *> inflight;
     bool draining = false;
-    /** Host-phase counts, incremented where each event happens;
-     *  staleDeliveries folds the landers' own counts in. */
+    /** Host-phase counts, incremented where each event happens. The
+     *  landers count their stale deliveries here too, each on its
+     *  own partition's thread. */
     sim::StatGroup stats;
+    sim::Counter planned{stats, "planned"};
+    sim::Counter committed{stats, "committed"};
+    sim::Counter aborted{stats, "aborted"};
+    sim::Counter timeoutAborts{stats, "timeoutAborts"};
+    sim::Counter chunkRetries{stats, "chunkRetries"};
+    sim::Counter forwarded{stats, "forwarded"};
+    sim::Counter deltaBytes{stats, "deltaBytes"};
+    sim::Counter deltaDropped{stats, "deltaDropped"};
+    sim::Counter stateBytes{stats, "stateBytes"};
 };
 
 } // namespace dpu::board

@@ -1,6 +1,6 @@
 #include "board/link.hh"
 
-#include <string>
+#include <cstdio>
 
 #include "sim/domain.hh"
 #include "sim/fault.hh"
@@ -9,32 +9,24 @@
 
 namespace dpu::board {
 
-namespace {
-
-/** Stat cell prefix for the (src, dst) channel. */
-std::string
-chPrefix(unsigned s, unsigned d)
-{
-    return "ch" + std::to_string(s) + "to" + std::to_string(d);
-}
-
-} // namespace
-
 LinkFabric::LinkFabric(sim::EpochRunner &runner_)
-    : sim::ChannelSet(std::size_t(runner_.partitions()) *
-                          runner_.partitions(),
-                      linkHopLatency, linkGbPerSec, linkFlitBytes),
-      runner(runner_), n(runner_.partitions()), stats("link")
+    : sim::ChannelSet("link", runner_.partitions()), runner(runner_),
+      n(runner_.partitions())
 {
+    for (unsigned s = 0; s < n; ++s) {
+        for (unsigned d = 0; d < n; ++d) {
+            char name[sim::Channel::nameBytes];
+            const int len =
+                std::snprintf(name, sizeof name, "ch%uto%u", s, d);
+            sim_assert(len < int(sizeof name), "too many DPUs (%u)", n);
+            chans.emplace_back(linkHopLatency, linkGbPerSec,
+                               linkFlitBytes, stats, rows[s], name);
+        }
+    }
     // Sends run in the source chip's execution domain; make sure the
     // cross-cutting planes are sized for it.
     sim::faultPlane().ensureDomains(n);
     sim::tracer().ensureDomains(n);
-    stats.addFlushHook([this] {
-        foldStats(stats, [this](std::size_t i) {
-            return chPrefix(unsigned(i / n), unsigned(i % n));
-        });
-    });
 }
 
 sim::Tick
@@ -72,11 +64,7 @@ LinkFabric::utilization(unsigned src, unsigned dst) const
     const sim::Tick now = runner.queue(0).now();
     if (now == 0)
         return 0;
-    return double(chans[src * n + dst]
-                      .totals()
-                      .of(sim::Traffic::Workload)
-                      .ticks) /
-           double(now);
+    return double(chans[src * n + dst].busyTicks()) / double(now);
 }
 
 double

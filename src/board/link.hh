@@ -37,9 +37,10 @@
  * decision), so they too are independent of thread interleaving.
  *
  * Everything lands in the "link" StatGroup under the channel key
- * set, with per-channel cells named "ch<src>to<dst>". The channels
- * are owned by the source thread and folded in a flush hook, so
- * parallel partitions never touch the shared map.
+ * set, with per-channel cells named "ch<src>to<dst>". Source chip
+ * s's channels and counter row are written only on s's thread, and
+ * the group reads them live, so parallel partitions share no
+ * counter.
  */
 
 #ifndef DPU_BOARD_LINK_HH
@@ -50,7 +51,6 @@
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/parallel.hh"
-#include "sim/stats.hh"
 
 namespace dpu::board {
 
@@ -64,7 +64,8 @@ constexpr double linkGbPerSec = 12.0;
 constexpr std::uint32_t linkFlitBytes = 64;
 
 /** The board's N x N channel matrix; channel src * n + dst is the
- *  ordered (src, dst) link, owned by src's thread. */
+ *  ordered (src, dst) link, owned by src's thread, and counter row
+ *  src is src's. */
 class LinkFabric : public sim::ChannelSet
 {
   public:
@@ -90,12 +91,9 @@ class LinkFabric : public sim::ChannelSet
     /** Busiest channel's utilization — the scaling bottleneck. */
     double peakUtilization() const;
 
-    sim::StatGroup &statGroup() { return stats; }
-
   private:
     sim::EpochRunner &runner;
     unsigned n;
-    sim::StatGroup stats;
 };
 
 } // namespace dpu::board

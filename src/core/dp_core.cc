@@ -283,7 +283,7 @@ DpCore::writeBytes(mem::Addr addr, const void *src, std::uint32_t len)
 void
 DpCore::cacheFlush(mem::Addr addr, std::uint64_t len)
 {
-    ++stat.counter("cacheFlushes");
+    ++cacheFlushes;
     // The paper's coherence-tooling story (Section 4): programmers
     // conservatively over-flush; a tool identifies and quantifies
     // redundant cache operations. A flush that wrote nothing back
@@ -291,7 +291,7 @@ DpCore::cacheFlush(mem::Addr addr, std::uint64_t len)
     const mem::Cache::Flushed l1 = l1dCache->flushRange(addr, len, now());
     const mem::Cache::Flushed l2 = l2Cache.flushRange(addr, len, l1.done);
     if (l1.lines + l2.lines == 0)
-        ++stat.counter("redundantFlushes");
+        ++redundantFlushes;
     aheadTicks = l2.done - eq.now();
     maybeSync();
 }
@@ -299,18 +299,9 @@ DpCore::cacheFlush(mem::Addr addr, std::uint64_t len)
 void
 DpCore::cacheInvalidate(mem::Addr addr, std::uint64_t len)
 {
-    ++stat.counter("cacheInvalidates");
+    ++cacheInvalidates;
     sim::Tick done = l1dCache->invalidateRange(addr, len, now());
     done = l2Cache.invalidateRange(addr, len, done);
-    aheadTicks = done - eq.now();
-    maybeSync();
-}
-
-void
-DpCore::cacheFlushAll()
-{
-    ++stat.counter("cacheFlushes");
-    sim::Tick done = l1dCache->flushAll(now());
     aheadTicks = done - eq.now();
     maybeSync();
 }

@@ -159,6 +159,11 @@ class DpCore
     /** Block the core for @p n cycles of simulated time. */
     void sleepCycles(sim::Cycles n);
 
+    /** Count @p n CRC hashes (multiplies) whose issue slots the
+     *  kernel charged itself, in one bulk dualIssue() or cycles(). */
+    void bulkCrcOps(std::uint64_t n) { crcOps += n; }
+    void bulkMuls(std::uint64_t n) { muls += n; }
+
     // ------------------------------------------------------------
     // Analytics ISA extensions (functional + single-cycle cost)
     // ------------------------------------------------------------
@@ -264,9 +269,6 @@ class DpCore
 
     /** Invalidate cached lines covering [addr, addr+len) in L1 + L2. */
     void cacheInvalidate(mem::Addr addr, std::uint64_t len);
-
-    /** Flush + invalidate the entire private L1-D (not the L2). */
-    void cacheFlushAll();
 
     /** The private L1-D (tests probe residency/dirtiness). */
     mem::Cache &l1d() { return *l1dCache; }
@@ -377,6 +379,9 @@ class DpCore
     sim::Counter interruptsPosted{stat, "interruptsPosted"};
     sim::Counter interruptsTaken{stat, "interruptsTaken"};
     sim::Counter ateInjectTicks{stat, "ateInjectTicks"};
+    sim::Counter cacheFlushes{stat, "cacheFlushes"};
+    sim::Counter redundantFlushes{stat, "redundantFlushes"};
+    sim::Counter cacheInvalidates{stat, "cacheInvalidates"};
 
     mem::Dmem scratch;
     mem::Cache &l2Cache;

@@ -102,14 +102,14 @@ Dmac::maskRuns(const Descriptor &d, std::uint32_t rows) const
 }
 
 void
-Dmac::wedge(unsigned core, const char *cause)
+Dmac::wedge(unsigned core, sim::Counter &cause)
 {
     // A wedge is permanent: the flag feeds host-side death
     // attribution (the reaper reads hung()), the counter and the
     // trace instant make the cause visible in stats and timelines.
     wedged = true;
-    ++stats.counter(cause);
-    ++stats.counter("wedges");
+    ++cause;
+    ++wedges;
     DPU_TRACE_INSTANT(sim::TraceCat::Dms, ctx.baseCore + core,
                       "dmacWedge", ctx.eq.now(), "core",
                       ctx.baseCore + core);
@@ -137,7 +137,7 @@ Dmac::execute(unsigned core, const Descriptor &d, mem::Addr eff_ddr,
             sim::faultPlane().fires(sim::FaultSite::DmsWedge,
                                     ctx.eq.now(),
                                     int(ctx.baseCore + core))) {
-            wedge(core, "injectedWedges");
+            wedge(core, injectedWedges);
             warn("fault plane: DMAC wedged on dispatch (core %u)",
                  ctx.baseCore + core);
             return;
@@ -200,7 +200,7 @@ Dmac::execDdrToDmem(unsigned core, const Descriptor &d,
             // RTL erratum: the BV-count FIFO overflows and the DMAD
             // stalls indefinitely (Section 3.4). The descriptor
             // never completes.
-            wedge(core, "gatherBugHangs");
+            wedge(core, gatherBugHangs);
             warn("DMAC gather-bug erratum triggered: DMAD wedged");
             return;
         }

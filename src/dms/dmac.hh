@@ -187,6 +187,9 @@ class Dmac
     sim::Counter rowsPartitioned{stats, "rowsPartitioned"};
     sim::Counter bvBytesLoaded{stats, "bvBytesLoaded"};
     sim::Counter bytesDmsToDdr{stats, "bytesDmsToDdr"};
+    sim::Counter wedges{stats, "wedges"};
+    sim::Counter injectedWedges{stats, "injectedWedges"};
+    sim::Counter gatherBugHangs{stats, "gatherBugHangs"};
 
     // Internal SRAMs.
     std::array<std::array<std::uint8_t, cmemBankBytes>, nCmemBanks>
@@ -221,8 +224,9 @@ class Dmac
     std::deque<PartJob> partQueue;
     bool partActive = false;
 
-    /** Record a permanent DMAC wedge: flag + stats + trace. */
-    void wedge(unsigned core, const char *cause);
+    /** Record a permanent DMAC wedge: flag + stats + trace;
+     *  @p cause counts why. */
+    void wedge(unsigned core, sim::Counter &cause);
 
     // Gather erratum state.
     unsigned gathersActive = 0;

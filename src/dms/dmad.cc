@@ -41,29 +41,6 @@ Dmad::push(unsigned ch, std::uint16_t desc_addr)
     process(ch);
 }
 
-bool
-Dmad::idle(unsigned ch) const
-{
-    const Channel &c = channels[ch];
-    return c.pc >= c.list.size() && c.inflight == 0;
-}
-
-void
-Dmad::reset()
-{
-    for (Channel &c : channels) {
-        sim_assert(c.inflight == 0,
-                   "DMAD reset with descriptors in flight (core %u)",
-                   coreId);
-        c.list.clear();
-        c.pc = 0;
-        c.pendingSet = 0;
-        c.waiting = false;
-        c.srcArmed = false;
-        c.dstArmed = false;
-    }
-}
-
 std::size_t
 Dmad::findEntry(const Channel &c, std::uint16_t link_addr) const
 {

@@ -40,12 +40,6 @@ class Dmad
      */
     void push(unsigned ch, std::uint16_t desc_addr);
 
-    /** True when the channel has no pending or in-flight work. */
-    bool idle(unsigned ch) const;
-
-    /** Drop all completed state (start of a fresh program phase). */
-    void reset();
-
   private:
     struct Entry
     {

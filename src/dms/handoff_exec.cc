@@ -105,8 +105,9 @@ HandoffExec::release(unsigned chunk)
 // ----------------------------------------------------------------
 
 HandoffLander::HandoffLander(Dms &dms_, unsigned core_id,
-                             mem::Dmem &dmem_)
-    : dms(dms_), coreId(core_id), dmem(dmem_)
+                             mem::Dmem &dmem_, sim::StatGroup &stats)
+    : dms(dms_), coreId(core_id), dmem(dmem_),
+      stale(stats, "staleDeliveries")
 {
 }
 
@@ -135,7 +136,7 @@ HandoffLander::deliver(unsigned generation, unsigned chunk,
                        std::uint8_t col_width)
 {
     if (generation != gen) {
-        ++staleCnt; // an aborted migration's leftovers; drop
+        ++stale; // an aborted migration's leftovers; drop
         return;
     }
     sim_assert(chunk < total, "delivery of unknown chunk %u", chunk);

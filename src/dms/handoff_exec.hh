@@ -44,6 +44,7 @@
 
 #include "dms/handoff.hh"
 #include "mem/dmem.hh"
+#include "sim/stats.hh"
 
 namespace dpu::dms {
 
@@ -133,7 +134,10 @@ class HandoffExec
 class HandoffLander
 {
   public:
-    HandoffLander(Dms &dms, unsigned core_id, mem::Dmem &dmem);
+    /** Counts stale deliveries into @p stats's "staleDeliveries"
+     *  cell, which must outlive the lander's last count. */
+    HandoffLander(Dms &dms, unsigned core_id, mem::Dmem &dmem,
+                  sim::StatGroup &stats);
 
     /**
      * Arm the lander for a migration of @p total_chunks (host
@@ -162,8 +166,7 @@ class HandoffLander
 
     unsigned landed() const { return landedCnt; }
     unsigned failed() const { return failedCnt; }
-    std::uint64_t staleDeliveries() const { return staleCnt; }
-    unsigned generation() const { return gen; }
+    std::uint64_t staleDeliveries() const { return stale.value(); }
 
   private:
     struct Queued
@@ -188,7 +191,7 @@ class HandoffLander
     unsigned total = 0;
     unsigned landedCnt = 0;
     unsigned failedCnt = 0;
-    std::uint64_t staleCnt = 0;
+    sim::Counter stale;
 };
 
 } // namespace dpu::dms

@@ -147,7 +147,7 @@ OffloadScheduler::submitNow(JobRequest req)
     if (queue.size() >= p.queueDepth) {
         rec.state = JobState::Rejected;
         rec.finishedAt = now;
-        ++stats.counter("rejected");
+        ++rejected;
         DPU_TRACE_INSTANT(sim::TraceCat::Soc, hostTid, "job.reject",
                           now, "job", rec.id);
         records.push_back(std::move(rec));
@@ -219,7 +219,7 @@ OffloadScheduler::reapTimeouts(soc::HostA9 &host)
         rec.state = JobState::TimedOut;
         rec.finishedAt = now;
         rec.cause = "queue";
-        ++stats.counter("timedOut");
+        ++timedOut;
         DPU_TRACE_SPAN_END(sim::TraceCat::Soc, hostTid, "job.queued",
                            it->queueSpan, now);
         DPU_TRACE_INSTANT(sim::TraceCat::Soc, hostTid, "job.timeout",
@@ -244,7 +244,7 @@ OffloadScheduler::reapTimeouts(soc::HostA9 &host)
 
         grp.state = GroupState::Quarantined;
         grp.quarantinedAt = now;
-        ++stats.counter("quarantines");
+        ++quarantines;
         DPU_TRACE_SPAN_END(sim::TraceCat::Soc, groupTid + g,
                            "job.run", grp.runSpan, now);
         DPU_TRACE_INSTANT(sim::TraceCat::Soc, groupTid + g,
@@ -254,7 +254,7 @@ OffloadScheduler::reapTimeouts(soc::HostA9 &host)
             // Retry on another group with a fresh deadline. The
             // requeue bypasses the admission bound: the job was
             // already admitted once.
-            ++stats.counter("requeued");
+            ++requeued;
             rec.state = JobState::Queued;
             Pending pend;
             pend.id = rec.id;
@@ -275,9 +275,9 @@ OffloadScheduler::reapTimeouts(soc::HostA9 &host)
         rec.state = JobState::TimedOut;
         rec.finishedAt = now;
         rec.cause = wedged ? "dmsWedge" : "deadline";
-        ++stats.counter("timedOut");
+        ++timedOut;
         if (wedged)
-            ++stats.counter("wedgeTimeouts");
+            ++wedgeTimeouts;
         // The verdict is final, so the request is not needed again;
         // the job stays until its lanes ack (a wedged one never does).
         grp.req = {};
@@ -341,12 +341,12 @@ OffloadScheduler::handleAck(soc::HostA9 &host, std::uint64_t msg)
     const unsigned g = unsigned((msg >> 8) & 0xff);
     const std::uint64_t did = msg >> 16;
     if (g >= groups.size() || lane >= groups[g].size) {
-        ++stats.counter("strayAcks");
+        ++strayAcks;
         return;
     }
     Group &grp = groups[g];
     if (grp.acksOutstanding == 0 || grp.dispatchId != did) {
-        ++stats.counter("strayAcks");
+        ++strayAcks;
         return;
     }
     if (--grp.acksOutstanding > 0)
@@ -361,7 +361,7 @@ OffloadScheduler::handleAck(soc::HostA9 &host, std::uint64_t msg)
         // the job's verdict (timed out, or requeued and by now
         // resolved on another group — the requester has long been
         // answered either way).
-        ++stats.counter("lateJobs");
+        ++lateJobs;
         quarantineDownTicks += now - grp.quarantinedAt;
         grp.state = GroupState::Free;
         grp.job = {};
@@ -376,7 +376,7 @@ OffloadScheduler::handleAck(soc::HostA9 &host, std::uint64_t msg)
     rec.valid = !grp.job.validate || grp.job.validate();
     ++completed;
     if (!rec.valid)
-        ++stats.counter("validationFailed");
+        ++validationFailed;
     DPU_TRACE_SPAN_END(sim::TraceCat::Soc, groupTid + g, "job.run",
                        grp.runSpan, now);
     grp.state = GroupState::Free;
@@ -433,25 +433,25 @@ OffloadScheduler::finalize(soc::HostA9 &host)
 {
     // Every summary cell exists after a run, at 0 if its event
     // never happened.
-    const auto cell = [this](const char *name) {
-        stats.counter(name);
-        return stats.get(name);
+    const auto cell = [](sim::Counter &c) {
+        c.add(0);
+        return c.value();
     };
     ServingSummary s;
-    s.submitted = cell("submitted");
-    s.accepted = cell("accepted");
-    s.rejected = cell("rejected");
-    s.dispatched = cell("dispatched");
-    s.completed = cell("completed");
-    s.timedOut = cell("timedOut");
-    s.validationFailed = cell("validationFailed");
-    s.lateJobs = cell("lateJobs");
-    s.requeued = cell("requeued");
-    s.quarantines = cell("quarantines");
-    s.wedgeTimeouts = cell("wedgeTimeouts");
+    s.submitted = cell(submitted);
+    s.accepted = cell(accepted);
+    s.rejected = cell(rejected);
+    s.dispatched = cell(dispatched);
+    s.completed = cell(completed);
+    s.timedOut = cell(timedOut);
+    s.validationFailed = cell(validationFailed);
+    s.lateJobs = cell(lateJobs);
+    s.requeued = cell(requeued);
+    s.quarantines = cell(quarantines);
+    s.wedgeTimeouts = cell(wedgeTimeouts);
     for (const Group &grp : groups)
         s.wedgedGroups += grp.state == GroupState::Quarantined;
-    stats.counter("wedgedGroups") = s.wedgedGroups;
+    wedgedGroups += s.wedgedGroups;
 
     // Percentiles, mean, max and throughput over this shard's job
     // records: the fold the board and rack summaries use.

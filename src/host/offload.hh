@@ -274,12 +274,21 @@ class OffloadScheduler
     soc::Soc &soc;
     OffloadParams p;
     sim::StatGroup stats;
-    /** The cells every job passes through (sim/stats.hh): a plain
-     *  add per job. */
+    /** Job and recovery counts (sim/stats.hh), each added where its
+     *  event happens; finalize() creates the summary's cells. */
     sim::Counter submitted{stats, "submitted"};
     sim::Counter accepted{stats, "accepted"};
+    sim::Counter rejected{stats, "rejected"};
     sim::Counter dispatched{stats, "dispatched"};
     sim::Counter completed{stats, "completed"};
+    sim::Counter timedOut{stats, "timedOut"};
+    sim::Counter validationFailed{stats, "validationFailed"};
+    sim::Counter lateJobs{stats, "lateJobs"};
+    sim::Counter requeued{stats, "requeued"};
+    sim::Counter quarantines{stats, "quarantines"};
+    sim::Counter wedgeTimeouts{stats, "wedgeTimeouts"};
+    sim::Counter wedgedGroups{stats, "wedgedGroups"};
+    sim::Counter strayAcks{stats, "strayAcks"};
 
     /** Not yet admitted; sorted at start(), popped as admitted. */
     std::deque<Arrival> arrivals;

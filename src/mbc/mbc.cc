@@ -8,16 +8,17 @@ namespace dpu::mbc {
 
 namespace {
 
-/** Fault plane: true when the in-flight message to @p dst is lost
- *  (sender-side costs are already paid — the loss is in transit). */
+/** Fault plane: true, counted in @p drops, when the in-flight
+ *  message to @p dst is lost (sender-side costs are already paid —
+ *  the loss is in transit). */
 bool
-dropped(sim::EventQueue &eq, unsigned dst, sim::StatGroup &stats)
+lostInTransit(sim::EventQueue &eq, unsigned dst, sim::Counter &drops)
 {
     if (!sim::faultPlane().active() ||
         !sim::faultPlane().fires(sim::FaultSite::MbcDrop, eq.now(),
                                  int(dst)))
         return false;
-    ++stats.counter("dropped");
+    ++drops;
     DPU_TRACE_INSTANT(sim::TraceCat::Soc, dst, "mbcDrop", eq.now(),
                       "dst", dst);
     return true;
@@ -52,7 +53,7 @@ Mbc::send(core::DpCore &sender, unsigned dst, std::uint64_t msg)
     sender.cycles(4);
     sender.sync();
     ++sent;
-    if (dropped(eq, dst, stats))
+    if (lostInTransit(eq, dst, dropped))
         return;
     eq.schedule(eq.now() + sim::dpCoreClock.cyclesToTicks(mbcLatency),
                 [this, dst, msg] { deliver(dst, msg); },
@@ -64,7 +65,7 @@ Mbc::sendFromHost(unsigned dst, std::uint64_t msg)
 {
     sim_assert(dst < boxes.size(), "bad mailbox %u", dst);
     ++sent;
-    if (dropped(eq, dst, stats))
+    if (lostInTransit(eq, dst, dropped))
         return;
     eq.schedule(eq.now() + sim::dpCoreClock.cyclesToTicks(mbcLatency),
                 [this, dst, msg] { deliver(dst, msg); },

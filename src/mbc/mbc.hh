@@ -88,6 +88,7 @@ class Mbc
     /** Per-message counters (see sim/stats.hh). */
     sim::Counter sent{stats, "sent"};
     sim::Counter delivered{stats, "delivered"};
+    sim::Counter dropped{stats, "dropped"};
     std::vector<std::deque<std::uint64_t>> boxes;
     std::vector<std::function<void()>> handlers;
 };

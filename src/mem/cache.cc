@@ -149,7 +149,7 @@ Cache::flushRange(Addr addr, std::uint64_t len, sim::Tick when)
             f.done = next.writeLine(a, l->data, f.done + hitLatency);
             l->dirty = false;
             ++f.lines;
-            ++stats.counter("flushedLines");
+            ++flushedLines;
         }
     }
     return f;
@@ -166,23 +166,8 @@ Cache::invalidateRange(Addr addr, std::uint64_t len, sim::Tick when)
             l->valid = false;
             l->dirty = false;
             t += hitLatency;
-            ++stats.counter("invalidatedLines");
+            ++invalidatedLines;
         }
-    }
-    return t;
-}
-
-sim::Tick
-Cache::flushAll(sim::Tick when)
-{
-    sim::Tick t = when;
-    for (Line &l : lines) {
-        if (l.valid && l.dirty) {
-            t = next.writeLine(l.tag, l.data, t + hitLatency);
-            ++stats.counter("flushedLines");
-        }
-        l.valid = false;
-        l.dirty = false;
     }
     return t;
 }

@@ -90,9 +90,6 @@ class Cache : public MemPort
     sim::Tick invalidateRange(Addr addr, std::uint64_t len,
                               sim::Tick when);
 
-    /** Flush then invalidate the whole cache. */
-    sim::Tick flushAll(sim::Tick when);
-
     /** True if the line holding @p addr is resident. */
     bool contains(Addr addr) const;
 
@@ -139,6 +136,8 @@ class Cache : public MemPort
     sim::Counter misses{stats, "misses"};
     sim::Counter writebacks{stats, "writebacks"};
     sim::Counter fills{stats, "fills"};
+    sim::Counter flushedLines{stats, "flushedLines"};
+    sim::Counter invalidatedLines{stats, "invalidatedLines"};
     CacheParams p;
     MemPort &next;
     std::uint32_t nSets;

@@ -5,22 +5,6 @@
 
 namespace dpu::rack {
 
-const char *
-boardHealthName(BoardHealth s)
-{
-    switch (s) {
-    case BoardHealth::Healthy:
-        return "healthy";
-    case BoardHealth::Suspect:
-        return "suspect";
-    case BoardHealth::Down:
-        return "down";
-    case BoardHealth::Probation:
-        return "probation";
-    }
-    return "?";
-}
-
 std::string
 checkHealth(const HealthParams &h)
 {
@@ -53,7 +37,7 @@ HealthMonitor::HealthMonitor(RackNet &net_, unsigned n_boards,
     if (!monitoring())
         return;
     nextProbeAt = prm.heartbeatPeriod;
-    stats = std::make_unique<sim::StatGroup>("health");
+    stats = std::make_unique<Stats>();
 }
 
 bool
@@ -123,14 +107,14 @@ HealthMonitor::transition(unsigned b, BoardHealth to, sim::Tick at)
     boards[b].st = to;
     switch (to) {
     case BoardHealth::Suspect:
-        ++stats->counter("suspects");
+        ++stats->suspects;
         break;
     case BoardHealth::Down:
-        ++stats->counter("downs");
+        ++stats->downs;
         break;
     case BoardHealth::Healthy:
         if (t.from == BoardHealth::Probation)
-            ++stats->counter("rejoins");
+            ++stats->rejoins;
         break;
     case BoardHealth::Probation:
         break;
@@ -142,7 +126,7 @@ HealthMonitor::resolve(const Obs &o)
 {
     BoardState &bs = boards[o.board];
     if (o.ack) {
-        ++stats->counter("acks");
+        ++stats->acks;
         bs.consecMiss = 0;
         ++bs.consecAck;
         switch (bs.st) {
@@ -164,7 +148,7 @@ HealthMonitor::resolve(const Obs &o)
         }
         return;
     }
-    ++stats->counter("misses");
+    ++stats->misses;
     bs.consecAck = 0;
     ++bs.consecMiss;
     switch (bs.st) {
@@ -191,7 +175,7 @@ HealthMonitor::sendProbes(sim::Tick at)
     // Fixed board order per round: the probe schedule is part of
     // the deterministic host phase.
     for (unsigned b = 0; b < n; ++b) {
-        ++stats->counter("probes");
+        ++stats->probes;
         bool dropped = false;
         const sim::Tick delivered = net.deliver(
             b, probeBytes, at, dropped, sim::Traffic::Probe);

@@ -82,9 +82,6 @@ enum class BoardHealth : std::uint8_t
     Probation, ///< acking again; unroutable until rejoin hysteresis
 };
 
-/** Printable name of a verdict ("healthy", "suspect", ...). */
-const char *boardHealthName(BoardHealth s);
-
 /** Probe payload carried per board per heartbeat round. */
 constexpr std::uint64_t probeBytes = 128;
 /** Brown-out: admission-window occupancy fraction above which a
@@ -198,11 +195,10 @@ class HealthMonitor
         return log;
     }
 
-    /** The "health" cell @p name: 0 when never hit or with
-     *  monitoring off. */
-    std::uint64_t count(const std::string &name) const
+    /** Heartbeats sent (0 with monitoring off). */
+    std::uint64_t probesSent() const
     {
-        return stats ? stats->get(name) : 0;
+        return stats ? stats->probes.value() : 0;
     }
 
   private:
@@ -253,10 +249,21 @@ class HealthMonitor
     sim::Tick nextProbeAt = 0; ///< 0 = monitoring off
     std::vector<HealthTransition> log;
 
+    /** The "health" group and its counters. */
+    struct Stats
+    {
+        sim::StatGroup group{"health"};
+        sim::Counter probes{group, "probes"};
+        sim::Counter acks{group, "acks"};
+        sim::Counter misses{group, "misses"};
+        sim::Counter suspects{group, "suspects"};
+        sim::Counter downs{group, "downs"};
+        sim::Counter rejoins{group, "rejoins"};
+    };
     /** Probe, ack, miss and transition counts, incremented where
      *  each happens. Created only when monitoring is on, so
      *  un-monitored runs keep their stat snapshots byte-identical. */
-    std::unique_ptr<sim::StatGroup> stats;
+    std::unique_ptr<Stats> stats;
 };
 
 } // namespace dpu::rack

@@ -1,20 +1,21 @@
 #include "rack/net.hh"
 
+#include <cstdio>
+
 #include "sim/logging.hh"
 
 namespace dpu::rack {
 
 RackNet::RackNet(unsigned n_boards)
-    : sim::ChannelSet(n_boards, netHopLatency, netGbPerSec,
-                      netFlitBytes),
-      stats("racknet")
+    : sim::ChannelSet("racknet", 1)
 {
     sim_assert(n_boards >= 1, "a rack network needs at least one board");
-    stats.addFlushHook([this] {
-        foldStats(stats, [](std::size_t b) {
-            return "board" + std::to_string(b);
-        });
-    });
+    for (unsigned b = 0; b < n_boards; ++b) {
+        char name[sim::Channel::nameBytes];
+        std::snprintf(name, sizeof name, "board%u", b);
+        chans.emplace_back(netHopLatency, netGbPerSec, netFlitBytes,
+                           stats, rows[0], name); // "board4294967295" fits
+    }
 }
 
 sim::Tick

@@ -29,7 +29,8 @@
  * fault `unit` is the destination board.
  *
  * Everything lands in the "racknet" StatGroup under the channel key
- * set, with per-board cells named "board<b>". Partition hand-offs
+ * set, with per-board cells named "board<b>" and one counter row
+ * for the host phase that sends. Partition hand-offs
  * and forwarding deltas travel as sim::Traffic::Migration and
  * heartbeats as sim::Traffic::Probe, so bytesCarried(), messages()
  * and peakUtilization() (all from sim::ChannelSet) describe request
@@ -42,7 +43,6 @@
 #include <cstdint>
 
 #include "sim/channel.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace dpu::rack {
@@ -93,9 +93,6 @@ class RackNet : public sim::ChannelSet
     {
         return chans[0].serTicks(bytes);
     }
-
-  private:
-    sim::StatGroup stats;
 };
 
 } // namespace dpu::rack

@@ -1,6 +1,7 @@
 #include "rack/scheduler.hh"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "host/router.hh"
 #include "host/summary.hh"
@@ -62,6 +63,15 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
       boardAdmitted(r.nBoards(), 0), stats("rack")
 {
     nextRollAt = place.balance.window;
+    if (place.balance.window) {
+        shardNames.resize(rack.nBoards()); // "b4294967295" fits
+        for (unsigned b = 0; b < rack.nBoards(); ++b) {
+            std::snprintf(shardNames[b].data(), shardNames[b].size(),
+                          "b%u", b);
+            shardAdmitted.emplace_back(stats, shardNames[b].data(),
+                                       "admitted");
+        }
+    }
     const std::string prefix = per_dpu.statName;
     boardScheds.reserve(rack.nBoards());
     for (unsigned b = 0; b < rack.nBoards(); ++b) {
@@ -146,7 +156,7 @@ RackScheduler::commitReady(sim::Tick when)
                 set.push_back(m.step.to);
                 partMap.setReplicas(m.step.partition, std::move(set));
             }
-            ++stats.counter("repairCommitted");
+            ++repairCommitted;
             if (repairsOwed(m.attributed) == 0)
                 mon->markRepaired(m.attributed);
         } else {
@@ -155,7 +165,7 @@ RackScheduler::commitReady(sim::Tick when)
             // everything after routes to the new one. No job is in
             // limbo.
             partMap.reassign(m.step.partition, m.step.to);
-            ++stats.counter("migCommitted");
+            ++migCommitted;
         }
     }
 }
@@ -229,7 +239,7 @@ RackScheduler::repairBoard(unsigned b)
             owedRepairs.push_back(
                 {m.step.partition, m.attributed});
         else
-            ++stats.counter("migAborted");
+            ++migAborted;
         inflight.erase(inflight.begin() +
                        std::vector<InFlight>::difference_type(i));
     }
@@ -290,7 +300,7 @@ RackScheduler::pumpRepairs(sim::Tick when)
         m.step.to = unsigned(target);
         m.isRepair = true;
         m.attributed = j.attributed;
-        ++stats.counter("repairStarted");
+        ++repairStarted;
         // A dropped copy burned its wire time: retried at the next
         // arrival (the obligation survives).
         if (!ship(m, when))
@@ -372,12 +382,12 @@ RackScheduler::advanceBalancer(sim::Tick when)
             if (mon->monitoring() &&
                 mon->state(s.to) != BoardHealth::Healthy)
                 continue;
-            ++stats.counter("migStarted");
+            ++migStarted;
             // A transfer that dies on the wire aborts: the
             // partition stays at its source, and a later window may
             // retry.
             if (!ship({s}, boundary))
-                ++stats.counter("migAborted");
+                ++migAborted;
         }
     }
 }
@@ -389,7 +399,7 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
     sim_assert(when >= lastOffer,
                "rack arrivals must be offered in trace order");
     lastOffer = when;
-    ++stats.counter("offered");
+    ++offered;
 
     advanceHealth(when);
 
@@ -462,17 +472,17 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
             w.insert(std::upper_bound(w.begin(), w.end(), sendAt),
                      sendAt);
         }
-        ++stats.counter("admitted");
+        ++admitted;
         ++boardAdmitted[b];
         // Per-shard serving accounting only matters when the
         // balancer is live, so un-balanced goldens keep their keys.
         if (place.balance.window)
-            ++stats.counter("b" + std::to_string(b) + ".admitted");
+            ++shardAdmitted[b];
         if (i > 0) {
             if (outagePrior)
-                ++stats.counter("failovers");
+                ++failovers;
             else if (admitPrior)
-                ++stats.counter("admitReroutes");
+                ++admitReroutes;
         }
         if (board_out)
             *board_out = b;
@@ -483,7 +493,7 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
             // in flight stays current. A dropped delta only costs
             // accounting (the commit re-sends nothing — state is
             // modeled, not materialized).
-            ++stats.counter("forwarded");
+            ++forwarded;
             bool deltaDropped = false;
             rack.net().deliver(m->step.to,
                                board::deltaBytesPerRequest, sendAt,
@@ -499,18 +509,18 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
     // means the rate cap shed it; otherwise every replica was
     // down (detector verdict or missing acks).
     if (sawDrop) {
-        ++stats.counter("netLost");
+        ++netLost;
         return AdmitResult::NetLost;
     }
     if (sawShed) {
-        ++stats.counter("shed");
+        ++shed;
         return AdmitResult::Shed;
     }
     if (sawFull) {
-        ++stats.counter("rejected");
+        ++rejected;
         return AdmitResult::Rejected;
     }
-    ++stats.counter("boardsDown");
+    ++boardsDown;
     return AdmitResult::BoardsDown;
 }
 
@@ -525,21 +535,21 @@ RackSummary
 RackScheduler::summary() const
 {
     RackSummary sum;
-    sum.offered = stats.get("offered");
-    sum.admitted = stats.get("admitted");
-    sum.rejected = stats.get("rejected");
-    sum.boardsDown = stats.get("boardsDown");
-    sum.netLost = stats.get("netLost");
-    sum.shed = stats.get("shed");
-    sum.failovers = stats.get("failovers");
-    sum.admitReroutes = stats.get("admitReroutes");
-    sum.probes = mon->count("probes");
-    sum.repairsStarted = stats.get("repairStarted");
-    sum.repairsCommitted = stats.get("repairCommitted");
-    sum.migStarted = stats.get("migStarted");
-    sum.migCommitted = stats.get("migCommitted");
-    sum.migAborted = stats.get("migAborted");
-    sum.forwarded = stats.get("forwarded");
+    sum.offered = offered.value();
+    sum.admitted = admitted.value();
+    sum.rejected = rejected.value();
+    sum.boardsDown = boardsDown.value();
+    sum.netLost = netLost.value();
+    sum.shed = shed.value();
+    sum.failovers = failovers.value();
+    sum.admitReroutes = admitReroutes.value();
+    sum.probes = mon->probesSent();
+    sum.repairsStarted = repairStarted.value();
+    sum.repairsCommitted = repairCommitted.value();
+    sum.migStarted = migStarted.value();
+    sum.migCommitted = migCommitted.value();
+    sum.migAborted = migAborted.value();
+    sum.forwarded = forwarded.value();
     sum.migrationBytes = rack.net().migrationBytes();
     sum.netDroppedBytes = rack.net().droppedBytes();
 

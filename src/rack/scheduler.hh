@@ -92,6 +92,7 @@
 #ifndef DPU_RACK_SCHEDULER_HH
 #define DPU_RACK_SCHEDULER_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -345,6 +346,24 @@ class RackScheduler
     /** The front-end's counts (host phase only), incremented where
      *  each event happens. */
     sim::StatGroup stats;
+    sim::Counter offered{stats, "offered"};
+    sim::Counter admitted{stats, "admitted"};
+    sim::Counter rejected{stats, "rejected"};
+    sim::Counter boardsDown{stats, "boardsDown"};
+    sim::Counter netLost{stats, "netLost"};
+    sim::Counter shed{stats, "shed"};
+    sim::Counter failovers{stats, "failovers"};
+    sim::Counter admitReroutes{stats, "admitReroutes"};
+    sim::Counter forwarded{stats, "forwarded"};
+    sim::Counter migStarted{stats, "migStarted"};
+    sim::Counter migCommitted{stats, "migCommitted"};
+    sim::Counter migAborted{stats, "migAborted"};
+    sim::Counter repairStarted{stats, "repairStarted"};
+    sim::Counter repairCommitted{stats, "repairCommitted"};
+    /** Board b's "b<b>" and its "b<b>.admitted" counter, while the
+     *  balancer is live (so un-balanced runs keep their key set). */
+    std::vector<std::array<char, 12>> shardNames;
+    std::deque<sim::Counter> shardAdmitted;
 };
 
 } // namespace dpu::rack

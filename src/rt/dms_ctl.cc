@@ -48,12 +48,6 @@ DmsXfer::setup()
     return ctl.setup(descriptor());
 }
 
-void
-DmsXfer::rewriteAt(DescHandle at)
-{
-    ctl.rewrite(at, descriptor());
-}
-
 DescHandle
 DmsXfer::push(unsigned ch)
 {

@@ -47,8 +47,8 @@ class DmsCtl;
  * the check a transposed call fails. autoInc() arms the DDR-side
  * auto-increment used by Listing 1 loop groups (on by default).
  * Terminal operations: setup() encodes
- * into the arena and returns the handle; rewriteAt(h) re-encodes
- * over an existing slot; push(ch) is setup() + dms_push.
+ * into the arena and returns the handle; push(ch) is setup() +
+ * dms_push.
  */
 class DmsXfer
 {
@@ -121,9 +121,6 @@ class DmsXfer
 
     /** Encode into the arena; @return the descriptor's handle. */
     DescHandle setup();
-
-    /** Re-encode over an already-setup arena slot. */
-    void rewriteAt(DescHandle at);
 
     /** setup() + dms_push onto channel @p ch. */
     DescHandle push(unsigned ch);

@@ -226,13 +226,6 @@ class AteCounter
         return ate.fetchAdd(c, ownerCore, addr, 1, 8);
     }
 
-    /** Current value (racy read; for monitoring/tests). */
-    std::uint64_t
-    peek(core::DpCore &c, ate::Ate &ate)
-    {
-        return ate.remoteLoad(c, ownerCore, addr, 8);
-    }
-
   private:
     mem::Addr addr;
     unsigned ownerCore;

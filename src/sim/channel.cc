@@ -1,36 +1,32 @@
 #include "sim/channel.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "sim/logging.hh"
 
 namespace dpu::sim {
 
-Tally &
-Tally::operator+=(const Tally &o)
+ChannelRow::ChannelRow(StatGroup &g)
+    : carried{{{{g, "msgs"}, {g, "bytes"}},
+               {{g, "migMsgs"}, {g, "migBytes"}},
+               {{g, "probeMsgs"}, {g, "probeBytes"}}}},
+      dropped{{g, "drops"}, {g, "dropBytes"}}, delayed(g, "delayed")
 {
-    msgs += o.msgs;
-    bytes += o.bytes;
-    ticks += o.ticks;
-    return *this;
-}
-
-ChannelTotals &
-ChannelTotals::operator+=(const ChannelTotals &o)
-{
-    for (std::size_t c = 0; c < carried.size(); ++c)
-        carried[c] += o.carried[c];
-    dropped += o.dropped;
-    offered += o.offered;
-    delays += o.delays;
-    return *this;
 }
 
 Channel::Channel(Tick hop_latency, double gb_per_sec,
-                 std::uint32_t flit_bytes)
-    : hop(hop_latency), gbPerSec(gb_per_sec), flitBytes(flit_bytes)
+                 std::uint32_t flit_bytes, StatGroup &g,
+                 ChannelRow &row_, const char *name)
+    : hop(hop_latency), gbPerSec(gb_per_sec), flitBytes(flit_bytes),
+      row(row_), workloadBytes(g, prefix, "bytes"),
+      busy(g, prefix, "busyTicks")
 {
     sim_assert(gbPerSec > 0, "channel bandwidth must be positive");
+    sim_assert(std::strlen(name) < nameBytes,
+               "channel name '%s' is longer than %zu bytes", name,
+               nameBytes - 1);
+    std::strcpy(prefix, name);
 }
 
 Tick
@@ -51,36 +47,48 @@ Channel::send(Tick now, std::uint64_t bytes, Traffic cls,
     const Tick ser = serTicks(bytes);
     const Tick tx_done = std::max(now, nextFree) + ser;
     nextFree = tx_done;
-    tally.offered.add(bytes, ser);
+    offeredTally += {1, bytes};
 
     Tick extra = 0;
     std::uint64_t mag = 0;
     FaultPlane &fp = faultPlane();
     if (fp.active() && fp.fires(delay_site, now, unit, &mag)) {
         extra = mag ? Tick(mag) : hop;
-        ++tally.delays;
+        ++row.delayed;
     }
     dropped = fp.active() && fp.fires(drop_site, now, unit, &mag);
 
-    if (dropped)
-        tally.dropped.add(bytes, ser);
-    else
-        tally.carried[std::size_t(cls)].add(bytes, ser);
+    if (dropped) {
+        row.dropped.add(bytes);
+    } else {
+        row.carried[std::size_t(cls)].add(bytes);
+        if (cls == Traffic::Workload) {
+            workloadBytes += bytes;
+            busy += ser;
+        }
+    }
     return tx_done + hop + extra;
 }
 
-ChannelSet::ChannelSet(std::size_t n, Tick hop_latency,
-                       double gb_per_sec, std::uint32_t flit_bytes)
-    : chans(n, Channel(hop_latency, gb_per_sec, flit_bytes))
+ChannelSet::ChannelSet(const char *group_name, std::size_t n_rows)
+    : stats(group_name)
 {
+    for (std::size_t r = 0; r < n_rows; ++r)
+        rows.emplace_back(stats);
 }
 
 ChannelTotals
 ChannelSet::totals() const
 {
     ChannelTotals sum;
+    for (const ChannelRow &r : rows) {
+        for (std::size_t c = 0; c < sum.carried.size(); ++c)
+            sum.carried[c] += r.carried[c].read();
+        sum.dropped += r.dropped.read();
+        sum.delays += r.delayed.value();
+    }
     for (const Channel &c : chans)
-        sum += c.totals();
+        sum.offered += c.offered();
     return sum;
 }
 
@@ -89,36 +97,8 @@ ChannelSet::peakUtilization(Tick end) const
 {
     Tick peak = 0;
     for (const Channel &c : chans)
-        peak = std::max(peak, c.totals().of(Traffic::Workload).ticks);
+        peak = std::max(peak, c.busyTicks());
     return end ? double(peak) / double(end) : 0;
-}
-
-void
-ChannelSet::foldStats(
-    StatGroup &g,
-    const std::function<std::string(std::size_t)> &name) const
-{
-    for (std::size_t i = 0; i < chans.size(); ++i) {
-        const Tally &w = chans[i].totals().of(Traffic::Workload);
-        if (w.msgs) {
-            g.counter(name(i) + ".bytes") = w.bytes;
-            g.counter(name(i) + ".busyTicks") = w.ticks;
-        }
-    }
-    const ChannelTotals sum = totals();
-    auto put = [&g](const char *msgs, const char *bytes,
-                    const Tally &t) {
-        if (t.msgs) {
-            g.counter(msgs) = t.msgs;
-            g.counter(bytes) = t.bytes;
-        }
-    };
-    put("msgs", "bytes", sum.of(Traffic::Workload));
-    put("migMsgs", "migBytes", sum.of(Traffic::Migration));
-    put("probeMsgs", "probeBytes", sum.of(Traffic::Probe));
-    put("drops", "dropBytes", sum.dropped);
-    if (sum.delays)
-        g.counter("delayed") = sum.delays;
 }
 
 } // namespace dpu::sim

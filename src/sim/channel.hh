@@ -14,17 +14,21 @@
  * Accounting follows bp-forest's xfer_stat idiom, one record type
  * for every transfer: a send is counted `offered` on entry, then
  * lands in exactly one fate class — carried Workload, carried
- * Migration, carried Probe, or dropped — each with msgs, bytes and
- * wire ticks. So, for msgs and for bytes,
+ * Migration, carried Probe, or dropped — each with msgs and bytes.
+ * So, for msgs and for bytes,
  *
  *   offered == carried(Workload + Migration + Probe) + dropped
  *
  * and at both tiers bytesCarried(), messages() and utilization()
- * mean carried Workload only. ChannelSet::foldStats() writes one
- * key set for every tier, each cell only once nonzero (so stat
- * snapshots keep their golden key sets): msgs/bytes (Workload),
- * migMsgs/migBytes, probeMsgs/probeBytes, drops/dropBytes, delayed,
- * and <channel>.bytes/.busyTicks for channels that carried Workload.
+ * mean carried Workload only. The counters are the record: every
+ * tier's group (ChannelSet::statGroup()) holds one key set,
+ *  - msgs/bytes (Workload), migMsgs/migBytes, probeMsgs/probeBytes,
+ *    drops/dropBytes and delayed, counted in one row per source
+ *    (ChannelRow), each row written only by its source's thread;
+ *  - <channel>.bytes/.busyTicks, each channel's own carried
+ *    Workload bytes and wire ticks;
+ * each cell appearing at its first count. Only the offered tally
+ * behind the conservation law is a plain field.
  */
 
 #ifndef DPU_SIM_CHANNEL_HH
@@ -32,9 +36,7 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <vector>
+#include <deque>
 
 #include "sim/fault.hh"
 #include "sim/stats.hh"
@@ -50,25 +52,22 @@ enum class Traffic : std::uint8_t
     Probe,     ///< health-monitor heartbeats
 };
 
-/** Messages, bytes and wire ticks of one fate class. */
+/** Messages and bytes of one fate class. */
 struct Tally
 {
     std::uint64_t msgs = 0;
     std::uint64_t bytes = 0;
-    Tick ticks = 0;
 
-    void
-    add(std::uint64_t b, Tick t)
+    Tally &
+    operator+=(const Tally &o)
     {
-        ++msgs;
-        bytes += b;
-        ticks += t;
+        msgs += o.msgs;
+        bytes += o.bytes;
+        return *this;
     }
-
-    Tally &operator+=(const Tally &o);
 };
 
-/** A channel's (or a whole tier's) fate-exclusive tallies. */
+/** A tier's fate-exclusive tallies, read from its counters. */
 struct ChannelTotals
 {
     std::array<Tally, 3> carried{}; ///< indexed by Traffic
@@ -81,18 +80,53 @@ struct ChannelTotals
     {
         return carried[std::size_t(cls)];
     }
+};
 
-    ChannelTotals &operator+=(const ChannelTotals &o);
+/** One source's counters in its tier's group: msgs and bytes per
+ *  fate class, and delay firings. */
+struct ChannelRow
+{
+    /** A fate class's msgs and bytes cells. */
+    struct Fate
+    {
+        Counter msgs;
+        Counter bytes;
+
+        void
+        add(std::uint64_t b)
+        {
+            ++msgs;
+            bytes += b;
+        }
+
+        Tally
+        read() const
+        {
+            return {msgs.value(), bytes.value()};
+        }
+    };
+
+    explicit ChannelRow(StatGroup &g);
+
+    std::array<Fate, 3> carried; ///< indexed by Traffic
+    Fate dropped;
+    Counter delayed;
 };
 
 /** One store-and-forward wire with fate-exclusive accounting. */
 class Channel
 {
   public:
+    /** Longest cell prefix a channel keeps, with its terminator. */
+    static constexpr std::size_t nameBytes = 16;
+
     /** @p hop_latency per message, @p gb_per_sec serialization
-     *  bandwidth, @p flit_bytes minimum wire occupancy. */
+     *  bandwidth, @p flit_bytes minimum wire occupancy. Counts into
+     *  source row @p row and into @p g's cells "<@p name>.bytes"
+     *  and "<@p name>.busyTicks" (@p name is copied). */
     Channel(Tick hop_latency, double gb_per_sec,
-            std::uint32_t flit_bytes);
+            std::uint32_t flit_bytes, StatGroup &g, ChannelRow &row,
+            const char *name);
 
     /** Wire (serialization) ticks @p bytes occupy. */
     Tick serTicks(std::uint64_t bytes) const;
@@ -115,20 +149,29 @@ class Channel
         return nextFree > now ? nextFree - now : 0;
     }
 
-    const ChannelTotals &totals() const { return tally; }
+    /** Sends counted on entry, before the fate draw. */
+    const Tally &offered() const { return offeredTally; }
+
+    /** Wire ticks spent serializing carried Workload. */
+    Tick busyTicks() const { return busy.value(); }
 
   private:
     Tick hop;
     double gbPerSec;
     std::uint32_t flitBytes;
+    char prefix[nameBytes];
     Tick nextFree = 0;
-    ChannelTotals tally;
+    Tally offeredTally;
+    ChannelRow &row;
+    Counter workloadBytes;
+    Counter busy;
 };
 
 /**
- * A tier's channels and the accessors every tier answers under the
- * one law. LinkFabric and RackNet derive from it and add only what
- * differs: fault sites, fault units, routing and params.
+ * A tier's channels, its stat group, and the accessors every tier
+ * answers under the one law. LinkFabric and RackNet derive from it
+ * and add only what differs: fault sites, fault units, routing and
+ * params.
  */
 class ChannelSet
 {
@@ -161,19 +204,24 @@ class ChannelSet
      *  serializing carried Workload (0 when @p end is 0). */
     double peakUtilization(Tick end) const;
 
+    /** Channel @p i, in the tier's own order. */
+    const Channel &channel(std::size_t i) const { return chans[i]; }
+
+    StatGroup &statGroup() { return stats; }
+
   protected:
-    /** @p n channels of one timing. */
-    ChannelSet(std::size_t n, Tick hop_latency, double gb_per_sec,
-               std::uint32_t flit_bytes);
+    /** Group @p group_name with @p n_rows source rows; the derived
+     *  tier adds its channels. */
+    ChannelSet(const char *group_name, std::size_t n_rows);
 
-    /** Write the channels into @p g under the one key set in the
-     *  file comment. @p name(i) is channel i's cell prefix. */
-    void foldStats(StatGroup &g,
-                   const std::function<std::string(std::size_t)> &name)
-        const;
-
-    std::vector<Channel> chans;
+    StatGroup stats;
+    std::deque<ChannelRow> rows;
+    std::deque<Channel> chans;
 };
+
+// A channel, with the group entries of its two counters, stays
+// within 160 bytes of host memory: a board holds n^2 of them.
+static_assert(sizeof(Channel) + 2 * StatGroup::entryBytes <= 160);
 
 } // namespace dpu::sim
 

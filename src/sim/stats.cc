@@ -14,14 +14,28 @@ StatGroup::~StatGroup()
     StatsRegistry::instance().remove(this);
 }
 
-std::uint64_t
-StatGroup::get(const std::string &name) const
+bool
+StatGroup::Live::named(std::string_view name) const
 {
-    flush();
-    auto it = counters.find(name);
-    std::uint64_t v = it == counters.end() ? 0 : it->second;
+    if (!prefix)
+        return name == cell;
+    const std::string_view p(prefix);
+    return name.size() > p.size() && name.starts_with(p) &&
+           name[p.size()] == '.' && name.substr(p.size() + 1) == cell;
+}
+
+std::string
+StatGroup::Live::key() const
+{
+    return prefix ? std::string(prefix) + "." + cell : cell;
+}
+
+std::uint64_t
+StatGroup::get(std::string_view name) const
+{
+    std::uint64_t v = 0;
     for (const Live &l : live)
-        if (name == l.cell)
+        if (l.named(name))
             v += l.counter->v;
     return v;
 }
@@ -29,11 +43,10 @@ StatGroup::get(const std::string &name) const
 std::map<std::string, std::uint64_t>
 StatGroup::counterCells() const
 {
-    flush();
-    std::map<std::string, std::uint64_t> cells = counters;
+    std::map<std::string, std::uint64_t> cells;
     for (const Live &l : live)
         if (l.counter->touched)
-            cells[l.cell] += l.counter->v;
+            cells[l.key()] += l.counter->v;
     return cells;
 }
 
@@ -44,20 +57,6 @@ StatGroup::dump(std::ostream &os) const
         os << groupName << "." << name << " = " << value << "\n";
     for (const auto &[name, value] : scalars)
         os << groupName << "." << name << " = " << value << "\n";
-}
-
-void
-StatGroup::reset()
-{
-    // Fold computed cells first so their counts don't survive the
-    // reset and leak into the next measurement window.
-    flush();
-    for (auto &[name, value] : counters)
-        value = 0;
-    for (Live &l : live)
-        l.counter->v = 0;
-    for (auto &[name, value] : scalars)
-        value = 0.0;
 }
 
 } // namespace dpu::sim

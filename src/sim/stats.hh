@@ -2,18 +2,20 @@
  * @file
  * Lightweight statistics registry.
  *
- * Components register named counters with a StatGroup; the SoC can
- * dump all groups as a flat name = value listing. Counters are plain
- * uint64_t / double cells so hot paths pay only an increment.
+ * Components register named cells with a StatGroup; the SoC can
+ * dump all groups as a flat name = value listing.
  *
- * A cell is the one record of its count, and a component's summary
- * struct is a fold of its cells. Host-phase control paths (the
- * schedulers and balancers) increment cells directly where each
- * event happens (`++stats.counter("migCommitted")`), which creates
- * the cell at its first hit. Kernel hot paths and writers on
- * partition threads instead hold a Counter: a member that names its
- * cell once, at construction, and that the group reads live. Its
- * increment is a plain add, and no fold copies it anywhere.
+ * One counting rule: every counter cell is counted by Counters, and
+ * only by them. A Counter is a member that names its cell once, at
+ * construction, and that its group reads live; its increment is a
+ * plain add, on whichever thread owns the counter (a partition
+ * writes its own). No fold copies a count anywhere, and a
+ * component's summary struct is a fold of its cells. Floating-point
+ * cells (scalar()) are written by a component's end-of-run summary.
+ *
+ * Reading runs no code: get(), counterCells(), dump() and registry
+ * snapshots are const walks over the counters and scalars, so two
+ * reads in a row agree and a read leaves no cell behind.
  *
  * Every live StatGroup is also tracked by the process-wide
  * StatsRegistry (see stats_registry.hh), which snapshots all groups
@@ -25,42 +27,118 @@
 #ifndef DPU_SIM_STATS_HH
 #define DPU_SIM_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dpu::sim {
 
-class StatGroup;
+class Counter;
+
+/** A named group of counter and floating-point cells. */
+class StatGroup
+{
+  public:
+    explicit StatGroup(std::string name);
+    ~StatGroup();
+
+    StatGroup(const StatGroup &) = delete;
+    StatGroup &operator=(const StatGroup &) = delete;
+
+    /** Register (or fetch) a floating-point cell by name. */
+    double &
+    scalar(const std::string &name)
+    {
+        return scalars[name];
+    }
+
+    /** Read a counter cell: the sum of its counters (0 if none). */
+    std::uint64_t get(std::string_view name) const;
+
+    /** Read a floating-point cell (0.0 if never written). */
+    double
+    getScalar(const std::string &name) const
+    {
+        auto it = scalars.find(name);
+        return it == scalars.end() ? 0.0 : it->second;
+    }
+
+    const std::string &name() const { return groupName; }
+
+    /** Every touched counter cell, name-ordered (snapshot/diff
+     *  tooling). */
+    std::map<std::string, std::uint64_t> counterCells() const;
+
+    /** All floating-point cells, name-ordered. */
+    const std::map<std::string, double> &
+    scalarCells() const
+    {
+        return scalars;
+    }
+
+    /** Write "group.name = value" lines for every cell. */
+    void dump(std::ostream &os) const;
+
+    /** Host bytes one Counter adds to its group's index. */
+    static constexpr std::size_t entryBytes = 3 * sizeof(void *);
+
+  private:
+    friend class Counter;
+
+    /** A Counter and the cell it counts into. */
+    struct Live
+    {
+        const char *prefix; ///< nullptr for a bare literal
+        const char *cell;
+        const Counter *counter;
+
+        bool named(std::string_view name) const;
+        std::string key() const;
+    };
+    static_assert(sizeof(Live) == entryBytes);
+
+    std::string groupName;
+    std::map<std::string, double> scalars;
+    std::vector<Live> live;
+};
 
 /**
  * A counter that is its own stat cell.
  *
- * The string-keyed counter() lookup is cheap enough for control
- * paths but shows up hard when charged per load or per issue slot
- * (the dpCore's LSU path counts once per 8 bytes moved). A Counter
- * is constructed against its group with its cell name, and the
- * group reads it in get(), dump(), reset() and snapshots, so the
- * counter is the only record of its count:
+ * It is constructed against its group with its cell name, and the
+ * group reads it in get(), dump() and snapshots, so the counter is
+ * the only record of its count:
  *  - its cell appears the first time it is touched (an add of 0
- *    counts), the same rule as direct counter() use;
+ *    counts);
  *  - several counters may name one cell (one per source chip or
  *    fault domain, each written by its own thread), and the cell
- *    reads as their sum, plus any direct counter() value.
+ *    reads as their sum.
  *
- * The group keeps the counter's address and the name pointer, so a
- * counter does not move, its name is a string literal, and it lives
- * as long as its group is read (in practice both are members of one
- * owner, the group declared first).
+ * A cell name is a string literal, or a short prefix its owner keeps
+ * ("ch0to1", "b2") and a literal, read as "<prefix>.<cell>"; either
+ * way no name is allocated. The group keeps the counter's address
+ * and the name pointers, so a counter does not move, and it and its
+ * prefix live as long as its group is read (in practice all are
+ * members of one owner, the group declared first).
  */
 class Counter
 {
   public:
     /** Count into @p group's cell @p cell (a string literal). */
-    Counter(StatGroup &group, const char *cell);
+    Counter(StatGroup &group, const char *cell)
+        : Counter(group, nullptr, cell)
+    {
+    }
+
+    /** Count into @p group's cell "<prefix>.<cell>". */
+    Counter(StatGroup &group, const char *prefix, const char *cell)
+    {
+        group.live.push_back({prefix, cell, this});
+    }
 
     Counter(const Counter &) = delete;
     Counter &operator=(const Counter &) = delete;
@@ -95,107 +173,6 @@ class Counter
     std::uint64_t v = 0;
     bool touched = false;
 };
-
-/** A named group of scalar statistics. */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name);
-    ~StatGroup();
-
-    StatGroup(const StatGroup &) = delete;
-    StatGroup &operator=(const StatGroup &) = delete;
-
-    /** Register (or fetch) a counter cell by name. */
-    std::uint64_t &
-    counter(const std::string &name)
-    {
-        return counters[name];
-    }
-
-    /** Register (or fetch) a floating-point cell by name. */
-    double &
-    scalar(const std::string &name)
-    {
-        return scalars[name];
-    }
-
-    /**
-     * Run @p hook before any read of the cells (get, dump,
-     * snapshot, reset). Owners use this for cells computed from
-     * other state (the channel tallies, the landers' stale-chunk
-     * counts); the hook must only write cells, never read other
-     * groups. The registering object must outlive the group's last
-     * read (in practice: hooks capture `this` of the object that
-     * owns or co-owns the group).
-     */
-    void
-    addFlushHook(std::function<void()> hook)
-    {
-        flushHooks.push_back(std::move(hook));
-    }
-
-    /** Read a counter (0 if never touched). */
-    std::uint64_t get(const std::string &name) const;
-
-    /** Read a floating-point cell (0.0 if never touched). */
-    double
-    getScalar(const std::string &name) const
-    {
-        flush();
-        auto it = scalars.find(name);
-        return it == scalars.end() ? 0.0 : it->second;
-    }
-
-    const std::string &name() const { return groupName; }
-
-    /** All counter cells, name-ordered (snapshot/diff tooling). */
-    std::map<std::string, std::uint64_t> counterCells() const;
-
-    /** All floating-point cells, name-ordered. */
-    const std::map<std::string, double> &
-    scalarCells() const
-    {
-        flush();
-        return scalars;
-    }
-
-    /** Write "group.name = value" lines for every cell. */
-    void dump(std::ostream &os) const;
-
-    /** Zero every cell (used between benchmark repetitions). */
-    void reset();
-
-  private:
-    friend class Counter;
-
-    /** A Counter and the cell it counts into. */
-    struct Live
-    {
-        const char *cell;
-        Counter *counter;
-    };
-
-    /** Run the flush hooks; they mutate the maps through the
-     *  owner's non-const handle, hence callable from const reads. */
-    void
-    flush() const
-    {
-        for (const auto &h : flushHooks)
-            h();
-    }
-
-    std::string groupName;
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, double> scalars;
-    std::vector<Live> live;
-    std::vector<std::function<void()>> flushHooks;
-};
-
-inline Counter::Counter(StatGroup &group, const char *cell)
-{
-    group.live.push_back({cell, this});
-}
 
 } // namespace dpu::sim
 

@@ -43,9 +43,6 @@ class Clock
      */
     explicit constexpr Clock(Tick period_ps) : period(period_ps) {}
 
-    /** Clock period in ticks. */
-    constexpr Tick periodTicks() const { return period; }
-
     /** Convert a cycle count to a tick duration. */
     constexpr Tick cyclesToTicks(Cycles c) const { return c * period; }
 

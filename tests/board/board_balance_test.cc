@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -557,6 +558,84 @@ TEST(BoardBalance, ExhaustedRetransmitsAbortCleanlyAndKeepHomes)
     expectImagesIntact(s);
     expectInvariants(s);
     EXPECT_EQ(s.sched->summary().completed, 240u);
+}
+
+TEST(BoardBalance, LinkCellsReadTheFabricTotalsUnderDrops)
+{
+    // The balanced scenario under link drops and delays, with
+    // host-phase Workload sends beside the balancer's chunks and
+    // deltas: every "link" cell reads the fabric's own totals, per
+    // fate class and per channel, and the landers' stale deliveries
+    // read as one board.balance cell. The 900 us delays land some
+    // chunks of aborted migrations after the abort, as stale ones.
+    PlaneGuard g;
+    sim::faultPlane().configure(
+        "link.drop@p=0.5;link.delay@p=0.5,mag=900000000", 5);
+    Scenario s(2);
+    board::LinkFabric &fab = s.brd->fabric();
+    std::map<std::string, std::uint64_t> carried; // Workload, by channel
+    for (unsigned i = 0; i < 48; ++i) {
+        const unsigned src = i % kDpus;
+        const unsigned dst = (src + 1 + i / kDpus % (kDpus - 1)) % kDpus;
+        const std::uint64_t bytes = 64 + 40 * i;
+        bool dropped = false;
+        fab.send(src, dst, bytes, sim::Traffic::Workload, [] {},
+                 dropped);
+        if (!dropped)
+            carried["ch" + std::to_string(src) + "to" +
+                    std::to_string(dst)] += bytes;
+    }
+    s.offerSkewed(240);
+    s.sched->run();
+
+    const sim::ChannelTotals t = fab.totals();
+    ASSERT_GT(t.of(sim::Traffic::Workload).msgs, 0u);
+    ASSERT_GT(t.of(sim::Traffic::Migration).msgs, 0u);
+    ASSERT_GT(t.dropped.msgs, 0u);
+    ASSERT_GT(t.delays, 0u);
+    std::map<std::string, std::uint64_t> want;
+    const auto fate = [&want](const char *msgs, const char *bytes,
+                              const sim::Tally &c) {
+        if (c.msgs) {
+            want[msgs] = c.msgs;
+            want[bytes] = c.bytes;
+        }
+    };
+    fate("msgs", "bytes", t.of(sim::Traffic::Workload));
+    fate("migMsgs", "migBytes", t.of(sim::Traffic::Migration));
+    fate("probeMsgs", "probeBytes", t.of(sim::Traffic::Probe));
+    fate("drops", "dropBytes", t.dropped);
+    want["delayed"] = t.delays;
+    for (unsigned src = 0; src < kDpus; ++src) {
+        for (unsigned dst = 0; dst < kDpus; ++dst) {
+            const std::string ch = "ch" + std::to_string(src) + "to" +
+                                   std::to_string(dst);
+            const sim::Tick busy =
+                fab.channel(src * kDpus + dst).busyTicks();
+            EXPECT_EQ(busy > 0, carried.count(ch) == 1) << ch;
+            if (carried.count(ch)) {
+                want[ch + ".bytes"] = carried[ch];
+                want[ch + ".busyTicks"] = busy;
+            }
+        }
+    }
+
+    // No bulk DMA runs here, so the fabric's cells are all of them.
+    const sim::StatsSnapshot snap =
+        sim::StatsRegistry::instance().snapshot();
+    std::map<std::string, std::uint64_t> link;
+    for (const auto &[key, value] : snap.counters)
+        if (key.starts_with("link."))
+            link[key.substr(5)] = value;
+    EXPECT_EQ(link, want);
+    expectInvariants(s);
+
+    std::uint64_t stale = 0;
+    for (unsigned d = 0; d < kDpus; ++d)
+        stale += s.bal().lander(d).staleDeliveries();
+    const auto it = snap.counters.find("board.balance.staleDeliveries");
+    EXPECT_GT(stale, 0u) << "the stale path was not exercised";
+    EXPECT_EQ(it == snap.counters.end() ? 0 : it->second, stale);
 }
 
 TEST(BoardBalance, WedgedDmacTimesOutPoisonsRolesAndRunFinishes)

@@ -17,6 +17,7 @@
 #include "dms/handoff.hh"
 #include "dms/handoff_exec.hh"
 #include "sim/fault.hh"
+#include "sim/stats.hh"
 #include "soc/soc.hh"
 
 using namespace dpu;
@@ -244,7 +245,8 @@ deliverAll(HandoffLander &lander, unsigned gen,
 TEST(HandoffLanderTest, LandsDeliveredChunksByteExactly)
 {
     soc::Soc s;
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
+    sim::StatGroup g("handoff");
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), g);
 
     const HandoffPlan plan =
         planRangeHandoff(srcBase, stateBytes, chunkBytes, 8);
@@ -263,7 +265,8 @@ TEST(HandoffLanderTest, LandsDeliveredChunksByteExactly)
 TEST(HandoffLanderTest, ToleratesReorderedDeliveries)
 {
     soc::Soc s;
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
+    sim::StatGroup g("handoff");
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), g);
 
     const HandoffPlan plan =
         planRangeHandoff(srcBase, stateBytes, chunkBytes, 8);
@@ -286,7 +289,8 @@ TEST(HandoffLanderTest, ToleratesReorderedDeliveries)
 TEST(HandoffLanderTest, StaleGenerationsDropWithoutLanding)
 {
     soc::Soc s;
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
+    sim::StatGroup g("handoff");
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), g);
 
     const HandoffPlan plan =
         planRangeHandoff(srcBase, stateBytes, chunkBytes, 8);
@@ -299,6 +303,7 @@ TEST(HandoffLanderTest, StaleGenerationsDropWithoutLanding)
     deliverAll(lander, aborted, plan, {0, 1});
     s.run();
     EXPECT_EQ(lander.staleDeliveries(), 2u);
+    EXPECT_EQ(g.get("staleDeliveries"), 2u);
     EXPECT_EQ(lander.landed(), 0u);
     EXPECT_FALSE(lander.busy());
     const std::vector<std::uint8_t> img = ddrImage(s, dstBase);
@@ -323,7 +328,8 @@ TEST(HandoffExecTest, RoundTripReproducesSourceImage)
     soc::Soc s;
     seedSource(s);
     HandoffExec exec(s.dms(), 0, s.core(0).dmem());
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
+    sim::StatGroup g("handoff");
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), g);
 
     const HandoffPlan plan =
         planRangeHandoff(srcBase, stateBytes, chunkBytes, 8);
@@ -394,7 +400,8 @@ TEST(HandoffExecDeathTest, PlanOverrunningChainWindowDies)
 TEST(HandoffLanderDeathTest, OversizePayloadDies)
 {
     soc::Soc s;
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
+    sim::StatGroup g("handoff");
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), g);
     const unsigned gen = lander.expect(1);
     const std::vector<std::uint8_t> fat(2 * dms::stagingBufBytes, 0);
     EXPECT_DEATH(lander.deliver(gen, 0, dstBase, fat, 8),
@@ -404,7 +411,8 @@ TEST(HandoffLanderDeathTest, OversizePayloadDies)
 TEST(HandoffLanderDeathTest, RaggedPayloadDies)
 {
     soc::Soc s;
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
+    sim::StatGroup g("handoff");
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), g);
     const unsigned gen = lander.expect(1);
     const std::vector<std::uint8_t> ragged(12, 0);
     EXPECT_DEATH(lander.deliver(gen, 0, dstBase, ragged, 8),
@@ -414,7 +422,8 @@ TEST(HandoffLanderDeathTest, RaggedPayloadDies)
 TEST(HandoffLanderDeathTest, ReArmWhileBusyDies)
 {
     soc::Soc s;
-    HandoffLander lander(s.dms(), 0, s.core(0).dmem());
+    sim::StatGroup g("handoff");
+    HandoffLander lander(s.dms(), 0, s.core(0).dmem(), g);
     const unsigned gen = lander.expect(1);
     const std::vector<std::uint8_t> payload(64, 1);
     lander.deliver(gen, 0, dstBase, payload, 8);

@@ -159,16 +159,3 @@ TEST_F(TwoCoreFixture, PartialWriteMergesWithMemoryContents)
     a.read(0x800, &v, 8, 0);
     EXPECT_EQ(v, 0xaaaaaaaaaaaabbaaull);
 }
-
-TEST_F(TwoCoreFixture, FlushAllCleansEverything)
-{
-    std::uint64_t v = 5;
-    for (int i = 0; i < 100; ++i)
-        a.write(std::uint64_t(i) * 64, &v, 8, 0);
-    a.flushAll(0);
-    l2.flushAll(0);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(mm.store().load<std::uint64_t>(std::uint64_t(i) * 64),
-                  5u);
-    EXPECT_FALSE(a.contains(0));
-}

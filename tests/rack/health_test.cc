@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -108,6 +109,8 @@ struct MonitoredRun
     std::vector<rack::HealthTransition> transitions;
     std::vector<rack::BoardHealth> finalState;
     sim::ChannelTotals net; ///< the RackNet's fate tallies
+    /** Each board ingress channel's carried-Workload wire ticks. */
+    std::vector<sim::Tick> netBusy;
     bool finished = false;
 };
 
@@ -170,6 +173,8 @@ runMonitoredScenario(
     for (unsigned b = 0; b < r->nBoards(); ++b)
         out.finalState.push_back(sched.health().state(b));
     out.net = r->net().totals();
+    for (unsigned b = 0; b < r->nBoards(); ++b)
+        out.netBusy.push_back(r->net().channel(b).busyTicks());
     if (inspect)
         inspect(sched);
     sim::faultPlane().reset();
@@ -665,6 +670,53 @@ TEST(HealthChaos, CrashMidMigrationLeavesNoDoubleAssignment)
         << " stat(s) differ between threads 1 and 2 under the "
            "chaos schedule:\n"
         << sim::formatDiffs(diffs);
+}
+
+TEST(HealthChaos, EveryRacknetCellIsTheNetsTotal)
+{
+    // Requests, heartbeats, hand-offs and deltas share the RackNet
+    // under drops and delays: every "racknet" cell reads the
+    // RackNet's own totals, per fate class and per board.
+    const auto run = runMonitoredScenario(
+        1, "rack.netDrop@p=0.05;rack.netDelay@p=0.05",
+        monitoredParams(), true);
+    ASSERT_FALSE(run.snap.counters.empty());
+    const sim::ChannelTotals &t = run.net;
+    ASSERT_GT(t.of(sim::Traffic::Workload).msgs, 0u);
+    ASSERT_GT(t.of(sim::Traffic::Migration).msgs, 0u);
+    ASSERT_GT(t.of(sim::Traffic::Probe).msgs, 0u);
+    ASSERT_GT(t.dropped.msgs, 0u);
+    ASSERT_GT(t.delays, 0u);
+
+    std::map<std::string, std::uint64_t> want = {
+        {"msgs", t.of(sim::Traffic::Workload).msgs},
+        {"bytes", t.of(sim::Traffic::Workload).bytes},
+        {"migMsgs", t.of(sim::Traffic::Migration).msgs},
+        {"migBytes", t.of(sim::Traffic::Migration).bytes},
+        {"probeMsgs", t.of(sim::Traffic::Probe).msgs},
+        {"probeBytes", t.of(sim::Traffic::Probe).bytes},
+        {"drops", t.dropped.msgs},
+        {"dropBytes", t.dropped.bytes},
+        {"delayed", t.delays},
+    };
+    std::map<std::string, std::uint64_t> got;
+    for (const auto &[key, value] : run.snap.counters)
+        if (key.starts_with("racknet."))
+            got[key.substr(8)] = value;
+    // The boards' bytes cells sum to the Workload bytes; each
+    // board's busy ticks are its channel's.
+    std::uint64_t boardBytes = 0;
+    for (unsigned b = 0; b < run.netBusy.size(); ++b) {
+        const std::string ch = "board" + std::to_string(b);
+        if (!run.netBusy[b])
+            continue;
+        want[ch + ".busyTicks"] = run.netBusy[b];
+        want[ch + ".bytes"] = cell(run.snap, "racknet." + ch + ".bytes");
+        boardBytes += want[ch + ".bytes"];
+    }
+    EXPECT_EQ(boardBytes, t.of(sim::Traffic::Workload).bytes);
+    EXPECT_EQ(got, want);
+    expectNetConserved(t);
 }
 
 TEST(HealthChaos, TenRunDeterminismWallWithDetectionLive)

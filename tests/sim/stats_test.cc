@@ -1,15 +1,19 @@
 /**
  * @file
- * Unit tests for StatGroup accessors, dump()/reset() ordering, the
- * Counter cells a group reads live, the StatsRegistry snapshot,
+ * Unit tests for StatGroup accessors, dump() ordering, the Counter
+ * cells a group reads live (bare and prefixed names), reads that
+ * leave the cells as they were, the StatsRegistry snapshot,
  * snapshot JSON round-tripping, and the JSON reader's numbers beyond
  * int64's range.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "sim/json.hh"
 #include "sim/stats.hh"
@@ -20,8 +24,9 @@ using namespace dpu::sim;
 TEST(StatGroup, CounterAndScalarAccessors)
 {
     StatGroup g("g");
-    g.counter("hits") = 7;
-    g.counter("hits") += 3;
+    Counter hits(g, "hits");
+    hits += 7;
+    hits += 3;
     g.scalar("ratio") = 0.25;
 
     EXPECT_EQ(g.get("hits"), 10u);
@@ -33,8 +38,10 @@ TEST(StatGroup, CounterAndScalarAccessors)
 TEST(StatGroup, DumpIsNameOrderedCountersThenScalars)
 {
     StatGroup g("grp");
-    g.counter("zeta") = 1;
-    g.counter("alpha") = 2;
+    Counter zeta(g, "zeta");
+    Counter alpha(g, "alpha");
+    ++zeta;
+    alpha += 2;
     g.scalar("mid") = 1.5;
 
     std::ostringstream os;
@@ -43,16 +50,6 @@ TEST(StatGroup, DumpIsNameOrderedCountersThenScalars)
               "grp.alpha = 2\n"
               "grp.zeta = 1\n"
               "grp.mid = 1.5\n");
-
-    // A second dump after reset keeps the cells (zeroed), in the
-    // same order — reset must not unregister anything.
-    g.reset();
-    std::ostringstream os2;
-    g.dump(os2);
-    EXPECT_EQ(os2.str(),
-              "grp.alpha = 0\n"
-              "grp.zeta = 0\n"
-              "grp.mid = 0\n");
 }
 
 TEST(StatGroup, CountersAreReadLiveAndShareACellAsASum)
@@ -83,16 +80,51 @@ TEST(StatGroup, CountersAreReadLiveAndShareACellAsASum)
     EXPECT_EQ(StatsRegistry::instance().snapshot().counters.at(
                   "ctr_test.n"),
               5u);
+}
 
-    // reset() zeroes both counters and keeps the cell.
-    g.reset();
-    EXPECT_EQ(a.value(), 0u);
-    EXPECT_EQ(b.value(), 0u);
-    std::ostringstream os2;
-    g.dump(os2);
-    EXPECT_EQ(os2.str(), "ctr_test.n = 0\n");
-    ++b;
-    EXPECT_EQ(g.get("n"), 1u);
+TEST(StatGroup, PrefixedCounterReadsUnderItsComposedCell)
+{
+    StatGroup g("pfx_test");
+    char prefix[8] = "ch0to1";
+    Counter bytes(g, prefix, "bytes");
+    Counter busy(g, prefix, "busyTicks");
+    Counter bare(g, "bytes");
+    bytes += 40;
+    ++bare;
+
+    // The prefix and the literal compose one cell; the bare literal
+    // is a cell of its own, and the untouched counter has none.
+    EXPECT_EQ(g.get("ch0to1.bytes"), 40u);
+    EXPECT_EQ(g.get("bytes"), 1u);
+    EXPECT_EQ(g.get("ch0to1"), 0u);
+    EXPECT_EQ(g.get("ch0to1.byte"), 0u);
+    EXPECT_EQ(g.get("ch0to1bytes"), 0u);
+    const std::map<std::string, std::uint64_t> cells = g.counterCells();
+    EXPECT_EQ(cells, (std::map<std::string, std::uint64_t>{
+                         {"bytes", 1}, {"ch0to1.bytes", 40}}));
+    EXPECT_EQ(StatsRegistry::instance().snapshot().counters.at(
+                  "pfx_test.ch0to1.bytes"),
+              40u);
+}
+
+TEST(StatGroup, ReadsRunNoCodeAndLeaveNoCell)
+{
+    StatGroup g("read_test");
+    Counter hits(g, "hits");
+    hits += 2;
+
+    // Reading an absent name creates nothing.
+    EXPECT_EQ(g.get("absent"), 0u);
+    EXPECT_EQ(g.counterCells().count("absent"), 0u);
+    EXPECT_EQ(StatsRegistry::instance().snapshot().counters.count(
+                  "read_test.absent"),
+              0u);
+
+    // Two snapshots in a row are equal: a read changes no cell.
+    const StatsSnapshot first = StatsRegistry::instance().snapshot();
+    const StatsSnapshot second = StatsRegistry::instance().snapshot();
+    EXPECT_TRUE(first == second);
+    EXPECT_EQ(second.counters.at("read_test.hits"), 2u);
 }
 
 TEST(StatsRegistry, SnapshotCoversLiveGroupsOnly)
@@ -102,7 +134,8 @@ TEST(StatsRegistry, SnapshotCoversLiveGroupsOnly)
     StatsSnapshot outer;
     {
         StatGroup g("reg_test");
-        g.counter("x") = 42;
+        Counter x(g, "x");
+        x += 42;
         EXPECT_EQ(StatsRegistry::instance().groupCount(), before + 1);
         outer = StatsRegistry::instance().snapshot();
     }
@@ -117,8 +150,10 @@ TEST(StatsRegistry, DuplicateGroupNamesAreDisambiguated)
 {
     StatGroup a("dup");
     StatGroup b("dup");
-    a.counter("n") = 1;
-    b.counter("n") = 2;
+    Counter na(a, "n");
+    Counter nb(b, "n");
+    ++na;
+    nb += 2;
     StatsSnapshot snap = StatsRegistry::instance().snapshot();
     EXPECT_EQ(snap.counters.at("dup.n"), 1u);
     EXPECT_EQ(snap.counters.at("dup#1.n"), 2u);

@@ -67,7 +67,15 @@ TEST(GoldenStats, Fig14HeadToHead)
             {"disparity", {{"width", "128"}, {"height", "64"}}},
         };
 
-    std::vector<std::unique_ptr<sim::StatGroup>> groups;
+    /** One app's result cells. */
+    struct AppCells
+    {
+        explicit AppCells(const std::string &app) : g("fig14." + app) {}
+        sim::StatGroup g;
+        sim::Counter dpuTicks{g, "dpuTicks"};
+        sim::Counter matched{g, "matched"};
+    };
+    std::vector<std::unique_ptr<AppCells>> groups;
     for (const apps::AppSpec &spec : apps::registry()) {
         apps::ConfigHandle cfg = spec.makeConfig();
         for (const auto &[app, opts] : smoke) {
@@ -78,12 +86,12 @@ TEST(GoldenStats, Fig14HeadToHead)
         }
         const apps::AppResult r = spec.run(cfg);
 
-        auto &g = *groups.emplace_back(
-            std::make_unique<sim::StatGroup>("fig14." + spec.name));
-        g.counter("dpuTicks") = std::llround(r.dpuSeconds * 1e12);
-        g.counter("matched") = r.matched;
-        g.scalar("xeonSeconds") = r.xeonSeconds;
-        g.scalar("workUnits") = r.workUnits;
+        AppCells &c = *groups.emplace_back(
+            std::make_unique<AppCells>(spec.name));
+        c.dpuTicks += std::uint64_t(std::llround(r.dpuSeconds * 1e12));
+        c.matched += r.matched;
+        c.g.scalar("xeonSeconds") = r.xeonSeconds;
+        c.g.scalar("workUnits") = r.workUnits;
     }
     ASSERT_EQ(groups.size(), 9u);
     expectGolden("fig14", sim::StatsRegistry::instance().snapshot());
