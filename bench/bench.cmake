@@ -27,3 +27,4 @@ target_link_libraries(bench_board PRIVATE dpu_host dpu_board dpu_topo)
 dpu_add_bench(bench_rack)
 target_link_libraries(bench_rack PRIVATE dpu_host dpu_board dpu_rack dpu_topo)
 dpu_add_bench(bench_simperf)
+target_link_libraries(bench_simperf PRIVATE dpu_board dpu_topo)

@@ -20,10 +20,24 @@
  * SoC workload underruns the floor — CI pins a conservative floor
  * so an order-of-magnitude event-kernel regression fails the job
  * while machine-to-machine variance does not.
+ *
+ * `--scale` runs the host-cost scaling row instead: boards of 4, 64
+ * and 512 DPUs (4 and 64 with `--smoke`), each built, run through
+ * the distributed HLL at 4,096 elements per DPU, then with every
+ * agent (32 dpCores and the A9 per chip) started, and torn down. Per
+ * DPU count it reports build, run and teardown wall ms per DPU,
+ * kernel mappings per chip at construction and with every agent
+ * started, and resident MB per DPU, and it exits non-zero when the
+ * HLL sketch is wrong. A process holds at most vm.max_map_count
+ * mappings (65,530 by default), so mappings per chip set how many
+ * chips one process can build.
  */
+
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -31,10 +45,13 @@
 #include <thread>
 
 #include "bench/report.hh"
+#include "board/board.hh"
+#include "board/board_apps.hh"
 #include "rt/dms_ctl.hh"
 #include "sim/parallel.hh"
 #include "sim/rng.hh"
 #include "soc/soc.hh"
+#include "topo/topology.hh"
 
 using namespace dpu;
 
@@ -251,6 +268,125 @@ runParallelKernel(std::uint64_t total_per_part, unsigned chains,
     return {"kernel4x" + std::to_string(threads), end, wall, events};
 }
 
+/** The process's kernel mappings: lines of /proc/self/maps. */
+long
+mappingCount()
+{
+    std::ifstream f("/proc/self/maps");
+    long n = 0;
+    for (std::string line; std::getline(f, line);)
+        ++n;
+    return n;
+}
+
+/** The process's resident bytes (/proc/self/statm). */
+double
+residentBytes()
+{
+    std::ifstream f("/proc/self/statm");
+    long size = 0, resident = 0;
+    f >> size >> resident;
+    return double(resident) * double(sysconf(_SC_PAGESIZE));
+}
+
+/** One DPU count of the scaling row. */
+struct ScaleRow
+{
+    unsigned dpus = 0;
+    double buildMsPerDpu = 0;
+    double runMsPerDpu = 0;
+    double teardownMsPerDpu = 0;
+    double mapsPerChipBuilt = 0;
+    double mapsPerChipStarted = 0;
+    double residentMbPerDpu = 0;
+    bool hllExact = false;
+};
+
+/** Build a board of @p n DPUs, run the distributed HLL on it, start
+ *  every agent, and tear it down, timing each phase. */
+ScaleRow
+runScale(unsigned n)
+{
+    ScaleRow r;
+    r.dpus = n;
+    const long maps0 = mappingCount();
+    const double rss0 = residentBytes();
+
+    double t0 = wallNow();
+    std::unique_ptr<board::Board> b =
+        topo::ClusterTopology::board(n).buildBoard();
+    r.buildMsPerDpu = (wallNow() - t0) * 1e3 / n;
+    r.mapsPerChipBuilt = double(mappingCount() - maps0) / n;
+
+    board::DistHllConfig cfg;
+    cfg.elementsPerDpu = 4096;
+    t0 = wallNow();
+    r.hllExact = board::runDistributedHll(*b, cfg).sketchExact;
+    r.runMsPerDpu = (wallNow() - t0) * 1e3 / n;
+
+    // Every agent holds a fiber stack from its first start on.
+    for (unsigned d = 0; d < n; ++d) {
+        b->dpu(d).startAll([](core::DpCore &c) { c.cycles(1); });
+        b->dpu(d).a9().start([](soc::HostA9 &) {});
+    }
+    b->run();
+    r.mapsPerChipStarted = double(mappingCount() - maps0) / n;
+    r.residentMbPerDpu = (residentBytes() - rss0) / 1e6 / n;
+
+    t0 = wallNow();
+    b.reset();
+    r.teardownMsPerDpu = (wallNow() - t0) * 1e3 / n;
+    return r;
+}
+
+/** The --scale mode: one ScaleRow per DPU count, and the JSON line.
+ *  @return the exit code. */
+int
+scaleMain(bool smoke)
+{
+    bench::header("simperf scale",
+                  "host cost per DPU: board build, HLL run, every "
+                  "agent started, teardown");
+    bench::row("  %5s %9s %9s %9s %11s %11s %9s", "dpus", "build ms",
+               "run ms", "tear ms", "maps built", "maps agents",
+               "RSS MB");
+    bench::row("  %5s %9s %9s %9s %11s %11s %9s", "", "/DPU", "/DPU",
+               "/DPU", "/chip", "/chip", "/DPU");
+    std::vector<ScaleRow> rows;
+    for (unsigned n : {4u, 64u, 512u}) {
+        if (smoke && n > 64)
+            break;
+        rows.push_back(runScale(n));
+        const ScaleRow &r = rows.back();
+        bench::row("  %5u %9.3f %9.3f %9.3f %11.2f %11.2f %9.3f%s",
+                   r.dpus, r.buildMsPerDpu, r.runMsPerDpu,
+                   r.teardownMsPerDpu, r.mapsPerChipBuilt,
+                   r.mapsPerChipStarted, r.residentMbPerDpu,
+                   r.hllExact ? "" : "  HLL sketch wrong");
+    }
+
+    bench::Json j;
+    j.field("bench", "simperf_scale")
+        .field("smoke", std::uint64_t(smoke ? 1 : 0));
+    j.arr("rows");
+    bool ok = true;
+    for (const ScaleRow &r : rows) {
+        ok = ok && r.hllExact;
+        j.elem()
+            .field("dpus", std::uint64_t(r.dpus))
+            .field("buildMsPerDpu", r.buildMsPerDpu)
+            .field("runMsPerDpu", r.runMsPerDpu)
+            .field("teardownMsPerDpu", r.teardownMsPerDpu)
+            .field("mapsPerChipBuilt", r.mapsPerChipBuilt)
+            .field("mapsPerChipStarted", r.mapsPerChipStarted)
+            .field("residentMbPerDpu", r.residentMbPerDpu)
+            .field("hllExact", std::uint64_t(r.hllExact ? 1 : 0))
+            .end();
+    }
+    j.end();
+    return ok ? 0 : 2;
+}
+
 } // namespace
 
 int
@@ -258,6 +394,8 @@ main(int argc, char **argv)
 {
     sim::setVerbose(false);
     const bool smoke = bench::smokeRun(argc, argv);
+    if (bench::flag(argc, argv, "--scale"))
+        return scaleMain(smoke);
     const double floor =
         std::atof(bench::argValue(argc, argv, "--floor", "0"));
     const unsigned repeat = smoke ? 1 : 3;

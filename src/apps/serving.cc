@@ -150,7 +150,8 @@ groupByJob(const sql::GroupByConfig &cfg, const ServingContext &ctx)
             for (std::uint32_t i = 0; i < blen; i += 8) {
                 std::uint32_t pair[2];
                 std::memcpy(pair, dmem + off + i, 8);
-                const std::uint32_t at = tab_off + pair[0] * 8;
+                const std::uint64_t at =
+                    tab_off + std::uint64_t(pair[0]) * 8;
                 sim_assert(at <= mem::Dmem::size - 8,
                            "group-by key %u's cell out of DMEM",
                            pair[0]);

@@ -1,6 +1,6 @@
 #include "board/link.hh"
 
-#include <cstdio>
+#include <charconv>
 
 #include "sim/domain.hh"
 #include "sim/fault.hh"
@@ -9,16 +9,42 @@
 
 namespace dpu::board {
 
+namespace {
+
+/** Write "ch<src>to<dst>" into @p name; false when it does not fit.
+ *  A board of n chips names n^2 channels, so no snprintf. */
+bool
+channelName(char (&name)[sim::Channel::nameBytes], unsigned src,
+            unsigned dst)
+{
+    char *const last = name + sizeof name - 1; // the terminator's
+    name[0] = 'c';
+    name[1] = 'h';
+    std::to_chars_result r = std::to_chars(name + 2, last, src);
+    if (r.ec != std::errc() || last - r.ptr < 2)
+        return false;
+    r.ptr[0] = 't';
+    r.ptr[1] = 'o';
+    r = std::to_chars(r.ptr + 2, last, dst);
+    if (r.ec != std::errc())
+        return false;
+    *r.ptr = '\0';
+    return true;
+}
+
+} // namespace
+
 LinkFabric::LinkFabric(sim::EpochRunner &runner_)
     : sim::ChannelSet("link", runner_.partitions()), runner(runner_),
       n(runner_.partitions())
 {
+    // Each channel adds two counters to the group: grow its index
+    // once, not by doubling through 2 n^2 entries.
+    stats.reserve(2 * std::size_t(n) * n);
     for (unsigned s = 0; s < n; ++s) {
         for (unsigned d = 0; d < n; ++d) {
             char name[sim::Channel::nameBytes];
-            const int len =
-                std::snprintf(name, sizeof name, "ch%uto%u", s, d);
-            sim_assert(len < int(sizeof name), "too many DPUs (%u)", n);
+            sim_assert(channelName(name, s, d), "too many DPUs (%u)", n);
             chans.emplace_back(linkHopLatency, linkGbPerSec,
                                linkFlitBytes, stats, rows[s], name);
         }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/zero_pages.hh"
+
 namespace dpu::core {
 
 namespace {
@@ -40,11 +42,28 @@ filtScan(const std::uint8_t *src, std::uint8_t *bv, std::uint32_t n,
 
 } // namespace
 
-DpCore::DpCore(unsigned id, sim::EventQueue &eq_, mem::Cache &l2)
-    : coreId(id), eq(eq_), stat("core" + std::to_string(id)), l2Cache(l2),
-      l1dCache(std::make_unique<mem::Cache>(
-          "core" + std::to_string(id) + ".l1d", l1dParams, l2))
+DpCore::DpCore(unsigned id, sim::EventQueue &eq_, mem::LazyCache &l2,
+               std::span<std::uint8_t> sram)
+    : coreId(id), eq(eq_), stat("core" + std::to_string(id)),
+      scratch(sram), l2Cache(l2),
+      // min(): a short slice fails the assert below, not the
+      // subspan's precondition.
+      l1dCache(stat.name() + ".l1d", l1dParams, l2,
+               sram.subspan(std::min(
+                   sram.size(),
+                   sim::ZeroPages::pageRound(mem::dmemBytes))),
+               stat)
 {
+    sim_assert(sram.size() >= sramBytes(),
+               "core %u given a %zu-byte SRAM slice for %zu bytes", id,
+               sram.size(), sramBytes());
+}
+
+std::size_t
+DpCore::sramBytes()
+{
+    return sim::ZeroPages::pageRound(mem::dmemBytes) +
+           sim::ZeroPages::pageRound(mem::Cache::sramBytes(l1dParams));
 }
 
 // ----------------------------------------------------------------
@@ -250,7 +269,7 @@ DpCore::readBytes(mem::Addr addr, void *dst, std::uint32_t len)
         memTrace(coreId, addr, len, false);
     if (words > 1)
         cycles((words - 1) * lsuCycles);
-    sim::Tick done = l1dCache->read(addr, dst, len, now());
+    sim::Tick done = l1d().read(addr, dst, len, now());
     aheadTicks = done - eq.now();
     maybeSync();
 }
@@ -275,7 +294,7 @@ DpCore::writeBytes(mem::Addr addr, const void *src, std::uint32_t len)
         memTrace(coreId, addr, len, true);
     if (words > 1)
         cycles((words - 1) * lsuCycles);
-    sim::Tick done = l1dCache->write(addr, src, len, now());
+    sim::Tick done = l1d().write(addr, src, len, now());
     aheadTicks = done - eq.now();
     maybeSync();
 }
@@ -288,11 +307,11 @@ DpCore::cacheFlush(mem::Addr addr, std::uint64_t len)
     // conservatively over-flush; a tool identifies and quantifies
     // redundant cache operations. A flush that wrote nothing back
     // was redundant.
-    const mem::Cache::Flushed l1 = l1dCache->flushRange(addr, len, now());
-    const mem::Cache::Flushed l2 = l2Cache.flushRange(addr, len, l1.done);
-    if (l1.lines + l2.lines == 0)
+    const mem::Cache::Flushed l1 = l1d().flushRange(addr, len, now());
+    const mem::Cache::Flushed l2c = l2().flushRange(addr, len, l1.done);
+    if (l1.lines + l2c.lines == 0)
         ++redundantFlushes;
-    aheadTicks = l2.done - eq.now();
+    aheadTicks = l2c.done - eq.now();
     maybeSync();
 }
 
@@ -300,8 +319,8 @@ void
 DpCore::cacheInvalidate(mem::Addr addr, std::uint64_t len)
 {
     ++cacheInvalidates;
-    sim::Tick done = l1dCache->invalidateRange(addr, len, now());
-    done = l2Cache.invalidateRange(addr, len, done);
+    sim::Tick done = l1d().invalidateRange(addr, len, now());
+    done = l2().invalidateRange(addr, len, done);
     aheadTicks = done - eq.now();
     maybeSync();
 }

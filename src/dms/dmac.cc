@@ -185,7 +185,9 @@ Dmac::execDdrToDmem(unsigned core, const Descriptor &d,
 {
     const unsigned m = core / coresPerDmax;
     const std::uint32_t bytes = d.rows * d.colWidth;
-    sim_assert(dmem + bytes <= mem::dmemBytes,
+    // In 64 bits: an auto-incremented offset grows without bound, and
+    // the neighbour past a DMEM's end is another core's DMEM.
+    sim_assert(std::uint64_t(dmem) + bytes <= mem::dmemBytes,
                "DDR->DMEM overflows DMEM: off=%u bytes=%u", dmem,
                bytes);
 
@@ -286,7 +288,7 @@ Dmac::execDmemToDdr(unsigned core, const Descriptor &d,
 {
     const unsigned m = core / coresPerDmax;
     const std::uint32_t bytes = d.rows * d.colWidth;
-    sim_assert(dmem + bytes <= mem::dmemBytes,
+    sim_assert(std::uint64_t(dmem) + bytes <= mem::dmemBytes,
                "DMEM->DDR overflows DMEM: off=%u bytes=%u", dmem,
                bytes);
 

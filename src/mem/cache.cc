@@ -8,17 +8,38 @@
 namespace dpu::mem {
 
 Cache::Cache(const std::string &name, const CacheParams &params,
-             MemPort &downstream)
-    : stats(name), p(params), next(downstream),
+             MemPort &downstream, std::span<std::uint8_t> sram,
+             sim::StatGroup *after)
+    : stats(name, after), p(params), next(downstream),
       nSets(params.sizeBytes / (lineBytes * params.assoc)),
-      storage(std::size_t(nSets) * params.assoc * sizeof(Line)),
-      lines(reinterpret_cast<Line *>(storage.data()),
+      lines(reinterpret_cast<Line *>(sram.data()),
             std::size_t(nSets) * params.assoc),
       hitLatency(sim::dpCoreClock.cyclesToTicks(params.hitCycles))
 {
     sim_assert(nSets > 0 && (nSets & (nSets - 1)) == 0,
                "cache sets must be a power of two (size=%u assoc=%u)",
                params.sizeBytes, params.assoc);
+    sim_assert(sram.size() >= sramBytes(params) &&
+                   reinterpret_cast<std::uintptr_t>(sram.data()) %
+                           alignof(Line) ==
+                       0,
+               "cache %s given a %zu-byte slice for %zu bytes of "
+               "lines", name.c_str(), sram.size(), sramBytes(params));
+}
+
+std::size_t
+Cache::sramBytes(const CacheParams &params)
+{
+    return std::size_t(params.sizeBytes / (lineBytes * params.assoc)) *
+           params.assoc * sizeof(Line);
+}
+
+LazyCache::LazyCache(std::string name_, const CacheParams &params,
+                     MemPort &downstream, std::span<std::uint8_t> sram_,
+                     sim::StatGroup &after_)
+    : name(std::move(name_)), p(params), next(downstream), sram(sram_),
+      after(after_)
+{
 }
 
 std::uint32_t

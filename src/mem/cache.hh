@@ -12,15 +12,22 @@
  * Geometry per the paper: 16 KB L1-D and 8 KB L1-I per dpCore and a
  * 256 KB L2 shared by the 8 dpCores of a macro.
  *
- * The lines, tags and data alike, are demand-zero pages
- * (sim::ZeroPages), like a chip's DDR image: a fresh cache is all
- * invalid, and host RAM follows the sets a run touches.
+ * The lines, tags and data alike, sit in a slice of the chip's one
+ * demand-zero SRAM block (sim::ZeroPages::carve, soc::Soc), like a
+ * chip's DDR image: a fresh cache is all invalid, and host RAM
+ * follows the sets a run touches. A cache owns no mapping.
+ *
+ * A chip builds each cache on its first use (LazyCache): a core's
+ * L1-D on its first cached access, and a macro's L2 on the first miss
+ * or flush that reaches it. Until then the cache is its reserved
+ * slice and nothing else: no Cache object and no stat group.
  */
 
 #ifndef DPU_MEM_CACHE_HH
 #define DPU_MEM_CACHE_HH
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -28,7 +35,6 @@
 #include "mem/mem_port.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
-#include "sim/zero_pages.hh"
 
 namespace dpu::mem {
 
@@ -48,9 +54,18 @@ class Cache : public MemPort
      * @param name  Stats prefix, e.g. "core3.l1d".
      * @param params Geometry and hit latency.
      * @param downstream The next level (L2 or main memory).
+     * @param sram  The lines' storage: at least sramBytes(@p params)
+     *              bytes that read as zero (a fresh slice of a
+     *              demand-zero region).
+     * @param after For a cache built on first use, its owner's stat
+     *              group, which its own follows (sim::StatGroup).
      */
     Cache(const std::string &name, const CacheParams &params,
-          MemPort &downstream);
+          MemPort &downstream, std::span<std::uint8_t> sram,
+          sim::StatGroup *after = nullptr);
+
+    /** Bytes of SRAM the lines of a @p params cache take. */
+    static std::size_t sramBytes(const CacheParams &params);
 
     /**
      * Read @p len bytes through the cache (may span lines).
@@ -141,10 +156,54 @@ class Cache : public MemPort
     CacheParams p;
     MemPort &next;
     std::uint32_t nSets;
-    sim::ZeroPages storage;   ///< the lines' bytes
     std::span<Line> lines;    ///< nSets * assoc, set-major
     std::uint64_t useClock = 0;
     sim::Tick hitLatency;
+};
+
+/**
+ * A cache built on its first use. It keeps what the build needs: the
+ * name, the geometry, the next level, the SRAM slice the lines take
+ * and the stat group the cache's group follows. It is also the port
+ * the level above misses into, so a core's L1-D builds the macro's
+ * L2 below it on its first miss.
+ */
+class LazyCache : public MemPort
+{
+  public:
+    /** The arguments of the Cache that get() builds. */
+    LazyCache(std::string name, const CacheParams &params,
+              MemPort &downstream, std::span<std::uint8_t> sram,
+              sim::StatGroup &after);
+
+    /** The cache, built on the first call. */
+    Cache &
+    get()
+    {
+        if (!cache) [[unlikely]]
+            cache.emplace(name, p, next, sram, &after);
+        return *cache;
+    }
+
+    sim::Tick
+    readLine(Addr addr, void *dst, sim::Tick when) override
+    {
+        return get().readLine(addr, dst, when);
+    }
+
+    sim::Tick
+    writeLine(Addr addr, const void *src, sim::Tick when) override
+    {
+        return get().writeLine(addr, src, when);
+    }
+
+  private:
+    std::string name;
+    CacheParams p;
+    MemPort &next;
+    std::span<std::uint8_t> sram;
+    sim::StatGroup &after;
+    std::optional<Cache> cache;
 };
 
 } // namespace dpu::mem

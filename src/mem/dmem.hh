@@ -10,9 +10,12 @@
  * chip banks it; contention is second-order and absorbed into the
  * DMS's per-buffer overhead calibration).
  *
- * The bytes are demand-zero pages (sim::ZeroPages), like a chip's
- * DDR image: a fresh DMEM reads as zero, and host RAM follows the
- * pages a run writes.
+ * The bytes are a slice of the chip's one demand-zero SRAM block
+ * (sim::ZeroPages::carve, soc::Soc), like a chip's DDR image: a fresh
+ * DMEM reads as zero, and host RAM follows the pages a run writes.
+ * A DMEM owns no mapping, and its neighbours in the block are other
+ * SRAMs, not guard pages: read(), write() and zero() check their
+ * range, and so must every user of raw() before it touches a byte.
  */
 
 #ifndef DPU_MEM_DMEM_HH
@@ -20,10 +23,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 
 #include "mem/addr.hh"
 #include "sim/logging.hh"
-#include "sim/zero_pages.hh"
 
 namespace dpu::mem {
 
@@ -32,6 +35,18 @@ class Dmem
 {
   public:
     static constexpr std::uint32_t size = dmemBytes;
+
+    /** A scratchpad on the first size bytes of @p sram, which must
+     *  read as zero (a fresh slice of a demand-zero region). */
+    explicit Dmem(std::span<std::uint8_t> sram)
+        : bytes(sram.data(), size)
+    {
+        sim_assert(sram.size() >= size,
+                   "DMEM given a %zu-byte slice", sram.size());
+    }
+
+    Dmem(const Dmem &) = delete;
+    Dmem &operator=(const Dmem &) = delete;
 
     void
     read(std::uint32_t offset, void *dst, std::size_t len) const
@@ -81,7 +96,7 @@ class Dmem
     const std::uint8_t *raw() const { return bytes.data(); }
 
   private:
-    sim::ZeroPages bytes{size};
+    std::span<std::uint8_t, size> bytes;
 };
 
 } // namespace dpu::mem

@@ -7,6 +7,7 @@
 #include "sim/parallel.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -17,7 +18,9 @@ EpochRunner::EpochRunner(std::vector<EventQueue *> queues_,
     : queues(std::move(queues_)), p(params),
       nWorkers(std::max(1u,
                         std::min(p.threads, unsigned(queues.size())))),
-      mail(queues.size() * queues.size()), reports(nWorkers)
+      mail(queues.size() * queues.size()),
+      maskWords(unsigned((queues.size() + 63) / 64)),
+      pending(queues.size() * maskWords), reports(nWorkers)
 {
     sim_assert(!queues.empty(), "EpochRunner needs a partition");
     barrier.init(nWorkers);
@@ -46,7 +49,12 @@ EpochRunner::post(unsigned src, unsigned dst, Tick when,
     sim_assert(onPartition(src),
                "post %u -> %u issued from partition %u", src, dst,
                currentDomain());
-    mail[src * n + dst].push_back({when, std::move(fn)});
+    std::vector<Mail> &box = mail[src * n + dst];
+    if (box.empty()) {
+        pending[dst * maskWords + src / 64].fetch_or(
+            std::uint64_t(1) << (src % 64), std::memory_order_relaxed);
+    }
+    box.push_back({when, std::move(fn)});
 }
 
 void
@@ -67,18 +75,31 @@ EpochRunner::drainOwned(unsigned w)
     Tick due = maxTick;
     for (unsigned dst = w; dst < n; dst += nWorkers) {
         EventQueue &q = *queues[dst];
-        for (unsigned src = 0; src < n; ++src) {
-            std::vector<Mail> &box = mail[src * n + dst];
-            for (Mail &m : box) {
-                sim_assert(m.when >= q.now(),
-                           "late delivery %u -> %u at tick %llu, "
-                           "clock %llu (lookahead wider than the "
-                           "delivery latency?)",
-                           src, dst, (unsigned long long)m.when,
-                           (unsigned long long)q.now());
-                q.schedule(m.when, std::move(m.fn), EvTag::Link);
+        std::atomic<std::uint64_t> *words = &pending[dst * maskWords];
+        for (unsigned k = 0; k < maskWords; ++k) {
+            // The barrier published every post's bit, and no post
+            // runs during a drain: a plain load and store suffice,
+            // and an empty word costs one load.
+            std::uint64_t bits =
+                words[k].load(std::memory_order_relaxed);
+            if (!bits)
+                continue;
+            words[k].store(0, std::memory_order_relaxed);
+            for (; bits; bits &= bits - 1) {
+                const unsigned src =
+                    k * 64 + unsigned(std::countr_zero(bits));
+                std::vector<Mail> &box = mail[src * n + dst];
+                for (Mail &m : box) {
+                    sim_assert(m.when >= q.now(),
+                               "late delivery %u -> %u at tick %llu, "
+                               "clock %llu (lookahead wider than the "
+                               "delivery latency?)",
+                               src, dst, (unsigned long long)m.when,
+                               (unsigned long long)q.now());
+                    q.schedule(m.when, std::move(m.fn), EvTag::Link);
+                }
+                box.clear();
             }
-            box.clear();
         }
         due = std::min(due, q.nextDue());
     }

@@ -10,7 +10,10 @@
  * the same loop:
  *
  *   1. drain:   schedule its partitions' inbound mail, sources in
- *               ascending order, each mailbox in post order
+ *               ascending order, each mailbox in post order; a
+ *               pending-source mask per partition names the
+ *               mailboxes that hold mail, so a drain visits only
+ *               those
  *   2. publish: its partitions' earliest nextDue(), the exact next
  *               event tick
  *   3. barrier
@@ -211,6 +214,14 @@ class EpochRunner
      *  written by src's worker (or the host phase) and drained by
      *  dst's worker; the barriers order the two. */
     std::vector<std::vector<Mail>> mail;
+    /** 64-bit words per partition's pending-source mask. */
+    unsigned maskWords;
+    /** The sources with mail for each destination: bit src % 64 of
+     *  word dst * maskWords + src / 64. The post that makes a
+     *  mailbox non-empty sets its bit; sources on other workers
+     *  share the word, so that is an atomic or. Only the drain
+     *  clears a word, and no post runs during a drain. */
+    std::vector<std::atomic<std::uint64_t>> pending;
     std::vector<Report> reports; ///< one per worker
 
     Barrier barrier;

@@ -4,9 +4,10 @@
 
 namespace dpu::sim {
 
-StatGroup::StatGroup(std::string name) : groupName(std::move(name))
+StatGroup::StatGroup(std::string name, StatGroup *after)
+    : groupName(std::move(name))
 {
-    StatsRegistry::instance().add(this);
+    StatsRegistry::instance().add(this, after);
 }
 
 StatGroup::~StatGroup()

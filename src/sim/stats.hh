@@ -43,7 +43,10 @@ class Counter;
 class StatGroup
 {
   public:
-    explicit StatGroup(std::string name);
+    /** A group @p name, registered last, or, for a group built on
+     *  first use, right after its owner's group @p after (see
+     *  stats_registry.hh). */
+    explicit StatGroup(std::string name, StatGroup *after = nullptr);
     ~StatGroup();
 
     StatGroup(const StatGroup &) = delete;
@@ -83,11 +86,16 @@ class StatGroup
     /** Write "group.name = value" lines for every cell. */
     void dump(std::ostream &os) const;
 
+    /** Room for @p n more Counters, so an owner that builds many (a
+     *  board's n^2 link channels) grows the group's index once. */
+    void reserve(std::size_t n) { live.reserve(live.size() + n); }
+
     /** Host bytes one Counter adds to its group's index. */
     static constexpr std::size_t entryBytes = 3 * sizeof(void *);
 
   private:
     friend class Counter;
+    friend class StatsRegistry;
 
     /** A Counter and the cell it counts into. */
     struct Live
@@ -104,6 +112,10 @@ class StatGroup
     std::string groupName;
     std::map<std::string, double> scalars;
     std::vector<Live> live;
+    /** Neighbours in the StatsRegistry's list; its lock guards
+     *  them. */
+    StatGroup *prev = nullptr;
+    StatGroup *next = nullptr;
 };
 
 /**

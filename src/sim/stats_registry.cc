@@ -17,19 +17,40 @@ StatsRegistry::instance()
     return r;
 }
 
+std::size_t
+StatsRegistry::groupCount() const
+{
+    std::lock_guard<std::mutex> hold(lock);
+    return count;
+}
+
+void
+StatsRegistry::add(StatGroup *g, StatGroup *after)
+{
+    std::lock_guard<std::mutex> hold(lock);
+    g->prev = after ? after : tail;
+    g->next = g->prev ? g->prev->next : head;
+    (g->prev ? g->prev->next : head) = g;
+    (g->next ? g->next->prev : tail) = g;
+    ++count;
+}
+
 void
 StatsRegistry::remove(StatGroup *g)
 {
-    groups.erase(std::remove(groups.begin(), groups.end(), g),
-                 groups.end());
+    std::lock_guard<std::mutex> hold(lock);
+    (g->prev ? g->prev->next : head) = g->next;
+    (g->next ? g->next->prev : tail) = g->prev;
+    --count;
 }
 
 StatsSnapshot
 StatsRegistry::snapshot() const
 {
+    std::lock_guard<std::mutex> hold(lock);
     StatsSnapshot snap;
     std::map<std::string, unsigned> seen;
-    for (const StatGroup *g : groups) {
+    for (const StatGroup *g = head; g; g = g->next) {
         std::string prefix = g->name();
         unsigned repeat = seen[prefix]++;
         if (repeat > 0)

@@ -13,8 +13,18 @@
  *
  * Groups with duplicate names (a 16nm chip has one "dmac" group per
  * complex) are disambiguated in registration order as "dmac",
- * "dmac#1", "dmac#2", ... — registration order is construction
- * order, which is deterministic.
+ * "dmac#1", "dmac#2", ... Registration order is construction order,
+ * which is deterministic, with one exception: a group built on first
+ * use (a chip's caches, mem::LazyCache) names the group it follows,
+ * and joins right after it. Its place, and so its "#N", is then the
+ * one it would hold had it been built with its owner, whichever
+ * thread builds it and whenever.
+ *
+ * The registry is an intrusive list, so a group joins and leaves in
+ * constant time whatever order groups die in: tearing down a
+ * 512-chip board is linear in its groups. A lock guards it, because
+ * on a board a chip builds a cache inside a partition's events, on
+ * that partition's worker thread.
  */
 
 #ifndef DPU_SIM_STATS_REGISTRY_HH
@@ -23,6 +33,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -84,16 +95,20 @@ class StatsRegistry
     StatsSnapshot snapshot() const;
 
     /** Number of live groups (test introspection). */
-    std::size_t groupCount() const { return groups.size(); }
+    std::size_t groupCount() const;
 
-    // StatGroup ctor/dtor hooks.
-    void add(StatGroup *g) { groups.push_back(g); }
+    // StatGroup ctor/dtor hooks: @p g joins at the end, or right
+    // after @p after.
+    void add(StatGroup *g, StatGroup *after);
     void remove(StatGroup *g);
 
   private:
     StatsRegistry() = default;
-    /** Registration order == construction order (deterministic). */
-    std::vector<StatGroup *> groups;
+    mutable std::mutex lock;
+    /** The list's ends; a snapshot names groups in list order. */
+    StatGroup *head = nullptr;
+    StatGroup *tail = nullptr;
+    std::size_t count = 0;
 };
 
 } // namespace dpu::sim

@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -10,12 +11,23 @@
 
 namespace dpu::sim {
 
+namespace {
+
+std::size_t
+pageBytes()
+{
+    static const std::size_t page = std::size_t(sysconf(_SC_PAGESIZE));
+    return page;
+}
+
+} // namespace
+
 ZeroPages::ZeroPages(std::size_t n) : bytes(n)
 {
-    const std::size_t page = std::size_t(sysconf(_SC_PAGESIZE));
+    const std::size_t page = pageBytes();
     if (n > SIZE_MAX - 2 * page)
         fatal("cannot map %zu demand-zero bytes", n);
-    mapBytes = page + (n + page - 1) / page * page;
+    mapBytes = page + pageRound(n);
     // MAP_NORESERVE: the region is address space only until written,
     // so it must not be charged against swap up front either.
     void *m = mmap(nullptr, mapBytes, PROT_READ | PROT_WRITE,
@@ -38,6 +50,24 @@ ZeroPages::ZeroPages(std::size_t n) : bytes(n)
 ZeroPages::~ZeroPages()
 {
     munmap(map, mapBytes);
+}
+
+std::size_t
+ZeroPages::pageRound(std::size_t n)
+{
+    const std::size_t page = pageBytes();
+    return (n + page - 1) / page * page;
+}
+
+std::span<std::uint8_t>
+ZeroPages::carve(std::size_t n)
+{
+    if (n > bytes - carved)
+        fatal("cannot carve %zu bytes from a %zu-byte region at byte "
+              "%zu", n, bytes, carved);
+    const std::span<std::uint8_t> slice(first + carved, n);
+    carved = std::min(bytes, carved + pageRound(n));
+    return slice;
 }
 
 } // namespace dpu::sim

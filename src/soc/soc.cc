@@ -10,6 +10,15 @@ namespace {
 /** Shared L2 per 8-core macro (Section 2.3: 256 KB). */
 const mem::CacheParams l2Params{256 * 1024, 8, 6};
 
+/** Bytes of the one SRAM region a @p p chip carves. */
+std::size_t
+sramBytes(const SocParams &p)
+{
+    return p.nCores() / core::coresPerMacro *
+               sim::ZeroPages::pageRound(mem::Cache::sramBytes(l2Params)) +
+           p.nCores() * core::DpCore::sramBytes();
+}
+
 } // namespace
 
 Soc::Soc(const SocParams &params) : Soc(nullptr, params) {}
@@ -22,7 +31,8 @@ Soc::Soc(sim::EventQueue &shared, const SocParams &params)
 Soc::Soc(sim::EventQueue *shared, const SocParams &params)
     : p(params),
       ownedEq(shared ? nullptr : std::make_unique<sim::EventQueue>()),
-      eq(shared ? *shared : *ownedEq), started(params.nCores(), false)
+      eq(shared ? *shared : *ownedEq), sram(sramBytes(params)),
+      started(params.nCores(), false)
 {
     // The DDR image and the DMEM apertures share one address map;
     // DpCore and the ATE send every address from mem::dmemBase up
@@ -37,14 +47,18 @@ Soc::Soc(sim::EventQueue *shared, const SocParams &params)
     const unsigned n_macros = n / core::coresPerMacro;
     l2s.reserve(n_macros);
     for (unsigned m = 0; m < n_macros; ++m) {
-        l2s.push_back(std::make_unique<mem::Cache>(
-            "macro" + std::to_string(m) + ".l2", l2Params, *mm));
+        l2s.push_back(std::make_unique<mem::LazyCache>(
+            "macro" + std::to_string(m) + ".l2", l2Params, *mm,
+            sram.carve(mem::Cache::sramBytes(l2Params)),
+            mm->statGroup()));
     }
 
     cores.reserve(n);
+    corePtrs.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
         cores.push_back(std::make_unique<core::DpCore>(
-            i, eq, *l2s[i / core::coresPerMacro]));
+            i, eq, *l2s[i / core::coresPerMacro],
+            sram.carve(core::DpCore::sramBytes())));
         corePtrs.push_back(cores.back().get());
     }
 

@@ -7,6 +7,12 @@
  * MBC, and the single DDR channel. At 40 nm there is one complex;
  * the 16 nm configuration replicates five.
  *
+ * A chip maps two demand-zero regions (sim::ZeroPages): its DDR
+ * image and one block that every SRAM on it is carved from, its
+ * DMEMs and the lines of its L1-Ds and L2s. The caches themselves
+ * are built on first use (mem::LazyCache), so a chip whose kernels
+ * never cache holds no Cache object and registers no cache stats.
+ *
  * The A9 host complex and M0 power manager are modelled thinly: the
  * A9 is the chip's dispatch endpoint on the MBC (a9(), see HostA9),
  * whose program runs on the same fiber protocol as the dpCores'
@@ -30,6 +36,7 @@
 #include "mem/cache.hh"
 #include "mem/main_memory.hh"
 #include "sim/event_queue.hh"
+#include "sim/zero_pages.hh"
 #include "soc/host_a9.hh"
 #include "soc/soc_params.hh"
 
@@ -128,7 +135,10 @@ class Soc
     std::unique_ptr<sim::EventQueue> ownedEq;
     sim::EventQueue &eq;
     std::unique_ptr<mem::MainMemory> mm;
-    std::vector<std::unique_ptr<mem::Cache>> l2s;
+    /** The chip's SRAMs in one demand-zero region: each macro's L2
+     *  lines, then each core's DMEM and L1-D lines, page-aligned. */
+    sim::ZeroPages sram;
+    std::vector<std::unique_ptr<mem::LazyCache>> l2s;
     std::vector<std::unique_ptr<core::DpCore>> cores;
     std::vector<core::DpCore *> corePtrs;
     std::vector<std::unique_ptr<dms::Dms>> dmsUnits;

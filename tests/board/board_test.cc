@@ -6,7 +6,9 @@
  * routing, and the multi-DPU determinism + golden contract — a
  * fixed 2-DPU sharded workload must produce bit-identical stats
  * across reruns (clean and under a seeded link-fault schedule) and
- * match the checked-in snapshot in tests/golden/board.json.
+ * match the checked-in snapshot in tests/golden/board.json, and
+ * caches built on worker threads keep the stat names a serial run
+ * gives them.
  */
 
 #include <gtest/gtest.h>
@@ -333,6 +335,33 @@ TEST(BoardDeterminism, FaultReplayIsBitIdentical)
         << diffs.size()
         << " stat(s) differ across seeded fault replays:\n"
         << sim::formatDiffs(diffs);
+}
+
+TEST(BoardDeterminism, CachesBuiltOnWorkerThreadsKeepTheirNames)
+{
+    // Chip d's first cached loads build its core-0 L1-D and macro-0
+    // L2 inside its partition's events, on its worker thread, in
+    // whatever order the workers reach them. Each cache's stat group
+    // takes its chip's place in the registry, so chip d's cells read
+    // under the same "#d" at every thread count.
+    std::vector<sim::StatsSnapshot> snaps;
+    for (const unsigned threads : {1u, 4u}) {
+        auto b = topo::ClusterTopology::board(4).threads(threads)
+                     .buildBoard();
+        for (unsigned d = 0; d < 4; ++d) {
+            b->dpu(d).start(0, [d](core::DpCore &c) {
+                for (unsigned i = 0; i <= d; ++i)
+                    (void)c.load<std::uint32_t>(i * 4096);
+            });
+        }
+        b->run();
+        snaps.push_back(sim::StatsRegistry::instance().snapshot());
+        const auto &cells = snaps.back().counters;
+        EXPECT_EQ(cells.at("core0.l1d.misses"), 1u) << threads;
+        EXPECT_EQ(cells.at("core0.l1d#3.misses"), 4u) << threads;
+        EXPECT_EQ(cells.at("macro0.l2#3.misses"), 4u) << threads;
+    }
+    EXPECT_EQ(snaps[0], snaps[1]);
 }
 
 TEST(BoardDeterminism, GoldenSnapshotMatches)

@@ -2,8 +2,8 @@
  * @file
  * dpCore model tests: lazy-clock cycle accounting, the dual-issue
  * and branch-predictor cost model, the analytics ISA extensions
- * (functional results + cycle costs), DMEM vs cached-DDR routing,
- * interrupts, blocking, and watchpoints.
+ * (functional results + cycle costs) and FILT's DMEM range checks,
+ * DMEM vs cached-DDR routing, interrupts, blocking, and watchpoints.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "mem/cache.hh"
 #include "mem/main_memory.hh"
 #include "sim/rng.hh"
+#include "sim/zero_pages.hh"
 #include "util/crc32.hh"
 
 using namespace dpu;
@@ -28,10 +29,21 @@ const mem::CacheParams l2Params{256 * 1024, 8, 6};
 struct CoreFixture : ::testing::Test
 {
     CoreFixture()
-        : mm(mem::ddr3_1600, 4 << 20), l2("l2", l2Params, mm),
-          core0(std::make_unique<DpCore>(0, eq, l2)),
-          core1(std::make_unique<DpCore>(1, eq, l2))
+        : mm(mem::ddr3_1600, 4 << 20),
+          l2("l2", l2Params, mm,
+             sram.carve(mem::Cache::sramBytes(l2Params)),
+             mm.statGroup()),
+          core0(makeCore(0)), core1(makeCore(1))
     {
+    }
+
+    /** Core @p id on a fresh slice of the fixture's SRAM, as a chip
+     *  builds its cores. */
+    std::unique_ptr<DpCore>
+    makeCore(unsigned id)
+    {
+        return std::make_unique<DpCore>(
+            id, eq, l2, sram.carve(DpCore::sramBytes()));
     }
 
     /** Run a kernel on core0 to completion; return elapsed ticks. */
@@ -47,7 +59,12 @@ struct CoreFixture : ::testing::Test
 
     sim::EventQueue eq;
     mem::MainMemory mm;
-    mem::Cache l2;
+    /** The shared L2 and up to four cores (two tests build core0
+     *  again). */
+    sim::ZeroPages sram{
+        sim::ZeroPages::pageRound(mem::Cache::sramBytes(l2Params)) +
+        4 * DpCore::sramBytes()};
+    mem::LazyCache l2;
     std::unique_ptr<DpCore> core0, core1;
 };
 
@@ -71,7 +88,7 @@ TEST_F(CoreFixture, BranchPredictorBackwardTaken)
     // A taken backward branch (loop) is predicted: 1 cycle.
     sim::Tick loop = runOn0([](DpCore &c) { c.branch(true, true); });
     // A taken FORWARD branch is mispredicted: 1 + penalty.
-    core0 = std::make_unique<DpCore>(0, eq, l2);
+    core0 = makeCore(0);
     sim::Tick fwd = runOn0([](DpCore &c) { c.branch(true, false); });
     EXPECT_GT(fwd, loop);
     EXPECT_EQ(fwd - loop,
@@ -84,7 +101,7 @@ TEST_F(CoreFixture, MultiplierIsVariableLatency)
     // "variable latency multiplier").
     EXPECT_GT(core::mulCycles(64), core::mulCycles(8));
     sim::Tick t8 = runOn0([](DpCore &c) { c.mul(8); });
-    core0 = std::make_unique<DpCore>(0, eq, l2);
+    core0 = makeCore(0);
     sim::Tick t64 = runOn0([](DpCore &c) { c.mul(64); });
     EXPECT_GT(t64, t8);
 }
@@ -196,6 +213,23 @@ TEST_F(CoreFixture, FiltRateNearPaperCyclesPerTuple)
     double cpt = double(sim::dpCoreClock.ticksToCycles(t)) / n;
     EXPECT_GT(cpt, 1.4);
     EXPECT_LT(cpt, 1.8);
+}
+
+using CoreDeathTest = CoreFixture;
+
+TEST_F(CoreDeathTest, FiltPastTheScratchpadDies)
+{
+    // FILT reads its elements and writes its bit vector through
+    // Dmem::raw(), and the next bytes past a DMEM are another SRAM
+    // of the chip: both ranges are checked before a byte moves.
+    EXPECT_DEATH(runOn0([](DpCore &c) {
+                     c.filt(mem::dmemBytes - 64, 32, 4, 0, 0, 0);
+                 }),
+                 "FILT elements out of DMEM");
+    EXPECT_DEATH(runOn0([](DpCore &c) {
+                     c.filt(0, 64, 4, 0, 0, mem::dmemBytes - 4);
+                 }),
+                 "FILT bit vector out of DMEM");
 }
 
 TEST_F(CoreFixture, DmemAccessRoundTrips)

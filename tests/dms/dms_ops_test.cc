@@ -3,8 +3,9 @@
  * Coverage for the remaining Table 1 descriptor operations: RID-list
  * gather (RLE mode), DMS->DDR dumps of the internal CRC/CID
  * memories, DMS->DMS internal moves, EventCtl control descriptors,
- * the event file's edge-triggered callbacks, and the redundant-flush
- * detector from the Section 4 tooling story.
+ * the event file's edge-triggered callbacks, the redundant-flush
+ * detector from the Section 4 tooling story, and the DMEM range
+ * checks of the DMAC's stream, gather and scatter paths.
  */
 
 #include <gtest/gtest.h>
@@ -241,4 +242,40 @@ TEST(DmsOps, RedundantFlushDetectorCountsNoOpFlushes)
     s.run();
     EXPECT_EQ(s.core(0).statGroup().get("cacheFlushes"), 3u);
     EXPECT_EQ(s.core(0).statGroup().get("redundantFlushes"), 2u);
+}
+
+TEST(DmsOpsDeathTest, DmemSidePastTheScratchpadDies)
+{
+    // The DMAC moves DMEM bytes through Dmem::raw(), and the bytes
+    // past one core's DMEM are the next SRAM of the chip (soc::Soc
+    // carves them all from one region), so every path refuses a
+    // transfer that runs off the end before it touches a byte:
+    // stream and gather in, stream and scatter out.
+    const auto past = [](dms::DescType type, bool masked) {
+        dms::Descriptor d;
+        d.type = type;
+        d.gatherSrc = masked && type == dms::DescType::DdrToDmem;
+        d.scatterDst = masked && type == dms::DescType::DmemToDdr;
+        d.rle = masked;
+        d.rows = 32;
+        d.colWidth = 4;
+        d.ddrAddr = 0x10000;
+        d.dmemAddr = std::uint16_t(mem::dmemBytes - 64); // 64 B over
+        d.notifyEvent = 1;
+        soc::Soc s;
+        s.start(0, [&](core::DpCore &c) {
+            DmsCtl ctl(c, s.dms());
+            ctl.push(ctl.setup(d));
+            ctl.wfe(1);
+        });
+        s.run();
+    };
+    EXPECT_DEATH(past(dms::DescType::DdrToDmem, false),
+                 "DDR->DMEM overflows DMEM");
+    EXPECT_DEATH(past(dms::DescType::DdrToDmem, true),
+                 "DDR->DMEM overflows DMEM");
+    EXPECT_DEATH(past(dms::DescType::DmemToDdr, false),
+                 "DMEM->DDR overflows DMEM");
+    EXPECT_DEATH(past(dms::DescType::DmemToDdr, true),
+                 "DMEM->DDR overflows DMEM");
 }

@@ -13,6 +13,7 @@
 
 #include "mem/cache.hh"
 #include "mem/main_memory.hh"
+#include "sim/zero_pages.hh"
 
 using namespace dpu;
 using mem::Cache;
@@ -24,15 +25,28 @@ namespace {
 const CacheParams l1Params{16 * 1024, 4, 1};
 const CacheParams l2Params{256 * 1024, 8, 6};
 
+/** SRAM for one L2 and two L1-Ds, each from a page boundary. */
+std::size_t
+sramBytes()
+{
+    return sim::ZeroPages::pageRound(Cache::sramBytes(l2Params)) +
+           2 * sim::ZeroPages::pageRound(Cache::sramBytes(l1Params));
+}
+
 struct TwoCoreFixture : ::testing::Test
 {
     TwoCoreFixture()
-        : mm(mem::ddr3_1600, 1 << 20), l2("l2", l2Params, mm),
-          a("a.l1d", l1Params, l2), b("b.l1d", l1Params, l2)
+        : mm(mem::ddr3_1600, 1 << 20),
+          l2("l2", l2Params, mm, sram.carve(Cache::sramBytes(l2Params))),
+          a("a.l1d", l1Params, l2,
+            sram.carve(Cache::sramBytes(l1Params))),
+          b("b.l1d", l1Params, l2,
+            sram.carve(Cache::sramBytes(l1Params)))
     {
     }
 
     MainMemory mm;
+    sim::ZeroPages sram{sramBytes()};
     Cache l2;
     Cache a, b;
 };

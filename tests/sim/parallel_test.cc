@@ -7,7 +7,8 @@
  *  - a message whose latency equals the lookahead lands exactly on
  *    the next epoch, never inside the sending one;
  *  - same-tick posts to one partition arrive in (drain, source,
- *    post) order at every thread count;
+ *    post) order at every thread count, also when the pending-source
+ *    mask spans several words;
  *  - host-phase posts are delivered before the next window opens;
  *  - a post that lands in the receiver's past is fatal;
  *  - more partitions than workers (oversubscription) changes
@@ -148,6 +149,43 @@ TEST(EpochRunner, SameTickPostsArriveInDrainSourcePostOrder)
         qs[0].schedule(hop + 50, [&post] { post(0, 2, t2); });
 
         EXPECT_EQ(r.run(), t2);
+        EXPECT_EQ(got, want) << threads << " workers";
+    }
+}
+
+TEST(EpochRunner, SameTickPostsArriveInSourceOrderAcrossMaskWords)
+{
+    // A drain visits only the sources whose bits are set in its
+    // destination's pending mask, 64 sources to a word. With 130
+    // partitions the mask spans three words: sources 129, 1, 65 and
+    // 64 post, in that order of time, for one tick, and their mail
+    // arrives in ascending source order, across the word boundaries,
+    // at every thread count.
+    constexpr unsigned nq = 130;
+    static constexpr unsigned dst = 7;
+    constexpr sim::Tick at = 2 * hop;
+    const std::vector<unsigned> order = {129, 1, 65, 64};
+    const std::vector<unsigned> want = {1, 64, 65, 129};
+
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        std::vector<sim::EventQueue> qs(nq);
+        std::vector<sim::EventQueue *> qp;
+        for (auto &q : qs)
+            qp.push_back(&q);
+        sim::ParallelParams pp;
+        pp.threads = threads;
+        pp.lookahead = hop;
+        sim::EpochRunner r(std::move(qp), pp);
+
+        std::vector<unsigned> got; // written only on dst's partition
+        for (std::size_t i = 0; i < order.size(); ++i) {
+            const unsigned src = order[i];
+            qs[src].schedule(10 * (i + 1), [&r, &got, src] {
+                r.post(src, dst, at, [&got, src] { got.push_back(src); });
+            });
+        }
+
+        EXPECT_EQ(r.run(), at);
         EXPECT_EQ(got, want) << threads << " workers";
     }
 }

@@ -2,9 +2,10 @@
  * @file
  * Unit tests for StatGroup accessors, dump() ordering, the Counter
  * cells a group reads live (bare and prefixed names), reads that
- * leave the cells as they were, the StatsRegistry snapshot,
- * snapshot JSON round-tripping, and the JSON reader's numbers beyond
- * int64's range.
+ * leave the cells as they were, the StatsRegistry snapshot, its
+ * removal of groups in any order and its placement of a group built
+ * after its owner, snapshot JSON round-tripping, and
+ * the JSON reader's numbers beyond int64's range.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +13,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/json.hh"
 #include "sim/stats.hh"
@@ -157,6 +160,54 @@ TEST(StatsRegistry, DuplicateGroupNamesAreDisambiguated)
     StatsSnapshot snap = StatsRegistry::instance().snapshot();
     EXPECT_EQ(snap.counters.at("dup.n"), 1u);
     EXPECT_EQ(snap.counters.at("dup#1.n"), 2u);
+}
+
+TEST(StatsRegistry, RemovingAFirstMiddleAndLastGroupKeepsTheRest)
+{
+    const std::size_t before = StatsRegistry::instance().groupCount();
+    std::vector<std::unique_ptr<StatGroup>> groups;
+    std::vector<std::unique_ptr<Counter>> counts;
+    for (unsigned i = 0; i < 5; ++i) {
+        groups.push_back(std::make_unique<StatGroup>("rm"));
+        counts.push_back(std::make_unique<Counter>(*groups[i], "n"));
+        *counts[i] += i + 1;
+    }
+    // Groups need not die in reverse creation order.
+    for (unsigned i : {0u, 2u, 4u}) {
+        counts[i].reset();
+        groups[i].reset();
+    }
+    EXPECT_EQ(StatsRegistry::instance().groupCount(), before + 2);
+    StatsSnapshot snap = StatsRegistry::instance().snapshot();
+    EXPECT_EQ(snap.counters.at("rm.n"), 2u);
+    EXPECT_EQ(snap.counters.at("rm#1.n"), 4u);
+    EXPECT_EQ(snap.counters.count("rm#2.n"), 0u);
+
+    // A group registered now follows the survivors.
+    StatGroup late("rm");
+    Counter n(late, "n");
+    n += 9;
+    snap = StatsRegistry::instance().snapshot();
+    EXPECT_EQ(snap.counters.at("rm.n"), 2u);
+    EXPECT_EQ(snap.counters.at("rm#1.n"), 4u);
+    EXPECT_EQ(snap.counters.at("rm#2.n"), 9u);
+}
+
+TEST(StatsRegistry, AGroupBuiltLateJoinsRightAfterItsOwner)
+{
+    // Two owners, then a late group for each, the second owner's
+    // first: each late group takes the place after its owner, so
+    // "#N" follows the owners' order, not the late groups' order.
+    StatGroup first("own"), second("own");
+    StatGroup lateOfSecond("late", &second);
+    Counter two(lateOfSecond, "n");
+    two += 2;
+    StatGroup lateOfFirst("late", &first);
+    Counter one(lateOfFirst, "n");
+    one += 1;
+    const StatsSnapshot snap = StatsRegistry::instance().snapshot();
+    EXPECT_EQ(snap.counters.at("late.n"), 1u);
+    EXPECT_EQ(snap.counters.at("late#1.n"), 2u);
 }
 
 TEST(StatsSnapshot, JsonRoundTrip)

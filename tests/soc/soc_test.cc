@@ -1,8 +1,9 @@
 /**
  * @file
  * SoC assembly tests: the 40 nm and 16 nm configurations, the DDR
- * window, demand-zero SRAM, kernel scheduling across all cores,
- * stats plumbing, and cross-complex isolation at 16 nm.
+ * window, demand-zero SRAM carved from one region per chip, caches
+ * built on first use, kernel scheduling across all cores, stats
+ * plumbing, and cross-complex isolation at 16 nm.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/stats_registry.hh"
 #include "soc/soc.hh"
 
 // ThreadSanitizer maps shadow of its own beside each new region, so
@@ -89,12 +91,13 @@ TEST(Soc, SramIsDemandZeroInABoundedNumberOfMappings)
     const soc::Soc first;
     const long before = mappingCount();
     soc::Soc s;
-    // 68 SRAMs (32 DMEMs, 32 L1-Ds, 4 L2s) and the DDR image, each
-    // one region below its guard page, plus a few that a growing
-    // heap may map: a rack of 16 chips stays far below the kernel's
-    // default 65,530 mappings per process.
+    // Two regions, each below its guard page: the DDR image and the
+    // one block every SRAM (32 DMEMs, 32 L1-Ds, 4 L2s) is carved
+    // from, plus a few that a growing heap may map. So a process
+    // holds thousands of chips under the kernel's default 65,530
+    // mappings.
     if (before >= 0 && !DPU_TEST_TSAN) {
-        EXPECT_LE(mappingCount() - before, 2 * (68 + 1) + 16);
+        EXPECT_LE(mappingCount() - before, 2 * 2 + 16);
     }
 
     // A fresh chip reads all zero, yet holds no DMEM page until a
@@ -109,6 +112,83 @@ TEST(Soc, SramIsDemandZeroInABoundedNumberOfMappings)
     s.core(6).dmem().read(0, bytes.data(), bytes.size());
     EXPECT_EQ(std::vector<std::uint8_t>(mem::dmemBytes, 0), bytes);
     EXPECT_EQ(s.core(5).dmem().load<std::uint32_t>(4096), 7u);
+}
+
+TEST(Soc, SixteenNmChipMapsTheSameTwoRegions)
+{
+    // 160 DMEMs, 160 L1-Ds and 20 L2s share one SRAM region, so the
+    // 16 nm chip maps no more than the 40 nm one (682 mappings when
+    // each SRAM had its own region).
+    const soc::Soc first(soc::dpu16nm());
+    const long before = mappingCount();
+    soc::Soc s(soc::dpu16nm());
+    if (before >= 0 && !DPU_TEST_TSAN) {
+        EXPECT_LE(mappingCount() - before, 2 * 2 + 16);
+    }
+    // Neighbouring DMEMs share no byte, and a fresh one reads zero.
+    s.core(0).dmem().store<std::uint32_t>(mem::dmemBytes - 4, 1);
+    s.core(1).dmem().store<std::uint32_t>(0, 2);
+    EXPECT_EQ(s.core(0).dmem().load<std::uint32_t>(mem::dmemBytes - 4),
+              1u);
+    EXPECT_EQ(s.core(1).dmem().load<std::uint32_t>(0), 2u);
+    EXPECT_EQ(s.core(159).dmem().load<std::uint32_t>(0), 0u);
+}
+
+TEST(Soc, CachesAreBuiltOnFirstUse)
+{
+    sim::StatsRegistry &reg = sim::StatsRegistry::instance();
+    soc::Soc s;
+    s.memory().store().store<std::uint64_t>(0x2040, 0x1122334455667788);
+    const std::size_t built = reg.groupCount();
+
+    // Kernels that touch only DMEM build no cache: none of the 32
+    // L1-Ds and 4 L2s registers a stat group.
+    s.startAll([](core::DpCore &c) {
+        c.store<std::uint32_t>(c.dmemBase() + 64, c.id());
+        c.cycles(c.load<std::uint32_t>(c.dmemBase() + 64) + 1);
+    });
+    s.run();
+    EXPECT_EQ(reg.groupCount(), built);
+    for (const auto &[key, value] : reg.snapshot().counters) {
+        EXPECT_EQ(key.find(".l1d"), std::string::npos) << key;
+        EXPECT_EQ(key.find(".l2"), std::string::npos) << key;
+    }
+
+    // Core 9's first cached load builds its L1-D and macro 1's L2,
+    // and reads the DDR bytes through them.
+    std::uint64_t got = 0;
+    s.start(9, [&got](core::DpCore &c) {
+        got = c.load<std::uint64_t>(0x2040);
+    });
+    s.run();
+    EXPECT_EQ(got, 0x1122334455667788u);
+    EXPECT_EQ(reg.groupCount(), built + 2);
+    const sim::StatsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counters.at("core9.l1d.misses"), 1u);
+    EXPECT_EQ(snap.counters.at("macro1.l2.misses"), 1u);
+    EXPECT_EQ(snap.counters.count("core8.l1d.misses"), 0u);
+}
+
+TEST(Soc, ACacheBuiltLateTakesItsOwnersPlaceAmongNamesakes)
+{
+    // Two chips' core-0 L1-Ds share a name, told apart by "#N" in
+    // the order of their cores, whichever cache is built first: the
+    // names do not depend on when, or on which thread, a run first
+    // caches.
+    soc::Soc a, b;
+    b.start(0, [](core::DpCore &c) { (void)c.load<std::uint32_t>(0); });
+    b.run();
+    a.start(0, [](core::DpCore &c) {
+        (void)c.load<std::uint32_t>(0);
+        (void)c.load<std::uint32_t>(4096);
+    });
+    a.run();
+    const sim::StatsSnapshot snap =
+        sim::StatsRegistry::instance().snapshot();
+    EXPECT_EQ(snap.counters.at("core0.l1d.misses"), 2u);
+    EXPECT_EQ(snap.counters.at("core0.l1d#1.misses"), 1u);
+    EXPECT_EQ(snap.counters.at("macro0.l2.misses"), 2u);
+    EXPECT_EQ(snap.counters.at("macro0.l2#1.misses"), 1u);
 }
 
 TEST(Soc, SixteenNmShrink)
