@@ -187,7 +187,7 @@ Ate::issue(core::DpCore &c, unsigned target, AteOp op, mem::Addr addr,
     // an 'X' for the remote op on the target's track, 'e' when the
     // response arrives back at the source.
     const char *op_name = ateOpName(op);
-    std::uint32_t span_id = 0;
+    std::uint64_t span_id = 0;
     if (DPU_TRACE_ARMED) {
         span_id = DPU_TRACE_NEXT_ID();
         DPU_TRACE_SPAN_BEGIN(sim::TraceCat::Ate, src, op_name,
@@ -313,7 +313,7 @@ Ate::swRpc(core::DpCore &c, unsigned target,
     const unsigned src = c.id();
     sim::Tick deliver = deliveryTick(src, target) + cyc(swDeliverCycles);
 
-    std::uint32_t span_id = 0;
+    std::uint64_t span_id = 0;
     if (DPU_TRACE_ARMED) {
         span_id = DPU_TRACE_NEXT_ID();
         DPU_TRACE_SPAN_BEGIN(sim::TraceCat::Ate, src, "SwRpc",

@@ -14,8 +14,9 @@
  *
  * Address routing: DMEM addresses go to the local scratchpad at LSU
  * speed; DDR addresses go through the non-coherent L1-D / shared L2
- * hierarchy, which the first such access builds (mem::LazyCache).
- * Remote DMEM is reachable only via the ATE or DMS, as on the chip.
+ * hierarchy. The L1-D counts into the core's own stat group, as
+ * "l1d.hits" and so on. Remote DMEM is reachable only via the ATE or
+ * DMS, as on the chip.
  */
 
 #ifndef DPU_CORE_DP_CORE_HH
@@ -59,13 +60,12 @@ class DpCore
     /**
      * @param id Core id, 0..31 (macro = id / 8).
      * @param eq The global event queue.
-     * @param l2 The macro's shared 256 KB L2 (backed by DDR), built
-     *        on the first miss that reaches it.
+     * @param l2 The macro's shared 256 KB L2 (backed by DDR).
      * @param sram The core's SRAM: sramBytes() bytes that read as
      *        zero, a fresh slice of a demand-zero region. It holds
      *        the DMEM and the L1-D's lines.
      */
-    DpCore(unsigned id, sim::EventQueue &eq, mem::LazyCache &l2,
+    DpCore(unsigned id, sim::EventQueue &eq, mem::Cache &l2,
            std::span<std::uint8_t> sram);
 
     /** Bytes of SRAM one core takes: its DMEM and its L1-D's lines,
@@ -279,12 +279,11 @@ class DpCore
     /** Invalidate cached lines covering [addr, addr+len) in L1 + L2. */
     void cacheInvalidate(mem::Addr addr, std::uint64_t len);
 
-    /** The private L1-D (tests probe residency/dirtiness); built
-     *  on first use, like every cached access. */
-    mem::Cache &l1d() { return l1dCache.get(); }
+    /** The private L1-D (tests probe residency/dirtiness). */
+    mem::Cache &l1d() { return l1dCache; }
 
-    /** The macro's shared L2, built on first use. */
-    mem::Cache &l2() { return l2Cache.get(); }
+    /** The macro's shared L2. */
+    mem::Cache &l2() { return l2Cache; }
 
     // ------------------------------------------------------------
     // Watchpoints (Section 2.2: debug registers instead of an MMU)
@@ -394,8 +393,8 @@ class DpCore
     sim::Counter cacheInvalidates{stat, "cacheInvalidates"};
 
     mem::Dmem scratch;
-    mem::LazyCache &l2Cache;
-    mem::LazyCache l1dCache;
+    mem::Cache &l2Cache;
+    mem::Cache l1dCache;
 
     /** The kernel's fiber: sync sleeps it, blockUntil blocks it. */
     sim::Agent agent{eq, sim::EvTag::Core, "core.resume"};

@@ -78,7 +78,7 @@ Dmad::parkOnSet(unsigned ch, unsigned ev)
 
 void
 Dmad::completeAt(sim::Tick t, unsigned ch, int notify,
-                 std::uint32_t span_id, const char *desc_name,
+                 std::uint64_t span_id, const char *desc_name,
                  bool error)
 {
     ctx.eq.schedule(
@@ -239,7 +239,7 @@ Dmad::process(unsigned ch)
         // Descriptor lifecycle span: DMAD issue -> DMAC completion.
         // Async ('b'/'e') because up to `outstanding` descriptors
         // overlap on one channel's track.
-        std::uint32_t span_id = 0;
+        std::uint64_t span_id = 0;
         if (DPU_TRACE_ARMED) {
             span_id = DPU_TRACE_NEXT_ID();
             DPU_TRACE_SPAN_BEGIN(sim::TraceCat::Dms,

@@ -81,7 +81,7 @@ class Dmad
      * resume the channel.
      */
     void completeAt(sim::Tick t, unsigned ch, int notify,
-                    std::uint32_t span_id, const char *desc_name,
+                    std::uint64_t span_id, const char *desc_name,
                     bool error);
     /** Park the channel until @p ev of this core clears. */
     void parkOnClear(unsigned ch, unsigned ev);

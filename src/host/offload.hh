@@ -231,7 +231,7 @@ class OffloadScheduler
         std::uint64_t id;
         JobRequest req;
         sim::Tick deadline;
-        std::uint32_t queueSpan;
+        std::uint64_t queueSpan;
     };
 
     enum class GroupState : std::uint8_t
@@ -256,7 +256,7 @@ class OffloadScheduler
         apps::ServingJob job;
         /** Retained so a reaped job can be requeued. */
         JobRequest req;
-        std::uint32_t runSpan = 0;
+        std::uint64_t runSpan = 0;
         sim::Tick quarantinedAt = 0;
     };
 

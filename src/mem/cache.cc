@@ -7,10 +7,15 @@
 
 namespace dpu::mem {
 
-Cache::Cache(const std::string &name, const CacheParams &params,
-             MemPort &downstream, std::span<std::uint8_t> sram,
-             sim::StatGroup *after)
-    : stats(name, after), p(params), next(downstream),
+Cache::Cache(sim::StatGroup &stats, const char *prefix,
+             const CacheParams &params, MemPort &downstream,
+             std::span<std::uint8_t> sram)
+    : hits(stats, prefix, "hits"), misses(stats, prefix, "misses"),
+      writebacks(stats, prefix, "writebacks"),
+      fills(stats, prefix, "fills"),
+      flushedLines(stats, prefix, "flushedLines"),
+      invalidatedLines(stats, prefix, "invalidatedLines"), p(params),
+      next(downstream),
       nSets(params.sizeBytes / (lineBytes * params.assoc)),
       lines(reinterpret_cast<Line *>(sram.data()),
             std::size_t(nSets) * params.assoc),
@@ -23,8 +28,9 @@ Cache::Cache(const std::string &name, const CacheParams &params,
                    reinterpret_cast<std::uintptr_t>(sram.data()) %
                            alignof(Line) ==
                        0,
-               "cache %s given a %zu-byte slice for %zu bytes of "
-               "lines", name.c_str(), sram.size(), sramBytes(params));
+               "a cache of group %s given a %zu-byte slice for %zu "
+               "bytes of lines", stats.name().c_str(), sram.size(),
+               sramBytes(params));
 }
 
 std::size_t
@@ -32,14 +38,6 @@ Cache::sramBytes(const CacheParams &params)
 {
     return std::size_t(params.sizeBytes / (lineBytes * params.assoc)) *
            params.assoc * sizeof(Line);
-}
-
-LazyCache::LazyCache(std::string name_, const CacheParams &params,
-                     MemPort &downstream, std::span<std::uint8_t> sram_,
-                     sim::StatGroup &after_)
-    : name(std::move(name_)), p(params), next(downstream), sram(sram_),
-      after(after_)
-{
 }
 
 std::uint32_t

@@ -15,21 +15,22 @@
  * The lines, tags and data alike, sit in a slice of the chip's one
  * demand-zero SRAM block (sim::ZeroPages::carve, soc::Soc), like a
  * chip's DDR image: a fresh cache is all invalid, and host RAM
- * follows the sets a run touches. A cache owns no mapping.
+ * follows the sets a run touches. A cache owns no mapping, and
+ * building one touches no line.
  *
- * A chip builds each cache on its first use (LazyCache): a core's
- * L1-D on its first cached access, and a macro's L2 on the first miss
- * or flush that reaches it. Until then the cache is its reserved
- * slice and nothing else: no Cache object and no stat group.
+ * A cache owns no stat group either. It counts into a group its
+ * owner passes in: a core's L1-D into the core's group as
+ * "l1d.hits" and so on, and a macro's L2 into the "macro<m>.l2"
+ * group the chip builds beside it. So a chip builds its caches with
+ * its other blocks, and a cache no run touches adds no cell to a
+ * snapshot.
  */
 
 #ifndef DPU_MEM_CACHE_HH
 #define DPU_MEM_CACHE_HH
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string>
 #include <type_traits>
 
 #include "mem/mem_port.hh"
@@ -51,18 +52,19 @@ class Cache : public MemPort
 {
   public:
     /**
-     * @param name  Stats prefix, e.g. "core3.l1d".
+     * @param stats  The owner's group, which the cache counts into.
+     * @param prefix The cells' prefix in @p stats ("l1d" reads as
+     *               "l1d.misses"), or nullptr for bare cell names; a
+     *               string that lives as long as @p stats.
      * @param params Geometry and hit latency.
      * @param downstream The next level (L2 or main memory).
      * @param sram  The lines' storage: at least sramBytes(@p params)
      *              bytes that read as zero (a fresh slice of a
      *              demand-zero region).
-     * @param after For a cache built on first use, its owner's stat
-     *              group, which its own follows (sim::StatGroup).
      */
-    Cache(const std::string &name, const CacheParams &params,
-          MemPort &downstream, std::span<std::uint8_t> sram,
-          sim::StatGroup *after = nullptr);
+    Cache(sim::StatGroup &stats, const char *prefix,
+          const CacheParams &params, MemPort &downstream,
+          std::span<std::uint8_t> sram);
 
     /** Bytes of SRAM the lines of a @p params cache take. */
     static std::size_t sramBytes(const CacheParams &params);
@@ -111,8 +113,6 @@ class Cache : public MemPort
     /** True if the line holding @p addr is resident and dirty. */
     bool isDirty(Addr addr) const;
 
-    sim::StatGroup &statGroup() { return stats; }
-
   private:
     /**
      * One way of a set. A trivial type, and so implicit-lifetime:
@@ -145,65 +145,19 @@ class Cache : public MemPort
 
     std::uint32_t setIndex(Addr line_addr) const;
 
-    sim::StatGroup stats;
-    /** Per-access counters (see sim/stats.hh). */
-    sim::Counter hits{stats, "hits"};
-    sim::Counter misses{stats, "misses"};
-    sim::Counter writebacks{stats, "writebacks"};
-    sim::Counter fills{stats, "fills"};
-    sim::Counter flushedLines{stats, "flushedLines"};
-    sim::Counter invalidatedLines{stats, "invalidatedLines"};
+    /** Per-access counters, in the owner's group (sim/stats.hh). */
+    sim::Counter hits;
+    sim::Counter misses;
+    sim::Counter writebacks;
+    sim::Counter fills;
+    sim::Counter flushedLines;
+    sim::Counter invalidatedLines;
     CacheParams p;
     MemPort &next;
     std::uint32_t nSets;
     std::span<Line> lines;    ///< nSets * assoc, set-major
     std::uint64_t useClock = 0;
     sim::Tick hitLatency;
-};
-
-/**
- * A cache built on its first use. It keeps what the build needs: the
- * name, the geometry, the next level, the SRAM slice the lines take
- * and the stat group the cache's group follows. It is also the port
- * the level above misses into, so a core's L1-D builds the macro's
- * L2 below it on its first miss.
- */
-class LazyCache : public MemPort
-{
-  public:
-    /** The arguments of the Cache that get() builds. */
-    LazyCache(std::string name, const CacheParams &params,
-              MemPort &downstream, std::span<std::uint8_t> sram,
-              sim::StatGroup &after);
-
-    /** The cache, built on the first call. */
-    Cache &
-    get()
-    {
-        if (!cache) [[unlikely]]
-            cache.emplace(name, p, next, sram, &after);
-        return *cache;
-    }
-
-    sim::Tick
-    readLine(Addr addr, void *dst, sim::Tick when) override
-    {
-        return get().readLine(addr, dst, when);
-    }
-
-    sim::Tick
-    writeLine(Addr addr, const void *src, sim::Tick when) override
-    {
-        return get().writeLine(addr, src, when);
-    }
-
-  private:
-    std::string name;
-    CacheParams p;
-    MemPort &next;
-    std::span<std::uint8_t> sram;
-    sim::StatGroup &after;
-    std::optional<Cache> cache;
 };
 
 } // namespace dpu::mem

@@ -4,10 +4,9 @@
 
 namespace dpu::sim {
 
-StatGroup::StatGroup(std::string name, StatGroup *after)
-    : groupName(std::move(name))
+StatGroup::StatGroup(std::string name) : groupName(std::move(name))
 {
-    StatsRegistry::instance().add(this, after);
+    StatsRegistry::instance().add(this);
 }
 
 StatGroup::~StatGroup()

@@ -20,8 +20,11 @@
  * Every live StatGroup is also tracked by the process-wide
  * StatsRegistry (see stats_registry.hh), which snapshots all groups
  * for golden-stats regression testing. Registration happens in the
- * constructor and deregistration in the destructor, so groups must
- * not be copied or moved.
+ * constructor, at the end of the registry's list, and
+ * deregistration in the destructor, so groups must not be copied or
+ * moved. A part that counts for its owner takes the owner's group
+ * rather than building its own (a core's L1-D counts into the core's
+ * group under the prefix "l1d").
  */
 
 #ifndef DPU_SIM_STATS_HH
@@ -43,10 +46,8 @@ class Counter;
 class StatGroup
 {
   public:
-    /** A group @p name, registered last, or, for a group built on
-     *  first use, right after its owner's group @p after (see
-     *  stats_registry.hh). */
-    explicit StatGroup(std::string name, StatGroup *after = nullptr);
+    /** A group @p name, registered after every live group. */
+    explicit StatGroup(std::string name);
     ~StatGroup();
 
     StatGroup(const StatGroup &) = delete;
@@ -135,7 +136,8 @@ class StatGroup
  * way no name is allocated. The group keeps the counter's address
  * and the name pointers, so a counter does not move, and it and its
  * prefix live as long as its group is read (in practice all are
- * members of one owner, the group declared first).
+ * members of one owner, the group declared first, or of a part the
+ * owner builds after its group, as a core builds its L1-D).
  */
 class Counter
 {

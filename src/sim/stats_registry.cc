@@ -25,13 +25,13 @@ StatsRegistry::groupCount() const
 }
 
 void
-StatsRegistry::add(StatGroup *g, StatGroup *after)
+StatsRegistry::add(StatGroup *g)
 {
     std::lock_guard<std::mutex> hold(lock);
-    g->prev = after ? after : tail;
-    g->next = g->prev ? g->prev->next : head;
-    (g->prev ? g->prev->next : head) = g;
-    (g->next ? g->next->prev : tail) = g;
+    g->prev = tail;
+    g->next = nullptr;
+    (tail ? tail->next : head) = g;
+    tail = g;
     ++count;
 }
 

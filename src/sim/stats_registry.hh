@@ -14,17 +14,17 @@
  * Groups with duplicate names (a 16nm chip has one "dmac" group per
  * complex) are disambiguated in registration order as "dmac",
  * "dmac#1", "dmac#2", ... Registration order is construction order,
- * which is deterministic, with one exception: a group built on first
- * use (a chip's caches, mem::LazyCache) names the group it follows,
- * and joins right after it. Its place, and so its "#N", is then the
- * one it would hold had it been built with its owner, whichever
- * thread builds it and whenever.
+ * which is deterministic: a group joins at the end of the list when
+ * its owner is built, and every owner, a chip's caches included, is
+ * built with the system it belongs to.
  *
  * The registry is an intrusive list, so a group joins and leaves in
  * constant time whatever order groups die in: tearing down a
- * 512-chip board is linear in its groups. A lock guards it, because
- * on a board a chip builds a cache inside a partition's events, on
- * that partition's worker thread.
+ * 512-chip board is linear in its groups. A lock guards the list and
+ * its count, so a snapshot or a group built or destroyed on another
+ * thread never sees it half-linked; groups are built and destroyed
+ * with their owners, outside a board's parallel epochs, so the lock
+ * is not contended.
  */
 
 #ifndef DPU_SIM_STATS_REGISTRY_HH
@@ -97,9 +97,8 @@ class StatsRegistry
     /** Number of live groups (test introspection). */
     std::size_t groupCount() const;
 
-    // StatGroup ctor/dtor hooks: @p g joins at the end, or right
-    // after @p after.
-    void add(StatGroup *g, StatGroup *after);
+    // StatGroup ctor/dtor hooks: @p g joins at the end.
+    void add(StatGroup *g);
     void remove(StatGroup *g);
 
   private:

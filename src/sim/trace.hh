@@ -21,10 +21,11 @@
  *  - Records land in a ring PER EXECUTION DOMAIN (sim/domain.hh):
  *    the parallel board runner gives each DPU its own domain, so
  *    concurrent partitions never share a ring, and span ids carry
- *    the domain in their top byte so id streams are partition-local
- *    too. Export merges the rings on (timestamp, domain, local
- *    order) — a total order independent of thread interleaving, so
- *    a parallel run's trace is byte-identical to the serial one.
+ *    the domain in their high 32 bits so id streams are
+ *    partition-local too. Export merges the rings on (timestamp,
+ *    domain, local order) — a total order independent of thread
+ *    interleaving, so a parallel run's trace is byte-identical to
+ *    the serial one.
  *    Domain 0 is the default and replays the pre-domain tracer
  *    exactly (same ids, same order) for single-chip runs.
  *  - Spans use Chrome "async" begin/end pairs ('b'/'e') keyed by a
@@ -84,11 +85,12 @@ struct TraceRecord
     const char *name = nullptr;
     const char *k0 = nullptr;  ///< arg key (nullptr = absent)
     const char *k1 = nullptr;
-    std::uint32_t id = 0;      ///< async span pairing id
+    std::uint64_t id = 0;      ///< async span pairing id
     std::uint32_t tid = 0;
     char ph = 'i';             ///< 'b','e','X','i','C'
     std::uint8_t pid = 0;      ///< TraceCat
 };
+static_assert(sizeof(TraceRecord) == 72);
 
 /**
  * The global tracer: one record ring per execution domain. Arming,
@@ -131,19 +133,20 @@ class Tracer
     std::uint64_t dropped() const;
 
     /** Fresh id for pairing an async begin with its end. Ids are
-     *  per-domain streams, domain in the top byte, so they never
-     *  depend on cross-partition interleaving. */
-    std::uint32_t
+     *  per-domain streams, so they never depend on cross-partition
+     *  interleaving: the domain in the high 32 bits, its own count
+     *  in the low 32, so no two domains share an id. */
+    std::uint64_t
     nextId()
     {
         const unsigned d = domIndex();
-        return (std::uint32_t(d) << 24) | ++idGens[d];
+        return (std::uint64_t(d) << 32) | ++idGens[d];
     }
 
     /** Append one record (call sites go through the macros). */
     void
     record(char ph, TraceCat cat, std::uint32_t tid, const char *name,
-           Tick ts, Tick dur = 0, std::uint32_t id = 0,
+           Tick ts, Tick dur = 0, std::uint64_t id = 0,
            const char *k0 = nullptr, std::uint64_t a0 = 0,
            const char *k1 = nullptr, std::uint64_t a1 = 0)
     {

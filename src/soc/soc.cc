@@ -45,19 +45,17 @@ Soc::Soc(sim::EventQueue *shared, const SocParams &params)
 
     const unsigned n = p.nCores();
     const unsigned n_macros = n / core::coresPerMacro;
-    l2s.reserve(n_macros);
     for (unsigned m = 0; m < n_macros; ++m) {
-        l2s.push_back(std::make_unique<mem::LazyCache>(
-            "macro" + std::to_string(m) + ".l2", l2Params, *mm,
-            sram.carve(mem::Cache::sramBytes(l2Params)),
-            mm->statGroup()));
+        l2Stats.emplace_back("macro" + std::to_string(m) + ".l2");
+        l2s.emplace_back(l2Stats.back(), nullptr, l2Params, *mm,
+                         sram.carve(mem::Cache::sramBytes(l2Params)));
     }
 
     cores.reserve(n);
     corePtrs.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
         cores.push_back(std::make_unique<core::DpCore>(
-            i, eq, *l2s[i / core::coresPerMacro],
+            i, eq, l2s[i / core::coresPerMacro],
             sram.carve(core::DpCore::sramBytes())));
         corePtrs.push_back(cores.back().get());
     }
@@ -173,6 +171,8 @@ void
 Soc::dumpStats(std::ostream &os)
 {
     mm->statGroup().dump(os);
+    for (const sim::StatGroup &g : l2Stats)
+        g.dump(os);
     for (auto &c : cores)
         c->statGroup().dump(os);
     for (auto &d : dmsUnits)

@@ -9,9 +9,10 @@
  *
  * A chip maps two demand-zero regions (sim::ZeroPages): its DDR
  * image and one block that every SRAM on it is carved from, its
- * DMEMs and the lines of its L1-Ds and L2s. The caches themselves
- * are built on first use (mem::LazyCache), so a chip whose kernels
- * never cache holds no Cache object and registers no cache stats.
+ * DMEMs and the lines of its L1-Ds and L2s. Every block, each cache
+ * included, is built with the chip. A cache owns no stat group: a
+ * core's L1-D counts into the core's group, and a macro's L2 into a
+ * "macro<m>.l2" group the chip builds beside it, right after "ddr".
  *
  * The A9 host complex and M0 power manager are modelled thinly: the
  * A9 is the chip's dispatch endpoint on the MBC (a9(), see HostA9),
@@ -25,6 +26,7 @@
 #ifndef DPU_SOC_SOC_HH
 #define DPU_SOC_SOC_HH
 
+#include <deque>
 #include <memory>
 #include <ostream>
 #include <vector>
@@ -138,7 +140,9 @@ class Soc
     /** The chip's SRAMs in one demand-zero region: each macro's L2
      *  lines, then each core's DMEM and L1-D lines, page-aligned. */
     sim::ZeroPages sram;
-    std::vector<std::unique_ptr<mem::LazyCache>> l2s;
+    /** Each macro's L2 and the group it counts into. */
+    std::deque<sim::StatGroup> l2Stats;
+    std::deque<mem::Cache> l2s;
     std::vector<std::unique_ptr<core::DpCore>> cores;
     std::vector<core::DpCore *> corePtrs;
     std::vector<std::unique_ptr<dms::Dms>> dmsUnits;

@@ -337,13 +337,13 @@ TEST(BoardDeterminism, FaultReplayIsBitIdentical)
         << sim::formatDiffs(diffs);
 }
 
-TEST(BoardDeterminism, CachesBuiltOnWorkerThreadsKeepTheirNames)
+TEST(BoardDeterminism, CachesUsedOnWorkerThreadsKeepTheirNames)
 {
-    // Chip d's first cached loads build its core-0 L1-D and macro-0
+    // Chip d's first cached loads reach its core-0 L1-D and macro-0
     // L2 inside its partition's events, on its worker thread, in
-    // whatever order the workers reach them. Each cache's stat group
-    // takes its chip's place in the registry, so chip d's cells read
-    // under the same "#d" at every thread count.
+    // whatever order the workers reach them. Each cache counts into
+    // a group built with its chip, so chip d's cells read under the
+    // same "#d" at every thread count.
     std::vector<sim::StatsSnapshot> snaps;
     for (const unsigned threads : {1u, 4u}) {
         auto b = topo::ClusterTopology::board(4).threads(threads)
@@ -358,7 +358,7 @@ TEST(BoardDeterminism, CachesBuiltOnWorkerThreadsKeepTheirNames)
         snaps.push_back(sim::StatsRegistry::instance().snapshot());
         const auto &cells = snaps.back().counters;
         EXPECT_EQ(cells.at("core0.l1d.misses"), 1u) << threads;
-        EXPECT_EQ(cells.at("core0.l1d#3.misses"), 4u) << threads;
+        EXPECT_EQ(cells.at("core0#3.l1d.misses"), 4u) << threads;
         EXPECT_EQ(cells.at("macro0.l2#3.misses"), 4u) << threads;
     }
     EXPECT_EQ(snaps[0], snaps[1]);

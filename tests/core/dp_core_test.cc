@@ -30,9 +30,8 @@ struct CoreFixture : ::testing::Test
 {
     CoreFixture()
         : mm(mem::ddr3_1600, 4 << 20),
-          l2("l2", l2Params, mm,
-             sram.carve(mem::Cache::sramBytes(l2Params)),
-             mm.statGroup()),
+          l2(l2Stats, nullptr, l2Params, mm,
+             sram.carve(mem::Cache::sramBytes(l2Params))),
           core0(makeCore(0)), core1(makeCore(1))
     {
     }
@@ -64,7 +63,8 @@ struct CoreFixture : ::testing::Test
     sim::ZeroPages sram{
         sim::ZeroPages::pageRound(mem::Cache::sramBytes(l2Params)) +
         4 * DpCore::sramBytes()};
-    mem::LazyCache l2;
+    sim::StatGroup l2Stats{"l2"};
+    mem::Cache l2;
     std::unique_ptr<DpCore> core0, core1;
 };
 

@@ -37,16 +37,20 @@ struct TwoCoreFixture : ::testing::Test
 {
     TwoCoreFixture()
         : mm(mem::ddr3_1600, 1 << 20),
-          l2("l2", l2Params, mm, sram.carve(Cache::sramBytes(l2Params))),
-          a("a.l1d", l1Params, l2,
+          l2(l2Stats, nullptr, l2Params, mm,
+             sram.carve(Cache::sramBytes(l2Params))),
+          a(aStats, "l1d", l1Params, l2,
             sram.carve(Cache::sramBytes(l1Params))),
-          b("b.l1d", l1Params, l2,
+          b(bStats, "l1d", l1Params, l2,
             sram.carve(Cache::sramBytes(l1Params)))
     {
     }
 
     MainMemory mm;
     sim::ZeroPages sram{sramBytes()};
+    /** The groups the caches count into: core a's, core b's and the
+     *  L2's own. */
+    sim::StatGroup aStats{"a"}, bStats{"b"}, l2Stats{"l2"};
     Cache l2;
     Cache a, b;
 };
@@ -60,7 +64,7 @@ TEST_F(TwoCoreFixture, ReadMissFillsFromMemory)
     a.read(0x100, &v, 8, 0);
     EXPECT_EQ(v, 0x1122334455667788ull);
     EXPECT_TRUE(a.contains(0x100));
-    EXPECT_EQ(a.statGroup().get("misses"), 1u);
+    EXPECT_EQ(aStats.get("l1d.misses"), 1u);
 }
 
 TEST_F(TwoCoreFixture, WriteBackIsDeferred)
@@ -128,7 +132,7 @@ TEST_F(TwoCoreFixture, LruEvictsOldestAndWritesBack)
     // First line evicted; its dirty data must have landed in L2.
     EXPECT_FALSE(a.contains(0));
     EXPECT_TRUE(l2.contains(0));
-    EXPECT_EQ(a.statGroup().get("writebacks"), 1u);
+    EXPECT_EQ(aStats.get("l1d.writebacks"), 1u);
 }
 
 TEST_F(TwoCoreFixture, MissLatencyExceedsHitLatency)

@@ -2,9 +2,8 @@
  * @file
  * Unit tests for StatGroup accessors, dump() ordering, the Counter
  * cells a group reads live (bare and prefixed names), reads that
- * leave the cells as they were, the StatsRegistry snapshot, its
- * removal of groups in any order and its placement of a group built
- * after its owner, snapshot JSON round-tripping, and
+ * leave the cells as they were, the StatsRegistry snapshot and its
+ * removal of groups in any order, snapshot JSON round-tripping, and
  * the JSON reader's numbers beyond int64's range.
  */
 
@@ -191,23 +190,6 @@ TEST(StatsRegistry, RemovingAFirstMiddleAndLastGroupKeepsTheRest)
     EXPECT_EQ(snap.counters.at("rm.n"), 2u);
     EXPECT_EQ(snap.counters.at("rm#1.n"), 4u);
     EXPECT_EQ(snap.counters.at("rm#2.n"), 9u);
-}
-
-TEST(StatsRegistry, AGroupBuiltLateJoinsRightAfterItsOwner)
-{
-    // Two owners, then a late group for each, the second owner's
-    // first: each late group takes the place after its owner, so
-    // "#N" follows the owners' order, not the late groups' order.
-    StatGroup first("own"), second("own");
-    StatGroup lateOfSecond("late", &second);
-    Counter two(lateOfSecond, "n");
-    two += 2;
-    StatGroup lateOfFirst("late", &first);
-    Counter one(lateOfFirst, "n");
-    one += 1;
-    const StatsSnapshot snap = StatsRegistry::instance().snapshot();
-    EXPECT_EQ(snap.counters.at("late.n"), 1u);
-    EXPECT_EQ(snap.counters.at("late#1.n"), 2u);
 }
 
 TEST(StatsSnapshot, JsonRoundTrip)

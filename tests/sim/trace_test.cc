@@ -105,8 +105,8 @@ TEST_F(TraceTest, DisarmStopsRecordingButKeepsRing)
 
 TEST_F(TraceTest, SpanIdsAreUniqueAndNonZero)
 {
-    std::uint32_t a = tracer().nextId();
-    std::uint32_t b = tracer().nextId();
+    std::uint64_t a = tracer().nextId();
+    std::uint64_t b = tracer().nextId();
     EXPECT_NE(a, 0u);
     EXPECT_NE(b, 0u);
     EXPECT_NE(a, b);
@@ -120,8 +120,8 @@ TEST_F(TraceTest, ExportedJsonIsWellFormed)
     // Two overlapping async spans on one track, an 'X', an instant
     // and a counter — deliberately recorded out of timestamp order
     // to exercise the exporter's sort.
-    std::uint32_t s1 = tracer().nextId();
-    std::uint32_t s2 = tracer().nextId();
+    std::uint64_t s1 = tracer().nextId();
+    std::uint64_t s2 = tracer().nextId();
     DPU_TRACE_SPAN_BEGIN(TraceCat::Dms, 7, "DdrToDmem", s1, 100,
                          "bytes", 1024, nullptr, 0);
     DPU_TRACE_SPAN_BEGIN(TraceCat::Dms, 7, "DdrToDmem", s2, 150,
@@ -258,8 +258,8 @@ TEST_F(TraceTest, IdStreamsArePerDomainAndRestartOnArm)
     EXPECT_EQ(tracer().nextId(), 1u);
     {
         DomainScope ds(2);
-        EXPECT_EQ(tracer().nextId(), (2u << 24) | 1u);
-        EXPECT_EQ(tracer().nextId(), (2u << 24) | 2u);
+        EXPECT_EQ(tracer().nextId(), (2ull << 32) | 1u);
+        EXPECT_EQ(tracer().nextId(), (2ull << 32) | 2u);
     }
     // Domain 2's ids never perturbed domain 0's stream.
     EXPECT_EQ(tracer().nextId(), 2u);
@@ -271,7 +271,18 @@ TEST_F(TraceTest, IdStreamsArePerDomainAndRestartOnArm)
     tracer().arm(64);
     EXPECT_EQ(tracer().nextId(), 1u);
     DomainScope ds(2);
-    EXPECT_EQ(tracer().nextId(), (2u << 24) | 1u);
+    EXPECT_EQ(tracer().nextId(), (2ull << 32) | 1u);
+}
+
+TEST_F(TraceTest, IdsOfDomainsPast255DoNotCollide)
+{
+    // A 512-DPU board sizes the tracer for 512 domains. With the
+    // domain in an id's top byte, domain 256 drew domain 0's ids.
+    tracer().ensureDomains(257);
+    tracer().arm(4);
+    const std::uint64_t first = tracer().nextId();
+    DomainScope ds(256);
+    EXPECT_NE(tracer().nextId(), first);
 }
 
 TEST_F(TraceTest, DropAccountingIsPerDomain)

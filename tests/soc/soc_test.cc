@@ -1,9 +1,9 @@
 /**
  * @file
  * SoC assembly tests: the 40 nm and 16 nm configurations, the DDR
- * window, demand-zero SRAM carved from one region per chip, caches
- * built on first use, kernel scheduling across all cores, stats
- * plumbing, and cross-complex isolation at 16 nm.
+ * window, demand-zero SRAM carved from one region per chip, cache
+ * cells that appear on first use, kernel scheduling across all
+ * cores, stats plumbing, and cross-complex isolation at 16 nm.
  */
 
 #include <gtest/gtest.h>
@@ -100,10 +100,12 @@ TEST(Soc, SramIsDemandZeroInABoundedNumberOfMappings)
         EXPECT_LE(mappingCount() - before, 2 * 2 + 16);
     }
 
-    // A fresh chip reads all zero, yet holds no DMEM page until a
-    // run writes one.
+    // A fresh chip reads all zero, yet holds no page of a core's
+    // slice, its DMEM and the L1-D lines behind it, until a run
+    // writes one: building the chip wrote no cache line.
     for (unsigned i = 0; i < s.nCores(); ++i)
-        ASSERT_EQ(residentPages(s.core(i).dmem().raw(), mem::dmemBytes),
+        ASSERT_EQ(residentPages(s.core(i).dmem().raw(),
+                                core::DpCore::sramBytes()),
                   0u)
             << "core " << i;
     s.core(5).dmem().store<std::uint32_t>(4096, 7);
@@ -125,6 +127,11 @@ TEST(Soc, SixteenNmChipMapsTheSameTwoRegions)
     if (before >= 0 && !DPU_TEST_TSAN) {
         EXPECT_LE(mappingCount() - before, 2 * 2 + 16);
     }
+    for (unsigned i = 0; i < s.nCores(); ++i)
+        ASSERT_EQ(residentPages(s.core(i).dmem().raw(),
+                                core::DpCore::sramBytes()),
+                  0u)
+            << "core " << i;
     // Neighbouring DMEMs share no byte, and a fresh one reads zero.
     s.core(0).dmem().store<std::uint32_t>(mem::dmemBytes - 4, 1);
     s.core(1).dmem().store<std::uint32_t>(0, 2);
@@ -134,15 +141,17 @@ TEST(Soc, SixteenNmChipMapsTheSameTwoRegions)
     EXPECT_EQ(s.core(159).dmem().load<std::uint32_t>(0), 0u);
 }
 
-TEST(Soc, CachesAreBuiltOnFirstUse)
+TEST(Soc, CacheCellsAppearOnFirstUse)
 {
+    // Every cache is built with its chip, yet a snapshot holds no
+    // cache cell until a run reaches that cache: the cells appear
+    // on first use, and using a cache adds no stat group.
     sim::StatsRegistry &reg = sim::StatsRegistry::instance();
     soc::Soc s;
     s.memory().store().store<std::uint64_t>(0x2040, 0x1122334455667788);
     const std::size_t built = reg.groupCount();
 
-    // Kernels that touch only DMEM build no cache: none of the 32
-    // L1-Ds and 4 L2s registers a stat group.
+    // Kernels that touch only DMEM leave every L1-D and L2 cell out.
     s.startAll([](core::DpCore &c) {
         c.store<std::uint32_t>(c.dmemBase() + 64, c.id());
         c.cycles(c.load<std::uint32_t>(c.dmemBase() + 64) + 1);
@@ -154,27 +163,41 @@ TEST(Soc, CachesAreBuiltOnFirstUse)
         EXPECT_EQ(key.find(".l2"), std::string::npos) << key;
     }
 
-    // Core 9's first cached load builds its L1-D and macro 1's L2,
-    // and reads the DDR bytes through them.
+    // Core 9's first cached load reads the DDR bytes through its
+    // L1-D and macro 1's L2, whose cells then appear.
     std::uint64_t got = 0;
     s.start(9, [&got](core::DpCore &c) {
         got = c.load<std::uint64_t>(0x2040);
     });
     s.run();
     EXPECT_EQ(got, 0x1122334455667788u);
-    EXPECT_EQ(reg.groupCount(), built + 2);
-    const sim::StatsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(reg.groupCount(), built);
+    sim::StatsSnapshot snap = reg.snapshot();
     EXPECT_EQ(snap.counters.at("core9.l1d.misses"), 1u);
     EXPECT_EQ(snap.counters.at("macro1.l2.misses"), 1u);
     EXPECT_EQ(snap.counters.count("core8.l1d.misses"), 0u);
+
+    // The last core of a 16 nm chip counts into its own group and
+    // its macro's, the twentieth.
+    soc::Soc big(soc::dpu16nm());
+    const std::size_t big_built = reg.groupCount();
+    big.memory().store().store<std::uint64_t>(0x2040, 0x55);
+    big.start(159, [&got](core::DpCore &c) {
+        got = c.load<std::uint64_t>(0x2040);
+    });
+    big.run();
+    EXPECT_EQ(got, 0x55u);
+    snap = reg.snapshot();
+    EXPECT_EQ(snap.counters.at("core159.l1d.misses"), 1u);
+    EXPECT_EQ(snap.counters.at("macro19.l2.misses"), 1u);
+    EXPECT_EQ(reg.groupCount(), big_built);
 }
 
-TEST(Soc, ACacheBuiltLateTakesItsOwnersPlaceAmongNamesakes)
+TEST(Soc, CacheCellsTakeTheirChipsPlaceAmongNamesakes)
 {
-    // Two chips' core-0 L1-Ds share a name, told apart by "#N" in
-    // the order of their cores, whichever cache is built first: the
-    // names do not depend on when, or on which thread, a run first
-    // caches.
+    // Two chips' core-0 L1-D cells and macro-0 L2 cells share names,
+    // told apart by "#N" in the order the chips were built,
+    // whichever chip caches first.
     soc::Soc a, b;
     b.start(0, [](core::DpCore &c) { (void)c.load<std::uint32_t>(0); });
     b.run();
@@ -186,7 +209,7 @@ TEST(Soc, ACacheBuiltLateTakesItsOwnersPlaceAmongNamesakes)
     const sim::StatsSnapshot snap =
         sim::StatsRegistry::instance().snapshot();
     EXPECT_EQ(snap.counters.at("core0.l1d.misses"), 2u);
-    EXPECT_EQ(snap.counters.at("core0.l1d#1.misses"), 1u);
+    EXPECT_EQ(snap.counters.at("core0#1.l1d.misses"), 1u);
     EXPECT_EQ(snap.counters.at("macro0.l2.misses"), 2u);
     EXPECT_EQ(snap.counters.at("macro0.l2#1.misses"), 1u);
 }
@@ -240,6 +263,10 @@ TEST(Soc, StatsDumpContainsAllGroups)
     std::string out = os.str();
     EXPECT_NE(out.find("core0.aluOps = 100"), std::string::npos);
     EXPECT_NE(out.find("ddr.bytesRead"), std::string::npos);
+    // The load's cache cells: the L1-D's in its core's group, the
+    // L2's in its macro's.
+    EXPECT_NE(out.find("core0.l1d.misses = 1"), std::string::npos);
+    EXPECT_NE(out.find("macro0.l2.misses = 1"), std::string::npos);
 }
 
 TEST(Soc, SixteenNmComplexesHaveIndependentDmsAndAte)
