@@ -27,7 +27,7 @@
  *    clock is parked on the same tick;
  *  - execution happens IN THE KERNEL: the staging chain runs as DMS
  *    completion events on the source partition, chunk deliveries
- *    ride the epoch runner's mailboxes (delivery ticks at least one
+ *    ride the epoch runner's outboxes (delivery ticks at least one
  *    hop beyond the issuing epoch), and landing descriptors run on
  *    the destination partition. No cross-partition state is touched
  *    outside those paths.

@@ -12,7 +12,7 @@
  * store-and-forward latency — serially with threads=1 (the default),
  * or on a worker pool with more threads. Cross-chip
  * traffic (doorbells, bulk DMA) moves only as fabric sends, whose
- * deliveries wait in the runner's epoch mailboxes, so the simulated
+ * deliveries wait in the runner's epoch outboxes, so the simulated
  * schedule — every stat, trace record and memory image — is
  * bit-identical at any thread count (see DESIGN.md §13).
  *

@@ -5,7 +5,6 @@
 #include "sim/domain.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace dpu::board {
 
@@ -49,10 +48,6 @@ LinkFabric::LinkFabric(sim::EpochRunner &runner_)
                                linkFlitBytes, stats, rows[s], name);
         }
     }
-    // Sends run in the source chip's execution domain; make sure the
-    // cross-cutting planes are sized for it.
-    sim::faultPlane().ensureDomains(n);
-    sim::tracer().ensureDomains(n);
 }
 
 sim::Tick

@@ -20,8 +20,8 @@
  * on the source chip — channel occupancy, fault decisions and the
  * delivery tick are all computed synchronously against the source
  * clock — and the delivery is posted to the runner, which parks it
- * in the (src, dst) mailbox and schedules it on the destination at
- * the next epoch barrier (sim/parallel.hh). Because the runner's
+ * in the source chip's outbox and schedules it on the destination
+ * at the next epoch barrier (sim/parallel.hh). Because the runner's
  * lookahead is linkHopLatency, a delivery tick is always at or
  * beyond the end of the epoch that produced it, so the receiving
  * clock has never passed it. That makes the parallel schedule a

@@ -30,7 +30,7 @@
  * the exec's callbacks fire from DMS completion events on the source
  * partition, the lander's from delivered bulk messages on the
  * destination partition. Cross-DPU coordination is the caller's job
- * (board/balance.hh ships chunks through LinkFabric mailboxes), so
+ * (board/balance.hh ships chunks through LinkFabric sends), so
  * parallel board runs stay bit-identical.
  */
 

@@ -6,10 +6,11 @@
  * domain d is DPU d. Process-wide facilities that must stay both
  * thread-safe and deterministic under the parallel runner (the fault
  * plane's rule RNGs, the tracer's record rings) key their state by
- * the current domain instead of by thread: the epoch runner sets the
- * domain around every partition it advances, so a given DPU's
- * decisions consume the same per-domain streams whatever thread — or
- * how many threads — happen to execute it.
+ * the current domain instead of by thread: the epoch runner sizes
+ * both for its partitions when it is built and sets the domain
+ * around every partition it advances, so a given DPU's decisions
+ * consume the same per-domain streams whatever thread — or how many
+ * threads — happen to execute it.
  *
  * Domain 0 is the default everywhere, which keeps single-chip
  * simulations (one queue, one thread, never touched by a runner)

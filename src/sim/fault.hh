@@ -161,8 +161,9 @@ class FaultPlane
 
     /**
      * Make the plane ready for domains [0, @p n): sizes every rule's
-     * per-domain state (board::Board calls this for its DPU count).
-     * Host-phase only; existing domain streams are untouched.
+     * per-domain state (the EpochRunner calls this for its
+     * partitions). Host-phase only; existing domain streams are
+     * untouched.
      */
     void ensureDomains(unsigned n);
 

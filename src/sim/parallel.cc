@@ -1,15 +1,16 @@
 /**
  * @file
- * EpochRunner implementation: the worker pool, the mailboxes, the
+ * EpochRunner implementation: the worker pool, the outboxes, the
  * epoch loop, and the end-of-run clock alignment.
  */
 
 #include "sim/parallel.hh"
 
 #include <algorithm>
-#include <bit>
 
+#include "sim/fault.hh"
 #include "sim/logging.hh"
+#include "sim/trace.hh"
 
 namespace dpu::sim {
 
@@ -18,11 +19,12 @@ EpochRunner::EpochRunner(std::vector<EventQueue *> queues_,
     : queues(std::move(queues_)), p(params),
       nWorkers(std::max(1u,
                         std::min(p.threads, unsigned(queues.size())))),
-      mail(queues.size() * queues.size()),
-      maskWords(unsigned((queues.size() + 63) / 64)),
-      pending(queues.size() * maskWords), reports(nWorkers)
+      outbox(queues.size()), reports(nWorkers)
 {
     sim_assert(!queues.empty(), "EpochRunner needs a partition");
+    // Partition d's events run in domain d.
+    faultPlane().ensureDomains(partitions());
+    tracer().ensureDomains(partitions());
     barrier.init(nWorkers);
     pool.reserve(nWorkers - 1);
     for (unsigned w = 1; w < nWorkers; ++w)
@@ -43,18 +45,12 @@ void
 EpochRunner::post(unsigned src, unsigned dst, Tick when,
                   EventQueue::Callback fn)
 {
-    const unsigned n = partitions();
-    sim_assert(src < n && dst < n, "bad post route %u -> %u", src,
-               dst);
+    sim_assert(src < partitions() && dst < partitions(),
+               "bad post route %u -> %u", src, dst);
     sim_assert(onPartition(src),
                "post %u -> %u issued from partition %u", src, dst,
                currentDomain());
-    std::vector<Mail> &box = mail[src * n + dst];
-    if (box.empty()) {
-        pending[dst * maskWords + src / 64].fetch_or(
-            std::uint64_t(1) << (src % 64), std::memory_order_relaxed);
-    }
-    box.push_back({when, std::move(fn)});
+    outbox[src].push_back({dst, when, std::move(fn)});
 }
 
 void
@@ -71,38 +67,25 @@ EpochRunner::workerMain(unsigned w)
 Tick
 EpochRunner::drainOwned(unsigned w)
 {
-    const unsigned n = partitions();
-    Tick due = maxTick;
-    for (unsigned dst = w; dst < n; dst += nWorkers) {
-        EventQueue &q = *queues[dst];
-        std::atomic<std::uint64_t> *words = &pending[dst * maskWords];
-        for (unsigned k = 0; k < maskWords; ++k) {
-            // The barrier published every post's bit, and no post
-            // runs during a drain: a plain load and store suffice,
-            // and an empty word costs one load.
-            std::uint64_t bits =
-                words[k].load(std::memory_order_relaxed);
-            if (!bits)
+    // Every worker reads every outbox but moves only its own mail
+    // out, so each queue receives its mail in (source, post) order.
+    for (unsigned src = 0; src < partitions(); ++src) {
+        for (Mail &m : outbox[src]) {
+            if (m.dst % nWorkers != w)
                 continue;
-            words[k].store(0, std::memory_order_relaxed);
-            for (; bits; bits &= bits - 1) {
-                const unsigned src =
-                    k * 64 + unsigned(std::countr_zero(bits));
-                std::vector<Mail> &box = mail[src * n + dst];
-                for (Mail &m : box) {
-                    sim_assert(m.when >= q.now(),
-                               "late delivery %u -> %u at tick %llu, "
-                               "clock %llu (lookahead wider than the "
-                               "delivery latency?)",
-                               src, dst, (unsigned long long)m.when,
-                               (unsigned long long)q.now());
-                    q.schedule(m.when, std::move(m.fn), EvTag::Link);
-                }
-                box.clear();
-            }
+            EventQueue &q = *queues[m.dst];
+            sim_assert(m.when >= q.now(),
+                       "late delivery %u -> %u at tick %llu, clock "
+                       "%llu (lookahead wider than the delivery "
+                       "latency?)",
+                       src, m.dst, (unsigned long long)m.when,
+                       (unsigned long long)q.now());
+            q.schedule(m.when, std::move(m.fn), EvTag::Link);
         }
-        due = std::min(due, q.nextDue());
     }
+    Tick due = maxTick;
+    for (unsigned d = w; d < partitions(); d += nWorkers)
+        due = std::min(due, queues[d]->nextDue());
     return due;
 }
 
@@ -129,12 +112,14 @@ EpochRunner::epochs(unsigned w)
     Tick lastEnd = 0;
     for (;;) {
         mine.due = drainOwned(w);
-        barrier.arriveAndWait(); // every minimum published
+        barrier.arriveAndWait(); // all mail read, every minimum published
         Tick next = maxTick;
         for (const Report &r : reports)
             next = std::min(next, r.due);
         if (next == maxTick || next > bound)
             return;
+        for (unsigned d = w; d < partitions(); d += nWorkers)
+            outbox[d].clear();
         Tick end = next + p.lookahead;
         if (end < next || end > bound) // overflow or bound
             end = bound;
@@ -163,6 +148,10 @@ EpochRunner::run(Tick bound)
     barrier.arriveAndWait(); // release the workers into the run
     epochs(0);
     running = false;
+    // The last drain read every outbox: empty them, so the next
+    // run's first drain does not schedule that mail again.
+    for (std::vector<Mail> &box : outbox)
+        box.clear();
 
     // Align every clock on the common final tick so host-phase code
     // between runs sees the one board clock a shared queue showed.

@@ -5,18 +5,18 @@
  * The EpochRunner advances a set of EventQueue partitions (one per
  * execution domain — on a board, one per DPU) in BSP-style epochs,
  * and it owns the one way a partition reaches another: post(), which
- * parks a callback in the (src, dst) mailbox. Partition d belongs to
- * worker d % threads (the caller is worker 0), and every worker runs
- * the same loop:
+ * appends a callback to the source partition's outbox. Partition d
+ * belongs to worker d % threads (the caller is worker 0), and every
+ * worker runs the same loop:
  *
- *   1. drain:   schedule its partitions' inbound mail, sources in
- *               ascending order, each mailbox in post order; a
- *               pending-source mask per partition names the
- *               mailboxes that hold mail, so a drain visits only
- *               those
+ *   1. drain:   read every outbox, sources in ascending order, each
+ *               in post order, and schedule the mail bound for its
+ *               own partitions
  *   2. publish: its partitions' earliest nextDue(), the exact next
  *               event tick
- *   3. barrier
+ *   3. barrier, then empty its own partitions' outboxes (when the
+ *               run stops here instead, run() empties them all), so
+ *               no mail is scheduled twice
  *   4. compute: next = min of the published ticks; every worker
  *               derives the same window [next, min(limit, next +
  *               lookahead)] from the same minima and runWindow()s
@@ -37,12 +37,13 @@
  * Determinism: each partition executes exactly the same local event
  * sequence whatever the thread count, because (a) per-queue seq
  * counters make same-tick FIFO order a partition-local property,
- * (b) all cross-partition interaction goes through the mailboxes,
+ * (b) all cross-partition interaction goes through the outboxes,
  * drained in a fixed order, and (c) per-domain state (fault RNG
  * streams, trace rings — see sim/domain.hh) is keyed by domain, not
- * by thread. threads == 1 runs the identical epoch schedule on the
- * caller's thread, so "parallel equals serial" holds by
- * construction and is enforced bit-exactly by the test wall.
+ * by thread, and the runner sizes it for its partitions. threads ==
+ * 1 runs the identical epoch schedule on the caller's thread, so
+ * "parallel equals serial" holds by construction and is enforced
+ * bit-exactly by the test wall.
  *
  * Clock protocol: partitions advance with runWindow(), which leaves
  * each clock on its last executed event; when the run ends the
@@ -77,14 +78,15 @@ struct ParallelParams
     Tick lookahead = 0;
 };
 
-/** Epoch-barrier coordinator and mailbox owner over a fixed set of
+/** Epoch-barrier coordinator and outbox owner over a fixed set of
  *  partitions. */
 class EpochRunner
 {
   public:
     /**
      * @param queues  One partition per domain; domain d's events run
-     *                under DomainScope(d).
+     *                under DomainScope(d). The fault plane and the
+     *                tracer are sized for every domain.
      * @param params  Thread count / lookahead.
      */
     EpochRunner(std::vector<EventQueue *> queues,
@@ -101,9 +103,9 @@ class EpochRunner
      * Run @p fn on partition @p dst at tick @p when, as an
      * EvTag::Link event. Only partition @p src may post: from its
      * own events, or from the host phase between runs. The callback
-     * waits in the (src, dst) mailbox until the next drain — the
-     * next epoch barrier, or the start of the next run — and
-     * @p when must not lie in dst's past by then.
+     * waits in src's outbox until the next drain — the next epoch
+     * barrier, or the start of the next run — and @p when must not
+     * lie in dst's past by then.
      */
     void post(unsigned src, unsigned dst, Tick when,
               EventQueue::Callback fn);
@@ -183,6 +185,7 @@ class EpochRunner
     /** One parked delivery. */
     struct Mail
     {
+        unsigned dst;
         Tick when;
         EventQueue::Callback fn;
     };
@@ -201,7 +204,7 @@ class EpochRunner
     /** Worker @p w's share of one run: the epoch loop. */
     void epochs(unsigned w);
     /** Schedule the mail bound for worker @p w's partitions;
-     *  @return their earliest pending tick. */
+     *  @return their earliest event tick. */
     Tick drainOwned(unsigned w);
     /** Advance worker @p w's partitions to @p end; @return the
      *  events they ran. */
@@ -210,18 +213,10 @@ class EpochRunner
     std::vector<EventQueue *> queues;
     ParallelParams p;
     unsigned nWorkers;
-    /** Mailboxes, indexed src * partitions + dst. A mailbox is
-     *  written by src's worker (or the host phase) and drained by
-     *  dst's worker; the barriers order the two. */
-    std::vector<std::vector<Mail>> mail;
-    /** 64-bit words per partition's pending-source mask. */
-    unsigned maskWords;
-    /** The sources with mail for each destination: bit src % 64 of
-     *  word dst * maskWords + src / 64. The post that makes a
-     *  mailbox non-empty sets its bit; sources on other workers
-     *  share the word, so that is an atomic or. Only the drain
-     *  clears a word, and no post runs during a drain. */
-    std::vector<std::atomic<std::uint64_t>> pending;
+    /** One outbox per partition, in post order. Outbox s is written
+     *  and emptied only by s's worker (or the host phase) and read
+     *  by every worker's drain; the barriers order the two. */
+    std::vector<std::vector<Mail>> outbox;
     std::vector<Report> reports; ///< one per worker
 
     Barrier barrier;

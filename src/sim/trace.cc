@@ -4,7 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <numeric>
+#include <set>
+#include <tuple>
 
 #include "sim/logging.hh"
 
@@ -23,6 +24,15 @@ catName(std::uint8_t pid)
       case TraceCat::Soc: return "SoC";
     }
     return "?";
+}
+
+/** The exported pid of subsystem @p cat's records in domain @p dom:
+ *  the subsystem itself in domain 0, so single-chip traces keep
+ *  pids 1..5, and a block of 8 per later domain. */
+unsigned
+exportPid(unsigned dom, std::uint8_t cat)
+{
+    return 8 * dom + cat;
 }
 
 /** Ticks (ps) -> Chrome trace microseconds, exact to the ps. */
@@ -57,38 +67,24 @@ Tracer::arm(std::size_t capacity)
 {
     sim_assert(capacity > 0, "tracer capacity must be non-zero");
     cap = capacity;
-    for (auto &d : doms) {
-        d->ring.assign(cap, TraceRecord{});
-        d->total = 0;
-    }
-    // Restart the id streams with the rings: an armed window is
-    // self-contained, so repeated runs in one process export
-    // bit-identical traces.
-    std::fill(idGens.begin(), idGens.end(), 0);
+    // An armed window is self-contained, so repeated runs in one
+    // process export bit-identical traces.
+    clear();
     isArmed = true;
 }
 
 void
 Tracer::clear()
 {
-    for (auto &d : doms) {
-        std::fill(d->ring.begin(), d->ring.end(), TraceRecord{});
-        d->total = 0;
-    }
-    std::fill(idGens.begin(), idGens.end(), 0);
+    for (auto &d : doms)
+        *d = Domain{};
 }
 
 void
 Tracer::ensureDomains(unsigned n)
 {
-    while (doms.size() < n) {
+    while (doms.size() < n)
         doms.push_back(std::make_unique<Domain>());
-        if (isArmed)
-            doms.back()->ring.assign(cap, TraceRecord{});
-    }
-    if (idGens.size() < n)
-        idGens.resize(n, 0);
-    nDoms = std::max(nDoms, n);
 }
 
 std::size_t
@@ -96,8 +92,7 @@ Tracer::size() const
 {
     std::size_t total = 0;
     for (const auto &d : doms)
-        total += std::size_t(
-            std::min<std::uint64_t>(d->total, d->ring.size()));
+        total += d->ring.size();
     return total;
 }
 
@@ -106,8 +101,7 @@ Tracer::dropped() const
 {
     std::uint64_t n = 0;
     for (const auto &d : doms)
-        if (d->total > d->ring.size())
-            n += d->total - d->ring.size();
+        n += d->total - d->ring.size();
     return n;
 }
 
@@ -125,58 +119,74 @@ Tracer::exportJson(std::ostream &os) const
     // resulting (ts, domain, local order) total order is a pure
     // function of the simulated execution, independent of how many
     // threads recorded.
-    const std::size_t n = size();
-    std::vector<const TraceRecord *> order;
-    order.reserve(n);
-    for (const auto &d : doms) {
-        if (d->ring.empty())
-            continue;
-        const std::size_t held = std::size_t(
-            std::min<std::uint64_t>(d->total, d->ring.size()));
-        const std::uint64_t first = d->total - held;
+    struct Entry
+    {
+        const TraceRecord *r;
+        unsigned dom;
+    };
+    std::vector<Entry> order;
+    order.reserve(size());
+    for (unsigned dom = 0; dom < doms.size(); ++dom) {
+        const Domain &d = *doms[dom];
+        const std::size_t held = d.ring.size();
+        const std::uint64_t first = d.total - held;
         for (std::size_t i = 0; i < held; ++i)
-            order.push_back(&d->ring[(first + i) % d->ring.size()]);
+            order.push_back({&d.ring[(first + i) % held], dom});
     }
     std::stable_sort(order.begin(), order.end(),
-                     [](const TraceRecord *a, const TraceRecord *b) {
-                         return a->ts < b->ts;
+                     [](const Entry &a, const Entry &b) {
+                         return a.r->ts < b.r->ts;
                      });
 
     os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
     bool comma = false;
 
-    // Metadata: subsystem process names + registered track names,
-    // but only for pids that actually appear (or were registered).
-    bool pidSeen[256] = {};
-    for (const TraceRecord *r : order)
-        pidSeen[r->pid] = true;
+    // Metadata. Domain 0 keeps one process per subsystem, named for
+    // every subsystem that records or registered a track, and every
+    // registered track name. Domain d > 0 (chip d of a board) gets
+    // processes of its own, named after the chip, with the names of
+    // the registered tracks it records on.
+    std::set<std::pair<unsigned, std::uint8_t>> procs; // (dom, cat)
+    std::set<std::tuple<unsigned, std::uint8_t, std::uint32_t>> used;
+    for (const Entry &e : order) {
+        procs.insert({e.dom, e.r->pid});
+        if (e.dom > 0)
+            used.insert({e.dom, e.r->pid, e.r->tid});
+    }
     for (const auto &[key, _] : trackNames)
-        pidSeen[key.first] = true;
-    for (unsigned pid = 0; pid < 256; ++pid) {
-        if (!pidSeen[pid])
-            continue;
+        procs.insert({0, key.first});
+    for (const auto &[dom, cat] : procs) {
         if (comma)
             os << ",";
         comma = true;
-        os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-           << ",\"args\":{\"name\":\"" << catName(std::uint8_t(pid))
-           << "\"}}";
+        os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":"
+           << exportPid(dom, cat) << ",\"args\":{\"name\":\"";
+        if (dom > 0)
+            os << "dpu" << dom << " ";
+        os << catName(cat) << "\"}}";
     }
-    for (const auto &[key, name] : trackNames) {
+    const auto threadName = [&os](unsigned pid, std::uint32_t tid,
+                                  const std::string &name) {
         os << ",{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":"
-           << unsigned(key.first) << ",\"tid\":" << key.second
-           << ",\"args\":{\"name\":\"";
+           << pid << ",\"tid\":" << tid << ",\"args\":{\"name\":\"";
         writeEscaped(os, name);
         os << "\"}}";
+    };
+    for (const auto &[key, name] : trackNames)
+        threadName(key.first, key.second, name);
+    for (const auto &[dom, cat, tid] : used) {
+        const auto it = trackNames.find({cat, tid});
+        if (it != trackNames.end())
+            threadName(exportPid(dom, cat), tid, it->second);
     }
 
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceRecord &r = *order[i];
+    for (const Entry &e : order) {
+        const TraceRecord &r = *e.r;
         if (comma)
             os << ",";
         comma = true;
         os << "{\"ph\":\"" << r.ph << "\",\"pid\":"
-           << unsigned(r.pid) << ",\"tid\":" << r.tid
+           << exportPid(e.dom, r.pid) << ",\"tid\":" << r.tid
            << ",\"name\":\"" << (r.name ? r.name : "?")
            << "\",\"ts\":";
         writeUs(os, r.ts);

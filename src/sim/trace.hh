@@ -4,14 +4,16 @@
  *
  * Components record spans (descriptor lifecycles, RPC round trips,
  * DDR transactions, pipeline stalls) and instants/counters into a
- * fixed-capacity ring buffer of POD records; export produces Chrome
+ * ring of POD records that grows as records arrive, up to a fixed
+ * capacity, then overwrites its oldest; export produces Chrome
  * trace-event JSON that loads directly in Perfetto / chrome://tracing
- * with one process ("pid") per subsystem and one named thread track
- * ("tid") per unit (dpCore, DMAD channel, DMAC engine, DDR channel).
+ * with one process ("pid") per subsystem — per chip and subsystem on
+ * a board — and one named thread track ("tid") per unit (dpCore,
+ * DMAD channel, DMAC engine, DDR channel).
  *
  * Design rules:
- *  - Disarmed cost is one inline load+branch per site; nothing is
- *    allocated until the tracer is armed.
+ *  - Disarmed cost is one inline load+branch per site; no ring is
+ *    allocated until an armed tracer records into it.
  *  - Record names and argument keys must be string literals (static
  *    storage duration) — records store the pointers only.
  *  - Timestamps are simulation ticks (picoseconds), taken from the
@@ -19,7 +21,8 @@
  *    or the global event queue); the exporter sorts records, so
  *    per-track timestamp order in the JSON is monotone.
  *  - Records land in a ring PER EXECUTION DOMAIN (sim/domain.hh):
- *    the parallel board runner gives each DPU its own domain, so
+ *    the epoch runner gives each partition (on a board, each DPU)
+ *    its own domain and sizes the tracer for it, so
  *    concurrent partitions never share a ring, and span ids carry
  *    the domain in their high 32 bits so id streams are
  *    partition-local too. Export merges the rings on (timestamp,
@@ -108,21 +111,22 @@ class Tracer
 
     bool armed() const { return isArmed; }
 
-    /** Enable recording into fresh per-domain rings of @p capacity
-     *  records each. */
+    /** Enable recording into empty per-domain rings that each hold
+     *  up to @p capacity records, and restart the id streams. */
     void arm(std::size_t capacity = defaultCapacity);
 
     /** Stop recording (the rings' contents stay exportable). */
     void disarm() { isArmed = false; }
 
-    /** Drop every record (and any pending drop count). */
+    /** Drop every record (and any pending drop count), free the
+     *  rings and restart the id streams. */
     void clear();
 
     /**
-     * Make rings/id streams ready for domains [0, @p n) (the Board
-     * calls this for its DPU count). Host-phase only; cheap while
-     * disarmed. Records from a domain the tracer was never sized for
-     * fall back to domain 0.
+     * Make domains [0, @p n) ready to record (the EpochRunner calls
+     * this for its partitions). Host-phase only; allocates no ring.
+     * Records from a domain the tracer was never sized for fall back
+     * to domain 0.
      */
     void ensureDomains(unsigned n);
 
@@ -140,7 +144,7 @@ class Tracer
     nextId()
     {
         const unsigned d = domIndex();
-        return (std::uint64_t(d) << 32) | ++idGens[d];
+        return (std::uint64_t(d) << 32) | ++doms[d]->lastId;
     }
 
     /** Append one record (call sites go through the macros). */
@@ -153,19 +157,13 @@ class Tracer
         if (!isArmed)
             return;
         Domain &dom = *doms[domIndex()];
-        TraceRecord &r = dom.ring[dom.total % dom.ring.size()];
+        const TraceRecord r{ts, dur, a0, a1, name, k0, k1, id, tid, ph,
+                            std::uint8_t(cat)};
+        if (dom.ring.size() < cap)
+            dom.ring.push_back(r);
+        else
+            dom.ring[dom.total % cap] = r;
         ++dom.total;
-        r.ts = ts;
-        r.dur = dur;
-        r.a0 = a0;
-        r.a1 = a1;
-        r.name = name;
-        r.k0 = k0;
-        r.k1 = k1;
-        r.id = id;
-        r.tid = tid;
-        r.ph = ph;
-        r.pid = std::uint8_t(cat);
     }
 
     /**
@@ -176,9 +174,12 @@ class Tracer
     void nameTrack(TraceCat cat, std::uint32_t tid, std::string name);
 
     /**
-     * Write the ring as Chrome trace-event JSON ("traceEvents"
+     * Write the rings as Chrome trace-event JSON ("traceEvents"
      * array; ts/dur in microseconds), sorted by timestamp, with
      * process_name / thread_name metadata for every named track.
+     * Domain 0's records keep pid = TraceCat; domain d > 0 (chip d
+     * of a board) exports under pids 8 * d + TraceCat, in processes
+     * named "dpu<d> <subsystem>".
      */
     void exportJson(std::ostream &os) const;
 
@@ -197,8 +198,10 @@ class Tracer
      *  parallel recorders hold stable references). */
     struct Domain
     {
+        /** Its oldest record is ring[total % cap] once full. */
         std::vector<TraceRecord> ring;
         std::uint64_t total = 0; ///< records ever written
+        std::uint32_t lastId = 0; ///< span ids drawn
     };
 
     /** The calling thread's domain, clamped to the sized range. */
@@ -211,9 +214,7 @@ class Tracer
 
     bool isArmed = false;
     std::size_t cap = defaultCapacity;
-    unsigned nDoms = 1;
     std::vector<std::unique_ptr<Domain>> doms;
-    std::vector<std::uint32_t> idGens = std::vector<std::uint32_t>(1);
     std::string outPath;
     bool envChecked = false;
     std::map<std::pair<std::uint8_t, std::uint32_t>, std::string>

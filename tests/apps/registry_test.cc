@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "apps/registry.hh"
 
@@ -60,6 +61,28 @@ TEST(AppRegistry, SettersAcceptKnownKeysAndRejectJunk)
         EXPECT_FALSE(spec.set(cfg, "noSuchKnob", "1")) << spec.name;
         EXPECT_FALSE(spec.set(cfg, "seed", "not-a-number"))
             << spec.name;
+    }
+
+    // The boolean and floating-point setters.
+    struct Row
+    {
+        const char *app, *key;
+        std::vector<const char *> good, junk;
+    };
+    const std::vector<Row> rows = {
+        {"hll-crc", "useNtz", {"true", "0"}, {"yes"}},
+        {"svm", "c", {"0.5"}, {"0.5x", ""}},
+        {"simsearch", "zipf", {"0.5"}, {"0.5x", ""}},
+    };
+    for (const Row &r : rows) {
+        const AppSpec *spec = findApp(r.app);
+        ASSERT_NE(spec, nullptr) << r.app;
+        ConfigHandle cfg = spec->makeConfig();
+        for (const char *v : r.good)
+            EXPECT_TRUE(spec->set(cfg, r.key, v)) << r.key << "=" << v;
+        for (const char *v : r.junk)
+            EXPECT_FALSE(spec->set(cfg, r.key, v))
+                << r.key << "=\"" << v << "\"";
     }
 }
 

@@ -14,6 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <set>
+#include <sstream>
 #include <vector>
 
 #include "board/board.hh"
@@ -22,8 +25,10 @@
 #include "host/board_offload.hh"
 #include "sim/domain.hh"
 #include "sim/fault.hh"
+#include "sim/json.hh"
 #include "sim/stats.hh"
 #include "sim/stats_registry.hh"
+#include "sim/trace.hh"
 #include "topo/topology.hh"
 
 using namespace dpu;
@@ -227,7 +232,7 @@ TEST(Board, TeardownWithEventsPendingEverywhereIsClean)
     EXPECT_EQ(b.eventQueue(0).pending(), 6u);
     EXPECT_EQ(b.eventQueue(1).pending(), 7u);
 
-    // A host-phase send waits in the (1, 0) mailbox for the next run.
+    // A host-phase send waits in chip 1's outbox for the next run.
     b.fabric().send(1, 0, 64, sim::Traffic::Workload,
                     [&late] { ++late; }, dropped);
     EXPECT_FALSE(dropped);
@@ -278,6 +283,48 @@ TEST(BoardApps, DistributedHllMergesExactly)
     EXPECT_TRUE(res.sketchExact);
     EXPECT_GT(res.trueDistinct, 0u);
     EXPECT_LT(res.errorFrac, 0.15);
+}
+
+TEST(BoardApps, TracedChipsRecordUnderTheirOwnProcesses)
+{
+    // Every chip names the same tracks ("dmad3", ...), so chip 1's
+    // records export under pids of its own, 8 + subsystem, in
+    // processes named after it; chip 0 keeps pid = subsystem.
+    sim::faultPlane().reset();
+    const auto brd = topo::ClusterTopology::board(2).buildBoard();
+    sim::tracer().arm(std::size_t(1) << 16);
+    board::DistHllConfig cfg;
+    cfg.elementsPerDpu = 1 << 10;
+    cfg.cardinality = 1 << 8;
+    EXPECT_TRUE(board::runDistributedHll(*brd, cfg).valid);
+    std::ostringstream os;
+    sim::tracer().exportJson(os);
+    sim::tracer().disarm();
+    sim::tracer().clear();
+
+    sim::json::Value doc;
+    std::string err;
+    ASSERT_TRUE(sim::json::parse(os.str(), doc, err)) << err;
+    const std::int64_t dms = std::int64_t(sim::TraceCat::Dms);
+    std::map<std::int64_t, std::string> procs;
+    std::set<std::int64_t> dmsPids, namedTracks;
+    for (const sim::json::Value &e : doc.find("traceEvents")->arr) {
+        const std::int64_t pid = e.find("pid")->i;
+        const std::string &name = e.find("name")->s;
+        if (e.find("ph")->s != "M") {
+            if (pid % 8 == dms)
+                dmsPids.insert(pid);
+        } else if (name == "process_name") {
+            procs[pid] = e.find("args")->find("name")->s;
+        } else if (name == "thread_name") {
+            namedTracks.insert(pid);
+        }
+    }
+    EXPECT_EQ(dmsPids, (std::set<std::int64_t>{dms, 8 + dms}));
+    EXPECT_EQ(procs[dms], "DMS");
+    EXPECT_EQ(procs[8 + dms], "dpu1 DMS");
+    EXPECT_TRUE(namedTracks.count(8 + dms))
+        << "chip 1's DMS tracks carry their names";
 }
 
 // ----------------------------------------------------------------

@@ -177,7 +177,7 @@ TEST(DmsOps, InternalMoveCopiesBetweenBanks)
 TEST(DmsOps, EventCtlDescriptorsSetClearAndGate)
 {
     soc::Soc s;
-    sim::Tick gated_at = 0;
+    sim::Tick gated_at = 0, second_set_at = 0, wait_set_at = 0;
     s.start(0, [&](core::DpCore &c) {
         DmsCtl ctl(c, s.dms());
         // Set events 5 and 6 from the descriptor stream.
@@ -206,10 +206,36 @@ TEST(DmsOps, EventCtlDescriptorsSetClearAndGate)
         gated_at = c.now();
         ctl.clearEvent(6);
         ctl.clearEvent(7);
+
+        // A WaitSet gate parks channel 0 until events 5 and 6 are
+        // both set; Set descriptors on channel 1 set them one at a
+        // time, and the transfer behind the gate waits for the
+        // second.
+        dms::Descriptor waitSet;
+        waitSet.type = dms::DescType::EventCtl;
+        waitSet.eventOp = dms::EventOp::WaitSet;
+        waitSet.eventMask = (1u << 5) | (1u << 6);
+        ctl.push(ctl.setup(waitSet));
+        ctl.ddrToDmem().rows(64).width(4).from(0x100).to(0).event(8)
+            .noAutoInc().push(0);
+        for (const unsigned ev : {5u, 6u}) {
+            c.sleepCycles(4000);
+            EXPECT_FALSE(ctl.eventSet(8)) << "gated before event " << ev;
+            dms::Descriptor one;
+            one.type = dms::DescType::EventCtl;
+            one.eventOp = dms::EventOp::Set;
+            one.eventMask = 1u << ev;
+            second_set_at = c.now();
+            ctl.push(ctl.setup(one), 1);
+            ctl.wfe(ev);
+        }
+        ctl.wfe(8);
+        wait_set_at = c.now();
     });
     s.run();
     ASSERT_TRUE(s.allFinished());
     EXPECT_GT(gated_at, sim::dpCoreClock.cyclesToTicks(4000));
+    EXPECT_GT(wait_set_at, second_set_at);
 }
 
 TEST(DmsOps, EventFileEdgeCallbacksFireOnce)

@@ -1,21 +1,23 @@
 /**
  * @file
  * EpochRunner unit tests: the barrier/lookahead protocol edges and
- * the mailboxes behind post().
+ * the outboxes behind post().
  *
  *  - zero lookahead degenerates to serial (global tick) order;
  *  - a message whose latency equals the lookahead lands exactly on
  *    the next epoch, never inside the sending one;
  *  - same-tick posts to one partition arrive in (drain, source,
- *    post) order at every thread count, also when the pending-source
- *    mask spans several words;
- *  - host-phase posts are delivered before the next window opens;
+ *    post) order at every thread count, also from many sources;
+ *  - host-phase posts are delivered before the next window opens,
+ *    and mail a bounded run's last drain read is delivered once;
  *  - a post that lands in the receiver's past is fatal;
  *  - more partitions than workers (oversubscription) changes
  *    nothing observable;
  *  - idle gaps between event clusters are skipped, not marched
  *    through epoch by epoch, and every epoch opens on a real event:
  *    no runner case ever runs an empty epoch;
+ *  - the runner sizes the trace and fault domains of its
+ *    partitions;
  *  - nextDue() is the exact next event tick, near or far.
  */
 
@@ -27,7 +29,9 @@
 
 #include "sim/domain.hh"
 #include "sim/event_queue.hh"
+#include "sim/fault.hh"
 #include "sim/parallel.hh"
+#include "sim/trace.hh"
 
 using namespace dpu;
 
@@ -153,14 +157,12 @@ TEST(EpochRunner, SameTickPostsArriveInDrainSourcePostOrder)
     }
 }
 
-TEST(EpochRunner, SameTickPostsArriveInSourceOrderAcrossMaskWords)
+TEST(EpochRunner, SameTickPostsFromManySourcesArriveInSourceOrder)
 {
-    // A drain visits only the sources whose bits are set in its
-    // destination's pending mask, 64 sources to a word. With 130
-    // partitions the mask spans three words: sources 129, 1, 65 and
-    // 64 post, in that order of time, for one tick, and their mail
-    // arrives in ascending source order, across the word boundaries,
-    // at every thread count.
+    // A drain reads the outboxes of all 130 partitions. Sources 129,
+    // 1, 65 and 64 post, in that order of time, for one tick, and
+    // their mail arrives in ascending source order at every thread
+    // count.
     constexpr unsigned nq = 130;
     static constexpr unsigned dst = 7;
     constexpr sim::Tick at = 2 * hop;
@@ -363,22 +365,74 @@ TEST(EpochRunner, EmptyBoardFinishesImmediately)
 
 TEST(EpochRunner, BoundedRunParksEveryClockOnTheLimit)
 {
-    sim::EventQueue q0, q1;
-    q0.schedule(100, [] {});
-    q1.schedule(5'000'000, [] {}); // beyond the bound
+    for (const unsigned threads : {1u, 2u}) {
+        sim::EventQueue q0, q1;
+        q0.schedule(100, [] {});
+        q1.schedule(5'000'000, [] {}); // beyond the bound
 
+        sim::ParallelParams pp;
+        pp.threads = threads;
+        pp.lookahead = hop;
+        sim::EpochRunner r({&q0, &q1}, pp);
+        const sim::Tick end = r.run(1'000'000);
+
+        EXPECT_EQ(end, 1'000'000u);
+        EXPECT_EQ(q0.now(), 1'000'000u);
+        EXPECT_EQ(q1.now(), 1'000'000u);
+        EXPECT_EQ(q1.pending(), 1u) << "the future event must survive";
+        EXPECT_EQ(r.stats().epochs, 1u);
+        EXPECT_EQ(r.stats().emptyEpochs, 0u);
+
+        // Mail due past the next bound: that run's last drain
+        // schedules it and stops, and the run after delivers it
+        // exactly once.
+        std::vector<sim::Tick> got;
+        r.post(0, 1, 3'000'000, [&got, &q1] { got.push_back(q1.now()); });
+        EXPECT_EQ(r.run(2'000'000), 2'000'000u);
+        EXPECT_TRUE(got.empty());
+        EXPECT_EQ(q1.pending(), 2u);
+        EXPECT_EQ(r.run(), 5'000'000u);
+        EXPECT_EQ(got, std::vector<sim::Tick>{3'000'000})
+            << threads << " workers";
+    }
+}
+
+TEST(EpochRunner, SizesTheTraceAndFaultDomainsOfItsPartitions)
+{
+    // A runner built without a board still runs partition d in
+    // domain d, so it sizes the per-domain planes itself: each
+    // partition draws span ids and fault decisions from its own
+    // domain's streams.
+    constexpr unsigned nq = 3;
+    sim::faultPlane().configure("link.delay@p=0.5", 7);
+    sim::tracer().arm(64);
+    std::vector<sim::EventQueue> qs(nq);
+    std::vector<sim::EventQueue *> qp;
+    for (auto &q : qs)
+        qp.push_back(&q);
     sim::ParallelParams pp;
-    pp.threads = 1;
+    pp.threads = 2;
     pp.lookahead = hop;
-    sim::EpochRunner r({&q0, &q1}, pp);
-    const sim::Tick end = r.run(1'000'000);
+    sim::EpochRunner r(std::move(qp), pp);
 
-    EXPECT_EQ(end, 1'000'000u);
-    EXPECT_EQ(q0.now(), 1'000'000u);
-    EXPECT_EQ(q1.now(), 1'000'000u);
-    EXPECT_EQ(q1.pending(), 1u) << "the future event must survive";
-    EXPECT_EQ(r.stats().epochs, 1u);
-    EXPECT_EQ(r.stats().emptyEpochs, 0u);
+    std::vector<std::uint64_t> ids(nq); // slot d written only by d
+    for (unsigned d = 0; d < nq; ++d) {
+        qs[d].schedule(10 * d, [&ids, &qs, d] {
+            ids[d] = sim::tracer().nextId();
+            sim::faultPlane().fires(sim::FaultSite::LinkDelay,
+                                    qs[d].now());
+        });
+    }
+    r.run();
+
+    const sim::FaultRule &rule = sim::faultPlane().ruleSet().at(0);
+    for (unsigned d = 0; d < nq; ++d) {
+        EXPECT_EQ(ids[d], (std::uint64_t(d) << 32) | 1u) << d;
+        EXPECT_EQ(rule.dom.at(d).seen, 1u) << d;
+    }
+    sim::tracer().disarm();
+    sim::tracer().clear();
+    sim::faultPlane().reset();
 }
 
 TEST(NextDue, IsExactForNearOuterAndFarEvents)

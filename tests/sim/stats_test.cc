@@ -235,6 +235,21 @@ TEST(Json, NumbersBeyondInt64ParseAsDoublesWithNoIntegerView)
     }
 }
 
+TEST(Json, LiteralsParseAndTheirMisspellingsDoNot)
+{
+    json::Value v;
+    std::string err;
+    ASSERT_TRUE(json::parse("[true,false,null]", v, err)) << err;
+    ASSERT_EQ(v.arr.size(), 3u);
+    EXPECT_EQ(v.arr[0].kind, json::Value::Kind::Bool);
+    EXPECT_TRUE(v.arr[0].b);
+    EXPECT_EQ(v.arr[1].kind, json::Value::Kind::Bool);
+    EXPECT_FALSE(v.arr[1].b);
+    EXPECT_EQ(v.arr[2].kind, json::Value::Kind::Null);
+    for (const char *text : {"tru", "nul", "falsey"})
+        EXPECT_FALSE(json::parse(text, v, err)) << text;
+}
+
 TEST(StatsSnapshot, DiffFindsDriftMissingAndExtra)
 {
     StatsSnapshot golden, actual;

@@ -6,7 +6,9 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -61,6 +63,17 @@ str(const json::Value &obj, const char *key)
                                                      : std::string();
 }
 
+/** This process's resident set in bytes, or -1 where unreadable. */
+long long
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    long long pages = 0, resident = 0;
+    if (!(statm >> pages >> resident))
+        return -1;
+    return resident * sysconf(_SC_PAGESIZE);
+}
+
 } // namespace
 
 TEST_F(TraceTest, DisarmedRecordIsANoOp)
@@ -92,6 +105,36 @@ TEST_F(TraceTest, RingOverwritesOldestAndCountsDrops)
     tracer().clear();
     EXPECT_EQ(tracer().size(), 0u);
     EXPECT_EQ(tracer().dropped(), 0u);
+}
+
+TEST_F(TraceTest, ArmingHoldsOnlyTheRecordsWritten)
+{
+    // A ring grows with what it records: arming 8 domains at the
+    // default capacity (72 MB each, once full) commits almost no
+    // memory, and domain d then holds exactly its d + 1 records.
+    constexpr unsigned nd = 8;
+    tracer().ensureDomains(nd);
+    const long long before = residentBytes();
+    tracer().arm();
+    const long long after = residentBytes();
+    if (before >= 0 && after >= 0) {
+        EXPECT_LT(after - before, 16ll << 20);
+    }
+
+    for (unsigned d = 0; d < nd; ++d) {
+        DomainScope ds(d);
+        for (unsigned i = 0; i <= d; ++i)
+            DPU_TRACE_INSTANT(TraceCat::Core, d, "r", Tick(i), "n", d);
+    }
+    EXPECT_EQ(tracer().size(), nd * (nd + 1) / 2);
+    EXPECT_EQ(tracer().dropped(), 0u);
+    std::map<std::uint64_t, unsigned> perDomain;
+    for (const auto &e : exportEvents().arr)
+        if (str(e, "ph") == "i")
+            ++perDomain[e.find("args")->find("n")->asU64()];
+    ASSERT_EQ(perDomain.size(), nd);
+    for (unsigned d = 0; d < nd; ++d)
+        EXPECT_EQ(perDomain[d], d + 1) << "domain " << d;
 }
 
 TEST_F(TraceTest, DisarmStopsRecordingButKeepsRing)
